@@ -10,6 +10,7 @@
 //	sqlshell :memory:?cache_pages=64      # in-memory, small page cache
 //	sqlshell ./mydb                       # durable database directory
 //	sqlshell './mydb?page_size=8192&cache_pages=512'
+//	sqlshell -c 'SELECT * FROM users' ./mydb   # run a script and exit
 //
 // Statements end with ';'. Bind '?' placeholders for the next statement
 // with .bind:
@@ -46,14 +47,10 @@ type shell struct {
 }
 
 func main() {
-	dir := flag.String("dir", "", "database directory (deprecated; pass a DSN argument instead)")
 	cmd := flag.String("c", "", "execute this semicolon-separated script and exit")
 	flag.Parse()
 
-	dsn := *dir
-	if flag.NArg() > 0 {
-		dsn = flag.Arg(0)
-	}
+	dsn := flag.Arg(0) // "" (no argument) opens a volatile in-memory database
 	raw, err := minisql.OpenDSN(dsn)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sqlshell:", err)

@@ -146,6 +146,11 @@ type Expr interface{ expr() }
 // LiteralExpr is a constant value.
 type LiteralExpr struct{ Val Value }
 
+// ParamExpr is a '?' placeholder: slot Idx (0-based, in source order) of the
+// values a statement is executed with. It evaluates like a literal, so the
+// statement text is parsed once and bound values never pass through SQL text.
+type ParamExpr struct{ Idx int }
+
 // ColumnExpr references a column, optionally qualified by a table alias.
 type ColumnExpr struct {
 	Table string // "" = unqualified
@@ -192,6 +197,7 @@ type AggExpr struct {
 }
 
 func (*LiteralExpr) expr() {}
+func (*ParamExpr) expr()   {}
 func (*ColumnExpr) expr()  {}
 func (*UnaryExpr) expr()   {}
 func (*BinaryExpr) expr()  {}

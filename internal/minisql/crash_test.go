@@ -84,10 +84,11 @@ func runTortureWorkload(t *testing.T, dir string, mode CommitMode) []*crashSnaps
 	}
 	defer db.Close()
 
+	sess := db.NewSession() // the BEGIN…COMMIT units need a transaction scope
 	commit := func(stmts ...string) {
 		t.Helper()
 		for _, s := range stmts {
-			if _, err := db.Exec(s); err != nil {
+			if _, err := sess.Exec(s); err != nil {
 				t.Fatalf("%s: %v", s, err)
 			}
 		}

@@ -111,11 +111,6 @@ type Database struct {
 	sealSeq     uint64
 	commitMode  CommitMode
 	commitDelay time.Duration
-
-	// legacy is the session behind the Database-level Begin/Commit/
-	// Rollback API; statements Exec'd while it holds a transaction join it,
-	// preserving the old engine's semantics.
-	legacy *Session
 }
 
 // Session is one transaction scope over a shared Database. database/sql
@@ -200,14 +195,12 @@ func Open(dir string, opts Options) (*Database, error) {
 }
 
 func newDatabase(pg *pager, dir string) *Database {
-	db := &Database{
+	return &Database{
 		pg:     pg,
 		dir:    dir,
 		tables: make(map[string]*table),
 		txSem:  make(chan struct{}, 1),
 	}
-	db.legacy = &Session{db: db}
-	return db
 }
 
 // NewSession returns a fresh transaction scope (used by driver
@@ -338,9 +331,9 @@ func (db *Database) tableForRead(name string, snap bool) (*table, error) {
 // applyStmtLocked runs one DML/DDL statement inside a statement-level page
 // undo scope: on failure every touched page reverts, so a half-applied
 // statement never survives. Caller holds db.mu for writing.
-func (db *Database) applyStmtLocked(stmt Stmt) (int, error) {
+func (db *Database) applyStmtLocked(stmt Stmt, params []Value) (int, error) {
 	db.pg.beginStmt()
-	n, err := db.apply(stmt)
+	n, err := db.apply(stmt, params)
 	if err == nil {
 		err = db.persistRootsLocked()
 	}
@@ -513,13 +506,77 @@ func (db *Database) commitRelease(release func()) error {
 	return db.pipeline.wait(db, b)
 }
 
-// Exec parses and executes a non-SELECT statement in this session: inside
-// its transaction when one is open, else autocommitted.
-func (s *Session) Exec(sql string) (int, error) {
-	stmt, err := Parse(sql)
+// Prepared is a statement parsed once: the AST plus the number of '?' slots
+// in it. Each execution supplies typed values for the slots, so neither the
+// statement nor its arguments are lexed, parsed or quoted again.
+type Prepared struct {
+	sess   *Session
+	stmt   Stmt
+	params int
+}
+
+// Prepare parses sql for repeated execution in this session.
+func (s *Session) Prepare(sql string) (*Prepared, error) {
+	stmt, n, err := parseCounted(sql)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{sess: s, stmt: stmt, params: n}, nil
+}
+
+// NumParams reports how many '?' slots the statement has.
+func (p *Prepared) NumParams() int { return p.params }
+
+func (p *Prepared) checkArity(params []Value) error {
+	if len(params) != p.params {
+		return fmt.Errorf("minisql: statement has %d placeholders, got %d parameters", p.params, len(params))
+	}
+	return nil
+}
+
+// Exec runs a non-SELECT statement with params bound to its slots.
+func (p *Prepared) Exec(params ...Value) (int, error) {
+	if err := p.checkArity(params); err != nil {
+		return 0, err
+	}
+	return p.sess.ExecStmt(p.stmt, params...)
+}
+
+// Query runs a SELECT with params bound to its slots.
+func (p *Prepared) Query(params ...Value) (*Result, error) {
+	if err := p.checkArity(params); err != nil {
+		return nil, err
+	}
+	sel, ok := p.stmt.(*SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("minisql: Query requires a SELECT statement")
+	}
+	return p.sess.QueryStmt(sel, params...)
+}
+
+// Exec prepares and runs a non-SELECT statement in this session: inside its
+// transaction when one is open, else autocommitted.
+func (s *Session) Exec(sql string, params ...Value) (int, error) {
+	p, err := s.Prepare(sql)
 	if err != nil {
 		return 0, err
 	}
+	return p.Exec(params...)
+}
+
+// Query prepares and runs a SELECT in this session.
+func (s *Session) Query(sql string, params ...Value) (*Result, error) {
+	p, err := s.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return p.Query(params...)
+}
+
+// ExecStmt executes an already-parsed non-SELECT statement; params are the
+// values of its '?' slots. BEGIN/COMMIT/ROLLBACK act on this session's
+// transaction.
+func (s *Session) ExecStmt(stmt Stmt, params ...Value) (int, error) {
 	switch stmt.(type) {
 	case *BeginStmt:
 		return 0, s.Begin(context.Background())
@@ -530,11 +587,6 @@ func (s *Session) Exec(sql string) (int, error) {
 	case *SelectStmt:
 		return 0, fmt.Errorf("minisql: use Query for SELECT")
 	}
-	return s.ExecStmt(stmt)
-}
-
-// ExecStmt executes an already-parsed DML/DDL statement.
-func (s *Session) ExecStmt(stmt Stmt) (int, error) {
 	db := s.db
 	if s.owns() {
 		db.mu.Lock()
@@ -545,7 +597,7 @@ func (s *Session) ExecStmt(stmt Stmt) (int, error) {
 		if s.isDoomed() {
 			return 0, errTxAborted
 		}
-		return db.applyStmtLocked(stmt)
+		return db.applyStmtLocked(stmt, params)
 	}
 	// Autocommit: take the writer slot for the statement; in grouped mode it
 	// is handed to the next writer as soon as the commit batch is sealed.
@@ -556,7 +608,7 @@ func (s *Session) ExecStmt(stmt Stmt) (int, error) {
 		<-db.txSem
 		return 0, fmt.Errorf("minisql: database is closed")
 	}
-	n, err := db.applyStmtLocked(stmt)
+	n, err := db.applyStmtLocked(stmt, params)
 	if err != nil {
 		db.mu.Unlock()
 		<-db.txSem
@@ -568,19 +620,11 @@ func (s *Session) ExecStmt(stmt Stmt) (int, error) {
 	return n, nil
 }
 
-// Query executes a SELECT under the shared read lock. While another
-// session's transaction is open, the query runs against the last-committed
-// snapshot: uncommitted changes are visible only to the transaction's own
-// session, never to concurrent readers.
-func (s *Session) Query(sql string) (*Result, error) {
-	stmt, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("minisql: Query requires a SELECT statement")
-	}
+// QueryStmt executes an already-parsed SELECT under the shared read lock.
+// While another session's transaction is open, the query runs against the
+// last-committed snapshot: uncommitted changes are visible only to the
+// transaction's own session, never to concurrent readers.
+func (s *Session) QueryStmt(sel *SelectStmt, params ...Value) (*Result, error) {
 	db := s.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -590,50 +634,32 @@ func (s *Session) Query(sql string) (*Result, error) {
 	// Statements and commits mutate pager transaction state only under the
 	// exclusive lock, so both the owner check and txActive are stable here.
 	snap := !s.owns() && db.pg.txActive()
-	return db.execSelect(sel, snap)
+	return db.execSelect(sel, params, snap)
 }
 
-// --- legacy Database-level API ---
+// --- one-shot statements on the database handle ---
 
-// Exec parses and executes a statement that returns no rows, reporting the
-// affected-row count. Outside an explicit transaction the statement
-// auto-commits (WAL append + fsync before returning); while the
-// Database-level Begin transaction is open, statements join it, matching
-// the original engine's behavior.
-func (db *Database) Exec(sql string) (int, error) {
-	stmt, err := Parse(sql)
+// Exec runs one autocommitted statement that returns no rows (WAL append +
+// fsync before returning), reporting the affected-row count. The handle
+// carries no transaction state: BEGIN/COMMIT/ROLLBACK need a Session.
+func (db *Database) Exec(sql string, params ...Value) (int, error) {
+	p, err := db.NewSession().Prepare(sql)
 	if err != nil {
 		return 0, err
 	}
-	switch stmt.(type) {
-	case *BeginStmt:
-		return 0, db.Begin()
-	case *CommitStmt:
-		return 0, db.Commit()
-	case *RollbackStmt:
-		return 0, db.Rollback()
-	case *SelectStmt:
-		return 0, fmt.Errorf("minisql: use Query for SELECT")
+	switch p.stmt.(type) {
+	case *BeginStmt, *CommitStmt, *RollbackStmt:
+		return 0, fmt.Errorf("minisql: transactions need a session (Database.NewSession)")
 	}
-	return db.legacy.ExecStmt(stmt)
+	return p.Exec(params...)
 }
 
-// Query parses and executes a SELECT. Multiple queries run concurrently;
-// they share the page cache and exclude writers for their duration. It runs
-// in the legacy session's scope: inside the Database-level Begin
-// transaction it sees that transaction's writes, and while a driver
-// session's transaction is open it reads the last-committed snapshot.
-func (db *Database) Query(sql string) (*Result, error) { return db.legacy.Query(sql) }
-
-// Begin opens an explicit transaction. Only one transaction may be open at
-// a time; a second Begin blocks until the first commits or rolls back.
-func (db *Database) Begin() error { return db.legacy.Begin(context.Background()) }
-
-// Commit makes the open transaction durable.
-func (db *Database) Commit() error { return db.legacy.Commit() }
-
-// Rollback discards the open transaction.
-func (db *Database) Rollback() error { return db.legacy.Rollback() }
+// Query runs one SELECT. Multiple queries run concurrently; they share the
+// page cache and exclude writers for their duration. While a session's
+// transaction is open it reads the last-committed snapshot.
+func (db *Database) Query(sql string, params ...Value) (*Result, error) {
+	return db.NewSession().Query(sql, params...)
+}
 
 // Checkpoint forces WAL images into the data file and truncates the WAL.
 // It claims pipeline leadership first so no group append or fsync runs
@@ -684,7 +710,7 @@ func (db *Database) Close() error {
 	return err
 }
 
-// Tables lists table names (for shells and tests). While another session's
+// Tables lists table names (for shells and tests). While a session's
 // transaction is open it lists the committed catalog.
 func (db *Database) Tables() []string {
 	db.mu.RLock()
@@ -693,7 +719,7 @@ func (db *Database) Tables() []string {
 		names []string
 		err   error
 	)
-	if !db.legacy.owns() && db.pg.txActive() {
+	if db.pg.txActive() {
 		var cat *btree
 		if cat, err = db.snapCatTree(); err == nil {
 			names, err = treeKeys(cat)
@@ -723,7 +749,7 @@ func (db *Database) applyScript(sql string) error {
 		return fmt.Errorf("minisql: database is closed")
 	}
 	for _, s := range stmts {
-		if _, err := db.applyStmtLocked(s); err != nil {
+		if _, err := db.applyStmtLocked(s, nil); err != nil {
 			db.rollbackLocked()
 			db.mu.Unlock()
 			<-db.txSem
@@ -855,6 +881,7 @@ func sortStrings(s []string) {
 func quoteIdent(s string) string { return `"` + strings.ReplaceAll(s, `"`, `""`) + `"` }
 
 // sqlLiteral renders v as a SQL literal that parses back to the same value.
+// Only the dump writer renders values as text; statements bind them typed.
 func sqlLiteral(v Value) string {
 	switch v.Kind {
 	case KindNull:

@@ -215,23 +215,17 @@ var (
 	_ sqldriver.Pinger         = (*conn)(nil)
 )
 
-// Prepare implements driver.Conn. Binding is text-level, so preparation
-// lexes the statement once to count '?' placeholders and validate tokens.
+// Prepare implements driver.Conn: the statement is parsed here, once, and
+// its '?' slots are bound to typed values at each execution.
 func (c *conn) Prepare(query string) (sqldriver.Stmt, error) {
 	if c.closed {
 		return nil, sqldriver.ErrBadConn
 	}
-	toks, err := lex(query)
+	p, err := c.sess.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	for _, t := range toks {
-		if t.kind == tokParam {
-			n++
-		}
-	}
-	return &stmt{c: c, query: query, numInput: n}, nil
+	return &stmt{c: c, p: p}, nil
 }
 
 // Close implements driver.Conn: an abandoned open transaction rolls back so
@@ -284,65 +278,23 @@ func (c *conn) Ping(ctx context.Context) error {
 	return nil
 }
 
-// ExecContext implements driver.ExecerContext (no Prepare round-trip).
+// ExecContext implements driver.ExecerContext: prepare, bind, run in one call
+// (no Prepare round-trip through database/sql).
 func (c *conn) ExecContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	return c.exec(ctx, query, args)
+	st, err := c.Prepare(query)
+	if err != nil {
+		return nil, err
+	}
+	return st.(*stmt).ExecContext(ctx, args)
 }
 
 // QueryContext implements driver.QueryerContext.
 func (c *conn) QueryContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	return c.query(ctx, query, args)
-}
-
-func (c *conn) exec(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	if c.closed {
-		return nil, sqldriver.ErrBadConn
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	bound, err := bindNamed(query, args)
+	st, err := c.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	n, err := c.sess.Exec(bound)
-	if err != nil {
-		return nil, err
-	}
-	return sqldriver.RowsAffected(n), nil
-}
-
-func (c *conn) query(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	if c.closed {
-		return nil, sqldriver.ErrBadConn
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	bound, err := bindNamed(query, args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.sess.Query(bound)
-	if err != nil {
-		return nil, err
-	}
-	return &rows{res: res}, nil
-}
-
-func bindNamed(query string, args []sqldriver.NamedValue) (string, error) {
-	if len(args) == 0 {
-		return query, nil
-	}
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := fromDriverValue(a.Value)
-		if err != nil {
-			return "", fmt.Errorf("minisql: arg %d: %w", i+1, err)
-		}
-		vals[i] = v
-	}
-	return BindParams(query, vals...)
+	return st.(*stmt).QueryContext(ctx, args)
 }
 
 // fromDriverValue maps the closed set of driver.Value types onto engine
@@ -378,10 +330,9 @@ func (t *tx) Rollback() error { return t.sess.Rollback() }
 // --- prepared statement ---
 
 type stmt struct {
-	c        *conn
-	query    string
-	numInput int
-	closed   bool
+	c      *conn
+	p      *Prepared
+	closed bool
 }
 
 var (
@@ -391,7 +342,7 @@ var (
 )
 
 func (s *stmt) Close() error  { s.closed = true; return nil }
-func (s *stmt) NumInput() int { return s.numInput }
+func (s *stmt) NumInput() int { return s.p.NumParams() }
 
 func (s *stmt) Exec(args []sqldriver.Value) (sqldriver.Result, error) {
 	return s.ExecContext(context.Background(), namedValues(args))
@@ -401,18 +352,54 @@ func (s *stmt) Query(args []sqldriver.Value) (sqldriver.Rows, error) {
 	return s.QueryContext(context.Background(), namedValues(args))
 }
 
-func (s *stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Result, error) {
+// bind checks the statement is usable and converts args to engine values,
+// one per '?' slot.
+func (s *stmt) bind(ctx context.Context, args []sqldriver.NamedValue) ([]Value, error) {
+	if s.c.closed {
+		return nil, sqldriver.ErrBadConn
+	}
 	if s.closed {
 		return nil, fmt.Errorf("minisql: statement is closed")
 	}
-	return s.c.exec(ctx, s.query, args)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(args) == 0 {
+		return nil, nil
+	}
+	vals := make([]Value, len(args))
+	for i, a := range args {
+		v, err := fromDriverValue(a.Value)
+		if err != nil {
+			return nil, fmt.Errorf("minisql: arg %d: %w", i+1, err)
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
+func (s *stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Result, error) {
+	vals, err := s.bind(ctx, args)
+	if err != nil {
+		return nil, err
+	}
+	n, err := s.p.Exec(vals...)
+	if err != nil {
+		return nil, err
+	}
+	return sqldriver.RowsAffected(n), nil
 }
 
 func (s *stmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	if s.closed {
-		return nil, fmt.Errorf("minisql: statement is closed")
+	vals, err := s.bind(ctx, args)
+	if err != nil {
+		return nil, err
 	}
-	return s.c.query(ctx, s.query, args)
+	res, err := s.p.Query(vals...)
+	if err != nil {
+		return nil, err
+	}
+	return &rows{res: res}, nil
 }
 
 func namedValues(args []sqldriver.Value) []sqldriver.NamedValue {

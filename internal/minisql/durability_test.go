@@ -159,10 +159,11 @@ func TestTransactionsCommit(t *testing.T) {
 	db := OpenMemory()
 	mustExec(t, db, `CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)`)
 	mustExec(t, db, `INSERT INTO acct VALUES (1, 100), (2, 0)`)
-	mustExec(t, db, `BEGIN`)
-	mustExec(t, db, `UPDATE acct SET bal = bal - 40 WHERE id = 1`)
-	mustExec(t, db, `UPDATE acct SET bal = bal + 40 WHERE id = 2`)
-	mustExec(t, db, `COMMIT`)
+	tx := db.NewSession()
+	mustExec(t, tx, `BEGIN`)
+	mustExec(t, tx, `UPDATE acct SET bal = bal - 40 WHERE id = 1`)
+	mustExec(t, tx, `UPDATE acct SET bal = bal + 40 WHERE id = 2`)
+	mustExec(t, tx, `COMMIT`)
 	res := mustQuery(t, db, `SELECT bal FROM acct ORDER BY id`)
 	if got := flat(res); got != "60|40" {
 		t.Fatalf("balances = %q", got)
@@ -173,11 +174,12 @@ func TestTransactionsRollback(t *testing.T) {
 	db := OpenMemory()
 	mustExec(t, db, `CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)`)
 	mustExec(t, db, `INSERT INTO acct VALUES (1, 100)`)
-	mustExec(t, db, `BEGIN`)
-	mustExec(t, db, `UPDATE acct SET bal = 0 WHERE id = 1`)
-	mustExec(t, db, `INSERT INTO acct VALUES (2, 5)`)
-	mustExec(t, db, `DELETE FROM acct WHERE id = 1`)
-	mustExec(t, db, `ROLLBACK`)
+	tx := db.NewSession()
+	mustExec(t, tx, `BEGIN`)
+	mustExec(t, tx, `UPDATE acct SET bal = 0 WHERE id = 1`)
+	mustExec(t, tx, `INSERT INTO acct VALUES (2, 5)`)
+	mustExec(t, tx, `DELETE FROM acct WHERE id = 1`)
+	mustExec(t, tx, `ROLLBACK`)
 	res := mustQuery(t, db, `SELECT id, bal FROM acct ORDER BY id`)
 	if got := flat(res); got != "1,100" {
 		t.Fatalf("after rollback = %q", got)
@@ -188,10 +190,11 @@ func TestRollbackRestoresDroppedTable(t *testing.T) {
 	db := OpenMemory()
 	mustExec(t, db, `CREATE TABLE keepme (id INTEGER PRIMARY KEY)`)
 	mustExec(t, db, `INSERT INTO keepme VALUES (7)`)
-	mustExec(t, db, `BEGIN`)
-	mustExec(t, db, `DROP TABLE keepme`)
-	mustExec(t, db, `CREATE TABLE newone (id INTEGER PRIMARY KEY)`)
-	mustExec(t, db, `ROLLBACK`)
+	tx := db.NewSession()
+	mustExec(t, tx, `BEGIN`)
+	mustExec(t, tx, `DROP TABLE keepme`)
+	mustExec(t, tx, `CREATE TABLE newone (id INTEGER PRIMARY KEY)`)
+	mustExec(t, tx, `ROLLBACK`)
 	res := mustQuery(t, db, `SELECT id FROM keepme`)
 	if got := flat(res); got != "7" {
 		t.Fatalf("dropped table not restored: %q", got)
@@ -208,8 +211,9 @@ func TestUncommittedTxNotDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
-	mustExec(t, db, `BEGIN`)
-	mustExec(t, db, `INSERT INTO t VALUES (1)`)
+	tx := db.NewSession()
+	mustExec(t, tx, `BEGIN`)
+	mustExec(t, tx, `INSERT INTO t VALUES (1)`)
 	// Crash (no COMMIT, no Close): the WAL has only the CREATE.
 
 	db2, err := Open(dir, Options{})
@@ -224,24 +228,34 @@ func TestUncommittedTxNotDurable(t *testing.T) {
 
 func TestCommitWithoutBegin(t *testing.T) {
 	db := OpenMemory()
-	if _, err := db.Exec(`COMMIT`); err == nil {
+	s := db.NewSession()
+	if _, err := s.Exec(`COMMIT`); err == nil {
 		t.Fatal("COMMIT without BEGIN succeeded")
 	}
-	if _, err := db.Exec(`ROLLBACK`); err == nil {
+	if _, err := s.Exec(`ROLLBACK`); err == nil {
 		t.Fatal("ROLLBACK without BEGIN succeeded")
 	}
+	// The database handle holds no transaction state: transaction control
+	// through it is refused, and must not take the writer slot.
+	for _, q := range []string{`BEGIN`, `COMMIT`, `ROLLBACK`} {
+		if _, err := db.Exec(q); err == nil {
+			t.Fatalf("%s through the database handle succeeded", q)
+		}
+	}
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
 }
 
 func TestRollbackReleasesTxLock(t *testing.T) {
 	db := OpenMemory()
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
-	mustExec(t, db, `BEGIN`)
-	mustExec(t, db, `ROLLBACK`)
+	tx := db.NewSession()
+	mustExec(t, tx, `BEGIN`)
+	mustExec(t, tx, `ROLLBACK`)
 	// A second transaction must be able to start (Begin would deadlock if
 	// rollback leaked the tx lock).
-	mustExec(t, db, `BEGIN`)
-	mustExec(t, db, `INSERT INTO t VALUES (1)`)
-	mustExec(t, db, `COMMIT`)
+	mustExec(t, tx, `BEGIN`)
+	mustExec(t, tx, `INSERT INTO t VALUES (1)`)
+	mustExec(t, tx, `COMMIT`)
 	if got := flat(mustQuery(t, db, `SELECT COUNT(*) FROM t`)); got != "1" {
 		t.Fatalf("count = %q", got)
 	}

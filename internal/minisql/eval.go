@@ -6,11 +6,13 @@ import (
 	"strings"
 )
 
-// rowEnv resolves column references for one (possibly joined) row; nil when
-// evaluating constants only.
+// rowEnv is what an expression is evaluated against: the values bound to the
+// statement's '?' slots and, unless sc is nil (constants only), one (possibly
+// joined) row to resolve column references in.
 type rowEnv struct {
-	sc  *scope
-	row []Value
+	sc     *scope
+	row    []Value
+	params []Value
 }
 
 // evalExpr computes e against env. NULL propagates through operators in the
@@ -20,8 +22,13 @@ func evalExpr(e Expr, env *rowEnv) (Value, error) {
 	switch n := e.(type) {
 	case *LiteralExpr:
 		return n.Val, nil
+	case *ParamExpr:
+		if n.Idx >= len(env.params) {
+			return Value{}, fmt.Errorf("minisql: placeholder %d has no bound value (got %d parameters)", n.Idx+1, len(env.params))
+		}
+		return env.params[n.Idx], nil
 	case *ColumnExpr:
-		if env == nil {
+		if env.sc == nil {
 			return Value{}, fmt.Errorf("minisql: column %q not allowed here", n.Name)
 		}
 		i, err := env.sc.lookup(n.Table, n.Name)
@@ -466,8 +473,8 @@ func (a *aggState) result(fn string) (Value, error) {
 }
 
 // requireInt extracts a non-negative int from a LIMIT/OFFSET expression.
-func requireInt(e Expr, what string) (int, error) {
-	v, err := evalExpr(e, nil)
+func requireInt(e Expr, params []Value, what string) (int, error) {
+	v, err := evalExpr(e, &rowEnv{params: params})
 	if err != nil {
 		return 0, err
 	}

@@ -9,7 +9,7 @@ import (
 // returning the affected-row count. Failures are unwound by the caller's
 // statement-level page undo, so no logical undo records exist anymore.
 // Caller holds db.mu for writing.
-func (db *Database) apply(stmt Stmt) (int, error) {
+func (db *Database) apply(stmt Stmt, params []Value) (int, error) {
 	switch s := stmt.(type) {
 	case *CreateTableStmt:
 		return db.execCreate(s)
@@ -20,11 +20,11 @@ func (db *Database) apply(stmt Stmt) (int, error) {
 	case *DropIndexStmt:
 		return db.execDropIndex(s)
 	case *InsertStmt:
-		return db.execInsert(s)
+		return db.execInsert(s, params)
 	case *UpdateStmt:
-		return db.execUpdate(s)
+		return db.execUpdate(s, params)
 	case *DeleteStmt:
-		return db.execDelete(s)
+		return db.execDelete(s, params)
 	case *SelectStmt:
 		return 0, fmt.Errorf("minisql: SELECT has no side effects to apply")
 	default:
@@ -135,7 +135,7 @@ func (db *Database) execDropIndex(s *DropIndexStmt) (int, error) {
 	return 0, db.catalogPut(t.schema.Name, catalogRecordFor(t))
 }
 
-func (db *Database) execInsert(s *InsertStmt) (int, error) {
+func (db *Database) execInsert(s *InsertStmt, params []Value) (int, error) {
 	t, err := db.table(s.Table)
 	if err != nil {
 		return 0, err
@@ -162,7 +162,7 @@ func (db *Database) execInsert(s *InsertStmt) (int, error) {
 		}
 		vals := make([]Value, len(t.schema.Cols))
 		for i, e := range rowExprs {
-			v, err := evalExpr(e, nil)
+			v, err := evalExpr(e, &rowEnv{params: params})
 			if err != nil {
 				return count, err
 			}
@@ -197,7 +197,7 @@ func (db *Database) execInsert(s *InsertStmt) (int, error) {
 // unique or secondary index when the predicate is an equality on an indexed
 // column — the fast path KV-over-SQL reads take — and a primary-tree cursor
 // scan otherwise. label is the name the table is referenced by.
-func (db *Database) matchRows(t *table, label string, where Expr) ([]int64, [][]Value, error) {
+func (db *Database) matchRows(t *table, label string, where Expr, params []Value) ([]int64, [][]Value, error) {
 	if where == nil {
 		var ids []int64
 		var rows [][]Value
@@ -209,17 +209,20 @@ func (db *Database) matchRows(t *table, label string, where Expr) ([]int64, [][]
 		return ids, rows, err
 	}
 	sc := tableScope(label, t)
-	// Index fast path: col = literal (or literal = col) on an indexed column.
+	// Index fast path: col = constant (or constant = col) on an indexed column,
+	// the constant being a literal or a bound '?' slot.
 	if be, ok := where.(*BinaryExpr); ok && be.Op == "=" {
 		col, lit := be.L, be.R
 		if _, isCol := col.(*ColumnExpr); !isCol {
 			col, lit = be.R, be.L
 		}
 		if ce, isCol := col.(*ColumnExpr); isCol && (ce.Table == "" || ce.Table == label) {
-			if le, isLit := lit.(*LiteralExpr); isLit {
+			if val, isConst, err := constOperand(lit, params); err != nil {
+				return nil, nil, err
+			} else if isConst {
 				if ci, ok := t.colIdx[ce.Name]; ok {
 					if _, indexed := t.indexes[ci]; indexed {
-						v, err := coerce(le.Val, t.schema.Cols[ci].Type)
+						v, err := coerce(val, t.schema.Cols[ci].Type)
 						if err != nil {
 							return nil, nil, nil // type mismatch matches nothing
 						}
@@ -234,7 +237,7 @@ func (db *Database) matchRows(t *table, label string, where Expr) ([]int64, [][]
 						return []int64{id}, [][]Value{row}, nil
 					}
 					if _, indexed := t.secIdx[ci]; indexed {
-						v, err := coerce(le.Val, t.schema.Cols[ci].Type)
+						v, err := coerce(val, t.schema.Cols[ci].Type)
 						if err != nil || v.IsNull() {
 							return nil, nil, nil
 						}
@@ -259,7 +262,7 @@ func (db *Database) matchRows(t *table, label string, where Expr) ([]int64, [][]
 	var rows [][]Value
 	var evalErr error
 	err := t.scanRows(func(id int64, row []Value) (bool, error) {
-		v, err := evalExpr(where, &rowEnv{sc: sc, row: row})
+		v, err := evalExpr(where, &rowEnv{sc: sc, row: row, params: params})
 		if err != nil {
 			evalErr = err
 			return false, nil
@@ -276,12 +279,22 @@ func (db *Database) matchRows(t *table, label string, where Expr) ([]int64, [][]
 	return ids, rows, err
 }
 
-func (db *Database) execUpdate(s *UpdateStmt) (int, error) {
+// constOperand evaluates e when it is a literal or a '?' slot.
+func constOperand(e Expr, params []Value) (v Value, isConst bool, err error) {
+	switch e.(type) {
+	case *LiteralExpr, *ParamExpr:
+		v, err = evalExpr(e, &rowEnv{params: params})
+		return v, true, err
+	}
+	return Value{}, false, nil
+}
+
+func (db *Database) execUpdate(s *UpdateStmt, params []Value) (int, error) {
 	t, err := db.table(s.Table)
 	if err != nil {
 		return 0, err
 	}
-	ids, rows, err := db.matchRows(t, s.Table, s.Where)
+	ids, rows, err := db.matchRows(t, s.Table, s.Where, params)
 	if err != nil {
 		return 0, err
 	}
@@ -294,7 +307,7 @@ func (db *Database) execUpdate(s *UpdateStmt) (int, error) {
 			if !ok {
 				return count, fmt.Errorf("minisql: no column %q in table %q", set.Col, s.Table)
 			}
-			v, err := evalExpr(set.Expr, &rowEnv{sc: t.defaultScope(), row: old})
+			v, err := evalExpr(set.Expr, &rowEnv{sc: t.defaultScope(), row: old, params: params})
 			if err != nil {
 				return count, err
 			}
@@ -312,12 +325,12 @@ func (db *Database) execUpdate(s *UpdateStmt) (int, error) {
 	return count, nil
 }
 
-func (db *Database) execDelete(s *DeleteStmt) (int, error) {
+func (db *Database) execDelete(s *DeleteStmt, params []Value) (int, error) {
 	t, err := db.table(s.Table)
 	if err != nil {
 		return 0, err
 	}
-	ids, _, err := db.matchRows(t, s.Table, s.Where)
+	ids, _, err := db.matchRows(t, s.Table, s.Where, params)
 	if err != nil {
 		return 0, err
 	}
@@ -338,8 +351,8 @@ type sortableRow struct {
 // execSelect evaluates a SELECT. Caller holds db.mu (read or write). snap
 // routes table resolution through the last-committed snapshot, for readers
 // running concurrently with another session's open transaction.
-func (db *Database) execSelect(s *SelectStmt, snap bool) (*Result, error) {
-	sc, rows, err := db.gatherRows(s, snap)
+func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Result, error) {
+	sc, rows, err := db.gatherRows(s, params, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +367,7 @@ func (db *Database) execSelect(s *SelectStmt, snap bool) (*Result, error) {
 		}
 	}
 	if len(s.GroupBy) > 0 || hasAgg {
-		return db.execGrouped(s, sc, rows)
+		return db.execGrouped(s, params, sc, rows)
 	}
 	if s.Having != nil {
 		return nil, fmt.Errorf("minisql: HAVING requires GROUP BY or aggregates")
@@ -365,7 +378,7 @@ func (db *Database) execSelect(s *SelectStmt, snap bool) (*Result, error) {
 	// Project, keeping the row around for ORDER BY keys.
 	out := make([]sortableRow, 0, len(rows))
 	for _, row := range rows {
-		env := &rowEnv{sc: sc, row: row}
+		env := &rowEnv{sc: sc, row: row, params: params}
 		var proj []Value
 		for _, item := range s.Items {
 			if item.Star {
@@ -392,12 +405,12 @@ func (db *Database) execSelect(s *SelectStmt, snap bool) (*Result, error) {
 		}
 		out = append(out, sortableRow{out: proj, keys: keys})
 	}
-	return finishSelect(s, cols, out)
+	return finishSelect(s, params, cols, out)
 }
 
 // gatherRows materializes the FROM/JOIN clause and applies WHERE, returning
 // the combined scope and the surviving rows.
-func (db *Database) gatherRows(s *SelectStmt, snap bool) (*scope, [][]Value, error) {
+func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope, [][]Value, error) {
 	t, err := db.tableForRead(s.From.Name, snap)
 	if err != nil {
 		return nil, nil, err
@@ -405,7 +418,7 @@ func (db *Database) gatherRows(s *SelectStmt, snap bool) (*scope, [][]Value, err
 
 	if len(s.Joins) == 0 {
 		// Single-table path keeps the index fast paths.
-		_, rows, err := db.matchRows(t, s.From.Label(), s.Where)
+		_, rows, err := db.matchRows(t, s.From.Label(), s.Where, params)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -446,7 +459,7 @@ func (db *Database) gatherRows(s *SelectStmt, snap bool) (*scope, [][]Value, err
 				cand := make([]Value, 0, len(lrow)+rightWidth)
 				cand = append(cand, lrow...)
 				cand = append(cand, rrow...)
-				v, err := evalExpr(jc.On, &rowEnv{sc: joined, row: cand})
+				v, err := evalExpr(jc.On, &rowEnv{sc: joined, row: cand, params: params})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -468,7 +481,7 @@ func (db *Database) gatherRows(s *SelectStmt, snap bool) (*scope, [][]Value, err
 	if s.Where != nil {
 		filtered := rows[:0]
 		for _, row := range rows {
-			v, err := evalExpr(s.Where, &rowEnv{sc: sc, row: row})
+			v, err := evalExpr(s.Where, &rowEnv{sc: sc, row: row, params: params})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -526,7 +539,7 @@ func selectColumns(s *SelectStmt, sc *scope) []string {
 
 // finishSelect applies DISTINCT, ORDER BY, OFFSET, and LIMIT to projected
 // rows.
-func finishSelect(s *SelectStmt, cols []string, rows []sortableRow) (*Result, error) {
+func finishSelect(s *SelectStmt, params []Value, cols []string, rows []sortableRow) (*Result, error) {
 	if s.Distinct {
 		seen := make(map[string]bool, len(rows))
 		kept := rows[:0]
@@ -565,13 +578,13 @@ func finishSelect(s *SelectStmt, cols []string, rows []sortableRow) (*Result, er
 	offset := 0
 	var err error
 	if s.Offset != nil {
-		if offset, err = requireInt(s.Offset, "OFFSET"); err != nil {
+		if offset, err = requireInt(s.Offset, params, "OFFSET"); err != nil {
 			return nil, err
 		}
 	}
 	limit := len(rows)
 	if s.Limit != nil {
-		if limit, err = requireInt(s.Limit, "LIMIT"); err != nil {
+		if limit, err = requireInt(s.Limit, params, "LIMIT"); err != nil {
 			return nil, err
 		}
 	}
@@ -695,7 +708,7 @@ type group struct {
 // execGrouped evaluates SELECTs with GROUP BY and/or aggregates.
 // Without GROUP BY, all matched rows form a single group (so aggregates
 // over an empty match still yield one row, per SQL).
-func (db *Database) execGrouped(s *SelectStmt, sc *scope, matched [][]Value) (*Result, error) {
+func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matched [][]Value) (*Result, error) {
 	// Aggregates may appear in select items, HAVING, and ORDER BY.
 	var aggNodes []*AggExpr
 	for _, item := range s.Items {
@@ -734,7 +747,7 @@ func (db *Database) execGrouped(s *SelectStmt, sc *scope, matched [][]Value) (*R
 	}
 
 	for _, row := range matched {
-		env := &rowEnv{sc: sc, row: row}
+		env := &rowEnv{sc: sc, row: row, params: params}
 		key := ""
 		if len(s.GroupBy) > 0 {
 			for _, ge := range s.GroupBy {
@@ -778,9 +791,9 @@ func (db *Database) execGrouped(s *SelectStmt, sc *scope, matched [][]Value) (*R
 			}
 			vals[a] = v
 		}
-		env := &rowEnv{sc: sc, row: g.repr}
+		env := &rowEnv{sc: sc, row: g.repr, params: params}
 		if g.repr == nil {
-			env = nil
+			env.sc = nil // the empty group has no row to resolve columns in
 		}
 		if s.Having != nil {
 			hv, err := evalExpr(rewriteAggs(s.Having, vals), env)
@@ -809,5 +822,5 @@ func (db *Database) execGrouped(s *SelectStmt, sc *scope, matched [][]Value) (*R
 		}
 		rows = append(rows, sortableRow{out: out, keys: keys})
 	}
-	return finishSelect(s, cols, rows)
+	return finishSelect(s, params, cols, rows)
 }

@@ -54,21 +54,3 @@ func splitStatements(sql string) []string {
 	}
 	return nil
 }
-
-// FuzzBindParams checks placeholder splicing never panics and always
-// produces parseable output for parseable templates.
-func FuzzBindParams(f *testing.F) {
-	f.Add("SELECT * FROM t WHERE a = ? AND b = ?", "text-param", int64(42))
-	f.Add("INSERT INTO t VALUES (?, ?)", "it's quoted", int64(-1))
-	f.Add("no placeholders", "x", int64(0))
-	f.Fuzz(func(t *testing.T, sql, sparam string, iparam int64) {
-		bound, err := BindParams(sql, Text(sparam), Int(iparam))
-		if err != nil {
-			return
-		}
-		// The bound text must lex cleanly: literals were rendered safely.
-		if _, err := lex(bound); err != nil {
-			t.Fatalf("bound text does not lex: %q -> %q: %v", sql, bound, err)
-		}
-	})
-}

@@ -143,10 +143,11 @@ func TestIndexRollback(t *testing.T) {
 	db := OpenMemory()
 	seedIndexed(t, db, 10)
 	mustExec(t, db, `CREATE INDEX keep ON logs (level)`)
-	mustExec(t, db, `BEGIN`)
-	mustExec(t, db, `CREATE INDEX temp ON logs (msg)`)
-	mustExec(t, db, `DROP INDEX keep`)
-	mustExec(t, db, `ROLLBACK`)
+	tx := db.NewSession()
+	mustExec(t, tx, `BEGIN`)
+	mustExec(t, tx, `CREATE INDEX temp ON logs (msg)`)
+	mustExec(t, tx, `DROP INDEX keep`)
+	mustExec(t, tx, `ROLLBACK`)
 	// temp gone, keep restored (and functional).
 	if _, err := db.Exec(`DROP INDEX temp`); err == nil {
 		t.Fatal("rolled-back index still exists")

@@ -17,7 +17,7 @@ const (
 	tokString // 'single quoted'
 	tokBlob   // x'hex'
 	tokSymbol // punctuation and operators
-	tokParam  // '?' placeholder (see BindParams)
+	tokParam  // '?' placeholder (parsed into a ParamExpr slot)
 )
 
 // token is one lexical token.

@@ -6,8 +6,15 @@ import (
 	"testing"
 )
 
+// executor is what statements run on in tests: the Database handle
+// (autocommitted one-shots) or a Session (which can hold a transaction).
+type executor interface {
+	Exec(sql string, params ...Value) (int, error)
+	Query(sql string, params ...Value) (*Result, error)
+}
+
 // mustExec / mustQuery helpers.
-func mustExec(t *testing.T, db *Database, sql string) int {
+func mustExec(t *testing.T, db executor, sql string) int {
 	t.Helper()
 	n, err := db.Exec(sql)
 	if err != nil {
@@ -16,7 +23,7 @@ func mustExec(t *testing.T, db *Database, sql string) int {
 	return n
 }
 
-func mustQuery(t *testing.T, db *Database, sql string) *Result {
+func mustQuery(t *testing.T, db executor, sql string) *Result {
 	t.Helper()
 	res, err := db.Query(sql)
 	if err != nil {

@@ -9,28 +9,36 @@ import (
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks []token
-	pos  int
-	src  string
+	toks   []token
+	pos    int
+	src    string
+	params int // '?' slots handed out so far
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(sql string) (Stmt, error) {
+	stmt, _, err := parseCounted(sql)
+	return stmt, err
+}
+
+// parseCounted is Parse that also reports how many '?' slots the statement
+// has.
+func parseCounted(sql string) (Stmt, int, error) {
 	toks, err := lex(sql)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &parser{toks: toks, src: sql}
 	stmt, err := p.statement()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.acceptSymbol(";")
 	if !p.atEOF() {
-		return nil, p.errorf("unexpected input after statement")
+		return nil, 0, p.errorf("unexpected input after statement")
 	}
-	return stmt, nil
+	return stmt, p.params, nil
 }
 
 // ParseAll parses a semicolon-separated script.
@@ -845,6 +853,10 @@ func (p *parser) primary() (Expr, error) {
 			return nil, p.errorf("bad blob literal")
 		}
 		return &LiteralExpr{Val: Blob(raw)}, nil
+	case tokParam:
+		p.pos++
+		p.params++
+		return &ParamExpr{Idx: p.params - 1}, nil
 	case tokIdent:
 		p.pos++
 		if p.acceptSymbol(".") {
