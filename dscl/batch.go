@@ -70,7 +70,7 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 		return out, nil
 	}
 
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	if cl.chain != nil {
 		// Delta chains materialize each value from a chain of physical
 		// records; there is no batch fast path through them.
@@ -136,7 +136,7 @@ func (cl *Client) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 			return err
 		}
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	if cl.chain != nil {
 		// Delta encoding diffs each write against the key's previous
 		// version; that is inherently per key.

@@ -48,7 +48,7 @@ func (cl *Client) GetVersioned(ctx context.Context, key string) ([]byte, kv.Vers
 	if err != nil {
 		return nil, kv.NoVersion, err
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	cl.reads.Add(1)
 	raw, ver, err := vs.GetVersioned(ctx, key)
 	if err != nil {
@@ -71,7 +71,7 @@ func (cl *Client) GetIfModified(ctx context.Context, key string, since kv.Versio
 	if err != nil {
 		return nil, kv.NoVersion, false, err
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	cl.reads.Add(1)
 	raw, ver, modified, err := vs.GetIfModified(ctx, key, since)
 	if err != nil {
@@ -107,7 +107,7 @@ func (cl *Client) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 			return nil, err
 		}
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	cl.reads.Add(1) // one batched store read, whatever the key count
 	got, err := kv.GetMultiVersioned(ctx, cl.store, keys)
 	if err != nil {
@@ -138,7 +138,7 @@ func (cl *Client) PutVersioned(ctx context.Context, key string, value []byte) (k
 	if err != nil {
 		return kv.NoVersion, err
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	ver, err := vs.PutVersioned(ctx, key, encoded)
 	if err != nil {
@@ -164,7 +164,7 @@ func (cl *Client) PutIfVersion(ctx context.Context, key string, value []byte, si
 	if err != nil {
 		return kv.NoVersion, err
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	ver, casErr := cas.PutIfVersion(ctx, key, encoded, since)
 	// The write may have applied even when the race was lost upstream of a
@@ -196,7 +196,7 @@ func (cl *Client) PutTTL(ctx context.Context, key string, value []byte, ttlNanos
 	if err != nil {
 		return err
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	if err := es.PutTTL(ctx, key, encoded, ttlNanos); err != nil {
 		return err

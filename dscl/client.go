@@ -326,7 +326,7 @@ func (cl *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	// Every path from here reaches the store: tag the context with a
 	// request ID so retries, hedges, and server logs correlate. The
 	// cache-hit fast paths above stay untagged — no wire traffic to trace.
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 
 	// Revalidation path: ask the server whether our stale copy is current.
 	if staleEntry != nil && cl.reval && cl.chain == nil && staleEntry.Version != kv.NoVersion {
@@ -421,7 +421,7 @@ func (cl *Client) Put(ctx context.Context, key string, value []byte) error {
 	if err != nil {
 		return err
 	}
-	ctx, _ = monitor.WithRequestID(ctx)
+	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	var ver kv.Version
 	if cl.chain != nil {

@@ -1,0 +1,94 @@
+package miniredis
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"edsc/internal/resp"
+)
+
+// call is the request and reply storage of one exchange, in either client
+// mode: cmds is what gets framed, replies receives one value per command.
+// Calls are pooled, and a single command — all the typed helpers and the
+// kv.Store adapter ever send — lives entirely inside the call: its argument
+// vector is copied into argv (so the caller's variadic slice stays on its
+// stack), cmds and replies alias one and reply1, and done is a reusable
+// completion signal. A request then allocates no call, no completion
+// channel, no [][][]byte wrapper and no reply slice. A pipeline borrows the
+// caller's cmds and gets a fresh replies slice, which the caller keeps.
+//
+// Who may recycle a call: only the goroutine that created it, and only while
+// it can prove nobody else holds it — it never submitted the call, or it
+// consumed the call's completion token (the finisher's last touch). A caller
+// that gives up on a submitted call (revoked while queued, or abandoned
+// after its bytes were written) must not touch it again: the writer's batch
+// or the in-flight queue may still point at it, so it is left to them and to
+// the garbage collector. See DESIGN.md "Network hot path".
+type call struct {
+	cmds    [][][]byte
+	replies []resp.Value
+
+	one    [1][][]byte
+	argv   [inlineArgs][]byte
+	reply1 [1]resp.Value
+
+	// The rest is used by muxed connections only (see mux.go).
+	state   atomic.Int32
+	err     error
+	written bool          // bytes reached the wire before the failure
+	done    chan struct{} // cap 1: finish sends one token per submission
+}
+
+// inlineArgs covers the longest command a typed helper frames
+// (SET key value PX ms); longer single commands spill to the heap.
+const inlineArgs = 5
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+// newCall returns a call holding the single command args. args is copied;
+// the argument bytes themselves are borrowed until the exchange ends.
+func newCall(args [][]byte) *call {
+	cl := callPool.Get().(*call)
+	cl.one[0] = append(cl.argv[:0], args...)
+	cl.cmds = cl.one[:]
+	cl.replies = cl.reply1[:]
+	return cl
+}
+
+// newPipelineCall returns a call holding the pipeline cmds (borrowed).
+func newPipelineCall(cmds [][][]byte) *call {
+	cl := callPool.Get().(*call)
+	cl.cmds = cmds
+	cl.replies = make([]resp.Value, len(cmds))
+	return cl
+}
+
+// rearm readies a call its owner got back (completion token consumed) for a
+// second submission.
+func (cl *call) rearm() {
+	cl.state.Store(muxQueued)
+	cl.err, cl.written = nil, false
+}
+
+// release returns the call to the pool, dropping every reference to the
+// caller's buffers and to the replies. Only the call's owner may call it
+// (see the type comment).
+func (cl *call) release() {
+	cl.rearm()
+	cl.cmds, cl.replies = nil, nil
+	cl.one[0] = nil
+	cl.argv = [inlineArgs][]byte{}
+	cl.reply1[0] = resp.Value{}
+	callPool.Put(cl)
+}
+
+// frame encodes the call's commands into w's buffer without flushing. Both
+// client modes frame through it.
+func (cl *call) frame(w *resp.Writer) error {
+	for _, cmd := range cl.cmds {
+		if err := w.AppendCommand(cmd...); err != nil {
+			return err
+		}
+	}
+	return nil
+}

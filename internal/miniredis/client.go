@@ -81,8 +81,8 @@ type Client struct {
 
 	mu       sync.Mutex
 	idle     []*clientConn
-	numOpen  int  // sockets open or being dialed (idle + in use)
-	peakOpen int  // high-water mark of numOpen, for tests and diagnostics
+	numOpen  int // sockets open or being dialed (idle + in use)
+	peakOpen int // high-water mark of numOpen, for tests and diagnostics
 	waiters  []chan *clientConn
 	closed   bool
 
@@ -111,34 +111,19 @@ var ErrClientClosed = errors.New("miniredis: client is closed")
 // gate) recognize the ambiguity without knowing about this package.
 var ErrAmbiguousExchange = fmt.Errorf("miniredis: connection lost after a non-idempotent command may have executed: %w", kv.ErrAmbiguous)
 
-// replayable is the idempotency allowlist for automatic retry: commands a
-// second execution leaves with the same state *and* the same reply, so a
-// lost-ack replay is invisible to the caller. Deliberately absent:
-//
-//   - INCR/INCRBY/DECR/DECRBY, APPEND, GETSET, GETDEL, SETNX — a replay
-//     changes state or returns a different answer;
-//   - DEL, HDEL, HSET — state converges but the reply (existence / new-field
-//     counts) changes, which callers map to ErrNotFound and the like;
-//   - MULTI/EXEC/DISCARD — a transaction must not be resubmitted blind.
-var replayable = map[string]bool{
-	"GET": true, "MGET": true, "SET": true, "MSET": true,
-	"EXISTS": true, "KEYS": true, "DBSIZE": true, "SCAN": true,
-	"PING": true, "ECHO": true, "TTL": true, "PTTL": true,
-	"EXPIRE": true, "PEXPIRE": true, "TYPE": true, "STRLEN": true,
-	"HGET": true, "HGETALL": true, "HKEYS": true, "HLEN": true, "HEXISTS": true,
-	"FLUSHALL": true, "FLUSHDB": true, "SAVE": true, "SELECT": true,
-}
-
 // replaySafe reports whether every command in the pipeline is on the
-// idempotency allowlist.
+// idempotency allowlist (command.replayable), naming the first one that is
+// not.
 func replaySafe(cmds [][][]byte) (ok bool, offender string) {
 	for _, cmd := range cmds {
 		if len(cmd) == 0 {
 			return false, "(empty)"
 		}
-		name := strings.ToUpper(string(cmd[0]))
-		if !replayable[name] {
-			return false, name
+		switch known := lookupCommand(cmd[0]); {
+		case known == nil:
+			return false, strings.ToUpper(string(cmd[0]))
+		case !known.replayable:
+			return false, known.name
 		}
 	}
 	return true, ""
@@ -350,11 +335,13 @@ func (c *Client) Close() error {
 // Do executes one command and returns the raw reply. Server error replies
 // are returned as ServerError.
 func (c *Client) Do(ctx context.Context, args ...[]byte) (resp.Value, error) {
-	replies, err := c.DoPipeline(ctx, [][][]byte{args})
-	if err != nil {
+	cl := newCall(args)
+	if err := c.roundTrip(ctx, cl); err != nil {
 		return resp.Value{}, err
 	}
-	return replies[0], nil
+	v := cl.replies[0]
+	cl.release()
+	return v, nil
 }
 
 // DoPipeline sends several commands on one connection before reading any
@@ -366,10 +353,22 @@ func (c *Client) DoPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value,
 	if len(cmds) == 0 {
 		return nil, nil
 	}
-	if c.mux != nil {
-		return c.doMux(ctx, cmds)
+	cl := newPipelineCall(cmds)
+	if err := c.roundTrip(ctx, cl); err != nil {
+		return nil, err
 	}
-	out, retry, err := c.doPipelineOnce(ctx, cmds, false)
+	out := cl.replies
+	cl.release()
+	return out, nil
+}
+
+// roundTrip runs one exchange in the client's mode, leaving the replies in
+// cl.replies. On error it has disposed of cl (see call for who may recycle).
+func (c *Client) roundTrip(ctx context.Context, cl *call) error {
+	if c.mux != nil {
+		return c.doMux(ctx, cl)
+	}
+	retry, err := c.doPipelineOnce(ctx, cl, false)
 	if err != nil && retry {
 		// The pooled connection died before the first reply. That does NOT
 		// mean the server did nothing: it may have executed the commands
@@ -380,13 +379,16 @@ func (c *Client) DoPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value,
 		// dial: the idle pool is LIFO, so after a server restart it may
 		// hold several equally-stale connections, and popping the next one
 		// would fail again even though the server is healthy.
-		if ok, offender := replaySafe(cmds); ok {
-			out, _, err = c.doPipelineOnce(ctx, cmds, true)
+		if ok, offender := replaySafe(cl.cmds); ok {
+			_, err = c.doPipelineOnce(ctx, cl, true)
 		} else {
 			err = fmt.Errorf("%w (%s): %v", ErrAmbiguousExchange, offender, err)
 		}
 	}
-	return out, err
+	if err != nil {
+		cl.release() // a pooled-mode call never leaves this goroutine
+	}
+	return err
 }
 
 // exchangeErr wraps a transport error, surfacing the context's verdict when
@@ -399,13 +401,14 @@ func exchangeErr(ctx context.Context, op string, err error) error {
 	return fmt.Errorf("miniredis: %s: %w", op, err)
 }
 
-// doPipelineOnce runs one exchange. retry reports that the failure happened
-// on a pooled connection before any reply arrived (and not because the
-// caller's ctx fired). fresh forces a new dial instead of an idle pop.
-func (c *Client) doPipelineOnce(ctx context.Context, cmds [][][]byte, fresh bool) (_ []resp.Value, retry bool, _ error) {
+// doPipelineOnce runs one exchange on a dedicated connection. retry reports
+// that the failure happened on a pooled connection before any reply arrived
+// (and not because the caller's ctx fired). fresh forces a new dial instead
+// of an idle pop.
+func (c *Client) doPipelineOnce(ctx context.Context, cl *call, fresh bool) (retry bool, _ error) {
 	cc, pooled, err := c.getConn(ctx, fresh)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		_ = cc.c.SetDeadline(dl)
@@ -418,31 +421,24 @@ func (c *Client) doPipelineOnce(ctx context.Context, cmds [][][]byte, fresh bool
 	// pooled — every error path below hands it back with broken=true.)
 	stop := context.AfterFunc(ctx, func() { _ = cc.c.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
-	for _, cmd := range cmds {
-		vs := make([]resp.Value, len(cmd))
-		for i, a := range cmd {
-			vs[i] = resp.Bulk(a)
-		}
-		if err := cc.w.Write(resp.ArrayOf(vs...)); err != nil {
-			c.putConn(cc, true)
-			return nil, pooled && ctx.Err() == nil, exchangeErr(ctx, "write", err)
-		}
+	if err := cl.frame(cc.w); err != nil {
+		c.putConn(cc, true)
+		return pooled && ctx.Err() == nil, exchangeErr(ctx, "write", err)
 	}
 	if err := cc.w.Flush(); err != nil {
 		c.putConn(cc, true)
-		return nil, pooled && ctx.Err() == nil, exchangeErr(ctx, "flush", err)
+		return pooled && ctx.Err() == nil, exchangeErr(ctx, "flush", err)
 	}
-	out := make([]resp.Value, len(cmds))
-	for i := range cmds {
+	for i := range cl.replies {
 		v, err := cc.r.Read()
 		if err != nil {
 			c.putConn(cc, true)
-			return nil, pooled && i == 0 && ctx.Err() == nil, exchangeErr(ctx, "read reply", err)
+			return pooled && i == 0 && ctx.Err() == nil, exchangeErr(ctx, "read reply", err)
 		}
-		out[i] = v
+		cl.replies[i] = v
 	}
 	c.putConn(cc, false)
-	return out, false, nil
+	return false, nil
 }
 
 // doMux runs one exchange over the multiplexed pool, with the same
@@ -451,40 +447,39 @@ func (c *Client) doPipelineOnce(ctx context.Context, cmds [][][]byte, fresh bool
 // connection if needed); a failure after they were written is replayed only
 // when every command is on the idempotency allowlist, and surfaces
 // ErrAmbiguousExchange otherwise.
-func (c *Client) doMux(ctx context.Context, cmds [][][]byte) ([]resp.Value, error) {
-	idem, offender := replaySafe(cmds)
-	classify := func(st muxStatus, err error) error {
-		if st.written && !idem {
+func (c *Client) doMux(ctx context.Context, cl *call) error {
+	for attempt := 0; ; attempt++ {
+		m, err := c.mux.pick(ctx)
+		if err != nil {
+			cl.release()
+			return err
+		}
+		st, err := m.exchange(ctx, cl)
+		if err == nil {
+			return nil
+		}
+		// The allowlist is consulted only now: a successful exchange never
+		// needs it. (cmds is read-only once submitted, detached or not.)
+		idem, offender := true, ""
+		if st.written {
+			idem, offender = replaySafe(cl.cmds)
+		}
+		// Retry once when that is safe — the caller has not given up, and
+		// the commands either never reached the wire or are replayable —
+		// picking again (which redials the poisoned slot if needed).
+		if attempt == 0 && ctx.Err() == nil && idem {
+			cl.rearm() // not detached: only ctx expiry detaches
+			continue
+		}
+		if !st.detached {
+			cl.release()
+		}
+		if !idem {
+			// On the wire and not replay-safe: the outcome is unknowable.
 			return fmt.Errorf("%w (%s): %w", ErrAmbiguousExchange, offender, err)
 		}
 		return err
 	}
-	m, err := c.mux.pick(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out, st, err := m.exchange(ctx, cmds)
-	if err == nil {
-		return out, nil
-	}
-	if ctx.Err() != nil {
-		// The caller gave up; nothing to retry. If the request was already
-		// on the wire and is not replay-safe, the outcome is unknowable.
-		return nil, classify(st, err)
-	}
-	if st.written && !idem {
-		return nil, classify(st, err)
-	}
-	// Safe to retry: pick again (redialing the poisoned slot if needed).
-	m, err = c.mux.pick(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out, st, err = m.exchange(ctx, cmds)
-	if err != nil {
-		return nil, classify(st, err)
-	}
-	return out, nil
 }
 
 // doStr is Do with string arguments.
@@ -521,7 +516,7 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // Get fetches key; found reports presence.
 func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, err error) {
-	v, err := c.Do(ctx, []byte("GET"), []byte(key))
+	v, err := c.Do(ctx, cmdGet, []byte(key))
 	if err != nil {
 		return nil, false, err
 	}
@@ -536,15 +531,19 @@ func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, e
 
 // Set stores value with an optional ttl (0 = none).
 func (c *Client) Set(ctx context.Context, key string, value []byte, ttl time.Duration) error {
-	args := [][]byte{[]byte("SET"), []byte(key), value}
+	var (
+		v   resp.Value
+		err error
+	)
 	if ttl > 0 {
 		ms := ttl.Milliseconds()
 		if ms <= 0 {
 			ms = 1
 		}
-		args = append(args, []byte("PX"), []byte(fmt.Sprint(ms)))
+		v, err = c.Do(ctx, cmdSet, []byte(key), value, argPX, strconv.AppendInt(nil, ms, 10))
+	} else {
+		v, err = c.Do(ctx, cmdSet, []byte(key), value)
 	}
-	v, err := c.Do(ctx, args...)
 	if err != nil {
 		return err
 	}

@@ -30,30 +30,24 @@ const (
 	muxInflightCap = 1024
 )
 
-// muxCall states. A call starts queued, moves to written when the writer
+// Call states. A call starts queued, moves to written when the writer
 // claims it (its bytes will reach the wire), and to done exactly once —
 // either by the reader/writer (result or poison) or by the caller's ctx
 // firing. The CAS on state is what makes cancellation race-free: a caller
 // can only abandon a call that is still queued; once written, the reader
 // owns completion and the caller must treat a cancel as ambiguous.
 const (
-	muxQueued int32 = iota
+	muxQueued int32 = iota // the zero value: a pooled call is ready to submit
 	muxWritten
 	muxDone
 )
 
-type muxCall struct {
-	cmds    [][][]byte
-	state   atomic.Int32
-	replies []resp.Value
-	err     error
-	written bool // bytes reached the wire before the failure
-	done    chan struct{}
-}
-
-// muxStatus reports how an exchange failed, for idempotency classification.
+// muxStatus reports how an exchange failed, for idempotency classification
+// (written) and for call ownership (detached: the caller gave up on a
+// submitted call, which now belongs to the connection and the GC).
 type muxStatus struct {
-	written bool
+	written  bool
+	detached bool
 }
 
 type muxConn struct {
@@ -62,13 +56,18 @@ type muxConn struct {
 	w *resp.Writer
 
 	mu      sync.Mutex
-	pending []*muxCall // submitted, not yet claimed by the writer
+	pending []*call // submitted, not yet claimed by the writer
 	dead    bool
 	errv    error
 
+	// spare is the writer's previous batch, emptied: the writer swaps it in
+	// as the next pending queue, so the two backing arrays alternate and
+	// submit appends without allocating. Writer-only.
+	spare []*call
+
 	wake     chan struct{} // cap 1: kicks the writer
 	deadCh   chan struct{} // closed on poison
-	inflight chan *muxCall // written, awaiting replies (FIFO)
+	inflight chan *call    // written, awaiting replies (FIFO)
 
 	load atomic.Int64 // calls submitted and not yet finished
 }
@@ -80,7 +79,7 @@ func newMuxConn(c net.Conn) *muxConn {
 		w:        resp.NewWriterSize(c, muxBufSize),
 		wake:     make(chan struct{}, 1),
 		deadCh:   make(chan struct{}),
-		inflight: make(chan *muxCall, muxInflightCap),
+		inflight: make(chan *call, muxInflightCap),
 	}
 	go m.writeLoop()
 	go m.readLoop()
@@ -89,7 +88,7 @@ func newMuxConn(c net.Conn) *muxConn {
 
 // submit queues a call for the writer. Returns an error if the connection
 // is already poisoned (the call was never accepted).
-func (m *muxConn) submit(call *muxCall) error {
+func (m *muxConn) submit(call *call) error {
 	m.mu.Lock()
 	if m.dead {
 		err := m.errv
@@ -106,9 +105,11 @@ func (m *muxConn) submit(call *muxCall) error {
 	return nil
 }
 
-// finish completes a call exactly once. gotErr paths pass replies=nil.
-// Reports whether this invocation was the one that completed the call.
-func (m *muxConn) finish(call *muxCall, replies []resp.Value, err error, written bool) bool {
+// finish completes a call exactly once (its replies, if any, are already in
+// place). Reports whether this invocation was the one that completed the
+// call. Sending the completion token is the last touch: the waiter that
+// receives it owns the call again and may recycle it at once.
+func (m *muxConn) finish(call *call, err error, written bool) bool {
 	from := muxWritten
 	if !written {
 		from = muxQueued
@@ -116,34 +117,44 @@ func (m *muxConn) finish(call *muxCall, replies []resp.Value, err error, written
 	if !call.state.CompareAndSwap(from, muxDone) {
 		return false
 	}
-	call.replies = replies
 	call.err = err
 	call.written = written
-	close(call.done)
 	m.load.Add(-1)
+	call.done <- struct{}{} // cap 1, one finish per submission: never blocks
 	return true
 }
 
-// poison marks the connection dead, fails every queued and in-flight call,
-// and closes the socket. Idempotent; safe from both loops.
-func (m *muxConn) poison(err error) {
+// poison marks the connection dead, closes the socket, and fails every
+// queued and in-flight call. The loop that hit the failure passes the calls
+// it holds: written, the one whose bytes are (partly) on the wire, and
+// unwritten, the rest of the writer's batch. Marking comes first, so that a
+// caller woken by its call's failure cannot pick this connection again for
+// the retry. Idempotent; safe from both loops.
+func (m *muxConn) poison(err error, written *call, unwritten []*call) {
 	m.mu.Lock()
-	if m.dead {
-		m.mu.Unlock()
-		m.drainInflight(m.errv)
-		return
+	first := !m.dead
+	var pending []*call
+	if first {
+		m.dead = true
+		m.errv = err
+		pending, m.pending = m.pending, nil
 	}
-	m.dead = true
-	m.errv = err
-	pending := m.pending
-	m.pending = nil
+	connErr := m.errv
 	m.mu.Unlock()
-	close(m.deadCh)
-	_ = m.c.Close()
-	for _, call := range pending {
-		m.finish(call, nil, err, false) // never claimed by the writer
+	if first {
+		close(m.deadCh)
+		_ = m.c.Close()
 	}
-	m.drainInflight(err)
+	if written != nil {
+		m.finish(written, err, true)
+	}
+	for _, call := range unwritten {
+		m.finish(call, err, false)
+	}
+	for _, call := range pending {
+		m.finish(call, connErr, false) // never claimed by the writer
+	}
+	m.drainInflight(connErr)
 }
 
 // drainInflight fails everything written-but-unanswered. Called after
@@ -154,7 +165,7 @@ func (m *muxConn) drainInflight(err error) {
 	for {
 		select {
 		case call := <-m.inflight:
-			m.finish(call, nil, err, true)
+			m.finish(call, err, true)
 		default:
 			return
 		}
@@ -174,9 +185,10 @@ func (m *muxConn) writeLoop() {
 		for {
 			m.mu.Lock()
 			batch := m.pending
-			m.pending = nil
+			m.pending, m.spare = m.spare, nil
 			m.mu.Unlock()
 			if len(batch) == 0 {
+				m.spare = batch
 				break
 			}
 			for bi, call := range batch {
@@ -184,18 +196,17 @@ func (m *muxConn) writeLoop() {
 					continue // caller cancelled before any bytes moved
 				}
 				if err := m.writeCall(call); err != nil {
-					werr := fmt.Errorf("miniredis: mux write: %w", err)
-					m.finish(call, nil, werr, true)
 					// Later batch entries never reached the wire.
-					for _, rest := range batch[bi+1:] {
-						m.finish(rest, nil, werr, false)
-					}
-					m.poison(werr)
+					m.poison(fmt.Errorf("miniredis: mux write: %w", err), call, batch[bi+1:])
 					return
 				}
 			}
+			// The batch is handed over (in flight, finished or revoked):
+			// drop the pointers and keep the array for the next swap.
+			clear(batch)
+			m.spare = batch[:0]
 			if err := m.w.Flush(); err != nil {
-				m.poison(fmt.Errorf("miniredis: mux flush: %w", err))
+				m.poison(fmt.Errorf("miniredis: mux flush: %w", err), nil, nil)
 				return
 			}
 		}
@@ -204,15 +215,9 @@ func (m *muxConn) writeLoop() {
 
 // writeCall frames one call and hands it to the reader. The call must
 // already be in the written state.
-func (m *muxConn) writeCall(call *muxCall) error {
-	for _, cmd := range call.cmds {
-		vs := make([]resp.Value, len(cmd))
-		for i, a := range cmd {
-			vs[i] = resp.Bulk(a)
-		}
-		if err := m.w.Write(resp.ArrayOf(vs...)); err != nil {
-			return err
-		}
+func (m *muxConn) writeCall(call *call) error {
+	if err := call.frame(m.w); err != nil {
+		return err
 	}
 	select {
 	case m.inflight <- call:
@@ -236,57 +241,58 @@ func (m *muxConn) writeCall(call *muxCall) error {
 // were written, so the head of inflight always owns the next reply.
 func (m *muxConn) readLoop() {
 	for {
-		var call *muxCall
+		var call *call
 		select {
 		case call = <-m.inflight:
 		case <-m.deadCh:
 			return
 		}
-		replies := make([]resp.Value, len(call.cmds))
-		for i := range call.cmds {
+		// Until it is finished a written call belongs to the reader, even
+		// one its caller abandoned, so the replies land in it directly.
+		for i := range call.replies {
 			v, err := m.r.Read()
 			if err != nil {
-				rerr := fmt.Errorf("miniredis: mux read reply: %w", err)
-				m.finish(call, nil, rerr, true)
-				m.poison(rerr)
+				m.poison(fmt.Errorf("miniredis: mux read reply: %w", err), call, nil)
 				return
 			}
-			replies[i] = v
+			call.replies[i] = v
 		}
-		m.finish(call, replies, nil, true)
+		m.finish(call, nil, true)
 	}
 }
 
-// exchange submits cmds and waits for replies or ctx. On ctx expiry the
-// caller detaches: if the call was still queued it is revoked cleanly
-// (never written); if already claimed by the writer the outcome is unknown
-// and status.written is set so doMux can apply idempotency rules.
-func (m *muxConn) exchange(ctx context.Context, cmds [][][]byte) ([]resp.Value, muxStatus, error) {
+// exchange submits call and waits for its completion or ctx; on success the
+// replies are in call.replies. On ctx expiry the caller detaches: if the
+// call was still queued it is revoked cleanly (never written); if already
+// claimed by the writer the outcome is unknown and status.written is set so
+// doMux can apply idempotency rules. Unless status.detached is set, the call
+// is the caller's again when exchange returns.
+func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, muxStatus{}, err
+		return muxStatus{}, err
 	}
-	call := &muxCall{cmds: cmds, done: make(chan struct{})}
 	if err := m.submit(call); err != nil {
-		return nil, muxStatus{}, err
+		return muxStatus{}, err
 	}
 	select {
 	case <-call.done:
-		return call.replies, muxStatus{written: call.written}, call.err
+		return muxStatus{written: call.written}, call.err
 	case <-ctx.Done():
 	}
-	// Try to revoke before the writer claims it.
+	// Try to revoke before the writer claims it. The pending queue still
+	// points at a revoked call, so it is not the caller's to reuse.
 	if call.state.CompareAndSwap(muxQueued, muxDone) {
 		m.load.Add(-1)
-		return nil, muxStatus{}, ctx.Err()
+		return muxStatus{detached: true}, ctx.Err()
 	}
 	// The writer has it (or it just finished). Prefer the real result if
 	// completion already happened; otherwise abandon as written/ambiguous.
 	select {
 	case <-call.done:
-		return call.replies, muxStatus{written: call.written}, call.err
+		return muxStatus{written: call.written}, call.err
 	default:
 	}
-	return nil, muxStatus{written: true}, ctx.Err()
+	return muxStatus{written: true, detached: true}, ctx.Err()
 }
 
 // muxPool spreads callers over a small fixed set of muxed connections,
@@ -393,7 +399,7 @@ func (p *muxPool) close() {
 	p.mu.Unlock()
 	for i := range p.slots {
 		if m := p.slots[i].conn.Load(); m != nil {
-			m.poison(ErrClientClosed)
+			m.poison(ErrClientClosed, nil, nil)
 		}
 	}
 }

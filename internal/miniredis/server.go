@@ -1,6 +1,7 @@
 package miniredis
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -246,9 +247,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			reply resp.Value
 			quit  bool
 		)
-		cmd := strings.ToUpper(string(args[0]))
+		cmd := lookupCommand(args[0])
+		name := ""
+		if cmd != nil {
+			name = cmd.name
+		}
 		switch {
-		case cmd == "MULTI":
+		case name == "MULTI":
 			if inTxn {
 				reply = resp.Err("ERR MULTI calls can not be nested")
 			} else {
@@ -256,7 +261,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				queue = nil
 				reply = resp.OK()
 			}
-		case cmd == "DISCARD":
+		case name == "DISCARD":
 			if !inTxn {
 				reply = resp.Err("ERR DISCARD without MULTI")
 			} else {
@@ -264,7 +269,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				queue = nil
 				reply = resp.OK()
 			}
-		case cmd == "EXEC":
+		case name == "EXEC":
 			if !inTxn {
 				reply = resp.Err("ERR EXEC without MULTI")
 			} else {
@@ -274,13 +279,13 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.txnMu.Lock()
 				results := make([]resp.Value, len(queue))
 				for i, qargs := range queue {
-					results[i], _ = s.dispatchRecorded(qargs)
+					results[i], _ = s.dispatchRecorded(lookupCommand(qargs[0]), qargs)
 				}
 				s.txnMu.Unlock()
 				queue = nil
 				reply = resp.ArrayOf(results...)
 			}
-		case inTxn && cmd != "QUIT":
+		case inTxn && name != "QUIT":
 			// Deep-copy the arguments: the reader's buffers are reused.
 			cp := make([][]byte, len(args))
 			for i, a := range args {
@@ -290,7 +295,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			reply = resp.Simple("QUEUED")
 		default:
 			s.txnMu.RLock()
-			reply, quit = s.dispatchRecorded(args)
+			reply, quit = s.dispatchRecorded(cmd, args)
 			s.txnMu.RUnlock()
 		}
 		if drop == dropPost {
@@ -308,21 +313,32 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // dispatchRecorded wraps dispatch with per-command observability: latency,
 // argument payload bytes, and error replies (per-command failure signal).
-func (s *Server) dispatchRecorded(args [][]byte) (resp.Value, bool) {
+// cmd is args[0] resolved by lookupCommand (nil for an unknown command); a
+// known command is recorded under its static label.
+func (s *Server) dispatchRecorded(cmd *command, args [][]byte) (resp.Value, bool) {
 	start := time.Now()
-	reply, quit := s.dispatch(args)
+	reply, quit := s.dispatch(cmd, args)
 	n := 0
 	for _, a := range args[1:] {
 		n += len(a)
 	}
-	s.rec.Record(strings.ToLower(string(args[0])), time.Since(start), n, reply.IsError())
+	var op string
+	if cmd != nil {
+		op = cmd.lower
+	} else {
+		op = strings.ToLower(string(args[0]))
+	}
+	s.rec.Record(op, time.Since(start), n, reply.IsError())
 	return reply, quit
 }
 
 // dispatch executes one command, returning the reply and whether the
 // connection should close.
-func (s *Server) dispatch(args [][]byte) (resp.Value, bool) {
-	cmd := strings.ToUpper(string(args[0]))
+func (s *Server) dispatch(known *command, args [][]byte) (resp.Value, bool) {
+	if known == nil {
+		return resp.Err("ERR unknown command '%s'", strings.ToLower(string(args[0]))), false
+	}
+	cmd := known.name
 	a := args[1:]
 	switch cmd {
 	case "PING":
@@ -553,8 +569,9 @@ func (s *Server) cmdSet(a [][]byte) resp.Value {
 	var ttl time.Duration
 	nx, xx := false, false
 	for i := 2; i < len(a); i++ {
-		switch strings.ToUpper(string(a[i])) {
-		case "EX", "PX":
+		ex := bytes.EqualFold(a[i], []byte("EX"))
+		switch {
+		case ex || bytes.EqualFold(a[i], []byte("PX")):
 			if i+1 >= len(a) {
 				return resp.Err("ERR syntax error")
 			}
@@ -562,15 +579,15 @@ func (s *Server) cmdSet(a [][]byte) resp.Value {
 			if err != nil || n <= 0 {
 				return resp.Err("ERR invalid expire time in 'set' command")
 			}
-			if strings.ToUpper(string(a[i])) == "EX" {
+			if ex {
 				ttl = time.Duration(n) * time.Second
 			} else {
 				ttl = time.Duration(n) * time.Millisecond
 			}
 			i++
-		case "NX":
+		case bytes.EqualFold(a[i], []byte("NX")):
 			nx = true
-		case "XX":
+		case bytes.EqualFold(a[i], []byte("XX")):
 			xx = true
 		default:
 			return resp.Err("ERR syntax error")

@@ -250,6 +250,21 @@ func (r *Reader) readBulkPayload(dst []byte, n int64) ([]byte, error) {
 	return dst, nil
 }
 
+// statusString converts a status line to a string, returning a constant for
+// the replies a command stream consists of almost entirely — every SET is
+// answered "+OK" — so that reading them allocates nothing.
+func statusString(b []byte) string {
+	switch string(b) { // compared in place: the conversion does not allocate
+	case "OK":
+		return "OK"
+	case "PONG":
+		return "PONG"
+	case "QUEUED":
+		return "QUEUED"
+	}
+	return string(b)
+}
+
 // Read decodes the next value.
 func (r *Reader) Read() (Value, error) {
 	return r.read(true)
@@ -269,7 +284,7 @@ func (r *Reader) read(top bool) (Value, error) {
 	kind, rest := Kind(line[0]), line[1:]
 	switch kind {
 	case SimpleString, Error:
-		return Value{Kind: kind, Str: string(rest)}, nil
+		return Value{Kind: kind, Str: statusString(rest)}, nil
 	case Integer:
 		n, ok := parseInt(rest)
 		if !ok {
@@ -414,10 +429,8 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 // Writer encodes RESP values onto a stream.
 type Writer struct {
 	bw *bufio.Writer
-	// num is the integer-formatting scratch; vals recycles the Value
-	// headers WriteCommand builds.
-	num  [20]byte
-	vals []Value
+	// num is the integer-formatting scratch.
+	num [20]byte
 }
 
 // NewWriter wraps w.
@@ -475,16 +488,27 @@ func (w *Writer) Write(v Value) error {
 	return err
 }
 
+// AppendCommand frames a client command (an array of bulk strings) straight
+// into the write buffer, building no Value. Like Write it does not flush, so
+// a pipelining client frames many commands per Flush. The arguments are only
+// read; none is retained.
+func (w *Writer) AppendCommand(args ...[]byte) error {
+	w.bw.WriteByte('*')
+	w.writeInt(int64(len(args)))
+	_, err := w.bw.WriteString("\r\n")
+	for _, a := range args {
+		w.bw.WriteByte('$')
+		w.writeInt(int64(len(a)))
+		w.bw.WriteString("\r\n")
+		w.bw.Write(a)
+		_, err = w.bw.WriteString("\r\n")
+	}
+	return err // bufio errors are sticky: the last write reports the first failure
+}
+
 // WriteCommand encodes a client command (array of bulk strings) and flushes.
 func (w *Writer) WriteCommand(args ...[]byte) error {
-	if cap(w.vals) < len(args) {
-		w.vals = make([]Value, len(args))
-	}
-	vs := w.vals[:len(args)]
-	for i, a := range args {
-		vs[i] = Bulk(a)
-	}
-	if err := w.Write(Value{Kind: Array, Array: vs}); err != nil {
+	if err := w.AppendCommand(args...); err != nil {
 		return err
 	}
 	return w.Flush()

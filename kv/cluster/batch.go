@@ -93,17 +93,17 @@ func (c *Cluster) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 	}
 	fetches := make([]nodeFetch, len(plans))
 	var wg sync.WaitGroup
+	fctx, cancel := c.nodeCtx(ctx)
 	for i, p := range plans {
 		wg.Add(1)
 		go func(i int, p *nodePlan) {
 			defer wg.Done()
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			got, err := kv.GetMulti(nctx, p.rep.store, p.keys)
+			got, err := kv.GetMulti(fctx, p.rep.store, p.keys)
 			fetches[i] = nodeFetch{plan: p, got: got, err: err}
 		}(i, p)
 	}
 	wg.Wait()
+	cancel()
 
 	// Reassemble per-key responses in replica-preference order.
 	byNode := make(map[string]*nodeFetch, len(fetches))
@@ -124,7 +124,7 @@ func (c *Cluster) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 					resp[i] = readResponse{rep: rep, err: fmt.Errorf("node %s key %q: %w", rep.id, key, derr)}
 					continue
 				}
-				rec.Value = append([]byte(nil), rec.Value...)
+				// rec.Value aliases the node's slice (see readReplica).
 				resp[i] = readResponse{rep: rep, rec: rec, exists: true}
 			case f.err != nil:
 				resp[i] = readResponse{rep: rep, err: fmt.Errorf("node %s: %w", rep.id, f.err)}
@@ -170,9 +170,16 @@ func (c *Cluster) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 	if err != nil {
 		return err
 	}
+	// Each record is encoded once: every replica's batch carries that one
+	// buffer (a node must not retain or mutate it), and recs — what a hint
+	// would keep — aliases it, not the caller's bytes.
 	recs := make(map[string]record, len(pairs))
+	encs := make(map[string][]byte, len(pairs))
 	for k, v := range pairs {
-		recs[k] = record{Version: c.nextVersion(), Value: append([]byte(nil), v...)}
+		rec := record{Version: c.nextVersion(), Value: v}
+		enc := rec.Encode()
+		rec.Value = enc[recHdrSize:]
+		recs[k], encs[k] = rec, enc
 	}
 
 	stripes := c.stripesFor(keys)
@@ -184,20 +191,20 @@ func (c *Cluster) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 	}
 	writes := make([]nodeWrite, len(plans))
 	var wg sync.WaitGroup
+	fctx, cancel := c.nodeCtx(ctx)
 	for i, p := range plans {
 		wg.Add(1)
 		go func(i int, p *nodePlan) {
 			defer wg.Done()
 			enc := make(map[string][]byte, len(p.keys))
 			for _, k := range p.keys {
-				enc[k] = recs[k].Encode()
+				enc[k] = encs[k]
 			}
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			writes[i] = nodeWrite{plan: p, err: kv.PutMulti(nctx, p.rep.store, enc)}
+			writes[i] = nodeWrite{plan: p, err: kv.PutMulti(fctx, p.rep.store, enc)}
 		}(i, p)
 	}
 	wg.Wait()
+	cancel()
 
 	okNode := make(map[string]bool, len(writes))
 	var causes []error

@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,7 +89,8 @@ type Options struct {
 	// beyond it the oldest hints are dropped and counted in Stats.
 	MaxHints int
 	// NodeTimeout bounds each per-replica operation (default 2s), so one
-	// hung node cannot stall a quorum that is otherwise satisfied.
+	// hung node cannot stall a quorum that is otherwise satisfied. The
+	// replica calls of one fan-out start together and share one deadline.
 	NodeTimeout time.Duration
 }
 
@@ -145,6 +147,10 @@ type Cluster struct {
 	members map[string]kv.Store
 	hints   map[string][]hint // node ID -> pending handoff records
 	closed  bool
+	// hintCount is the number of records in hints, maintained wherever hints
+	// changes (under mu) and read without it: the write path asks "anything
+	// to drain?" after every put, and the answer is almost always no.
+	hintCount atomic.Int64
 
 	locks [keyStripes]sync.Mutex // serialize writes per key stripe
 
@@ -284,7 +290,11 @@ func (c *Cluster) observeVersion(v uint64) {
 	}
 }
 
-func versionString(v uint64) kv.Version { return kv.Version(fmt.Sprintf("c%d", v)) }
+func versionString(v uint64) kv.Version {
+	var b [21]byte // 'c' + up to 20 digits
+	b[0] = 'c'
+	return kv.Version(strconv.AppendUint(b[:1], v, 10))
+}
 
 // --- membership snapshots and errors ---------------------------------------
 
@@ -293,19 +303,55 @@ type replica struct {
 	store kv.Store
 }
 
-// replicasFor snapshots key's preference list under the membership lock.
-func (c *Cluster) replicasFor(key string) ([]replica, error) {
+// fanoutInline is how many replicas a fan-out serves from the fanout's own
+// arrays (the default N is 3); a larger replica set spills to the heap.
+const fanoutInline = 4
+
+// fanout is the storage of one single-key quorum operation, owned by the
+// function that declares it: the replica set, one answer slot per replica
+// and the WaitGroup the coordinator waits on. The replica goroutines share
+// it, so it lives on the heap — as the operation's one object: acks are
+// filtered into reps in place and the ring lookup fills a stack array.
+type fanout struct {
+	reps []replica      // the replica set, in preference order
+	resp []readResponse // resp[i] is reps[i]'s answer (writes set rep and err)
+	wg   sync.WaitGroup
+
+	repBuf  [fanoutInline]replica
+	respBuf [fanoutInline]readResponse
+}
+
+// answers sizes resp to the replica set.
+func (f *fanout) answers() {
+	if n := len(f.reps); n <= fanoutInline {
+		f.resp = f.respBuf[:n]
+	} else {
+		f.resp = make([]readResponse, n)
+	}
+}
+
+// replicasFor snapshots key's preference list into f.reps under the
+// membership lock.
+func (c *Cluster) replicasFor(f *fanout, key string) error {
+	var idBuf [fanoutInline]string
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		return nil, kv.ErrClosed
+		return kv.ErrClosed
 	}
-	ids := c.ring.LookupN(key, c.opts.Replication)
-	out := make([]replica, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, replica{id: id, store: c.members[id]})
+	f.reps = f.repBuf[:0]
+	for _, id := range c.ring.AppendLookupN(idBuf[:0], key, c.opts.Replication) {
+		f.reps = append(f.reps, replica{id: id, store: c.members[id]})
 	}
-	return out, nil
+	return nil
+}
+
+// isMember reports whether nodeID is (still) a member.
+func (c *Cluster) isMember(nodeID string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, ok := c.members[nodeID]
+	return ok
 }
 
 // allMembers snapshots the full membership under the lock.
@@ -373,8 +419,15 @@ func (c *Cluster) unlockStripes(idx []int) {
 	}
 }
 
-// nodeCtx bounds one per-replica operation.
+// nodeCtx bounds replica operations by NodeTimeout: one call, or all the
+// calls of one fan-out — they start together, so one deadline (one timer,
+// one set of context objects) serves every replica. When the caller's own
+// deadline is at least as soon, ctx already is that bound and nothing is
+// armed.
 func (c *Cluster) nodeCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= c.opts.NodeTimeout {
+		return ctx, func() {}
+	}
 	return context.WithTimeout(ctx, c.opts.NodeTimeout)
 }
 
@@ -385,32 +438,37 @@ func (c *Cluster) nodeCtx(ctx context.Context) (context.Context, context.CancelF
 // write that outlived its key lock could clobber a newer record). Failed
 // replicas get hints. Caller holds key's stripe lock. It returns the nodes
 // that acked, so opportunistic hint draining can run after the lock drops.
+//
+// rec.Value may be the caller's slice: the record is encoded once, every
+// replica is sent that one buffer (a node must not retain or mutate it), and
+// a hint keeps the encoded copy, never the caller's bytes.
 func (c *Cluster) writeRecordLocked(ctx context.Context, op, key string, rec record) ([]replica, error) {
-	reps, err := c.replicasFor(key)
-	if err != nil {
+	f := new(fanout)
+	if err := c.replicasFor(f, key); err != nil {
 		return nil, err
 	}
-	type result struct {
-		rep replica
-		err error
-	}
-	results := make([]result, len(reps))
+	f.answers()
 	enc := rec.Encode()
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep replica) {
-			defer wg.Done()
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			results[i] = result{rep: rep, err: rep.store.Put(nctx, key, enc)}
-		}(i, rep)
-	}
-	wg.Wait()
+	rec.Value = enc[recHdrSize:]
 
-	var acked []replica
+	fctx, cancel := c.nodeCtx(ctx)
+	for i := 1; i < len(f.reps); i++ {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			f.resp[i] = writeReplica(fctx, f.reps[i], key, enc)
+		}()
+	}
+	if len(f.reps) > 0 {
+		// One replica call rides on the coordinator's own goroutine.
+		f.resp[0] = writeReplica(fctx, f.reps[0], key, enc)
+	}
+	f.wg.Wait()
+	cancel()
+
+	acked := f.reps[:0] // resp holds its own copy of each replica
 	var causes []error
-	for _, r := range results {
+	for _, r := range f.resp {
 		if r.err == nil {
 			acked = append(acked, r.rep)
 		} else {
@@ -422,11 +480,16 @@ func (c *Cluster) writeRecordLocked(ctx context.Context, op, key string, rec rec
 		// The acks that did land may have applied the write: ambiguous.
 		return acked, c.quorumError(op, key, true, causes)
 	}
-	if len(acked) < len(reps) {
+	if len(acked) < len(f.resp) {
 		c.degraded.Add(1)
 	}
 	c.writes.Add(1)
 	return acked, nil
+}
+
+// writeReplica stores an encoded record on one node.
+func writeReplica(ctx context.Context, rep replica, key string, enc []byte) readResponse {
+	return readResponse{rep: rep, err: rep.store.Put(ctx, key, enc)}
 }
 
 // addHint buffers a handoff record for an unreachable node.
@@ -440,38 +503,50 @@ func (c *Cluster) addHint(nodeID, key string, rec record) {
 	if len(h) >= c.opts.MaxHints {
 		h = h[1:]
 		c.hintsD.Add(1)
+		c.hintCount.Add(-1)
 	}
 	c.hints[nodeID] = append(h, hint{key: key, rec: rec})
+	c.hintCount.Add(1)
 	c.hintsQ.Add(1)
 }
 
 // takeHints removes and returns the pending hints for the given nodes.
-func (c *Cluster) takeHints(nodes []string) map[string][]hint {
+func (c *Cluster) takeHints(nodes []replica) map[string][]hint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[string][]hint)
-	for _, id := range nodes {
-		if h := c.hints[id]; len(h) > 0 {
-			out[id] = h
-			delete(c.hints, id)
+	for _, n := range nodes {
+		if h := c.hints[n.id]; len(h) > 0 {
+			out[n.id] = h
+			c.dropHintsLocked(n.id)
 		}
 	}
 	return out
+}
+
+// dropHintsLocked forgets nodeID's pending hints. Caller holds c.mu.
+func (c *Cluster) dropHintsLocked(nodeID string) {
+	c.hintCount.Add(-int64(len(c.hints[nodeID])))
+	delete(c.hints, nodeID)
 }
 
 // drainHints replays pending hints to the given nodes (which just proved
 // reachable). Each record installs under its key lock and only if the node
 // does not already hold something newer; hints that fail again are re-queued.
 // Callers must NOT hold any key stripe lock.
+//
+// It runs after every successful write, so with nothing buffered anywhere —
+// the steady state — it is one atomic load: no allocation, and no exclusive
+// hold of c.mu to stall the replicasFor readers.
 func (c *Cluster) drainHints(ctx context.Context, nodes []replica) {
-	ids := make([]string, len(nodes))
+	if c.hintCount.Load() == 0 {
+		return
+	}
 	byID := make(map[string]kv.Store, len(nodes))
-	for i, n := range nodes {
-		ids[i] = n.id
+	for _, n := range nodes {
 		byID[n.id] = n.store
 	}
-	pending := c.takeHints(ids)
-	for id, hs := range pending {
+	for id, hs := range c.takeHints(nodes) {
 		store := byID[id]
 		for _, h := range hs {
 			lock := c.lockFor(h.key)
@@ -496,24 +571,11 @@ func (c *Cluster) FlushHints(ctx context.Context) (remaining int, err error) {
 		return 0, err
 	}
 	c.drainHints(ctx, reps)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, h := range c.hints {
-		remaining += len(h)
-	}
-	return remaining, nil
+	return c.PendingHints(), nil
 }
 
 // PendingHints reports the number of buffered handoff records.
-func (c *Cluster) PendingHints() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := 0
-	for _, h := range c.hints {
-		n += len(h)
-	}
-	return n
-}
+func (c *Cluster) PendingHints() int { return int(c.hintCount.Load()) }
 
 // installIfNewer writes rec to one node unless the node already holds an
 // equal-or-newer record. Caller holds key's stripe lock (which is what makes
@@ -546,37 +608,43 @@ type readResponse struct {
 	err    error
 }
 
-// fanoutRead asks every replica for key and waits for all of them (each
-// bounded by NodeTimeout).
-func (c *Cluster) fanoutRead(ctx context.Context, reps []replica, key string) []readResponse {
-	out := make([]readResponse, len(reps))
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep replica) {
-			defer wg.Done()
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			b, err := rep.store.Get(nctx, key)
-			switch {
-			case err == nil:
-				rec, derr := DecodeRecord(b)
-				if derr != nil {
-					out[i] = readResponse{rep: rep, err: fmt.Errorf("node %s key %q: %w", rep.id, key, derr)}
-					return
-				}
-				// Detach from the node's buffer before it can be reused.
-				rec.Value = append([]byte(nil), rec.Value...)
-				out[i] = readResponse{rep: rep, rec: rec, exists: true}
-			case kv.IsNotFound(err):
-				out[i] = readResponse{rep: rep}
-			default:
-				out[i] = readResponse{rep: rep, err: fmt.Errorf("node %s: %w", rep.id, err)}
-			}
-		}(i, rep)
+// fanoutRead asks every replica in f.reps for key and waits for all of them
+// (the fan-out bounded by NodeTimeout), leaving the answers in f.resp.
+func (c *Cluster) fanoutRead(ctx context.Context, f *fanout, key string) {
+	f.answers()
+	fctx, cancel := c.nodeCtx(ctx)
+	defer cancel()
+	for i := 1; i < len(f.reps); i++ {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			f.resp[i] = readReplica(fctx, f.reps[i], key)
+		}()
 	}
-	wg.Wait()
-	return out
+	if len(f.reps) > 0 {
+		// One replica call rides on the coordinator's own goroutine.
+		f.resp[0] = readReplica(fctx, f.reps[0], key)
+	}
+	f.wg.Wait()
+}
+
+// readReplica reads key's record from one node. The record's Value aliases
+// the slice the node returned: kv.Store forbids mutating a slice returned by
+// Get, on either side, so it is as good as a private copy.
+func readReplica(ctx context.Context, rep replica, key string) readResponse {
+	b, err := rep.store.Get(ctx, key)
+	switch {
+	case err == nil:
+		rec, derr := DecodeRecord(b)
+		if derr != nil {
+			return readResponse{rep: rep, err: fmt.Errorf("node %s key %q: %w", rep.id, key, derr)}
+		}
+		return readResponse{rep: rep, rec: rec, exists: true}
+	case kv.IsNotFound(err):
+		return readResponse{rep: rep}
+	default:
+		return readResponse{rep: rep, err: fmt.Errorf("node %s: %w", rep.id, err)}
+	}
 }
 
 // resolveRead picks the winner among replica responses and enforces the
@@ -665,6 +733,12 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 		if r.err != nil || (r.exists && r.rec.Version >= winner.Version) {
 			continue
 		}
+		// The replica set was resolved before the fan-out; a node that left
+		// since has been drained of this key (under this same key lock) and
+		// must not get it back.
+		if !c.isMember(r.rep.id) {
+			continue
+		}
 		if err := c.installIfNewer(ctx, r.rep.store, key, winner); err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -677,51 +751,51 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 	return repaired, firstErr
 }
 
-// readRecord is the full unlocked quorum read.
-func (c *Cluster) readRecord(ctx context.Context, op, key string) (record, bool, error) {
-	reps, err := c.replicasFor(key)
-	if err != nil {
+// readRecord is the full quorum read. locked reports that the caller already
+// holds key's stripe lock (the CAS and Delete paths).
+func (c *Cluster) readRecord(ctx context.Context, op, key string, locked bool) (record, bool, error) {
+	f := new(fanout)
+	if err := c.replicasFor(f, key); err != nil {
 		return record{}, false, err
 	}
-	resp := c.fanoutRead(ctx, reps, key)
-	return c.resolveRead(ctx, op, key, reps, resp, false)
-}
-
-// readRecordLocked is readRecord for callers already holding key's stripe
-// lock (the CAS and Delete paths).
-func (c *Cluster) readRecordLocked(ctx context.Context, op, key string) (record, bool, error) {
-	reps, err := c.replicasFor(key)
-	if err != nil {
-		return record{}, false, err
-	}
-	resp := c.fanoutRead(ctx, reps, key)
-	return c.resolveRead(ctx, op, key, reps, resp, true)
+	c.fanoutRead(ctx, f, key)
+	return c.resolveRead(ctx, op, key, f.reps, f.resp, locked)
 }
 
 // --- kv.Store --------------------------------------------------------------
 
 // Get implements kv.Store.
 func (c *Cluster) Get(ctx context.Context, key string) ([]byte, error) {
-	v, _, err := c.GetVersioned(ctx, key)
-	return v, err
+	rec, err := c.get(ctx, key)
+	return rec.Value, err
 }
 
 // GetVersioned implements kv.Versioned.
 func (c *Cluster) GetVersioned(ctx context.Context, key string) ([]byte, kv.Version, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, kv.NoVersion, err
-	}
-	if err := kv.CheckKey(key); err != nil {
-		return nil, kv.NoVersion, err
-	}
-	rec, exists, err := c.readRecord(ctx, "get", key)
+	rec, err := c.get(ctx, key)
 	if err != nil {
 		return nil, kv.NoVersion, err
 	}
-	if !exists || rec.Tombstone {
-		return nil, kv.NoVersion, kv.ErrNotFound
-	}
 	return rec.Value, versionString(rec.Version), nil
+}
+
+// get is the quorum read behind Get and GetVersioned: the live record under
+// key, or ErrNotFound.
+func (c *Cluster) get(ctx context.Context, key string) (record, error) {
+	if err := ctx.Err(); err != nil {
+		return record{}, err
+	}
+	if err := kv.CheckKey(key); err != nil {
+		return record{}, err
+	}
+	rec, exists, err := c.readRecord(ctx, "get", key, false)
+	if err != nil {
+		return record{}, err
+	}
+	if !exists || rec.Tombstone {
+		return record{}, kv.ErrNotFound
+	}
+	return rec, nil
 }
 
 // GetIfModified implements kv.Versioned.
@@ -738,28 +812,38 @@ func (c *Cluster) GetIfModified(ctx context.Context, key string, since kv.Versio
 
 // Put implements kv.Store.
 func (c *Cluster) Put(ctx context.Context, key string, value []byte) error {
-	_, err := c.PutVersioned(ctx, key, value)
+	_, err := c.put(ctx, key, value)
 	return err
 }
 
 // PutVersioned implements kv.Versioned.
 func (c *Cluster) PutVersioned(ctx context.Context, key string, value []byte) (kv.Version, error) {
-	if err := ctx.Err(); err != nil {
+	ver, err := c.put(ctx, key, value)
+	if err != nil {
 		return kv.NoVersion, err
+	}
+	return versionString(ver), nil
+}
+
+// put is the quorum write behind Put and PutVersioned; it returns the
+// version the write was assigned.
+func (c *Cluster) put(ctx context.Context, key string, value []byte) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
 	if err := kv.CheckKey(key); err != nil {
-		return kv.NoVersion, err
+		return 0, err
 	}
-	rec := record{Version: c.nextVersion(), Value: append([]byte(nil), value...)}
+	rec := record{Version: c.nextVersion(), Value: value}
 	lock := c.lockFor(key)
 	lock.Lock()
 	acked, err := c.writeRecordLocked(ctx, "put", key, rec)
 	lock.Unlock()
 	if err != nil {
-		return kv.NoVersion, err
+		return 0, err
 	}
 	c.drainHints(ctx, acked)
-	return versionString(rec.Version), nil
+	return rec.Version, nil
 }
 
 // PutIfVersion implements kv.CompareAndPut. The coordinator's key lock
@@ -774,7 +858,7 @@ func (c *Cluster) PutIfVersion(ctx context.Context, key string, value []byte, si
 	}
 	lock := c.lockFor(key)
 	lock.Lock()
-	cur, exists, err := c.readRecordLocked(ctx, "cas", key)
+	cur, exists, err := c.readRecord(ctx, "cas", key, true)
 	if err != nil {
 		lock.Unlock()
 		return kv.NoVersion, err
@@ -789,7 +873,7 @@ func (c *Cluster) PutIfVersion(ctx context.Context, key string, value []byte, si
 		lock.Unlock()
 		return kv.NoVersion, kv.ErrVersionMismatch
 	}
-	rec := record{Version: c.nextVersion(), Value: append([]byte(nil), value...)}
+	rec := record{Version: c.nextVersion(), Value: value}
 	acked, err := c.writeRecordLocked(ctx, "cas", key, rec)
 	lock.Unlock()
 	if err != nil {
@@ -811,7 +895,7 @@ func (c *Cluster) Delete(ctx context.Context, key string) error {
 	}
 	lock := c.lockFor(key)
 	lock.Lock()
-	cur, exists, err := c.readRecordLocked(ctx, "delete", key)
+	cur, exists, err := c.readRecord(ctx, "delete", key, true)
 	if err != nil {
 		lock.Unlock()
 		return err
@@ -838,7 +922,7 @@ func (c *Cluster) Contains(ctx context.Context, key string) (bool, error) {
 	if err := kv.CheckKey(key); err != nil {
 		return false, err
 	}
-	rec, exists, err := c.readRecord(ctx, "contains", key)
+	rec, exists, err := c.readRecord(ctx, "contains", key, false)
 	if err != nil {
 		return false, err
 	}
@@ -889,17 +973,17 @@ func (c *Cluster) liveKeys(ctx context.Context) (map[string]bool, error) {
 	}
 	listed := make([]nodeKeys, len(reps))
 	var wg sync.WaitGroup
+	lctx, cancel := c.nodeCtx(ctx)
 	for i, rep := range reps {
 		wg.Add(1)
 		go func(i int, rep replica) {
 			defer wg.Done()
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			ks, err := rep.store.Keys(nctx)
+			ks, err := rep.store.Keys(lctx)
 			listed[i] = nodeKeys{rep: rep, keys: ks, err: err}
 		}(i, rep)
 	}
 	wg.Wait()
+	cancel()
 
 	failed := 0
 	var causes []error
@@ -920,6 +1004,8 @@ func (c *Cluster) liveKeys(ctx context.Context) (map[string]bool, error) {
 	}
 	winners := make(map[string]verdict)
 	var mu sync.Mutex
+	fctx, cancel := c.nodeCtx(ctx)
+	defer cancel()
 	for i := range listed {
 		nk := listed[i]
 		if nk.err != nil || len(nk.keys) == 0 {
@@ -928,9 +1014,7 @@ func (c *Cluster) liveKeys(ctx context.Context) (map[string]bool, error) {
 		wg.Add(1)
 		go func(nk nodeKeys) {
 			defer wg.Done()
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			recs, _ := kv.GetMulti(nctx, nk.rep.store, nk.keys) // partial results still count
+			recs, _ := kv.GetMulti(fctx, nk.rep.store, nk.keys) // partial results still count
 			mu.Lock()
 			defer mu.Unlock()
 			for k, b := range recs {
@@ -975,16 +1059,16 @@ func (c *Cluster) Clear(ctx context.Context) error {
 
 	errs := make([]error, len(reps))
 	var wg sync.WaitGroup
+	fctx, cancel := c.nodeCtx(ctx)
 	for i, rep := range reps {
 		wg.Add(1)
 		go func(i int, rep replica) {
 			defer wg.Done()
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			errs[i] = rep.store.Clear(nctx)
+			errs[i] = rep.store.Clear(fctx)
 		}(i, rep)
 	}
 	wg.Wait()
+	cancel()
 	var causes []error
 	for i, err := range errs {
 		if err != nil {
@@ -996,6 +1080,7 @@ func (c *Cluster) Clear(ctx context.Context) error {
 	}
 	c.mu.Lock()
 	c.hints = make(map[string][]hint)
+	c.hintCount.Store(0)
 	c.mu.Unlock()
 	return nil
 }

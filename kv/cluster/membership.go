@@ -72,7 +72,7 @@ func (c *Cluster) Leave(ctx context.Context, nodeID string) error {
 	// departing node immediately, then the drain copies what it held.
 	delete(c.members, nodeID)
 	c.ring.Remove(nodeID)
-	delete(c.hints, nodeID)
+	c.dropHintsLocked(nodeID)
 	c.mu.Unlock()
 
 	return c.rebalance(ctx, &replica{id: nodeID, store: departing})
@@ -97,13 +97,12 @@ func (c *Cluster) rebalance(ctx context.Context, extra *replica) error {
 	keySet := make(map[string]bool)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	lctx, cancel := c.nodeCtx(ctx)
 	for _, src := range sources {
 		wg.Add(1)
 		go func(src replica) {
 			defer wg.Done()
-			nctx, cancel := c.nodeCtx(ctx)
-			defer cancel()
-			keys, err := src.store.Keys(nctx)
+			keys, err := src.store.Keys(lctx)
 			if err != nil {
 				return
 			}
@@ -115,6 +114,7 @@ func (c *Cluster) rebalance(ctx context.Context, extra *replica) error {
 		}(src)
 	}
 	wg.Wait()
+	cancel()
 
 	keys := make([]string, 0, len(keySet))
 	for k := range keySet {
@@ -153,17 +153,19 @@ func (c *Cluster) rebalanceKey(ctx context.Context, key string, sources []replic
 	lock.Lock()
 	defer lock.Unlock()
 
-	reps, err := c.replicasFor(key)
-	if err != nil {
+	var owners fanout
+	if err := c.replicasFor(&owners, key); err != nil {
 		return 0, err
 	}
-	owner := make(map[string]bool, len(reps))
-	for _, rep := range reps {
+	owner := make(map[string]bool, len(owners.reps))
+	for _, rep := range owners.reps {
 		owner[rep.id] = true
 	}
 
 	// Read every copy (owners and former holders alike).
-	resp := c.fanoutRead(ctx, sources, key)
+	f := &fanout{reps: sources}
+	c.fanoutRead(ctx, f, key)
+	resp := f.resp
 	winner := record{}
 	exists := false
 	for _, r := range resp {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -136,22 +137,27 @@ func (r *Ring) Lookup(key string) string {
 // from the key's hash. Fewer than n members returns all of them, in
 // preference order.
 func (r *Ring) LookupN(key string, n int) []string {
+	return r.AppendLookupN(nil, key, n)
+}
+
+// AppendLookupN appends key's replica set (see LookupN) to dst, so a caller
+// with room in dst looks a key up without allocating.
+func (r *Ring) AppendLookupN(dst []string, key string, n int) []string {
 	if n <= 0 || len(r.points) == 0 {
-		return nil
+		return dst
 	}
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
 	h := keyHash(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	base := len(dst)
+	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
+		// Replica sets are a handful of nodes: a scan beats a set.
+		if !slices.Contains(dst[base:], p.node) {
+			dst = append(dst, p.node)
 		}
 	}
-	return out
+	return dst
 }

@@ -12,6 +12,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,26 +41,71 @@ var (
 	}()
 )
 
-func newRequestID() string {
-	return fmt.Sprintf("%s-%06d", ridPrefix, ridSeq.Add(1))
+// requestID is a request's identity: its sequence number in this process.
+// Most requests are never asked for the printable form (a cache hit sends
+// nothing, a RESP exchange has nowhere to put it), so "<prefix>-%06d" is
+// built on the first read and kept.
+type requestID struct {
+	seq uint64
+	str atomic.Pointer[string]
 }
 
-// WithRequestID returns a context carrying a request ID, generating one
-// when ctx has none, plus the ID itself. IDs are unique within a process
-// and prefixed with a per-process random tag, so IDs from several clients
-// stamped onto one server's requests stay distinguishable.
-func WithRequestID(ctx context.Context) (context.Context, string) {
-	if id := RequestID(ctx); id != "" {
-		return ctx, id
+func (r *requestID) String() string {
+	if s := r.str.Load(); s != nil {
+		return *s
 	}
-	id := newRequestID()
-	return context.WithValue(ctx, ridKey, id), id
+	s := formatRequestID(r.seq)
+	r.str.Store(&s) // racing first readers store equal strings
+	return s
+}
+
+// formatRequestID renders fmt.Sprintf("%s-%06d", ridPrefix, seq).
+func formatRequestID(seq uint64) string {
+	var num [20]byte
+	digits := strconv.AppendUint(num[:0], seq, 10)
+	b := make([]byte, 0, len(ridPrefix)+1+max(len(digits), 6))
+	b = append(b, ridPrefix...)
+	b = append(b, '-')
+	for i := len(digits); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
+}
+
+// requestIDOf finds the identity ctx carries: that of the active trace (the
+// common case, one context value for both), else one attached on its own.
+func requestIDOf(ctx context.Context) *requestID {
+	if tr, ok := ctx.Value(traceKey).(*ActiveTrace); ok {
+		return tr.rid
+	}
+	rid, _ := ctx.Value(ridKey).(*requestID)
+	return rid
+}
+
+// EnsureRequestID returns a context carrying a request ID, generating one
+// when ctx has none. IDs are unique within a process and prefixed with a
+// per-process random tag, so IDs from several clients stamped onto one
+// server's requests stay distinguishable.
+func EnsureRequestID(ctx context.Context) context.Context {
+	if requestIDOf(ctx) != nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ridKey, &requestID{seq: ridSeq.Add(1)})
+}
+
+// WithRequestID is EnsureRequestID that also returns the ID. Layers that
+// only tag the context should call EnsureRequestID, which never formats.
+func WithRequestID(ctx context.Context) (context.Context, string) {
+	ctx = EnsureRequestID(ctx)
+	return ctx, RequestID(ctx)
 }
 
 // RequestID returns the request ID carried by ctx, or "".
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey).(string)
-	return id
+	if rid := requestIDOf(ctx); rid != nil {
+		return rid.String()
+	}
+	return ""
 }
 
 // Span is one timed step inside a trace: which layer did what, starting at
@@ -101,7 +147,8 @@ func (t Trace) String() string {
 // ActiveTrace collects spans for one in-flight request. It is created by
 // StartTrace and safe for concurrent AddSpan calls (hedged attempts).
 type ActiveTrace struct {
-	id    string
+	rid   *requestID // &own, unless ctx already carried an ID
+	own   requestID
 	begin time.Time
 
 	mu    sync.Mutex
@@ -109,7 +156,7 @@ type ActiveTrace struct {
 }
 
 // ID returns the trace's request ID.
-func (t *ActiveTrace) ID() string { return t.id }
+func (t *ActiveTrace) ID() string { return t.rid.String() }
 
 // StartTrace begins a trace for one request, ensuring ctx carries a request
 // ID. The returned ActiveTrace is non-nil only on the outermost call: when
@@ -120,8 +167,13 @@ func StartTrace(ctx context.Context) (context.Context, *ActiveTrace) {
 	if _, ok := ctx.Value(traceKey).(*ActiveTrace); ok {
 		return ctx, nil
 	}
-	ctx, id := WithRequestID(ctx)
-	tr := &ActiveTrace{id: id, begin: time.Now()}
+	tr := &ActiveTrace{begin: time.Now()}
+	if rid, ok := ctx.Value(ridKey).(*requestID); ok {
+		tr.rid = rid
+	} else {
+		tr.own.seq = ridSeq.Add(1)
+		tr.rid = &tr.own
+	}
 	return context.WithValue(ctx, traceKey, tr), tr
 }
 
@@ -160,7 +212,7 @@ func (r *Recorder) FinishTrace(tr *ActiveTrace, op string, total time.Duration, 
 	tr.mu.Lock()
 	spans := append([]Span(nil), tr.spans...)
 	tr.mu.Unlock()
-	rec := Trace{ID: tr.id, Op: op, Begin: tr.begin, Total: total, Err: failed, Spans: spans}
+	rec := Trace{ID: tr.ID(), Op: op, Begin: tr.begin, Total: total, Err: failed, Spans: spans}
 	r.slowMu.Lock()
 	if len(r.slow) >= r.slowCap {
 		copy(r.slow, r.slow[1:])

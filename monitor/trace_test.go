@@ -2,9 +2,12 @@ package monitor
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"edsc/internal/raceflag"
 )
 
 func TestWithRequestIDStable(t *testing.T) {
@@ -118,5 +121,67 @@ func TestSpanCountBounded(t *testing.T) {
 	r.FinishTrace(tr, "get", time.Second, false)
 	if n := len(r.Snapshot(false).Slow[0].Spans); n != maxSpans {
 		t.Fatalf("spans = %d, want cap %d", n, maxSpans)
+	}
+}
+
+// TestRequestIDFormat: IDs are built on first read, without fmt, and must
+// be what fmt.Sprintf("%s-%06d", ...) used to print — the X-Request-Id
+// bytes are part of what servers log.
+func TestRequestIDFormat(t *testing.T) {
+	for _, seq := range []uint64{0, 1, 42, 999999, 1000000, 123456789, 1<<64 - 1} {
+		if got, want := formatRequestID(seq), fmt.Sprintf("%s-%06d", ridPrefix, seq); got != want {
+			t.Errorf("formatRequestID(%d) = %q, want %q", seq, got, want)
+		}
+	}
+	// Sequence numbers are handed out when the context is tagged, not when
+	// the ID is first printed.
+	ctxA := EnsureRequestID(context.Background())
+	ctxB := EnsureRequestID(context.Background())
+	idB, idA := RequestID(ctxB), RequestID(ctxA)
+	inOrder := len(idA) < len(idB) || (len(idA) == len(idB) && idA < idB)
+	if !inOrder || RequestID(ctxA) != idA {
+		t.Fatalf("IDs %q, %q: want creation order, stable across reads", idA, idB)
+	}
+}
+
+// TestTraceAdoptsOuterRequestID: a request tagged before the trace starts
+// keeps its ID — the trace, the context and a retained slow trace all print
+// the same one — and otherwise the trace's own ID is the context's.
+func TestTraceAdoptsOuterRequestID(t *testing.T) {
+	outer, id := WithRequestID(context.Background())
+	ctx, tr := StartTrace(outer)
+	if tr.ID() != id || RequestID(ctx) != id {
+		t.Fatalf("trace %q, ctx %q, want the outer ID %q", tr.ID(), RequestID(ctx), id)
+	}
+	if same := EnsureRequestID(ctx); same != ctx {
+		t.Fatal("EnsureRequestID re-tagged a context that carries a trace")
+	}
+	r := New("s", 16)
+	r.SetSlowThreshold(1)
+	r.FinishTrace(tr, "get", time.Second, false)
+	if got := r.Snapshot(false).Slow[0].ID; got != id {
+		t.Fatalf("retained trace ID %q, want %q", got, id)
+	}
+}
+
+// TestAllocGuardTrace pins what every request of every store pays for
+// tracing when no slow threshold is set: the trace and the one context
+// value that carries it (and, through it, the request ID). Nothing is
+// formatted until somebody reads the ID.
+func TestAllocGuardTrace(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	r := New("s", 16)
+	bg := context.Background()
+	var sink context.Context
+	allocs := testing.AllocsPerRun(500, func() {
+		ctx, tr := StartTrace(bg)
+		sink = EnsureRequestID(ctx) // what dscl does below udsm: no-op
+		r.FinishTrace(tr, "get", time.Millisecond, false)
+	})
+	_ = sink
+	if allocs > 2 {
+		t.Fatalf("StartTrace+FinishTrace allocated %.0f times per request, budget 2", allocs)
 	}
 }
