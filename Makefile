@@ -1,12 +1,21 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race cover bench bench-batch bench-cluster bench-json bench-check bench-mux bench-http bench-sql bench-commit figures examples fuzz chaos chaos-cluster metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-cluster bench-json bench-check bench-mux bench-http bench-sql bench-commit figures examples fuzz chaos chaos-cluster metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
-build:
+build: vet
 	go build ./...
+
+# go vet plus formatting: any file gofmt would rewrite fails the target.
+vet:
 	go vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "$$unformatted"; \
+		echo 'vet: the files above are not gofmt-clean (run gofmt -w)' >&2; \
+		exit 1; \
+	fi
 
 # Capability dispatch must go through kv.As so it survives wrapper stacks.
 # Direct assertions to the kv capability interfaces outside package kv (only

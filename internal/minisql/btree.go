@@ -11,11 +11,13 @@ import (
 // All three storage roles use it — table trees (rowid → row record), index
 // trees (index key → rowid), and the schema catalog (table name → JSON).
 //
-// Mutations rewrite whole pages from a parsed entry list: with 4 KiB pages
-// a rewrite is a small memmove, and it keeps pages permanently compact, so
-// there is no fragmentation bookkeeping. Values too large to share a page
-// with three siblings spill to an overflow chain; keys never spill and are
-// bounded by maxKeyLen.
+// A mutation that stays within one page edits the slotted page where it lies
+// (page.go: removeCell, reserveCell, compact) — a put or delete touches one
+// cell and a few pointers, and the page is repacked only when holes, not a
+// lack of space, keep a cell out. Splits and merges go through a parsed
+// entry list and rewrite their pages compact. Values too large to share a
+// page with three siblings spill to an overflow chain; keys never spill and
+// are bounded by maxKeyLen.
 type btree struct {
 	pg          *pager
 	root        uint32
@@ -62,7 +64,7 @@ func (b *btree) fetch(id uint32) (*page, error) {
 	return b.pg.get(id)
 }
 
-// --- in-memory entry lists (page rewrite representation) ---
+// --- in-memory entry lists (split/merge rewrite representation) ---
 
 type leafEntry struct {
 	key      []byte
@@ -76,14 +78,17 @@ type interiorEntry struct {
 	key   []byte
 }
 
-func readLeafEntries(p *page) ([]leafEntry, error) {
+// readLeafEntries parses the leaf into an entry list with room for extra more
+// entries, so the caller's insert or merge does not re-grow it.
+func readLeafEntries(p *page, extra int) ([]leafEntry, error) {
 	n := p.nCells()
-	ents := make([]leafEntry, n)
+	ents := make([]leafEntry, n, n+extra)
 	// The copies must survive the page rewrite that follows, but 2n little
 	// allocations per leaf read made the allocator the hottest row in the
 	// write-path profile — one arena holds every key and inline value. The
 	// three-index slices keep a stray append on an entry from clobbering its
-	// neighbors.
+	// neighbors. Page-sized, but only splits and merges come here, and the
+	// entries outlive any buffer the pager could lend.
 	arena := make([]byte, 0, len(p.buf))
 	for i := 0; i < n; i++ {
 		c, err := parseLeafCell(p.buf, p.cellPtr(i))
@@ -104,9 +109,9 @@ func readLeafEntries(p *page) ([]leafEntry, error) {
 	return ents, nil
 }
 
-func readInteriorEntries(p *page) ([]interiorEntry, error) {
+func readInteriorEntries(p *page, extra int) ([]interiorEntry, error) {
 	n := p.nCells()
-	ents := make([]interiorEntry, n)
+	ents := make([]interiorEntry, n, n+extra)
 	arena := make([]byte, 0, len(p.buf)) // see readLeafEntries
 	for i := 0; i < n; i++ {
 		c, err := parseInteriorCell(p.buf, p.cellPtr(i))
@@ -173,12 +178,6 @@ func writeInteriorEntries(p *page, ents []interiorEntry, pageSize int) bool {
 	p.setNCells(len(ents))
 	p.setCellEnd(off)
 	return true
-}
-
-// pageUsed is the occupied byte count (header excluded); the underflow
-// threshold for merges compares it against a quarter page.
-func pageUsed(p *page, pageSize int) int {
-	return 2*p.nCells() + (pageSize - p.cellEnd())
 }
 
 // --- search ---
@@ -407,19 +406,24 @@ func (b *btree) insertAt(id uint32, key, val []byte) (*splitRes, error) {
 		if err != nil || sp == nil {
 			return nil, err
 		}
-		ents, err := readInteriorEntries(p)
+		b.pg.markDirty(p)
+		off, ok, err := p.reserveCell(i+1, encodedInteriorCellSize(len(sp.key)), b.pg)
 		if err != nil {
 			return nil, err
 		}
-		ents = append(ents, interiorEntry{})
-		copy(ents[i+2:], ents[i+1:])
-		ents[i+1] = interiorEntry{child: sp.page, key: sp.key}
-		b.pg.markDirty(p)
-		if writeInteriorEntries(p, ents, b.pg.pageSize) {
+		if ok {
+			writeInteriorCell(p.buf, off, sp.page, sp.key)
 			return nil, nil
 		}
 		// Split the interior page: right half moves to a new page whose
 		// first bound becomes the separator pushed to the parent.
+		ents, err := readInteriorEntries(p, 1)
+		if err != nil {
+			return nil, err
+		}
+		ents = ents[:len(ents)+1]
+		copy(ents[i+2:], ents[i+1:])
+		ents[i+1] = interiorEntry{child: sp.page, key: sp.key}
 		mid := splitPointInterior(ents)
 		np, err := b.pg.alloc(pageInterior)
 		if err != nil {
@@ -439,64 +443,66 @@ func (b *btree) insertAt(id uint32, key, val []byte) (*splitRes, error) {
 }
 
 func (b *btree) leafInsert(p *page, key, val []byte) (*splitRes, error) {
-	// Same-size replace fast path: overwriting a fully-inline value with one
-	// that encodes to exactly the old cell's size rewrites the cell bytes in
-	// place — no entry-list parse, no whole-page rebuild. Fixed-width rows
-	// land here on every overwrite, and the commit pipeline's group size is
-	// bounded by how fast writers clear this serialized mutate window.
-	if idx, found, err := leafSearch(p, key); err == nil && found {
-		off := p.cellPtr(idx)
-		if c, cerr := parseLeafCell(p.buf, off); cerr == nil &&
-			c.overflow == 0 && c.valTotal == len(c.inline) &&
-			encodedLeafCellSize(len(key), len(val), len(val)) == c.size {
-			b.pg.markDirty(p)
-			writeLeafCell(p.buf, off, key, val, len(val), 0)
-			return nil, nil
-		}
-	}
-
-	ents, err := readLeafEntries(p)
+	idx, found, err := leafSearch(p, key)
 	if err != nil {
 		return nil, err
 	}
-	idx, found := 0, false
-	lo, hi := 0, len(ents)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(ents[mid].key, key) {
-		case 0:
-			idx, found, lo, hi = mid, true, mid, mid
-		case -1:
-			lo = mid + 1
-		default:
-			hi = mid
+	// The value spills to an overflow chain when the fully-inline cell would
+	// exceed a quarter page. key and val are only read until they are
+	// written into a page, so the entry borrows them.
+	ent := leafEntry{key: key, inline: val, valTotal: len(val)}
+	if encodedLeafCellSize(len(key), len(val), len(val)) > maxLeafCell(b.pg.pageSize) {
+		if ent.overflow, err = b.writeOverflow(val); err != nil {
+			return nil, err
 		}
+		ent.inline = nil
 	}
-	if !found {
-		idx = lo
-	}
+	size := encodedLeafCellSize(len(key), ent.valTotal, len(ent.inline))
 
-	ent, err := b.makeLeafEntry(key, val)
-	if err != nil {
-		return nil, err
-	}
+	b.pg.markDirty(p)
 	if found {
-		if old := ents[idx].overflow; old != 0 {
-			if err := b.freeOverflow(old); err != nil {
+		off := p.cellPtr(idx)
+		old, err := parseLeafCell(p.buf, off)
+		if err != nil {
+			return nil, fmt.Errorf("minisql: page %d cell %d: %w", p.id, idx, err)
+		}
+		if old.overflow != 0 {
+			if err := b.freeOverflow(old.overflow); err != nil {
 				return nil, err
 			}
 		}
-		ents[idx] = ent
-	} else {
-		ents = append(ents, leafEntry{})
-		copy(ents[idx+1:], ents[idx:])
-		ents[idx] = ent
+		if size <= old.size {
+			// The new cell takes the old one's place, right-aligned so that
+			// a cell bordering the gap gives the difference back to it.
+			// Fixed-width rows land here on every overwrite, and the commit
+			// pipeline's group size is bounded by how fast writers clear
+			// this serialized mutate window.
+			at := off + old.size - size
+			writeLeafCell(p.buf, at, ent.key, ent.inline, ent.valTotal, ent.overflow)
+			p.setCellPtr(idx, at)
+			if off == p.cellEnd() {
+				p.setCellEnd(at)
+			}
+			return nil, nil
+		}
+		p.removeCell(idx)
 	}
-
-	b.pg.markDirty(p)
-	if writeLeafEntries(p, ents, b.pg.pageSize) {
+	off, ok, err := p.reserveCell(idx, size, b.pg)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		writeLeafCell(p.buf, off, ent.key, ent.inline, ent.valTotal, ent.overflow)
 		return nil, nil
 	}
+
+	ents, err := readLeafEntries(p, 1)
+	if err != nil {
+		return nil, err
+	}
+	ents = ents[:len(ents)+1]
+	copy(ents[idx+1:], ents[idx:])
+	ents[idx] = ent
 	mid := splitPointLeaf(ents)
 	np, err := b.pg.alloc(pageLeaf)
 	if err != nil {
@@ -513,27 +519,6 @@ func (b *btree) leafInsert(p *page, key, val []byte) (*splitRes, error) {
 	res := &splitRes{page: np.id, key: append([]byte(nil), right[0].key...)}
 	b.pg.unpin(np)
 	return res, nil
-}
-
-// makeLeafEntry builds the entry for (key, val), spilling the value to an
-// overflow chain when the fully-inline cell would exceed a quarter page.
-func (b *btree) makeLeafEntry(key, val []byte) (leafEntry, error) {
-	if encodedLeafCellSize(len(key), len(val), len(val)) <= maxLeafCell(b.pg.pageSize) {
-		return leafEntry{
-			key:      append([]byte(nil), key...),
-			inline:   append([]byte(nil), val...),
-			valTotal: len(val),
-		}, nil
-	}
-	first, err := b.writeOverflow(val)
-	if err != nil {
-		return leafEntry{}, err
-	}
-	return leafEntry{
-		key:      append([]byte(nil), key...),
-		valTotal: len(val),
-		overflow: first,
-	}, nil
 }
 
 // splitPointLeaf picks the first index of the right half: the byte-wise
@@ -616,18 +601,17 @@ func (b *btree) deleteAt(id uint32, key []byte) (bool, error) {
 		if err != nil || !found {
 			return false, err
 		}
-		ents, err := readLeafEntries(p)
+		c, err := parseLeafCell(p.buf, p.cellPtr(idx))
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("minisql: page %d cell %d: %w", p.id, idx, err)
 		}
-		if old := ents[idx].overflow; old != 0 {
-			if err := b.freeOverflow(old); err != nil {
+		if c.overflow != 0 {
+			if err := b.freeOverflow(c.overflow); err != nil {
 				return false, err
 			}
 		}
-		ents = append(ents[:idx], ents[idx+1:]...)
 		b.pg.markDirty(p)
-		writeLeafEntries(p, ents, b.pg.pageSize)
+		p.removeCell(idx)
 		return true, nil
 	case pageInterior:
 		i, err := interiorSearch(p, key)
@@ -662,10 +646,10 @@ func (b *btree) rebalance(parent *page, i int) error {
 	if err != nil {
 		return err
 	}
-	underfull := pageUsed(child, b.pg.pageSize) < b.pg.pageSize/4
+	used, err := child.liveBytes()
 	b.pg.unpin(child)
-	if !underfull {
-		return nil
+	if err != nil || used >= b.pg.pageSize/4 {
+		return err
 	}
 	// Prefer absorbing the right sibling; fall back to being absorbed by
 	// the left one. Either way the merge target pair is (left, right) with
@@ -712,11 +696,11 @@ func (b *btree) tryMerge(parent *page, li int) (bool, error) {
 
 	switch left.typ() {
 	case pageLeaf:
-		le, err := readLeafEntries(left)
+		le, err := readLeafEntries(left, right.nCells())
 		if err != nil {
 			return false, err
 		}
-		re, err := readLeafEntries(right)
+		re, err := readLeafEntries(right, 0)
 		if err != nil {
 			return false, err
 		}
@@ -731,11 +715,11 @@ func (b *btree) tryMerge(parent *page, li int) (bool, error) {
 		}
 		left.setNext(oldNext)
 	case pageInterior:
-		le, err := readInteriorEntries(left)
+		le, err := readInteriorEntries(left, right.nCells())
 		if err != nil {
 			return false, err
 		}
-		re, err := readInteriorEntries(right)
+		re, err := readInteriorEntries(right, 0)
 		if err != nil {
 			return false, err
 		}
@@ -757,15 +741,8 @@ func (b *btree) tryMerge(parent *page, li int) (bool, error) {
 	}
 
 	// Drop the right child's cell from the parent and recycle its page.
-	pents, err := readInteriorEntries(parent)
-	if err != nil {
-		return false, err
-	}
-	pents = append(pents[:li+1], pents[li+2:]...)
 	b.pg.markDirty(parent)
-	if !writeInteriorEntries(parent, pents, b.pg.pageSize) {
-		return false, fmt.Errorf("minisql: parent rewrite after merge does not fit")
-	}
+	parent.removeCell(li + 1)
 	if err := b.pg.free(right.id); err != nil {
 		return false, err
 	}

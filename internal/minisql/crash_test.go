@@ -83,6 +83,7 @@ func runTortureWorkload(t *testing.T, dir string, mode CommitMode) []*crashSnaps
 		t.Fatal(err)
 	}
 	defer db.Close()
+	poisonBufs(db.pg) // a released buffer that still reaches the WAL or data file fails recovery's checksums
 
 	sess := db.NewSession() // the BEGIN…COMMIT units need a transaction scope
 	commit := func(stmts ...string) {
@@ -295,6 +296,7 @@ func TestCrashRecoveryTortureConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	poisonBufs(db.pg)
 	if _, err := db.Exec(`CREATE TABLE conc (id INTEGER PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}

@@ -231,7 +231,10 @@ type PagerStats struct {
 	Hits       uint64
 	Misses     uint64
 	Evictions  uint64
-	WALBytes   int64
+	// PageBufAllocs counts page-sized buffers allocated since open; it stops
+	// growing once the cache is full and the free list is primed.
+	PageBufAllocs uint64
+	WALBytes      int64
 	// Commit pipeline: WAL fsyncs issued (serial commits and group syncs),
 	// groups committed, batches carried by those groups, the largest group,
 	// and a group-size histogram with buckets 1, 2–3, 4–7, 8–15, 16+.

@@ -208,7 +208,6 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 		})
 		return ids, rows, err
 	}
-	sc := tableScope(label, t)
 	// Index fast path: col = constant (or constant = col) on an indexed column,
 	// the constant being a literal or a bound '?' slot.
 	if be, ok := where.(*BinaryExpr); ok && be.Op == "=" {
@@ -258,6 +257,7 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 			}
 		}
 	}
+	sc := t.scopeAs(label)
 	var ids []int64
 	var rows [][]Value
 	var evalErr error
@@ -422,11 +422,11 @@ func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope
 		if err != nil {
 			return nil, nil, err
 		}
-		return tableScope(s.From.Label(), t), rows, nil
+		return t.scopeAs(s.From.Label()), rows, nil
 	}
 
 	// Nested-loop joins, left to right, over materialized scans.
-	sc := tableScope(s.From.Label(), t)
+	sc := t.scopeAs(s.From.Label())
 	var rows [][]Value
 	if err := t.scanRows(func(_ int64, row []Value) (bool, error) {
 		rows = append(rows, row)
@@ -439,7 +439,7 @@ func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope
 		if err != nil {
 			return nil, nil, err
 		}
-		rsc := tableScope(jc.Table.Label(), rt)
+		rsc := rt.scopeAs(jc.Table.Label())
 		joined, err := sc.join(rsc)
 		if err != nil {
 			return nil, nil, err

@@ -18,8 +18,9 @@ func errCheckpoint(err error) error { return fmt.Errorf("minisql: checkpoint: %w
 // worst-case. The pipeline splits a commit into two halves:
 //
 //  1. seal (under the exclusive database lock): the transaction's dirty
-//     pages are staged as an in-memory WAL batch — after images copied out,
-//     pages flipped clean, undo scopes reset — and the batch joins the
+//     pages are staged as an in-memory WAL batch — after images copied into
+//     the buffers of their before images, pages flipped clean, undo scopes
+//     reset — and the batch joins the
 //     commit queue. The writer slot is released immediately after, so the
 //     next writer starts mutating while this commit is still in flight.
 //  2. drain (no database lock): the first committer to find the pipeline
@@ -53,7 +54,7 @@ var errTxAborted = errors.New("minisql: transaction aborted by a failed group co
 type commitBatch struct {
 	seq  uint64      // seal order; assigned under db.mu, so queue order == seq order
 	ids  []uint32    // pages in the batch (sorted)
-	recs []walRecord // staged WAL records; after images are private copies
+	recs []walRecord // staged WAL records; after images are pager buffers, handed back by commitGroup
 
 	// finished/err are guarded by the pipeline mutex; the committer waits on
 	// the pipeline condition variable until finished flips.
@@ -239,11 +240,15 @@ func (pg *pager) fireHook(event string) error {
 // gets a sealed-overlay entry so reads find its image even though it has no
 // durable location yet. Returns nil when the transaction dirtied nothing.
 // Caller holds db.mu exclusively.
+//
+// An after image is referenced from pg.sealed and from the batch's recs, and
+// the leader reads it without pg.mu while appending; nobody writes it until
+// commitGroup hands it back.
 func (pg *pager) seal(seq uint64) *commitBatch {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
 	if len(pg.dirty) == 0 {
-		pg.txUndo = map[uint32][]byte{}
+		pg.finishCommitLocked(nil)
 		return nil
 	}
 	ids := make([]uint32, 0, len(pg.dirty))
@@ -256,7 +261,15 @@ func (pg *pager) seal(seq uint64) *commitBatch {
 	for _, id := range ids {
 		p := pg.dirty[id]
 		stampCRC(p.buf)
-		after := append([]byte(nil), p.buf...)
+		// The page's before image dies with this commit, so its buffer
+		// carries the after image; a page the transaction allocated has none.
+		after := pg.txUndo[id]
+		if after == nil {
+			after = pg.takeBufLocked()
+		} else {
+			delete(pg.txUndo, id)
+		}
+		copy(after, p.buf)
 		recs = append(recs, walRecord{id: id, after: after})
 		pg.sealed[id] = sealedImg{seq: seq, img: after}
 	}
@@ -267,9 +280,10 @@ func (pg *pager) seal(seq uint64) *commitBatch {
 
 // commitGroup appends every sealed batch in the group to the WAL in seal
 // order and makes them durable with a single fsync, then installs the WAL
-// offsets and retires the group's sealed-overlay entries. On error the WAL
-// is already truncated back to the group start (see appendGroup); the caller
-// cascades the abort. Runs on the leader, without db.mu.
+// offsets, retires the group's sealed-overlay entries and hands the after
+// images back to the pager. On error the WAL is already truncated back to the
+// group start (see appendGroup); the caller cascades the abort and the images
+// are left to the GC. Runs on the leader, without db.mu.
 func (pg *pager) commitGroup(group []*commitBatch) error {
 	if err := pg.fireHook("group-append"); err != nil {
 		return err
@@ -292,6 +306,10 @@ func (pg *pager) commitGroup(group []*commitBatch) error {
 			if s, ok := pg.sealed[r.id]; ok && s.seq == b.seq {
 				delete(pg.sealed, r.id)
 			}
+			// Reads now find the image at its WAL offset (or in a later
+			// seal's overlay entry), so this was the last reference.
+			pg.releaseBufLocked(r.after)
+			b.recs[j].after = nil
 		}
 	}
 	pg.walFsyncs++
@@ -316,13 +334,12 @@ func (pg *pager) purgeAborted(aborted []*commitBatch) {
 	for _, b := range aborted {
 		for _, id := range b.ids {
 			if p, ok := pg.cache[id]; ok {
-				pg.lruRemove(p)
-				delete(pg.cache, id)
+				pg.dropLocked(p)
 			}
 			delete(pg.dirty, id)
 		}
 	}
-	pg.sealed = map[uint32]sealedImg{}
+	clear(pg.sealed)
 	pg.mu.Unlock()
 	// Re-read the durable meta page for the committed page count; a failure
 	// here leaves the count stale, which the next successful read corrects.

@@ -78,9 +78,9 @@ type page struct {
 
 // --- header accessors ---
 
-func (p *page) typ() byte      { return p.buf[0] }
-func (p *page) setTyp(t byte)  { p.buf[0] = t }
-func (p *page) nCells() int    { return int(binary.BigEndian.Uint16(p.buf[1:3])) }
+func (p *page) typ() byte     { return p.buf[0] }
+func (p *page) setTyp(t byte) { p.buf[0] = t }
+func (p *page) nCells() int   { return int(binary.BigEndian.Uint16(p.buf[1:3])) }
 func (p *page) setNCells(n int) {
 	binary.BigEndian.PutUint16(p.buf[1:3], uint16(n))
 }
@@ -122,16 +122,118 @@ func (p *page) initPage(t byte, pageSize int) {
 	p.setCellEnd(pageSize)
 }
 
+// --- in-place slotted-page edits ---
+//
+// Cells are added and removed where they lie: a removed cell leaves a hole
+// unless it was the lowest body, and a new cell goes into the gap. Only when
+// the gap is too small although the page as a whole has room are the bodies
+// repacked. Nothing in the format records holes; they are whatever the cell
+// pointers do not cover above cellEnd.
+
+// cellSizeAt returns the encoded size of the cell at off in the image of a
+// leaf or interior page.
+func cellSizeAt(buf []byte, off int) (int, error) {
+	if buf[0] == pageInterior {
+		c, err := parseInteriorCell(buf, off)
+		return c.size, err
+	}
+	c, err := parseLeafCell(buf, off)
+	return c.size, err
+}
+
+// liveBytes is what the page's cells and their pointers occupy, holes
+// excluded: the body size of the page once compacted. The underflow
+// threshold for merges compares it against a quarter page.
+func (p *page) liveBytes() (int, error) {
+	n := p.nCells()
+	live := 2 * n
+	for i := 0; i < n; i++ {
+		sz, err := cellSizeAt(p.buf, p.cellPtr(i))
+		if err != nil {
+			return 0, fmt.Errorf("minisql: page %d cell %d: %w", p.id, i, err)
+		}
+		live += sz
+	}
+	return live, nil
+}
+
+// removeCell drops cell i. The body stays where it is — a hole — unless it
+// was the lowest one, in which case the gap grows up to the next lowest.
+func (p *page) removeCell(i int) {
+	n := p.nCells()
+	off := p.cellPtr(i)
+	at := pageHeaderSize + 2*i
+	copy(p.buf[at:], p.buf[at+2:pageHeaderSize+2*n])
+	p.setNCells(n - 1)
+	if off != p.cellEnd() {
+		return
+	}
+	end := len(p.buf)
+	for j := 0; j < n-1; j++ {
+		end = min(end, p.cellPtr(j))
+	}
+	p.setCellEnd(end)
+}
+
+// reserveCell opens pointer slot i for a new cell of size bytes and returns
+// the offset to write its body at, repacking the page first when holes are
+// all that stands in the way. ok is false, and the page untouched, when even
+// a compacted page could not hold the cell (the caller splits).
+func (p *page) reserveCell(i, size int, pg *pager) (off int, ok bool, err error) {
+	if p.freeSpace() < size+2 {
+		live, err := p.liveBytes()
+		if err != nil {
+			return 0, false, err
+		}
+		if pageHeaderSize+live+size+2 > len(p.buf) {
+			return 0, false, nil
+		}
+		scratch := pg.borrowBuf()
+		err = p.compact(scratch)
+		pg.returnBuf(scratch)
+		if err != nil {
+			return 0, false, err
+		}
+	}
+	n := p.nCells()
+	at := pageHeaderSize + 2*i
+	copy(p.buf[at+2:], p.buf[at:pageHeaderSize+2*n])
+	off = p.cellEnd() - size
+	p.setCellPtr(i, off)
+	p.setCellEnd(off)
+	p.setNCells(n + 1)
+	return off, true, nil
+}
+
+// compact repacks the cell bodies against the page end in pointer order,
+// which is the layout writeLeafEntries/writeInteriorEntries produce. scratch
+// is a page-sized buffer; on error the page is left as it was.
+func (p *page) compact(scratch []byte) error {
+	copy(scratch, p.buf)
+	off := len(p.buf)
+	for i, n := 0, p.nCells(); i < n; i++ {
+		src := p.cellPtr(i)
+		sz, err := cellSizeAt(scratch, src)
+		if err != nil {
+			copy(p.buf, scratch)
+			return fmt.Errorf("minisql: page %d cell %d: %w", p.id, i, err)
+		}
+		off -= sz
+		copy(p.buf[off:], scratch[src:src+sz])
+		p.setCellPtr(i, off)
+	}
+	p.setCellEnd(off)
+	return nil
+}
+
 // --- CRC ---
 
 // pageCRC computes the page checksum with the CRC field treated as zero.
 func pageCRC(buf []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(buf[:9])
 	var zero [4]byte
-	crc.Write(zero[:])
-	crc.Write(buf[13:])
-	return crc.Sum32()
+	crc := crc32.Update(0, crc32.IEEETable, buf[:9])
+	crc = crc32.Update(crc, crc32.IEEETable, zero[:])
+	return crc32.Update(crc, crc32.IEEETable, buf[13:])
 }
 
 // stampCRC writes the checksum into the header. Done just before a page

@@ -57,6 +57,11 @@ type pager struct {
 	stmtUndo map[uint32]stmtImage
 	inStmt   bool
 
+	// freeBufs holds page-sized buffers between owners (see takeBufLocked).
+	freeBufs  [][]byte
+	bufAllocs uint64 // page buffers ever allocated
+	poison    bool   // tests only: fill every released buffer with 0xDB
+
 	committedNPages uint32
 
 	checkpointBytes int64
@@ -83,7 +88,9 @@ type sealedImg struct {
 	img []byte
 }
 
-// stmtImage is the statement-scope undo entry for one page.
+// stmtImage is the statement-scope undo entry for one page. On the page's
+// first touch in the transaction (!wasInTx) the content at statement start is
+// the committed content, so img is the very buffer txUndo holds.
 type stmtImage struct {
 	img     []byte // content at statement start; nil = allocated this statement
 	wasInTx bool   // already dirty when the statement began
@@ -101,7 +108,10 @@ type pagerStats struct {
 	Hits       uint64
 	Misses     uint64
 	Evictions  uint64
-	WALBytes   int64
+	// PageBufAllocs counts page-sized buffers allocated since open; it stops
+	// growing once the cache is full and the free list is primed.
+	PageBufAllocs uint64
+	WALBytes      int64
 	// Commit pipeline counters: WAL fsyncs issued, groups committed, batches
 	// that rode those groups, the largest group, and a group-size histogram
 	// (buckets 1, 2–3, 4–7, 8–15, 16+).
@@ -133,6 +143,69 @@ func groupBucket(n int) int {
 }
 
 const defaultCachePages = 256
+
+// maxFreeBufs caps the free list of page buffers. What is in flight is a few
+// before or sealed images per open or unacknowledged commit, so a handful
+// suffices; a constant because a longer list only pins memory and a shorter
+// one only costs an allocation.
+const maxFreeBufs = 8
+
+// resetMap empties m for reuse by the next statement or commit — unless a
+// large transaction grew it: clear keeps the buckets and walks all of them,
+// which every later statement would pay for.
+func resetMap[K comparable, V any](m map[K]V) map[K]V {
+	if len(m) > 64 {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
+}
+
+// Every page-sized buffer has one owner — a cached frame, a transient
+// snapshot copy, a before image, a sealed after image, or the free list —
+// and changes owner only under pg.mu; whoever gives one up clears its
+// reference (DESIGN.md "Page-buffer ownership").
+
+// takeBufLocked returns a page buffer with arbitrary content; the caller
+// overwrites all of it.
+func (pg *pager) takeBufLocked() []byte {
+	if n := len(pg.freeBufs); n > 0 {
+		buf := pg.freeBufs[n-1]
+		pg.freeBufs = pg.freeBufs[:n-1]
+		return buf
+	}
+	pg.bufAllocs++
+	return make([]byte, pg.pageSize) // the free list is empty: warm-up, or more buffers in flight than maxFreeBufs
+}
+
+// releaseBufLocked gives up ownership of buf (nil is a no-op).
+func (pg *pager) releaseBufLocked(buf []byte) {
+	if buf == nil {
+		return
+	}
+	if pg.poison {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	if len(pg.freeBufs) < maxFreeBufs {
+		pg.freeBufs = append(pg.freeBufs, buf)
+	}
+}
+
+// borrowBuf/returnBuf lend a scratch page to code outside the pager (leaf
+// compaction).
+func (pg *pager) borrowBuf() []byte {
+	pg.mu.Lock()
+	defer pg.mu.Unlock()
+	return pg.takeBufLocked()
+}
+
+func (pg *pager) returnBuf(buf []byte) {
+	pg.mu.Lock()
+	pg.releaseBufLocked(buf)
+	pg.mu.Unlock()
+}
 
 // newMemPager creates a volatile pager: same code paths, no WAL, commits
 // copy dirty pages into the in-memory committed array.
@@ -307,7 +380,7 @@ func probePageSize(f *os.File, walPath string, hint int) (int, error) {
 // root, committed as the first transaction.
 func (pg *pager) initFresh() error {
 	pg.mu.Lock()
-	meta := &page{id: 0, buf: make([]byte, pg.pageSize)}
+	meta := &page{id: 0, buf: pg.takeBufLocked()}
 	initMetaPage(meta.buf, pg.pageSize)
 	metaSetNPages(meta.buf, 2)
 	metaSetCatalog(meta.buf, 1)
@@ -316,7 +389,7 @@ func (pg *pager) initFresh() error {
 	pg.dirty[0] = meta
 	pg.txUndo[0] = nil
 
-	cat := &page{id: 1, buf: make([]byte, pg.pageSize)}
+	cat := &page{id: 1, buf: pg.takeBufLocked()}
 	cat.initPage(pageLeaf, pg.pageSize)
 	cat.dirty = true
 	pg.cache[1] = cat
@@ -370,16 +443,25 @@ func (p *page) onLRU(pg *pager) bool {
 	return p.lruPrev != nil || p.lruNext != nil || pg.lruHead == p
 }
 
-// evictIfNeeded drops the oldest clean unpinned pages while the cache is
-// over capacity. Dirty or pinned pages are never candidates, so the cache
-// can exceed cacheCap while a large transaction is open — the documented
-// soft limit.
-func (pg *pager) evictIfNeeded() {
-	for len(pg.cache) > pg.cacheCap && pg.lruHead != nil {
-		victim := pg.lruHead
-		pg.lruRemove(victim)
-		delete(pg.cache, victim.id)
+// evictDownTo drops the oldest clean unpinned pages while the cache holds
+// more than limit pages. Dirty or pinned pages are never candidates, so the
+// cache can exceed cacheCap while a large transaction is open — the
+// documented soft limit.
+func (pg *pager) evictDownTo(limit int) {
+	for len(pg.cache) > limit && pg.lruHead != nil {
+		pg.dropLocked(pg.lruHead)
 		pg.evictions++
+	}
+}
+
+// dropLocked removes p from the cache and hands its buffer back. A page
+// someone still has pinned keeps its buffer until that unpin.
+func (pg *pager) dropLocked(p *page) {
+	pg.lruRemove(p)
+	delete(pg.cache, p.id)
+	if p.pins == 0 {
+		pg.releaseBufLocked(p.buf)
+		p.buf = nil
 	}
 }
 
@@ -396,13 +478,26 @@ func (pg *pager) get(id uint32) (*page, error) {
 		return p, nil
 	}
 	pg.misses++
-	buf := make([]byte, pg.pageSize)
+	return pg.loadLocked(id, true)
+}
+
+// loadLocked reads the committed image of page id and returns it pinned,
+// as the shared cache entry when install is set and as a transient copy
+// (released by its unpin) otherwise. Room is made before the read, so the
+// image lands in the buffer of the frame it displaces.
+func (pg *pager) loadLocked(id uint32, install bool) (*page, error) {
+	if install {
+		pg.evictDownTo(pg.cacheCap - 1)
+	}
+	buf := pg.takeBufLocked()
 	if err := pg.readCommitted(id, buf); err != nil {
+		pg.releaseBufLocked(buf)
 		return nil, err
 	}
 	p := &page{id: id, buf: buf, pins: 1}
-	pg.cache[id] = p
-	pg.evictIfNeeded()
+	if install {
+		pg.cache[id] = p
+	}
 	return p, nil
 }
 
@@ -445,12 +540,22 @@ func (pg *pager) unpin(p *page) {
 	if p.pins > 0 {
 		p.pins--
 	}
+	if p.pins > 0 {
+		return
+	}
 	// Transient snapshot copies (getSnapshot of a dirty page) are not cache
 	// entries; putting one on the LRU list would make eviction delete the
 	// real cached page under the same id. Only list-manage cache residents.
-	if p.pins == 0 && !p.dirty && !p.onLRU(pg) && pg.cache[p.id] == p {
+	// A non-resident's buffer goes back instead, and clearing p.buf keeps a
+	// second unpin (pins == 0 is tolerated above) from releasing it twice.
+	if pg.cache[p.id] != p {
+		pg.releaseBufLocked(p.buf)
+		p.buf = nil
+		return
+	}
+	if !p.dirty && !p.onLRU(pg) {
 		pg.lruPush(p)
-		pg.evictIfNeeded()
+		pg.evictDownTo(pg.cacheCap)
 	}
 }
 
@@ -484,17 +589,10 @@ func (pg *pager) getSnapshot(id uint32) (*page, error) {
 		return p, nil
 	}
 	pg.misses++
-	buf := make([]byte, pg.pageSize)
-	if err := pg.readCommitted(id, buf); err != nil {
-		return nil, err
-	}
-	p := &page{id: id, buf: buf, pins: 1}
-	if _, dirty := pg.dirty[id]; !dirty {
-		// Plain cache miss: install as the shared cache entry.
-		pg.cache[id] = p
-		pg.evictIfNeeded()
-	}
-	return p, nil
+	// A plain cache miss installs the shared cache entry; a page the open
+	// transaction dirtied is served as a transient copy.
+	_, dirty := pg.dirty[id]
+	return pg.loadLocked(id, !dirty)
 }
 
 // snapshotCatalogRoot reads the catalog root from the committed meta page.
@@ -518,21 +616,23 @@ func (pg *pager) markDirty(p *page) {
 }
 
 func (pg *pager) markDirtyLocked(p *page) {
+	img, wasInTx := pg.txUndo[p.id]
+	if !wasInTx {
+		if p.id < pg.committedNPages {
+			img = pg.takeBufLocked()
+			copy(img, p.buf)
+		}
+		pg.txUndo[p.id] = img
+	}
 	if pg.inStmt {
 		if _, ok := pg.stmtUndo[p.id]; !ok {
-			_, wasInTx := pg.txUndo[p.id]
-			var img []byte
-			if wasInTx || p.id < pg.committedNPages {
-				img = append([]byte(nil), p.buf...)
+			if wasInTx {
+				// An earlier statement already changed the page, so the
+				// two scopes have diverged and this one needs its own image.
+				img = pg.takeBufLocked()
+				copy(img, p.buf)
 			}
 			pg.stmtUndo[p.id] = stmtImage{img: img, wasInTx: wasInTx}
-		}
-	}
-	if _, ok := pg.txUndo[p.id]; !ok {
-		if p.id < pg.committedNPages {
-			pg.txUndo[p.id] = append([]byte(nil), p.buf...)
-		} else {
-			pg.txUndo[p.id] = nil
 		}
 	}
 	if !p.dirty {
@@ -575,7 +675,7 @@ func (pg *pager) alloc(typ byte) (*page, error) {
 	metaSetNPages(meta.buf, n+1)
 
 	pg.mu.Lock()
-	p := &page{id: n, buf: make([]byte, pg.pageSize), pins: 1}
+	p := &page{id: n, buf: pg.takeBufLocked(), pins: 1}
 	p.initPage(typ, pg.pageSize)
 	pg.cache[n] = p
 	pg.markDirtyLocked(p)
@@ -645,16 +745,27 @@ func (pg *pager) setCatalogRoot(root uint32) error {
 
 func (pg *pager) beginStmt() {
 	pg.mu.Lock()
+	pg.endStmtLocked()
 	pg.inStmt = true
-	pg.stmtUndo = map[uint32]stmtImage{}
 	pg.mu.Unlock()
 }
 
 func (pg *pager) endStmt() {
 	pg.mu.Lock()
-	pg.inStmt = false
-	pg.stmtUndo = map[uint32]stmtImage{}
+	pg.endStmtLocked()
 	pg.mu.Unlock()
+}
+
+// endStmtLocked closes the statement scope: the statement's private images
+// go back; shared ones stay with the transaction scope.
+func (pg *pager) endStmtLocked() {
+	for _, u := range pg.stmtUndo {
+		if u.wasInTx {
+			pg.releaseBufLocked(u.img)
+		}
+	}
+	pg.stmtUndo = resetMap(pg.stmtUndo)
+	pg.inStmt = false
 }
 
 // rollbackStmt restores every page the current statement touched to its
@@ -668,8 +779,7 @@ func (pg *pager) rollbackStmt() {
 		if u.img == nil && !u.wasInTx {
 			// Allocated by this statement: discard entirely.
 			if p != nil {
-				pg.lruRemove(p)
-				delete(pg.cache, id)
+				pg.dropLocked(p)
 			}
 			delete(pg.dirty, id)
 			delete(pg.txUndo, id)
@@ -683,17 +793,19 @@ func (pg *pager) rollbackStmt() {
 		copy(p.buf, u.img)
 		if !u.wasInTx {
 			// First touched by this statement: content is back to the
-			// committed image, so it is clean again.
+			// committed image, so it is clean again. The image is the one
+			// txUndo holds; dropping that entry and releasing here is its
+			// single release (endStmtLocked skips shared images).
 			p.dirty = false
 			delete(pg.dirty, id)
 			delete(pg.txUndo, id)
+			pg.releaseBufLocked(u.img)
 			if p.pins == 0 && !p.onLRU(pg) {
 				pg.lruPush(p)
 			}
 		}
 	}
-	pg.inStmt = false
-	pg.stmtUndo = map[uint32]stmtImage{}
+	pg.endStmtLocked()
 }
 
 // --- transaction scope ---
@@ -703,30 +815,28 @@ func (pg *pager) rollbackStmt() {
 func (pg *pager) rollbackAll() {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
+	pg.endStmtLocked()
 	for id, img := range pg.txUndo {
 		p := pg.cache[id]
 		if img == nil {
 			if p != nil {
-				pg.lruRemove(p)
-				delete(pg.cache, id)
+				pg.dropLocked(p)
 			}
 			delete(pg.dirty, id)
 			continue
 		}
-		if p == nil {
-			continue
+		if p != nil {
+			copy(p.buf, img)
+			p.dirty = false
+			delete(pg.dirty, id)
+			if p.pins == 0 && !p.onLRU(pg) {
+				pg.lruPush(p)
+			}
 		}
-		copy(p.buf, img)
-		p.dirty = false
-		delete(pg.dirty, id)
-		if p.pins == 0 && !p.onLRU(pg) {
-			pg.lruPush(p)
-		}
+		pg.releaseBufLocked(img)
 	}
-	pg.txUndo = map[uint32][]byte{}
-	pg.stmtUndo = map[uint32]stmtImage{}
-	pg.inStmt = false
-	pg.evictIfNeeded()
+	pg.txUndo = resetMap(pg.txUndo)
+	pg.evictDownTo(pg.cacheCap)
 }
 
 // commit makes the current dirty set durable: one WAL batch of after
@@ -736,7 +846,7 @@ func (pg *pager) rollbackAll() {
 func (pg *pager) commit() error {
 	pg.mu.Lock()
 	if len(pg.dirty) == 0 {
-		pg.txUndo = map[uint32][]byte{}
+		pg.finishCommitLocked(nil)
 		pg.mu.Unlock()
 		return nil
 	}
@@ -757,7 +867,7 @@ func (pg *pager) commit() error {
 				pg.mem = grown
 			}
 			if pg.mem[id] == nil {
-				pg.mem[id] = make([]byte, pg.pageSize)
+				pg.mem[id] = make([]byte, pg.pageSize) // the page's permanent home, not a transient buffer
 			}
 			copy(pg.mem[id], p.buf)
 		}
@@ -802,7 +912,8 @@ func (pg *pager) commit() error {
 	return nil
 }
 
-// finishCommitLocked flips the committed dirty pages to clean.
+// finishCommitLocked flips the committed dirty pages to clean and returns
+// the before images nothing can roll back to any more.
 func (pg *pager) finishCommitLocked(ids []uint32) {
 	for _, id := range ids {
 		p := pg.dirty[id]
@@ -811,13 +922,16 @@ func (pg *pager) finishCommitLocked(ids []uint32) {
 			pg.lruPush(p)
 		}
 	}
-	pg.dirty = map[uint32]*page{}
-	pg.txUndo = map[uint32][]byte{}
-	pg.stmtUndo = map[uint32]stmtImage{}
+	pg.dirty = resetMap(pg.dirty)
+	pg.endStmtLocked()
+	for _, img := range pg.txUndo {
+		pg.releaseBufLocked(img)
+	}
+	pg.txUndo = resetMap(pg.txUndo)
 	if meta, ok := pg.cache[0]; ok {
 		pg.committedNPages = metaGetNPages(meta.buf)
 	}
-	pg.evictIfNeeded()
+	pg.evictDownTo(pg.cacheCap)
 }
 
 // checkpoint applies every committed WAL image to the database file, syncs
@@ -837,7 +951,8 @@ func (pg *pager) checkpoint() error {
 		return nil
 	}
 
-	buf := make([]byte, pg.pageSize)
+	buf := pg.borrowBuf()
+	defer pg.returnBuf(buf)
 	for id, off := range idx {
 		// Serve from cache when the committed image is resident. A page with
 		// a sealed-but-unsynced image must NOT be served from cache: its
@@ -915,6 +1030,7 @@ func (pg *pager) stats() pagerStats {
 		Hits:           pg.hits,
 		Misses:         pg.misses,
 		Evictions:      pg.evictions,
+		PageBufAllocs:  pg.bufAllocs,
 		WALFsyncs:      pg.walFsyncs,
 		GroupCommits:   pg.groupCommits,
 		GroupedBatches: pg.groupedBatches,

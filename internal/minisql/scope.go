@@ -4,7 +4,9 @@ import "fmt"
 
 // scope maps column references to positions in a (possibly joined) row.
 // For a single table, positions are the declared column order; joining
-// appends the right table's columns after the left's.
+// appends the right table's columns after the left's. A scope is read-only
+// once built (join returns a new one), so a table's default scope is shared
+// by every statement and goroutine that names the table.
 type scope struct {
 	// unq maps unqualified names to positions; ambiguous names (present
 	// in more than one joined table) map to -1.

@@ -51,6 +51,10 @@ func FuzzPageDecode(f *testing.F) {
 	f.Add([]byte{pageMeta})
 	f.Add([]byte{})
 
+	scratch, err := newMemPager(ps, 4) // lends the compaction scratch page
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		buf := make([]byte, ps)
 		copy(buf, data)
@@ -60,14 +64,39 @@ func FuzzPageDecode(f *testing.F) {
 			p := &page{id: 1, buf: buf}
 			switch p.typ() {
 			case pageLeaf:
-				if ents, err := readLeafEntries(p); err == nil {
+				if ents, err := readLeafEntries(p, 0); err == nil {
 					for _, e := range ents {
 						_, _ = decodeRow(e.inline)
 						_, _ = decodeRowid(e.key)
 					}
 				}
 			case pageInterior:
-				_, _ = readInteriorEntries(p)
+				_, _ = readInteriorEntries(p, 0)
+			}
+			// So must the in-place edits, whatever holes or overlaps the
+			// image has, and what they leave must still validate.
+			if typ := p.typ(); typ == pageLeaf || typ == pageInterior {
+				if n := p.nCells(); n > 0 {
+					p.removeCell(n / 2)
+				}
+				for _, body := range [][]byte{make([]byte, 3), make([]byte, 190)} {
+					size := encodedLeafCellSize(1, len(body), len(body))
+					if typ == pageInterior {
+						size = encodedInteriorCellSize(len(body))
+					}
+					off, ok, err := p.reserveCell(p.nCells()/2, size, scratch)
+					if err != nil || !ok {
+						continue
+					}
+					if typ == pageLeaf {
+						writeLeafCell(buf, off, []byte("k"), body, len(body), 0)
+					} else {
+						writeInteriorCell(buf, off, 7, body)
+					}
+				}
+				if err := validatePage(buf); err != nil {
+					t.Fatalf("in-place edits broke a valid page: %v", err)
+				}
 			}
 		}
 		// The raw-bytes decoders guard the row and cell formats directly.
@@ -100,6 +129,7 @@ func FuzzBTreeOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		poisonBufs(pg) // a read of a buffer the pager took back must not match the model
 		bt, err := newBTree(pg)
 		if err != nil {
 			t.Fatal(err)

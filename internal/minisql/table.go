@@ -68,6 +68,15 @@ func newTableHandle(db *Database, schema *CreateTableStmt) (*table, error) {
 // defaultScope returns the table's scope under its own name.
 func (t *table) defaultScope() *scope { return t.defScope }
 
+// scopeAs returns the table's scope under label: the shared default scope
+// when the table is referenced by its own name, a fresh one for an alias.
+func (t *table) scopeAs(label string) *scope {
+	if label == t.schema.Name {
+		return t.defScope
+	}
+	return tableScope(label, t)
+}
+
 // createTable allocates fresh trees for a new table: the primary tree plus
 // one unique index tree per PK/UNIQUE column.
 func createTable(db *Database, schema *CreateTableStmt) (*table, error) {
