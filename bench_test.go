@@ -219,9 +219,10 @@ func BenchmarkFig20Encryption(b *testing.B) {
 }
 
 // BenchmarkFig21Compression measures gzip compress/decompress per size
-// (Fig. 21).
+// (Fig. 21). The level is explicit (6, what gzip's default means) so every
+// size runs the paper's gzip — compress/gzip — and none the one-shot encoder.
 func BenchmarkFig21Compression(b *testing.B) {
-	codec := pack.New(pack.WithSkipThreshold(0))
+	codec := pack.New(pack.WithLevel(6), pack.WithSkipThreshold(0))
 	for _, size := range benchSizes {
 		data := payload(size)
 		b.Run(fmt.Sprintf("compress/%d", size), func(b *testing.B) {

@@ -61,7 +61,12 @@ func decodeTo(t Transform, dst, data []byte) ([]byte, error) {
 
 // CompressionOptions configure Compression.
 type CompressionOptions struct {
-	// Level is the gzip level (0 = default).
+	// Level is the gzip level, 1 (fastest) to 9 (smallest): compress/gzip at
+	// that level for values of every size. 0 leaves it at the default, where
+	// values of at most 4 KiB are written by a one-shot fixed-Huffman
+	// encoder — the same gzip format without deflate's per-call set-up, at a
+	// space cost on text (DESIGN.md "Compression") — and larger values by
+	// compress/gzip at its default level, 6.
 	Level int
 	// SkipThreshold stores values raw when gzip fails to shrink them below
 	// this fraction of the original (0 = library default 0.98; negative

@@ -2,6 +2,7 @@ package dscl
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -113,6 +114,47 @@ func TestTransformAllocsGuard(t *testing.T) {
 	roundTrip() // warm pools and buffers
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 2 {
 		t.Fatalf("transform round trip allocated %.1f times per op, want <= 2 (the CTR streams)", allocs)
+	}
+}
+
+// TestAllocGuardTransformChain pins the gzip+AES chain the way the client
+// drives it — Encode and Decode into a fresh result — on a 1 KiB value, half
+// random and half zeros like the benchmark's: each direction allocates its
+// result, sized once, and one cipher.NewCTR stream; the compression stage
+// alone, into a reused destination, allocates nothing in either direction.
+func TestAllocGuardTransformChain(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	gz := Compression(CompressionOptions{}).(AppendTransform)
+	tr := Chain(gz, EncryptionFromPassphrase("guard"))
+	value := make([]byte, 1024)
+	rand.New(rand.NewSource(1)).Read(value[:512])
+
+	enc, err := tr.Encode(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec, err := tr.Decode(enc); err != nil || !bytes.Equal(dec, value) {
+		t.Fatalf("round trip failed: %v", err)
+	}
+	var packed, unpacked []byte
+	for _, leg := range []struct {
+		name string
+		want float64
+		fn   func() error
+	}{
+		{"chain encode", 2, func() (err error) { _, err = tr.Encode(value); return }},
+		{"chain decode", 2, func() (err error) { _, err = tr.Decode(enc); return }},
+		{"pack encode", 0, func() (err error) { packed, err = gz.EncodeTo(packed[:0], value); return }},
+		{"pack decode", 0, func() (err error) { unpacked, err = gz.DecodeTo(unpacked[:0], packed); return }},
+	} {
+		if err := leg.fn(); err != nil { // warm pools and reused buffers
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { _ = leg.fn() }); allocs != leg.want {
+			t.Errorf("%s allocated %.1f times per op, want %.0f", leg.name, allocs, leg.want)
+		}
 	}
 }
 

@@ -361,9 +361,11 @@ func (e *Env) Fig20(cfg workload.Config) (*workload.TransformReport, error) {
 		func(b []byte) ([]byte, error) { return cipher.Open(b) })
 }
 
-// Fig21 measures gzip compression/decompression time vs size.
+// Fig21 measures gzip compression/decompression time vs size. The level is
+// explicit (6, what gzip's default means) so the reproduction measures the
+// paper's gzip — compress/gzip — at every size, not pack's one-shot encoder.
 func (e *Env) Fig21(cfg workload.Config) (*workload.TransformReport, error) {
-	codec := pack.New(pack.WithSkipThreshold(0))
+	codec := pack.New(pack.WithLevel(6), pack.WithSkipThreshold(0))
 	return workload.New(cfg).MeasureTransform("gzip",
 		codec.Compress,
 		codec.Decompress)

@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"time"
 
@@ -63,13 +64,32 @@ func TestFig9ShapeCloudStoresSlowest(t *testing.T) {
 		t.Skip("latency-shape test")
 	}
 	e := setupEnv(t, 0.02)
-	read, write, err := e.Fig9And10(context.Background(),
-		workload.Config{Sizes: []int{1024}, Runs: 3, OpsPerRun: 2})
-	if err != nil {
-		t.Fatal(err)
+	// Each round reports means of six operations, which one scheduling stall
+	// under package-parallel load can invert ("SQL write 479 µs not slower
+	// than miniredis write 568 µs", once in four full runs). Compare the
+	// per-store medians of five rounds instead.
+	const rounds = 5
+	reads, writes := map[string][]time.Duration{}, map[string][]time.Duration{}
+	for i := 0; i < rounds; i++ {
+		read, write, err := e.Fig9And10(context.Background(),
+			workload.Config{Sizes: []int{1024}, Runs: 3, OpsPerRun: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range AllStores() {
+			reads[name] = append(reads[name], read.Points[0].Lat[name])
+			writes[name] = append(writes[name], write.Points[0].Lat[name])
+		}
 	}
-	r := read.Points[0].Lat
-	w := write.Points[0].Lat
+	median := func(by map[string][]time.Duration) map[string]time.Duration {
+		out := map[string]time.Duration{}
+		for name, ds := range by {
+			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+			out[name] = ds[len(ds)/2]
+		}
+		return out
+	}
+	r, w := median(reads), median(writes)
 
 	// Fig. 9: cloud stores show the highest read latencies, CS1 > CS2.
 	if r[Cloud1] <= r[Cloud2] {

@@ -10,6 +10,12 @@
 //
 // Frame layout: tag(1) | payload. Tag 0x00 = stored raw, 0x01 = gzip.
 //
+// Two encoders write the gzip frame, one format: at the default level a value
+// of at most oneShotMax bytes is encoded by the one-shot fixed-Huffman encoder
+// in oneshot.go, which has no set-up to pay; larger values, and every value of
+// a codec given an explicit level, go through compress/gzip. Both produce
+// ordinary gzip members and compress/gzip decodes (and verifies) them all.
+//
 // Hot-path note: CompressTo and DecompressTo are append-style — they write
 // into a caller-supplied destination and recycle the gzip writer/reader state
 // through per-codec pools, so steady-state use allocates nothing beyond what
@@ -19,6 +25,7 @@ package pack
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -39,6 +46,9 @@ var ErrNotFramed = errors.New("pack: data is not a pack frame")
 // use. The zero value is not usable; call New.
 type Codec struct {
 	level int
+	// stdlibOnly is set by WithLevel: an explicit level means compress/gzip
+	// at that level at every size.
+	stdlibOnly bool
 	// minRatio is the largest acceptable compressed/original ratio; above
 	// it the value is stored raw.
 	minRatio float64
@@ -67,8 +77,12 @@ type gzReader struct {
 // Option configures a Codec.
 type Option func(*Codec)
 
-// WithLevel sets the gzip compression level (gzip.BestSpeed..BestCompression).
-func WithLevel(level int) Option { return func(c *Codec) { c.level = level } }
+// WithLevel sets the gzip compression level (gzip.BestSpeed..BestCompression)
+// and selects compress/gzip at that level for values of every size; a codec
+// built without it encodes values of at most 4 KiB with the one-shot encoder.
+func WithLevel(level int) Option {
+	return func(c *Codec) { c.level, c.stdlibOnly = level, true }
+}
 
 // WithSkipThreshold sets the compressed/original ratio above which values are
 // stored uncompressed. 1.0 stores raw only when gzip expands the data;
@@ -94,39 +108,17 @@ func (c *Codec) Compress(value []byte) ([]byte, error) {
 // value. Only the returned slice is valid afterwards.
 func (c *Codec) CompressTo(dst, value []byte) ([]byte, error) {
 	off := len(dst)
-	sw, _ := c.sinks.Get().(*sliceWriter)
-	if sw == nil {
-		sw = &sliceWriter{}
-	}
-	sw.b = append(dst, tagGzip)
-
-	zw, _ := c.writers.Get().(*gzip.Writer)
-	if zw == nil {
+	var out []byte
+	if !c.stdlibOnly && len(value) <= oneShotMax {
+		// Grow once for tag and member, not once each.
+		out = bufpool.Grow(dst, 1+len(value)+oneShotRoom)[:off]
+		out = appendOneShot(append(out, tagGzip), value)
+	} else {
 		var err error
-		zw, err = gzip.NewWriterLevel(sw, c.level)
-		if err != nil {
-			sw.b = nil
-			c.sinks.Put(sw)
+		if out, err = c.appendGzip(append(dst, tagGzip), value); err != nil {
 			return nil, err
 		}
-	} else {
-		zw.Reset(sw)
 	}
-	if _, err := zw.Write(value); err != nil {
-		sw.b = nil
-		c.sinks.Put(sw)
-		return nil, fmt.Errorf("pack: compressing: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		sw.b = nil
-		c.sinks.Put(sw)
-		return nil, fmt.Errorf("pack: finishing stream: %w", err)
-	}
-	c.writers.Put(zw)
-	out := sw.b
-	sw.b = nil
-	c.sinks.Put(sw)
-
 	if c.minRatio > 0 && len(value) > 0 {
 		ratio := float64(len(out)-off-1) / float64(len(value))
 		if ratio > c.minRatio {
@@ -139,6 +131,38 @@ func (c *Codec) CompressTo(dst, value []byte) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// appendGzip appends value as a gzip member written by a pooled compress/gzip
+// writer at the codec's level.
+func (c *Codec) appendGzip(dst, value []byte) ([]byte, error) {
+	sw, _ := c.sinks.Get().(*sliceWriter)
+	if sw == nil {
+		sw = &sliceWriter{}
+	}
+	sw.b = dst
+	defer func() {
+		sw.b = nil
+		c.sinks.Put(sw)
+	}()
+
+	zw, _ := c.writers.Get().(*gzip.Writer)
+	if zw == nil {
+		var err error
+		if zw, err = gzip.NewWriterLevel(sw, c.level); err != nil {
+			return nil, err
+		}
+	} else {
+		zw.Reset(sw)
+	}
+	if _, err := zw.Write(value); err != nil {
+		return nil, fmt.Errorf("pack: compressing: %w", err)
+	}
+	if err := zw.Close(); err != nil {
+		return nil, fmt.Errorf("pack: finishing stream: %w", err)
+	}
+	c.writers.Put(zw)
+	return sw.b, nil
 }
 
 // Decompress unframes data produced by Compress.
@@ -173,7 +197,7 @@ func (c *Codec) DecompressTo(dst, data []byte) ([]byte, error) {
 			c.readers.Put(gz)
 			return dst, fmt.Errorf("pack: opening stream: %w", err)
 		}
-		out, err := readAppend(gz.zr, dst)
+		out, err := readAppend(gz.zr, dst, sizeHint(data))
 		if err != nil {
 			c.readers.Put(gz)
 			return dst, fmt.Errorf("pack: decompressing: %w", err)
@@ -189,16 +213,31 @@ func (c *Codec) DecompressTo(dst, data []byte) ([]byte, error) {
 	}
 }
 
-// readAppend drains r appending onto b, growing the spare capacity
-// geometrically instead of allocating per read the way io.ReadAll does.
-func readAppend(r io.Reader, b []byte) ([]byte, error) {
+// sizeHint reads the decoded length a gzip frame's ISIZE trailer claims. It is
+// only a hint — the gzip reader still verifies the real trailer — and it is
+// capped at hintCap times the frame so a lying trailer cannot make the reader
+// allocate more than a small multiple of what the caller already holds.
+func sizeHint(data []byte) int {
+	const hintCap = 8 // text shrinks 3-5x; beyond the cap readAppend's doubling takes over
+	if len(data) < 4 {
+		return 0
+	}
+	return int(min(uint64(binary.LittleEndian.Uint32(data[len(data)-4:])), uint64(hintCap*len(data))))
+}
+
+// readAppend drains r appending onto b. It makes room for hint bytes up
+// front, so a truthful hint costs one allocation and one Read (compress/flate
+// hands over the last bytes together with io.EOF); past the hint it grows
+// the spare capacity geometrically instead of allocating per read the way
+// io.ReadAll does. It never reads into an empty slice: compress/gzip spins
+// on a zero-length Read while flate has output pending.
+func readAppend(r io.Reader, b []byte, hint int) ([]byte, error) {
+	if cap(b)-len(b) < hint {
+		b = bufpool.Grow(b, hint)[:len(b)]
+	}
 	for {
-		if cap(b)-len(b) < 512 {
-			n := cap(b)
-			if n < 512 {
-				n = 512
-			}
-			b = bufpool.Grow(b, n)[:len(b)]
+		if len(b) == cap(b) {
+			b = bufpool.Grow(b, max(cap(b), 512))[:len(b)]
 		}
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]

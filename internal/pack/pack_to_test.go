@@ -60,35 +60,37 @@ func TestDecompressToErrorLeavesDst(t *testing.T) {
 }
 
 // TestAllocsGuard pins the compress/decompress round trip at zero
-// steady-state allocations: gzip writer, reader, bytes.Reader, and sink are
-// all pooled, and output goes into reused destination buffers.
+// steady-state allocations on both encoders: the one-shot encoder keeps its
+// state on the stack; gzip writer, reader, bytes.Reader, and sink are all
+// pooled; and output goes into reused destination buffers.
 func TestAllocsGuard(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	c := New()
 	value := bytes.Repeat([]byte("abcdefgh"), 512)
-	var cBuf, dBuf []byte
-	comp := func() {
-		out, err := c.CompressTo(cBuf[:0], value)
-		if err != nil {
-			t.Fatal(err)
+	for name, c := range map[string]*Codec{"one-shot": New(), "stdlib": New(WithLevel(6))} {
+		var cBuf, dBuf []byte
+		comp := func() {
+			out, err := c.CompressTo(cBuf[:0], value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cBuf = out
 		}
-		cBuf = out
-	}
-	comp() // warm the pools
-	if allocs := testing.AllocsPerRun(200, comp); allocs > 0 {
-		t.Fatalf("CompressTo allocated %.1f times per op, want 0", allocs)
-	}
-	dec := func() {
-		out, err := c.DecompressTo(dBuf[:0], cBuf)
-		if err != nil {
-			t.Fatal(err)
+		comp() // warm the pools
+		if allocs := testing.AllocsPerRun(200, comp); allocs > 0 {
+			t.Fatalf("%s: CompressTo allocated %.1f times per op, want 0", name, allocs)
 		}
-		dBuf = out
-	}
-	dec()
-	if allocs := testing.AllocsPerRun(200, dec); allocs > 0 {
-		t.Fatalf("DecompressTo allocated %.1f times per op, want 0", allocs)
+		dec := func() {
+			out, err := c.DecompressTo(dBuf[:0], cBuf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dBuf = out
+		}
+		dec()
+		if allocs := testing.AllocsPerRun(200, dec); allocs > 0 {
+			t.Fatalf("%s: DecompressTo allocated %.1f times per op, want 0", name, allocs)
+		}
 	}
 }

@@ -114,6 +114,12 @@ type SQL interface {
 // control: the write succeeds only when the stored version still matches
 // `since` (or, with NoVersion, only when the key does not exist yet).
 // A lost race returns ErrVersionMismatch.
+//
+// A version may be derived from the content, as an HTTP ETag is (cloudsim's
+// is a hash of the value): a write that stores the bytes already there may
+// then leave the version unchanged, and a CAS from that version still
+// succeeds afterwards. Only a write that changes the value is guaranteed to
+// defeat every CAS from an older version.
 type CompareAndPut interface {
 	PutIfVersion(ctx context.Context, key string, value []byte, since Version) (Version, error)
 }
