@@ -44,8 +44,9 @@ cover:
 # the minisql parser and the typed-parameter vs rendered-literal differential
 # (internal/minisql/fuzz_test.go, params_test.go), and the storage engine's
 # page decoder + B-tree operations (internal/minisql/storage_fuzz_test.go),
-# and the one-shot gzip encoder against the stdlib reader
-# (internal/pack/oneshot_test.go).
+# the one-shot gzip encoder against the stdlib reader
+# (internal/pack/oneshot_test.go), and the cloudsim path parser against the
+# strings.Split implementation it replaced (internal/cloudsim/hotpath_test.go).
 fuzz:
 	go test ./internal/resp -run='^$$' -fuzz=FuzzRead -fuzztime=10s
 	go test ./internal/minisql -run='^$$' -fuzz=FuzzParse -fuzztime=10s
@@ -53,6 +54,7 @@ fuzz:
 	go test ./internal/minisql -run='^$$' -fuzz=FuzzPageDecode -fuzztime=10s
 	go test ./internal/minisql -run='^$$' -fuzz=FuzzBTreeOps -fuzztime=10s
 	go test ./internal/pack -run='^$$' -fuzz=FuzzOneShotRoundTrip -fuzztime=10s
+	go test ./internal/cloudsim -run='^$$' -fuzz=FuzzParsePath -fuzztime=30s
 
 # The chaos conformance suite at aggressive settings: 4x the operations,
 # doubled fault rates, race detector on — every store must still pass.

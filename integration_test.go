@@ -359,6 +359,17 @@ func benchCfg() workload.Config {
 	return workload.Config{Sizes: []int{256, 4096}, Runs: 2, OpsPerRun: 2}
 }
 
+// faultCfg is benchCfg with enough operations that several injected 500s
+// arrive. With benchCfg's 16 only request #10 is one (#20 is never reached),
+// and a single get slower than the hedge delay moves it onto a hedge
+// attempt, whose failure needs no retry — "no retries" once in 100 runs of
+// this package.
+func faultCfg() workload.Config {
+	cfg := benchCfg()
+	cfg.Runs = 6
+	return cfg
+}
+
 // TestResilientCloudWorkloadUnderFaults is the resilience acceptance
 // scenario: a cloud store whose server injects wire-level faults — every
 // 10th request answered with HTTP 500, every 4th stalled 20ms — must
@@ -387,7 +398,7 @@ func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 	})
 	defer store.Close()
 
-	gen := workload.New(benchCfg())
+	gen := workload.New(faultCfg())
 	if _, err := gen.Run(ctx, store, nil); err != nil {
 		t.Fatalf("workload run surfaced a fault the wrapper should have masked: %v", err)
 	}
@@ -459,7 +470,7 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gen := workload.New(benchCfg())
+	gen := workload.New(faultCfg())
 	if _, err := gen.Run(ctx, ds, nil); err != nil {
 		t.Fatalf("workload: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -101,9 +102,17 @@ func (o Options) withDefaults() Options {
 // revalidation path builds on).
 type Client struct {
 	name   string
-	base   string // server URL
 	bucket string
-	hc     *http.Client
+	// The server URL is parsed once: scheme and host, and the unescaped and
+	// escaped forms of the "/v1/<bucket>/" every request path begins with.
+	// A base URL that does not parse fails each request with baseErr.
+	scheme, host    string
+	prefix, escaped string
+	baseErr         error
+	// tr is called directly. An http.Client in front of it would clone the
+	// header and set up redirect bookkeeping on every call, for redirects
+	// the protocol does not have (a 3xx surfaces as "unexpected status").
+	tr     *http.Transport
 	coal   *getCoalescer // non-nil when Options.Coalesce is set
 	closed atomic.Bool
 
@@ -129,9 +138,16 @@ func NewClient(name, baseURL, bucket string) *Client {
 // NewClientWith is NewClient with explicit transport/coalescing Options.
 func NewClientWith(name, baseURL, bucket string, opts Options) *Client {
 	opts = opts.withDefaults()
-	c := &Client{name: name, base: baseURL, bucket: bucket}
+	c := &Client{name: name, bucket: bucket}
+	if u, err := url.Parse(baseURL); err != nil {
+		c.baseErr = err
+	} else {
+		c.scheme, c.host = u.Scheme, u.Host
+		c.prefix = u.Path + "/v1/" + bucket + "/"
+		c.escaped = u.EscapedPath() + "/v1/" + url.PathEscape(bucket) + "/"
+	}
 	dialer := &net.Dialer{Timeout: opts.DialTimeout, KeepAlive: opts.KeepAlive}
-	c.hc = &http.Client{Transport: &http.Transport{
+	c.tr = &http.Transport{
 		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			conn, err := dialer.DialContext(ctx, network, addr)
 			if err != nil {
@@ -148,7 +164,10 @@ func NewClientWith(name, baseURL, bucket string, opts Options) *Client {
 		MaxIdleConnsPerHost:   opts.MaxIdleConnsPerHost,
 		MaxConnsPerHost:       opts.MaxConnsPerHost,
 		DisableKeepAlives:     opts.DisableKeepAlives,
-	}}
+		// The server never encodes and dscl has already compressed the
+		// values; without this every request advertises gzip.
+		DisableCompression: true,
+	}
 	if opts.Coalesce {
 		c.coal = newGetCoalescer(c, opts)
 	}
@@ -173,14 +192,6 @@ func (cc *countedConn) Close() error {
 	return cc.Conn.Close()
 }
 
-func (c *Client) objectURL(key string) string {
-	return fmt.Sprintf("%s/v1/%s/%s", c.base, url.PathEscape(c.bucket), url.PathEscape(key))
-}
-
-func (c *Client) bucketURL() string {
-	return fmt.Sprintf("%s/v1/%s", c.base, url.PathEscape(c.bucket))
-}
-
 // Name implements kv.Store.
 func (c *Client) Name() string { return c.name }
 
@@ -203,51 +214,84 @@ func (c *Client) check(ctx context.Context, key string) error {
 	return kv.CheckKey(key)
 }
 
-func (c *Client) do(ctx context.Context, method, u string, body []byte, hdr map[string]string) (*http.Response, error) {
-	var rd io.Reader
-	var br *bytes.Reader
-	if body != nil {
-		br = bytes.NewReader(body)
-		rd = br
+// header is the one header besides X-Request-Id a request may carry: a
+// condition (If-None-Match, If-Match) or the Content-Type of a batch body.
+// name is in canonical form; an empty value sends nothing.
+type header struct{ name, value string }
+
+var jsonBody = header{"Content-Type", "application/json"}
+
+// call is what one request needs beyond the http.Request itself — the URL,
+// the body reader, the one-element header values — in one allocation.
+type call struct {
+	url      url.URL
+	body     bodyReader
+	rid, hdr [1]string
+}
+
+// bodyReader reads the caller's bytes as a request body.
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
+
+// do sends one request to the object key or, when key is empty, to the
+// bucket (query applies there). The request is assembled from parts, not
+// printed and parsed back, and handed to the transport directly.
+func (c *Client) do(ctx context.Context, method, key, query string, body []byte, h header) (*http.Response, error) {
+	if c.baseErr != nil {
+		return nil, c.baseErr
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
-	if err != nil {
-		return nil, err
-	}
-	if br != nil {
-		// Retransmits (redirects, connection-loss replays) rewind the one
-		// reader over the caller's bytes instead of snapshotting a copy of
-		// the payload per attempt. The transport closes the previous body
-		// before asking for a new one, so sequential reuse is safe.
-		req.GetBody = func() (io.ReadCloser, error) {
-			br.Reset(body)
-			return io.NopCloser(br), nil
+	cl := &call{url: url.URL{Scheme: c.scheme, Host: c.host, RawQuery: query}}
+	// The wire carries each segment path-escaped. RawPath says so only when
+	// escaping changed something; otherwise the URL prints Path as it is.
+	u := &cl.url
+	if key == "" {
+		u.Path, u.RawPath = c.prefix[:len(c.prefix)-1], c.escaped[:len(c.escaped)-1]
+	} else {
+		u.Path = c.prefix + key
+		if esc := url.PathEscape(key); esc != key || c.escaped != c.prefix {
+			u.RawPath = c.escaped + esc
 		}
 	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
+	hdr := make(http.Header, 2)
+	if h.value != "" {
+		cl.hdr[0] = h.value
+		hdr[h.name] = cl.hdr[:]
 	}
 	// Propagate the caller's request ID onto the wire so client-side
 	// traces and server-side logs line up, and leave one span per HTTP
 	// attempt (retries and hedges each show up individually).
 	if rid := monitor.RequestID(ctx); rid != "" {
-		req.Header.Set("X-Request-Id", rid)
+		cl.rid[0] = rid
+		hdr["X-Request-Id"] = cl.rid[:]
+	}
+	req := &http.Request{Method: method, URL: u, Header: hdr}
+	if len(body) > 0 {
+		cl.body.Reset(body)
+		req.Body, req.ContentLength = &cl.body, int64(len(body))
+		// A connection-loss replay rewinds the one reader over the caller's
+		// bytes instead of snapshotting a copy of the payload per attempt.
+		// The transport closes the previous body before asking for a new
+		// one, so sequential reuse is safe.
+		req.GetBody = func() (io.ReadCloser, error) {
+			cl.body.Reset(body)
+			return &cl.body, nil
+		}
 	}
 	start := time.Now()
-	resp, err := c.hc.Do(req)
+	resp, err := c.tr.RoundTrip(req.WithContext(ctx))
 	// A 5xx or throttle answer is a failed attempt even though the
 	// transport delivered it; 304/404/412 are protocol outcomes, not
 	// faults (matching the server-side recorder's classification). The
 	// status code rides in the span op so a trace shows what came back.
-	op := method + " " + c.bucket
+	var buf [64]byte
+	op := append(append(append(buf[:0], method...), ' '), c.bucket...)
 	failed := err != nil
 	if err == nil {
-		op = fmt.Sprintf("%s %s %d", method, c.bucket, resp.StatusCode)
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-			failed = true
-		}
+		op = strconv.AppendInt(append(op, ' '), int64(resp.StatusCode), 10)
+		failed = resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
 	}
-	monitor.AddSpan(ctx, "http", op, start, failed)
+	monitor.AddSpan(ctx, "http", string(op), start, failed)
 	return resp, err
 }
 
@@ -261,6 +305,9 @@ const maxDrainBytes = 256 << 10
 // drainClose releases the connection for reuse when the remaining body is
 // small, and abandons it (closing the connection) beyond maxDrainBytes.
 func drainClose(resp *http.Response) {
+	if resp.Body == http.NoBody { // a 304, a HEAD, an empty reply
+		return
+	}
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes+1))
 	// If the limit was hit the body is not at EOF and Close discards the
 	// connection — exactly what we want for oversized bodies.
@@ -272,18 +319,19 @@ func drainClose(resp *http.Response) {
 // reading, so a lying header cannot commit memory the body never delivers.
 const maxPresizedBody = 64 << 20
 
-// readBody reads a response body in one exact-size read when the server
-// declared a credible Content-Length, avoiding io.ReadAll's grow-and-copy
-// churn (ReadAll reallocates ~log2(n) times and overshoots by up to 2x).
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
+// readBody reads a request or response body in one exact-size read when the
+// peer declared a credible Content-Length n, avoiding io.ReadAll's
+// grow-and-copy churn (ReadAll reallocates ~log2(n) times and overshoots by
+// up to 2x — slack a stored object would keep).
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	if n >= 0 && n <= maxPresizedBody {
 		buf := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		if _, err := io.ReadFull(body, buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
 	}
-	return io.ReadAll(resp.Body)
+	return io.ReadAll(body)
 }
 
 // Get implements kv.Store.
@@ -300,14 +348,14 @@ func (c *Client) GetVersioned(ctx context.Context, key string) ([]byte, kv.Versi
 	if c.coal != nil {
 		return c.coal.get(ctx, key)
 	}
-	resp, err := c.do(ctx, http.MethodGet, c.objectURL(key), nil, nil)
+	resp, err := c.do(ctx, http.MethodGet, key, "", nil, header{})
 	if err != nil {
 		return nil, kv.NoVersion, kv.WrapErr(c.name, "get", key, err)
 	}
 	defer drainClose(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := readBody(resp)
+		data, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			return nil, kv.NoVersion, kv.WrapErr(c.name, "get", key, err)
 		}
@@ -324,11 +372,7 @@ func (c *Client) GetIfModified(ctx context.Context, key string, since kv.Version
 	if err := c.check(ctx, key); err != nil {
 		return nil, kv.NoVersion, false, err
 	}
-	hdr := map[string]string{}
-	if since != kv.NoVersion {
-		hdr["If-None-Match"] = string(since)
-	}
-	resp, err := c.do(ctx, http.MethodGet, c.objectURL(key), nil, hdr)
+	resp, err := c.do(ctx, http.MethodGet, key, "", nil, header{"If-None-Match", string(since)})
 	if err != nil {
 		return nil, kv.NoVersion, false, kv.WrapErr(c.name, "get", key, err)
 	}
@@ -337,7 +381,7 @@ func (c *Client) GetIfModified(ctx context.Context, key string, since kv.Version
 	case http.StatusNotModified:
 		return nil, since, false, nil
 	case http.StatusOK:
-		data, err := readBody(resp)
+		data, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			return nil, kv.NoVersion, false, kv.WrapErr(c.name, "get", key, err)
 		}
@@ -360,7 +404,7 @@ func (c *Client) PutVersioned(ctx context.Context, key string, value []byte) (kv
 	if err := c.check(ctx, key); err != nil {
 		return kv.NoVersion, err
 	}
-	resp, err := c.do(ctx, http.MethodPut, c.objectURL(key), value, nil)
+	resp, err := c.do(ctx, http.MethodPut, key, "", value, header{})
 	if err != nil {
 		return kv.NoVersion, kv.WrapErr(c.name, "put", key, err)
 	}
@@ -378,13 +422,11 @@ func (c *Client) PutIfVersion(ctx context.Context, key string, value []byte, sin
 	if err := c.check(ctx, key); err != nil {
 		return kv.NoVersion, err
 	}
-	hdr := map[string]string{}
-	if since == kv.NoVersion {
-		hdr["If-None-Match"] = "*"
-	} else {
-		hdr["If-Match"] = string(since)
+	cond := header{"If-None-Match", "*"}
+	if since != kv.NoVersion {
+		cond = header{"If-Match", string(since)}
 	}
-	resp, err := c.do(ctx, http.MethodPut, c.objectURL(key), value, hdr)
+	resp, err := c.do(ctx, http.MethodPut, key, "", value, cond)
 	if err != nil {
 		return kv.NoVersion, kv.WrapErr(c.name, "put", key, err)
 	}
@@ -443,8 +485,7 @@ func (c *Client) bulkGet(ctx context.Context, keys []string) (map[string]kv.Vers
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(ctx, http.MethodPost, c.bucketURL()+"?batch=get", body,
-		map[string]string{"Content-Type": "application/json"})
+	resp, err := c.do(ctx, http.MethodPost, "", "batch=get", body, jsonBody)
 	if err != nil {
 		return nil, err
 	}
@@ -499,8 +540,7 @@ func (c *Client) PutMultiVersioned(ctx context.Context, pairs map[string][]byte)
 	if err != nil {
 		return nil, kv.WrapErr(c.name, "batch_put", "", err)
 	}
-	resp, err := c.do(ctx, http.MethodPost, c.bucketURL()+"?batch=put", body,
-		map[string]string{"Content-Type": "application/json"})
+	resp, err := c.do(ctx, http.MethodPost, "", "batch=put", body, jsonBody)
 	if err != nil {
 		return nil, kv.WrapErr(c.name, "batch_put", "", err)
 	}
@@ -523,7 +563,7 @@ func (c *Client) Delete(ctx context.Context, key string) error {
 	if err := c.check(ctx, key); err != nil {
 		return err
 	}
-	resp, err := c.do(ctx, http.MethodDelete, c.objectURL(key), nil, nil)
+	resp, err := c.do(ctx, http.MethodDelete, key, "", nil, header{})
 	if err != nil {
 		return kv.WrapErr(c.name, "delete", key, err)
 	}
@@ -543,7 +583,7 @@ func (c *Client) Contains(ctx context.Context, key string) (bool, error) {
 	if err := c.check(ctx, key); err != nil {
 		return false, err
 	}
-	resp, err := c.do(ctx, http.MethodHead, c.objectURL(key), nil, nil)
+	resp, err := c.do(ctx, http.MethodHead, key, "", nil, header{})
 	if err != nil {
 		return false, kv.WrapErr(c.name, "contains", key, err)
 	}
@@ -569,11 +609,11 @@ func (c *Client) KeysWithPrefix(ctx context.Context, prefix string) ([]string, e
 	if err := c.checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	u := c.bucketURL()
+	query := ""
 	if prefix != "" {
-		u += "?prefix=" + url.QueryEscape(prefix)
+		query = "prefix=" + url.QueryEscape(prefix)
 	}
-	resp, err := c.do(ctx, http.MethodGet, u, nil, nil)
+	resp, err := c.do(ctx, http.MethodGet, "", query, nil, header{})
 	if err != nil {
 		return nil, kv.WrapErr(c.name, "keys", "", err)
 	}
@@ -602,7 +642,7 @@ func (c *Client) Clear(ctx context.Context) error {
 	if err := c.checkCtx(ctx); err != nil {
 		return err
 	}
-	resp, err := c.do(ctx, http.MethodDelete, c.bucketURL(), nil, nil)
+	resp, err := c.do(ctx, http.MethodDelete, "", "", nil, header{})
 	if err != nil {
 		return kv.WrapErr(c.name, "clear", "", err)
 	}
@@ -616,7 +656,7 @@ func (c *Client) Clear(ctx context.Context) error {
 // Close implements kv.Store.
 func (c *Client) Close() error {
 	if !c.closed.Swap(true) {
-		c.hc.CloseIdleConnections()
+		c.tr.CloseIdleConnections()
 	}
 	return nil
 }

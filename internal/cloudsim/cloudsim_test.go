@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,7 +183,11 @@ func TestBadPaths(t *testing.T) {
 	defer c.Close()
 	// Root and /v1 are invalid paths; the client never produces them, so
 	// poke the server directly.
-	resp, err := c.hc.Get(s.Addr() + "/other")
+	req, err := http.NewRequest(http.MethodGet, s.Addr()+"/other", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.tr.RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,9 +379,44 @@ func TestServerFaultInjection(t *testing.T) {
 		if err == nil {
 			t.Fatal("Get succeeded over a dropped connection")
 		}
-		// The transport error must not be mistaken for a store answer.
+		// The transport error must not be mistaken for a store answer —
+		// and it must be a transport error: a reset sends no HTTP status.
 		if kv.IsNotFound(err) || errors.Is(err, kv.ErrVersionMismatch) {
 			t.Fatalf("connection reset surfaced as a definitive answer: %v", err)
+		}
+		if strings.Contains(err.Error(), "status") {
+			t.Fatalf("connection reset surfaced as an HTTP answer: %v", err)
+		}
+		drainConns(t, c)
+		// No response at all is a failed request on the server's books.
+		ops := s.rec.Snapshot(false).Ops
+		if len(ops) != 1 || ops[0].Op != "get" || ops[0].Count != 1 || ops[0].Errors != 1 {
+			t.Fatalf("server recorded %+v; want one get, counted as failed", ops)
+		}
+	})
+
+	// Chunks far below net/http's 4 KiB write buffer: without a Flush per
+	// chunk the whole body would leave in one piece after the last sleep,
+	// and the first byte would arrive no sooner than the last.
+	t.Run("DribbleFlushesEachChunk", func(t *testing.T) {
+		s := startServer(t, LocalProfile("cloud"))
+		c := NewClient("cloud", s.Addr(), "b")
+		defer c.Close()
+		if err := c.Put(ctx, "k", make([]byte, 2048)); err != nil {
+			t.Fatal(err)
+		}
+		s.SetFaults(Faults{BodyChunk: 512, BodyDelay: 50 * time.Millisecond})
+		start := time.Now()
+		resp, err := c.do(ctx, http.MethodGet, "k", "", nil, header{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer drainClose(resp)
+		if _, err := io.ReadFull(resp.Body, make([]byte, 512)); err != nil {
+			t.Fatal(err)
+		}
+		if first := time.Since(start); first > 100*time.Millisecond {
+			t.Fatalf("first 512-byte chunk arrived after %v of a 200 ms dribble: chunks are not flushed", first)
 		}
 	})
 

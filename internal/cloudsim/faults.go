@@ -125,7 +125,7 @@ func (st *faultState) decide() (stall bool, action faultAction) {
 
 // injectFault runs the fault stage for one request. It returns true when
 // the request was consumed by a fault and must not be handled.
-func (s *Server) injectFault(w http.ResponseWriter) bool {
+func (s *Server) injectFault(w *statusWriter) bool {
 	st := s.faults.Load()
 	if st == nil {
 		return false
@@ -149,11 +149,10 @@ func (s *Server) injectFault(w http.ResponseWriter) bool {
 		st.injected.Add(1)
 		// A raw TCP reset: hijack the connection and close it so the
 		// client sees a broken transport, not an HTTP error.
-		if hj, ok := w.(http.Hijacker); ok {
-			if conn, _, err := hj.Hijack(); err == nil {
-				_ = conn.Close()
-				return true
-			}
+		if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
+			w.reset = true
+			_ = conn.Close()
+			return true
 		}
 		// Hijack unavailable: the closest approximation is a 500.
 		http.Error(w, "injected connection drop", http.StatusInternalServerError)
@@ -197,7 +196,7 @@ func writeChunked(w http.ResponseWriter, data []byte, chunk int, delay time.Dura
 		_, _ = w.Write(data)
 		return
 	}
-	fl, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	for len(data) > 0 {
 		n := chunk
 		if n > len(data) {
@@ -206,8 +205,8 @@ func writeChunked(w http.ResponseWriter, data []byte, chunk int, delay time.Dura
 		if _, err := w.Write(data[:n]); err != nil {
 			return
 		}
-		if fl != nil {
-			fl.Flush()
+		if err := rc.Flush(); err != nil {
+			return
 		}
 		data = data[n:]
 		if delay > 0 {

@@ -18,18 +18,14 @@ import (
 )
 
 // TestNoBlanketClientTimeout pins the shape of the fix directly: op
-// deadlines belong to the caller's context, so the http.Client must carry no
-// whole-request Timeout; the phase timeouts live on the Transport.
+// deadlines belong to the caller's context, so nothing may carry a
+// whole-request timeout — the client holds the Transport itself, with no
+// http.Client (and so no Client.Timeout) in front — and the phase timeouts
+// live on that Transport.
 func TestNoBlanketClientTimeout(t *testing.T) {
 	c := NewClient("cloud", "http://127.0.0.1:0", "b")
 	defer c.Close()
-	if c.hc.Timeout != 0 {
-		t.Fatalf("http.Client.Timeout = %v, want 0 (ctx alone governs op deadlines)", c.hc.Timeout)
-	}
-	tr, ok := c.hc.Transport.(*http.Transport)
-	if !ok {
-		t.Fatalf("transport is %T, want *http.Transport", c.hc.Transport)
-	}
+	tr := c.tr // an *http.Transport, by its declared type
 	if tr.ResponseHeaderTimeout <= 0 || tr.TLSHandshakeTimeout <= 0 {
 		t.Fatalf("phase timeouts missing: header=%v tls=%v", tr.ResponseHeaderTimeout, tr.TLSHandshakeTimeout)
 	}
@@ -185,7 +181,7 @@ func drainConns(t *testing.T, c *Client) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c.hc.CloseIdleConnections()
+		c.tr.CloseIdleConnections()
 		if n := c.OpenConns(); n == 0 {
 			return
 		} else if time.Now().After(deadline) {

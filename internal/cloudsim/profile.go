@@ -96,6 +96,9 @@ func newModel(p Profile) *model {
 
 // delay computes the injected latency for a request carrying payload bytes.
 func (m *model) delay(payload int) time.Duration {
+	if m.p.BaseRTT == 0 && m.p.Jitter == 0 && m.p.Bandwidth == 0 && m.p.TailProb == 0 {
+		return 0 // LocalProfile: nothing to draw, nothing to lock
+	}
 	m.mu.Lock()
 	u := m.rng.Float64()
 	spike := m.rng.Float64() < m.p.TailProb

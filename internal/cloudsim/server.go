@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,11 +106,18 @@ func (s *Server) StartAddr(addr string) error {
 
 // statusWriter captures the status code and body size of a response so the
 // server-side recorder can classify the op after the handler returns.
+// Flush and Hijack reach the wrapped writer through Unwrap
+// (http.ResponseController); the injector's dribbles and resets need them.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+	reset  bool // connection hijacked and closed: no response at all
 }
+
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
+
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 func (sw *statusWriter) WriteHeader(code int) {
 	sw.status = code
@@ -126,18 +133,21 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// opName maps a request to the recorder's op label.
-func opName(method, key, batch string) string {
+// opName maps a request to the recorder's op label; key is empty for a
+// bucket-level (or unparsable) path.
+func opName(r *http.Request, key string) string {
 	if key == "" {
-		if method == http.MethodPost && batch != "" {
-			return "batch_" + batch
+		if r.Method == http.MethodPost {
+			if batch := r.URL.Query().Get("batch"); batch != "" {
+				return "batch_" + batch
+			}
 		}
-		if method == http.MethodDelete {
+		if r.Method == http.MethodDelete {
 			return "clear"
 		}
 		return "list"
 	}
-	switch method {
+	switch r.Method {
 	case http.MethodGet:
 		return "get"
 	case http.MethodHead:
@@ -147,26 +157,30 @@ func opName(method, key, batch string) string {
 	case http.MethodDelete:
 		return "delete"
 	default:
-		return strings.ToLower(method)
+		return strings.ToLower(r.Method)
 	}
 }
 
 // handleAPI wraps handle with server-side observability: per-op latency
-// recording (5xx counts as failure — 404/304/412 are protocol outcomes,
-// not server faults) and X-Request-Id echo for request correlation.
+// recording (5xx and resets count as failure — 404/304/412 are protocol
+// outcomes, not server faults) and X-Request-Id echo for request
+// correlation. The path is parsed here, once, for both.
 func (s *Server) handleAPI(w http.ResponseWriter, r *http.Request) {
-	if rid := r.Header.Get("X-Request-Id"); rid != "" {
-		w.Header().Set("X-Request-Id", rid)
+	if rid := r.Header["X-Request-Id"]; len(rid) > 0 && rid[0] != "" {
+		w.Header()["X-Request-Id"] = rid[:1]
 	}
-	sw := &statusWriter{ResponseWriter: w}
+	sw := statusWriters.Get().(*statusWriter)
+	*sw = statusWriter{ResponseWriter: w}
 	start := time.Now()
-	s.handle(sw, r)
-	_, key, _ := parsePath(r.URL.EscapedPath())
+	bucket, key, ok := parsePath(r.URL.EscapedPath())
+	s.handle(sw, r, bucket, key, ok)
 	n := sw.bytes
 	if n == 0 && r.ContentLength > 0 {
 		n = int(r.ContentLength)
 	}
-	s.rec.Record(opName(r.Method, key, r.URL.Query().Get("batch")), time.Since(start), n, sw.status >= 500)
+	s.rec.Record(opName(r, key), time.Since(start), n, sw.status >= 500 || sw.reset)
+	sw.ResponseWriter = nil
+	statusWriters.Put(sw)
 }
 
 // Addr returns the server's base URL ("http://127.0.0.1:port").
@@ -184,39 +198,44 @@ func (s *Server) Close() error {
 func etagOf(data []byte) string {
 	h := fnv.New64a()
 	h.Write(data)
-	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+	return formatETag(h.Sum64())
+}
+
+// formatETag renders fmt.Sprintf("%q", fmt.Sprintf("%016x", h)).
+func formatETag(h uint64) string {
+	var b [18]byte
+	b[0], b[17] = '"', '"'
+	for i := 16; i > 0; i-- {
+		b[i] = "0123456789abcdef"[h&15]
+		h >>= 4
+	}
+	return string(b[:])
 }
 
 // parsePath splits /v1/{bucket}[/{key}] using the escaped path so keys
 // containing '/' survive as single escaped segments.
 func parsePath(escaped string) (bucket, key string, ok bool) {
-	parts := strings.Split(strings.TrimPrefix(escaped, "/"), "/")
-	if len(parts) < 2 || parts[0] != "v1" || parts[1] == "" {
+	rest, ok := strings.CutPrefix(strings.TrimPrefix(escaped, "/"), "v1/")
+	b, k, hasKey := strings.Cut(rest, "/")
+	if !ok || b == "" || strings.Contains(k, "/") {
 		return "", "", false
 	}
-	b, err := url.PathUnescape(parts[1])
+	bucket, err := url.PathUnescape(b)
 	if err != nil {
 		return "", "", false
 	}
-	switch len(parts) {
-	case 2:
-		return b, "", true
-	case 3:
-		k, err := url.PathUnescape(parts[2])
-		if err != nil {
+	if hasKey {
+		if key, err = url.PathUnescape(k); err != nil {
 			return "", "", false
 		}
-		return b, k, true
-	default:
-		return "", "", false
 	}
+	return bucket, key, true
 }
 
-func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handle(w *statusWriter, r *http.Request, bucket, key string, ok bool) {
 	if s.injectFault(w) {
 		return
 	}
-	bucket, key, ok := parsePath(r.URL.EscapedPath())
 	if !ok {
 		http.Error(w, "bad path", http.StatusBadRequest)
 		return
@@ -227,7 +246,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPut:
-		body, err := io.ReadAll(r.Body)
+		body, err := readBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, "read body", http.StatusBadRequest)
 			return
@@ -275,14 +294,15 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		time.Sleep(s.model.delay(len(obj.data)))
 		w.Header().Set("ETag", obj.etag)
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", fmt.Sprint(len(obj.data)))
-		if r.Method == http.MethodHead {
+		w.Header().Set("Content-Length", strconv.Itoa(len(obj.data)))
+		if r.Method == http.MethodHead { // no body transferred either
+			time.Sleep(s.model.delay(0))
 			w.WriteHeader(http.StatusOK)
 			return
 		}
+		time.Sleep(s.model.delay(len(obj.data)))
 		s.writeBody(w, obj.data)
 
 	case http.MethodDelete:
@@ -380,7 +400,7 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request, bucket s
 // request, one WAN round trip for the combined payload. The reply carries
 // each object's new ETag so clients can cache what they just wrote.
 func (s *Server) handleBatchPut(w http.ResponseWriter, r *http.Request, bucket string) {
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, "read body", http.StatusBadRequest)
 		return

@@ -63,9 +63,8 @@ func (r *requestID) String() string {
 func formatRequestID(seq uint64) string {
 	var num [20]byte
 	digits := strconv.AppendUint(num[:0], seq, 10)
-	b := make([]byte, 0, len(ridPrefix)+1+max(len(digits), 6))
-	b = append(b, ridPrefix...)
-	b = append(b, '-')
+	var buf [32]byte // prefix (8 hex digits, or "req"), '-', at most 20 digits: built on the stack
+	b := append(append(buf[:0], ridPrefix...), '-')
 	for i := len(digits); i < 6; i++ {
 		b = append(b, '0')
 	}
