@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-cluster bench-json bench-check bench-mux bench-http bench-sql bench-commit figures examples fuzz chaos chaos-cluster metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -71,64 +71,24 @@ chaos-cluster:
 bench:
 	go test -bench=. -benchmem .
 
-# Regenerate the machine-readable allocation baseline (BENCH_PR5.json):
-# ns/op, B/op and allocs/op for every hot path. Commit the result.
-bench-json:
-	go run ./cmd/udsm-bench -json BENCH_PR5.json
-
-# Re-measure and fail if any guarded path's allocs/op regressed >20% vs the
-# committed baseline, if the network hot path's throughput / p99 / mux
-# speedup regressed vs BENCH_PR7.json, if the cloudsim HTTP hot path's
-# throughput / p99 / coalesce speedup regressed vs BENCH_PR8.json, if the
-# paged SQL storage engine's data/cache ratio or cached/paged penalty
-# regressed vs BENCH_PR9.json, or if the commit pipeline's grouped/serial
-# speedup fell below 3x at 16 writers vs BENCH_PR10.json — the same gates
-# CI runs.
+# Run the gated experiments (mux, http, sql, commit; `udsm-bench run <name>`
+# for one) and fail on any regression against the committed BENCH.json:
+# guarded cells' ops/s and p99 relative to the baseline, errors on any cell,
+# and the structural gates declared beside each experiment in
+# internal/benchkit/experiments.go. The same command CI runs.
 bench-check:
-	go run ./cmd/udsm-bench -json /tmp/edsc-bench-current.json -baseline BENCH_PR5.json
-	go run ./cmd/udsm-bench -tjson /tmp/edsc-bench-mux.json -tbaseline BENCH_PR7.json
-	go run ./cmd/udsm-bench -hjson /tmp/edsc-bench-http.json -hbaseline BENCH_PR8.json
-	go run ./cmd/udsm-bench -sjson /tmp/edsc-bench-sql.json -sbaseline BENCH_PR9.json
-	go run ./cmd/udsm-bench -cjson /tmp/edsc-bench-commit.json -cbaseline BENCH_PR10.json
+	go run ./cmd/udsm-bench run -baseline BENCH.json
 
-# Closed-loop network hot-path throughput (per-request vs pooled vs mux
-# clients, 1k goroutines) into results/ext_mux_throughput.dat, and
-# regenerate the committed throughput baseline BENCH_PR7.json.
-bench-mux:
-	go run ./cmd/udsm-bench -fig mux -out results
-	go run ./cmd/udsm-bench -tjson BENCH_PR7.json
-
-# Closed-loop cloudsim HTTP hot-path throughput (per-op vs tuned pool vs
-# coalesced clients, 256 goroutines) — regenerate the committed baseline
-# BENCH_PR8.json. ("-fig mux" above also writes results/ext_http_throughput.dat.)
-bench-http:
-	go run ./cmd/udsm-bench -hjson BENCH_PR8.json
-
-# Closed-loop paged SQL storage-engine throughput (whole dataset cached vs
-# dataset ~10x the page cache) into results/ext_sql_paged.dat, and
-# regenerate the committed baseline BENCH_PR9.json.
-bench-sql:
-	go run ./cmd/udsm-bench -fig sql -out results
-	go run ./cmd/udsm-bench -sjson BENCH_PR9.json
-
-# Closed-loop commit-pipeline throughput (serial vs grouped commits at
-# 1/4/16/64 concurrent writers, plus a Zipfian hot-key pair) into
-# results/ext_commit_group.dat, and regenerate the committed baseline
-# BENCH_PR10.json.
-bench-commit:
-	go run ./cmd/udsm-bench -fig commit -out results
-	go run ./cmd/udsm-bench -cjson BENCH_PR10.json
+# Regenerate BENCH.json wholesale, every experiment at its declared size.
+# Commit the result.
+bench-baseline:
+	go run ./cmd/udsm-bench run -json BENCH.json
 
 # Batched multi-key ablation (one bulk round trip vs a per-key loop) plus
 # the per-store speedup sweep into results/ext_batch_speedup.dat.
 bench-batch:
 	go test -bench=BenchmarkAblationBatch -benchmem .
 	go run ./cmd/udsm-bench -fig batch -out results -scale 0.05
-
-# Cluster-tier scaling sweep (miniredis-backed nodes at N=1,3,5) into
-# results/ext_cluster_scaling.dat.
-bench-cluster:
-	go run ./cmd/udsm-bench -fig cluster -out results
 
 # Regenerate every figure's data series into results/ (see EXPERIMENTS.md).
 figures:

@@ -688,7 +688,7 @@ func TestStackOverheadAllocs(t *testing.T) {
 // slice-returning path every caller used before the append-style APIs
 // existed (fresh output per stage); "append" chains pooled scratch through
 // the pipeline and reuses destination buffers. The acceptance bar is a >= 50%
-// reduction in allocs/op and B/op, recorded in BENCH_PR5.json.
+// reduction in allocs/op and B/op (EXPERIMENTS.md "allocation profile").
 func BenchmarkTransformRoundTrip(b *testing.B) {
 	value := bytes.Repeat([]byte("abcdefgh"), 512) // 4 KiB, compressible
 	tr := dscl.Chain(

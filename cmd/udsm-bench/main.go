@@ -1,9 +1,8 @@
-// Command udsm-bench regenerates the data series behind every figure of
-// the paper's evaluation (§V): Figs. 9–21 plus the Fig. 8 delta-encoding
-// companion experiment. Output is one gnuplot-ready text file per figure in
-// -out, and a summary on stdout.
+// Command udsm-bench is the repository's workload driver, in two forms.
 //
-// Usage:
+// Figures: regenerate the data series behind every figure of the paper's
+// evaluation (§V) — Figs. 9–21 plus the Fig. 8 delta-encoding companion —
+// as one gnuplot-ready text file per figure in -out, summary on stdout.
 //
 //	udsm-bench -fig all -out results -scale 0.02
 //	udsm-bench -fig 9            # just Fig. 9
@@ -13,524 +12,174 @@
 // paper-magnitude latencies (hundreds of ms per cloud request — slow!);
 // the default 0.05 preserves the orderings and crossovers of the figures
 // while keeping a full run to a few minutes.
+//
+// Gated experiments: run benchkit.Registry's closed-loop experiments (all,
+// or those named) at their declared size and print every cell.
+//
+//	udsm-bench run -baseline BENCH.json   # what CI runs; exit 1 on any regression
+//	udsm-bench run -json BENCH.json       # regenerate the baseline wholesale
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 
 	"edsc/internal/benchkit"
 	"edsc/monitor"
-	"edsc/udsm"
 	"edsc/workload"
 )
 
 func main() {
-	var (
-		fig      = flag.String("fig", "all", `figure to regenerate: 8..21, "all", or "mixed" (throughput extension)`)
-		out      = flag.String("out", "results", "output directory for .dat files")
-		scale    = flag.Float64("scale", 0.05, "WAN latency scale (1.0 = paper magnitude)")
-		runs     = flag.Int("runs", 4, "runs averaged per data point")
-		ops      = flag.Int("ops", 2, "operations per run per point")
-		maxSz    = flag.Int("maxsize", 1<<20, "largest object size in bytes")
-		tmpDir   = flag.String("workdir", "", "working directory for the file/SQL stores (default: a temp dir)")
-		metrics  = flag.String("metrics", "", "observability listen address serving the manager's /metrics and /debug/pprof/ while the bench runs (empty = off)")
-		batch    = flag.Int("batch", 0, `largest keys-per-batch for the batched multi-key comparison (0 = off; "-fig batch" enables it with the default of 64)`)
-		jsonOut  = flag.String("json", "", "run the allocation-profile experiment and write the machine-readable report to this path (standalone mode; skips the figures)")
-		baseline = flag.String("baseline", "", "compare the allocation report against this committed baseline and exit 1 when a guarded path's allocs/op regresses >20% (requires -json)")
-		payload  = flag.Int("payload", 4<<10, "object size for the allocation-profile experiment")
-		clusterN = flag.Int("cluster", 0, `largest node count for the cluster scaling sweep over miniredis-backed clusters (0 = off; "-fig cluster" enables it with the default of 5)`)
-		tjsonOut = flag.String("tjson", "", `run the network-hot-path throughput experiment ("-fig mux" closed loop) and write the machine-readable report to this path (standalone mode; skips the figures)`)
-		tbase    = flag.String("tbaseline", "", "compare the throughput report against this committed baseline and exit 1 on ops/sec, p99, or mux-speedup regression (requires -tjson)")
-		muxG     = flag.Int("muxg", 1000, "concurrent goroutines for the mux throughput experiment (up to 10k)")
-		muxConns = flag.Int("muxconns", 8, "multiplexed sockets for the mux throughput experiment")
-		muxOps   = flag.Int("muxops", 200_000, "operation budget per client mode for the mux throughput experiment")
-		hjsonOut = flag.String("hjson", "", `run the cloudsim HTTP throughput experiment (per-op vs tuned pool vs coalesced) and write the machine-readable report to this path (standalone mode; skips the figures)`)
-		hbase    = flag.String("hbaseline", "", "compare the HTTP throughput report against this committed baseline and exit 1 on ops/sec, p99, or coalesce-speedup regression (requires -hjson)")
-		httpG    = flag.Int("httpg", 256, "concurrent goroutines for the HTTP throughput experiment")
-		httpOps  = flag.Int("httpops", 60_000, "operation budget per pooled client mode for the HTTP throughput experiment")
-		sjsonOut = flag.String("sjson", "", `run the paged SQL storage-engine throughput experiment ("-fig sql": cached vs >>-RAM datasets) and write the machine-readable report to this path (standalone mode; skips the figures)`)
-		sbase    = flag.String("sbaseline", "", "compare the SQL throughput report against this committed baseline and exit 1 on ops/sec, p99, data/cache-ratio, or paged-penalty regression (requires -sjson)")
-		sqlOps   = flag.Int("sqlops", 20_000, "operation budget per cache regime for the SQL throughput experiment")
-		sqlKeys  = flag.Int("sqlkeys", 1500, "dataset rows for the SQL throughput experiment")
-		cjsonOut = flag.String("cjson", "", `run the commit-pipeline throughput experiment ("-fig commit": serial vs grouped commits across writer counts) and write the machine-readable report to this path (standalone mode; skips the figures)`)
-		cbase    = flag.String("cbaseline", "", "compare the commit throughput report against this committed baseline and exit 1 on ops/sec, p99, or group-commit-speedup regression (requires -cjson)")
-		cOps     = flag.Int("commitops", 4000, "operation budget per (mode, writers) cell for the commit throughput experiment")
-	)
-	flag.Parse()
-
-	if *jsonOut != "" {
-		if err := runAlloc(*jsonOut, *baseline, *payload); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	if len(os.Args) > 1 && os.Args[1] == "run" {
+		err = runExperiments(os.Args[2:], benchkit.Registry(), os.Stdout)
+	} else {
+		var (
+			fig     = flag.String("fig", "all", `figure to regenerate: 8..21, "all", "mixed" (throughput extension) or "batch" (batched multi-key comparison); the gated experiments are "udsm-bench run -h"`)
+			out     = flag.String("out", "results", "output directory for .dat files")
+			scale   = flag.Float64("scale", 0.05, "WAN latency scale (1.0 = paper magnitude)")
+			runs    = flag.Int("runs", 4, "runs averaged per data point")
+			ops     = flag.Int("ops", 2, "operations per run per point")
+			maxSz   = flag.Int("maxsize", 1<<20, "largest object size in bytes")
+			tmpDir  = flag.String("workdir", "", "working directory for the file/SQL stores (default: a temp dir)")
+			metrics = flag.String("metrics", "", "observability listen address serving the manager's /metrics and /debug/pprof/ while the bench runs (empty = off)")
+		)
+		flag.Parse()
+		err = run(*fig, *out, *scale, *runs, *ops, *maxSz, *tmpDir, *metrics, 64)
 	}
-	if *baseline != "" {
-		fmt.Fprintln(os.Stderr, "udsm-bench: -baseline requires -json")
-		os.Exit(1)
-	}
-	if *tjsonOut != "" {
-		if err := runMuxThroughput(*tjsonOut, *tbase, *muxG, *muxConns, *muxOps, ""); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tbase != "" {
-		fmt.Fprintln(os.Stderr, "udsm-bench: -tbaseline requires -tjson")
-		os.Exit(1)
-	}
-	if *hjsonOut != "" {
-		if err := runHTTPThroughput(*hjsonOut, *hbase, *httpG, *httpOps, ""); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hbase != "" {
-		fmt.Fprintln(os.Stderr, "udsm-bench: -hbaseline requires -hjson")
-		os.Exit(1)
-	}
-	if *sjsonOut != "" {
-		if err := runSQLThroughput(*sjsonOut, *sbase, *sqlOps, *sqlKeys, ""); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sbase != "" {
-		fmt.Fprintln(os.Stderr, "udsm-bench: -sbaseline requires -sjson")
-		os.Exit(1)
-	}
-	if *cjsonOut != "" {
-		if err := runCommitThroughput(*cjsonOut, *cbase, *cOps, ""); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cbase != "" {
-		fmt.Fprintln(os.Stderr, "udsm-bench: -cbaseline requires -cjson")
-		os.Exit(1)
-	}
-	if *fig == "commit" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		if err := runCommitThroughput("", "", *cOps, filepath.Join(*out, "ext_commit_group.dat")); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "sql" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		if err := runSQLThroughput("", "", *sqlOps, *sqlKeys, filepath.Join(*out, "ext_sql_paged.dat")); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "mux" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		if err := runMuxThroughput("", "", *muxG, *muxConns, *muxOps, filepath.Join(*out, "ext_mux_throughput.dat")); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		if err := runHTTPThroughput("", "", *httpG, *httpOps, filepath.Join(*out, "ext_http_throughput.dat")); err != nil {
-			fmt.Fprintln(os.Stderr, "udsm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if err := run(*fig, *out, *scale, *runs, *ops, *maxSz, *tmpDir, *metrics, *batch, *clusterN); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "udsm-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// runMuxThroughput is the "-fig mux" / -tjson mode: a closed-loop mixed
-// workload (90% reads) against an in-process miniredis server on loopback,
-// once per client mode — per-request connections, the bounded pool, and the
-// multiplexed hot path — optionally gated against a committed baseline
-// (BENCH_PR7.json) the way the allocation gate works.
-func runMuxThroughput(jsonPath, baselinePath string, goroutines, conns, ops int, datPath string) error {
-	fmt.Printf("running network hot-path throughput (closed loop, %d goroutines, %d mux conns) ...\n", goroutines, conns)
-	rep, err := benchkit.RunThroughput(benchkit.ThroughputConfig{
-		Goroutines: goroutines,
-		MuxConns:   conns,
-		Ops:        ops,
-		PerConnOps: ops / 10,
-	})
-	if err != nil {
-		return err
+// runExperiments is the "run" subcommand: measure the named experiments
+// (default: all of exps), print every cell, optionally write the reports as
+// one baseline file, and optionally gate them against a committed one.
+func runExperiments(args []string, exps []*benchkit.Experiment, w io.Writer) error {
+	fs := flag.NewFlagSet("udsm-bench run", flag.ExitOnError)
+	jsonOut := fs.String("json", "", "write the reports to this path (BENCH.json's format)")
+	basePath := fs.String("baseline", "", "gate the run against this committed baseline; any regression is an error")
+	fs.Parse(args) // exits on a bad flag
+	var known []string
+	for _, e := range exps {
+		known = append(known, e.Name)
 	}
-	for _, r := range rep.Results {
-		mark := " "
-		if r.Guarded {
-			mark = "*"
+	selected := exps
+	if fs.NArg() > 0 {
+		selected = nil
+		for _, name := range fs.Args() {
+			i := slices.Index(known, name)
+			if i < 0 {
+				return fmt.Errorf("unknown experiment %q (known: %s)", name, strings.Join(known, ", "))
+			}
+			selected = append(selected, exps[i])
 		}
-		fmt.Printf("  %s %-8s %12.0f ops/sec  read p99 %8.3f ms  write p99 %8.3f ms  (%d ops, %d errors)\n",
-			mark, r.Name, r.OpsPerSec, r.ReadP99Ms, r.WriteP99Ms, r.Ops, r.Errors)
 	}
-	fmt.Printf("  mux speedup over per-request connections: %.1fx\n", rep.MuxSpeedup)
+	var base benchkit.Baseline
+	if *basePath != "" {
+		data, err := os.ReadFile(*basePath)
+		if err == nil {
+			err = json.Unmarshal(data, &base)
+		}
+		if err != nil {
+			return fmt.Errorf("loading baseline %s: %w", *basePath, err)
+		}
+	}
 
-	if datPath != "" {
-		f, err := os.Create(datPath)
+	got := benchkit.Baseline{}
+	var regressions []string
+	for _, e := range selected {
+		fmt.Fprintf(w, "running %s ...\n", e.Name)
+		rep, err := e.Run()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(f, "# extension: network hot-path throughput, mixed workload (90%% reads, %d goroutines, %d B values), loopback miniredis\n", rep.Goroutines, rep.ValueSize)
-		fmt.Fprintln(f, "# columns: mode ops_per_sec read_p99_ms write_p99_ms")
-		for _, r := range rep.Results {
-			fmt.Fprintf(f, "%s %.0f %.4f %.4f\n", r.Name, r.OpsPerSec, r.ReadP99Ms, r.WriteP99Ms)
+		got[e.Name] = rep
+		printReport(w, rep)
+		if *basePath == "" {
+			continue
 		}
-		if err := f.Close(); err != nil {
-			return err
+		b, ok := base[e.Name]
+		if !ok {
+			regressions = append(regressions, e.Name+": not in the baseline (regenerate BENCH.json)")
+			continue
 		}
-		fmt.Printf("data written to %s\n", datPath)
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
+		regs, notes := e.Compare(b, rep)
+		for _, n := range notes {
+			fmt.Fprintf(w, "  note: %s\n", n)
 		}
-		if _, err := rep.WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s (* = guarded against baseline)\n", jsonPath)
-	}
-
-	if baselinePath == "" {
-		return nil
-	}
-	bf, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	base, err := benchkit.LoadThroughputReport(bf)
-	if err != nil {
-		return fmt.Errorf("loading baseline %s: %w", baselinePath, err)
-	}
-	// Loose absolute floors (CI runners vary widely in speed); the
-	// machine-independent mux/perconn speedup ratio is the strict gate.
-	if regs := benchkit.CompareThroughput(base, rep, 0.25, 4.0, 5.0); len(regs) > 0 {
 		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "throughput regression:", r)
+			regressions = append(regressions, e.Name+": "+r)
 		}
-		return fmt.Errorf("%d throughput regression(s) vs %s", len(regs), baselinePath)
 	}
-	fmt.Printf("no throughput regressions vs %s\n", baselinePath)
+	if *jsonOut != "" {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "reports written to %s\n", *jsonOut)
+	}
+	if len(regressions) > 0 {
+		return fmt.Errorf("%d regression(s) vs %s:\n  %s", len(regressions), *basePath, strings.Join(regressions, "\n  "))
+	}
+	if *basePath != "" {
+		fmt.Fprintf(w, "no regressions vs %s\n", *basePath)
+	}
 	return nil
 }
 
-// runHTTPThroughput is the "-fig mux" companion / -hjson mode: the same
-// closed-loop mixed workload against an in-process cloudsim server on
-// loopback, once per HTTP client mode — a fresh connection per request, the
-// tuned keep-alive pool, and the tuned pool with GET coalescing — optionally
-// gated against a committed baseline (BENCH_PR8.json).
-func runHTTPThroughput(jsonPath, baselinePath string, goroutines, ops int, datPath string) error {
-	fmt.Printf("running cloudsim HTTP throughput (closed loop, %d goroutines) ...\n", goroutines)
-	rep, err := benchkit.RunHTTPThroughput(benchkit.HTTPThroughputConfig{
-		Goroutines: goroutines,
-		Ops:        ops,
-		PerOpOps:   ops / 6,
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		mark := " "
-		if r.Guarded {
-			mark = "*"
+// printReport renders one row per cell from the fields the cell carries
+// (* = guarded against the baseline), then the derived ratios.
+func printReport(w io.Writer, rep *benchkit.Report) {
+	for _, c := range rep.Cells {
+		mark := map[bool]string{true: "*", false: " "}[c.Guarded]
+		fmt.Fprintf(w, "  %s %-20s %9.0f ops/s", mark, c.Name, c.OpsPerS)
+		if c.GetP99Us > 0 {
+			fmt.Fprintf(w, "  get p99 %7.0f us", c.GetP99Us)
 		}
-		fmt.Printf("  %s %-10s %12.0f ops/sec  read p99 %8.3f ms  write p99 %8.3f ms  (%d ops, %d errors)\n",
-			mark, r.Name, r.OpsPerSec, r.ReadP99Ms, r.WriteP99Ms, r.Ops, r.Errors)
-	}
-	fmt.Printf("  coalesce speedup over per-op requests: %.1fx\n", rep.CoalesceSpeedup)
-
-	if datPath != "" {
-		f, err := os.Create(datPath)
-		if err != nil {
-			return err
+		if c.PutP99Us > 0 {
+			fmt.Fprintf(w, "  put p99 %7.0f us", c.PutP99Us)
 		}
-		fmt.Fprintf(f, "# extension: cloudsim HTTP hot-path throughput, mixed workload (90%% reads, %d goroutines, %d B values), loopback cloudsim\n", rep.Goroutines, rep.ValueSize)
-		fmt.Fprintln(f, "# columns: mode ops_per_sec read_p99_ms write_p99_ms")
-		for _, r := range rep.Results {
-			fmt.Fprintf(f, "%s %.0f %.4f %.4f\n", r.Name, r.OpsPerSec, r.ReadP99Ms, r.WriteP99Ms)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("data written to %s\n", datPath)
+		fmt.Fprintf(w, "  (%d ops, %d errors)%s\n", c.Ops, c.Errors, pairs(c.Counters))
 	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if _, err := rep.WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s (* = guarded against baseline)\n", jsonPath)
-	}
-
-	if baselinePath == "" {
-		return nil
-	}
-	bf, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	base, err := benchkit.LoadHTTPThroughputReport(bf)
-	if err != nil {
-		return fmt.Errorf("loading baseline %s: %w", baselinePath, err)
-	}
-	// Loose absolute floors (CI runners vary widely in speed); the
-	// machine-independent coalesced/per-op speedup ratio is the strict gate
-	// (the acceptance criterion's 3x).
-	if regs := benchkit.CompareHTTPThroughput(base, rep, 0.25, 4.0, 3.0); len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "HTTP throughput regression:", r)
-		}
-		return fmt.Errorf("%d HTTP throughput regression(s) vs %s", len(regs), baselinePath)
-	}
-	fmt.Printf("no HTTP throughput regressions vs %s\n", baselinePath)
-	return nil
+	fmt.Fprintln(w, " ", strings.TrimSpace(pairs(rep.Derived)))
 }
 
-// runSQLThroughput is the "-fig sql" / -sjson mode: the closed-loop mixed
-// workload (90% reads, uniform keys) through the paged minisql storage
-// engine, once with the whole dataset cache-resident and once with the
-// dataset ~10x the page cache — optionally gated against a committed
-// baseline (BENCH_PR9.json). The headline gate is the cached/paged penalty:
-// running data well beyond RAM must cost at most 3x.
-func runSQLThroughput(jsonPath, baselinePath string, ops, keys int, datPath string) error {
-	fmt.Printf("running paged SQL storage-engine throughput (closed loop, %d rows x 4 KiB) ...\n", keys)
-	rep, err := benchkit.RunSQLThroughput(benchkit.SQLThroughputConfig{
-		Ops:  ops,
-		Keys: keys,
-	})
-	if err != nil {
-		return err
+// pairs renders m as "  k=v" per entry, in key order.
+func pairs(m map[string]float64) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	for _, r := range rep.Results {
-		fmt.Printf("  * %-8s %12.0f ops/sec  read p99 %8.3f ms  write p99 %8.3f ms  (%d pages, cache %d, %d evictions, %d errors)\n",
-			r.Name, r.OpsPerSec, r.ReadP99Ms, r.WriteP99Ms, r.DataPages, r.CachePages, r.Evictions, r.Errors)
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "  %s=%.6g", k, m[k])
 	}
-	fmt.Printf("  dataset %.1fx the paged cache; paged penalty %.2fx\n", rep.DataToCacheRatio, rep.PagedPenalty)
-
-	if datPath != "" {
-		f, err := os.Create(datPath)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "# extension: paged SQL storage engine, mixed workload (90%% reads, %d goroutines, %d rows x %d B), file-backed minisql\n", rep.Goroutines, rep.Keys, rep.ValueSize)
-		fmt.Fprintln(f, "# columns: regime cache_pages data_pages ops_per_sec read_p99_ms write_p99_ms")
-		for _, r := range rep.Results {
-			fmt.Fprintf(f, "%s %d %d %.0f %.4f %.4f\n", r.Name, r.CachePages, r.DataPages, r.OpsPerSec, r.ReadP99Ms, r.WriteP99Ms)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("data written to %s\n", datPath)
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if _, err := rep.WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s (* = guarded against baseline)\n", jsonPath)
-	}
-
-	if baselinePath == "" {
-		return nil
-	}
-	bf, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	base, err := benchkit.LoadSQLThroughputReport(bf)
-	if err != nil {
-		return fmt.Errorf("loading baseline %s: %w", baselinePath, err)
-	}
-	// Loose absolute floors (CI runners vary widely in speed); the strict,
-	// machine-independent gates are structural — the dataset must be >= 10x
-	// the paged cache and the cached/paged penalty must stay within the
-	// acceptance criterion's 3x.
-	if regs := benchkit.CompareSQLThroughput(base, rep, 0.25, 4.0, 10.0, 3.0); len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "SQL throughput regression:", r)
-		}
-		return fmt.Errorf("%d SQL throughput regression(s) vs %s", len(regs), baselinePath)
-	}
-	fmt.Printf("no SQL throughput regressions vs %s\n", baselinePath)
-	return nil
+	return b.String()
 }
 
-// runCommitThroughput is the "-fig commit" / -cjson mode: the write-heavy
-// closed loop through the file-backed minisql store, serial commits vs the
-// group-commit pipeline across 1/4/16/64 concurrent writers (plus one
-// hot-key Zipfian pair) — optionally gated against a committed baseline
-// (BENCH_PR10.json). The headline gate is the grouped/serial speedup at 16
-// writers: group commit must buy at least 3x.
-func runCommitThroughput(jsonPath, baselinePath string, ops int, datPath string) error {
-	fmt.Printf("running commit-pipeline throughput (closed loop, %d ops per cell, serial vs grouped) ...\n", ops)
-	rep, err := benchkit.RunCommitThroughput(benchkit.CommitThroughputConfig{Ops: ops})
-	if err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		group := ""
-		if r.AvgGroup > 0 {
-			group = fmt.Sprintf("  avg group %5.1f", r.AvgGroup)
-		}
-		fmt.Printf("  * %-20s %10.0f ops/sec  write p99 %8.3f ms  %6d fsyncs / %6d commits%s  (%d errors)\n",
-			r.Name, r.OpsPerSec, r.WriteP99Ms, r.Fsyncs, r.Batches, group, r.Errors)
-	}
-	for _, s := range rep.Speedups {
-		fmt.Printf("  grouped/serial at %2d writers: %.2fx\n", s.Writers, s.Speedup)
-	}
+// figures are the values -fig accepts besides "all".
+var figures = []string{"8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19", "20", "21", "mixed", "batch"}
 
-	if datPath != "" {
-		f, err := os.Create(datPath)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "# extension: group commit vs serial commit, write-heavy closed loop (80%% writes, %d rows x %d B), file-backed minisql\n", rep.Keys, rep.ValueSize)
-		fmt.Fprintln(f, "# columns: cell writers ops_per_sec write_p99_ms wal_fsyncs committed_batches")
-		for _, r := range rep.Results {
-			fmt.Fprintf(f, "%s %d %.0f %.4f %d %d\n", r.Name, r.Writers, r.OpsPerSec, r.WriteP99Ms, r.Fsyncs, r.Batches)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("data written to %s\n", datPath)
+// run regenerates the data series of one figure (or all of them) into out.
+// maxBatch is the largest keys-per-batch of the "batch" comparison.
+func run(fig, out string, scale float64, runs, ops, maxSize int, workdir, metricsAddr string, maxBatch int) error {
+	if fig != "all" && !slices.Contains(figures, fig) {
+		return fmt.Errorf("unknown -fig %q (figures: all, %s; for mux, http, sql, commit use `udsm-bench run <name>`)", fig, strings.Join(figures, ", "))
 	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if _, err := rep.WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s (* = guarded against baseline)\n", jsonPath)
-	}
-
-	if baselinePath == "" {
-		return nil
-	}
-	bf, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	base, err := benchkit.LoadCommitThroughputReport(bf)
-	if err != nil {
-		return fmt.Errorf("loading baseline %s: %w", baselinePath, err)
-	}
-	// Loose absolute floors (CI runners vary widely in speed); the strict,
-	// machine-independent gate is the grouped/serial ratio at 16 writers —
-	// the acceptance criterion's 3x.
-	if regs := benchkit.CompareCommitThroughput(base, rep, 0.25, 4.0, 3.0); len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "commit throughput regression:", r)
-		}
-		return fmt.Errorf("%d commit throughput regression(s) vs %s", len(regs), baselinePath)
-	}
-	fmt.Printf("no commit throughput regressions vs %s\n", baselinePath)
-	return nil
-}
-
-// runAlloc is the -json mode: measure the hot paths, write the report, and
-// optionally gate against a committed baseline (the CI regression check).
-func runAlloc(outPath, baselinePath string, payload int) error {
-	fmt.Printf("running allocation-profile experiment (payload %d bytes) ...\n", payload)
-	rep, err := benchkit.RunAlloc(payload)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	if _, err := rep.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		mark := " "
-		if r.Guarded {
-			mark = "*"
-		}
-		fmt.Printf("  %s %-28s %10.0f ns/op %8d B/op %6d allocs/op\n",
-			mark, r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-	}
-	fmt.Printf("report written to %s (* = guarded against baseline)\n", outPath)
-
-	if baselinePath == "" {
-		return nil
-	}
-	bf, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	base, err := benchkit.LoadAllocReport(bf)
-	if err != nil {
-		return fmt.Errorf("loading baseline %s: %w", baselinePath, err)
-	}
-	if regs := benchkit.CompareAlloc(base, rep, 0.20); len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "allocation regression:", r)
-		}
-		return fmt.Errorf("%d guarded path(s) regressed vs %s", len(regs), baselinePath)
-	}
-	fmt.Printf("no allocation regressions vs %s\n", baselinePath)
-	return nil
-}
-
-func run(fig, out string, scale float64, runs, ops, maxSize int, workdir, metricsAddr string, batch, clusterN int) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -654,83 +303,13 @@ func run(fig, out string, scale float64, runs, ops, maxSize int, workdir, metric
 			return err
 		}
 	}
-	if batch > 0 || fig == "batch" {
-		if batch <= 0 {
-			batch = 64
-		}
-		fmt.Printf("running batched multi-key comparison (up to %d keys/batch) ...\n", batch)
-		if err := runBatch(ctx, env, out, batch); err != nil {
-			return err
-		}
-	}
-	if clusterN > 0 || fig == "cluster" {
-		if clusterN <= 0 {
-			clusterN = 5
-		}
-		fmt.Printf("running cluster scaling sweep (miniredis nodes, up to N=%d) ...\n", clusterN)
-		if err := runCluster(ctx, out, clusterN); err != nil {
+	if fig == "batch" {
+		fmt.Printf("running batched multi-key comparison (up to %d keys/batch) ...\n", maxBatch)
+		if err := runBatch(ctx, env, out, maxBatch); err != nil {
 			return err
 		}
 	}
 	fmt.Printf("done; data files in %s\n", out)
-	return nil
-}
-
-// runCluster measures mixed-workload throughput of the replicated cluster
-// tier as the node count grows. Nodes are miniredis servers, so every
-// replica access crosses a real TCP connection; replication is capped at 3
-// with majority quorums, matching the chaos suite's geometry. The N=1 row
-// is the unreplicated baseline — the cost of quorum replication is the gap
-// between it and N>=3.
-func runCluster(ctx context.Context, out string, maxNodes int) error {
-	f, err := os.Create(filepath.Join(out, "ext_cluster_scaling.dat"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "# extension: cluster tier scaling, mixed workload (90% reads, 8 clients, 1 KiB), miniredis nodes")
-	fmt.Fprintln(f, "# columns: nodes replication read_quorum write_quorum ops_per_sec read_p99_ms write_p99_ms")
-	for _, n := range []int{1, 3, 5} {
-		if n > maxNodes {
-			break
-		}
-		if err := runClusterPoint(ctx, f, n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runClusterPoint(ctx context.Context, f io.Writer, n int) error {
-	nodes := make([]udsm.ClusterNode, n)
-	for i := range nodes {
-		srv, err := udsm.StartMiniRedis(udsm.MiniRedisOptions{})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		id := fmt.Sprintf("node%d", i)
-		store := udsm.OpenMiniRedis(id, srv.Addr(), "")
-		defer store.Close()
-		nodes[i] = udsm.ClusterNode{ID: id, Store: store}
-	}
-	c, err := udsm.NewClusterStore(fmt.Sprintf("cluster%d", n), nodes, udsm.ClusterOptions{})
-	if err != nil {
-		return err
-	}
-	opts := c.Options()
-	rep, err := workload.RunMixed(ctx, c, workload.MixedConfig{
-		Clients: 8, Ops: 2000, ReadFraction: 0.9, Keys: 64, Size: 1 << 10,
-		Seed: 7, KeyPrefix: fmt.Sprintf("clu%d:", n),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  N=%d (R=%d W=%d of %d): %s\n",
-		n, opts.ReadQuorum, opts.WriteQuorum, opts.Replication, rep)
-	fmt.Fprintf(f, "%d %d %d %d %.0f %.4f %.4f\n",
-		n, opts.Replication, opts.ReadQuorum, opts.WriteQuorum, rep.Throughput,
-		float64(rep.ReadLatency.P99)/1e6, float64(rep.WriteLatency.P99)/1e6)
 	return nil
 }
 

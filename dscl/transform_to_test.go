@@ -120,14 +120,15 @@ func TestTransformAllocsGuard(t *testing.T) {
 // TestAllocGuardTransformChain pins the gzip+AES chain the way the client
 // drives it — Encode and Decode into a fresh result — on a 1 KiB value, half
 // random and half zeros like the benchmark's: each direction allocates its
-// result, sized once, and one cipher.NewCTR stream; the compression stage
-// alone, into a reused destination, allocates nothing in either direction.
+// result, sized once, and one cipher.NewCTR stream; into reused destinations
+// the chain keeps only the stream, and the compression stage alone allocates
+// nothing in either direction.
 func TestAllocGuardTransformChain(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	gz := Compression(CompressionOptions{}).(AppendTransform)
-	tr := Chain(gz, EncryptionFromPassphrase("guard"))
+	tr := Chain(gz, EncryptionFromPassphrase("guard")).(AppendTransform)
 	value := make([]byte, 1024)
 	rand.New(rand.NewSource(1)).Read(value[:512])
 
@@ -138,7 +139,7 @@ func TestAllocGuardTransformChain(t *testing.T) {
 	if dec, err := tr.Decode(enc); err != nil || !bytes.Equal(dec, value) {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	var packed, unpacked []byte
+	var encTo, decTo, packed, unpacked []byte
 	for _, leg := range []struct {
 		name string
 		want float64
@@ -146,6 +147,8 @@ func TestAllocGuardTransformChain(t *testing.T) {
 	}{
 		{"chain encode", 2, func() (err error) { _, err = tr.Encode(value); return }},
 		{"chain decode", 2, func() (err error) { _, err = tr.Decode(enc); return }},
+		{"chain encode, reused dst", 1, func() (err error) { encTo, err = tr.EncodeTo(encTo[:0], value); return }},
+		{"chain decode, reused dst", 1, func() (err error) { decTo, err = tr.DecodeTo(decTo[:0], enc); return }},
 		{"pack encode", 0, func() (err error) { packed, err = gz.EncodeTo(packed[:0], value); return }},
 		{"pack decode", 0, func() (err error) { unpacked, err = gz.DecodeTo(unpacked[:0], packed); return }},
 	} {

@@ -334,23 +334,35 @@ func TestMonitoredWorkloadOnEnhancedClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mgr.RunWorkload(ctx, "redis", benchCfg(), client.Get)
+	cfg := benchCfg()
+	ops := int64(len(cfg.Sizes) * cfg.Runs * cfg.OpsPerRun)
+	rep, err := mgr.RunWorkload(ctx, "redis", cfg, client.Get)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) == 0 {
-		t.Fatal("empty workload report")
+	if len(rep.Points) != len(cfg.Sizes) {
+		t.Fatalf("%d report points for %d sizes", len(rep.Points), len(cfg.Sizes))
 	}
 	for _, p := range rep.Points {
 		if p.CachedRead == 0 {
 			t.Fatal("cached read not measured")
 		}
-		if p.CachedRead >= p.Read*10 {
-			t.Fatalf("cache hit (%v) slower than 10x the store read (%v)?", p.CachedRead, p.Read)
-		}
 	}
-	if len(ds.Snapshot(false).Ops) == 0 {
-		t.Fatal("workload left no monitoring trace")
+	// Counters, not clocks: the registered store is the caching client and
+	// its puts write through, so each operation's three reads — one behind
+	// the monitor wrapper, two direct — are cache hits and none reaches
+	// miniredis. Their latencies are the same path timed over a handful of
+	// samples and say nothing an assertion could hold.
+	st := client.Stats()
+	if st.CacheHits != 3*ops || st.CacheMisses != 0 || st.StoreReads != 0 || st.StoreWrites != ops {
+		t.Fatalf("after %d operations: %+v; want %d cache hits, no misses, no store reads, %d store writes", ops, st, 3*ops, ops)
+	}
+	recorded := map[string]int64{}
+	for _, op := range ds.Snapshot(false).Ops {
+		recorded[op.Op] = op.Count
+	}
+	if recorded["get"] != ops || recorded["put"] != ops {
+		t.Fatalf("monitor recorded %v, want %d gets and %d puts", recorded, ops, ops)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package benchkit is the shared harness behind the repository's benchmark
 // surfaces: the root bench_test.go (testing.B targets, one per figure) and
-// cmd/udsm-bench (which writes the figures' data series to text files).
+// cmd/udsm-bench (figure data series as text files; experiment.go's gated runs).
 //
 // It assembles the exact evaluation environment of §V — a file system
 // store, an embedded SQL store, two simulated cloud stores with distinct
@@ -46,48 +46,28 @@ type Env struct {
 	cloud2 *udsm.CloudSimServer
 }
 
-// Config parameterizes SetupWith.
-type Config struct {
-	// Scale multiplies the cloud WAN latency model (1.0 = paper
-	// magnitude; keep it small for fast suites).
-	Scale float64
-	// Dir hosts the file-system and SQL stores.
-	Dir string
-	// FSFixedCost is a fixed per-operation cost added to the filesystem
+// Platform costs this machine does not have, added to the benchmark
+// environment's stores only (documented in DESIGN.md and EXPERIMENTS.md).
+const (
+	// fsFixedCost is a fixed per-operation cost added to the filesystem
 	// store, modelling the high fixed file-access latency of the paper's
 	// evaluation platform (Windows 7/NTFS, where opening a file costs
 	// hundreds of microseconds; on modern Linux it costs ~5µs, which
 	// erases the paper's Redis-beats-filesystem-for-small-objects effect
-	// entirely). Default 50µs reproduces the paper's ~50 KB crossover
-	// point; negative disables the model. Documented in DESIGN.md and
-	// EXPERIMENTS.md.
-	FSFixedCost time.Duration
-	// SQLFixedCost is a fixed per-operation cost added to the SQL store,
+	// entirely). 50µs reproduces the paper's ~50 KB crossover point.
+	fsFixedCost = 50 * time.Microsecond
+	// sqlFixedCost is a fixed per-operation cost added to the SQL store,
 	// modelling the client-server round trip of the paper's MySQL-over-
 	// JDBC setup (our engine is embedded and would otherwise answer
 	// point reads in ~4µs, inverting the paper's Redis-vs-MySQL read
-	// ordering). Default 100µs; negative disables.
-	SQLFixedCost time.Duration
-}
+	// ordering).
+	sqlFixedCost = 100 * time.Microsecond
+)
 
-// Setup builds the five stores with default platform modelling. scale
-// multiplies the cloud WAN latency model; dir hosts the file-system and SQL
-// stores.
+// Setup builds the five stores with the platform modelling above. scale
+// multiplies the cloud WAN latency model (1.0 = paper magnitude; keep it
+// small for fast suites); dir hosts the file-system and SQL stores.
 func Setup(scale float64, dir string) (*Env, error) {
-	return SetupWith(Config{Scale: scale, Dir: dir})
-}
-
-// SetupWith builds the five stores from an explicit Config.
-func SetupWith(cfg Config) (*Env, error) {
-	scale, dir := cfg.Scale, cfg.Dir
-	fsCost := cfg.FSFixedCost
-	if fsCost == 0 {
-		fsCost = 50 * time.Microsecond
-	}
-	sqlCost := cfg.SQLFixedCost
-	if sqlCost == 0 {
-		sqlCost = 100 * time.Microsecond
-	}
 	e := &Env{Mgr: udsm.New(udsm.Options{PoolSize: 8}), Scale: scale}
 	fail := func(err error) (*Env, error) {
 		e.Close()
@@ -109,20 +89,13 @@ func SetupWith(cfg Config) (*Env, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if fsCost > 0 {
-		fsStore = &fixedCostStore{Store: fsStore, cost: fsCost}
-	}
 	sqlStore, err := udsm.OpenSQLStore(SQL, udsm.SQLStoreOptions{Dir: filepath.Join(dir, "sql")})
 	if err != nil {
 		return fail(err)
 	}
-	var sqlKV kv.Store = sqlStore
-	if sqlCost > 0 {
-		sqlKV = &fixedCostStore{Store: sqlStore, cost: sqlCost}
-	}
 	stores := []kv.Store{
-		fsStore,
-		sqlKV,
+		&fixedCostStore{Store: fsStore, cost: fsFixedCost},
+		&fixedCostStore{Store: sqlStore, cost: sqlFixedCost},
 		udsm.OpenCloudStore(Cloud1, e.cloud1.URL(), "bench"),
 		udsm.OpenCloudStore(Cloud2, e.cloud2.URL(), "bench"),
 		udsm.OpenMiniRedis(Redis, e.redis.Addr(), "data:"),
@@ -182,8 +155,8 @@ func PaperConfig() workload.Config {
 }
 
 // fixedCostStore adds a fixed latency to every keyed operation, modelling
-// platform costs this machine does not have (see Config.FSFixedCost and
-// Config.SQLFixedCost).
+// platform costs this machine does not have (see fsFixedCost and
+// sqlFixedCost).
 type fixedCostStore struct {
 	kv.Store
 	cost time.Duration
