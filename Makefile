@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -67,6 +67,19 @@ chaos:
 # membership change under load) — race detector on.
 chaos-cluster:
 	EDSC_CHAOS=aggressive go test -race -run 'TestClusterChaos|TestClusterSuite' -v ./kv/cluster
+
+# minisql's crash, disk-fault and commit-pipeline suites by name, repeated
+# under the race detector: every kill point of every torture workload, from
+# kill -9 and power-loss images (DESIGN.md "Crash model"). A pattern that
+# matches nothing passes `go test`, so that is checked for.
+crash:
+	@out=$$(go test -race -count=3 -run 'Crash|Fault|GroupCommit|EarlyWriterRelease|Durab' ./internal/minisql 2>&1); status=$$?; \
+	echo "$$out"; \
+	if echo "$$out" | grep -q 'no tests to run'; then \
+		echo 'crash: the -run pattern matched no test' >&2; \
+		exit 1; \
+	fi; \
+	exit $$status
 
 bench:
 	go test -bench=. -benchmem .

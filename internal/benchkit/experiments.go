@@ -242,20 +242,25 @@ type CommitParams struct {
 
 // CommitExperiment drives pure writes — every operation is one autocommit
 // transaction, i.e. one commit; small values keep it commit-bound — through
-// the file-backed SQL store: group_commit=off (one WAL fsync per
-// transaction) against the pipeline that batches sealed transactions behind
-// one fsync. Gates: grouped/serial >= 3x at 16 uniform writers (fsync cost
-// is a property of the disk, so the ratio holds across machines), and every
-// grouped cell at >= 16 writers paid fewer fsyncs than it made commits, or
-// the pipeline silently degraded to serial.
+// the file-backed SQL store: group_commit=off (the writer slot held across
+// the fsync, so one WAL fsync per transaction) against the same pipeline
+// batching sealed transactions behind one fsync. Gates: grouped/serial >= 3x
+// at 16 uniform writers (fsync cost is a property of the disk, so the ratio
+// holds across machines), every grouped cell at >= 16 writers paid fewer
+// fsyncs than it made commits, or the pipeline silently degraded to serial,
+// and every serial cell paid exactly one fsync, in a group of its own, per
+// commit, or the reference side of the ratio is not the reference.
 func CommitExperiment(p CommitParams) *Experiment {
 	e := &Experiment{Name: "commit", Params: p}
-	var mustGroup []string
+	var mustGroup, mustNotGroup []string
 	query := map[string]string{"serial": "group_commit=off", "grouped": "group_commit=on"}
 	// cell declares one (mode, writers, distribution) cell and returns its name.
 	cell := func(mode string, writers int, dist workload.Distribution) string {
 		name := fmt.Sprintf("%s-%dw-%s", mode, writers, dist)
-		if mode == "grouped" && writers >= 16 {
+		switch {
+		case mode == "serial":
+			mustNotGroup = append(mustNotGroup, name)
+		case writers >= 16:
 			mustGroup = append(mustGroup, name)
 		}
 		e.cells = append(e.cells, cellSpec{name: name, guarded: true, runs: p.Runs,
@@ -287,6 +292,12 @@ func CommitExperiment(p CommitParams) *Experiment {
 				out = append(out, fmt.Sprintf("%s: %.0f fsyncs for %.0f commits; the pipeline did not group", name, f, b))
 			}
 		}
+		for _, name := range mustNotGroup {
+			c := cells[name].Counters
+			if f, b, g := c["wal_fsyncs"], c["committed_batches"], c["groups"]; f != b || g != b {
+				out = append(out, fmt.Sprintf("%s: %.0f fsyncs in %.0f groups for %.0f commits; serial mode is one of each per commit", name, f, g, b))
+			}
+		}
 		return out
 	}
 	return e
@@ -296,10 +307,6 @@ func commitCounters(before, after minisql.PagerStats) map[string]float64 {
 	fsyncs := float64(after.WALFsyncs - before.WALFsyncs)
 	batches := float64(after.GroupedBatches - before.GroupedBatches)
 	groups := float64(after.GroupCommits - before.GroupCommits)
-	if groups == 0 {
-		// The serial engine keeps no grouping counters: a commit is one fsync.
-		return map[string]float64{"wal_fsyncs": fsyncs, "committed_batches": fsyncs}
-	}
 	return map[string]float64{
 		"wal_fsyncs": fsyncs, "committed_batches": batches, "groups": groups, "group_size_mean": batches / groups,
 	}

@@ -59,11 +59,6 @@ type Options struct {
 	// wire at once; arrivals beyond that accumulate into the next batch
 	// (default 4).
 	CoalesceInflight int
-	// CoalesceWindow, when positive, makes an idle coalescer linger that
-	// long for companions before dispatching. The default 0 dispatches
-	// immediately whenever an in-flight slot is free, so uncontended
-	// latency stays one round trip.
-	CoalesceWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {

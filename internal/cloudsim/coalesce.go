@@ -5,10 +5,10 @@ package cloudsim
 // per-request WAN cost the same way the miniredis mux amortizes syscalls.
 // The scheme is group commit rather than a mandatory linger window: while
 // at most CoalesceInflight bulk fetches are on the wire, new arrivals
-// accumulate; each completion (or, with CoalesceWindow set, a timer)
-// dispatches everything accumulated as the next batch. A solo caller on an
-// idle coalescer therefore dispatches immediately — uncontended latency
-// stays one round trip — and batches grow exactly when concurrency does.
+// accumulate; each completion dispatches everything accumulated as the next
+// batch. A solo caller on an idle coalescer therefore dispatches
+// immediately — uncontended latency stays one round trip — and batches grow
+// exactly when concurrency does.
 //
 // Each caller keeps its own context: a caller whose ctx fires detaches
 // immediately (the batch carries on for the others), and a batch whose
@@ -20,7 +20,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"edsc/kv"
 )
@@ -69,13 +68,11 @@ type getCoalescer struct {
 	c           *Client
 	maxKeys     int
 	maxInflight int
-	window      time.Duration
 
 	mu       sync.Mutex
 	pending  map[string][]*getWaiter
 	order    []string // insertion order of distinct pending keys
 	inflight int
-	timer    *time.Timer // armed linger timer (window > 0 only)
 
 	flushes atomic.Int64 // bulk round trips dispatched
 	merged  atomic.Int64 // single-key gets those round trips served
@@ -86,7 +83,6 @@ func newGetCoalescer(c *Client, opts Options) *getCoalescer {
 		c:           c,
 		maxKeys:     opts.CoalesceMaxKeys,
 		maxInflight: opts.CoalesceInflight,
-		window:      opts.CoalesceWindow,
 	}
 }
 
@@ -101,11 +97,8 @@ func (g *getCoalescer) get(ctx context.Context, key string) ([]byte, kv.Version,
 		g.order = append(g.order, key)
 	}
 	g.pending[key] = append(g.pending[key], w)
-	switch {
-	case g.window <= 0 && g.inflight < g.maxInflight:
+	if g.inflight < g.maxInflight {
 		g.dispatchLocked()
-	case g.window > 0 && g.timer == nil:
-		g.timer = time.AfterFunc(g.window, g.windowFired)
 	}
 	g.mu.Unlock()
 
@@ -123,17 +116,6 @@ func (g *getCoalescer) get(ctx context.Context, key string) ([]byte, kv.Version,
 		w.drop()
 		return nil, kv.NoVersion, ctx.Err()
 	}
-}
-
-// windowFired is the linger timer: dispatch whatever accumulated, slots
-// permitting (otherwise the next completion dispatches).
-func (g *getCoalescer) windowFired() {
-	g.mu.Lock()
-	g.timer = nil
-	if len(g.order) > 0 && g.inflight < g.maxInflight {
-		g.dispatchLocked()
-	}
-	g.mu.Unlock()
 }
 
 // dispatchLocked claims up to maxKeys pending keys and launches one bulk
@@ -219,13 +201,8 @@ func (g *getCoalescer) run(ctx context.Context, b *getBatch, keys []string, wait
 
 	g.mu.Lock()
 	g.inflight--
-	// Hand the freed slot to whatever accumulated. With a linger window an
-	// armed timer owns the next dispatch; a disarmed one (it fired while
-	// every slot was busy) means the window already elapsed, so dispatch.
+	// Hand the freed slot to whatever accumulated.
 	for len(g.order) > 0 && g.inflight < g.maxInflight {
-		if g.window > 0 && g.timer != nil {
-			break
-		}
 		g.dispatchLocked()
 	}
 	g.mu.Unlock()

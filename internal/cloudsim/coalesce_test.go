@@ -124,46 +124,6 @@ func TestCoalesceMaxKeysSplit(t *testing.T) {
 	}
 }
 
-// TestCoalesceWindow: with a linger window the coalescer still makes
-// progress (the timer hand-off to a freed slot must not strand waiters) and
-// still merges.
-func TestCoalesceWindow(t *testing.T) {
-	s := startServer(t, LocalProfile("cloud"))
-	c := NewClientWith("cloud", s.Addr(), "b", Options{
-		Coalesce: true, CoalesceWindow: 5 * time.Millisecond, CoalesceInflight: 2,
-	})
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.PutMulti(ctx, map[string][]byte{"a": []byte("1"), "b": []byte("2")}); err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 4
-	for r := 0; r < rounds; r++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				k := "a"
-				if i%2 == 0 {
-					k = "b"
-				}
-				if _, err := c.Get(ctx, k); err != nil {
-					t.Errorf("Get(%q): %v", k, err)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	flushes, merged := c.CoalesceStats()
-	if merged != 8*rounds {
-		t.Fatalf("merged = %d, want %d", merged, 8*rounds)
-	}
-	if flushes >= merged {
-		t.Fatalf("flushes = %d ≥ merged = %d — window coalescing merged nothing", flushes, merged)
-	}
-}
-
 // TestCoalesceErrorAttribution: a failed bulk fetch surfaces to each waiter
 // wrapped with its own op and key, and a missing key stays kv.ErrNotFound.
 func TestCoalesceErrorAttribution(t *testing.T) {

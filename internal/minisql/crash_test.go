@@ -3,89 +3,63 @@ package minisql
 import (
 	"context"
 	"fmt"
-	"os"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// The torture test simulates kill -9 at every pager/WAL sync point: the
-// crash-injection hook fires at each event and at each firing the test
-// copies data.db + wal.log — exactly the bytes a process killed at that
-// instant would leave behind. Every snapshot is then reopened and must
-// recover to a consistent commit prefix: CheckIntegrity passes, every commit
-// that had completed before the snapshot survives, and in-flight commits
-// are either fully present or fully absent, in order.
+// The crash model. Everything the engine persists goes through the file seam
+// (file.go), so a workload run over a faultDisk leaves a complete record of
+// what a crash could have interrupted: the mutating calls — WriteAt, Truncate,
+// Sync on data.db, wal.log and the directory — in the order they were issued.
+// A kill point is "after the first k of those calls", for every k from none
+// to all. Boundaries inside the engine that issue no call (seal, enqueue, the
+// hand-over to a leader, the acknowledgement) need no kill point of their own:
+// the files hold there byte for byte what they hold at the neighbouring call.
 //
-// Serial mode fires "wal-record", "wal-marker", "wal-sync", "commit-begin",
-// "checkpoint-write", "checkpoint-sync", "wal-truncate". Grouped mode (the
-// default) replaces the per-commit fsync events with the pipeline's
-// boundaries: "seal", "enqueue", "group-append", the per-batch "wal-record"
-// and "wal-marker", "group-sync", and "group-ack".
+// Each kill point is recovered from two kinds of image:
+//
+//   - kill −9: all k calls are on disk — the process died, the operating
+//     system still has every write;
+//   - power loss: each file is as of its last Sync, followed by an arbitrary
+//     prefix of its later calls with the last write cut at an arbitrary byte;
+//     before the directory sync the files do not exist at all.
+//
+// Every image must reopen to a CheckIntegrity-clean database holding a prefix
+// of the commit sequence in whole transactions: at least every commit
+// acknowledged before call k was issued (its fsync is among the first k
+// calls), and at most the one that was in flight.
 
-// tortureEvents lists the sync points each commit mode must be killed at.
-var tortureEvents = map[CommitMode][]string{
-	CommitSerial:  {"wal-record", "wal-marker", "wal-sync", "commit-begin", "checkpoint-write", "checkpoint-sync", "wal-truncate"},
-	CommitGrouped: {"seal", "enqueue", "group-append", "wal-record", "wal-marker", "group-sync", "group-ack", "checkpoint-write", "checkpoint-sync", "wal-truncate"},
-}
-
-// crashSnapshot is one simulated kill point.
-type crashSnapshot struct {
-	event string
-	data  []byte // data.db bytes at the kill
-	wal   []byte // wal.log bytes at the kill
-
-	unitsCommitted int   // completed insert-pair transactions at the kill
-	tableCommitted bool  // CREATE TABLE had committed
-	indexCommitted bool  // CREATE INDEX had committed
-	walSynced      int64 // wal.log size after the last completed commit
-}
-
-const tortureUnits = 8
+const (
+	tortureUnits = 8
+	// tortureCommits counts the workload's commits: CREATE TABLE, four
+	// transactions inserting a pair of rows, CREATE INDEX, four more.
+	tortureCommits = tortureUnits + 2
+)
 
 // tortureValue returns row i's payload — large enough that each commit
-// batch spans several pages and several wal-record events.
+// batch spans several pages.
 func tortureValue(i int) string {
 	return fmt.Sprintf("row-%04d-%s", i, strings.Repeat("x", 400))
 }
 
-// runTortureWorkload executes the workload against dir, snapshotting at
-// every hook event. Workload: CREATE TABLE; 4 transactions each inserting a
-// pair of rows; CREATE INDEX; 4 more pair transactions. A small
-// CheckpointBytes forces auto-checkpoints mid-run so checkpoint and
-// truncate windows get kill points too.
-func runTortureWorkload(t *testing.T, dir string, mode CommitMode) []*crashSnapshot {
+// runTortureWorkload executes the workload in dir over a recording disk and
+// closes the database. A small CheckpointBytes forces auto-checkpoints
+// mid-run so checkpoint and truncate windows get kill points too. The disk's
+// progress mark counts acknowledged commits.
+func runTortureWorkload(t *testing.T, dir string, mode CommitMode) *faultDisk {
 	t.Helper()
-	var (
-		snaps []*crashSnapshot
-		cur   = &crashSnapshot{} // progress counters, copied into each snapshot
-	)
-	hook := func(event string) error {
-		data, err := os.ReadFile(filepath.Join(dir, "data.db"))
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		s := *cur
-		s.event = event
-		s.data = data
-		s.wal = wal
-		snaps = append(snaps, &s)
-		return nil
-	}
-
-	db, err := Open(dir, Options{CheckpointBytes: 16 << 10, CommitMode: mode, hook: hook})
+	d := &faultDisk{}
+	db, err := Open(dir, Options{CheckpointBytes: 16 << 10, CommitMode: mode, open: d.open})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	poisonBufs(db.pg) // a released buffer that still reaches the WAL or data file fails recovery's checksums
 
 	sess := db.NewSession() // the BEGIN…COMMIT units need a transaction scope
+	commits := int64(0)
 	commit := func(stmts ...string) {
 		t.Helper()
 		for _, s := range stmts {
@@ -93,13 +67,9 @@ func runTortureWorkload(t *testing.T, dir string, mode CommitMode) []*crashSnaps
 				t.Fatalf("%s: %v", s, err)
 			}
 		}
-		if st, err := os.Stat(filepath.Join(dir, "wal.log")); err == nil {
-			cur.walSynced = st.Size()
-		}
+		commits++
+		d.ack(commits)
 	}
-
-	commit(`CREATE TABLE torture (id INTEGER PRIMARY KEY, v TEXT)`)
-	cur.tableCommitted = true
 	unit := func(u int) {
 		commit(
 			`BEGIN`,
@@ -107,79 +77,90 @@ func runTortureWorkload(t *testing.T, dir string, mode CommitMode) []*crashSnaps
 			fmt.Sprintf(`INSERT INTO torture VALUES (%d, '%s')`, 2*u, tortureValue(2*u)),
 			`COMMIT`,
 		)
-		cur.unitsCommitted = u
 	}
+	commit(`CREATE TABLE torture (id INTEGER PRIMARY KEY, v TEXT)`)
 	for u := 1; u <= tortureUnits/2; u++ {
 		unit(u)
 	}
 	commit(`CREATE INDEX torture_v ON torture (v)`)
-	cur.indexCommitted = true
 	for u := tortureUnits/2 + 1; u <= tortureUnits; u++ {
 		unit(u)
 	}
-	return snaps
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
-// recoverSnapshot materializes a kill image on disk and reopens it.
-func recoverSnapshot(t *testing.T, s *crashSnapshot, truncateWAL int64) *Database {
-	t.Helper()
-	dir := t.TempDir()
-	if s.data != nil {
-		if err := os.WriteFile(filepath.Join(dir, "data.db"), s.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wal := s.wal
-	if truncateWAL >= 0 && truncateWAL < int64(len(wal)) {
-		wal = wal[:truncateWAL]
-	}
-	if wal != nil {
-		if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("event %s: recovery failed: %v", s.event, err)
-	}
-	return db
-}
-
-// checkRecovered asserts the recovered database is a consistent commit
-// prefix with at least minUnits and at most maxUnits insert pairs durable.
-func checkRecovered(t *testing.T, db *Database, s *crashSnapshot, minUnits, maxUnits int) {
+// tortureRecovered asserts the reopened database is consistent and a prefix
+// of the workload in whole transactions, and returns how many of its commits
+// it holds.
+func tortureRecovered(t *testing.T, db *Database, where string) int64 {
 	t.Helper()
 	if err := db.CheckIntegrity(); err != nil {
-		t.Fatalf("event %s: integrity: %v", s.event, err)
+		t.Fatalf("%s: integrity: %v", where, err)
 	}
 	res, err := db.Query(`SELECT id, v FROM torture ORDER BY id`)
 	if err != nil {
-		if !s.tableCommitted && strings.Contains(err.Error(), "no such table") {
-			return // killed during the CREATE TABLE commit; losing it is legal
+		if strings.Contains(err.Error(), "no such table") {
+			return 0
 		}
-		t.Fatalf("event %s: query: %v", s.event, err)
+		t.Fatalf("%s: query: %v", where, err)
 	}
-	n := len(res.Rows)
-	if n%2 != 0 {
-		t.Fatalf("event %s: %d rows — a half-committed insert pair survived", s.event, n)
-	}
-	units := n / 2
-	if units < minUnits || units > maxUnits {
-		t.Fatalf("event %s: %d units recovered, want between %d and %d", s.event, units, minUnits, maxUnits)
+	if len(res.Rows)%2 != 0 {
+		t.Fatalf("%s: %d rows — a half-committed insert pair survived", where, len(res.Rows))
 	}
 	for i, row := range res.Rows {
 		id := int64(i + 1)
 		if row[0].Int != id || row[1].Str != tortureValue(int(id)) {
-			t.Fatalf("event %s: row %d corrupted: id=%d", s.event, i+1, row[0].Int)
+			t.Fatalf("%s: row %d corrupted: id=%d", where, i+1, row[0].Int)
 		}
 	}
-	if s.indexCommitted {
-		ddl, err := db.Schema("torture")
-		if err != nil {
-			t.Fatalf("event %s: schema: %v", s.event, err)
+	units := len(res.Rows) / 2
+	ddl, err := db.Schema("torture")
+	if err != nil {
+		t.Fatalf("%s: schema: %v", where, err)
+	}
+	commits := int64(1 + units)
+	if strings.Contains(ddl, "torture_v") {
+		if units < tortureUnits/2 {
+			t.Fatalf("%s: the index is there but only %d of the units before it", where, units)
 		}
-		if !strings.Contains(ddl, "torture_v") {
-			t.Fatalf("event %s: committed index lost:\n%s", s.event, ddl)
+		commits++
+	} else if units > tortureUnits/2 {
+		t.Fatalf("%s: %d units recovered without the index committed before unit %d", where, units, tortureUnits/2+1)
+	}
+	return commits
+}
+
+// tortureClasses are the calls every torture run must have been killed in
+// front of: between them they put a kill point mid-batch after a record,
+// before the marker, on both sides of the WAL sync, before every checkpoint
+// page write, before the data sync and on both sides of the WAL truncate.
+var tortureClasses = []string{
+	"dir-sync", "wal-header", "wal-record", "wal-image", "wal-marker", "wal-sync",
+	"checkpoint-write", "checkpoint-sync", "wal-truncate", "wal-truncate-sync", "end",
+}
+
+// imagesAt returns the images kill point kp is recovered from: kill −9, the
+// power-loss image that lost everything unsynced, and random other ones.
+func imagesAt(kp *killPoint, random int) map[string]crashImage {
+	images := map[string]crashImage{
+		"kill -9":                kp.killed(),
+		"power loss (sync only)": kp.powerLost(func(int) int { return 0 }),
+	}
+	rng := rand.New(rand.NewSource(int64(kp.k)))
+	for i := 0; i < random; i++ {
+		images[fmt.Sprintf("power loss (random %d)", i)] = kp.powerLost(func(n int) int { return rng.Intn(n + 1) })
+	}
+	return images
+}
+
+func checkClasses(t *testing.T, classes map[string]int) {
+	t.Helper()
+	for _, want := range tortureClasses {
+		if classes[want] == 0 {
+			t.Fatalf("no kill point before a %q call (got %v)", want, classes)
 		}
 	}
 }
@@ -188,121 +169,94 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	for name, mode := range map[string]CommitMode{"serial": CommitSerial, "grouped": CommitGrouped} {
 		mode := mode
 		t.Run(name, func(t *testing.T) {
-			snaps := runTortureWorkload(t, filepath.Join(t.TempDir(), "db"), mode)
-			if len(snaps) < 50 {
-				t.Fatalf("only %d kill points generated; hook wiring broken?", len(snaps))
-			}
-			events := map[string]int{}
-			for _, s := range snaps {
-				events[s.event]++
-			}
-			for _, want := range tortureEvents[mode] {
-				if events[want] == 0 {
-					t.Fatalf("no kill point at sync point %q (got %v)", want, events)
+			d := runTortureWorkload(t, filepath.Join(t.TempDir(), "db"), mode)
+			classes := map[string]int{}
+			points, recoveries := 0, 0
+			d.killPoints(tortureCommits, func(kp *killPoint) {
+				points++
+				classes[kp.before()]++
+				for kind, img := range imagesAt(kp, 2) {
+					where := fmt.Sprintf("kill point %d (before %s), %s", kp.k, kp.before(), kind)
+					db, err := img.reopen(t)
+					if err != nil {
+						t.Fatalf("%s: recovery failed: %v", where, err)
+					}
+					// Every acknowledged commit was fsynced, so it must
+					// survive; the one in flight may or may not have reached
+					// its marker.
+					if got := tortureRecovered(t, db, where); got < kp.acked || got > kp.acked+1 {
+						t.Fatalf("%s: %d commits recovered, want %d or %d", where, got, kp.acked, kp.acked+1)
+					}
+					if err := db.Close(); err != nil {
+						t.Fatalf("%s: close: %v", where, err)
+					}
+					recoveries++
 				}
+			})
+			t.Logf("%d kill points, %d recoveries: %v", points, recoveries, classes)
+			if points < 140 {
+				t.Fatalf("only %d kill points generated; is the disk recording?", points)
 			}
-
-			for i, s := range snaps {
-				db := recoverSnapshot(t, s, -1)
-				// Every completed commit was fsynced, so it must survive; the
-				// one in-flight commit may or may not have reached its marker.
-				checkRecovered(t, db, s, s.unitsCommitted, s.unitsCommitted+1)
-				if err := db.Close(); err != nil {
-					t.Fatalf("kill point %d (%s): close: %v", i, s.event, err)
-				}
-			}
+			checkClasses(t, classes)
 		})
 	}
 }
 
-// TestCrashRecoveryTornTail re-runs the kill points taken mid-batch (before
-// the commit marker was written) with the unsynced WAL tail additionally cut
-// short — modeling writes that never reached disk. The in-flight commit must
-// then be gone entirely, and everything before it intact.
+// TestCrashRecoveryTornTail cuts the unsynced WAL tail short at every recorded
+// write boundary of every batch, and inside every write — modeling writes that
+// never reached disk. Without its commit marker the in-flight commit must be
+// gone entirely, and everything before it intact.
 func TestCrashRecoveryTornTail(t *testing.T) {
-	snaps := runTortureWorkload(t, filepath.Join(t.TempDir(), "db"), CommitGrouped)
+	d := runTortureWorkload(t, filepath.Join(t.TempDir(), "db"), CommitGrouped)
 	tested := 0
-	for _, s := range snaps {
-		if s.event != "wal-record" && s.event != "wal-marker" {
-			continue
+	d.killPoints(tortureCommits, func(kp *killPoint) {
+		if kp.before() != "wal-sync" {
+			return
 		}
-		// Only the bytes past the last completed commit are unsynced; a
-		// checkpoint during the in-flight commit would have shrunk the file,
-		// making the recorded synced size stale — skip those.
-		if s.walSynced > int64(len(s.wal)) {
-			continue
-		}
-		extra := int64(len(s.wal)) - s.walSynced
-		for _, cut := range []int64{1, extra / 2, extra - 1} {
-			if cut < 0 || cut > extra {
-				continue
+		// One session, so the unsynced tail is one batch: header, records,
+		// marker. Every proper prefix of those writes lacks the marker.
+		batch := kp.unsynced[walFile]
+		data := kp.killed().data
+		for keep := 0; keep < len(batch); keep++ {
+			n := len(batch[keep].data)
+			for _, cut := range []int{0, 1, n / 2, n - 1} {
+				img := crashImage{data: data, wal: kp.lose(walFile, keep, cut)}
+				where := fmt.Sprintf("kill point %d, WAL tail cut after %d writes and %d bytes", kp.k, keep, cut)
+				db, err := img.reopen(t)
+				if err != nil {
+					t.Fatalf("%s: recovery failed: %v", where, err)
+				}
+				if got := tortureRecovered(t, db, where); got != kp.acked {
+					t.Fatalf("%s: %d commits recovered, want exactly the %d acknowledged", where, got, kp.acked)
+				}
+				_ = db.Close()
+				tested++
 			}
-			db := recoverSnapshot(t, s, s.walSynced+cut)
-			checkRecovered(t, db, s, s.unitsCommitted, s.unitsCommitted)
-			_ = db.Close()
-			tested++
 		}
-	}
-	if tested < 10 {
+	})
+	if tested < 100 {
 		t.Fatalf("only %d torn-tail recoveries exercised", tested)
 	}
 }
 
 // TestCrashRecoveryTortureConcurrent is the group-commit torture: several
-// sessions commit concurrently through the pipeline while the hook snapshots
-// data.db + wal.log at every sync point — seal, enqueue, group-append, the
-// per-batch WAL events, group-sync, and group-ack — from whichever goroutine
-// (committer or leader) fires it. Row ids are assigned while holding the
-// writer slot, so id order equals seal order equals WAL order, and every
-// recovered snapshot must contain EXACTLY the rows 1..K for some K: a gap
-// would mean commit K became durable without K−1 (broken prefix), and
-// K < the highest id acknowledged before the snapshot would mean an acked
-// commit was lost.
+// sessions commit concurrently through the pipeline over a recording disk.
+// Row ids are assigned while holding the writer slot, so id order equals seal
+// order equals WAL order, and every image of every kill point must recover
+// EXACTLY the rows 1..K for some K: a gap would mean commit K became durable
+// without K−1 (broken prefix), and K below the highest id acknowledged before
+// the pre-empted call was issued would mean an acked commit was lost.
 func TestCrashRecoveryTortureConcurrent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-
-	type concSnapshot struct {
-		event    string
-		data     []byte
-		wal      []byte
-		maxAcked int64 // highest row id acknowledged before this kill point
-	}
-	var (
-		mu       sync.Mutex
-		snaps    []*concSnapshot
-		acked    int64
-		snapping bool // CREATE TABLE runs before snapshotting starts
-	)
-	hook := func(event string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if !snapping {
-			return nil
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "data.db"))
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		snaps = append(snaps, &concSnapshot{event: event, data: data, wal: wal, maxAcked: acked})
-		return nil
-	}
-
-	db, err := Open(dir, Options{CheckpointBytes: 32 << 10, hook: hook})
+	d := &faultDisk{}
+	db, err := Open(dir, Options{CheckpointBytes: 32 << 10, open: d.open})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	poisonBufs(db.pg)
 	if _, err := db.Exec(`CREATE TABLE conc (id INTEGER PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	snapping = true
-	mu.Unlock()
 
 	const writers, perWriter = 4, 12
 	var (
@@ -335,14 +289,9 @@ func TestCrashRecoveryTortureConcurrent(t *testing.T) {
 					werr <- err
 					return
 				}
-				// The commit is acknowledged: record it under the same mutex
-				// the snapshot hook holds, so every later snapshot must
-				// contain it.
-				mu.Lock()
-				if id > acked {
-					acked = id
-				}
-				mu.Unlock()
+				// The commit is acknowledged: every call issued from here on
+				// is stamped with it, so every later image must contain it.
+				d.ack(id)
 			}
 		}()
 	}
@@ -351,16 +300,6 @@ func TestCrashRecoveryTortureConcurrent(t *testing.T) {
 	for err := range werr {
 		t.Fatalf("writer failed: %v", err)
 	}
-
-	events := map[string]int{}
-	for _, s := range snaps {
-		events[s.event]++
-	}
-	for _, want := range []string{"seal", "enqueue", "group-append", "wal-record", "wal-marker", "group-sync", "group-ack"} {
-		if events[want] == 0 {
-			t.Fatalf("no kill point at sync point %q under concurrency (got %v)", want, events)
-		}
-	}
 	st, err := db.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -368,68 +307,79 @@ func TestCrashRecoveryTortureConcurrent(t *testing.T) {
 	if st.MaxGroupSize < 2 {
 		t.Fatalf("no grouping under concurrent torture (max group %d)", st.MaxGroupSize)
 	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	total := int64(writers * perWriter)
-	for i, s := range snaps {
-		rdir := t.TempDir()
-		if s.data != nil {
-			if err := os.WriteFile(filepath.Join(rdir, "data.db"), s.data, 0o644); err != nil {
-				t.Fatal(err)
+	const total = writers * perWriter
+	classes := map[string]int{}
+	points := 0
+	d.killPoints(total, func(kp *killPoint) {
+		points++
+		classes[kp.before()]++
+		for kind, img := range imagesAt(kp, 1) {
+			where := fmt.Sprintf("kill point %d (before %s), %s", kp.k, kp.before(), kind)
+			rdb, err := img.reopen(t)
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", where, err)
+			}
+			if err := rdb.CheckIntegrity(); err != nil {
+				t.Fatalf("%s: integrity: %v", where, err)
+			}
+			var k int64
+			res, err := rdb.Query(`SELECT id FROM conc ORDER BY id`)
+			switch {
+			case err == nil:
+				k = int64(len(res.Rows))
+				for j, row := range res.Rows {
+					if row[0].Int != int64(j+1) {
+						t.Fatalf("%s: recovered ids have a gap at %d (got %d) — commit prefix broken", where, j+1, row[0].Int)
+					}
+				}
+			case !strings.Contains(err.Error(), "no such table"): // killed before the CREATE TABLE commit
+				t.Fatalf("%s: query: %v", where, err)
+			}
+			if k < kp.acked {
+				t.Fatalf("%s: acked commit lost: recovered %d rows, %d were acknowledged", where, k, kp.acked)
+			}
+			if k > total {
+				t.Fatalf("%s: %d rows recovered, only %d ever written", where, k, total)
+			}
+			if err := rdb.Close(); err != nil {
+				t.Fatalf("%s: close: %v", where, err)
 			}
 		}
-		if s.wal != nil {
-			if err := os.WriteFile(filepath.Join(rdir, "wal.log"), s.wal, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rdb, err := Open(rdir, Options{})
-		if err != nil {
-			t.Fatalf("kill point %d (%s): recovery failed: %v", i, s.event, err)
-		}
-		if err := rdb.CheckIntegrity(); err != nil {
-			t.Fatalf("kill point %d (%s): integrity: %v", i, s.event, err)
-		}
-		res, err := rdb.Query(`SELECT id FROM conc ORDER BY id`)
-		if err != nil {
-			t.Fatalf("kill point %d (%s): query: %v", i, s.event, err)
-		}
-		k := int64(len(res.Rows))
-		for j, row := range res.Rows {
-			if row[0].Int != int64(j+1) {
-				t.Fatalf("kill point %d (%s): recovered ids have a gap at %d (got %d) — commit prefix broken", i, s.event, j+1, row[0].Int)
-			}
-		}
-		if k < s.maxAcked {
-			t.Fatalf("kill point %d (%s): acked commit lost: recovered %d rows, %d were acknowledged", i, s.event, k, s.maxAcked)
-		}
-		if k > total {
-			t.Fatalf("kill point %d (%s): %d rows recovered, only %d ever written", i, s.event, k, total)
-		}
-		if err := rdb.Close(); err != nil {
-			t.Fatalf("kill point %d (%s): close: %v", i, s.event, err)
-		}
+	})
+	t.Logf("%d kill points: %v", points, classes)
+	if points < 300 {
+		t.Fatalf("only %d concurrent kill points generated", points)
 	}
-	if len(snaps) < 100 {
-		t.Fatalf("only %d concurrent kill points generated", len(snaps))
-	}
+	checkClasses(t, classes)
 }
 
 // TestRecoveredDatabaseStaysUsable reopens a mid-commit kill image and keeps
 // writing: recovery must leave a database that can absorb new transactions,
-// not just answer reads.
+// not just answer reads — and that keeps them through the next crash, though
+// they were appended where a torn batch used to be.
 func TestRecoveredDatabaseStaysUsable(t *testing.T) {
-	snaps := runTortureWorkload(t, filepath.Join(t.TempDir(), "db"), CommitGrouped)
-	// Pick the last mid-batch kill point with the most committed state.
-	var s *crashSnapshot
-	for _, c := range snaps {
-		if c.event == "wal-record" && c.tableCommitted {
-			s = c
+	d := runTortureWorkload(t, filepath.Join(t.TempDir(), "db"), CommitGrouped)
+	// The last kill point inside a batch, one of its images already written.
+	var img *crashImage
+	d.killPoints(tortureCommits, func(kp *killPoint) {
+		if kp.before() == "wal-record" && len(kp.unsynced[walFile]) > 1 {
+			killed := kp.killed()
+			img = &killed
 		}
-	}
-	if s == nil {
+	})
+	if img == nil {
 		t.Fatal("no usable kill point")
 	}
-	db := recoverSnapshot(t, s, -1)
+	dir := t.TempDir()
+	img.writeTo(t, dir)
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer db.Close()
 	if _, err := db.Exec(fmt.Sprintf(`INSERT INTO torture VALUES (1000, '%s')`, tortureValue(1000))); err != nil {
 		t.Fatal(err)
@@ -437,11 +387,13 @@ func TestRecoveredDatabaseStaysUsable(t *testing.T) {
 	if _, err := db.Exec(`UPDATE torture SET v = 'patched' WHERE id = 1`); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(`SELECT v FROM torture WHERE id = 1`)
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str != "patched" {
-		t.Fatalf("write after recovery: %v %v", res, err)
+	for _, check := range []*Database{db, mustReopen(t, crashCopy(t, dir))} {
+		if err := check.CheckIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := check.Query(`SELECT v FROM torture WHERE id = 1 OR id = 1000 ORDER BY id`)
+		if err != nil || len(res.Rows) != 2 || res.Rows[0][0].Str != "patched" || res.Rows[1][0].Str != tortureValue(1000) {
+			t.Fatalf("writes after recovery: %v %v", res, err)
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Result is a query result set.
@@ -35,15 +33,10 @@ type Options struct {
 	// zero value resolves to group commit for durable databases; in-memory
 	// databases have no fsync to amortize and always commit serially.
 	CommitMode CommitMode
-	// CommitDelay is an optional linger window: the group-commit leader
-	// waits this long before collecting a group, trading commit latency for
-	// larger groups under bursty load. 0 (the default) collects whatever has
-	// queued by the time the leader looks.
-	CommitDelay time.Duration
 
-	// hook receives pager/WAL sync-point events; crash-injection tests in
-	// this package use it to kill commits mid-flight.
-	hook func(event string) error
+	// open replaces the operating system's files; the crash and fault tests
+	// in this package use it to record, cut short and fail disk calls.
+	open openFunc
 }
 
 // CommitMode selects the commit protocol for durable databases.
@@ -58,8 +51,9 @@ const (
 	// batches to the WAL under a single fsync. A commit is acknowledged only
 	// after the fsync covering it.
 	CommitGrouped
-	// CommitSerial appends and fsyncs every commit inline while holding the
-	// writer slot (one fsync per transaction).
+	// CommitSerial keeps the writer slot until the commit's own fsync has
+	// completed, so no other transaction can join its group: one fsync per
+	// transaction.
 	CommitSerial
 )
 
@@ -78,9 +72,10 @@ func (m CommitMode) String() string {
 // in-memory page array). Reads run concurrently under a read lock and
 // B-tree cursors; writes are serialized by a single-writer transaction
 // semaphore and commit by appending page images to the WAL — the costly
-// commit the paper measures for SQL-store writes. In the default grouped
-// commit mode, concurrent committers share one fsync through the commit
-// pipeline (see groupcommit.go); in serial mode each commit fsyncs alone.
+// commit the paper measures for SQL-store writes. Every durable commit goes
+// through the commit pipeline (see groupcommit.go): in the default grouped
+// mode concurrent committers share one fsync; in serial mode the committer
+// keeps the writer slot until its fsync is done, so each commit fsyncs alone.
 type Database struct {
 	mu  sync.RWMutex // exclusive for writes, shared for reads
 	pg  *pager
@@ -103,14 +98,13 @@ type Database struct {
 	txOwner *Session
 	doomed  *Session
 
-	// pipeline is the group-commit queue (nil in serial mode and for
-	// in-memory databases); sealSeq numbers sealed batches and is guarded by
-	// mu. commitMode/commitDelay record the resolved options so a second
-	// DSN attach can be checked against them.
-	pipeline    *commitPipeline
-	sealSeq     uint64
-	commitMode  CommitMode
-	commitDelay time.Duration
+	// pipeline is the commit queue (nil for in-memory databases); sealSeq
+	// numbers sealed batches and is guarded by mu. commitMode records the
+	// resolved option: it orders release and wait in commitRelease, and a
+	// second DSN attach is checked against it.
+	pipeline   *commitPipeline
+	sealSeq    uint64
+	commitMode CommitMode
 }
 
 // Session is one transaction scope over a shared Database. database/sql
@@ -175,10 +169,11 @@ func Open(dir string, opts Options) (*Database, error) {
 	if cp <= 0 {
 		cp = defaultCachePages
 	}
-	pg, err := openFilePager(
-		filepath.Join(dir, "data.db"), filepath.Join(dir, "wal.log"),
-		opts.PageSize, cp, cb, opts.hook,
-	)
+	open := opts.open
+	if open == nil {
+		open = openOSFile
+	}
+	pg, err := openFilePager(open, dir, opts.PageSize, cp, cb)
 	if err != nil {
 		return nil, err
 	}
@@ -187,10 +182,7 @@ func Open(dir string, opts Options) (*Database, error) {
 	if db.commitMode == CommitAuto {
 		db.commitMode = CommitGrouped
 	}
-	db.commitDelay = opts.CommitDelay
-	if db.commitMode == CommitGrouped {
-		db.pipeline = newCommitPipeline(opts.CommitDelay)
-	}
+	db.pipeline = newCommitPipeline()
 	return db, nil
 }
 
@@ -235,9 +227,9 @@ type PagerStats struct {
 	// growing once the cache is full and the free list is primed.
 	PageBufAllocs uint64
 	WALBytes      int64
-	// Commit pipeline: WAL fsyncs issued (serial commits and group syncs),
-	// groups committed, batches carried by those groups, the largest group,
-	// and a group-size histogram with buckets 1, 2–3, 4–7, 8–15, 16+.
+	// Commit pipeline: WAL fsyncs issued (one per group), groups committed,
+	// batches carried by those groups, the largest group, and a group-size
+	// histogram with buckets 1, 2–3, 4–7, 8–15, 16+.
 	WALFsyncs      uint64
 	GroupCommits   uint64
 	GroupedBatches uint64
@@ -366,17 +358,6 @@ func (db *Database) persistRootsLocked() error {
 	return nil
 }
 
-// commitLocked makes the accumulated dirty pages durable; on failure the
-// in-memory state reverts too. Caller holds db.mu for writing.
-func (db *Database) commitLocked() error {
-	err := db.pg.commit()
-	if err != nil {
-		db.pg.rollbackAll()
-		db.invalidateHandles()
-	}
-	return err
-}
-
 func (db *Database) rollbackLocked() {
 	db.pg.rollbackAll()
 	db.invalidateHandles()
@@ -468,23 +449,20 @@ func (s *Session) Rollback() error {
 	return nil
 }
 
-// commitRelease makes the pending transaction state durable according to the
-// commit mode. Caller holds db.mu for writing and the writer slot;
-// commitRelease unlocks db.mu and invokes release exactly once, as early as
-// the mode allows — in grouped mode right after the batch is sealed and
-// queued, so the next writer runs while this commit awaits its group fsync.
+// commitRelease commits the pending transaction state. Caller holds db.mu
+// for writing and the writer slot; commitRelease unlocks db.mu and invokes
+// release exactly once. A durable commit is sealed and queued under db.mu and
+// then waits for the group fsync that covers it; the commit mode only orders
+// release and wait. Grouped releases first, so the next writer runs — and can
+// seal into the same group — while this commit awaits its fsync. Serial waits
+// first: nobody else can seal while the slot is held, so the group is this
+// one batch and the fsync is this commit's own.
 func (db *Database) commitRelease(release func()) error {
 	if db.pipeline == nil {
-		err := db.commitLocked()
+		db.pg.commitMem()
 		db.mu.Unlock()
 		release()
-		return err
-	}
-	if err := db.pg.fireHook("seal"); err != nil {
-		db.rollbackLocked()
-		db.mu.Unlock()
-		release()
-		return errCommit(err)
+		return nil
 	}
 	db.sealSeq++
 	b := db.pg.seal(db.sealSeq)
@@ -493,18 +471,13 @@ func (db *Database) commitRelease(release func()) error {
 		release()
 		return nil
 	}
-	if err := db.pg.fireHook("enqueue"); err != nil {
-		// The batch is sealed but not yet queued, and db.mu is still held,
-		// so no other writer has built on it: purge it and fail the commit
-		// without a cascade.
-		db.pg.purgeAborted([]*commitBatch{b})
-		db.invalidateHandles()
-		db.mu.Unlock()
-		release()
-		return errCommit(err)
-	}
 	db.pipeline.enqueue(b)
 	db.mu.Unlock()
+	if db.commitMode == CommitSerial {
+		err := db.pipeline.wait(db, b)
+		release()
+		return err
+	}
 	release()
 	return db.pipeline.wait(db, b)
 }

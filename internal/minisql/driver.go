@@ -27,7 +27,7 @@ import (
 // the same directory share a Database instead of corrupting each other's
 // pages; the files close when the last handle does. A later sql.Open whose
 // DSN options disagree with the running database (page_size, cache_pages,
-// checkpoint_bytes, group_commit, commit_delay) fails rather than silently
+// checkpoint_bytes, group_commit) fails rather than silently
 // keeping the first opener's tuning. ":memory:" is private per sql.Open.
 
 func init() { sql.Register("minisql", &Driver{}) }
@@ -167,9 +167,6 @@ func (r *registry) open(cfg DSN) (*Database, string, error) {
 		}
 		if cm := cfg.Opts.CommitMode; cm != CommitAuto && cm != e.db.commitMode {
 			return nil, "", fmt.Errorf("minisql: database %s already open with commit mode %v, DSN wants %v", key, e.db.commitMode, cm)
-		}
-		if cd := cfg.Opts.CommitDelay; cd != 0 && cd != e.db.commitDelay {
-			return nil, "", fmt.Errorf("minisql: database %s already open with commit_delay %s, DSN wants %s", key, e.db.commitDelay, cd)
 		}
 		e.refs++
 		return e.db, key, nil

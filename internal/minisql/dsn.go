@@ -5,7 +5,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // DSN is the parsed form of a minisql connection string:
@@ -14,7 +13,6 @@ import (
 //	/path/to/db                              durable database directory
 //	/path/to/db?cache_pages=512&page_size=8192&checkpoint_bytes=1048576
 //	/path/to/db?group_commit=off             serial commits (one fsync each)
-//	/path/to/db?commit_delay=200us           leader lingers to grow groups
 //	:memory:?cache_pages=64
 //
 // The path is a directory (the engine stores data.db and wal.log inside
@@ -50,9 +48,6 @@ func (d DSN) String() string {
 		q = append(q, "group_commit=on")
 	case CommitSerial:
 		q = append(q, "group_commit=off")
-	}
-	if d.Opts.CommitDelay != 0 {
-		q = append(q, fmt.Sprintf("commit_delay=%s", d.Opts.CommitDelay))
 	}
 	if len(q) == 0 {
 		return path
@@ -95,15 +90,6 @@ func ParseDSN(dsn string) (DSN, error) {
 			default:
 				return DSN{}, fmt.Errorf("minisql: group_commit=%q, want on or off", v)
 			}
-		case "commit_delay":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return DSN{}, fmt.Errorf("minisql: commit_delay=%q is not a duration (try 200us, 1ms)", v)
-			}
-			if d < 0 {
-				return DSN{}, fmt.Errorf("minisql: commit_delay must be >= 0")
-			}
-			out.Opts.CommitDelay = d
 		case "page_size", "cache_pages", "checkpoint_bytes":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {

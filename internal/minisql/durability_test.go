@@ -1,6 +1,8 @@
 package minisql
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,6 +87,47 @@ func TestTornWALTailIgnored(t *testing.T) {
 	res := mustQuery(t, db2, `SELECT COUNT(*) FROM t`)
 	if got := flat(res); got != "1" {
 		t.Fatalf("recovered %q rows", got)
+	}
+}
+
+// TestOpenRefusesBeforeImageLog: a record whose flag byte says "before image
+// follows" was written by a build this one cannot read. Treating it as a torn
+// tail would silently drop that commit and every later one, so Open fails
+// with a named error instead.
+func TestOpenRefusesBeforeImageLog(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+	logOnly := crashCopy(t, dir) // nothing checkpointed yet: an empty data file, two batches in the log
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `INSERT INTO t VALUES (1)`)
+	img := crashCopy(t, dir) // a data file and one batch in the log
+	_ = db.Close()
+
+	// Frame one more batch the old way: record flag 1, before image, after image.
+	const ps = DefaultPageSize
+	before, after := walTestImage(ps, 1), walTestImage(ps, 2)
+	crc := newBatchCRC()
+	crc.add(7, binary.BigEndian.Uint32(after[9:13]))
+	old := []byte{walBatchStart, 0, 0, 0, 1, 0, 0, 0, 7, 1}
+	old = append(append(old, before...), after...)
+	old = binary.BigEndian.AppendUint32(append(old, walCommitMarker), crc.sum())
+
+	// With an empty data file the log must still be refused, not discarded as
+	// a torn first commit.
+	for name, img := range map[string]crashImage{"checkpointed": img, "log only": logOnly} {
+		img.wal = append(img.wal, old...)
+		if db, err := img.reopen(t); !errors.Is(err, errBeforeImages) {
+			if err == nil {
+				db.Close()
+			}
+			t.Fatalf("%s: Open over a before-image log: err = %v, want %v", name, err, errBeforeImages)
+		}
 	}
 }
 

@@ -4,17 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 func errCommit(err error) error     { return fmt.Errorf("minisql: commit: %w", err) }
 func errCheckpoint(err error) error { return fmt.Errorf("minisql: checkpoint: %w", err) }
 
-// Group commit + early writer release: the commit pipeline.
+// Group commit + early writer release: the commit pipeline, the one way a
+// commit of a file-backed database reaches the disk.
 //
-// A serial commit holds the single-writer slot across its entire WAL append
-// and fsync, so N concurrent writers commit at 1/fsync-latency regardless of
-// N — the costly commit the paper measures for SQL-store writes, made
+// A commit that held the single-writer slot across its entire WAL append and
+// fsync would make N concurrent writers commit at 1/fsync-latency regardless
+// of N — the costly commit the paper measures for SQL-store writes, made
 // worst-case. The pipeline splits a commit into two halves:
 //
 //  1. seal (under the exclusive database lock): the transaction's dirty
@@ -37,6 +37,12 @@ func errCheckpoint(err error) error { return fmt.Errorf("minisql: checkpoint: %w
 // fsync installs WAL offsets). What the contract forbids is acknowledging a
 // commit before its batch is on disk, and that is exactly what waiting for
 // the group fsync guarantees.
+//
+// Serial mode (group_commit=off) is the same pipeline with the writer slot
+// kept until the commit's wait returns (commitRelease): no one else can seal
+// meanwhile, so every group is one batch led by its own committer and the
+// fsync count equals the commit count — the worst case above, kept as the
+// reference the grouped numbers are measured against.
 //
 // Group failure (disk full, I/O error) is a hard fault: the WAL is already
 // truncated back to the group start, so the leader discards every sealed
@@ -69,11 +75,10 @@ type commitPipeline struct {
 	cond    *sync.Cond // batch finished or leadership released
 	queue   []*commitBatch
 	leading bool
-	delay   time.Duration // optional linger before the leader collects a group
 }
 
-func newCommitPipeline(delay time.Duration) *commitPipeline {
-	p := &commitPipeline{delay: delay}
+func newCommitPipeline() *commitPipeline {
+	p := &commitPipeline{}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -132,13 +137,6 @@ func (db *Database) leadDrain() {
 			p.mu.Unlock()
 			return
 		}
-		p.mu.Unlock()
-
-		if p.delay > 0 {
-			// Linger: let more committers seal and join this group.
-			time.Sleep(p.delay)
-		}
-		p.mu.Lock()
 		group := p.queue
 		p.queue = nil
 		p.mu.Unlock()
@@ -147,13 +145,10 @@ func (db *Database) leadDrain() {
 			db.failGroup(group, err)
 			continue
 		}
-		// Auto-checkpoint before acking so callers observe the same WAL
-		// state a serial commit would leave behind; like the serial path, a
-		// checkpoint error reaches the committers even though their commits
-		// are already durable.
-		cerr := db.maybeCheckpoint()
-		_ = db.pg.fireHook("group-ack") // commits are durable; an error here cannot un-ack them
-		p.finish(group, cerr)
+		// Auto-checkpoint before acking, so a committer returns to a WAL
+		// inside its threshold; a checkpoint error reaches the committers
+		// even though their commits are already durable.
+		p.finish(group, db.maybeCheckpoint())
 	}
 }
 
@@ -227,13 +222,6 @@ func (db *Database) releaseLeadership() {
 
 // --- pager half of the pipeline ---
 
-func (pg *pager) fireHook(event string) error {
-	if pg.hook != nil {
-		return pg.hook(event)
-	}
-	return nil
-}
-
 // seal stages the current dirty set as commit batch seq without touching the
 // WAL: after images are copied out, the pages flip clean — the next writer
 // and concurrent snapshot readers treat them as committed — and each page
@@ -285,9 +273,6 @@ func (pg *pager) seal(seq uint64) *commitBatch {
 // group start (see appendGroup); the caller cascades the abort and the images
 // are left to the GC. Runs on the leader, without db.mu.
 func (pg *pager) commitGroup(group []*commitBatch) error {
-	if err := pg.fireHook("group-append"); err != nil {
-		return err
-	}
 	frames := make([][]walRecord, len(group))
 	for i, b := range group {
 		frames[i] = b.recs

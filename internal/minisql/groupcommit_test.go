@@ -107,18 +107,20 @@ func TestGroupCommitFailureCascade(t *testing.T) {
 		syncGate   = make(chan struct{}) // closed when the leader reaches the doomed fsync
 		syncResume = make(chan struct{}) // closed when the dependent tx has built on the sealed batch
 	)
-	db, err := Open(dir, Options{hook: func(event string) error {
-		if event == "group-sync" && failing.CompareAndSwap(true, false) {
+	d := &faultDisk{fault: func(op diskOp) (int, error) {
+		if op.file == walFile && op.kind == opSync && failing.CompareAndSwap(true, false) {
 			close(syncGate)
 			<-syncResume
-			return fmt.Errorf("injected group fsync failure")
+			return 0, fmt.Errorf("injected group fsync failure")
 		}
-		return nil
-	}})
+		return 0, nil
+	}}
+	db, err := Open(dir, Options{open: d.open})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	poisonBufs(db.pg)
 
 	if _, err := db.Exec(`CREATE TABLE c (id INTEGER PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
@@ -182,61 +184,79 @@ func TestGroupCommitFailureCascade(t *testing.T) {
 	if err := db.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+	// Exactly the acknowledged prefix survives a crash, too.
+	if got := flat(mustQuery(t, mustReopen(t, crashCopy(t, dir)), `SELECT id FROM c ORDER BY id`)); got != "1|5" {
+		t.Fatalf("rows after cascade and crash = %q, want 1|5", got)
+	}
 }
 
-// TestCommitModeDSN covers parsing and rendering of the pipeline knobs.
+// TestCommitModeDSN covers parsing and rendering of the pipeline knob.
 func TestCommitModeDSN(t *testing.T) {
 	d, err := ParseDSN("/tmp/x?group_commit=off")
 	if err != nil || d.Opts.CommitMode != CommitSerial {
 		t.Fatalf("group_commit=off: %+v, %v", d, err)
 	}
-	d, err = ParseDSN("/tmp/x?group_commit=on&commit_delay=200us")
-	if err != nil || d.Opts.CommitMode != CommitGrouped || d.Opts.CommitDelay != 200*time.Microsecond {
-		t.Fatalf("group_commit=on&commit_delay: %+v, %v", d, err)
-	}
-	if s := d.String(); !strings.Contains(s, "group_commit=on") || !strings.Contains(s, "commit_delay=200µs") {
+	if s := d.String(); s != "/tmp/x?group_commit=off" {
 		t.Fatalf("String() = %q", s)
 	}
-	if d2, err := ParseDSN(d.String()); err != nil ||
-		d2.Opts.CommitMode != d.Opts.CommitMode || d2.Opts.CommitDelay != d.Opts.CommitDelay {
+	d, err = ParseDSN("/tmp/x?group_commit=on")
+	if err != nil || d.Opts.CommitMode != CommitGrouped {
+		t.Fatalf("group_commit=on: %+v, %v", d, err)
+	}
+	if s := d.String(); !strings.Contains(s, "group_commit=on") {
+		t.Fatalf("String() = %q", s)
+	}
+	if d2, err := ParseDSN(d.String()); err != nil || d2.Opts.CommitMode != d.Opts.CommitMode {
 		t.Fatalf("round trip: %+v, %v", d2, err)
 	}
 	if _, err := ParseDSN("/tmp/x?group_commit=maybe"); err == nil {
 		t.Fatal("group_commit=maybe accepted")
 	}
-	if _, err := ParseDSN("/tmp/x?commit_delay=-1ms"); err == nil {
-		t.Fatal("negative commit_delay accepted")
+	// The linger knob is gone: an old DSN is refused by name, not ignored.
+	if _, err := ParseDSN("/x?commit_delay=200us"); err == nil || !strings.Contains(err.Error(), "commit_delay") {
+		t.Fatalf("commit_delay: err = %v, want an unknown-option error naming it", err)
 	}
 }
 
-// TestSerialModeStillWorks pins the opt-out: group_commit=off must behave
-// exactly like the pre-pipeline engine (no pipeline, one fsync per commit).
+// TestSerialModeStillWorks pins the opt-out: group_commit=off is the same
+// pipeline with the writer slot held across the fsync, so however many
+// writers push, every group is one batch and every commit has its own fsync.
 func TestSerialModeStillWorks(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{CommitMode: CommitSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.pipeline != nil {
-		t.Fatal("serial mode built a pipeline")
-	}
 	if _, err := db.Exec(`CREATE TABLE s (id INTEGER PRIMARY KEY)`); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := db.Exec(fmt.Sprintf(`INSERT INTO s VALUES (%d)`, i)); err != nil {
-			t.Fatal(err)
-		}
+	before, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
+	const writers, perWriter = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := db.Exec(fmt.Sprintf(`INSERT INTO s VALUES (%d)`, w*perWriter+i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 	st, err := db.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GroupCommits != 0 || st.GroupedBatches != 0 {
-		t.Fatalf("serial mode recorded group stats: %+v", st)
-	}
-	if st.WALFsyncs < 6 {
-		t.Fatalf("serial mode fsyncs = %d, want one per commit", st.WALFsyncs)
+	if n := st.WALFsyncs - before.WALFsyncs; n != writers*perWriter ||
+		st.GroupCommits-before.GroupCommits != n || st.GroupedBatches-before.GroupedBatches != n || st.MaxGroupSize != 1 {
+		t.Fatalf("serial mode: %d commits took %d fsyncs in %d groups of %d batches (largest %d), want one of each per commit",
+			writers*perWriter, n, st.GroupCommits-before.GroupCommits, st.GroupedBatches-before.GroupedBatches, st.MaxGroupSize)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -247,7 +267,7 @@ func TestSerialModeStillWorks(t *testing.T) {
 	}
 	defer db2.Close()
 	res, err := db2.Query(`SELECT COUNT(id) FROM s`)
-	if err != nil || res.Rows[0][0].Int != 5 {
+	if err != nil || res.Rows[0][0].Int != writers*perWriter {
 		t.Fatalf("serial reopen: %v, %v", res, err)
 	}
 }
@@ -262,13 +282,14 @@ func TestEarlyWriterRelease(t *testing.T) {
 		stallGate = make(chan struct{})
 		stallDone = make(chan struct{})
 	)
-	db, err := Open(dir, Options{hook: func(event string) error {
-		if event == "group-sync" && stalling.CompareAndSwap(true, false) {
+	d := &faultDisk{fault: func(op diskOp) (int, error) {
+		if op.file == walFile && op.kind == opSync && stalling.CompareAndSwap(true, false) {
 			close(stallGate)
 			<-stallDone
 		}
-		return nil
-	}})
+		return 0, nil
+	}}
+	db, err := Open(dir, Options{open: d.open})
 	if err != nil {
 		t.Fatal(err)
 	}

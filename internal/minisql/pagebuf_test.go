@@ -183,6 +183,52 @@ func TestAllocGuardPagedPutGet(t *testing.T) {
 	}
 }
 
+// TestAllocGuardFileCommit pins how many objects one durable single-row put
+// allocates on the product path (a file database in the default commit mode):
+// the guard above bounds bytes, so a handful of small objects added per commit
+// — a stack array that escapes through the file interface, say — would pass it.
+// 30 is the count measured at the commit before the file seam went in. Serial
+// mode is reported beside it; it was 26 when it appended from pager.commit and
+// now pays for the pipeline's batch and offset slices like the default.
+func TestAllocGuardFileCommit(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	measure := func(mode CommitMode) float64 {
+		db, err := Open(t.TempDir(), Options{CommitMode: mode, CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		mustExec(t, db, `CREATE TABLE kv (k TEXT PRIMARY KEY, v BLOB NOT NULL)`)
+		put, err := db.NewSession().Prepare(`INSERT OR REPLACE INTO kv VALUES (?, ?)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]Value, 64)
+		for i := range keys {
+			keys[i] = Text(fmt.Sprintf("key-%04d", i))
+		}
+		val, n := Blob(bytes.Repeat([]byte{0xAB}, 256)), 0
+		op := func() {
+			if _, err := put.Exec(keys[n%len(keys)], val); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		for i := 0; i < 2*len(keys); i++ {
+			op()
+		}
+		return testing.AllocsPerRun(200, op)
+	}
+	const want = 30
+	got, serial := measure(CommitGrouped), measure(CommitSerial)
+	t.Logf("%.0f allocs per durable put (serial mode: %.0f)", got, serial)
+	if got != want {
+		t.Errorf("%.0f allocs per durable put, want %d", got, want)
+	}
+}
+
 // TestDoubleUnpinReleasesOnce: unpin tolerates pins == 0, so the unpin that
 // gives a transient snapshot copy's buffer back must not do it twice — or
 // the free list would hand one buffer to two owners.
@@ -276,9 +322,7 @@ func TestSharedUndoImageReleasedOnce(t *testing.T) {
 	if got := inFlight() - base; got != 1 || read() != 2 {
 		t.Fatalf("rollback of the second statement: %d images, byte %d, want 1 and 2", got, read())
 	}
-	if err := pg.commit(); err != nil {
-		t.Fatal(err)
-	}
+	pg.commitMem()
 	if got := inFlight() - base; got != 0 || read() != 2 {
 		t.Fatalf("commit: %d images in flight, byte %d", got, read())
 	}

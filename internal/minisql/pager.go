@@ -1,8 +1,9 @@
 package minisql
 
 import (
+	"errors"
 	"fmt"
-	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -30,7 +31,7 @@ type pager struct {
 	cacheCap int
 
 	// Backends: exactly one of file/mem is active.
-	file *os.File
+	file file
 	wal  *pageWAL
 	mem  [][]byte // committed images for in-memory databases
 
@@ -42,8 +43,7 @@ type pager struct {
 	// a group-commit seal flips its pages clean before the leader has
 	// appended them to the WAL, so an evicted sealed page has no durable
 	// location yet. readCommitted consults this map ahead of walIdx; the
-	// leader clears entries as their batches become durable. Empty in serial
-	// commit mode.
+	// leader clears entries as their batches become durable.
 	sealed map[uint32]sealedImg
 
 	cache map[uint32]*page
@@ -65,10 +65,9 @@ type pager struct {
 	committedNPages uint32
 
 	checkpointBytes int64
-	hook            func(event string) error
 
-	// Stats (guarded by mu). walFsyncs counts WAL fsyncs (serial commits and
-	// group syncs); groupCommits/groupedBatches/maxGroup/groupHist describe
+	// Stats (guarded by mu). walFsyncs counts WAL fsyncs, one per group;
+	// groupCommits/groupedBatches/maxGroup/groupHist describe
 	// the commit pipeline; walBytes shadows wal.size so Stats never races
 	// the leader's appends.
 	hits, misses, evictions uint64
@@ -227,95 +226,96 @@ func newMemPager(pageSize, cachePages int) (*pager, error) {
 	return pg, nil
 }
 
-// openFilePager opens (creating if necessary) the paged database at
-// dataPath with its WAL at walPath, replaying any committed WAL batches.
-func openFilePager(dataPath, walPath string, pageSize, cachePages int, checkpointBytes int64, hook func(string) error) (*pager, error) {
-	f, err := os.OpenFile(dataPath, os.O_CREATE|os.O_RDWR, 0o644)
+// openFilePager opens (creating if necessary) the paged database in dir —
+// data.db and its WAL, wal.log — replaying any committed WAL batches.
+func openFilePager(open openFunc, dir string, pageSize, cachePages int, checkpointBytes int64) (_ *pager, err error) {
+	f, created, err := openOrCreate(open, filepath.Join(dir, "data.db"))
 	if err != nil {
 		return nil, fmt.Errorf("minisql: opening database file: %w", err)
 	}
-	st, err := f.Stat()
+	wf, walCreated, err := openOrCreate(open, filepath.Join(dir, "wal.log"))
 	if err != nil {
 		f.Close()
+		return nil, fmt.Errorf("minisql: opening wal: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			wf.Close()
+		}
+	}()
+	dataSize, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	walSize, err := wf.Size()
+	if err != nil {
 		return nil, err
 	}
 
-	existing := st.Size() > 0
-	if !existing {
-		// A crash before the first checkpoint leaves an empty data file
-		// with a WAL that carries everything, including the meta page.
-		if wst, werr := os.Stat(walPath); werr == nil && wst.Size() > 0 {
-			existing = true
-		}
-	}
-
+	// A crash before the first checkpoint leaves an empty data file with a
+	// WAL that carries everything, including the meta page.
+	existing := dataSize > 0 || walSize > 0
 	if existing {
 		// The authoritative page size lives in the meta page; probe it
 		// before sizing any buffers. The newest meta image may still be in
 		// the WAL, so try the file first and fall back to a WAL replay at
 		// the requested (or default) size.
-		ps, err := probePageSize(f, walPath, pageSize)
+		ps, perr := probePageSize(f, wf, pageSize)
 		switch {
-		case err == nil:
+		case perr == nil:
 			if pageSize != 0 && pageSize != ps {
-				f.Close()
 				return nil, fmt.Errorf("minisql: database has page size %d, but %d was requested", ps, pageSize)
 			}
 			pageSize = ps
-		case st.Size() == 0:
+		case dataSize == 0 && !errors.Is(perr, errBeforeImages):
 			// The data file is empty and the WAL holds no committed batch:
 			// a crash landed during the very first commit. Nothing durable
 			// exists yet, so discard the torn log and initialize fresh.
-			if terr := os.Truncate(walPath, 0); terr != nil {
-				f.Close()
+			if terr := wf.Truncate(0); terr != nil {
 				return nil, fmt.Errorf("minisql: discarding torn wal: %w", terr)
 			}
 			existing = false
-			if pageSize == 0 {
-				pageSize = DefaultPageSize
-			}
 		default:
-			f.Close()
-			return nil, err
+			return nil, perr
 		}
-	} else if pageSize == 0 {
+	}
+	if pageSize == 0 {
 		pageSize = DefaultPageSize
 	}
 	if !validPageSize(pageSize) {
-		f.Close()
 		return nil, fmt.Errorf("minisql: invalid page size %d (want a power of two in [%d, %d])", pageSize, MinPageSize, MaxPageSize)
 	}
+	// A name is durable only once its directory is synced, and no commit may
+	// be acknowledged into a file a power cut could unname: sync when this
+	// call created a file, and before initializing — a run killed during its
+	// first commit leaves files behind that its own sync may not have covered.
+	if created || walCreated || !existing {
+		if err := syncDir(open, dir); err != nil {
+			return nil, fmt.Errorf("minisql: syncing database dir: %w", err)
+		}
+	}
 
-	walIdx, _, err := replayPageWAL(walPath, pageSize)
+	walIdx, walEnd, err := replayPageWAL(wf, pageSize)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	wal, err := openPageWAL(walPath, pageSize)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	wal.hook = hook
-
 	pg := &pager{
 		pageSize:        pageSize,
 		cacheCap:        cachePages,
 		file:            f,
-		wal:             wal,
+		wal:             &pageWAL{f: wf, size: walEnd},
 		walIdx:          walIdx,
 		sealed:          map[uint32]sealedImg{},
-		walBytes:        wal.size,
+		walBytes:        walEnd,
 		cache:           map[uint32]*page{},
 		dirty:           map[uint32]*page{},
 		txUndo:          map[uint32][]byte{},
 		stmtUndo:        map[uint32]stmtImage{},
 		checkpointBytes: checkpointBytes,
-		hook:            hook,
 	}
 	if !existing {
 		if err := pg.initFresh(); err != nil {
-			pg.closeFiles()
 			return nil, err
 		}
 		return pg, nil
@@ -323,7 +323,6 @@ func openFilePager(dataPath, walPath string, pageSize, cachePages int, checkpoin
 	// Committed page count comes from the recovered meta page.
 	meta, err := pg.get(0)
 	if err != nil {
-		pg.closeFiles()
 		return nil, fmt.Errorf("minisql: recovering meta page: %w", err)
 	}
 	pg.committedNPages = metaGetNPages(meta.buf)
@@ -334,7 +333,7 @@ func openFilePager(dataPath, walPath string, pageSize, cachePages int, checkpoin
 // probePageSize reads the page size from the meta page: from the data file
 // when it has one, otherwise from the newest committed meta image in the
 // WAL (tried at the hinted size first, then all supported sizes).
-func probePageSize(f *os.File, walPath string, hint int) (int, error) {
+func probePageSize(f, wal file, hint int) (int, error) {
 	var head [metaCatalogOff + 4]byte
 	if n, _ := f.ReadAt(head[:], 0); n == len(head) && head[0] == pageMeta && string(head[metaMagicOff:metaMagicOff+4]) == metaMagic {
 		ps := metaGetPageSize(head[:])
@@ -351,22 +350,16 @@ func probePageSize(f *os.File, walPath string, hint int) (int, error) {
 		if !validPageSize(ps) {
 			continue
 		}
-		idx, _, err := replayPageWAL(walPath, ps)
-		if err != nil {
-			continue
+		idx, _, err := replayPageWAL(wal, ps)
+		if errors.Is(err, errBeforeImages) {
+			return 0, err // the first record's flag sits at the same offset whatever the page size
 		}
 		off, ok := idx[0]
-		if !ok {
+		if err != nil || !ok {
 			continue
 		}
 		buf := make([]byte, ps)
-		wf, err := os.Open(walPath)
-		if err != nil {
-			return 0, err
-		}
-		_, rerr := wf.ReadAt(buf, off)
-		wf.Close()
-		if rerr != nil || !verifyCRC(buf) || buf[0] != pageMeta {
+		if _, err := wal.ReadAt(buf, off); err != nil || !verifyCRC(buf) || buf[0] != pageMeta {
 			continue
 		}
 		if got := metaGetPageSize(buf); got == ps {
@@ -396,16 +389,13 @@ func (pg *pager) initFresh() error {
 	pg.dirty[1] = cat
 	pg.txUndo[1] = nil
 	pg.mu.Unlock()
-	return pg.commit()
-}
-
-func (pg *pager) closeFiles() {
-	if pg.file != nil {
-		pg.file.Close()
+	if pg.mem != nil {
+		pg.commitMem()
+		return nil
 	}
-	if pg.wal != nil {
-		pg.wal.close()
-	}
+	// Nothing else can have sealed yet, so the pipeline is not needed to
+	// order this commit: a group of one, led from here.
+	return pg.commitGroup([]*commitBatch{pg.seal(0)})
 }
 
 // --- LRU list of evictable pages ---
@@ -839,77 +829,31 @@ func (pg *pager) rollbackAll() {
 	pg.evictDownTo(pg.cacheCap)
 }
 
-// commit makes the current dirty set durable: one WAL batch of after
-// images plus one fsync for file-backed databases, a plain copy for
-// in-memory ones. On success the dirty pages become clean cache entries;
-// on failure the caller is expected to rollbackAll.
-func (pg *pager) commit() error {
+// commitMem commits the current dirty set of an in-memory database: a plain
+// copy into the committed array, which cannot fail. File-backed databases
+// commit through seal and commitGroup (groupcommit.go).
+func (pg *pager) commitMem() {
 	pg.mu.Lock()
-	if len(pg.dirty) == 0 {
-		pg.finishCommitLocked(nil)
-		pg.mu.Unlock()
-		return nil
-	}
-
+	defer pg.mu.Unlock()
 	ids := make([]uint32, 0, len(pg.dirty))
 	for id := range pg.dirty {
 		ids = append(ids, id)
 	}
 	sortUint32(ids)
-
-	if pg.mem != nil {
-		for _, id := range ids {
-			p := pg.dirty[id]
-			stampCRC(p.buf)
-			if int(id) >= len(pg.mem) {
-				grown := make([][]byte, id+1)
-				copy(grown, pg.mem)
-				pg.mem = grown
-			}
-			if pg.mem[id] == nil {
-				pg.mem[id] = make([]byte, pg.pageSize) // the page's permanent home, not a transient buffer
-			}
-			copy(pg.mem[id], p.buf)
-		}
-		pg.finishCommitLocked(ids)
-		pg.mu.Unlock()
-		return nil
-	}
-
-	recs := make([]walRecord, 0, len(ids))
 	for _, id := range ids {
 		p := pg.dirty[id]
 		stampCRC(p.buf)
-		recs = append(recs, walRecord{id: id, after: p.buf})
-	}
-	pg.mu.Unlock()
-
-	if pg.hook != nil {
-		if err := pg.hook("commit-begin"); err != nil {
-			return err
+		if int(id) >= len(pg.mem) {
+			grown := make([][]byte, id+1)
+			copy(grown, pg.mem)
+			pg.mem = grown
 		}
-	}
-	offsets, err := pg.wal.appendBatch(recs)
-	if err != nil {
-		return fmt.Errorf("minisql: commit: %w", err)
-	}
-
-	pg.mu.Lock()
-	for i, r := range recs {
-		pg.walIdx[r.id] = offsets[i]
+		if pg.mem[id] == nil {
+			pg.mem[id] = make([]byte, pg.pageSize) // the page's permanent home, not a transient buffer
+		}
+		copy(pg.mem[id], p.buf)
 	}
 	pg.finishCommitLocked(ids)
-	pg.walFsyncs++
-	walSize := pg.wal.size
-	pg.walBytes = walSize
-	pg.mu.Unlock()
-
-	if pg.checkpointBytes > 0 && walSize > pg.checkpointBytes {
-		if err := pg.checkpoint(); err != nil {
-			return fmt.Errorf("minisql: checkpoint: %w", err)
-		}
-	}
-	return nil
 }
 
 // finishCommitLocked flips the committed dirty pages to clean and returns
@@ -975,17 +919,7 @@ func (pg *pager) checkpoint() error {
 			}
 			src = buf
 		}
-		if pg.hook != nil {
-			if err := pg.hook("checkpoint-write"); err != nil {
-				return err
-			}
-		}
 		if _, err := pg.file.WriteAt(src, int64(id)*int64(pg.pageSize)); err != nil {
-			return err
-		}
-	}
-	if pg.hook != nil {
-		if err := pg.hook("checkpoint-sync"); err != nil {
 			return err
 		}
 	}

@@ -3,11 +3,12 @@ package minisql
 import (
 	"context"
 	"database/sql"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -29,45 +30,45 @@ func walTestImage(ps int, seed byte) []byte {
 // later commit.
 func TestWALAppendFailureKeepsLogReplayable(t *testing.T) {
 	const ps = 1024
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := openPageWAL(path, ps)
+	d := &faultDisk{}
+	f, _, err := openOrCreate(d.open, filepath.Join(t.TempDir(), walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := l.appendBatch([]walRecord{{id: 1, after: walTestImage(ps, 1)}}); err != nil {
-		t.Fatal(err)
+	l := &pageWAL{f: f}
+	appendBatch := func(ids ...uint32) error {
+		recs := make([]walRecord, len(ids))
+		for i, id := range ids {
+			recs[i] = walRecord{id: id, after: walTestImage(ps, byte(id))}
+		}
+		_, err := l.appendGroup([][]walRecord{recs})
+		return err
 	}
 
-	records := 0
-	l.hook = func(event string) error {
-		if event == "wal-record" {
-			records++
-			if records == 2 {
-				return fmt.Errorf("injected wal failure")
+	if err := appendBatch(1); err != nil {
+		t.Fatal(err)
+	}
+	images := 0
+	d.setFault(func(op diskOp) (int, error) {
+		if op.kind == opWrite && len(op.data) == ps {
+			if images++; images == 2 {
+				return 0, fmt.Errorf("injected wal failure")
 			}
 		}
-		return nil
-	}
-	if _, err := l.appendBatch([]walRecord{
-		{id: 2, after: walTestImage(ps, 2)},
-		{id: 3, after: walTestImage(ps, 3)},
-	}); err == nil {
+		return 0, nil
+	})
+	if err := appendBatch(2, 3); err == nil {
 		t.Fatal("want injected append failure")
 	}
-	l.hook = nil
-
-	if _, err := l.appendBatch([]walRecord{{id: 4, after: walTestImage(ps, 4)}}); err != nil {
+	d.setFault(nil)
+	if err := appendBatch(4); err != nil {
 		t.Fatalf("append after failed append: %v", err)
 	}
-	if st, err := os.Stat(path); err != nil || st.Size() != l.size {
-		t.Fatalf("file size %v / err %v, tracked size %d", st, err, l.size)
-	}
-	if err := l.close(); err != nil {
-		t.Fatal(err)
+	if size, err := f.Size(); err != nil || size != l.size {
+		t.Fatalf("file size %d / err %v, tracked size %d", size, err, l.size)
 	}
 
-	idx, _, err := replayPageWAL(path, ps)
+	idx, end, err := replayPageWAL(f, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,60 +81,80 @@ func TestWALAppendFailureKeepsLogReplayable(t *testing.T) {
 	if _, ok := idx[2]; ok {
 		t.Fatalf("failed batch leaked into replay: %v", idx)
 	}
+	if end != l.size {
+		t.Fatalf("replay ends at %d, the log at %d", end, l.size)
+	}
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCommitAfterFailedCommitSurvivesCrash drives the same scenario end to
 // end: a commit fails at the WAL layer, a later commit succeeds, the
-// process "crashes" (the files are copied without a clean Close), and
-// recovery must still see the later commit.
+// process "crashes" (the files are copied without a clean Close, which would
+// checkpoint and mask WAL replay), and recovery must still see the later
+// commit. In the second variant the disk fills mid-image and the truncate
+// that should drop the partial batch fails too, so the log is left longer
+// than its replayable prefix and the next batch has to re-cut it first.
 func TestCommitAfterFailedCommitSurvivesCrash(t *testing.T) {
+	t.Run("write fails", func(t *testing.T) { testCommitAfterFailedCommit(t, 0, false) })
+	t.Run("short write and failed rewind", func(t *testing.T) { testCommitAfterFailedCommit(t, DefaultPageSize/2, true) })
+}
+
+func testCommitAfterFailedCommit(t *testing.T, short int, failRewind bool) {
 	dir := t.TempDir()
-	fail := false
-	db, err := Open(dir, Options{hook: func(event string) error {
-		if fail && event == "wal-record" {
-			return fmt.Errorf("injected wal failure")
-		}
-		return nil
-	}})
+	d := &faultDisk{}
+	db, err := Open(dir, Options{open: d.open})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	poisonBufs(db.pg)
 
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'first')`)
-	fail = true
-	if _, err := db.Exec(`INSERT INTO t VALUES (2, 'lost')`); err == nil {
-		t.Fatal("want commit failure")
+	wrote := false
+	d.setFault(func(op diskOp) (int, error) {
+		switch {
+		case op.file != walFile:
+		case op.kind == opWrite && len(op.data) == DefaultPageSize && !wrote:
+			wrote = true
+			return short, fmt.Errorf("injected wal failure: %w", syscall.ENOSPC)
+		case op.kind == opTruncate && failRewind:
+			return 0, fmt.Errorf("injected truncate failure")
+		}
+		return 0, nil
+	})
+	if _, err := db.Exec(`INSERT INTO t VALUES (2, 'lost')`); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("commit on a full disk: err = %v, want the injected ENOSPC", err)
 	}
-	fail = false
+	d.setFault(nil)
 	if res := mustQuery(t, db, `SELECT id FROM t ORDER BY id`); len(res.Rows) != 1 {
 		t.Fatalf("failed commit not rolled back: %v", flat(res))
 	}
+	frontier := db.pg.wal.size
+	if size, err := db.pg.wal.f.Size(); err != nil || (size != frontier) != failRewind {
+		t.Fatalf("after the failed commit the log is %d bytes (err %v) and replayable to %d", size, err, frontier)
+	}
 	mustExec(t, db, `INSERT INTO t VALUES (3, 'second')`)
+	if failRewind {
+		// The re-cut is the one truncate that went through.
+		var cuts []int64
+		for _, op := range d.recorded() {
+			if op.file == walFile && op.kind == opTruncate {
+				cuts = append(cuts, op.off)
+			}
+		}
+		if len(cuts) != 1 || cuts[0] != frontier {
+			t.Fatalf("log truncated at %v, want one re-cut at %d", cuts, frontier)
+		}
+	}
 
-	// Crash: copy the on-disk state without closing (Close would checkpoint
-	// and mask WAL replay, the path the original bug broke).
-	dir2 := t.TempDir()
-	for _, f := range []string{"data.db", "wal.log"} {
-		b, err := os.ReadFile(filepath.Join(dir, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir2, f), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db2, err := Open(dir2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
+	db2 := mustReopen(t, crashCopy(t, dir))
 	if err := db2.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	res := mustQuery(t, db2, `SELECT id, v FROM t ORDER BY id`)
-	if got := flat(res); got != "1,first|3,second" {
+	if got := flat(mustQuery(t, db2, `SELECT id, v FROM t ORDER BY id`)); got != "1,first|3,second" {
 		t.Fatalf("recovered %q, want %q", got, "1,first|3,second")
 	}
 }

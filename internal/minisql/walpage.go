@@ -2,28 +2,26 @@ package minisql
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 )
 
 // The write-ahead log carries page images instead of SQL text: each commit
 // appends one batch of the transaction's dirty pages — the after image of
-// each page — framed by a header and a commit marker, then fsyncs. That
-// single fsync is the costly commit the paper measures for SQL-store
+// each page — framed by a header and a commit marker, and the group's leader
+// fsyncs. That fsync is the costly commit the paper measures for SQL-store
 // writes; reads never touch the log except through the recovery index.
 //
 // The log is redo-only: rollback is served entirely from the pager's
 // in-memory first-touch images (txUndo), so writing before images to disk
 // would double the bytes behind every fsync for nothing — on a
-// bandwidth-bound group commit that halves throughput. The record header
-// keeps the hasBefore flag so replay still crosses logs written by builds
-// that did log before images; new batches always write it as 0.
+// bandwidth-bound group commit that halves throughput.
 //
 // Batch framing:
 //
 //	0xB1 | u32 pageCount | pageCount × record | 0xC1 | u32 crc
-//	record: u32 pageID | u8 hasBefore | [before image] | after image
+//	record: u32 pageID | u8 0 | after image
 //
 // The trailing crc covers each record's (pageID, after-image CRC) pairs, so
 // a batch is committed only when its marker and every image checksum are
@@ -34,69 +32,38 @@ const (
 	walCommitMarker = 0xC1
 )
 
+// errBeforeImages refuses a log whose records carry before images: the record
+// flag byte has been zero since the log became redo-only, and reading such a
+// record as a torn tail would silently drop its commit and every later one.
+var errBeforeImages = errors.New("minisql: log written by a build that logged before images")
+
 // walRecord is one page in a commit batch.
 type walRecord struct {
 	id    uint32
 	after []byte // CRC already stamped
 }
 
+// pageWAL appends to the log file. size is the replay frontier: the end of
+// the last batch a recovery scan would accept, and where the next one goes.
 type pageWAL struct {
-	f        *os.File
-	path     string
-	pageSize int
-	size     int64
-	hook     func(event string) error // crash-injection test hook
+	f    file
+	size int64
+	// frame is scratch for the 5-byte headers and the commit marker. A local
+	// array handed to an interface method moves to the heap, three objects a
+	// batch; the log already lives there and appends are serialised by
+	// pipeline leadership.
+	frame [5]byte
 }
 
-func openPageWAL(path string, pageSize int) (*pageWAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("minisql: opening wal: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &pageWAL{f: f, path: path, pageSize: pageSize, size: st.Size()}, nil
-}
-
-func (l *pageWAL) fire(event string) error {
-	if l.hook != nil {
-		return l.hook(event)
-	}
-	return nil
-}
-
-// appendBatch writes one commit batch and fsyncs (the serial commit path).
-// On success it returns the file offset of each record's after image, in
-// record order. On any error it truncates the log back to its pre-batch size
-// so a failed commit cannot shadow later ones, and reports the original
-// error.
-func (l *pageWAL) appendBatch(recs []walRecord) ([]int64, error) {
-	start := l.size
-	offsets, err := l.writeFrames(recs)
-	if err == nil {
-		if err = l.fire("wal-sync"); err == nil {
-			err = l.f.Sync()
-		}
-	}
-	if err != nil {
-		l.rewind(start)
-		return nil, err
-	}
-	return offsets, nil
-}
-
-// appendGroup writes several commit batches contiguously, in slice order,
-// and makes all of them durable with a single fsync — the group-commit path.
-// The per-batch framing is identical to appendBatch's, so recovery replays a
-// group exactly as it would the same batches committed one at a time; the
+// appendGroup writes the group's commit batches contiguously, in slice
+// order, and makes all of them durable with a single fsync. It returns the
+// file offset of each record's after image, per batch in record order. The
 // append order is the seal order, which keeps the recovered state a strict
 // prefix of the commit sequence. On any error (including a failed sync) the
 // log is truncated back to the group start: a group becomes durable as a
 // whole or not at all, so a later batch's full-page images can never smuggle
-// in state from an earlier batch that failed to persist.
+// in state from an earlier batch that failed to persist — and a failed fsync
+// is never retried over the same dirty bytes; the next group rewrites them.
 func (l *pageWAL) appendGroup(batches [][]walRecord) ([][]int64, error) {
 	start := l.size
 	all := make([][]int64, 0, len(batches))
@@ -107,10 +74,6 @@ func (l *pageWAL) appendGroup(batches [][]walRecord) ([][]int64, error) {
 			return nil, err
 		}
 		all = append(all, offsets)
-	}
-	if err := l.fire("group-sync"); err != nil {
-		l.rewind(start)
-		return nil, err
 	}
 	if err := l.f.Sync(); err != nil {
 		l.rewind(start)
@@ -127,40 +90,34 @@ func (l *pageWAL) appendGroup(batches [][]walRecord) ([][]int64, error) {
 func (l *pageWAL) rewind(start int64) {
 	l.size = start
 	_ = l.f.Truncate(start)
-	_, _ = l.f.Seek(start, io.SeekStart)
 }
 
 // writeFrames writes one batch's framing (header, records, commit marker)
-// without syncing; the caller decides whether the fsync covers one batch or
-// a whole group.
+// without syncing; the fsync covers the whole group.
 func (l *pageWAL) writeFrames(recs []walRecord) ([]int64, error) {
 	// A failed append truncates back to l.size, but if that truncation
-	// errored the file is longer than l.size and replay would stop at the
-	// partial garbage. Verify and re-cut before writing: a batch must never
-	// be written beyond a byte the replay scan cannot cross.
-	if st, err := l.f.Stat(); err != nil {
+	// errored — or recovery stopped at a torn tail — the file is longer than
+	// l.size and replay would stop at the partial garbage. Verify and re-cut
+	// before writing: a batch must never be written beyond a byte the replay
+	// scan cannot cross.
+	if size, err := l.f.Size(); err != nil {
 		return nil, err
-	} else if st.Size() != l.size {
+	} else if size != l.size {
 		if err := l.f.Truncate(l.size); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := l.f.Seek(l.size, io.SeekStart); err != nil {
-		return nil, err
-	}
-	var hdr [5]byte
-	hdr[0] = walBatchStart
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(recs)))
-	if err := l.writeAll(hdr[:]); err != nil {
+	l.frame[0] = walBatchStart
+	binary.BigEndian.PutUint32(l.frame[1:], uint32(len(recs)))
+	if err := l.writeAll(l.frame[:]); err != nil {
 		return nil, err
 	}
 	crc := newBatchCRC()
 	offsets := make([]int64, len(recs))
 	for i, r := range recs {
-		var rh [5]byte
-		binary.BigEndian.PutUint32(rh[:4], r.id)
-		// rh[4] (hasBefore) stays 0: the log is redo-only.
-		if err := l.writeAll(rh[:]); err != nil {
+		binary.BigEndian.PutUint32(l.frame[:4], r.id)
+		l.frame[4] = 0 // no before image: the log is redo-only
+		if err := l.writeAll(l.frame[:]); err != nil {
 			return nil, err
 		}
 		offsets[i] = l.size
@@ -168,24 +125,17 @@ func (l *pageWAL) writeFrames(recs []walRecord) ([]int64, error) {
 			return nil, err
 		}
 		crc.add(r.id, binary.BigEndian.Uint32(r.after[9:13]))
-		if err := l.fire("wal-record"); err != nil {
-			return nil, err
-		}
 	}
-	var mk [5]byte
-	mk[0] = walCommitMarker
-	binary.BigEndian.PutUint32(mk[1:], crc.sum())
-	if err := l.fire("wal-marker"); err != nil {
-		return nil, err
-	}
-	if err := l.writeAll(mk[:]); err != nil {
+	l.frame[0] = walCommitMarker
+	binary.BigEndian.PutUint32(l.frame[1:], crc.sum())
+	if err := l.writeAll(l.frame[:]); err != nil {
 		return nil, err
 	}
 	return offsets, nil
 }
 
 func (l *pageWAL) writeAll(b []byte) error {
-	n, err := l.f.Write(b)
+	n, err := l.f.WriteAt(b, l.size)
 	l.size += int64(n)
 	return err
 }
@@ -204,13 +154,7 @@ func (l *pageWAL) readImage(off int64, buf []byte) error {
 
 // truncate resets the log after a checkpoint.
 func (l *pageWAL) truncate() error {
-	if err := l.fire("wal-truncate"); err != nil {
-		return err
-	}
 	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
 	l.size = 0
@@ -219,81 +163,77 @@ func (l *pageWAL) truncate() error {
 
 func (l *pageWAL) close() error { return l.f.Close() }
 
-// replayPageWAL scans the log and returns, for every page with at least one
-// committed image, the offset of its newest committed after image. A torn
-// or corrupt tail (the expected state after a crash) ends the scan
-// silently; everything before it is intact, everything after is discarded.
-func replayPageWAL(path string, pageSize int) (map[uint32]int64, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[uint32]int64{}, 0, nil
-		}
-		return nil, 0, err
-	}
-	defer f.Close()
+// walScan reads the log front to back during recovery.
+type walScan struct {
+	f   file
+	pos int64
+	err error // a read that failed for another reason than the log ending
+}
 
+// read fills b from the scan position and reports whether all of it was there.
+func (s *walScan) read(b []byte) bool {
+	n, err := s.f.ReadAt(b, s.pos)
+	s.pos += int64(n)
+	if n == len(b) {
+		return true
+	}
+	if err != io.EOF {
+		s.err = err
+	}
+	return false
+}
+
+// replayPageWAL scans the log and returns, for every page with at least one
+// committed image, the offset of its newest committed after image, and the
+// offset the last committed batch ends at. A torn or corrupt tail (the
+// expected state after a crash) ends the scan silently; everything before it
+// is intact, everything after is discarded.
+func replayPageWAL(f file, pageSize int) (map[uint32]int64, int64, error) {
 	idx := map[uint32]int64{}
-	var off int64
-	img := make([]byte, pageSize)
+	var (
+		s     = walScan{f: f}
+		end   int64 // of the last committed batch
+		frame [5]byte
+		img   = make([]byte, pageSize)
+	)
 	for {
-		batch := map[uint32]int64{}
-		var hdr [5]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return idx, off, nil
+		if !s.read(frame[:]) || frame[0] != walBatchStart {
+			return idx, end, s.err
 		}
-		pos := off + 5
-		if hdr[0] != walBatchStart {
-			return idx, off, nil
-		}
-		n := binary.BigEndian.Uint32(hdr[1:])
+		n := binary.BigEndian.Uint32(frame[1:])
 		if n == 0 || n > 1<<24 {
-			return idx, off, nil
+			return idx, end, nil
 		}
+		batch := map[uint32]int64{}
 		crc := newBatchCRC()
-		ok := true
 		for i := uint32(0); i < n; i++ {
-			var rh [5]byte
-			if _, err := io.ReadFull(f, rh[:]); err != nil {
-				return idx, off, nil
+			if !s.read(frame[:]) {
+				return idx, end, s.err
 			}
-			pos += 5
-			id := binary.BigEndian.Uint32(rh[:4])
-			if rh[4] == 1 {
-				// Skip the before image.
-				if _, err := io.ReadFull(f, img); err != nil {
-					return idx, off, nil
+			if frame[4] != 0 {
+				// Not a record this build writes. With a checksummed page
+				// behind it the framing is intact and the page is a before
+				// image; garbage that merely lands here is a torn tail.
+				if s.read(img) && verifyCRC(img) {
+					return nil, 0, errBeforeImages
 				}
-				pos += int64(pageSize)
+				return idx, end, s.err
 			}
-			afterOff := pos
-			if _, err := io.ReadFull(f, img); err != nil {
-				return idx, off, nil
-			}
-			pos += int64(pageSize)
-			if !verifyCRC(img) {
-				ok = false
-				break
+			id := binary.BigEndian.Uint32(frame[:4])
+			batch[id] = s.pos
+			if !s.read(img) || !verifyCRC(img) {
+				return idx, end, s.err
 			}
 			crc.add(id, binary.BigEndian.Uint32(img[9:13]))
-			batch[id] = afterOff
 		}
-		if !ok {
-			return idx, off, nil
-		}
-		var mk [5]byte
-		if _, err := io.ReadFull(f, mk[:]); err != nil {
-			return idx, off, nil
-		}
-		pos += 5
-		if mk[0] != walCommitMarker || binary.BigEndian.Uint32(mk[1:]) != crc.sum() {
-			return idx, off, nil
+		if !s.read(frame[:]) || frame[0] != walCommitMarker || binary.BigEndian.Uint32(frame[1:]) != crc.sum() {
+			return idx, end, s.err
 		}
 		// Batch committed: fold it in.
 		for id, o := range batch {
 			idx[id] = o
 		}
-		off = pos
+		end = s.pos
 	}
 }
 
