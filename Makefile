@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash allocs metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -79,6 +79,22 @@ crash:
 		echo 'crash: the -run pattern matched no test' >&2; \
 		exit 1; \
 	fi; \
+	exit $$status
+
+# The allocation guards of the request path, by name: they skip under -race
+# and a renamed or skipped guard passes `go test`, so each one must show up as
+# a PASS line. The one list to edit when a guard is added.
+ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGuardFileCommit \
+	TestAllocGuardKVStoreGetPut TestPreparedExecutionAllocs TestAllocGuardClusterGetPut \
+	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
+	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet
+allocs:
+	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
+		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor 2>&1); status=$$?; \
+	echo "$$out"; \
+	for t in $(ALLOC_GUARDS); do \
+		echo "$$out" | grep -q -- "--- PASS: $$t" || { echo "allocs: $$t did not pass (skipped, renamed or failed)" >&2; status=1; }; \
+	done; \
 	exit $$status
 
 bench:

@@ -25,6 +25,14 @@ type btree struct {
 	snap        bool // read-only view over the last-committed snapshot
 }
 
+// moveRoot records a split's or collapse's new root, for the handle's owner
+// to persist, and tells the statement that there is a root to persist at all.
+func (b *btree) moveRoot(id uint32) {
+	b.root = id
+	b.rootChanged = true
+	b.pg.rootMoved = true
+}
+
 // maxKeyLen bounds B-tree keys so interior pages always hold several cells.
 func maxKeyLen(pageSize int) int { return pageSize / 8 }
 
@@ -228,8 +236,10 @@ func interiorSearch(p *page, key []byte) (int, error) {
 
 // --- point lookup ---
 
-// get returns a copy of the value stored under key.
-func (b *btree) get(key []byte) ([]byte, bool, error) {
+// get returns a copy of the value stored under key: in buf when it fits
+// there, freshly allocated otherwise (always, for a nil buf). Neither key nor
+// buf is retained, so both may live in the caller's frame.
+func (b *btree) get(key, buf []byte) ([]byte, bool, error) {
 	id := b.root
 	for {
 		p, err := b.fetch(id)
@@ -260,7 +270,7 @@ func (b *btree) get(key []byte) ([]byte, bool, error) {
 				b.pg.unpin(p)
 				return nil, false, err
 			}
-			val, err := b.readCellValue(c)
+			val, err := b.readCellValue(c, buf)
 			b.pg.unpin(p)
 			return val, err == nil, err
 		default:
@@ -270,9 +280,13 @@ func (b *btree) get(key []byte) ([]byte, bool, error) {
 	}
 }
 
-// readCellValue materializes a cell's full value (inline + overflow chain).
-func (b *btree) readCellValue(c leafCell) ([]byte, error) {
-	out := make([]byte, 0, c.valTotal)
+// readCellValue materializes a cell's full value (inline + overflow chain)
+// as a copy the caller owns, placed as get describes.
+func (b *btree) readCellValue(c leafCell, buf []byte) ([]byte, error) {
+	out := buf[:0]
+	if cap(out) < c.valTotal {
+		out = make([]byte, 0, c.valTotal)
+	}
 	out = append(out, c.inline...)
 	id := c.overflow
 	for id != 0 {
@@ -378,8 +392,7 @@ func (b *btree) insert(key, val []byte) error {
 		b.pg.unpin(r)
 		return fmt.Errorf("minisql: new root does not fit two cells")
 	}
-	b.root = r.id
-	b.rootChanged = true
+	b.moveRoot(r.id)
 	b.pg.unpin(r)
 	return nil
 }
@@ -502,7 +515,10 @@ func (b *btree) leafInsert(p *page, key, val []byte) (*splitRes, error) {
 	}
 	ents = ents[:len(ents)+1]
 	copy(ents[idx+1:], ents[idx:])
-	ents[idx] = ent
+	// The entry list is on the heap: it takes a copy, so that key and val are
+	// not retained and callers can keep building them in their own frames.
+	own := append(append(make([]byte, 0, len(key)+len(ent.inline)), key...), ent.inline...)
+	ents[idx] = leafEntry{key: own[:len(key):len(key)], inline: own[len(key):], valTotal: ent.valTotal, overflow: ent.overflow}
 	mid := splitPointLeaf(ents)
 	np, err := b.pg.alloc(pageLeaf)
 	if err != nil {
@@ -581,8 +597,7 @@ func (b *btree) delete(key []byte) (bool, error) {
 			return false, err
 		}
 		old := b.root
-		b.root = c.child
-		b.rootChanged = true
+		b.moveRoot(c.child)
 		if err := b.pg.free(old); err != nil {
 			return false, err
 		}
@@ -965,7 +980,7 @@ func (c *cursor) value() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.b.readCellValue(cell)
+	return c.b.readCellValue(cell, nil)
 }
 
 // next advances to the following key, hopping leaves via the sibling chain.

@@ -51,7 +51,7 @@ func (db *Database) catalogGet(name string) (*catRecord, bool, error) {
 // catalogLookup reads one table's record out of the given catalog tree
 // (live or snapshot).
 func catalogLookup(cat *btree, name string) (*catRecord, bool, error) {
-	raw, found, err := cat.get([]byte(name))
+	raw, found, err := cat.get([]byte(name), nil)
 	if err != nil || !found {
 		return nil, false, err
 	}

@@ -329,11 +329,12 @@ func (db *Database) tableForRead(name string, snap bool) (*table, error) {
 func (db *Database) applyStmtLocked(stmt Stmt, params []Value) (int, error) {
 	db.pg.beginStmt()
 	n, err := db.apply(stmt, params)
-	if err == nil {
+	if err == nil && db.pg.rootMoved {
 		err = db.persistRootsLocked()
 	}
 	if err != nil {
 		db.pg.rollbackStmt()
+		db.pg.rootMoved = false
 		db.invalidateHandles()
 		return 0, err
 	}
@@ -342,8 +343,9 @@ func (db *Database) applyStmtLocked(stmt Stmt, params []Value) (int, error) {
 }
 
 // persistRootsLocked writes catalog records for tables whose tree roots
-// moved during the statement.
+// moved during the statement. Only a statement that moved one comes here.
 func (db *Database) persistRootsLocked() error {
+	db.pg.rootMoved = false
 	db.handleMu.Lock()
 	handles := make([]*table, 0, len(db.tables))
 	for _, t := range db.tables {
@@ -666,8 +668,7 @@ func (db *Database) Close() error {
 	db.closed = true
 	if p := db.pipeline; p != nil {
 		p.mu.Lock()
-		group := p.queue
-		p.queue = nil
+		group := p.takeLocked()
 		p.mu.Unlock()
 		if len(group) > 0 {
 			// On failure the WAL is already truncated back to the durable

@@ -411,7 +411,10 @@ func namedValues(args []sqldriver.Value) []sqldriver.NamedValue {
 
 // rows adapts a materialized Result. The engine evaluates SELECTs eagerly
 // under the read lock (sorting and aggregation need the full set anyway), so
-// iteration here is pure cursor movement over copied values.
+// iteration here is pure cursor movement. The Result is this cursor's alone
+// and nothing writes it after the statement returned, so Next hands its BLOB
+// bytes to database/sql as they are: Scan makes the caller's copy, as its
+// contract says, and a second one here would only be dropped.
 type rows struct {
 	res *Result
 	i   int
@@ -437,7 +440,7 @@ func (r *rows) Next(dest []sqldriver.Value) error {
 		case KindText:
 			dest[i] = v.Str
 		case KindBlob:
-			dest[i] = append([]byte(nil), v.Bytes...)
+			dest[i] = v.Bytes
 		case KindBool:
 			dest[i] = v.Bool
 		default:

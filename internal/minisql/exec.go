@@ -140,52 +140,60 @@ func (db *Database) execInsert(s *InsertStmt, params []Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Map the statement's column list to declared positions.
-	positions := make([]int, 0, len(s.Cols))
-	if s.Cols == nil {
-		for i := range t.schema.Cols {
-			positions = append(positions, i)
-		}
-	} else {
-		for _, name := range s.Cols {
-			i, ok := t.colIdx[name]
+	// Map the statement's column list to declared positions; without a list
+	// the values come in declared order and positions stays nil.
+	width := len(t.schema.Cols)
+	var positions []int
+	if s.Cols != nil {
+		width = len(s.Cols)
+		positions = make([]int, width)
+		for i, name := range s.Cols {
+			pos, ok := t.colIdx[name]
 			if !ok {
 				return 0, fmt.Errorf("minisql: no column %q in table %q", name, s.Table)
 			}
-			positions = append(positions, i)
+			positions[i] = pos
 		}
 	}
+	env := rowEnv{params: params}
 	count := 0
 	for _, rowExprs := range s.Rows {
-		if len(rowExprs) != len(positions) {
-			return count, fmt.Errorf("minisql: INSERT has %d values for %d columns", len(rowExprs), len(positions))
+		if len(rowExprs) != width {
+			return count, fmt.Errorf("minisql: INSERT has %d values for %d columns", len(rowExprs), width)
 		}
 		vals := make([]Value, len(t.schema.Cols))
 		for i, e := range rowExprs {
-			v, err := evalExpr(e, &rowEnv{params: params})
+			v, err := evalExpr(e, &env)
 			if err != nil {
 				return count, err
 			}
-			vals[positions[i]] = v
+			if positions != nil {
+				i = positions[i]
+			}
+			vals[i] = v
 		}
-		vals, err := t.validate(vals)
-		if err != nil {
+		if err := t.validate(vals); err != nil {
 			return count, err
 		}
+		probed := noCol
 		if s.OrReplace && t.pkCol >= 0 {
-			id, exists, err := t.lookupUnique(t.pkCol, vals[t.pkCol])
+			// This probe is the only time the primary-key index is consulted,
+			// whichever way it comes out: it hands update the row it located
+			// and insert the column it found free.
+			probed = t.pkCol
+			id, exists, err := t.lookupUnique(probed, vals[probed])
 			if err != nil {
 				return count, err
 			}
 			if exists {
-				if err := t.update(id, vals); err != nil {
+				if err := t.update(id, nil, vals, probed); err != nil {
 					return count, err
 				}
 				count++
 				continue
 			}
 		}
-		if _, err := t.insert(vals); err != nil {
+		if _, err := t.insert(vals, probed); err != nil {
 			return count, err
 		}
 		count++
@@ -193,20 +201,17 @@ func (db *Database) execInsert(s *InsertStmt, params []Value) (int, error) {
 	return count, nil
 }
 
-// matchRows returns the rowids (and their rows) satisfying where, using a
-// unique or secondary index when the predicate is an equality on an indexed
-// column — the fast path KV-over-SQL reads take — and a primary-tree cursor
-// scan otherwise. label is the name the table is referenced by.
-func (db *Database) matchRows(t *table, label string, where Expr, params []Value) ([]int64, [][]Value, error) {
+// matchRows passes every (rowid, row) satisfying where to emit, rowid
+// ascending, using a unique or secondary index when the predicate is an
+// equality on an indexed column — the fast path KV-over-SQL reads take — and
+// a primary-tree cursor scan otherwise. label is the name the table is
+// referenced by. A scan holds its leaf pinned while emit runs, so emit
+// collects and must not write to the table.
+func (db *Database) matchRows(t *table, label string, where Expr, params []Value, emit func(id int64, row []Value) error) error {
 	if where == nil {
-		var ids []int64
-		var rows [][]Value
-		err := t.scanRows(func(id int64, row []Value) (bool, error) {
-			ids = append(ids, id)
-			rows = append(rows, row)
-			return true, nil
+		return t.scanRows(func(id int64, row []Value) (bool, error) {
+			return true, emit(id, row)
 		})
-		return ids, rows, err
 	}
 	// Index fast path: col = constant (or constant = col) on an indexed column,
 	// the constant being a literal or a bound '?' slot.
@@ -217,66 +222,61 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 		}
 		if ce, isCol := col.(*ColumnExpr); isCol && (ce.Table == "" || ce.Table == label) {
 			if val, isConst, err := constOperand(lit, params); err != nil {
-				return nil, nil, err
+				return err
 			} else if isConst {
 				if ci, ok := t.colIdx[ce.Name]; ok {
 					if _, indexed := t.indexes[ci]; indexed {
 						v, err := coerce(val, t.schema.Cols[ci].Type)
 						if err != nil {
-							return nil, nil, nil // type mismatch matches nothing
+							return nil // type mismatch matches nothing
 						}
 						id, found, err := t.lookupUnique(ci, v)
 						if err != nil || !found {
-							return nil, nil, err
+							return err
 						}
 						row, err := t.getRow(id)
 						if err != nil {
-							return nil, nil, err
+							return err
 						}
-						return []int64{id}, [][]Value{row}, nil
+						return emit(id, row)
 					}
 					if _, indexed := t.secIdx[ci]; indexed {
 						v, err := coerce(val, t.schema.Cols[ci].Type)
 						if err != nil || v.IsNull() {
-							return nil, nil, nil
+							return nil
 						}
 						ids, err := t.secLookup(ci, v)
 						if err != nil {
-							return nil, nil, err
+							return err
 						}
 						sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-						rows := make([][]Value, len(ids))
-						for i, id := range ids {
-							if rows[i], err = t.getRow(id); err != nil {
-								return nil, nil, err
+						for _, id := range ids {
+							row, err := t.getRow(id)
+							if err != nil {
+								return err
+							}
+							if err := emit(id, row); err != nil {
+								return err
 							}
 						}
-						return ids, rows, nil
+						return nil
 					}
 				}
 			}
 		}
 	}
-	sc := t.scopeAs(label)
-	var ids []int64
-	var rows [][]Value
-	var evalErr error
-	err := t.scanRows(func(id int64, row []Value) (bool, error) {
-		v, err := evalExpr(where, &rowEnv{sc: sc, row: row, params: params})
+	env := rowEnv{sc: t.scopeAs(label), params: params}
+	return t.scanRows(func(id int64, row []Value) (bool, error) {
+		env.row = row
+		v, err := evalExpr(where, &env)
 		if err != nil {
-			evalErr = err
-			return false, nil
+			return false, err
 		}
-		if truthy(v) {
-			ids = append(ids, id)
-			rows = append(rows, row)
+		if !truthy(v) {
+			return true, nil
 		}
-		return true, nil
+		return true, emit(id, row)
 	})
-	if evalErr != nil {
-		return nil, nil, evalErr
-	}
-	return ids, rows, err
 }
 
 // constOperand evaluates e when it is a literal or a '?' slot.
@@ -289,35 +289,49 @@ func constOperand(e Expr, params []Value) (v Value, isConst bool, err error) {
 	return Value{}, false, nil
 }
 
+// matchedRow is one row a WHERE clause selected for UPDATE or DELETE, which
+// collect their matches before writing (see matchRows).
+type matchedRow struct {
+	id  int64
+	row []Value
+}
+
+func (db *Database) collectMatches(t *table, label string, where Expr, params []Value) ([]matchedRow, error) {
+	var m []matchedRow
+	err := db.matchRows(t, label, where, params, func(id int64, row []Value) error {
+		m = append(m, matchedRow{id, row})
+		return nil
+	})
+	return m, err
+}
+
 func (db *Database) execUpdate(s *UpdateStmt, params []Value) (int, error) {
 	t, err := db.table(s.Table)
 	if err != nil {
 		return 0, err
 	}
-	ids, rows, err := db.matchRows(t, s.Table, s.Where, params)
+	matches, err := db.collectMatches(t, s.Table, s.Where, params)
 	if err != nil {
 		return 0, err
 	}
 	count := 0
-	for i, id := range ids {
-		old := rows[i]
-		next := append([]Value(nil), old...)
+	for _, m := range matches {
+		next := append([]Value(nil), m.row...)
 		for _, set := range s.Sets {
 			ci, ok := t.colIdx[set.Col]
 			if !ok {
 				return count, fmt.Errorf("minisql: no column %q in table %q", set.Col, s.Table)
 			}
-			v, err := evalExpr(set.Expr, &rowEnv{sc: t.defaultScope(), row: old, params: params})
+			v, err := evalExpr(set.Expr, &rowEnv{sc: t.defaultScope(), row: m.row, params: params})
 			if err != nil {
 				return count, err
 			}
 			next[ci] = v
 		}
-		next, err := t.validate(next)
-		if err != nil {
+		if err := t.validate(next); err != nil {
 			return count, err
 		}
-		if err := t.update(id, next); err != nil {
+		if err := t.update(m.id, m.row, next, noCol); err != nil {
 			return count, err
 		}
 		count++
@@ -330,22 +344,16 @@ func (db *Database) execDelete(s *DeleteStmt, params []Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ids, _, err := db.matchRows(t, s.Table, s.Where, params)
+	matches, err := db.collectMatches(t, s.Table, s.Where, params)
 	if err != nil {
 		return 0, err
 	}
-	for _, id := range ids {
-		if err := t.delete(id); err != nil {
+	for _, m := range matches {
+		if err := t.delete(m.id, m.row); err != nil {
 			return 0, err
 		}
 	}
-	return len(ids), nil
-}
-
-// sortableRow is one projected output row plus its ORDER BY keys.
-type sortableRow struct {
-	out  []Value
-	keys []Value
+	return len(matches), nil
 }
 
 // execSelect evaluates a SELECT. Caller holds db.mu (read or write). snap
@@ -361,7 +369,7 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Resul
 	// item contains an aggregate.
 	hasAgg := false
 	for _, item := range s.Items {
-		if len(collectAggs(item.Expr)) > 0 {
+		if len(appendAggs(nil, item.Expr)) > 0 {
 			hasAgg = true
 			break
 		}
@@ -375,11 +383,16 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Resul
 
 	cols := selectColumns(s, sc)
 
-	// Project, keeping the row around for ORDER BY keys.
-	out := make([]sortableRow, 0, len(rows))
-	for _, row := range rows {
-		env := &rowEnv{sc: sc, row: row, params: params}
-		var proj []Value
+	// Project each row where it stands — the gathered slice becomes the
+	// result's — keeping the source row around for its ORDER BY keys.
+	var keys [][]Value
+	if len(s.OrderBy) > 0 {
+		keys = make([][]Value, len(rows))
+	}
+	env := rowEnv{sc: sc, params: params}
+	for i, row := range rows {
+		env.row = row
+		proj := make([]Value, 0, len(cols))
 		for _, item := range s.Items {
 			if item.Star {
 				start, length, err := starRange(sc, item)
@@ -389,27 +402,26 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Resul
 				proj = append(proj, row[start:start+length]...)
 				continue
 			}
-			v, err := evalExpr(item.Expr, env)
+			v, err := evalExpr(item.Expr, &env)
 			if err != nil {
 				return nil, err
 			}
 			proj = append(proj, v)
 		}
-		var keys []Value
 		for _, k := range s.OrderBy {
-			v, err := orderKeyValue(k, proj, env, nil)
+			v, err := orderKeyValue(k, proj, &env, nil)
 			if err != nil {
 				return nil, err
 			}
-			keys = append(keys, v)
+			keys[i] = append(keys[i], v)
 		}
-		out = append(out, sortableRow{out: proj, keys: keys})
+		rows[i] = proj
 	}
-	return finishSelect(s, params, cols, out)
+	return finishSelect(s, params, cols, rows, keys)
 }
 
 // gatherRows materializes the FROM/JOIN clause and applies WHERE, returning
-// the combined scope and the surviving rows.
+// the combined scope and the surviving rows in a slice the caller owns.
 func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope, [][]Value, error) {
 	t, err := db.tableForRead(s.From.Name, snap)
 	if err != nil {
@@ -418,7 +430,11 @@ func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope
 
 	if len(s.Joins) == 0 {
 		// Single-table path keeps the index fast paths.
-		_, rows, err := db.matchRows(t, s.From.Label(), s.Where, params)
+		var rows [][]Value
+		err := db.matchRows(t, s.From.Label(), s.Where, params, func(_ int64, row []Value) error {
+			rows = append(rows, row)
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -508,7 +524,15 @@ func starRange(sc *scope, item SelectItem) (start, length int, err error) {
 
 // selectColumns derives the result header.
 func selectColumns(s *SelectStmt, sc *scope) []string {
-	var cols []string
+	n := 0
+	for _, item := range s.Items {
+		if item.Star {
+			n += len(sc.names) // an upper bound for a qualified star
+		} else {
+			n++
+		}
+	}
+	cols := make([]string, 0, n)
 	for _, item := range s.Items {
 		switch {
 		case item.Star && item.StarTable != "":
@@ -538,40 +562,33 @@ func selectColumns(s *SelectStmt, sc *scope) []string {
 }
 
 // finishSelect applies DISTINCT, ORDER BY, OFFSET, and LIMIT to projected
-// rows.
-func finishSelect(s *SelectStmt, params []Value, cols []string, rows []sortableRow) (*Result, error) {
+// rows; keys holds each row's ORDER BY keys and is nil without the clause.
+// The result takes rows over.
+func finishSelect(s *SelectStmt, params []Value, cols []string, rows, keys [][]Value) (*Result, error) {
 	if s.Distinct {
 		seen := make(map[string]bool, len(rows))
-		kept := rows[:0]
-		for _, r := range rows {
+		n := 0
+		for i, r := range rows {
 			key := ""
-			for _, v := range r.out {
+			for _, v := range r {
 				key += v.indexKey() + "\x00"
 			}
 			if !seen[key] {
 				seen[key] = true
-				kept = append(kept, r)
+				rows[n] = r
+				if keys != nil {
+					keys[n] = keys[i]
+				}
+				n++
 			}
 		}
-		rows = kept
+		rows = rows[:n]
 	}
 	if len(s.OrderBy) > 0 {
-		var sortErr error
-		sort.SliceStable(rows, func(i, j int) bool {
-			for k, key := range s.OrderBy {
-				a, b := rows[i].keys[k], rows[j].keys[k]
-				c := compareForSort(a, b, &sortErr)
-				if key.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
+		by := rowSorter{rows: rows, keys: keys[:len(rows)], order: s.OrderBy}
+		sort.Stable(&by)
+		if by.err != nil {
+			return nil, by.err
 		}
 	}
 
@@ -595,12 +612,35 @@ func finishSelect(s *SelectStmt, params []Value, cols []string, rows []sortableR
 	if end > len(rows) || end < offset {
 		end = len(rows)
 	}
+	return &Result{Columns: cols, Rows: rows[offset:end]}, nil
+}
 
-	res := &Result{Columns: cols}
-	for _, r := range rows[offset:end] {
-		res.Rows = append(res.Rows, r.out)
+// rowSorter orders projected rows by their ORDER BY keys, moving both
+// together.
+type rowSorter struct {
+	rows, keys [][]Value
+	order      []OrderKey
+	err        error // first comparison of incomparable values
+}
+
+func (r *rowSorter) Len() int { return len(r.rows) }
+
+func (r *rowSorter) Swap(i, j int) {
+	r.rows[i], r.rows[j] = r.rows[j], r.rows[i]
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
+}
+
+func (r *rowSorter) Less(i, j int) bool {
+	for k, key := range r.order {
+		c := compareForSort(r.keys[i][k], r.keys[j][k], &r.err)
+		if key.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c < 0
+		}
 	}
-	return res, nil
+	return false
 }
 
 // orderKeyValue evaluates one ORDER BY key for a projected row. A bare
@@ -638,36 +678,29 @@ func compareForSort(a, b Value, errOut *error) int {
 	return c
 }
 
-// collectAggs returns every aggregate node inside e.
-func collectAggs(e Expr) []*AggExpr {
-	var out []*AggExpr
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case *AggExpr:
-			out = append(out, n)
-		case *UnaryExpr:
-			walk(n.X)
-		case *BinaryExpr:
-			walk(n.L)
-			walk(n.R)
-		case *IsNullExpr:
-			walk(n.X)
-		case *InExpr:
-			walk(n.X)
-			for _, item := range n.List {
-				walk(item)
-			}
-		case *FuncExpr:
-			for _, a := range n.Args {
-				walk(a)
-			}
+// appendAggs appends every aggregate node inside e to dst; an expression
+// without one leaves dst as it was and allocates nothing.
+func appendAggs(dst []*AggExpr, e Expr) []*AggExpr {
+	switch n := e.(type) {
+	case *AggExpr:
+		dst = append(dst, n)
+	case *UnaryExpr:
+		dst = appendAggs(dst, n.X)
+	case *BinaryExpr:
+		dst = appendAggs(appendAggs(dst, n.L), n.R)
+	case *IsNullExpr:
+		dst = appendAggs(dst, n.X)
+	case *InExpr:
+		dst = appendAggs(dst, n.X)
+		for _, item := range n.List {
+			dst = appendAggs(dst, item)
+		}
+	case *FuncExpr:
+		for _, a := range n.Args {
+			dst = appendAggs(dst, a)
 		}
 	}
-	if e != nil {
-		walk(e)
-	}
-	return out
+	return dst
 }
 
 // rewriteAggs returns a copy of e with every aggregate node replaced by its
@@ -715,16 +748,16 @@ func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matche
 		if item.Star {
 			return nil, fmt.Errorf("minisql: SELECT * cannot be combined with GROUP BY or aggregates")
 		}
-		aggNodes = append(aggNodes, collectAggs(item.Expr)...)
+		aggNodes = appendAggs(aggNodes, item.Expr)
 	}
-	aggNodes = append(aggNodes, collectAggs(s.Having)...)
+	aggNodes = appendAggs(aggNodes, s.Having)
 	for _, k := range s.OrderBy {
-		aggNodes = append(aggNodes, collectAggs(k.Expr)...)
+		aggNodes = appendAggs(aggNodes, k.Expr)
 	}
 	if len(s.GroupBy) == 0 {
 		// Pure aggregate query: every item must contain an aggregate.
 		for _, item := range s.Items {
-			if len(collectAggs(item.Expr)) == 0 {
+			if len(appendAggs(nil, item.Expr)) == 0 {
 				return nil, fmt.Errorf("minisql: cannot mix aggregate and row expressions without GROUP BY")
 			}
 		}
@@ -781,7 +814,8 @@ func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matche
 	}
 
 	cols := selectColumns(s, sc)
-	rows := make([]sortableRow, 0, len(ordered))
+	rows := make([][]Value, 0, len(ordered))
+	var sortKeys [][]Value
 	for _, g := range ordered {
 		vals := make(map[*AggExpr]Value, len(aggNodes))
 		for _, a := range aggNodes {
@@ -812,15 +846,18 @@ func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matche
 			}
 			out = append(out, v)
 		}
-		var keys []Value
-		for _, k := range s.OrderBy {
-			v, err := orderKeyValue(k, out, env, vals)
-			if err != nil {
-				return nil, err
+		rows = append(rows, out)
+		if len(s.OrderBy) > 0 {
+			var keys []Value
+			for _, k := range s.OrderBy {
+				v, err := orderKeyValue(k, out, env, vals)
+				if err != nil {
+					return nil, err
+				}
+				keys = append(keys, v)
 			}
-			keys = append(keys, v)
+			sortKeys = append(sortKeys, keys)
 		}
-		rows = append(rows, sortableRow{out: out, keys: keys})
 	}
-	return finishSelect(s, params, cols, rows)
+	return finishSelect(s, params, cols, rows, sortKeys)
 }

@@ -1,8 +1,10 @@
 package minisql
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -58,9 +60,13 @@ var errTxAborted = errors.New("minisql: transaction aborted by a failed group co
 
 // commitBatch is one sealed transaction waiting in the commit queue.
 type commitBatch struct {
-	seq  uint64      // seal order; assigned under db.mu, so queue order == seq order
-	ids  []uint32    // pages in the batch (sorted)
-	recs []walRecord // staged WAL records; after images are pager buffers, handed back by commitGroup
+	seq uint64 // seal order; assigned under db.mu, so queue order == seq order
+	// recs are the staged WAL records, sorted by page. The after images are
+	// pager buffers, handed back by commitGroup. From the moment a leader takes
+	// the batch off the queue until it finishes it, the records are the
+	// leader's: appendGroup notes each image's offset in them.
+	recs []walRecord
+	few  [4]walRecord // backs recs for the usual one-to-four-page commit
 
 	// finished/err are guarded by the pipeline mutex; the committer waits on
 	// the pipeline condition variable until finished flips.
@@ -70,10 +76,17 @@ type commitBatch struct {
 
 // commitPipeline is the commit queue plus leader election. Lock order:
 // leadership (leading flag) ≺ db.mu ≺ pipeline.mu.
+//
+// Leadership is exclusive — one leader at a time, and Checkpoint and Close
+// borrow it — so what only the leader touches needs no allocation per group:
+// the batches it took are its own until finish, and the array it took them in
+// goes back to the queue (spare) when it is done with it, the queue growing
+// into one array while the leader drains the other.
 type commitPipeline struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // batch finished or leadership released
 	queue   []*commitBatch
+	spare   []*commitBatch // emptied array of the last finished group
 	leading bool
 }
 
@@ -89,6 +102,14 @@ func (p *commitPipeline) enqueue(b *commitBatch) {
 	p.mu.Lock()
 	p.queue = append(p.queue, b)
 	p.mu.Unlock()
+}
+
+// takeLocked hands the caller — the leader, holding p.mu — every queued batch
+// and leaves the queue empty over the spare array.
+func (p *commitPipeline) takeLocked() []*commitBatch {
+	group := p.queue
+	p.queue, p.spare = p.spare, nil
+	return group
 }
 
 // wait blocks until b's group commit completes, volunteering as leader
@@ -112,13 +133,16 @@ func (p *commitPipeline) wait(db *Database, b *commitBatch) error {
 	}
 }
 
-// finish marks a set of batches complete and wakes their committers.
+// finish marks a set of batches complete and wakes their committers. The
+// slice is the caller's to give: its array, emptied, is the queue's next.
 func (p *commitPipeline) finish(batches []*commitBatch, err error) {
 	p.mu.Lock()
-	for _, b := range batches {
+	for i, b := range batches {
 		b.err = err
 		b.finished = true
+		batches[i] = nil
 	}
+	p.spare = batches[:0]
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -137,8 +161,7 @@ func (db *Database) leadDrain() {
 			p.mu.Unlock()
 			return
 		}
-		group := p.queue
-		p.queue = nil
+		group := p.takeLocked()
 		p.mu.Unlock()
 
 		if err := db.pg.commitGroup(group); err != nil {
@@ -178,6 +201,8 @@ func (db *Database) failGroup(group []*commitBatch, cause error) {
 	p := db.pipeline
 	db.mu.Lock()
 	p.mu.Lock()
+	// group's array is the leader's own, so growing into it is safe; the
+	// queue's array is dropped rather than kept with batches still in it.
 	aborted := append(group, p.queue...)
 	p.queue = nil
 	p.mu.Unlock()
@@ -236,33 +261,32 @@ func (pg *pager) seal(seq uint64) *commitBatch {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
 	if len(pg.dirty) == 0 {
-		pg.finishCommitLocked(nil)
+		pg.finishCommitLocked()
 		return nil
 	}
-	ids := make([]uint32, 0, len(pg.dirty))
+	b := &commitBatch{seq: seq}
+	b.recs = b.few[:0]
 	for id := range pg.dirty {
-		ids = append(ids, id)
+		b.recs = append(b.recs, walRecord{id: id})
 	}
-	sortUint32(ids)
-
-	recs := make([]walRecord, 0, len(ids))
-	for _, id := range ids {
-		p := pg.dirty[id]
+	slices.SortFunc(b.recs, func(x, y walRecord) int { return cmp.Compare(x.id, y.id) })
+	for i := range b.recs {
+		r := &b.recs[i]
+		p := pg.dirty[r.id]
 		stampCRC(p.buf)
 		// The page's before image dies with this commit, so its buffer
 		// carries the after image; a page the transaction allocated has none.
-		after := pg.txUndo[id]
-		if after == nil {
-			after = pg.takeBufLocked()
+		r.after = pg.txUndo[r.id]
+		if r.after == nil {
+			r.after = pg.takeBufLocked()
 		} else {
-			delete(pg.txUndo, id)
+			delete(pg.txUndo, r.id)
 		}
-		copy(after, p.buf)
-		recs = append(recs, walRecord{id: id, after: after})
-		pg.sealed[id] = sealedImg{seq: seq, img: after}
+		copy(r.after, p.buf)
+		pg.sealed[r.id] = sealedImg{seq: seq, img: r.after}
+		pg.cleanLocked(p)
 	}
-	b := &commitBatch{seq: seq, ids: ids, recs: recs}
-	pg.finishCommitLocked(ids)
+	pg.finishCommitLocked()
 	return b
 }
 
@@ -273,18 +297,14 @@ func (pg *pager) seal(seq uint64) *commitBatch {
 // group start (see appendGroup); the caller cascades the abort and the images
 // are left to the GC. Runs on the leader, without db.mu.
 func (pg *pager) commitGroup(group []*commitBatch) error {
-	frames := make([][]walRecord, len(group))
-	for i, b := range group {
-		frames[i] = b.recs
-	}
-	offsets, err := pg.wal.appendGroup(frames)
-	if err != nil {
+	if err := pg.wal.appendGroup(group); err != nil {
 		return err
 	}
 	pg.mu.Lock()
-	for i, b := range group {
-		for j, r := range b.recs {
-			pg.walIdx[r.id] = offsets[i][j]
+	for _, b := range group {
+		for i := range b.recs {
+			r := &b.recs[i]
+			pg.walIdx[r.id] = r.off
 			// Retire the overlay entry only if it is still this batch's: a
 			// later sealed batch may have re-sealed the same page, and its
 			// newer image must keep shadowing the offset just installed.
@@ -294,7 +314,7 @@ func (pg *pager) commitGroup(group []*commitBatch) error {
 			// Reads now find the image at its WAL offset (or in a later
 			// seal's overlay entry), so this was the last reference.
 			pg.releaseBufLocked(r.after)
-			b.recs[j].after = nil
+			r.after = nil
 		}
 	}
 	pg.walFsyncs++
@@ -317,11 +337,11 @@ func (pg *pager) commitGroup(group []*commitBatch) error {
 func (pg *pager) purgeAborted(aborted []*commitBatch) {
 	pg.mu.Lock()
 	for _, b := range aborted {
-		for _, id := range b.ids {
-			if p, ok := pg.cache[id]; ok {
+		for _, r := range b.recs {
+			if p, ok := pg.cache[r.id]; ok {
 				pg.dropLocked(p)
 			}
-			delete(pg.dirty, id)
+			delete(pg.dirty, r.id)
 		}
 	}
 	clear(pg.sealed)

@@ -81,7 +81,8 @@ func (db *Database) CheckIntegrity() error {
 				if err != nil {
 					return fmt.Errorf("index value is not a rowid: %w", err)
 				}
-				if _, found, err := tableTree.get(rowidKey(id)); err != nil {
+				rk := rowidKey(id)
+				if _, found, err := tableTree.get(rk[:], nil); err != nil {
 					return err
 				} else if !found {
 					return fmt.Errorf("index entry points at missing rowid %d", id)
@@ -98,7 +99,8 @@ func (db *Database) CheckIntegrity() error {
 					return fmt.Errorf("secondary index key of %d bytes has no rowid suffix", len(key))
 				}
 				id := int64(binary.BigEndian.Uint64(key[len(key)-8:]))
-				if _, found, err := tableTree.get(rowidKey(id)); err != nil {
+				rk := rowidKey(id)
+				if _, found, err := tableTree.get(rk[:], nil); err != nil {
 					return err
 				} else if !found {
 					return fmt.Errorf("index entry points at missing rowid %d", id)
@@ -236,7 +238,7 @@ func (w *treeWalk) node(id uint32, depth int) (minKey, maxKey []byte, empty bool
 			if i == n-1 {
 				maxKey = append([]byte(nil), c.key...)
 			}
-			val, err := tree.readCellValue(c)
+			val, err := tree.readCellValue(c, nil)
 			if err != nil {
 				w.st.pg.unpin(p)
 				return nil, nil, false, fmt.Errorf("minisql: integrity: %s: leaf %d cell %d: %w", w.role, id, i, err)

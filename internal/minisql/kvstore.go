@@ -109,8 +109,20 @@ func (s *KVStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := s.check(key); err != nil {
 		return nil, err
 	}
+	// Cancellation is checked here, once, and database/sql gets the context's
+	// values without it. Given a cancelable context it arms a cancel context
+	// and a watcher goroutine per query, and they would watch nothing: the
+	// driver looks at the context once, at bind, and cannot be interrupted
+	// mid-statement; QueryRowContext(...).Scan never blocks between its two
+	// calls; and waiting for a pooled connection, the one thing a context
+	// could cut short, does not happen on this store's own uncapped pool (a
+	// caller who caps it through SQLDB makes that wait uninterruptible).
+	// TestAllocGuardKVStoreGetPut shows the saving: 26 objects a Get to 23.
+	if err := ctx.Err(); err != nil {
+		return nil, kv.WrapErr(s.name, "get", key, err)
+	}
 	var v []byte
-	err := s.get.QueryRowContext(ctx, key).Scan(&v)
+	err := s.get.QueryRowContext(context.WithoutCancel(ctx), key).Scan(&v)
 	if err == sql.ErrNoRows {
 		return nil, kv.ErrNotFound
 	}

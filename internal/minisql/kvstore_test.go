@@ -1,10 +1,13 @@
 package minisql
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"edsc/internal/raceflag"
 	"edsc/kv"
 	"edsc/kv/kvtest"
 )
@@ -184,4 +187,58 @@ func TestKVStoreChaos(t *testing.T) {
 		}
 		return st, func() { _ = db.Close() }
 	}, kvtest.ChaosOptions{})
+}
+
+// TestAllocGuardKVStoreGetPut pins what one replica call of a quorum
+// operation allocates, all the way down: KVStore.Get and KVStore.Put on a
+// file database in the default commit mode, under a context with a deadline —
+// what kv/cluster's NodeTimeout hands every replica call, and what makes
+// database/sql arm its context watcher where a Background context would not.
+// The engine guards (TestAllocGuardFileCommit, TestPreparedExecutionAllocs)
+// stop at the session; the benchmark multiplies this figure by three.
+func TestAllocGuardKVStoreGetPut(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	db, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st, err := NewKVStore("sql", db, "kv_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	val, n := bytes.Repeat([]byte{0xAB}, 256), 0
+	put := func() {
+		if err := st.Put(ctx, keys[n%len(keys)], val); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	get := func() {
+		got, err := st.Get(ctx, keys[n%len(keys)])
+		if err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("get: %d bytes, %v", len(got), err)
+		}
+		n++
+	}
+	for i := 0; i < 2*len(keys); i++ {
+		put()
+	}
+	get()
+	const wantGet, wantPut = 23, 9
+	gotGet, gotPut := testing.AllocsPerRun(200, get), testing.AllocsPerRun(200, put)
+	t.Logf("%.0f allocs per KVStore.Get, %.0f per KVStore.Put", gotGet, gotPut)
+	if gotGet != wantGet || gotPut != wantPut {
+		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
+	}
 }

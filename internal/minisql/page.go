@@ -228,11 +228,15 @@ func (p *page) compact(scratch []byte) error {
 
 // --- CRC ---
 
+// crcFieldZero stands in for the CRC field while the checksum is computed.
+// Package-level: crc32.Update dispatches through a function value, so a local
+// array passed to it moves to the heap, one object per stamp or verify.
+var crcFieldZero [4]byte
+
 // pageCRC computes the page checksum with the CRC field treated as zero.
 func pageCRC(buf []byte) uint32 {
-	var zero [4]byte
 	crc := crc32.Update(0, crc32.IEEETable, buf[:9])
-	crc = crc32.Update(crc, crc32.IEEETable, zero[:])
+	crc = crc32.Update(crc, crc32.IEEETable, crcFieldZero[:])
 	return crc32.Update(crc, crc32.IEEETable, buf[13:])
 }
 

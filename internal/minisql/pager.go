@@ -64,6 +64,11 @@ type pager struct {
 
 	committedNPages uint32
 
+	// rootMoved says some tree's root moved since the flag was last cleared
+	// (btree.moveRoot sets it, the statement that persists roots clears it).
+	// Trees change only under the exclusive database lock, which guards it.
+	rootMoved bool
+
 	checkpointBytes int64
 
 	// Stats (guarded by mu). walFsyncs counts WAL fsyncs, one per group;
@@ -275,7 +280,7 @@ func openFilePager(open openFunc, dir string, pageSize, cachePages int, checkpoi
 			if terr := wf.Truncate(0); terr != nil {
 				return nil, fmt.Errorf("minisql: discarding torn wal: %w", terr)
 			}
-			existing = false
+			existing, walSize = false, 0
 		default:
 			return nil, perr
 		}
@@ -304,7 +309,7 @@ func openFilePager(open openFunc, dir string, pageSize, cachePages int, checkpoi
 		pageSize:        pageSize,
 		cacheCap:        cachePages,
 		file:            f,
-		wal:             &pageWAL{f: wf, size: walEnd},
+		wal:             &pageWAL{f: wf, size: walEnd, uncut: walEnd != walSize}, // a torn tail is cut before the first append
 		walIdx:          walIdx,
 		sealed:          map[uint32]sealedImg{},
 		walBytes:        walEnd,
@@ -835,7 +840,8 @@ func (pg *pager) rollbackAll() {
 func (pg *pager) commitMem() {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
-	ids := make([]uint32, 0, len(pg.dirty))
+	var few [8]uint32 // the usual commit's dirty set, kept in this frame
+	ids := few[:0]
 	for id := range pg.dirty {
 		ids = append(ids, id)
 	}
@@ -852,20 +858,24 @@ func (pg *pager) commitMem() {
 			pg.mem[id] = make([]byte, pg.pageSize) // the page's permanent home, not a transient buffer
 		}
 		copy(pg.mem[id], p.buf)
+		pg.cleanLocked(p)
 	}
-	pg.finishCommitLocked(ids)
+	pg.finishCommitLocked()
 }
 
-// finishCommitLocked flips the committed dirty pages to clean and returns
-// the before images nothing can roll back to any more.
-func (pg *pager) finishCommitLocked(ids []uint32) {
-	for _, id := range ids {
-		p := pg.dirty[id]
-		p.dirty = false
-		if p.pins == 0 && !p.onLRU(pg) {
-			pg.lruPush(p)
-		}
+// cleanLocked flips a committed dirty page to clean. Commits call it in page
+// order, which is the order the pages join the LRU list in.
+func (pg *pager) cleanLocked(p *page) {
+	p.dirty = false
+	if p.pins == 0 && !p.onLRU(pg) {
+		pg.lruPush(p)
 	}
+}
+
+// finishCommitLocked ends the transaction whose dirty pages the caller has
+// just cleaned, returning the before images nothing can roll back to any
+// more.
+func (pg *pager) finishCommitLocked() {
 	pg.dirty = resetMap(pg.dirty)
 	pg.endStmtLocked()
 	for _, img := range pg.txUndo {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Row serialization: a fixed-layout record format so rows live in B-tree
@@ -92,7 +93,12 @@ func encodeValue(buf []byte, v Value) int {
 	}
 }
 
-// decodeRow parses a serialized record, rejecting malformed input.
+// decodeRow parses a serialized record, rejecting malformed input. BLOB
+// values alias buf instead of copying out of it, which is the one copy a value
+// is spared between its page and the query result — so buf must be bytes the
+// caller owns outright and never writes again: btree.get and cursor.value
+// return such private copies. Page-resident bytes (a parsed cell of a pinned
+// page) must not come here; after unpin the pager reuses them.
 func decodeRow(buf []byte) ([]Value, error) {
 	ncols, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -136,7 +142,7 @@ func decodeRow(buf []byte) ([]Value, error) {
 			if tag == recTagText {
 				row[i] = Text(string(b))
 			} else {
-				row[i] = Blob(append([]byte(nil), b...))
+				row[i] = Blob(b[:len(b):len(b)])
 			}
 		case recTagFalse:
 			row[i] = Bool(false)
@@ -160,11 +166,12 @@ func varintLen(v int64) int {
 
 // rowidKey encodes a rowid as 8 big-endian bytes so byte order equals
 // numeric order and table scans come back rowid-ascending, preserving the
-// old map-based engine's deterministic scan order.
-func rowidKey(id int64) []byte {
+// old map-based engine's deterministic scan order. It returns the array, not
+// a slice of it, so the key lives in the caller's frame.
+func rowidKey(id int64) [8]byte {
 	var k [8]byte
 	binary.BigEndian.PutUint64(k[:], uint64(id))
-	return k[:]
+	return k
 }
 
 func decodeRowid(k []byte) (int64, error) {
@@ -175,47 +182,62 @@ func decodeRowid(k []byte) (int64, error) {
 }
 
 // maxIndexKeyLen bounds index-tree keys so even the minimum page size can
-// hold several cells per page. Longer indexKey strings are replaced by a
-// tagged SHA-256: still deterministic and equality-preserving (which is all
-// the executor needs — index scans are point lookups), at the cost of
-// ordered iteration over long keys, which no query path relies on.
+// hold several cells per page. Longer encodings are replaced by a tagged
+// SHA-256: still deterministic and equality-preserving (which is all the
+// executor needs — index scans are point lookups), at the cost of ordered
+// iteration over long keys, which no query path relies on.
 const maxIndexKeyLen = 96
 
-// uniqueIndexKey encodes a column value for a UNIQUE index tree.
-func uniqueIndexKey(v Value) []byte {
-	ik := v.indexKey()
-	if len(ik) <= maxIndexKeyLen {
-		return []byte(ik)
+// indexKeyBuf is what a caller declares in its frame and passes to the key
+// encoders below as buf[:0]. Every key fits — the longest is a non-unique
+// index's: one length byte, the value key, the rowid — and only a value whose
+// encoding has to be hashed first outgrows it on the way.
+type indexKeyBuf [1 + maxIndexKeyLen + 8]byte
+
+// appendIndexKey appends the index-tree key of a column value to dst. The
+// encoding is on disk: a kind tag, then the value — injective per kind, INT
+// and REAL both as the shortest float so 1 and 1.0 collide, matching Compare
+// (Value.indexKey is the same rule as a string, for DISTINCT and GROUP BY).
+func appendIndexKey(dst []byte, v Value) []byte {
+	start := len(dst)
+	switch v.Kind {
+	case KindInt:
+		dst = strconv.AppendFloat(append(dst, 'n', ':'), float64(v.Int), 'g', -1, 64)
+	case KindFloat:
+		dst = strconv.AppendFloat(append(dst, 'n', ':'), v.Float, 'g', -1, 64)
+	case KindText:
+		dst = append(append(dst, 't', ':'), v.Str...)
+	case KindBlob:
+		dst = append(append(dst, 'b', ':'), v.Bytes...)
+	case KindBool:
+		if v.Bool {
+			dst = append(dst, 'o', ':', '1')
+		} else {
+			dst = append(dst, 'o', ':', '0')
+		}
+	default:
+		dst = append(dst, "null"...)
 	}
-	sum := sha256.Sum256([]byte(ik))
-	key := make([]byte, 0, 2+len(sum))
-	key = append(key, 'h', ':')
-	key = append(key, sum[:]...)
-	return key
+	if len(dst)-start > maxIndexKeyLen {
+		sum := sha256.Sum256(dst[start:])
+		dst = append(append(dst[:start], 'h', ':'), sum[:]...)
+	}
+	return dst
 }
 
-// secIndexKey encodes (column value, rowid) for a non-unique index tree.
-// The value key is length-prefixed so one value's entries form a contiguous,
-// unambiguous key range: prefix scanning uvarint(len)+ik never matches a
-// different value that merely starts with the same bytes.
-func secIndexKey(v Value, rowid int64) []byte {
-	ik := uniqueIndexKey(v)
-	key := make([]byte, 0, uvarintLen(uint64(len(ik)))+len(ik)+8)
-	var l [10]byte
-	n := binary.PutUvarint(l[:], uint64(len(ik)))
-	key = append(key, l[:n]...)
-	key = append(key, ik...)
-	var r [8]byte
-	binary.BigEndian.PutUint64(r[:], uint64(rowid))
-	return append(key, r[:]...)
+// appendSecIndexKey appends the non-unique index key of (column value,
+// rowid). The value key is length-prefixed so one value's entries form a
+// contiguous, unambiguous key range: prefix scanning uvarint(len)+key never
+// matches a different value that merely starts with the same bytes.
+func appendSecIndexKey(dst []byte, v Value, rowid int64) []byte {
+	dst = appendSecIndexPrefix(dst, v)
+	return binary.BigEndian.AppendUint64(dst, uint64(rowid))
 }
 
-// secIndexPrefix is the key prefix shared by every rowid entry for v.
-func secIndexPrefix(v Value) []byte {
-	ik := uniqueIndexKey(v)
-	key := make([]byte, 0, uvarintLen(uint64(len(ik)))+len(ik))
-	var l [10]byte
-	n := binary.PutUvarint(l[:], uint64(len(ik)))
-	key = append(key, l[:n]...)
-	return append(key, ik...)
+// appendSecIndexPrefix appends the key prefix shared by every rowid entry
+// for v.
+func appendSecIndexPrefix(dst []byte, v Value) []byte {
+	var kb indexKeyBuf
+	ik := appendIndexKey(kb[:0], v)
+	return append(binary.AppendUvarint(dst, uint64(len(ik))), ik...)
 }

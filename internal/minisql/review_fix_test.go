@@ -41,8 +41,7 @@ func TestWALAppendFailureKeepsLogReplayable(t *testing.T) {
 		for i, id := range ids {
 			recs[i] = walRecord{id: id, after: walTestImage(ps, byte(id))}
 		}
-		_, err := l.appendGroup([][]walRecord{recs})
-		return err
+		return l.appendGroup([]*commitBatch{{recs: recs}})
 	}
 
 	if err := appendBatch(1); err != nil {

@@ -162,7 +162,7 @@ func FuzzBTreeOps(f *testing.F) {
 				}
 				delete(model, key)
 			case 3: // point read
-				got, found, err := bt.get([]byte(key))
+				got, found, err := bt.get([]byte(key), nil)
 				if err != nil {
 					t.Fatalf("get %q: %v", key, err)
 				}

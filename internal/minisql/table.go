@@ -119,6 +119,10 @@ func (t *table) buildIndex(name string, def namedIndex) error {
 		return err
 	}
 	defer cur.close()
+	var (
+		kb indexKeyBuf
+		rb [8]byte
+	)
 	for cur.valid() {
 		k, err := cur.key()
 		if err != nil {
@@ -139,16 +143,17 @@ func (t *table) buildIndex(name string, def namedIndex) error {
 		v := row[def.col]
 		if !v.IsNull() {
 			if def.unique {
-				if _, dup, err := nt.get(uniqueIndexKey(v)); err != nil {
+				key := appendIndexKey(kb[:0], v)
+				if _, dup, err := nt.get(key, rb[:]); err != nil {
 					return err
 				} else if dup {
 					return fmt.Errorf("minisql: cannot create unique index %q: duplicate value %v", name, v)
 				}
-				if err := nt.insert(uniqueIndexKey(v), rowidKey(id)); err != nil {
+				if err := nt.insert(key, k); err != nil {
 					return err
 				}
 			} else {
-				if err := nt.insert(secIndexKey(v, id), nil); err != nil {
+				if err := nt.insert(appendSecIndexKey(kb[:0], v, id), nil); err != nil {
 					return err
 				}
 			}
@@ -216,28 +221,28 @@ func (t *table) columnNames() []string {
 }
 
 // validate checks constraints and coerces vals (in declared order) to the
-// column types.
-func (t *table) validate(vals []Value) ([]Value, error) {
+// column types, in place.
+func (t *table) validate(vals []Value) error {
 	if len(vals) != len(t.schema.Cols) {
-		return nil, fmt.Errorf("minisql: table %q has %d columns, got %d values", t.schema.Name, len(t.schema.Cols), len(vals))
+		return fmt.Errorf("minisql: table %q has %d columns, got %d values", t.schema.Name, len(t.schema.Cols), len(vals))
 	}
-	out := make([]Value, len(vals))
 	for i, c := range t.schema.Cols {
 		v, err := coerce(vals[i], c.Type)
 		if err != nil {
-			return nil, fmt.Errorf("%w (column %q)", err, c.Name)
+			return fmt.Errorf("%w (column %q)", err, c.Name)
 		}
 		if v.IsNull() && c.NotNull {
-			return nil, fmt.Errorf("minisql: column %q is NOT NULL", c.Name)
+			return fmt.Errorf("minisql: column %q is NOT NULL", c.Name)
 		}
-		out[i] = v
+		vals[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 // getRow fetches and decodes the row at rowid.
 func (t *table) getRow(id int64) ([]Value, error) {
-	raw, found, err := t.tree.get(rowidKey(id))
+	key := rowidKey(id)
+	raw, found, err := t.tree.get(key[:], nil)
 	if err != nil {
 		return nil, err
 	}
@@ -247,13 +252,18 @@ func (t *table) getRow(id int64) ([]Value, error) {
 	return decodeRow(raw)
 }
 
-// lookupUnique returns the rowid holding value v in indexed column col.
+// lookupUnique returns the rowid holding value v in indexed column col. The
+// key it probes with and the eight bytes it reads back stay in this frame.
 func (t *table) lookupUnique(col int, v Value) (int64, bool, error) {
 	idx, ok := t.indexes[col]
 	if !ok || v.IsNull() {
 		return 0, false, nil
 	}
-	raw, found, err := idx.get(uniqueIndexKey(v))
+	var (
+		kb indexKeyBuf
+		rb [8]byte
+	)
+	raw, found, err := idx.get(appendIndexKey(kb[:0], v), rb[:])
 	if err != nil || !found {
 		return 0, false, err
 	}
@@ -268,7 +278,8 @@ func (t *table) secLookup(col int, v Value) ([]int64, error) {
 	if !ok || v.IsNull() {
 		return nil, nil
 	}
-	prefix := secIndexPrefix(v)
+	var pb indexKeyBuf
+	prefix := appendSecIndexPrefix(pb[:0], v)
 	cur, err := tr.cursorSeek(prefix)
 	if err != nil {
 		return nil, err
@@ -291,19 +302,28 @@ func (t *table) secLookup(col int, v Value) ([]int64, error) {
 	return ids, nil
 }
 
-// checkUniqueFree verifies no unique index already holds vals (excluding
-// rowid self, for updates).
-func (t *table) checkUniqueFree(vals []Value, self int64, haveSelf bool) error {
+// noRow and noCol are the "none" arguments of the row writers below: rowids
+// and column positions are never negative.
+const (
+	noRow int64 = -1
+	noCol       = -1
+)
+
+// checkUniqueFree verifies that no row but self (noRow on insert) holds one
+// of vals in a unique index. The index on column probed (noCol for none) is
+// left out: the caller has just looked vals[probed] up in it and the answer —
+// self, or nothing — is the one this check would get.
+func (t *table) checkUniqueFree(vals []Value, self int64, probed int) error {
 	for col := range t.indexes {
 		v := vals[col]
-		if v.IsNull() {
+		if col == probed || v.IsNull() {
 			continue
 		}
 		id, exists, err := t.lookupUnique(col, v)
 		if err != nil {
 			return err
 		}
-		if exists && (!haveSelf || id != self) {
+		if exists && id != self {
 			return fmt.Errorf("minisql: duplicate value %v for unique column %q of table %q",
 				v, t.schema.Cols[col].Name, t.schema.Name)
 		}
@@ -312,25 +332,28 @@ func (t *table) checkUniqueFree(vals []Value, self int64, haveSelf bool) error {
 }
 
 // insert adds a validated row, enforcing unique indexes; returns the rowid.
-func (t *table) insert(vals []Value) (int64, error) {
-	if err := t.checkUniqueFree(vals, 0, false); err != nil {
+// probed is as in checkUniqueFree: a unique column the caller found free.
+func (t *table) insert(vals []Value, probed int) (int64, error) {
+	if err := t.checkUniqueFree(vals, noRow, probed); err != nil {
 		return 0, err
 	}
 	id := t.nextRow
 	t.nextRow++
-	if err := t.tree.insert(rowidKey(id), encodeRow(vals)); err != nil {
+	rk := rowidKey(id)
+	if err := t.tree.insert(rk[:], encodeRow(vals)); err != nil {
 		return 0, err
 	}
+	var kb indexKeyBuf
 	for col, idx := range t.indexes {
 		if v := vals[col]; !v.IsNull() {
-			if err := idx.insert(uniqueIndexKey(v), rowidKey(id)); err != nil {
+			if err := idx.insert(appendIndexKey(kb[:0], v), rk[:]); err != nil {
 				return 0, err
 			}
 		}
 	}
 	for col, tr := range t.secIdx {
 		if v := vals[col]; !v.IsNull() {
-			if err := tr.insert(secIndexKey(v, id), nil); err != nil {
+			if err := tr.insert(appendSecIndexKey(kb[:0], v, id), nil); err != nil {
 				return 0, err
 			}
 		}
@@ -338,76 +361,95 @@ func (t *table) insert(vals []Value) (int64, error) {
 	return id, nil
 }
 
-// update replaces the row at id with validated vals, maintaining indexes.
-func (t *table) update(id int64, vals []Value) error {
-	old, err := t.getRow(id)
-	if err != nil {
+// update replaces the row at id with validated vals, maintaining indexes —
+// locate once, write once. old is the row's current content when the caller
+// has read it already, nil when not. located is the unique column whose index
+// the caller probed with vals[located] to arrive at id, noCol when the row
+// was found another way: that probe settles the column (no other row holds
+// the value, and its index entry already says id), so it is neither probed
+// nor compared again. Every other unique column is checked as on insert, and
+// the old row is read only when another index needs its old value — a table
+// whose only index located the row, as every key-value table's does, goes
+// straight to the one descent that writes the row.
+func (t *table) update(id int64, old, vals []Value, located int) error {
+	if err := t.checkUniqueFree(vals, id, located); err != nil {
 		return err
 	}
-	if err := t.checkUniqueFree(vals, id, true); err != nil {
-		return err
+	others := len(t.indexes) + len(t.secIdx)
+	if located != noCol {
+		others--
 	}
+	if old == nil && others > 0 {
+		var err error
+		if old, err = t.getRow(id); err != nil {
+			return err
+		}
+	}
+	rk := rowidKey(id)
+	var ob, nb indexKeyBuf
 	for col, idx := range t.indexes {
+		if col == located {
+			continue
+		}
 		ov, nv := old[col], vals[col]
+		oldKey, newKey := appendIndexKey(ob[:0], ov), appendIndexKey(nb[:0], nv)
 		// An unchanged indexed value maps to the same index key holding the
 		// same rowid: the delete+insert pair would rewrite two leaves to
-		// reproduce the exact bytes already there. Overwrite-heavy workloads
-		// (KV-over-SQL replaces) keep every indexed column fixed, so this
-		// skip takes index maintenance off their serialized commit window.
-		if !ov.IsNull() && !nv.IsNull() && bytes.Equal(uniqueIndexKey(ov), uniqueIndexKey(nv)) {
+		// reproduce the exact bytes already there.
+		if !ov.IsNull() && !nv.IsNull() && bytes.Equal(oldKey, newKey) {
 			continue
 		}
 		if !ov.IsNull() {
-			if _, err := idx.delete(uniqueIndexKey(ov)); err != nil {
+			if _, err := idx.delete(oldKey); err != nil {
 				return err
 			}
 		}
 		if !nv.IsNull() {
-			if err := idx.insert(uniqueIndexKey(nv), rowidKey(id)); err != nil {
+			if err := idx.insert(newKey, rk[:]); err != nil {
 				return err
 			}
 		}
 	}
 	for col, tr := range t.secIdx {
 		ov, nv := old[col], vals[col]
-		if !ov.IsNull() && !nv.IsNull() && bytes.Equal(secIndexKey(ov, id), secIndexKey(nv, id)) {
+		oldKey, newKey := appendSecIndexKey(ob[:0], ov, id), appendSecIndexKey(nb[:0], nv, id)
+		if !ov.IsNull() && !nv.IsNull() && bytes.Equal(oldKey, newKey) {
 			continue
 		}
 		if !ov.IsNull() {
-			if _, err := tr.delete(secIndexKey(ov, id)); err != nil {
+			if _, err := tr.delete(oldKey); err != nil {
 				return err
 			}
 		}
 		if !nv.IsNull() {
-			if err := tr.insert(secIndexKey(nv, id), nil); err != nil {
+			if err := tr.insert(newKey, nil); err != nil {
 				return err
 			}
 		}
 	}
-	return t.tree.insert(rowidKey(id), encodeRow(vals))
+	return t.tree.insert(rk[:], encodeRow(vals))
 }
 
-// delete removes the row at id, maintaining indexes.
-func (t *table) delete(id int64) error {
-	old, err := t.getRow(id)
-	if err != nil {
-		return err
-	}
+// delete removes the row at id, whose current content is old, maintaining
+// indexes.
+func (t *table) delete(id int64, old []Value) error {
+	var kb indexKeyBuf
 	for col, idx := range t.indexes {
 		if v := old[col]; !v.IsNull() {
-			if _, err := idx.delete(uniqueIndexKey(v)); err != nil {
+			if _, err := idx.delete(appendIndexKey(kb[:0], v)); err != nil {
 				return err
 			}
 		}
 	}
 	for col, tr := range t.secIdx {
 		if v := old[col]; !v.IsNull() {
-			if _, err := tr.delete(secIndexKey(v, id)); err != nil {
+			if _, err := tr.delete(appendSecIndexKey(kb[:0], v, id)); err != nil {
 				return err
 			}
 		}
 	}
-	_, err = t.tree.delete(rowidKey(id))
+	rk := rowidKey(id)
+	_, err := t.tree.delete(rk[:])
 	return err
 }
 

@@ -41,6 +41,7 @@ var errBeforeImages = errors.New("minisql: log written by a build that logged be
 type walRecord struct {
 	id    uint32
 	after []byte // CRC already stamped
+	off   int64  // where appendGroup wrote the after image
 }
 
 // pageWAL appends to the log file. size is the replay frontier: the end of
@@ -48,6 +49,11 @@ type walRecord struct {
 type pageWAL struct {
 	f    file
 	size int64
+	// uncut says the file may be longer than size — bytes a replay scan cannot
+	// cross lie beyond the frontier — and must be cut back before the next
+	// batch is written. Two events leave it so: recovery stopping short of
+	// the end of the file (a torn tail), and rewind's Truncate failing.
+	uncut bool
 	// frame is scratch for the 5-byte headers and the commit marker. A local
 	// array handed to an interface method moves to the heap, three objects a
 	// batch; the log already lives there and appends are serialised by
@@ -56,82 +62,73 @@ type pageWAL struct {
 }
 
 // appendGroup writes the group's commit batches contiguously, in slice
-// order, and makes all of them durable with a single fsync. It returns the
-// file offset of each record's after image, per batch in record order. The
-// append order is the seal order, which keeps the recovered state a strict
-// prefix of the commit sequence. On any error (including a failed sync) the
-// log is truncated back to the group start: a group becomes durable as a
-// whole or not at all, so a later batch's full-page images can never smuggle
-// in state from an earlier batch that failed to persist — and a failed fsync
-// is never retried over the same dirty bytes; the next group rewrites them.
-func (l *pageWAL) appendGroup(batches [][]walRecord) ([][]int64, error) {
+// order, and makes all of them durable with a single fsync, recording in each
+// record the file offset of its after image. The append order is the seal
+// order, which keeps the recovered state a strict prefix of the commit
+// sequence. On any error (including a failed sync) the log is truncated back
+// to the group start: a group becomes durable as a whole or not at all, so a
+// later batch's full-page images can never smuggle in state from an earlier
+// batch that failed to persist — and a failed fsync is never retried over the
+// same dirty bytes; the next group rewrites them.
+func (l *pageWAL) appendGroup(group []*commitBatch) error {
 	start := l.size
-	all := make([][]int64, 0, len(batches))
-	for _, recs := range batches {
-		offsets, err := l.writeFrames(recs)
-		if err != nil {
+	for _, b := range group {
+		if err := l.writeFrames(b.recs); err != nil {
 			l.rewind(start)
-			return nil, err
+			return err
 		}
-		all = append(all, offsets)
 	}
 	if err := l.f.Sync(); err != nil {
 		l.rewind(start)
-		return nil, err
+		return err
 	}
-	return all, nil
+	return nil
 }
 
 // rewind drops a partial append so the log stays replayable. writeAll has
 // already advanced l.size past start; rewind it unconditionally so the next
 // batch lands contiguously at the replay frontier even when Truncate itself
-// fails (writeFrames re-checks the real file size before writing, so
-// leftover partial bytes get cut then).
+// fails — the leftover partial bytes are then cut by the next writeFrames.
 func (l *pageWAL) rewind(start int64) {
 	l.size = start
-	_ = l.f.Truncate(start)
+	if err := l.f.Truncate(start); err != nil {
+		l.uncut = true
+	}
 }
 
 // writeFrames writes one batch's framing (header, records, commit marker)
 // without syncing; the fsync covers the whole group.
-func (l *pageWAL) writeFrames(recs []walRecord) ([]int64, error) {
-	// A failed append truncates back to l.size, but if that truncation
-	// errored — or recovery stopped at a torn tail — the file is longer than
-	// l.size and replay would stop at the partial garbage. Verify and re-cut
-	// before writing: a batch must never be written beyond a byte the replay
-	// scan cannot cross.
-	if size, err := l.f.Size(); err != nil {
-		return nil, err
-	} else if size != l.size {
+func (l *pageWAL) writeFrames(recs []walRecord) error {
+	// A batch must never be written beyond a byte the replay scan cannot
+	// cross: replay would stop at the garbage and lose the batch.
+	if l.uncut {
 		if err := l.f.Truncate(l.size); err != nil {
-			return nil, err
+			return err
 		}
+		l.uncut = false
 	}
 	l.frame[0] = walBatchStart
 	binary.BigEndian.PutUint32(l.frame[1:], uint32(len(recs)))
 	if err := l.writeAll(l.frame[:]); err != nil {
-		return nil, err
+		return err
 	}
 	crc := newBatchCRC()
-	offsets := make([]int64, len(recs))
-	for i, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		binary.BigEndian.PutUint32(l.frame[:4], r.id)
 		l.frame[4] = 0 // no before image: the log is redo-only
 		if err := l.writeAll(l.frame[:]); err != nil {
-			return nil, err
+			return err
 		}
-		offsets[i] = l.size
+		r.off = l.size
 		if err := l.writeAll(r.after); err != nil {
-			return nil, err
+			return err
 		}
 		crc.add(r.id, binary.BigEndian.Uint32(r.after[9:13]))
 	}
 	l.frame[0] = walCommitMarker
 	binary.BigEndian.PutUint32(l.frame[1:], crc.sum())
-	if err := l.writeAll(l.frame[:]); err != nil {
-		return nil, err
-	}
-	return offsets, nil
+	return l.writeAll(l.frame[:])
 }
 
 func (l *pageWAL) writeAll(b []byte) error {
