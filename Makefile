@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash allocs metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence allocs metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -81,13 +81,26 @@ crash:
 	fi; \
 	exit $$status
 
+# dscl's fill fence: every interleaving of a cache fill with a racing write,
+# and the shared-key monotone-read workload, repeated under the race detector
+# (DESIGN.md "Cache coherence"). Same guard as crash: a pattern that matches
+# nothing must not pass.
+fence:
+	@out=$$(go test -race -count=200 -run 'TestFenceInterleavings|TestSharedKeysMonotoneReads' ./dscl 2>&1); status=$$?; \
+	echo "$$out"; \
+	if echo "$$out" | grep -q 'no tests to run'; then \
+		echo 'fence: the -run pattern matched no test' >&2; \
+		exit 1; \
+	fi; \
+	exit $$status
+
 # The allocation guards of the request path, by name: they skip under -race
 # and a renamed or skipped guard passes `go test`, so each one must show up as
 # a PASS line. The one list to edit when a guard is added.
 ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGuardFileCommit \
 	TestAllocGuardKVStoreGetPut TestPreparedExecutionAllocs TestAllocGuardClusterGetPut \
 	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
-	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet
+	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor 2>&1); status=$$?; \

@@ -20,11 +20,8 @@ var _ kv.Batch = (*Client)(nil)
 // missing from the returned map, and on error the partial map assembled so
 // far is returned with the first error.
 func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
-	if err := ctx.Err(); err != nil {
+	if err := cl.check(ctx); err != nil {
 		return nil, err
-	}
-	if cl.closed.Load() {
-		return nil, kv.ErrClosed
 	}
 	out := make(map[string][]byte, len(keys))
 	if len(keys) == 0 {
@@ -40,15 +37,12 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 			continue
 		}
 		seen[k] = true
-		if cl.cache == nil {
-			miss = append(miss, k)
+		if cl.chain != nil {
+			miss = append(miss, k) // Get below does the lookup, and counts it
 			continue
 		}
-		e, state, err := cl.cache.Get(ctx, k)
+		e, state, answered := cl.lookup(ctx, k)
 		switch {
-		case err != nil:
-			cl.cacheErrs.Add(1)
-			miss = append(miss, k)
 		case state == Hit && isNegative(e):
 			cl.negHits.Add(1) // definitively absent: stays out of the map
 		case state == Hit:
@@ -62,7 +56,9 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 			// Stale entries join the batch instead of revalidating one by
 			// one: the batch is a single round trip either way, so a full
 			// fresh value costs nothing extra here.
-			cl.misses.Add(1)
+			if answered {
+				cl.misses.Add(1)
+			}
 			miss = append(miss, k)
 		}
 	}
@@ -87,6 +83,10 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 		return out, nil
 	}
 
+	tokens := make([]token, len(miss))
+	for i, k := range miss {
+		tokens[i] = cl.begin(k)
+	}
 	start := time.Now()
 	cl.reads.Add(1) // one batched store read, whatever the key count
 	got, err := kv.GetMultiVersioned(ctx, cl.store, miss)
@@ -94,24 +94,17 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 	if err != nil {
 		return out, err
 	}
-	for _, k := range miss {
+	for i, k := range miss {
 		vv, ok := got[k]
 		if !ok {
-			// The store no longer has it: drop any stale copy, remember the
-			// miss with a tombstone when negative caching is on.
-			if cl.cache != nil {
-				if _, derr := cl.cache.Delete(ctx, k); derr != nil {
-					cl.cacheErrs.Add(1)
-				}
-				cl.cacheNegative(ctx, k)
-			}
+			cl.install(ctx, k, tokens[i], outcome{kind: outcomeTombstone})
 			continue
 		}
 		plain, derr := cl.decode(vv.Value)
 		if derr != nil {
 			return out, derr
 		}
-		cl.cachePut(ctx, k, plain, vv.Value, vv.Version)
+		cl.install(ctx, k, tokens[i], cl.valueOf(plain, vv.Value, vv.Version))
 		out[k] = plain
 	}
 	return out, nil
@@ -122,11 +115,8 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 // writes return no versions, so write-through entries carry kv.NoVersion and
 // revalidate with a full fetch once they expire.
 func (cl *Client) PutMulti(ctx context.Context, pairs map[string][]byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := cl.check(ctx); err != nil {
 		return err
-	}
-	if cl.closed.Load() {
-		return kv.ErrClosed
 	}
 	if len(pairs) == 0 {
 		return nil
@@ -148,36 +138,21 @@ func (cl *Client) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 		return nil
 	}
 	encoded := make(map[string][]byte, len(pairs))
+	tokens := make(map[string]token, len(pairs))
 	for k, v := range pairs {
 		e, err := cl.encode(v)
 		if err != nil {
 			return err
 		}
 		encoded[k] = e
+		tokens[k] = cl.begin(k)
 	}
 	start := time.Now()
 	cl.writes.Add(1) // one batched store write
 	err := kv.PutMulti(ctx, cl.store, encoded)
 	monitor.AddSpan(ctx, "dscl", "batch_put", start, err != nil)
-	if err != nil {
-		return err
-	}
 	for k, v := range pairs {
-		cl.notifyWrite(k)
-		if cl.cache == nil {
-			continue
-		}
-		switch cl.policy {
-		case WriteThrough:
-			// Cache a private copy: the caller may mutate its slice later.
-			plain := append([]byte(nil), v...)
-			cl.cachePut(ctx, k, plain, encoded[k], kv.NoVersion)
-		case WriteInvalidate:
-			if _, derr := cl.cache.Delete(ctx, k); derr != nil {
-				cl.cacheErrs.Add(1)
-			}
-		case WriteAround:
-		}
+		cl.afterWrite(ctx, k, tokens[k], cl.valueOf(v, encoded[k], kv.NoVersion), err)
 	}
-	return nil
+	return err
 }

@@ -227,7 +227,7 @@ func TestBatchThroughTransforms(t *testing.T) {
 // batch interface still works through the per-key fallback.
 func TestBatchWithDeltaEncoding(t *testing.T) {
 	ctx := context.Background()
-	cl := New(kv.NewMem("m"), WithDeltaEncoding(0, 4))
+	cl := New(kv.NewMem("m"), WithDeltaEncoding(0, 4), WithCache(NewInProcessCache(InProcessOptions{})))
 	pairs := map[string][]byte{"a": []byte("alpha"), "b": []byte("beta")}
 	if err := cl.PutMulti(ctx, pairs); err != nil {
 		t.Fatal(err)
@@ -235,6 +235,11 @@ func TestBatchWithDeltaEncoding(t *testing.T) {
 	got, err := cl.GetMulti(ctx, []string{"a", "b", "c"})
 	if err != nil || len(got) != 2 || string(got["a"]) != "alpha" {
 		t.Fatalf("GetMulti = %v, %v", got, err)
+	}
+	// Each key is looked up once, by the per-key Get it falls back to: two
+	// write-through hits and one miss, not the miss counted by both.
+	if st := cl.Stats(); st.CacheHits != 2 || st.CacheMisses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 2/1", st.CacheHits, st.CacheMisses)
 	}
 }
 

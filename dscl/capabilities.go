@@ -17,7 +17,8 @@ import (
 // hold under the same name, and is the only one left to fall through
 // Unwrap.
 //
-// Coherence rules:
+// What each capability asks of the cache (install in coherence.go is the
+// one place that does it, and holds the rule for racing operations):
 //
 //   - Version-aware reads (GetVersioned, GetIfModified) have no cache side
 //     effects: installing a version-pinned read could reorder against
@@ -25,8 +26,9 @@ import (
 //     coherence reasoning.
 //   - PutVersioned follows the configured write policy, like Put.
 //   - PutIfVersion always invalidates, never write-through: two racing CAS
-//     winners may complete out of order, and a write-through of the loser's
-//     value would pin a stale entry until TTL. Invalidation is always safe.
+//     winners may complete out of order, and the write may have applied even
+//     when the race was reported lost upstream of a retrying layer.
+//     Dropping the entry is correct in every outcome.
 //   - PutTTL caches through the write policy, but bounds the entry's
 //     expiration by the server-side TTL so the cache cannot serve a value
 //     the store has already expired.
@@ -93,11 +95,8 @@ func (cl *Client) GetIfModified(ctx context.Context, key string, since kv.Versio
 // effects — were this left to fall through to the store, a transform client
 // would hand callers undecoded bytes.
 func (cl *Client) GetMultiVersioned(ctx context.Context, keys []string) (map[string]kv.VersionedValue, error) {
-	if err := ctx.Err(); err != nil {
+	if err := cl.check(ctx); err != nil {
 		return nil, err
-	}
-	if cl.closed.Load() {
-		return nil, kv.ErrClosed
 	}
 	if _, err := cl.requireVersioned("getmultiversioned", ""); err != nil {
 		return nil, err
@@ -124,34 +123,20 @@ func (cl *Client) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 	return out, nil
 }
 
-// PutVersioned implements kv.Versioned: transform, write, then apply the
-// write policy with the returned version — the versioned twin of Put.
+// PutVersioned implements kv.Versioned: Put on a store that must hand a
+// version back.
 func (cl *Client) PutVersioned(ctx context.Context, key string, value []byte) (kv.Version, error) {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return kv.NoVersion, err
 	}
-	vs, err := cl.requireVersioned("putversioned", key)
-	if err != nil {
+	if _, err := cl.requireVersioned("putversioned", key); err != nil {
 		return kv.NoVersion, err
 	}
-	encoded, err := cl.encode(value)
-	if err != nil {
-		return kv.NoVersion, err
-	}
-	ctx = monitor.EnsureRequestID(ctx)
-	cl.writes.Add(1)
-	ver, err := vs.PutVersioned(ctx, key, encoded)
-	if err != nil {
-		return kv.NoVersion, err
-	}
-	cl.notifyWrite(key)
-	cl.applyWritePolicy(ctx, key, value, encoded, ver)
-	return ver, nil
+	return cl.put(ctx, key, value)
 }
 
 // PutIfVersion implements kv.CompareAndPut: transform, conditional write,
-// and — win or lose — invalidate the cached entry (see the coherence rules
-// above).
+// and — win or lose — invalidate the cached entry (see the rules above).
 func (cl *Client) PutIfVersion(ctx context.Context, key string, value []byte, since kv.Version) (kv.Version, error) {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return kv.NoVersion, err
@@ -166,18 +151,12 @@ func (cl *Client) PutIfVersion(ctx context.Context, key string, value []byte, si
 	}
 	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
-	ver, casErr := cas.PutIfVersion(ctx, key, encoded, since)
-	// The write may have applied even when the race was lost upstream of a
-	// retrying layer; dropping the entry is correct in every outcome.
-	if cl.cache != nil {
-		if _, derr := cl.cache.Delete(ctx, key); derr != nil {
-			cl.cacheErrs.Add(1)
-		}
+	t := cl.begin(key)
+	ver, err := cas.PutIfVersion(ctx, key, encoded, since)
+	cl.afterWrite(ctx, key, t, outcome{}, err)
+	if err != nil {
+		return kv.NoVersion, err
 	}
-	if casErr != nil {
-		return kv.NoVersion, casErr
-	}
-	cl.notifyWrite(key)
 	return ver, nil
 }
 
@@ -198,34 +177,12 @@ func (cl *Client) PutTTL(ctx context.Context, key string, value []byte, ttlNanos
 	}
 	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
-	if err := es.PutTTL(ctx, key, encoded, ttlNanos); err != nil {
-		return err
-	}
-	cl.notifyWrite(key)
-	if cl.cache == nil {
-		return nil
-	}
-	switch cl.policy {
-	case WriteThrough:
-		plain := append([]byte(nil), value...)
-		exp := cl.expiry()
-		if ttlNanos > 0 {
-			serverExp := cl.clock().Add(time.Duration(ttlNanos))
-			if exp.IsZero() || serverExp.Before(exp) {
-				exp = serverExp
-			}
-		}
-		e := Entry{Value: cl.plainForCache(plain, encoded), Version: kv.NoVersion, ExpiresAt: exp}
-		if cerr := cl.cache.Put(ctx, key, e); cerr != nil {
-			cl.cacheErrs.Add(1)
-		}
-	case WriteInvalidate:
-		if _, derr := cl.cache.Delete(ctx, key); derr != nil {
-			cl.cacheErrs.Add(1)
-		}
-	case WriteAround:
-	}
-	return nil
+	t := cl.begin(key)
+	err = es.PutTTL(ctx, key, encoded, ttlNanos)
+	o := cl.valueOf(value, encoded, kv.NoVersion)
+	o.maxTTL = time.Duration(ttlNanos)
+	cl.afterWrite(ctx, key, t, o, err)
+	return err
 }
 
 // TTL implements kv.Expiring, delegated to the store: the cache's private
@@ -240,25 +197,6 @@ func (cl *Client) TTL(ctx context.Context, key string) (int64, error) {
 		return 0, err
 	}
 	return es.TTL(ctx, key)
-}
-
-// applyWritePolicy mirrors Put's cache handling for a successful versioned
-// write.
-func (cl *Client) applyWritePolicy(ctx context.Context, key string, plain, encoded []byte, ver kv.Version) {
-	if cl.cache == nil {
-		return
-	}
-	switch cl.policy {
-	case WriteThrough:
-		// Cache a private copy: the caller may mutate its slice later.
-		buf := append([]byte(nil), plain...)
-		cl.cachePut(ctx, key, buf, encoded, ver)
-	case WriteInvalidate:
-		if _, err := cl.cache.Delete(ctx, key); err != nil {
-			cl.cacheErrs.Add(1)
-		}
-	case WriteAround:
-	}
 }
 
 func (cl *Client) requireVersioned(op, key string) (kv.Versioned, error) {

@@ -61,6 +61,7 @@ type Client struct {
 	hubID     int
 	flights   *flightGroup
 	refresher *refreshTracker
+	fence     [fenceStripes]fenceStripe
 
 	hits, misses, stale, revals, fresh atomic.Int64
 	reads, writes, cacheErrs           atomic.Int64
@@ -230,23 +231,38 @@ func (cl *Client) Stats() Stats {
 // Name implements kv.Store.
 func (cl *Client) Name() string { return cl.store.Name() }
 
-// checkKey validates key, honours an already-cancelled context, and
-// rejects use after Close.
-func (cl *Client) checkKey(ctx context.Context, key string) error {
+// check honours an already-cancelled context and rejects use after Close.
+func (cl *Client) check(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if cl.closed.Load() {
 		return kv.ErrClosed
 	}
+	return nil
+}
+
+// checkKey is check for operations on one key, which it validates.
+func (cl *Client) checkKey(ctx context.Context, key string) error {
+	if err := cl.check(ctx); err != nil {
+		return err
+	}
 	return kv.CheckKey(key)
 }
 
-func (cl *Client) expiry() time.Time {
-	if cl.ttl <= 0 {
+// expiry is when an entry installed now stops being served without asking
+// the store: the client's TTL, bounded by the server-side TTL of the write
+// that produced the entry (0 = none) so the cache cannot serve a value the
+// store has already expired. The zero time means never.
+func (cl *Client) expiry(serverTTL time.Duration) time.Time {
+	ttl := cl.ttl
+	if serverTTL > 0 && (ttl <= 0 || serverTTL < ttl) {
+		ttl = serverTTL
+	}
+	if ttl <= 0 {
 		return time.Time{}
 	}
-	return cl.clock().Add(cl.ttl)
+	return cl.clock().Add(ttl)
 }
 
 // encode runs the transform pipeline on a value bound for the store.
@@ -279,12 +295,20 @@ func (cl *Client) cachedToPlain(v []byte) ([]byte, error) {
 	return v, nil
 }
 
-// plainForCache converts (plain, encoded) to what the cache should hold.
-func (cl *Client) plainForCache(plain, encoded []byte) []byte {
-	if cl.cacheRaw {
-		return encoded
+// lookup is the one cache read of Get, GetMulti and Contains. answered is
+// false when there is no cache or it failed (counted, then treated as a
+// miss); what was found is counted by the caller, which knows what it will
+// do with it.
+func (cl *Client) lookup(ctx context.Context, key string) (e Entry, state State, answered bool) {
+	if cl.cache == nil {
+		return Entry{}, Miss, false
 	}
-	return plain
+	e, state, err := cl.cache.Get(ctx, key)
+	if err != nil {
+		cl.cacheErrs.Add(1)
+		return Entry{}, Miss, false
+	}
+	return e, state, true
 }
 
 // Get implements kv.Store: cache first, revalidate stale entries when
@@ -293,96 +317,66 @@ func (cl *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return nil, err
 	}
-	var staleEntry *Entry
-	if cl.cache != nil {
-		e, state, err := cl.cache.Get(ctx, key)
-		switch {
-		case err != nil:
-			cl.cacheErrs.Add(1)
-		case state == Hit && isNegative(e):
-			cl.negHits.Add(1)
-			return nil, kv.ErrNotFound
-		case state == Hit:
-			cl.hits.Add(1)
-			return cl.cachedToPlain(e.Value)
-		case state == Stale && isNegative(e):
-			cl.misses.Add(1) // expired tombstone: re-consult the store
-		case state == Stale:
-			cl.stale.Add(1)
-			staleEntry = &e
-		default:
-			cl.misses.Add(1)
-		}
-	}
-
-	// Stale-while-revalidate: serve the expired entry now, refresh in the
-	// background.
-	if staleEntry != nil {
-		if v, ok := cl.serveStaleAndRefresh(key, staleEntry); ok {
+	e, state, answered := cl.lookup(ctx, key)
+	switch {
+	case state == Hit && isNegative(e):
+		cl.negHits.Add(1)
+		return nil, kv.ErrNotFound
+	case state == Hit:
+		cl.hits.Add(1)
+		return cl.cachedToPlain(e.Value)
+	case state == Stale && !isNegative(e):
+		cl.stale.Add(1)
+		// Stale-while-revalidate: serve the expired entry now, refresh in
+		// the background.
+		if v, ok := cl.serveStaleAndRefresh(ctx, key, e); ok {
 			return v, nil
 		}
+		return cl.revalidate(monitor.EnsureRequestID(ctx), key, e)
+	case answered:
+		cl.misses.Add(1) // absent, or an expired tombstone: re-consult the store
 	}
-
-	// Every path from here reaches the store: tag the context with a
-	// request ID so retries, hedges, and server logs correlate. The
-	// cache-hit fast paths above stay untagged — no wire traffic to trace.
-	ctx = monitor.EnsureRequestID(ctx)
-
-	// Revalidation path: ask the server whether our stale copy is current.
-	if staleEntry != nil && cl.reval && cl.chain == nil && staleEntry.Version != kv.NoVersion {
-		if vs, ok := kv.As[kv.Versioned](cl.store); ok {
-			cl.revals.Add(1)
-			revalStart := time.Now()
-			data, ver, modified, err := vs.GetIfModified(ctx, key, staleEntry.Version)
-			monitor.AddSpan(ctx, "dscl", "revalidate", revalStart, err != nil)
-			switch {
-			case kv.IsNotFound(err):
-				_, _ = cl.cache.Delete(ctx, key)
-				return nil, err
-			case err != nil:
-				return nil, err
-			case !modified:
-				// Server confirms our copy: renew the lease, no transfer.
-				cl.fresh.Add(1)
-				if _, terr := cl.cache.Touch(ctx, key, cl.expiry(), ver); terr != nil {
-					cl.cacheErrs.Add(1)
-				}
-				return cl.cachedToPlain(staleEntry.Value)
-			default:
-				cl.reads.Add(1)
-				plain, err := cl.decode(data)
-				if err != nil {
-					return nil, err
-				}
-				cl.cachePut(ctx, key, plain, data, ver)
-				return plain, nil
-			}
-		}
-	}
-
-	// Full fetch (deduplicated across concurrent callers when
-	// WithSingleflight is enabled).
-	plain, err := cl.fetchShared(ctx, key)
-	if err != nil {
-		if kv.IsNotFound(err) && cl.cache != nil {
-			// Drop any stale entry for a key the server no longer has,
-			// then (if enabled) remember the miss with a tombstone.
-			if _, derr := cl.cache.Delete(ctx, key); derr != nil {
-				cl.cacheErrs.Add(1)
-			}
-			cl.cacheNegative(ctx, key)
-		}
-		return nil, err
-	}
-	return plain, nil
+	// Every path that reaches the store tags the context with a request ID
+	// so retries, hedges, and server logs correlate. The cache-hit fast
+	// paths above stay untagged — no wire traffic to trace.
+	return cl.fetchShared(monitor.EnsureRequestID(ctx), key)
 }
 
-// fetch reads from the store (through the delta chain when configured),
-// returning the plaintext, the encoded bytes, and the version when known.
-func (cl *Client) fetch(ctx context.Context, key string) (plain, raw []byte, ver kv.Version, err error) {
+// revalidate brings a stale entry up to date with one store call, for Get
+// and for the stale-while-revalidate refresh alike: a conditional fetch when
+// the entry carries a version the store can compare — "not modified" renews
+// the lease with no transfer, "modified" carries the new value — and a full
+// fetch otherwise. It returns the current plaintext.
+func (cl *Client) revalidate(ctx context.Context, key string, stale Entry) ([]byte, error) {
+	vs, ok := kv.As[kv.Versioned](cl.store)
+	if !ok || !cl.reval || cl.chain != nil || stale.Version == kv.NoVersion {
+		return cl.fetchShared(ctx, key)
+	}
+	cl.revals.Add(1)
+	t := cl.begin(key)
+	start := time.Now()
+	raw, ver, modified, err := vs.GetIfModified(ctx, key, stale.Version)
+	monitor.AddSpan(ctx, "dscl", "revalidate", start, err != nil)
+	if err == nil && !modified {
+		cl.fresh.Add(1)
+		cl.install(ctx, key, t, outcome{kind: outcomeTouch, version: ver})
+		return cl.cachedToPlain(stale.Value)
+	}
+	if err == nil {
+		cl.reads.Add(1)
+	}
+	return cl.filled(ctx, key, t, raw, ver, err)
+}
+
+// fill is the full fetch: read the store (through the delta chain when
+// configured) with the version when it has one, and install what was found.
+func (cl *Client) fill(ctx context.Context, key string) ([]byte, error) {
+	t := cl.begin(key)
 	cl.reads.Add(1)
 	start := time.Now()
-	defer func() { monitor.AddSpan(ctx, "dscl", "fetch", start, err != nil) }()
+	var raw []byte
+	var err error
+	ver := kv.NoVersion
 	if cl.chain != nil {
 		raw, err = cl.chain.Get(ctx, key)
 	} else if vs, ok := kv.As[kv.Versioned](cl.store); ok {
@@ -390,25 +384,26 @@ func (cl *Client) fetch(ctx context.Context, key string) (plain, raw []byte, ver
 	} else {
 		raw, err = cl.store.Get(ctx, key)
 	}
-	if err != nil {
-		return nil, nil, kv.NoVersion, err
-	}
-	plain, err = cl.decode(raw)
-	if err != nil {
-		return nil, nil, kv.NoVersion, err
-	}
-	return plain, raw, ver, nil
+	monitor.AddSpan(ctx, "dscl", "fetch", start, err != nil)
+	return cl.filled(ctx, key, t, raw, ver, err)
 }
 
-// cachePut installs a fetched or written value into the cache.
-func (cl *Client) cachePut(ctx context.Context, key string, plain, encoded []byte, ver kv.Version) {
-	if cl.cache == nil {
-		return
+// filled is the end of every single-key read that reached the store: decode
+// what it returned, install the value — or not-found, one outcome whichever
+// read discovered it — and hand back the plaintext.
+func (cl *Client) filled(ctx context.Context, key string, t token, raw []byte, ver kv.Version, err error) ([]byte, error) {
+	var plain []byte
+	if err == nil {
+		plain, err = cl.decode(raw)
 	}
-	e := Entry{Value: cl.plainForCache(plain, encoded), Version: ver, ExpiresAt: cl.expiry()}
-	if err := cl.cache.Put(ctx, key, e); err != nil {
-		cl.cacheErrs.Add(1)
+	if err != nil {
+		if kv.IsNotFound(err) {
+			cl.install(ctx, key, t, outcome{kind: outcomeTombstone})
+		}
+		return nil, err
 	}
+	cl.install(ctx, key, t, cl.valueOf(plain, raw, ver))
+	return plain, nil
 }
 
 // Put implements kv.Store: transform, write (optionally as a delta), then
@@ -417,43 +412,36 @@ func (cl *Client) Put(ctx context.Context, key string, value []byte) error {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return err
 	}
+	_, err := cl.put(ctx, key, value)
+	return err
+}
+
+// put is Put and PutVersioned after their checks: it keeps the version when
+// the store hands one back.
+func (cl *Client) put(ctx context.Context, key string, value []byte) (kv.Version, error) {
 	encoded, err := cl.encode(value)
 	if err != nil {
-		return err
+		return kv.NoVersion, err
 	}
 	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
-	var ver kv.Version
+	t := cl.begin(key)
+	ver := kv.NoVersion
 	if cl.chain != nil {
-		sent, err := cl.chain.Put(ctx, key, encoded)
-		if err != nil {
-			return err
+		var sent int
+		if sent, err = cl.chain.Put(ctx, key, encoded); err == nil {
+			cl.deltaSaved.Add(int64(len(encoded) - sent))
 		}
-		cl.deltaSaved.Add(int64(len(encoded) - sent))
 	} else if vs, ok := kv.As[kv.Versioned](cl.store); ok {
-		if ver, err = vs.PutVersioned(ctx, key, encoded); err != nil {
-			return err
-		}
-	} else if err := cl.store.Put(ctx, key, encoded); err != nil {
-		return err
+		ver, err = vs.PutVersioned(ctx, key, encoded)
+	} else {
+		err = cl.store.Put(ctx, key, encoded)
 	}
-
-	cl.notifyWrite(key)
-	if cl.cache == nil {
-		return nil
+	cl.afterWrite(ctx, key, t, cl.valueOf(value, encoded, ver), err)
+	if err != nil {
+		return kv.NoVersion, err
 	}
-	switch cl.policy {
-	case WriteThrough:
-		// Cache a private copy: the caller may mutate its slice later.
-		plain := append([]byte(nil), value...)
-		cl.cachePut(ctx, key, plain, encoded, ver)
-	case WriteInvalidate:
-		if _, err := cl.cache.Delete(ctx, key); err != nil {
-			cl.cacheErrs.Add(1)
-		}
-	case WriteAround:
-	}
-	return nil
+	return ver, nil
 }
 
 // Delete implements kv.Store.
@@ -461,20 +449,14 @@ func (cl *Client) Delete(ctx context.Context, key string) error {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return err
 	}
-	if cl.cache != nil {
-		if _, err := cl.cache.Delete(ctx, key); err != nil {
-			cl.cacheErrs.Add(1)
-		}
-	}
+	t := cl.begin(key)
 	var err error
 	if cl.chain != nil {
 		err = cl.chain.Delete(ctx, key)
 	} else {
 		err = cl.store.Delete(ctx, key)
 	}
-	if err == nil || kv.IsNotFound(err) {
-		cl.notifyWrite(key)
-	}
+	cl.afterWrite(ctx, key, t, outcome{}, err)
 	return err
 }
 
@@ -484,15 +466,13 @@ func (cl *Client) Contains(ctx context.Context, key string) (bool, error) {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return false, err
 	}
-	if cl.cache != nil {
-		if e, state, err := cl.cache.Get(ctx, key); err == nil && state == Hit {
-			if isNegative(e) {
-				cl.negHits.Add(1)
-				return false, nil
-			}
-			cl.hits.Add(1)
-			return true, nil
+	if e, state, _ := cl.lookup(ctx, key); state == Hit {
+		if isNegative(e) {
+			cl.negHits.Add(1)
+			return false, nil
 		}
+		cl.hits.Add(1)
+		return true, nil
 	}
 	if cl.chain != nil {
 		return cl.chain.Contains(ctx, key)
@@ -504,11 +484,8 @@ func (cl *Client) Contains(ctx context.Context, key string) (bool, error) {
 // subset). Not supported through a delta chain, whose physical keys are
 // derived names.
 func (cl *Client) Keys(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
+	if err := cl.check(ctx); err != nil {
 		return nil, err
-	}
-	if cl.closed.Load() {
-		return nil, kv.ErrClosed
 	}
 	if cl.chain != nil {
 		return nil, &kv.StoreError{Store: cl.Name(), Op: "keys", Err: errDeltaKeys}
@@ -518,11 +495,8 @@ func (cl *Client) Keys(ctx context.Context) ([]string, error) {
 
 // Len implements kv.Store.
 func (cl *Client) Len(ctx context.Context) (int, error) {
-	if err := ctx.Err(); err != nil {
+	if err := cl.check(ctx); err != nil {
 		return 0, err
-	}
-	if cl.closed.Load() {
-		return 0, kv.ErrClosed
 	}
 	if cl.chain != nil {
 		return 0, &kv.StoreError{Store: cl.Name(), Op: "len", Err: errDeltaKeys}
@@ -530,20 +504,16 @@ func (cl *Client) Len(ctx context.Context) (int, error) {
 	return cl.store.Len(ctx)
 }
 
-// Clear implements kv.Store.
+// Clear implements kv.Store: a write to every key, for the cache and for
+// the siblings on the hub ("" is no valid key, so it names them all).
 func (cl *Client) Clear(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	if err := cl.check(ctx); err != nil {
 		return err
 	}
-	if cl.closed.Load() {
-		return kv.ErrClosed
-	}
-	if cl.cache != nil {
-		if err := cl.cache.Clear(ctx); err != nil {
-			cl.cacheErrs.Add(1)
-		}
-	}
-	return cl.store.Clear(ctx)
+	t := cl.begin("")
+	err := cl.store.Clear(ctx)
+	cl.afterWrite(ctx, "", t, outcome{}, err)
+	return err
 }
 
 // Close implements kv.Store. The client refuses further operations; the

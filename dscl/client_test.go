@@ -3,12 +3,14 @@ package dscl
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"edsc/internal/raceflag"
 	"edsc/kv"
 	"edsc/kv/kvtest"
 )
@@ -139,13 +141,16 @@ func TestWriteThroughServesFromCache(t *testing.T) {
 
 func TestWriteThroughCopiesCallerSlice(t *testing.T) {
 	ctx := context.Background()
-	cl := New(kv.NewMem("m"), WithCache(NewInProcessCache(InProcessOptions{})))
-	buf := []byte("abc")
-	_ = cl.Put(ctx, "k", buf)
-	buf[0] = 'Z'
-	v, _ := cl.Get(ctx, "k")
-	if string(v) != "abc" {
-		t.Fatalf("cache aliased Put slice: %q", v)
+	// With no transform the encoded bytes are the caller's slice as well.
+	for name, opt := range map[string]Option{"plaintext": WithTransform(nil), "encoded": WithCacheTransformed()} {
+		cl := New(kv.NewMem("m"), WithCache(NewInProcessCache(InProcessOptions{})), opt)
+		buf := []byte("abc")
+		_ = cl.Put(ctx, "k", buf)
+		buf[0] = 'Z'
+		v, _ := cl.Get(ctx, "k")
+		if string(v) != "abc" {
+			t.Fatalf("%s cached: the cache aliased Put's slice: %q", name, v)
+		}
 	}
 }
 
@@ -474,6 +479,13 @@ func TestCacheFailureToleratedAsMiss(t *testing.T) {
 	if cl.Stats().CacheErrors == 0 {
 		t.Fatal("cache errors not counted")
 	}
+	before := cl.Stats().CacheErrors
+	if ok, err := cl.Contains(ctx, "k"); err != nil || !ok {
+		t.Fatalf("Contains with broken cache = %v, %v", ok, err)
+	}
+	if cl.Stats().CacheErrors != before+1 {
+		t.Fatal("Contains swallowed the cache error uncounted")
+	}
 }
 
 func TestContainsUsesCache(t *testing.T) {
@@ -554,4 +566,87 @@ func TestClientChaos(t *testing.T) {
 			WithCompression(CompressionOptions{}),
 			WithEncryption(bytes.Repeat([]byte{7}, KeySize))), nil
 	}, kvtest.ChaosOptions{})
+}
+
+// flatStore is a one-key kv.Versioned that allocates nothing, so what a
+// client call allocates over it is the client's own. Methods the guard does
+// not reach are left to the nil embedded Store.
+type flatStore struct {
+	kv.Store
+	val []byte
+}
+
+const flatVersion kv.Version = "flat"
+
+func (s *flatStore) Name() string { return "flat" }
+
+func (s *flatStore) GetVersioned(context.Context, string) ([]byte, kv.Version, error) {
+	return s.val, flatVersion, nil
+}
+
+func (s *flatStore) GetIfModified(_ context.Context, _ string, since kv.Version) ([]byte, kv.Version, bool, error) {
+	if since == flatVersion {
+		return nil, flatVersion, false, nil
+	}
+	return s.val, flatVersion, true, nil
+}
+
+func (s *flatStore) PutVersioned(_ context.Context, _ string, value []byte) (kv.Version, error) {
+	s.val = value
+	return flatVersion, nil
+}
+
+// TestAllocGuardClientGetPut pins what the benchmark multiplies by every
+// cached operation: the client's own allocations on its four hot paths, with
+// the benchmark's gzip+AES chain, a 1 KiB value and the in-process cache. A
+// hit allocates nothing; a miss is the request ID (2), the decode (2) and the
+// cache's node; a put the request ID, the encode (2), the private copy and
+// the node; a fresh revalidation the request ID alone. The fence (begin,
+// wrote, install) adds nothing to any of them.
+func TestAllocGuardClientGetPut(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	ctx := context.Background()
+	store := &flatStore{}
+	opts := []Option{WithCompression(CompressionOptions{}), WithTransform(EncryptionFromPassphrase("guard"))}
+	cache := NewInProcessCache(InProcessOptions{})
+	cl := New(store, append(opts, WithCache(cache))...)
+	// Its lease has always just lapsed: every Get revalidates.
+	stale := New(store, append(opts, WithCache(NewInProcessCache(InProcessOptions{})), WithTTL(time.Nanosecond))...)
+	value := make([]byte, 1024)
+	rand.New(rand.NewSource(1)).Read(value[:512])
+	if err := cl.Put(ctx, "k", value); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stale.Get(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		want float64
+		fn   func() error
+	}{
+		{"hit", 0, func() (err error) { _, err = cl.Get(ctx, "k"); return }},
+		{"miss and fill", 5, func() (err error) {
+			_, _ = cache.Delete(ctx, "k")
+			_, err = cl.Get(ctx, "k")
+			return
+		}},
+		{"write-through put", 6, func() error { return cl.Put(ctx, "k", value) }},
+		{"revalidated fresh", 2, func() (err error) { _, err = stale.Get(ctx, "k"); return }},
+	} {
+		if err := leg.fn(); err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { _ = leg.fn() }); allocs != leg.want {
+			t.Errorf("%s allocated %.1f times per op, want %.0f", leg.name, allocs, leg.want)
+		}
+	}
+	if st := stale.Stats(); st.RevalidatedFresh == 0 || st.RevalidatedFresh != st.Revalidations || st.StoreReads != 1 {
+		t.Fatalf("the stale client did not revalidate fresh every time: %+v", st)
+	}
+	if st := cl.Stats(); st.CacheHits < 200 || st.CacheMisses < 200 || st.CacheErrors != 0 {
+		t.Fatalf("the legs did not take the paths they name: %+v", st)
+	}
 }

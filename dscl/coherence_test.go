@@ -73,6 +73,19 @@ func TestHubInvalidatesOnDelete(t *testing.T) {
 	if _, err := b.Get(ctx, "k"); !kv.IsNotFound(err) {
 		t.Fatalf("b Get after a's delete err = %v, want ErrNotFound", err)
 	}
+	// Clear is a delete of every key, for the siblings too.
+	_ = a.Put(ctx, "k", []byte("v"))
+	if _, err := b.Get(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Clear(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, cl := range map[string]*Client{"a": a, "b": b} {
+		if _, err := cl.Get(ctx, "k"); !kv.IsNotFound(err) {
+			t.Fatalf("%s Get after a's Clear err = %v, want ErrNotFound", name, err)
+		}
+	}
 }
 
 func TestHubSubscriberCountAndDetach(t *testing.T) {

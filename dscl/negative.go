@@ -1,7 +1,6 @@
 package dscl
 
 import (
-	"context"
 	"time"
 
 	"edsc/kv"
@@ -35,14 +34,3 @@ func WithNegativeCaching(ttl time.Duration) Option {
 // NegativeHits reports how many Gets were answered ErrNotFound by a cached
 // tombstone instead of a store round trip.
 func (cl *Client) NegativeHits() int64 { return cl.negHits.Load() }
-
-// cacheNegative installs a tombstone after a store miss.
-func (cl *Client) cacheNegative(ctx context.Context, key string) {
-	if cl.cache == nil || cl.negTTL <= 0 {
-		return
-	}
-	e := Entry{Version: negativeVersion, ExpiresAt: cl.clock().Add(cl.negTTL)}
-	if err := cl.cache.Put(ctx, key, e); err != nil {
-		cl.cacheErrs.Add(1)
-	}
-}

@@ -100,3 +100,46 @@ func TestNegativeCachingDefaultTTLFloor(t *testing.T) {
 		t.Fatalf("negTTL = %v, want 1s floor", cl.negTTL)
 	}
 }
+
+// TestNegativeCachingAfterRevalidation: not-found is one outcome whichever
+// read discovers it. A conditional fetch that finds the key gone — in Get or
+// in the stale-while-revalidate refresh — leaves the tombstone a full fetch
+// would have left.
+func TestNegativeCachingAfterRevalidation(t *testing.T) {
+	for name, swr := range map[string]bool{"get": false, "swr refresh": true} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			store := &versionedStore{newCountingStore()}
+			now := time.Unix(1000, 0)
+			var mu sync.Mutex
+			clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+			opts := []Option{WithCache(storeCacheWithClock(clock)), WithTTL(time.Minute),
+				WithNegativeCaching(time.Hour), withClock(clock)}
+			if swr {
+				opts = append(opts, WithStaleWhileRevalidate())
+			}
+			cl := New(store, opts...)
+			_ = cl.Put(ctx, "k", []byte("v"))
+			_ = store.Mem.Delete(ctx, "k") // removed behind the client's back
+			mu.Lock()
+			now = now.Add(2 * time.Minute)
+			mu.Unlock()
+
+			_, err := cl.Get(ctx, "k")
+			cl.WaitRefreshes()
+			if swr != (err == nil) {
+				t.Fatalf("first read after expiry: err = %v", err)
+			}
+			if _, err := cl.Get(ctx, "k"); !kv.IsNotFound(err) {
+				t.Fatalf("err = %v, want ErrNotFound", err)
+			}
+			if cl.NegativeHits() == 0 || store.conditional.Load() != 1 || store.gets.Load() != 0 {
+				t.Fatalf("negative hits %d, conditional fetches %d, full fetches %d: the tombstone was not left",
+					cl.NegativeHits(), store.conditional.Load(), store.gets.Load())
+			}
+			if n := cl.Stats().CacheErrors; n != 0 {
+				t.Fatalf("%d cache errors", n)
+			}
+		})
+	}
+}

@@ -96,24 +96,14 @@ func WithSingleflight() Option {
 // in-flight fetch instead of reaching the store.
 func (cl *Client) DedupedFetches() int64 { return cl.deduped.Load() }
 
-// fetchShared routes a miss through the flight group when enabled.
+// fetchShared is the full fetch of a miss or an unversioned stale entry,
+// routed through the flight group when enabled: the leader fetches and
+// fills the cache, the followers take its value.
 func (cl *Client) fetchShared(ctx context.Context, key string) ([]byte, error) {
 	if cl.flights == nil {
-		plain, raw, ver, err := cl.fetch(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		cl.cachePut(ctx, key, plain, raw, ver)
-		return plain, nil
+		return cl.fill(ctx, key)
 	}
-	val, leader, err := cl.flights.do(ctx, key, func() ([]byte, error) {
-		plain, raw, ver, ferr := cl.fetch(ctx, key)
-		if ferr != nil {
-			return nil, ferr
-		}
-		cl.cachePut(ctx, key, plain, raw, ver)
-		return plain, nil
-	})
+	val, leader, err := cl.flights.do(ctx, key, func() ([]byte, error) { return cl.fill(ctx, key) })
 	if !leader && err == nil {
 		cl.deduped.Add(1)
 	}

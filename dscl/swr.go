@@ -4,7 +4,7 @@ import (
 	"context"
 	"sync"
 
-	"edsc/kv"
+	"edsc/monitor"
 )
 
 // Stale-while-revalidate: §III keeps expired entries around so they can be
@@ -47,11 +47,11 @@ func (cl *Client) WaitRefreshes() {
 
 // serveStaleAndRefresh returns the stale value and schedules one background
 // refresh for the key. It reports false when SWR is not enabled.
-func (cl *Client) serveStaleAndRefresh(key string, stale *Entry) ([]byte, bool) {
-	if cl.refresher == nil || stale == nil {
+func (cl *Client) serveStaleAndRefresh(ctx context.Context, key string, stale Entry) ([]byte, bool) {
+	r := cl.refresher
+	if r == nil {
 		return nil, false
 	}
-	r := cl.refresher
 	r.mu.Lock()
 	already := r.inflight[key]
 	if !already {
@@ -62,42 +62,22 @@ func (cl *Client) serveStaleAndRefresh(key string, stale *Entry) ([]byte, bool) 
 
 	if !already {
 		cl.refreshes.Add(1)
+		// Detached from the caller's cancellation, not from its trace and
+		// request ID.
+		ctx := monitor.EnsureRequestID(context.WithoutCancel(ctx))
 		go func() {
-			defer r.wg.Done()
-			defer func() {
-				r.mu.Lock()
-				delete(r.inflight, key)
-				r.mu.Unlock()
-			}()
-			// Background refresh: detached from the caller's context.
-			ctx := context.Background()
-			if cl.reval && cl.chain == nil && stale.Version != kv.NoVersion {
-				if vs, ok := kv.As[kv.Versioned](cl.store); ok {
-					cl.revals.Add(1)
-					_, ver, modified, err := vs.GetIfModified(ctx, key, stale.Version)
-					if err == nil && !modified {
-						cl.fresh.Add(1)
-						if _, terr := cl.cache.Touch(ctx, key, cl.expiry(), ver); terr != nil {
-							cl.cacheErrs.Add(1)
-						}
-						return
-					}
-				}
-			}
-			if _, err := cl.fetchShared(ctx, key); err != nil {
-				// A vanished key must not be served stale forever.
-				if kv.IsNotFound(err) {
-					if _, derr := cl.cache.Delete(ctx, key); derr != nil {
-						cl.cacheErrs.Add(1)
-					}
-				}
-			}
+			// The revalidation Get would have waited for, its answer
+			// installed and not returned; a vanished key is dropped there,
+			// so it is not served stale forever. A failure is retried by
+			// the next stale read.
+			_, _ = cl.revalidate(ctx, key, stale)
+			r.mu.Lock()
+			delete(r.inflight, key)
+			r.mu.Unlock()
+			r.wg.Done()
 		}()
 	}
 
 	v, err := cl.cachedToPlain(stale.Value)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
+	return v, err == nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"edsc/kv"
+	"edsc/monitor"
 )
 
 // swrSetup builds a client with SWR over a counting store with a shared
@@ -118,13 +119,23 @@ func TestSWRWithVersionedStoreUsesRevalidation(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	mu.Unlock()
 
-	if _, err := cl.Get(ctx, "k"); err != nil {
+	rec := monitor.New("swr", 1)
+	rec.SetSlowThreshold(1)
+	tctx, tr := monitor.StartTrace(ctx)
+	if _, err := cl.Get(tctx, "k"); err != nil {
 		t.Fatal(err)
 	}
 	cl.WaitRefreshes()
 	st := cl.Stats()
 	if st.Revalidations != 1 || st.RevalidatedFresh != 1 {
 		t.Fatalf("stats = %+v (background refresh should revalidate, not refetch)", st)
+	}
+	// The refresh is the reader's request continued: its revalidation shows
+	// in the reader's trace, as the synchronous one does.
+	rec.FinishTrace(tr, "get", time.Millisecond, false)
+	spans := rec.Snapshot(false).Slow[0].Spans
+	if len(spans) != 1 || spans[0].Layer != "dscl" || spans[0].Op != "revalidate" {
+		t.Fatalf("spans = %+v, want one dscl/revalidate", spans)
 	}
 	if store.gets.Load() != 0 {
 		t.Fatal("full fetch issued despite unchanged version")
@@ -161,5 +172,43 @@ func TestSWRDisabledFallsBackToSyncPath(t *testing.T) {
 	}
 	if cl.Refreshes() != 0 {
 		t.Fatal("background refresh ran without the option")
+	}
+}
+
+// TestSWRRefreshTransfersOnce: the conditional fetch of a modified key
+// answers with the new value, and the refresh installs that answer instead
+// of reading the key a second time.
+func TestSWRRefreshTransfersOnce(t *testing.T) {
+	ctx := context.Background()
+	store := &versionedStore{newCountingStore()}
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	cl := New(store,
+		WithCache(storeCacheWithClock(clock)),
+		WithTTL(time.Minute),
+		WithStaleWhileRevalidate(),
+		withClock(clock))
+
+	_ = cl.Put(ctx, "k", []byte("v1"))
+	if _, err := store.PutVersioned(ctx, "k", []byte("v2")); err != nil { // another writer
+		t.Fatal(err)
+	}
+	mu.Lock()
+	now = now.Add(2 * time.Minute)
+	mu.Unlock()
+
+	if v, err := cl.Get(ctx, "k"); err != nil || string(v) != "v1" {
+		t.Fatalf("stale read = %q, %v", v, err)
+	}
+	cl.WaitRefreshes()
+	if c, g := store.conditional.Load(), store.gets.Load(); c != 1 || g != 1 {
+		t.Fatalf("modified refresh made %d conditional calls and %d value transfers, want 1 and 1", c, g)
+	}
+	if v, err := cl.Get(ctx, "k"); err != nil || string(v) != "v2" {
+		t.Fatalf("post-refresh read = %q, %v", v, err)
+	}
+	if st := cl.Stats(); st.CacheHits != 1 || st.StoreReads != 1 {
+		t.Fatalf("stats = %+v, want the refreshed entry served from the cache", st)
 	}
 }
