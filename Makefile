@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence allocs metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse allocs metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -68,31 +68,37 @@ chaos:
 chaos-cluster:
 	EDSC_CHAOS=aggressive go test -race -run 'TestClusterChaos|TestClusterSuite' -v ./kv/cluster
 
-# minisql's crash, disk-fault and commit-pipeline suites by name, repeated
-# under the race detector: every kill point of every torture workload, from
-# kill -9 and power-loss images (DESIGN.md "Crash model"). A pattern that
-# matches nothing passes `go test`, so that is checked for.
-crash:
-	@out=$$(go test -race -count=3 -run 'Crash|Fault|GroupCommit|EarlyWriterRelease|Durab' ./internal/minisql 2>&1); status=$$?; \
+# run-named runs `go test` with the given arguments and fails, beyond what go
+# test itself fails on, when a package's -run pattern matched no test: a
+# renamed suite passes `go test` silently.
+define run-named
+	@out=$$(go test $(1) 2>&1); status=$$?; \
 	echo "$$out"; \
 	if echo "$$out" | grep -q 'no tests to run'; then \
-		echo 'crash: the -run pattern matched no test' >&2; \
+		echo '$@: the -run pattern matched no test' >&2; \
 		exit 1; \
 	fi; \
 	exit $$status
+endef
+
+# minisql's crash, disk-fault and commit-pipeline suites by name, repeated
+# under the race detector: every kill point of every torture workload, from
+# kill -9 and power-loss images (DESIGN.md "Crash model").
+crash:
+	$(call run-named,-race -count=3 -run 'Crash|Fault|GroupCommit|EarlyWriterRelease|Durab' ./internal/minisql)
 
 # dscl's fill fence: every interleaving of a cache fill with a racing write,
 # and the shared-key monotone-read workload, repeated under the race detector
-# (DESIGN.md "Cache coherence"). Same guard as crash: a pattern that matches
-# nothing must not pass.
+# (DESIGN.md "Cache coherence").
 fence:
-	@out=$$(go test -race -count=200 -run 'TestFenceInterleavings|TestSharedKeysMonotoneReads' ./dscl 2>&1); status=$$?; \
-	echo "$$out"; \
-	if echo "$$out" | grep -q 'no tests to run'; then \
-		echo 'fence: the -run pattern matched no test' >&2; \
-		exit 1; \
-	fi; \
-	exit $$status
+	$(call run-named,-race -count=200 -run 'TestFenceInterleavings|TestSharedKeysMonotoneReads' ./dscl)
+
+# The reuse rules of the quorum-over-RESP path, repeated under the race
+# detector: pooled fan-out state and the lent record buffer under node
+# failures, and a muxed caller that gives up while the writer is parked
+# mid-frame (DESIGN.md "Buffer ownership for the *To APIs", "Network hot path").
+reuse:
+	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestMuxAbandonWaitsOutParkedWriter' ./kv/cluster ./internal/miniredis)
 
 # The allocation guards of the request path, by name: they skip under -race
 # and a renamed or skipped guard passes `go test`, so each one must show up as
@@ -100,10 +106,11 @@ fence:
 ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGuardFileCommit \
 	TestAllocGuardKVStoreGetPut TestPreparedExecutionAllocs TestAllocGuardClusterGetPut \
 	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
-	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut
+	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut \
+	TestAllocGuardQuorumOverRESP
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
-		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor 2>&1); status=$$?; \
+		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \
 	echo "$$out"; \
 	for t in $(ALLOC_GUARDS); do \
 		echo "$$out" | grep -q -- "--- PASS: $$t" || { echo "allocs: $$t did not pass (skipped, renamed or failed)" >&2; status=1; }; \

@@ -129,10 +129,11 @@ func (cl *Client) PutVersioned(ctx context.Context, key string, value []byte) (k
 	if err := cl.checkKey(ctx, key); err != nil {
 		return kv.NoVersion, err
 	}
-	if _, err := cl.requireVersioned("putversioned", key); err != nil {
+	vs, err := cl.requireVersioned("putversioned", key)
+	if err != nil {
 		return kv.NoVersion, err
 	}
-	return cl.put(ctx, key, value)
+	return cl.put(ctx, key, value, vs)
 }
 
 // PutIfVersion implements kv.CompareAndPut: transform, conditional write,

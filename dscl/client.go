@@ -369,7 +369,8 @@ func (cl *Client) revalidate(ctx context.Context, key string, stale Entry) ([]by
 }
 
 // fill is the full fetch: read the store (through the delta chain when
-// configured) with the version when it has one, and install what was found.
+// configured), with the version when it has one and there is a cache to keep
+// it in, and install what was found.
 func (cl *Client) fill(ctx context.Context, key string) ([]byte, error) {
 	t := cl.begin(key)
 	cl.reads.Add(1)
@@ -379,7 +380,7 @@ func (cl *Client) fill(ctx context.Context, key string) ([]byte, error) {
 	ver := kv.NoVersion
 	if cl.chain != nil {
 		raw, err = cl.chain.Get(ctx, key)
-	} else if vs, ok := kv.As[kv.Versioned](cl.store); ok {
+	} else if vs := cl.versioned(cl.cache != nil); vs != nil {
 		raw, ver, err = vs.GetVersioned(ctx, key)
 	} else {
 		raw, err = cl.store.Get(ctx, key)
@@ -412,13 +413,25 @@ func (cl *Client) Put(ctx context.Context, key string, value []byte) error {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return err
 	}
-	_, err := cl.put(ctx, key, value)
+	// Only a write-through cache entry has a use for the write's version.
+	_, err := cl.put(ctx, key, value, cl.versioned(cl.cache != nil && cl.policy == WriteThrough))
 	return err
 }
 
-// put is Put and PutVersioned after their checks: it keeps the version when
-// the store hands one back.
-func (cl *Client) put(ctx context.Context, key string, value []byte) (kv.Version, error) {
+// versioned is the store's versioned face when keep says somebody will keep
+// the version it hands out, else nil: a version nobody keeps is one the store
+// formats, and a capability walk, for nothing.
+func (cl *Client) versioned(keep bool) kv.Versioned {
+	if !keep {
+		return nil
+	}
+	vs, _ := kv.As[kv.Versioned](cl.store)
+	return vs
+}
+
+// put is Put and PutVersioned after their checks. vs is the store's
+// versioned face when somebody will use the write's version, else nil.
+func (cl *Client) put(ctx context.Context, key string, value []byte, vs kv.Versioned) (kv.Version, error) {
 	encoded, err := cl.encode(value)
 	if err != nil {
 		return kv.NoVersion, err
@@ -432,7 +445,7 @@ func (cl *Client) put(ctx context.Context, key string, value []byte) (kv.Version
 		if sent, err = cl.chain.Put(ctx, key, encoded); err == nil {
 			cl.deltaSaved.Add(int64(len(encoded) - sent))
 		}
-	} else if vs, ok := kv.As[kv.Versioned](cl.store); ok {
+	} else if vs != nil {
 		ver, err = vs.PutVersioned(ctx, key, encoded)
 	} else {
 		err = cl.store.Put(ctx, key, encoded)

@@ -46,7 +46,10 @@ const inlineArgs = 5
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // newCall returns a call holding the single command args. args is copied;
-// the argument bytes themselves are borrowed until the exchange ends.
+// the argument bytes themselves are borrowed, and read only while the call is
+// framed. Every exchange outlasts its framing — a muxed one that gives up
+// waits it out — so they are the caller's again when the exchange returns,
+// even one that leaves the call itself behind.
 func newCall(args [][]byte) *call {
 	cl := callPool.Get().(*call)
 	cl.one[0] = append(cl.argv[:0], args...)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"edsc/internal/resp"
 	"edsc/kv"
@@ -514,9 +515,14 @@ func (c *Client) Ping(ctx context.Context) error {
 	return nil
 }
 
+// keyArg is key as a command argument, aliasing the string instead of copying
+// it. Arguments are only ever read, and string data stays valid for as long
+// as an abandoned call keeps pointing at it.
+func keyArg(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
+
 // Get fetches key; found reports presence.
 func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, err error) {
-	v, err := c.Do(ctx, cmdGet, []byte(key))
+	v, err := c.Do(ctx, cmdGet, keyArg(key))
 	if err != nil {
 		return nil, false, err
 	}
@@ -540,9 +546,9 @@ func (c *Client) Set(ctx context.Context, key string, value []byte, ttl time.Dur
 		if ms <= 0 {
 			ms = 1
 		}
-		v, err = c.Do(ctx, cmdSet, []byte(key), value, argPX, strconv.AppendInt(nil, ms, 10))
+		v, err = c.Do(ctx, cmdSet, keyArg(key), value, argPX, strconv.AppendInt(nil, ms, 10))
 	} else {
-		v, err = c.Do(ctx, cmdSet, []byte(key), value)
+		v, err = c.Do(ctx, cmdSet, keyArg(key), value)
 	}
 	if err != nil {
 		return err

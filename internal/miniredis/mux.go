@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -30,17 +31,28 @@ const (
 	muxInflightCap = 1024
 )
 
-// Call states. A call starts queued, moves to written when the writer
-// claims it (its bytes will reach the wire), and to done exactly once —
-// either by the reader/writer (result or poison) or by the caller's ctx
-// firing. The CAS on state is what makes cancellation race-free: a caller
-// can only abandon a call that is still queued; once written, the reader
-// owns completion and the caller must treat a cancel as ambiguous.
+// Call states. A call starts queued, moves to framing when the writer
+// claims it, to written once its bytes sit in the write buffer (they will
+// reach the wire), and to done exactly once — either by the reader/writer
+// (result or poison) or by the caller's ctx firing. The CAS on state is what
+// makes cancellation race-free: a caller can only abandon a call that is
+// still queued; once claimed, the reader owns completion and the caller must
+// treat a cancel as ambiguous. Framing is the one state in which the
+// connection reads the caller's argument bytes, so an abandoning caller
+// waits it out (awaitFramed): the bytes are the caller's again when its
+// exchange returns, as kv.Store's Put promises.
 const (
 	muxQueued int32 = iota // the zero value: a pooled call is ready to submit
+	muxFraming
 	muxWritten
 	muxDone
 )
+
+// framingPatience is how many scheduler yields an abandoning caller gives a
+// writer that is framing its call before it breaks the connection. Framing
+// is a memcpy into the write buffer, except for a value that overflows the
+// buffer into a socket that is not draining.
+const framingPatience = 128
 
 // muxStatus reports how an exchange failed, for idempotency classification
 // (written) and for call ownership (detached: the caller gave up on a
@@ -192,7 +204,7 @@ func (m *muxConn) writeLoop() {
 				break
 			}
 			for bi, call := range batch {
-				if !call.state.CompareAndSwap(muxQueued, muxWritten) {
+				if !call.state.CompareAndSwap(muxQueued, muxFraming) {
 					continue // caller cancelled before any bytes moved
 				}
 				if err := m.writeCall(call); err != nil {
@@ -213,10 +225,12 @@ func (m *muxConn) writeLoop() {
 	}
 }
 
-// writeCall frames one call and hands it to the reader. The call must
-// already be in the written state.
+// writeCall frames one call, which the writer has claimed, and hands it to
+// the reader.
 func (m *muxConn) writeCall(call *call) error {
-	if err := call.frame(m.w); err != nil {
+	err := call.frame(m.w)
+	call.state.Store(muxWritten) // the arguments have been read, whatever came of it
+	if err != nil {
 		return err
 	}
 	select {
@@ -285,14 +299,34 @@ func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 		m.load.Add(-1)
 		return muxStatus{detached: true}, ctx.Err()
 	}
-	// The writer has it (or it just finished). Prefer the real result if
-	// completion already happened; otherwise abandon as written/ambiguous.
+	// The writer has it (or it just finished). While it frames the call it
+	// reads the caller's arguments: wait that out. Then prefer the real
+	// result if completion already happened; otherwise abandon as
+	// written/ambiguous.
+	if m.awaitFramed(call, ctx.Err()) {
+		return muxStatus{written: true, detached: true}, ctx.Err()
+	}
 	select {
 	case <-call.done:
 		return muxStatus{written: call.written}, call.err
 	default:
 	}
 	return muxStatus{written: true, detached: true}, ctx.Err()
+}
+
+// awaitFramed returns once the writer is no longer reading call's arguments.
+// A writer parked in the socket mid-frame is released by poisoning the
+// connection, which awaitFramed reports: the write fails and the writer
+// finishes the call as written.
+func (m *muxConn) awaitFramed(call *call, cause error) (poisoned bool) {
+	for spins := 0; call.state.Load() == muxFraming; spins++ {
+		if spins == framingPatience {
+			m.poison(fmt.Errorf("miniredis: mux write abandoned mid-frame: %w", cause), nil, nil)
+			poisoned = true
+		}
+		runtime.Gosched()
+	}
+	return poisoned
 }
 
 // muxPool spreads callers over a small fixed set of muxed connections,

@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edsc/internal/bufpool"
 	"edsc/kv"
 )
 
@@ -254,14 +255,19 @@ const (
 
 // Encode renders the record in the node storage format.
 func (r Record) Encode() []byte {
-	out := make([]byte, recHdrSize+len(r.Value))
-	out[0], out[1] = recMagic0, recMagic1
-	binary.BigEndian.PutUint64(out[2:], r.Version)
+	return r.AppendEncode(make([]byte, 0, recHdrSize+len(r.Value)))
+}
+
+// AppendEncode appends the record in the node storage format to dst and
+// returns the extended slice. Every byte is written, so dst may be recycled
+// memory.
+func (r Record) AppendEncode(dst []byte) []byte {
+	var flags byte
 	if r.Tombstone {
-		out[10] = flagTomb
+		flags = flagTomb
 	}
-	copy(out[recHdrSize:], r.Value)
-	return out
+	dst = binary.BigEndian.AppendUint64(append(dst, recMagic0, recMagic1), r.Version)
+	return append(append(dst, flags), r.Value...)
 }
 
 // DecodeRecord parses a node-stored blob back into a Record. The Value
@@ -307,27 +313,85 @@ type replica struct {
 // arrays (the default N is 3); a larger replica set spills to the heap.
 const fanoutInline = 4
 
-// fanout is the storage of one single-key quorum operation, owned by the
-// function that declares it: the replica set, one answer slot per replica
-// and the WaitGroup the coordinator waits on. The replica goroutines share
-// it, so it lives on the heap — as the operation's one object: acks are
-// filtered into reps in place and the ring lookup fills a stack array.
+// fanout is the storage of one single-key quorum operation: the replica set,
+// one answer slot per replica, the WaitGroup the coordinator waits on and the
+// inputs every replica call shares. Fanouts are pooled, and the function that
+// takes one releases it, after its last use of reps and resp (acks are
+// filtered into reps in place, so a writer holds its fanout until the acked
+// nodes' hints are drained). spawn[i] runs replica i's call; the closures are
+// built once per object, so starting a replica goroutine allocates nothing.
 type fanout struct {
 	reps []replica      // the replica set, in preference order
 	resp []readResponse // resp[i] is reps[i]'s answer (writes set rep and err)
 	wg   sync.WaitGroup
 
+	ctx context.Context // the fan-out's deadline
+	key string
+	enc []byte // the encoded record a write sends; nil for a read
+
 	repBuf  [fanoutInline]replica
 	respBuf [fanoutInline]readResponse
+	spawn   [fanoutInline]func()
 }
 
-// answers sizes resp to the replica set.
-func (f *fanout) answers() {
+var fanoutPool = sync.Pool{New: func() any {
+	f := new(fanout)
+	for i := range f.spawn {
+		f.spawn[i] = f.spawner(i)
+	}
+	return f
+}}
+
+// spawner is what a goroutine started for replica i runs.
+func (f *fanout) spawner(i int) func() { return func() { f.call(i); f.wg.Done() } }
+
+func getFanout() *fanout { return fanoutPool.Get().(*fanout) }
+
+// release returns f to the pool holding nothing: no reply, context or
+// record may stay reachable from a pooled fanout.
+func (f *fanout) release() {
+	f.reps, f.resp = nil, nil
+	f.ctx, f.key, f.enc = nil, "", nil
+	f.repBuf, f.respBuf = [fanoutInline]replica{}, [fanoutInline]readResponse{}
+	fanoutPool.Put(f)
+}
+
+// call is replica i's share of the fan-out.
+func (f *fanout) call(i int) {
+	rep := f.reps[i]
+	if f.enc != nil {
+		f.resp[i] = readResponse{rep: rep, err: rep.store.Put(f.ctx, f.key, f.enc)}
+	} else {
+		f.resp[i] = readReplica(f.ctx, rep, f.key)
+	}
+}
+
+// run calls every replica in f.reps — storing enc under key, or reading key
+// when enc is nil — and waits for all of them (no fire-and-forget
+// stragglers), leaving the answers in f.resp. The calls start together and
+// share one NodeTimeout deadline; replica 0's rides on the coordinator's own
+// goroutine. A replica set wider than fanoutInline spills to the heap.
+func (c *Cluster) run(ctx context.Context, f *fanout, key string, enc []byte) {
 	if n := len(f.reps); n <= fanoutInline {
 		f.resp = f.respBuf[:n]
 	} else {
 		f.resp = make([]readResponse, n)
 	}
+	fctx, cancel := c.nodeCtx(ctx)
+	defer cancel()
+	f.ctx, f.key, f.enc = fctx, key, enc
+	for i := 1; i < len(f.reps); i++ {
+		f.wg.Add(1)
+		if i < fanoutInline {
+			go f.spawn[i]()
+		} else {
+			go f.spawner(i)()
+		}
+	}
+	if len(f.reps) > 0 {
+		f.call(0)
+	}
+	f.wg.Wait()
 }
 
 // replicasFor snapshots key's preference list into f.reps under the
@@ -433,38 +497,27 @@ func (c *Cluster) nodeCtx(ctx context.Context) (context.Context, context.CancelF
 
 // --- quorum write ----------------------------------------------------------
 
-// writeRecordLocked replicates rec to key's preference list and waits for
-// every replica to answer or time out (no fire-and-forget stragglers: a
-// write that outlived its key lock could clobber a newer record). Failed
-// replicas get hints. Caller holds key's stripe lock. It returns the nodes
-// that acked, so opportunistic hint draining can run after the lock drops.
+// writeRecord replicates rec to key's preference list and waits for every
+// replica to answer or time out (a write that outlived its key lock could
+// clobber a newer record). Failed replicas get hints. The caller holds
+// key's stripe lock; writeRecord drops it once the replicas have answered and
+// then drains the hints of the nodes that acked.
 //
-// rec.Value may be the caller's slice: the record is encoded once, every
-// replica is sent that one buffer (a node must not retain or mutate it), and
-// a hint keeps the encoded copy, never the caller's bytes.
-func (c *Cluster) writeRecordLocked(ctx context.Context, op, key string, rec record) ([]replica, error) {
-	f := new(fanout)
+// rec.Value may be the caller's slice: the record is encoded once, into a
+// pooled buffer every replica is lent (a node must not retain or mutate it).
+// The buffer goes back to the pool only when every replica acked: a failed
+// replica's hint aliases it — never the caller's bytes — and then owns it.
+func (c *Cluster) writeRecord(ctx context.Context, op, key string, rec record, lock *sync.Mutex) error {
+	f := getFanout()
+	defer f.release() // after drainHints: acked aliases f.repBuf
 	if err := c.replicasFor(f, key); err != nil {
-		return nil, err
+		lock.Unlock()
+		return err
 	}
-	f.answers()
-	enc := rec.Encode()
-	rec.Value = enc[recHdrSize:]
-
-	fctx, cancel := c.nodeCtx(ctx)
-	for i := 1; i < len(f.reps); i++ {
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			f.resp[i] = writeReplica(fctx, f.reps[i], key, enc)
-		}()
-	}
-	if len(f.reps) > 0 {
-		// One replica call rides on the coordinator's own goroutine.
-		f.resp[0] = writeReplica(fctx, f.reps[0], key, enc)
-	}
-	f.wg.Wait()
-	cancel()
+	buf := bufpool.Get(recHdrSize + len(rec.Value))
+	buf.B = rec.AppendEncode(buf.B)
+	rec.Value = buf.B[recHdrSize:]
+	c.run(ctx, f, key, buf.B)
 
 	acked := f.reps[:0] // resp holds its own copy of each replica
 	var causes []error
@@ -476,20 +529,20 @@ func (c *Cluster) writeRecordLocked(ctx context.Context, op, key string, rec rec
 			c.addHint(r.rep.id, key, rec)
 		}
 	}
+	lock.Unlock()
+	if len(causes) == 0 {
+		buf.Release()
+	}
 	if len(acked) < c.opts.WriteQuorum {
 		// The acks that did land may have applied the write: ambiguous.
-		return acked, c.quorumError(op, key, true, causes)
+		return c.quorumError(op, key, true, causes)
 	}
-	if len(acked) < len(f.resp) {
+	if len(causes) > 0 {
 		c.degraded.Add(1)
 	}
 	c.writes.Add(1)
-	return acked, nil
-}
-
-// writeReplica stores an encoded record on one node.
-func writeReplica(ctx context.Context, rep replica, key string, enc []byte) readResponse {
-	return readResponse{rep: rep, err: rep.store.Put(ctx, key, enc)}
+	c.drainHints(ctx, acked)
+	return nil
 }
 
 // addHint buffers a handoff record for an unreachable node.
@@ -606,26 +659,6 @@ type readResponse struct {
 	rec    record
 	exists bool // node had a record (tombstones exist too)
 	err    error
-}
-
-// fanoutRead asks every replica in f.reps for key and waits for all of them
-// (the fan-out bounded by NodeTimeout), leaving the answers in f.resp.
-func (c *Cluster) fanoutRead(ctx context.Context, f *fanout, key string) {
-	f.answers()
-	fctx, cancel := c.nodeCtx(ctx)
-	defer cancel()
-	for i := 1; i < len(f.reps); i++ {
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			f.resp[i] = readReplica(fctx, f.reps[i], key)
-		}()
-	}
-	if len(f.reps) > 0 {
-		// One replica call rides on the coordinator's own goroutine.
-		f.resp[0] = readReplica(fctx, f.reps[0], key)
-	}
-	f.wg.Wait()
 }
 
 // readReplica reads key's record from one node. The record's Value aliases
@@ -754,11 +787,12 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 // readRecord is the full quorum read. locked reports that the caller already
 // holds key's stripe lock (the CAS and Delete paths).
 func (c *Cluster) readRecord(ctx context.Context, op, key string, locked bool) (record, bool, error) {
-	f := new(fanout)
+	f := getFanout()
+	defer f.release()
 	if err := c.replicasFor(f, key); err != nil {
 		return record{}, false, err
 	}
-	c.fanoutRead(ctx, f, key)
+	c.run(ctx, f, key, nil)
 	return c.resolveRead(ctx, op, key, f.reps, f.resp, locked)
 }
 
@@ -837,12 +871,9 @@ func (c *Cluster) put(ctx context.Context, key string, value []byte) (uint64, er
 	rec := record{Version: c.nextVersion(), Value: value}
 	lock := c.lockFor(key)
 	lock.Lock()
-	acked, err := c.writeRecordLocked(ctx, "put", key, rec)
-	lock.Unlock()
-	if err != nil {
+	if err := c.writeRecord(ctx, "put", key, rec, lock); err != nil {
 		return 0, err
 	}
-	c.drainHints(ctx, acked)
 	return rec.Version, nil
 }
 
@@ -874,12 +905,9 @@ func (c *Cluster) PutIfVersion(ctx context.Context, key string, value []byte, si
 		return kv.NoVersion, kv.ErrVersionMismatch
 	}
 	rec := record{Version: c.nextVersion(), Value: value}
-	acked, err := c.writeRecordLocked(ctx, "cas", key, rec)
-	lock.Unlock()
-	if err != nil {
+	if err := c.writeRecord(ctx, "cas", key, rec, lock); err != nil {
 		return kv.NoVersion, err
 	}
-	c.drainHints(ctx, acked)
 	return versionString(rec.Version), nil
 }
 
@@ -905,13 +933,7 @@ func (c *Cluster) Delete(ctx context.Context, key string) error {
 		return kv.ErrNotFound
 	}
 	rec := record{Version: c.nextVersion(), Tombstone: true}
-	acked, err := c.writeRecordLocked(ctx, "delete", key, rec)
-	lock.Unlock()
-	if err != nil {
-		return err
-	}
-	c.drainHints(ctx, acked)
-	return nil
+	return c.writeRecord(ctx, "delete", key, rec, lock)
 }
 
 // Contains implements kv.Store.

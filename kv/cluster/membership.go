@@ -163,8 +163,10 @@ func (c *Cluster) rebalanceKey(ctx context.Context, key string, sources []replic
 	}
 
 	// Read every copy (owners and former holders alike).
-	f := &fanout{reps: sources}
-	c.fanoutRead(ctx, f, key)
+	f := getFanout()
+	defer f.release()
+	f.reps = sources
+	c.run(ctx, f, key, nil)
 	resp := f.resp
 	winner := record{}
 	exists := false

@@ -152,10 +152,28 @@ type ActiveTrace struct {
 
 	mu    sync.Mutex
 	spans []Span
+	room  [2]Span // spans starts here: most requests record one or two
 }
 
 // ID returns the trace's request ID.
 func (t *ActiveTrace) ID() string { return t.rid.String() }
+
+// traceCtx is a trace and the context that carries it, one object. Only
+// Value is its own: deadline, Done and Err are the parent's, and so is every
+// other value — the context package's private canceler key among them, so a
+// context.WithTimeout derived from a traceCtx still links to the parent's
+// canceler directly instead of starting a goroutine to watch it.
+type traceCtx struct {
+	context.Context
+	tr ActiveTrace
+}
+
+func (c *traceCtx) Value(key any) any {
+	if key == traceKey {
+		return &c.tr
+	}
+	return c.Context.Value(key)
+}
 
 // StartTrace begins a trace for one request, ensuring ctx carries a request
 // ID. The returned ActiveTrace is non-nil only on the outermost call: when
@@ -166,14 +184,17 @@ func StartTrace(ctx context.Context) (context.Context, *ActiveTrace) {
 	if _, ok := ctx.Value(traceKey).(*ActiveTrace); ok {
 		return ctx, nil
 	}
-	tr := &ActiveTrace{begin: time.Now()}
+	c := &traceCtx{Context: ctx}
+	tr := &c.tr
+	tr.begin = time.Now()
+	tr.spans = tr.room[:0]
 	if rid, ok := ctx.Value(ridKey).(*requestID); ok {
 		tr.rid = rid
 	} else {
 		tr.own.seq = ridSeq.Add(1)
 		tr.rid = &tr.own
 	}
-	return context.WithValue(ctx, traceKey, tr), tr
+	return c, tr
 }
 
 // AddSpan records one step of the active trace in ctx: layer/op, started at

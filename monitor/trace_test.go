@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -165,9 +166,9 @@ func TestTraceAdoptsOuterRequestID(t *testing.T) {
 }
 
 // TestAllocGuardTrace pins what every request of every store pays for
-// tracing when no slow threshold is set: the trace and the one context
-// value that carries it (and, through it, the request ID). Nothing is
-// formatted until somebody reads the ID.
+// tracing when no slow threshold is set: one object, which is the trace, the
+// context that carries it (and, through it, the request ID) and the room for
+// its first spans. Nothing is formatted until somebody reads the ID.
 func TestAllocGuardTrace(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -176,12 +177,46 @@ func TestAllocGuardTrace(t *testing.T) {
 	bg := context.Background()
 	var sink context.Context
 	allocs := testing.AllocsPerRun(500, func() {
+		start := time.Now()
 		ctx, tr := StartTrace(bg)
 		sink = EnsureRequestID(ctx) // what dscl does below udsm: no-op
+		AddSpan(ctx, "dscl", "fetch", start, false)
 		r.FinishTrace(tr, "get", time.Millisecond, false)
 	})
 	_ = sink
-	if allocs > 2 {
-		t.Fatalf("StartTrace+FinishTrace allocated %.0f times per request, budget 2", allocs)
+	if allocs != 1 {
+		t.Fatalf("StartTrace+AddSpan+FinishTrace allocated %.0f times per request, want 1", allocs)
+	}
+}
+
+// TestTraceContextKeepsParentCanceler: the context StartTrace returns is a
+// type of this package's, which the context package would watch with a
+// goroutine per derived deadline had it not forwarded Value: cluster and
+// resilient derive one such deadline per request. Cancelling the parent must
+// reach a context.WithTimeout below the trace, and deriving it must start no
+// goroutine.
+func TestTraceContextKeepsParentCanceler(t *testing.T) {
+	parent, cancelParent := context.WithCancel(context.Background())
+	ctx, tr := StartTrace(parent)
+	if tr == nil {
+		t.Fatal("no trace")
+	}
+	before := runtime.NumGoroutine()
+	child, cancel := context.WithTimeout(ctx, time.Hour)
+	defer cancel()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("deriving a deadline below the trace started %d goroutines", after-before)
+	}
+	if _, ok := child.Value(traceKey).(*ActiveTrace); !ok {
+		t.Fatal("the derived context lost the trace")
+	}
+	cancelParent()
+	select {
+	case <-child.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelling the parent never reached the context below the trace")
+	}
+	if child.Err() != context.Canceled || ctx.Err() != context.Canceled {
+		t.Fatalf("Err = %v below the trace, %v at it; want context.Canceled", child.Err(), ctx.Err())
 	}
 }
