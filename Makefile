@@ -95,10 +95,12 @@ fence:
 
 # The reuse rules of the quorum-over-RESP path, repeated under the race
 # detector: pooled fan-out state and the lent record buffer under node
-# failures, and a muxed caller that gives up while the writer is parked
-# mid-frame (DESIGN.md "Buffer ownership for the *To APIs", "Network hot path").
+# failures, the two-round read over that state, replica state by replica
+# state, and its two deadlines against a hung replica, and a muxed caller that
+# gives up while the writer is parked mid-frame (DESIGN.md "Buffer ownership
+# for the *To APIs", "The coordinator's request path", "Network hot path").
 reuse:
-	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestMuxAbandonWaitsOutParkedWriter' ./kv/cluster ./internal/miniredis)
+	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestMuxAbandonWaitsOutParkedWriter' ./kv/cluster ./internal/miniredis)
 
 # The allocation guards of the request path, by name: they skip under -race
 # and a renamed or skipped guard passes `go test`, so each one must show up as

@@ -20,10 +20,11 @@ import (
 // (exact profile, runtime.MemProfileRate = 1) outlives the request or is the
 // library's below us:
 //
-//	get 12: 5 the fan-out's one deadline (context.WithTimeout makes a
+//	get 11: 5 the probe round's one deadline (context.WithDeadline makes a
 //	          context, a cancel function, a timer and its callback, and a Done
 //	          channel once the mux selects on it)
-//	        3 the replies, one value per replica (resp.Reader)
+//	        2 the replies, one value per replica asked: the two of the probe
+//	          window agree, so the third is not read (resp.Reader)
 //	        2 the request ID dscl tags an untraced context with (the ID and the
 //	          context value; under udsm both are the one trace object)
 //	        1 the cipher.NewCTR stream
@@ -80,7 +81,7 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 		put()
 		get()
 	}
-	const wantGet, wantPut = 12, 15
+	const wantGet, wantPut = 11, 15
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)

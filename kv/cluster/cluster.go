@@ -25,6 +25,19 @@
 // With R+W > N (the default: N=3, R=W=2) read and write quorums intersect,
 // so a successful read always observes the newest successful write.
 //
+// A single-key read does not ask all N replicas for that. It first asks a
+// probe window of max(R, N-R+1) of them (two of three by default) and answers
+// from those alone when every one answered and all agree — one version, or
+// no record anywhere: R answers and the N-R+1 holders of the next paragraph
+// are then in hand. On anything else (an error, a timeout, two versions) it
+// asks the remaining replicas too and resolves over all N answers. The
+// window starts at the head of the preference list and moves one replica on
+// with every read of the key's stripe, so N consecutive reads of a key probe
+// — and repair — every replica. The probe round gets half of the read's time
+// (NodeTimeout, or the caller's deadline when sooner) and the second round
+// the rest. Batch reads ask all N: a batch costs one call per node whatever
+// it carries.
+//
 // Reads additionally enforce *monotonic reads* before answering: the
 // winning record must be present on at least N-R+1 replicas (every future
 // R-quorum then intersects it), and the read path synchronously
@@ -48,6 +61,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -56,6 +70,7 @@ import (
 
 	"edsc/internal/bufpool"
 	"edsc/kv"
+	"edsc/monitor"
 )
 
 // ErrNoQuorum reports an operation that could not reach its read or write
@@ -91,7 +106,8 @@ type Options struct {
 	MaxHints int
 	// NodeTimeout bounds each per-replica operation (default 2s), so one
 	// hung node cannot stall a quorum that is otherwise satisfied. The
-	// replica calls of one fan-out start together and share one deadline.
+	// replica calls of one round start together and share one deadline; the
+	// two rounds of a read share one NodeTimeout.
 	NodeTimeout time.Duration
 }
 
@@ -122,16 +138,17 @@ func (o Options) withDefaults(members int) Options {
 
 // Stats are cumulative counters of cluster-level events.
 type Stats struct {
-	Reads          int64 // quorum reads served
-	Writes         int64 // quorum writes acknowledged
-	ReadRepairs    int64 // stale replicas repaired on the read path
-	DegradedWrites int64 // successful writes that missed at least one replica
-	HintsQueued    int64 // hinted-handoff records buffered
-	HintsReplayed  int64 // hints drained back to recovered nodes
-	HintsDropped   int64 // hints lost to the MaxHints bound
-	QuorumFailures int64 // operations failed for lack of quorum
-	Rebalances     int64 // join/leave rebalance passes completed
-	KeysMoved      int64 // records copied during rebalancing
+	Reads           int64 // quorum reads served
+	Writes          int64 // quorum writes acknowledged
+	ReadRepairs     int64 // stale replicas repaired on the read path
+	ReadEscalations int64 // single-key reads that went past their probe window
+	DegradedWrites  int64 // successful writes that missed at least one replica
+	HintsQueued     int64 // hinted-handoff records buffered
+	HintsReplayed   int64 // hints drained back to recovered nodes
+	HintsDropped    int64 // hints lost to the MaxHints bound
+	QuorumFailures  int64 // operations failed for lack of quorum
+	Rebalances      int64 // join/leave rebalance passes completed
+	KeysMoved       int64 // records copied during rebalancing
 }
 
 // Cluster is the sharded, replicated store client. It implements kv.Store,
@@ -154,8 +171,12 @@ type Cluster struct {
 	hintCount atomic.Int64
 
 	locks [keyStripes]sync.Mutex // serialize writes per key stripe
+	// cursor[i] counts the single-key reads of stripe i: where in the
+	// preference list the next read's probe window starts.
+	cursor [keyStripes]atomic.Uint32
 
 	reads, writes, repairs, degraded atomic.Int64
+	escalations                      atomic.Int64
 	hintsQ, hintsR, hintsD, noQuorum atomic.Int64
 	rebalances, keysMoved            atomic.Int64
 }
@@ -211,17 +232,34 @@ func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 // Stats returns a snapshot of the cluster counters.
 func (c *Cluster) Stats() Stats {
 	return Stats{
-		Reads:          c.reads.Load(),
-		Writes:         c.writes.Load(),
-		ReadRepairs:    c.repairs.Load(),
-		DegradedWrites: c.degraded.Load(),
-		HintsQueued:    c.hintsQ.Load(),
-		HintsReplayed:  c.hintsR.Load(),
-		HintsDropped:   c.hintsD.Load(),
-		QuorumFailures: c.noQuorum.Load(),
-		Rebalances:     c.rebalances.Load(),
-		KeysMoved:      c.keysMoved.Load(),
+		Reads:           c.reads.Load(),
+		Writes:          c.writes.Load(),
+		ReadRepairs:     c.repairs.Load(),
+		ReadEscalations: c.escalations.Load(),
+		DegradedWrites:  c.degraded.Load(),
+		HintsQueued:     c.hintsQ.Load(),
+		HintsReplayed:   c.hintsR.Load(),
+		HintsDropped:    c.hintsD.Load(),
+		QuorumFailures:  c.noQuorum.Load(),
+		Rebalances:      c.rebalances.Load(),
+		KeysMoved:       c.keysMoved.Load(),
 	}
+}
+
+// RegisterMetrics exports the Stats counters through reg as the counter
+// family edsc_cluster_events_total{store,event}, one event per field.
+func (c *Cluster) RegisterMetrics(reg *monitor.Registry) {
+	reg.RegisterCounters("edsc_cluster_events_total", map[string]string{"store": c.name},
+		func() map[string]int64 {
+			st := c.Stats()
+			return map[string]int64{
+				"read": st.Reads, "write": st.Writes,
+				"read_repair": st.ReadRepairs, "read_escalation": st.ReadEscalations,
+				"degraded_write": st.DegradedWrites, "quorum_failure": st.QuorumFailures,
+				"hint_queued": st.HintsQueued, "hint_replayed": st.HintsReplayed, "hint_dropped": st.HintsDropped,
+				"rebalance": st.Rebalances, "key_moved": st.KeysMoved,
+			}
+		})
 }
 
 // Name implements kv.Store.
@@ -366,21 +404,21 @@ func (f *fanout) call(i int) {
 	}
 }
 
-// run calls every replica in f.reps — storing enc under key, or reading key
-// when enc is nil — and waits for all of them (no fire-and-forget
-// stragglers), leaving the answers in f.resp. The calls start together and
-// share one NodeTimeout deadline; replica 0's rides on the coordinator's own
-// goroutine. A replica set wider than fanoutInline spills to the heap.
-func (c *Cluster) run(ctx context.Context, f *fanout, key string, enc []byte) {
-	if n := len(f.reps); n <= fanoutInline {
-		f.resp = f.respBuf[:n]
-	} else {
-		f.resp = make([]readResponse, n)
+// run calls replicas lo to hi-1 of f.reps, one round of a fan-out — storing
+// enc under key, or reading key when enc is nil — and waits for all of them
+// (no fire-and-forget stragglers: a pooled fanout must not be written by a
+// call that outlived it), leaving the answers in f.resp[lo:hi]. The calls
+// start together and share the one deadline; replica lo's rides on the
+// coordinator's own goroutine. A replica set wider than fanoutInline spills
+// to the heap.
+func (f *fanout) run(ctx context.Context, key string, enc []byte, lo, hi int, deadline time.Time) {
+	if n := len(f.reps); f.resp == nil { // the fan-out's first round
+		f.resp = slices.Grow(f.respBuf[:0], n)[:n]
 	}
-	fctx, cancel := c.nodeCtx(ctx)
+	fctx, cancel := before(ctx, deadline)
 	defer cancel()
 	f.ctx, f.key, f.enc = fctx, key, enc
-	for i := 1; i < len(f.reps); i++ {
+	for i := lo + 1; i < hi; i++ {
 		f.wg.Add(1)
 		if i < fanoutInline {
 			go f.spawn[i]()
@@ -388,8 +426,8 @@ func (c *Cluster) run(ctx context.Context, f *fanout, key string, enc []byte) {
 			go f.spawner(i)()
 		}
 	}
-	if len(f.reps) > 0 {
-		f.call(0)
+	if lo < hi {
+		f.call(lo)
 	}
 	f.wg.Wait()
 }
@@ -451,9 +489,9 @@ func (c *Cluster) quorumError(op, key string, ambiguous bool, causes []error) er
 	return &kv.StoreError{Store: c.name, Op: op, Key: key, Err: errors.Join(parts...)}
 }
 
-func (c *Cluster) lockFor(key string) *sync.Mutex {
-	return &c.locks[mix64(fnv64a(key))%keyStripes]
-}
+func stripeOf(key string) int { return int(mix64(fnv64a(key)) % keyStripes) }
+
+func (c *Cluster) lockFor(key string) *sync.Mutex { return &c.locks[stripeOf(key)] }
 
 // stripesFor returns the sorted, deduplicated stripe indexes of keys —
 // multi-key writes lock ascending so overlapping batches cannot deadlock.
@@ -461,7 +499,7 @@ func (c *Cluster) stripesFor(keys []string) []int {
 	seen := make(map[int]bool, len(keys))
 	out := make([]int, 0, len(keys))
 	for _, k := range keys {
-		i := int(mix64(fnv64a(k)) % keyStripes)
+		i := stripeOf(k)
 		if !seen[i] {
 			seen[i] = true
 			out = append(out, i)
@@ -483,16 +521,20 @@ func (c *Cluster) unlockStripes(idx []int) {
 	}
 }
 
-// nodeCtx bounds replica operations by NodeTimeout: one call, or all the
-// calls of one fan-out — they start together, so one deadline (one timer,
-// one set of context objects) serves every replica. When the caller's own
-// deadline is at least as soon, ctx already is that bound and nothing is
-// armed.
+// nodeCtx bounds replica operations by NodeTimeout from now: one call, or
+// all the calls of one fan-out round — they start together, so one deadline
+// (one timer, one set of context objects) serves every replica.
 func (c *Cluster) nodeCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= c.opts.NodeTimeout {
+	return before(ctx, time.Now().Add(c.opts.NodeTimeout))
+}
+
+// before bounds ctx by deadline. When the caller's own deadline is at least
+// as soon, ctx already is that bound and nothing is armed.
+func before(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if dl, ok := ctx.Deadline(); ok && !dl.After(deadline) {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, c.opts.NodeTimeout)
+	return context.WithDeadline(ctx, deadline)
 }
 
 // --- quorum write ----------------------------------------------------------
@@ -517,7 +559,7 @@ func (c *Cluster) writeRecord(ctx context.Context, op, key string, rec record, l
 	buf := bufpool.Get(recHdrSize + len(rec.Value))
 	buf.B = rec.AppendEncode(buf.B)
 	rec.Value = buf.B[recHdrSize:]
-	c.run(ctx, f, key, buf.B)
+	f.run(ctx, key, buf.B, 0, len(f.reps), time.Now().Add(c.opts.NodeTimeout))
 
 	acked := f.reps[:0] // resp holds its own copy of each replica
 	var causes []error
@@ -786,14 +828,58 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 
 // readRecord is the full quorum read. locked reports that the caller already
 // holds key's stripe lock (the CAS and Delete paths).
+//
+// It asks a probe window of max(R, N-R+1) replicas and resolves from their
+// answers alone when they agree: answered >= R and holders >= N-R+1 then hold
+// by construction. Otherwise it asks the rest and resolves over all N. The
+// window starts one replica further down the preference list with every read
+// of key's stripe (f.reps is rotated, so the window always is its head). The
+// read's time is NodeTimeout, or the caller's deadline when sooner; the probe
+// round gets half of it, so a hung replica inside the window leaves the
+// second round the other half.
 func (c *Cluster) readRecord(ctx context.Context, op, key string, locked bool) (record, bool, error) {
 	f := getFanout()
 	defer f.release()
 	if err := c.replicasFor(f, key); err != nil {
 		return record{}, false, err
 	}
-	c.run(ctx, f, key, nil)
-	return c.resolveRead(ctx, op, key, f.reps, f.resp, locked)
+	n := len(f.reps) // never zero: New and Leave keep Replication members
+	p := min(n, max(c.opts.ReadQuorum, n-c.opts.ReadQuorum+1))
+	rotate(f.reps, int((c.cursor[stripeOf(key)].Add(1)-1)%uint32(n)))
+	now := time.Now()
+	end := now.Add(c.opts.NodeTimeout)
+	if dl, ok := ctx.Deadline(); ok && dl.Before(end) {
+		end = dl
+	}
+	probeEnd := end
+	if p < n {
+		probeEnd = now.Add(end.Sub(now) / 2)
+	}
+	f.run(ctx, key, nil, 0, p, probeEnd)
+	if p < n && !agree(f.resp[:p]) {
+		c.escalations.Add(1)
+		f.run(ctx, key, nil, p, n, end)
+		p = n
+	}
+	return c.resolveRead(ctx, op, key, f.reps, f.resp[:p], locked)
+}
+
+// agree reports whether every probed replica answered and all answered the
+// same: one version, or no record anywhere.
+func agree(probes []readResponse) bool {
+	for _, r := range probes {
+		if r.err != nil || r.exists != probes[0].exists || r.rec.Version != probes[0].rec.Version {
+			return false
+		}
+	}
+	return true
+}
+
+// rotate moves reps[k:] to the front, keeping the cyclic order.
+func rotate(reps []replica, k int) {
+	slices.Reverse(reps[:k])
+	slices.Reverse(reps[k:])
+	slices.Reverse(reps)
 }
 
 // --- kv.Store --------------------------------------------------------------

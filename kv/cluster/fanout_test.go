@@ -193,15 +193,21 @@ func TestFanoutReuseUnderFailures(t *testing.T) {
 				}
 			}
 
-			// White box, nobody else running: what release leaves in a fanout.
+			// White box, nobody else running: what release leaves in a fanout
+			// — after a write, and after a read that stopped at its probe
+			// window (resp half filled).
 			for _, enc := range [][]byte{nil, Record{Version: c.nextVersion(), Value: payload(keys[0], 99, 0)}.Encode()} {
 				f := getFanout()
 				if err := c.replicasFor(f, keys[0]); err != nil {
 					t.Fatal(err)
 				}
-				c.run(ctx, f, keys[0], enc)
-				if len(f.resp) != n || f.ctx == nil || f.key == "" {
-					t.Fatalf("run left %d answers for %d replicas", len(f.resp), n)
+				hi := n
+				if enc == nil {
+					hi = n/2 + 1
+				}
+				f.run(ctx, keys[0], enc, 0, hi, time.Now().Add(nodeTimeout))
+				if len(f.resp) != n || f.resp[hi-1].rep != f.reps[hi-1] || f.ctx == nil || f.key == "" {
+					t.Fatalf("run(0, %d) left %d answers for %d replicas: %+v", hi, len(f.resp), n, f.resp)
 				}
 				f.release()
 				if !holdsNothing(f) {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"edsc/kv"
 	"edsc/kv/cluster"
 	"edsc/kv/faulty"
+	"edsc/kv/kvtest"
 )
 
 // hungStore blocks every Get and Put until the caller's context ends, as a
@@ -49,16 +51,26 @@ func threeNodes(t *testing.T, stores [3]kv.Store, opts cluster.Options) *cluster
 	return c
 }
 
-// TestHungReplicaCutOffAtNodeTimeout: all replica calls of a fan-out share
-// one deadline, and that deadline still is NodeTimeout per replica — a hung
-// node delays the operation by NodeTimeout, not longer, whichever position
-// of the preference list it holds (position 0 is called on the
-// coordinator's own goroutine). A caller deadline sooner than NodeTimeout
-// wins: then no second deadline is armed and the caller's bounds the call.
+// positionOf returns the position threeNodes' node holds in key's preference
+// list: the three nodes take the three positions.
+func positionOf(c *cluster.Cluster, node int, key string) int {
+	return slices.Index(kvtest.Preference(c, []string{"node0", "node1", "node2"}, key), node)
+}
+
+// TestHungReplicaCutOffAtNodeTimeout: the replica calls of one round share
+// one deadline, and a hung node costs an operation what that deadline says,
+// whichever position of the key's preference list it holds. A write has one
+// round of NodeTimeout. A read gives its probe round — the first two of the
+// list, on a fresh cluster — half of that and asks the third replica with
+// what is left: a node hung inside the window costs a get NodeTimeout/2, one
+// outside it nothing. A caller deadline sooner than NodeTimeout is the
+// budget instead — no second deadline is armed, and the probe round still
+// takes only half, so the read succeeds before the caller gives up.
 func TestHungReplicaCutOffAtNodeTimeout(t *testing.T) {
-	const nodeTimeout = 150 * time.Millisecond
+	const nodeTimeout = 300 * time.Millisecond
 	for hung := 0; hung < 3; hung++ {
 		t.Run(fmt.Sprintf("node%d", hung), func(t *testing.T) {
+			t.Parallel() // the three spend their time waiting
 			var stores [3]kv.Store
 			for i := range stores {
 				stores[i] = kv.NewMem(fmt.Sprintf("node%d", i))
@@ -67,6 +79,7 @@ func TestHungReplicaCutOffAtNodeTimeout(t *testing.T) {
 				}
 			}
 			c := threeNodes(t, stores, cluster.Options{NodeTimeout: nodeTimeout})
+			pos := positionOf(c, hung, "k")
 			ctx := context.Background()
 
 			timed := func(ctx context.Context, op func(context.Context) error) time.Duration {
@@ -85,20 +98,25 @@ func TestHungReplicaCutOffAtNodeTimeout(t *testing.T) {
 				}
 				return err
 			}
-			// Every fan-out waits for all its replicas, so the hung one is
-			// what the operation takes: NodeTimeout, give or take.
+			// A write waits for all its replicas, so the hung one is what it
+			// takes: NodeTimeout, give or take.
 			if d := timed(ctx, put); d < nodeTimeout || d > 4*nodeTimeout {
 				t.Errorf("put with a hung replica took %v, want about NodeTimeout (%v)", d, nodeTimeout)
 			}
-			if d := timed(ctx, get); d < nodeTimeout || d > 4*nodeTimeout {
-				t.Errorf("get with a hung replica took %v, want about NodeTimeout (%v)", d, nodeTimeout)
+			// The cluster's first read probes positions 0 and 1.
+			switch d := timed(ctx, get); {
+			case pos < 2 && (d < nodeTimeout/2 || d >= nodeTimeout):
+				t.Errorf("get with a hung replica in its window took %v, want NodeTimeout/2 (%v) and under NodeTimeout", d, nodeTimeout/2)
+			case pos == 2 && d >= nodeTimeout/2:
+				t.Errorf("get with a hung replica outside its window took %v: it waited", d)
 			}
 
-			// A sooner caller deadline bounds the hung call instead.
+			// A sooner caller deadline is the budget: the second read (its
+			// window is positions 1 and 2) succeeds inside it.
 			short, cancel := context.WithTimeout(ctx, nodeTimeout/5)
 			defer cancel()
-			if d := timed(short, get); d >= nodeTimeout {
-				t.Errorf("get under a %v caller deadline took %v: NodeTimeout (%v) was waited out", nodeTimeout/5, d, nodeTimeout)
+			if d := timed(short, get); d >= nodeTimeout/5 {
+				t.Errorf("get under a %v caller deadline took %v", nodeTimeout/5, d)
 			}
 		})
 	}
@@ -156,44 +174,66 @@ func (s *aliasStore) record(t *testing.T, key string) cluster.Record {
 
 // TestReadValueSurvivesLaterPuts: the value a quorum read returns, and the
 // one it repairs a stale replica with, alias a node's slice; the read path
-// makes no copy. Later puts must leave both untouched.
+// makes no copy. Later puts must leave both untouched. The replica that
+// missed the write is each node, and so each position of the key's
+// preference list, in turn: inside the first read's window (positions 0 and
+// 1) that read repairs it; outside, the first read asks the two that agree
+// and repairs nothing, and the window reaches the victim within N reads.
 func TestReadValueSurvivesLaterPuts(t *testing.T) {
-	ctx := context.Background()
-	a, b, c3 := newAliasStore("node0"), newAliasStore("node1"), newAliasStore("node2")
-	c := threeNodes(t, [3]kv.Store{a, b, c3}, cluster.Options{})
+	for missed := 0; missed < 3; missed++ {
+		t.Run(fmt.Sprintf("node%d", missed), func(t *testing.T) {
+			ctx := context.Background()
+			nodes := [3]*aliasStore{newAliasStore("node0"), newAliasStore("node1"), newAliasStore("node2")}
+			c := threeNodes(t, [3]kv.Store{nodes[0], nodes[1], nodes[2]}, cluster.Options{})
+			victim, pos := nodes[missed], positionOf(c, missed, "k")
 
-	v1 := bytes.Repeat([]byte("first-"), 40)
-	if err := c.Put(ctx, "k", v1); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	b.drop("k") // node1 missed the write
+			v1 := bytes.Repeat([]byte("first-"), 40)
+			if err := c.Put(ctx, "k", v1); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			victim.drop("k") // it missed the write
 
-	got, err := c.Get(ctx, "k") // repairs node1 from a peer's slice
-	if err != nil || !bytes.Equal(got, v1) {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-	repaired := b.record(t, "k").Value
-	if !bytes.Equal(repaired, v1) {
-		t.Fatalf("read repair installed %q, want the first value", repaired)
-	}
-	if s := c.Stats(); s.ReadRepairs != 1 {
-		t.Fatalf("ReadRepairs = %d, want 1", s.ReadRepairs)
-	}
+			got, err := c.Get(ctx, "k")
+			if err != nil || !bytes.Equal(got, v1) {
+				t.Fatalf("Get = %q, %v", got, err)
+			}
+			if pos == 2 {
+				if s := c.Stats(); s.ReadRepairs != 0 || s.ReadEscalations != 0 {
+					t.Fatalf("the first read went past two replicas that agree: %+v", s)
+				}
+				for reads := 1; c.Stats().ReadRepairs == 0; reads++ {
+					if reads == 3 {
+						t.Fatalf("%d reads did not reach the replica that missed the write", reads)
+					}
+					if now, err := c.Get(ctx, "k"); err != nil || !bytes.Equal(now, v1) {
+						t.Fatalf("Get = %q, %v", now, err)
+					}
+				}
+			}
+			repaired := victim.record(t, "k").Value // installed from a peer's slice
+			if !bytes.Equal(repaired, v1) {
+				t.Fatalf("read repair installed %q, want the first value", repaired)
+			}
+			if s := c.Stats(); s.ReadRepairs != 1 {
+				t.Fatalf("ReadRepairs = %d, want 1", s.ReadRepairs)
+			}
 
-	// Overwrite with values of other lengths and contents.
-	for i, v := range [][]byte{bytes.Repeat([]byte("2"), 1000), []byte("third"), bytes.Repeat([]byte("four"), 60)} {
-		if err := c.Put(ctx, "k", v); err != nil {
-			t.Fatalf("Put %d: %v", i+2, err)
-		}
-		if now, err := c.Get(ctx, "k"); err != nil || !bytes.Equal(now, v) {
-			t.Fatalf("Get after put %d = %q, %v", i+2, now, err)
-		}
-	}
-	if !bytes.Equal(got, v1) {
-		t.Fatalf("a value returned by Get changed under later puts: %q", got)
-	}
-	if !bytes.Equal(repaired, v1) {
-		t.Fatalf("a repaired replica's old slice changed under later puts: %q", repaired)
+			// Overwrite with values of other lengths and contents.
+			for i, v := range [][]byte{bytes.Repeat([]byte("2"), 1000), []byte("third"), bytes.Repeat([]byte("four"), 60)} {
+				if err := c.Put(ctx, "k", v); err != nil {
+					t.Fatalf("Put %d: %v", i+2, err)
+				}
+				if now, err := c.Get(ctx, "k"); err != nil || !bytes.Equal(now, v) {
+					t.Fatalf("Get after put %d = %q, %v", i+2, now, err)
+				}
+			}
+			if !bytes.Equal(got, v1) {
+				t.Fatalf("a value returned by Get changed under later puts: %q", got)
+			}
+			if !bytes.Equal(repaired, v1) {
+				t.Fatalf("a repaired replica's old slice changed under later puts: %q", repaired)
+			}
+		})
 	}
 }
 
@@ -341,7 +381,8 @@ func TestShorterParentDeadlineSurfaces(t *testing.T) {
 // its callback; a fifth, the Done channel, when a node selects on it — Mem
 // does not). Fanning out costs nothing: the fan-out state, its spawn
 // closures and the encoded record are pooled. The rest is kv.Mem: a copy per
-// Get (3), and a copy and a formatted version per Put (6).
+// Get (2: a read whose first two replicas agree does not ask the third), and a
+// copy and a formatted version per Put (6).
 func TestAllocGuardClusterGetPut(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -367,7 +408,7 @@ func TestAllocGuardClusterGetPut(t *testing.T) {
 		put()
 		get()
 	}
-	const wantGet, wantPut = 7, 10
+	const wantGet, wantPut = 6, 10
 	gotGet, gotPut := testing.AllocsPerRun(200, get), testing.AllocsPerRun(200, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Cluster.Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)

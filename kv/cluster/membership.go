@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"edsc/kv"
 )
@@ -166,7 +167,7 @@ func (c *Cluster) rebalanceKey(ctx context.Context, key string, sources []replic
 	f := getFanout()
 	defer f.release()
 	f.reps = sources
-	c.run(ctx, f, key, nil)
+	f.run(ctx, key, nil, 0, len(sources), time.Now().Add(c.opts.NodeTimeout))
 	resp := f.resp
 	winner := record{}
 	exists := false

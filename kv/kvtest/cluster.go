@@ -1,9 +1,11 @@
 package kvtest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,44 +195,90 @@ func clusterHintedHandoff(t *testing.T, newNode NodeFactory) {
 	}
 }
 
+// Preference returns the positions in ids of c's members in key's preference
+// order, from a ring built the way the cluster builds its own: placement is
+// a pure function of the member IDs, Vnodes and Seed. Tests use it to put a
+// fault at a chosen position of a key's replica list.
+func Preference(c *cluster.Cluster, ids []string, key string) []int {
+	o := c.Options()
+	ring := cluster.NewRing(o.Vnodes, o.Seed)
+	for _, id := range ids {
+		ring.Add(id)
+	}
+	var order []int
+	for _, id := range ring.LookupN(key, o.Replication) {
+		order = append(order, slices.Index(ids, id))
+	}
+	return order
+}
+
 // clusterReadRepair: a replica holding a stale version is converged by the
-// read path — asserted by inspecting the replica directly afterwards.
+// read path — asserted by inspecting the replica directly afterwards — at
+// whichever position of the key's preference list it sits (each node in turn
+// is the stale one). A read asks the
+// first two replicas of the list (then the next two, and so on round the
+// list) and the third only when those disagree: a stale replica inside the
+// first window is repaired by the first read; outside it, that read asks two
+// replicas that agree and repairs nothing, and the window reaches the stale
+// one within N reads.
 func clusterReadRepair(t *testing.T, newNode NodeFactory) {
-	ctx := context.Background()
-	tc := buildCluster(t, newNode, 3, cluster.Options{ReadQuorum: 2, WriteQuorum: 2})
+	for victim := 0; victim < 3; victim++ {
+		t.Run(fmt.Sprintf("node%d", victim), func(t *testing.T) {
+			ctx := context.Background()
+			tc := buildCluster(t, newNode, 3, cluster.Options{ReadQuorum: 2, WriteQuorum: 2})
 
-	if err := tc.c.Put(ctx, "rr", []byte("current")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	cur, ok := nodeRecord(t, tc.raw[0], "rr")
-	if !ok {
-		t.Fatal("replica 0 missing the record after a full write")
-	}
+			if err := tc.c.Put(ctx, "rr", []byte("current")); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			pos := slices.Index(Preference(tc.c, tc.ids, "rr"), victim) // the three nodes take the three positions
+			cur, ok := nodeRecord(t, tc.raw[(victim+1)%3], "rr")
+			if !ok {
+				t.Fatal("a replica is missing the record after a full write")
+			}
 
-	// Corrupt one replica back in time: an older version with a stale value,
-	// planted directly on the node (as if it had missed the newest write).
-	stale := cluster.Record{Version: cur.Version - 1, Value: []byte("stale")}
-	victim := 1
-	if err := tc.raw[victim].Put(ctx, "rr", stale.Encode()); err != nil {
-		t.Fatalf("planting stale replica: %v", err)
-	}
+			// Corrupt one replica back in time: an older version with a stale
+			// value, planted directly on the node (as if it had missed the
+			// newest write).
+			stale := cluster.Record{Version: cur.Version - 1, Value: []byte("stale")}
+			if err := tc.raw[victim].Put(ctx, "rr", stale.Encode()); err != nil {
+				t.Fatalf("planting stale replica: %v", err)
+			}
 
-	v, err := tc.c.Get(ctx, "rr")
-	if err != nil || string(v) != "current" {
-		t.Fatalf("Get over divergent replicas = %q, %v, want current", v, err)
-	}
+			read := func() {
+				t.Helper()
+				if v, err := tc.c.Get(ctx, "rr"); err != nil || string(v) != "current" {
+					t.Fatalf("Get over divergent replicas = %q, %v, want current", v, err)
+				}
+			}
+			read()
+			if pos == 2 {
+				if st := tc.c.Stats(); st.ReadRepairs != 0 || st.ReadEscalations != 0 {
+					t.Fatalf("the first read went past two replicas that agree: %+v", st)
+				}
+				if rec, _ := nodeRecord(t, tc.raw[victim], "rr"); rec.Version != stale.Version {
+					t.Fatalf("the unread replica changed: version %d", rec.Version)
+				}
+				for reads := 1; tc.c.Stats().ReadRepairs == 0; reads++ {
+					if reads == 3 {
+						t.Fatalf("%d reads did not reach the stale replica", reads)
+					}
+					read()
+				}
+			}
 
-	// The read must have repaired the stale replica in place.
-	rec, ok := nodeRecord(t, tc.raw[victim], "rr")
-	if !ok {
-		t.Fatal("stale replica vanished instead of being repaired")
-	}
-	if rec.Version != cur.Version || string(rec.Value) != "current" {
-		t.Fatalf("replica after read repair = version %d value %q, want version %d value current",
-			rec.Version, rec.Value, cur.Version)
-	}
-	if st := tc.c.Stats(); st.ReadRepairs == 0 {
-		t.Fatal("Stats recorded no read repairs")
+			// The read must have repaired the stale replica in place.
+			rec, ok := nodeRecord(t, tc.raw[victim], "rr")
+			if !ok {
+				t.Fatal("stale replica vanished instead of being repaired")
+			}
+			if !bytes.Equal(rec.Encode(), cur.Encode()) {
+				t.Fatalf("replica after read repair = version %d value %q, want version %d value current",
+					rec.Version, rec.Value, cur.Version)
+			}
+			if st := tc.c.Stats(); st.ReadRepairs != 1 {
+				t.Fatalf("ReadRepairs = %d, want 1", st.ReadRepairs)
+			}
+		})
 	}
 }
 
@@ -320,7 +368,20 @@ func clusterMembership(t *testing.T, newNode NodeFactory) {
 		t.Fatalf("departed node still holds %d records (err %v), want 0", n, err)
 	}
 
-	if st := tc.c.Stats(); st.Rebalances < 2 || st.KeysMoved == 0 {
+	// Every key had to be installed on the node that joined: by the
+	// rebalancer, or by the repair of a concurrent read that got to the key
+	// first. Which of the two is a race; their sum is not.
+	st := tc.c.Stats()
+	if st.Rebalances < 2 || st.KeysMoved+st.ReadRepairs < staticKeys {
 		t.Fatalf("rebalance counters did not move: %+v", st)
+	}
+	// With the readers stopped the rebalancer has no competition: the departed
+	// node rejoins empty, and every record it takes back is a key moved.
+	if err := tc.c.Join(ctx, cluster.Node{ID: tc.ids[departed], Store: tc.sw[departed]}); err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	held, err := tc.raw[departed].Len(ctx)
+	if moved := tc.c.Stats().KeysMoved - st.KeysMoved; err != nil || held == 0 || moved != int64(held) {
+		t.Fatalf("the rejoined node holds %d records (err %v), KeysMoved grew by %d", held, err, moved)
 	}
 }

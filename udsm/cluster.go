@@ -32,8 +32,9 @@ func NewClusterStore(name string, nodes []ClusterNode, opts ClusterOptions) (*Cl
 }
 
 // RegisterClusterStack builds a cluster store over nodes, wraps it in the
-// enhancement pipeline described by sopts, and registers the result. The
-// returned ClusterStore handle keeps the membership and hint-draining API
+// enhancement pipeline described by sopts, and registers the result, with the
+// cluster's counters (edsc_cluster_events_total) on the manager's registry.
+// The returned ClusterStore handle keeps the membership and hint-draining API
 // reachable after registration (the *DataStore only exposes kv.Store).
 func (m *Manager) RegisterClusterStack(name string, nodes []ClusterNode, copts ClusterOptions, sopts StackOptions) (*DataStore, *ClusterStore, error) {
 	c, err := cluster.New(name, nodes, copts)
@@ -45,6 +46,7 @@ func (m *Manager) RegisterClusterStack(name string, nodes []ClusterNode, copts C
 		_ = c.Close()
 		return nil, nil, err
 	}
+	c.RegisterMetrics(m.Metrics())
 	return ds, c, nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"edsc/dscl"
 	"edsc/kv"
+	"edsc/kv/faulty"
 	"edsc/kv/resilient"
 )
 
@@ -107,5 +109,58 @@ func TestRegisterClusterStack(t *testing.T) {
 	}
 	if got := c.Stats().Writes; got == 0 {
 		t.Fatal("cluster stats saw no writes")
+	}
+}
+
+// TestClusterStackMetricsScrape: RegisterClusterStack puts the cluster's
+// counters on the manager's registry. A healthy cluster answers every read
+// from its probe window; with one node down, two of any three consecutive
+// reads of a key find it in their window and ask the third replica — and a
+// scrape says so.
+func TestClusterStackMetricsScrape(t *testing.T) {
+	ctx := context.Background()
+	m := newManager(t)
+	nodes := memClusterNodes(3)
+	down := faulty.New(nodes[1].Store, faulty.Options{})
+	nodes[1].Store = down
+	ds, _, err := m.RegisterClusterStack("cluster", nodes, ClusterOptions{}, StackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := m.Metrics().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	reads := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if v, err := ds.Get(ctx, "k"); err != nil || string(v) != "v" {
+				t.Fatalf("Get = %q, %v", v, err)
+			}
+		}
+	}
+
+	if err := ds.Put(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	reads(3)
+	for _, series := range []string{
+		`edsc_cluster_events_total{store="cluster",event="write"} 1`,
+		`edsc_cluster_events_total{store="cluster",event="read"} 3`,
+		`edsc_cluster_events_total{store="cluster",event="read_escalation"} 0`,
+		`edsc_cluster_events_total{store="cluster",event="hint_queued"} 0`,
+	} {
+		if out := scrape(); !strings.Contains(out, series) {
+			t.Fatalf("scrape of a healthy cluster missing %s\n%s", series, out)
+		}
+	}
+	down.SetDown(true)
+	reads(3)
+	if out, series := scrape(), `edsc_cluster_events_total{store="cluster",event="read_escalation"} 2`; !strings.Contains(out, series) {
+		t.Fatalf("scrape with a node down missing %s\n%s", series, out)
 	}
 }
