@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse allocs metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse delta allocs metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -101,6 +101,15 @@ fence:
 # for the *To APIs", "The coordinator's request path", "Network hot path").
 reuse:
 	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestMuxAbandonWaitsOutParkedWriter' ./kv/cluster ./internal/miniredis)
+
+# The delta chain as a store: every inner write of a scripted history failed
+# before and after it applied (the key reads as the last acknowledged value or
+# the failed write's, from the surviving chain and from a fresh one), Clear
+# dropping the shadow, and the kv.Store contract over the bare chain and over
+# a delta-encoded client, repeated under the race detector (DESIGN.md "Delta
+# encoding").
+delta:
+	$(call run-named,-race -count=20 -run 'TestChainFaultEnumeration|TestChainConformance|TestChainClearThenPut|TestDeltaClientConformance' ./internal/delta ./dscl)
 
 # The allocation guards of the request path, by name: they skip under -race
 # and a renamed or skipped guard passes `go test`, so each one must show up as

@@ -37,10 +37,6 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 			continue
 		}
 		seen[k] = true
-		if cl.chain != nil {
-			miss = append(miss, k) // Get below does the lookup, and counts it
-			continue
-		}
 		e, state, answered := cl.lookup(ctx, k)
 		switch {
 		case state == Hit && isNegative(e):
@@ -67,22 +63,6 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 	}
 
 	ctx = monitor.EnsureRequestID(ctx)
-	if cl.chain != nil {
-		// Delta chains materialize each value from a chain of physical
-		// records; there is no batch fast path through them.
-		for _, k := range miss {
-			v, err := cl.Get(ctx, k)
-			if kv.IsNotFound(err) {
-				continue
-			}
-			if err != nil {
-				return out, err
-			}
-			out[k] = v
-		}
-		return out, nil
-	}
-
 	tokens := make([]token, len(miss))
 	for i, k := range miss {
 		tokens[i] = cl.begin(k)
@@ -127,16 +107,6 @@ func (cl *Client) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 		}
 	}
 	ctx = monitor.EnsureRequestID(ctx)
-	if cl.chain != nil {
-		// Delta encoding diffs each write against the key's previous
-		// version; that is inherently per key.
-		for k, v := range pairs {
-			if err := cl.Put(ctx, k, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	encoded := make(map[string][]byte, len(pairs))
 	tokens := make(map[string]token, len(pairs))
 	for k, v := range pairs {

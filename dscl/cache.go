@@ -16,6 +16,9 @@
 //     server, a file system, another cloud store) into a DSCL cache, with
 //     expiration metadata managed by the DSCL itself rather than the
 //     underlying store, exactly as §III prescribes.
+//
+// Delta encoding is a layer of its own: WithDeltaEncoding puts a sealed
+// kv.Store (internal/delta.Chain) between the Client and the store it wraps.
 package dscl
 
 import (

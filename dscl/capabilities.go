@@ -2,6 +2,7 @@ package dscl
 
 import (
 	"context"
+	"reflect"
 	"time"
 
 	"edsc/kv"
@@ -46,7 +47,7 @@ func (cl *Client) GetVersioned(ctx context.Context, key string) ([]byte, kv.Vers
 	if err := cl.checkKey(ctx, key); err != nil {
 		return nil, kv.NoVersion, err
 	}
-	vs, err := cl.requireVersioned("getversioned", key)
+	vs, err := require[kv.Versioned](cl, "getversioned", key)
 	if err != nil {
 		return nil, kv.NoVersion, err
 	}
@@ -69,7 +70,7 @@ func (cl *Client) GetIfModified(ctx context.Context, key string, since kv.Versio
 	if err := cl.checkKey(ctx, key); err != nil {
 		return nil, kv.NoVersion, false, err
 	}
-	vs, err := cl.requireVersioned("getifmodified", key)
+	vs, err := require[kv.Versioned](cl, "getifmodified", key)
 	if err != nil {
 		return nil, kv.NoVersion, false, err
 	}
@@ -98,7 +99,7 @@ func (cl *Client) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 	if err := cl.check(ctx); err != nil {
 		return nil, err
 	}
-	if _, err := cl.requireVersioned("getmultiversioned", ""); err != nil {
+	if _, err := require[kv.Versioned](cl, "getmultiversioned", ""); err != nil {
 		return nil, err
 	}
 	for _, k := range keys {
@@ -129,7 +130,7 @@ func (cl *Client) PutVersioned(ctx context.Context, key string, value []byte) (k
 	if err := cl.checkKey(ctx, key); err != nil {
 		return kv.NoVersion, err
 	}
-	vs, err := cl.requireVersioned("putversioned", key)
+	vs, err := require[kv.Versioned](cl, "putversioned", key)
 	if err != nil {
 		return kv.NoVersion, err
 	}
@@ -142,9 +143,9 @@ func (cl *Client) PutIfVersion(ctx context.Context, key string, value []byte, si
 	if err := cl.checkKey(ctx, key); err != nil {
 		return kv.NoVersion, err
 	}
-	cas, ok := kv.As[kv.CompareAndPut](cl.store)
-	if !ok || cl.chain != nil {
-		return kv.NoVersion, cl.unsupported("cas", key, "kv.CompareAndPut")
+	cas, err := require[kv.CompareAndPut](cl, "cas", key)
+	if err != nil {
+		return kv.NoVersion, err
 	}
 	encoded, err := cl.encode(value)
 	if err != nil {
@@ -168,7 +169,7 @@ func (cl *Client) PutTTL(ctx context.Context, key string, value []byte, ttlNanos
 	if err := cl.checkKey(ctx, key); err != nil {
 		return err
 	}
-	es, err := cl.requireExpiring("putttl", key)
+	es, err := require[kv.Expiring](cl, "putttl", key)
 	if err != nil {
 		return err
 	}
@@ -193,34 +194,20 @@ func (cl *Client) TTL(ctx context.Context, key string) (int64, error) {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return 0, err
 	}
-	es, err := cl.requireExpiring("ttl", key)
+	es, err := require[kv.Expiring](cl, "ttl", key)
 	if err != nil {
 		return 0, err
 	}
 	return es.TTL(ctx, key)
 }
 
-func (cl *Client) requireVersioned(op, key string) (kv.Versioned, error) {
-	if cl.chain == nil {
-		if vs, ok := kv.As[kv.Versioned](cl.store); ok {
-			return vs, nil
-		}
+// require is the wrapped stack's capability T, or the error that names it.
+func require[T any](cl *Client, op, key string) (T, error) {
+	c, ok := kv.As[T](cl.store)
+	if !ok {
+		return c, &kv.StoreError{Store: cl.Name(), Op: op, Key: key, Err: errUnsupported(reflect.TypeFor[T]().String())}
 	}
-	return nil, cl.unsupported(op, key, "kv.Versioned")
-}
-
-func (cl *Client) requireExpiring(op, key string) (kv.Expiring, error) {
-	if cl.chain == nil {
-		if es, ok := kv.As[kv.Expiring](cl.store); ok {
-			return es, nil
-		}
-	}
-	return nil, cl.unsupported(op, key, "kv.Expiring")
-}
-
-func (cl *Client) unsupported(op, key, capability string) error {
-	return &kv.StoreError{Store: cl.Name(), Op: op, Key: key,
-		Err: errUnsupported(capability)}
+	return c, nil
 }
 
 type errUnsupported string

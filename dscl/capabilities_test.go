@@ -237,10 +237,13 @@ func TestDeltaClientSealsCapabilities(t *testing.T) {
 	store := &versionedStore{newCountingStore()}
 	cl := New(store, WithDeltaEncoding(0, 4))
 
-	// The chain owns the physical layout: nothing below the client may be
-	// reached, and the client itself supports none of the capabilities.
-	if w := cl.Unwrap(); w != nil {
-		t.Fatalf("delta client Unwrap = %T, want nil", w)
+	// The chain owns the physical layout: nothing below it may be reached —
+	// by the kv.As walk or by Store — and it supports none of the capabilities.
+	if w, ok := cl.Unwrap().(kv.Wrapper); !ok || w.Unwrap() != nil {
+		t.Fatalf("delta client wraps %T, want a layer whose Unwrap is nil", cl.Unwrap())
+	}
+	if cl.Store() == kv.Store(store) {
+		t.Fatal("Store() hands out the raw store underneath the chain")
 	}
 	for name, found := range map[string]bool{
 		"Versioned":     func() bool { _, ok := kv.As[kv.Versioned](kv.Store(cl)); return ok }(),

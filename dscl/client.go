@@ -53,7 +53,7 @@ type Client struct {
 	policy    WritePolicy
 	reval     bool
 	cacheRaw  bool
-	chain     *delta.Chain
+	chain     *delta.Chain // WithDeltaEncoding: New makes it the store; Stats reads its counters
 	clock     func() time.Time
 	negTTL    time.Duration
 	closed    atomic.Bool
@@ -65,7 +65,7 @@ type Client struct {
 
 	hits, misses, stale, revals, fresh atomic.Int64
 	reads, writes, cacheErrs           atomic.Int64
-	deltaSaved, tfIn, tfOut            atomic.Int64
+	tfIn, tfOut                        atomic.Int64
 	invalidations                      atomic.Int64
 	deduped                            atomic.Int64
 	refreshes                          atomic.Int64
@@ -132,8 +132,9 @@ func WithCacheTransformed() Option { return func(cl *Client) { cl.cacheRaw = tru
 // when that is smaller (§IV), using a client-managed delta chain so the
 // server needs no delta support. windowSize < 2 selects the default
 // minimum match length; maxDeltas bounds the chain before consolidation.
-// Delta encoding changes the server-side layout and bypasses version
-// tracking, so revalidation is disabled for delta clients.
+// The chain is a sealed kv layer over the store the client was given (DESIGN.md
+// "Delta encoding"): no versions, TTLs or conditional writes survive it, so a
+// delta client revalidates with a full fetch and Store returns the chain.
 func WithDeltaEncoding(windowSize, maxDeltas int) Option {
 	return func(cl *Client) {
 		cl.chain = delta.NewChain(cl.store, delta.NewEncoder(windowSize), maxDeltas)
@@ -148,6 +149,9 @@ func New(store kv.Store, opts ...Option) *Client {
 	cl := &Client{store: store, reval: true, clock: time.Now}
 	for _, o := range opts {
 		o(cl)
+	}
+	if cl.chain != nil {
+		cl.store = cl.chain
 	}
 	return cl
 }
@@ -166,40 +170,23 @@ func (cl *Client) Store() kv.Store { return cl.store }
 
 // Unwrap implements kv.Wrapper, so capabilities the client does not
 // intercept — kv.SQL above all — are discovered on the wrapped store by the
-// kv.As walk. A delta-encoded client returns nil: the chain owns the
-// physical layout, and reaching the raw store underneath it would read
-// chain records, not values.
-func (cl *Client) Unwrap() kv.Store {
-	if cl.chain != nil {
-		return nil
-	}
-	return cl.store
-}
+// kv.As walk.
+func (cl *Client) Unwrap() kv.Store { return cl.store }
 
 // Intercepts implements kv.Interceptor. The client's method set statically
 // covers every capability it must re-encode or keep cache-coherent
 // (Versioned, Expiring, CompareAndPut, Batch — see capabilities.go), but it
 // only claims the ones its wrapped stack can actually serve; for the rest
-// the kv.As walk continues past it. Delta-encoded clients decline them all:
-// version tracking and TTLs do not survive the chain layout.
+// the kv.As walk continues past it.
 func (cl *Client) Intercepts(capability any) bool {
 	switch capability.(type) {
 	case *kv.Versioned, *kv.VersionedBatch:
-		if cl.chain != nil {
-			return false
-		}
 		_, ok := kv.As[kv.Versioned](cl.store)
 		return ok
 	case *kv.Expiring:
-		if cl.chain != nil {
-			return false
-		}
 		_, ok := kv.As[kv.Expiring](cl.store)
 		return ok
 	case *kv.CompareAndPut:
-		if cl.chain != nil {
-			return false
-		}
 		_, ok := kv.As[kv.CompareAndPut](cl.store)
 		return ok
 	}
@@ -213,6 +200,11 @@ func (cl *Client) Cache() Cache { return cl.cache }
 
 // Stats returns a snapshot of the client's counters.
 func (cl *Client) Stats() Stats {
+	var saved int64
+	if cl.chain != nil {
+		cs := cl.chain.Stats()
+		saved = cs.BytesFull - cs.BytesSent
+	}
 	return Stats{
 		CacheHits:         cl.hits.Load(),
 		CacheMisses:       cl.misses.Load(),
@@ -222,7 +214,7 @@ func (cl *Client) Stats() Stats {
 		StoreReads:        cl.reads.Load(),
 		StoreWrites:       cl.writes.Load(),
 		CacheErrors:       cl.cacheErrs.Load(),
-		DeltaBytesSaved:   cl.deltaSaved.Load(),
+		DeltaBytesSaved:   saved,
 		TransformInBytes:  cl.tfIn.Load(),
 		TransformOutBytes: cl.tfOut.Load(),
 	}
@@ -349,7 +341,7 @@ func (cl *Client) Get(ctx context.Context, key string) ([]byte, error) {
 // fetch otherwise. It returns the current plaintext.
 func (cl *Client) revalidate(ctx context.Context, key string, stale Entry) ([]byte, error) {
 	vs, ok := kv.As[kv.Versioned](cl.store)
-	if !ok || !cl.reval || cl.chain != nil || stale.Version == kv.NoVersion {
+	if !ok || !cl.reval || stale.Version == kv.NoVersion {
 		return cl.fetchShared(ctx, key)
 	}
 	cl.revals.Add(1)
@@ -368,9 +360,8 @@ func (cl *Client) revalidate(ctx context.Context, key string, stale Entry) ([]by
 	return cl.filled(ctx, key, t, raw, ver, err)
 }
 
-// fill is the full fetch: read the store (through the delta chain when
-// configured), with the version when it has one and there is a cache to keep
-// it in, and install what was found.
+// fill is the full fetch: read the store, with the version when it has one
+// and there is a cache to keep it in, and install what was found.
 func (cl *Client) fill(ctx context.Context, key string) ([]byte, error) {
 	t := cl.begin(key)
 	cl.reads.Add(1)
@@ -378,9 +369,7 @@ func (cl *Client) fill(ctx context.Context, key string) ([]byte, error) {
 	var raw []byte
 	var err error
 	ver := kv.NoVersion
-	if cl.chain != nil {
-		raw, err = cl.chain.Get(ctx, key)
-	} else if vs := cl.versioned(cl.cache != nil); vs != nil {
+	if vs := cl.versioned(cl.cache != nil); vs != nil {
 		raw, ver, err = vs.GetVersioned(ctx, key)
 	} else {
 		raw, err = cl.store.Get(ctx, key)
@@ -407,8 +396,8 @@ func (cl *Client) filled(ctx context.Context, key string, t token, raw []byte, v
 	return plain, nil
 }
 
-// Put implements kv.Store: transform, write (optionally as a delta), then
-// update or invalidate the cache per the write policy.
+// Put implements kv.Store: transform, write, then update or invalidate the
+// cache per the write policy.
 func (cl *Client) Put(ctx context.Context, key string, value []byte) error {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return err
@@ -440,12 +429,7 @@ func (cl *Client) put(ctx context.Context, key string, value []byte, vs kv.Versi
 	cl.writes.Add(1)
 	t := cl.begin(key)
 	ver := kv.NoVersion
-	if cl.chain != nil {
-		var sent int
-		if sent, err = cl.chain.Put(ctx, key, encoded); err == nil {
-			cl.deltaSaved.Add(int64(len(encoded) - sent))
-		}
-	} else if vs != nil {
+	if vs != nil {
 		ver, err = vs.PutVersioned(ctx, key, encoded)
 	} else {
 		err = cl.store.Put(ctx, key, encoded)
@@ -463,12 +447,7 @@ func (cl *Client) Delete(ctx context.Context, key string) error {
 		return err
 	}
 	t := cl.begin(key)
-	var err error
-	if cl.chain != nil {
-		err = cl.chain.Delete(ctx, key)
-	} else {
-		err = cl.store.Delete(ctx, key)
-	}
+	err := cl.store.Delete(ctx, key)
 	cl.afterWrite(ctx, key, t, outcome{}, err)
 	return err
 }
@@ -487,21 +466,14 @@ func (cl *Client) Contains(ctx context.Context, key string) (bool, error) {
 		cl.hits.Add(1)
 		return true, nil
 	}
-	if cl.chain != nil {
-		return cl.chain.Contains(ctx, key)
-	}
 	return cl.store.Contains(ctx, key)
 }
 
 // Keys implements kv.Store (delegated to the store: the cache holds a
-// subset). Not supported through a delta chain, whose physical keys are
-// derived names.
+// subset).
 func (cl *Client) Keys(ctx context.Context) ([]string, error) {
 	if err := cl.check(ctx); err != nil {
 		return nil, err
-	}
-	if cl.chain != nil {
-		return nil, &kv.StoreError{Store: cl.Name(), Op: "keys", Err: errDeltaKeys}
 	}
 	return cl.store.Keys(ctx)
 }
@@ -510,9 +482,6 @@ func (cl *Client) Keys(ctx context.Context) ([]string, error) {
 func (cl *Client) Len(ctx context.Context) (int, error) {
 	if err := cl.check(ctx); err != nil {
 		return 0, err
-	}
-	if cl.chain != nil {
-		return 0, &kv.StoreError{Store: cl.Name(), Op: "len", Err: errDeltaKeys}
 	}
 	return cl.store.Len(ctx)
 }
@@ -535,12 +504,4 @@ func (cl *Client) Close() error {
 	cl.closed.Store(true)
 	cl.DetachHub()
 	return cl.store.Close()
-}
-
-var errDeltaKeys = errDeltaKeysType{}
-
-type errDeltaKeysType struct{}
-
-func (errDeltaKeysType) Error() string {
-	return "key enumeration is not supported on a delta-encoded client"
 }

@@ -18,6 +18,7 @@ import (
 
 	"edsc/dscl"
 	"edsc/future"
+	"edsc/internal/delta"
 	"edsc/kv"
 	"edsc/kv/kvtest"
 	"edsc/kv/resilient"
@@ -317,6 +318,19 @@ func TestDeltaClientOverCloudStore(t *testing.T) {
 	if err != nil || !bytes.Equal(got, doc) {
 		t.Fatalf("independent reconstruction failed: %v", err)
 	}
+}
+
+// TestChainConformanceOverMiniRedis holds the bare delta chain to the kv.Store
+// contract over a real wire: its record names (key, 0x00, suffix) and its
+// Keys filter must survive RESP and the server's key listing.
+func TestChainConformanceOverMiniRedis(t *testing.T) {
+	redisAddr, _ := startStack(t)
+	n := 0
+	kvtest.Run(t, func(t *testing.T) (kv.Store, func()) {
+		n++
+		base := udsm.OpenMiniRedis("redis", redisAddr, fmt.Sprintf("chain%d:", n))
+		return delta.NewChain(base, delta.NewEncoder(8), 4), nil
+	}, kvtest.Options{MaxValue: 64 << 10})
 }
 
 // TestMonitoredWorkloadOnEnhancedClient runs the workload generator against

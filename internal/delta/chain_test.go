@@ -3,6 +3,7 @@ package delta
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -15,11 +16,10 @@ func TestChainPutGet(t *testing.T) {
 	c := NewChain(store, nil, 4)
 
 	v1 := bytes.Repeat([]byte("version one of the document. "), 100)
-	sent, err := c.Put(ctx, "doc", v1)
-	if err != nil {
+	if err := c.Put(ctx, "doc", v1); err != nil {
 		t.Fatal(err)
 	}
-	if sent != len(v1) {
+	if sent := c.Stats().BytesSent; sent != int64(len(v1)) {
 		t.Fatalf("first Put sent %d bytes, want full %d", sent, len(v1))
 	}
 	got, err := c.Get(ctx, "doc")
@@ -34,17 +34,17 @@ func TestChainDeltaUpdatesSendLess(t *testing.T) {
 	c := NewChain(store, NewEncoder(8), 8)
 
 	v := bytes.Repeat([]byte("stable stable stable stable "), 200)
-	if _, err := c.Put(ctx, "doc", v); err != nil {
+	if err := c.Put(ctx, "doc", v); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		v = append([]byte(nil), v...)
 		v[100*(i+1)] ^= 0xFF // small change
-		sent, err := c.Put(ctx, "doc", v)
-		if err != nil {
+		before := c.Stats().BytesSent
+		if err := c.Put(ctx, "doc", v); err != nil {
 			t.Fatal(err)
 		}
-		if sent >= len(v)/4 {
+		if sent := int(c.Stats().BytesSent - before); sent >= len(v)/4 {
 			t.Fatalf("update %d sent %d bytes, expected a small delta (< %d)", i, sent, len(v)/4)
 		}
 		got, err := c.Get(ctx, "doc")
@@ -53,8 +53,8 @@ func TestChainDeltaUpdatesSendLess(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.SavingsRatio() < 0.5 {
-		t.Fatalf("savings ratio = %v, want > 0.5 (%+v)", st.SavingsRatio(), st)
+	if 2*st.BytesSent > st.BytesFull {
+		t.Fatalf("sent more than half of the full bytes: %+v", st)
 	}
 }
 
@@ -64,13 +64,13 @@ func TestChainConsolidatesAfterMaxDeltas(t *testing.T) {
 	c := NewChain(store, NewEncoder(8), 2)
 
 	v := bytes.Repeat([]byte("abcdefgh"), 500)
-	if _, err := c.Put(ctx, "k", v); err != nil {
+	if err := c.Put(ctx, "k", v); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		v = append([]byte(nil), v...)
 		v[i*10] ^= 1
-		if _, err := c.Put(ctx, "k", v); err != nil {
+		if err := c.Put(ctx, "k", v); err != nil {
 			t.Fatal(err)
 		}
 		got, err := c.Get(ctx, "k")
@@ -97,7 +97,7 @@ func TestChainIncompressibleUpdateSendsFull(t *testing.T) {
 	c := NewChain(store, NewEncoder(8), 8)
 
 	v1 := bytes.Repeat([]byte{1}, 1000)
-	if _, err := c.Put(ctx, "k", v1); err != nil {
+	if err := c.Put(ctx, "k", v1); err != nil {
 		t.Fatal(err)
 	}
 	// A completely different value: the delta would be ~ full size, so the
@@ -106,11 +106,11 @@ func TestChainIncompressibleUpdateSendsFull(t *testing.T) {
 	for i := range v2 {
 		v2[i] = byte(i * 7)
 	}
-	sent, err := c.Put(ctx, "k", v2)
-	if err != nil {
+	before := c.Stats().BytesSent
+	if err := c.Put(ctx, "k", v2); err != nil {
 		t.Fatal(err)
 	}
-	if sent != len(v2) {
+	if sent := int(c.Stats().BytesSent - before); sent != len(v2) {
 		t.Fatalf("sent %d, want full %d for unrelated value", sent, len(v2))
 	}
 	got, err := c.Get(ctx, "k")
@@ -127,12 +127,12 @@ func TestChainFreshClientReconstructs(t *testing.T) {
 	a := NewChain(store, NewEncoder(8), 8)
 
 	v := bytes.Repeat([]byte("shared document state "), 100)
-	if _, err := a.Put(ctx, "doc", v); err != nil {
+	if err := a.Put(ctx, "doc", v); err != nil {
 		t.Fatal(err)
 	}
 	v2 := append([]byte(nil), v...)
 	v2[50] ^= 0xFF
-	if _, err := a.Put(ctx, "doc", v2); err != nil {
+	if err := a.Put(ctx, "doc", v2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,11 +143,10 @@ func TestChainFreshClientReconstructs(t *testing.T) {
 	}
 	v3 := append([]byte(nil), v2...)
 	v3[60] ^= 0xFF
-	sent, err := b.Put(ctx, "doc", v3)
-	if err != nil {
+	if err := b.Put(ctx, "doc", v3); err != nil {
 		t.Fatal(err)
 	}
-	if sent >= len(v3)/4 {
+	if sent := int(b.Stats().BytesSent); sent >= len(v3)/4 {
 		t.Fatalf("fresh client sent %d bytes, expected small delta", sent)
 	}
 	// And the first client still reads the latest state.
@@ -162,12 +161,12 @@ func TestChainDelete(t *testing.T) {
 	store := kv.NewMem("m")
 	c := NewChain(store, NewEncoder(8), 8)
 	v := bytes.Repeat([]byte("x"), 500)
-	if _, err := c.Put(ctx, "k", v); err != nil {
+	if err := c.Put(ctx, "k", v); err != nil {
 		t.Fatal(err)
 	}
 	v2 := append([]byte(nil), v...)
 	v2 = append(v2, 'y')
-	if _, err := c.Put(ctx, "k", v2); err != nil {
+	if err := c.Put(ctx, "k", v2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete(ctx, "k"); err != nil {
@@ -196,12 +195,41 @@ func TestChainGetMissing(t *testing.T) {
 func TestChainEmptyKey(t *testing.T) {
 	c := NewChain(kv.NewMem("m"), nil, 4)
 	ctx := context.Background()
-	if _, err := c.Put(ctx, "", []byte("v")); err == nil {
+	if err := c.Put(ctx, "", []byte("v")); err == nil {
 		t.Fatal("Put empty key succeeded")
 	}
 	if _, err := c.Get(ctx, ""); err == nil {
 		t.Fatal("Get empty key succeeded")
 	}
+	// The chain owns everything under key+"\x00": a key that reaches into
+	// that namespace would overwrite another key's records.
+	t.Run("NulByte", func(t *testing.T) {
+		inner := &scriptedStore{Store: kv.NewMem("m")}
+		c := NewChain(inner, nil, 4)
+		if err := c.Put(ctx, "a", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		inner.log = nil
+		var se *kv.StoreError
+		if err := c.Put(ctx, "a\x00meta", []byte{9}); !errors.As(err, &se) {
+			t.Fatalf("Put(a\\x00meta) err = %v, want a *kv.StoreError", err)
+		}
+		if _, err := c.Get(ctx, "a\x00base"); !errors.As(err, &se) {
+			t.Fatalf("Get(a\\x00base) err = %v, want a *kv.StoreError", err)
+		}
+		if err := c.Delete(ctx, "a\x00meta"); !errors.As(err, &se) {
+			t.Fatalf("Delete(a\\x00meta) err = %v, want a *kv.StoreError", err)
+		}
+		if ok, err := c.Contains(ctx, "a\x00meta"); ok || !errors.As(err, &se) {
+			t.Fatalf("Contains(a\\x00meta) = %v, %v, want a *kv.StoreError", ok, err)
+		}
+		if len(inner.log) != 0 {
+			t.Fatalf("a refused key reached the inner store: %q", inner.log)
+		}
+		if v, err := c.Get(ctx, "a"); err != nil || string(v) != "v" {
+			t.Fatalf("Get(a) = %q, %v after the refused writes", v, err)
+		}
+	})
 }
 
 func TestChainManySmallUpdates(t *testing.T) {
@@ -209,13 +237,13 @@ func TestChainManySmallUpdates(t *testing.T) {
 	store := kv.NewMem("m")
 	c := NewChain(store, NewEncoder(8), 4)
 	v := bytes.Repeat([]byte("document body with plenty of stable content. "), 50)
-	if _, err := c.Put(ctx, "doc", v); err != nil {
+	if err := c.Put(ctx, "doc", v); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		v = append([]byte(nil), v...)
 		v[i*37%len(v)] = byte(i)
-		if _, err := c.Put(ctx, "doc", v); err != nil {
+		if err := c.Put(ctx, "doc", v); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
@@ -223,7 +251,7 @@ func TestChainManySmallUpdates(t *testing.T) {
 	if err != nil || !bytes.Equal(got, v) {
 		t.Fatal("final Get mismatch after 20 updates")
 	}
-	if st := c.Stats(); st.SavingsRatio() <= 0 {
+	if st := c.Stats(); st.BytesSent >= st.BytesFull {
 		t.Fatalf("no savings across 20 small updates: %+v", st)
 	}
 }

@@ -44,6 +44,56 @@ type VersionedBatch interface {
 // amortize round-trip latency without stampeding a store's connection pool.
 const BatchFanout = 8
 
+// each runs fn(ctx, i) for every i in [0, n) with at most BatchFanout calls in
+// flight: the fallback fan-out of GetMulti, PutMulti and GetMultiVersioned.
+// Every index is attempted until a call fails; the first error cancels the
+// context the rest run under and is returned once all of them have finished.
+func each(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		failed   sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+		sem      = make(chan struct{}, BatchFanout)
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			if ctx.Err() != nil {
+				return // a sibling already failed; don't bother
+			}
+			if err := fn(ctx, i); err != nil {
+				failed.Do(func() { firstErr = err; cancel() })
+			}
+		}(i)
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// getEach is the fan-out of both multi-key reads: get every key, leave out
+// the ones the store reports absent (ErrNotFound is not an error here), and
+// return what was gathered together with the first other error.
+func getEach[V any](ctx context.Context, keys []string, get func(ctx context.Context, key string) (V, error)) (map[string]V, error) {
+	out := make(map[string]V, len(keys))
+	var mu sync.Mutex
+	err := each(ctx, len(keys), func(ctx context.Context, i int) error {
+		v, err := get(ctx, keys[i])
+		if err == nil {
+			mu.Lock()
+			out[keys[i]] = v
+			mu.Unlock()
+		} else if IsNotFound(err) {
+			err = nil
+		}
+		return err
+	})
+	return out, err
+}
+
 // GetMulti fetches keys from s, using its native batch support when
 // available and a bounded-concurrency parallel fan-out of Gets otherwise.
 //
@@ -57,42 +107,7 @@ func GetMulti(ctx context.Context, s Store, keys []string) (map[string][]byte, e
 	if b, ok := As[Batch](s); ok {
 		return b.GetMulti(ctx, keys)
 	}
-	out := make(map[string][]byte, len(keys))
-	if len(keys) == 0 {
-		return out, nil
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, BatchFanout)
-	)
-	for _, k := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k string) {
-			defer func() { <-sem; wg.Done() }()
-			if cctx.Err() != nil {
-				return // a sibling already failed; don't bother
-			}
-			v, err := s.Get(cctx, k)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				out[k] = v
-			case IsNotFound(err):
-				// Absent keys are not an error.
-			case firstErr == nil:
-				firstErr = err
-				cancel()
-			}
-		}(k)
-	}
-	wg.Wait()
-	return out, firstErr
+	return getEach(ctx, keys, s.Get)
 }
 
 // PutMulti stores pairs into s, using native batch support when available
@@ -105,37 +120,13 @@ func PutMulti(ctx context.Context, s Store, pairs map[string][]byte) error {
 	if b, ok := As[Batch](s); ok {
 		return b.PutMulti(ctx, pairs)
 	}
-	if len(pairs) == 0 {
-		return nil
+	keys := make([]string, 0, len(pairs))
+	for k := range pairs {
+		keys = append(keys, k)
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, BatchFanout)
-	)
-	for k, v := range pairs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k string, v []byte) {
-			defer func() { <-sem; wg.Done() }()
-			if cctx.Err() != nil {
-				return
-			}
-			if err := s.Put(cctx, k, v); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-			}
-		}(k, v)
-	}
-	wg.Wait()
-	return firstErr
+	return each(ctx, len(keys), func(ctx context.Context, i int) error {
+		return s.Put(ctx, keys[i], pairs[keys[i]])
+	})
 }
 
 // GetMultiVersioned fetches keys with versions, using native versioned
@@ -155,39 +146,8 @@ func GetMultiVersioned(ctx context.Context, s Store, keys []string) (map[string]
 		}
 		return out, err
 	}
-	out := make(map[string]VersionedValue, len(keys))
-	if len(keys) == 0 {
-		return out, nil
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, BatchFanout)
-	)
-	for _, k := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k string) {
-			defer func() { <-sem; wg.Done() }()
-			if cctx.Err() != nil {
-				return
-			}
-			v, ver, err := vs.GetVersioned(cctx, k)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				out[k] = VersionedValue{Value: v, Version: ver}
-			case IsNotFound(err):
-			case firstErr == nil:
-				firstErr = err
-				cancel()
-			}
-		}(k)
-	}
-	wg.Wait()
-	return out, firstErr
+	return getEach(ctx, keys, func(ctx context.Context, key string) (VersionedValue, error) {
+		v, ver, err := vs.GetVersioned(ctx, key)
+		return VersionedValue{Value: v, Version: ver}, err
+	})
 }

@@ -24,8 +24,8 @@ package kv
 
 // Wrapper is implemented by store middleware that wraps another Store.
 // Unwrap returns the wrapped store, or nil when the wrapper must not be
-// bypassed (a delta-encoded client, for instance, owns the physical layout:
-// reaching the raw store underneath it would read garbage).
+// bypassed (the delta chain, for instance, owns the physical layout:
+// reaching the raw store underneath it would read chain records).
 type Wrapper interface {
 	Unwrap() Store
 }
