@@ -96,11 +96,14 @@ fence:
 # The reuse rules of the quorum-over-RESP path, repeated under the race
 # detector: pooled fan-out state and the lent record buffer under node
 # failures, the two-round read over that state, replica state by replica
-# state, and its two deadlines against a hung replica, and a muxed caller that
-# gives up while the writer is parked mid-frame (DESIGN.md "Buffer ownership
-# for the *To APIs", "The coordinator's request path", "Network hot path").
+# state, and its two deadlines against a hung replica, a round over whole
+# nodes against a silent member, a version stamped under the key lock from a
+# clock-seeded counter (the two histories that lose an acknowledged write
+# otherwise), and a muxed caller that gives up while the writer is parked
+# mid-frame (DESIGN.md "Buffer ownership for the *To APIs", "Distributed
+# cluster tier", "Network hot path").
 reuse:
-	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestMuxAbandonWaitsOutParkedWriter' ./kv/cluster ./internal/miniredis)
+	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode|TestMuxAbandonWaitsOutParkedWriter' ./kv/cluster ./internal/miniredis)
 
 # The delta chain as a store: every inner write of a scripted history failed
 # before and after it applied (the key reads as the last acknowledged value or

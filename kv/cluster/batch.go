@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"edsc/kv"
 )
@@ -14,40 +13,42 @@ import (
 // answers. A k-key batch over an m-node cluster costs at most m node round
 // trips instead of k quorum operations.
 
-// nodePlan is the per-node slice of a multi-key operation.
+// nodePlan is the per-node slice of a multi-key operation, and after the
+// round the node's answer to it.
 type nodePlan struct {
 	rep  replica
 	keys []string
+	got  map[string][]byte // a read's records
+	err  error
 }
 
 // planBatch maps keys to the nodes that replicate them. Each key appears in
-// exactly Replication plans; reverse gives key -> replica list for quorum
-// counting.
-func (c *Cluster) planBatch(keys []string) (plans []*nodePlan, reverse map[string][]replica, err error) {
+// exactly Replication plans; owners gives key -> the plans of its replicas, in
+// preference order, for quorum counting.
+func (c *Cluster) planBatch(keys []string) (plans []*nodePlan, owners map[string][]*nodePlan, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
 		return nil, nil, kv.ErrClosed
 	}
 	byNode := make(map[string]*nodePlan)
-	reverse = make(map[string][]replica, len(keys))
+	owners = make(map[string][]*nodePlan, len(keys))
 	for _, k := range keys {
-		if _, dup := reverse[k]; dup {
+		if _, dup := owners[k]; dup {
 			continue
 		}
 		for _, id := range c.ring.LookupN(k, c.opts.Replication) {
-			rep := replica{id: id, store: c.members[id]}
 			p := byNode[id]
 			if p == nil {
-				p = &nodePlan{rep: rep}
+				p = &nodePlan{rep: replica{id: id, store: c.members[id]}}
 				byNode[id] = p
 				plans = append(plans, p)
 			}
 			p.keys = append(p.keys, k)
-			reverse[k] = append(reverse[k], rep)
+			owners[k] = append(owners[k], p)
 		}
 	}
-	return plans, reverse, nil
+	return plans, owners, nil
 }
 
 // GetMulti implements kv.Batch: one batched read per node, quorum
@@ -79,58 +80,32 @@ func (c *Cluster) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 			return nil, err
 		}
 	}
-	plans, reverse, err := c.planBatch(keys)
+	plans, owners, err := c.planBatch(keys)
 	if err != nil {
 		return nil, err
 	}
+	c.eachNode(ctx, len(plans), func(ctx context.Context, i int) {
+		plans[i].got, plans[i].err = kv.GetMulti(ctx, plans[i].rep.store, plans[i].keys)
+	})
 
-	// One batched fetch per node. Node-level errors surface as per-key
-	// errored responses, so quorum math treats them like any down replica.
-	type nodeFetch struct {
-		plan *nodePlan
-		got  map[string][]byte
-		err  error
-	}
-	fetches := make([]nodeFetch, len(plans))
-	var wg sync.WaitGroup
-	fctx, cancel := c.nodeCtx(ctx)
-	for i, p := range plans {
-		wg.Add(1)
-		go func(i int, p *nodePlan) {
-			defer wg.Done()
-			got, err := kv.GetMulti(fctx, p.rep.store, p.keys)
-			fetches[i] = nodeFetch{plan: p, got: got, err: err}
-		}(i, p)
-	}
-	wg.Wait()
-	cancel()
-
-	// Reassemble per-key responses in replica-preference order.
-	byNode := make(map[string]*nodeFetch, len(fetches))
-	for i := range fetches {
-		byNode[fetches[i].plan.rep.id] = &fetches[i]
-	}
+	// Per-key responses in replica-preference order. A node-level error
+	// surfaces as an errored response for every key the node did not return,
+	// so quorum math treats it like any down replica.
 	out := make(map[string]kv.VersionedValue)
 	var firstErr error
-	for key, reps := range reverse {
-		resp := make([]readResponse, len(reps))
-		for i, rep := range reps {
-			f := byNode[rep.id]
-			b, ok := f.got[key]
+	for key, ps := range owners {
+		reps := make([]replica, len(ps))
+		resp := make([]readResponse, len(ps))
+		for i, p := range ps {
+			b, ok := p.got[key]
+			err := p.err
 			switch {
 			case ok:
-				rec, derr := DecodeRecord(b)
-				if derr != nil {
-					resp[i] = readResponse{rep: rep, err: fmt.Errorf("node %s key %q: %w", rep.id, key, derr)}
-					continue
-				}
-				// rec.Value aliases the node's slice (see readReplica).
-				resp[i] = readResponse{rep: rep, rec: rec, exists: true}
-			case f.err != nil:
-				resp[i] = readResponse{rep: rep, err: fmt.Errorf("node %s: %w", rep.id, f.err)}
-			default:
-				resp[i] = readResponse{rep: rep} // answered: key absent
+				err = nil // what a failing node did return still counts
+			case err == nil:
+				err = kv.ErrNotFound // answered: key absent
 			}
+			reps[i], resp[i] = p.rep, answerOf(p.rep, key, b, err)
 		}
 		rec, exists, err := c.resolveRead(ctx, "getmulti", key, reps, resp, false)
 		if err != nil {
@@ -146,9 +121,9 @@ func (c *Cluster) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 	return out, firstErr
 }
 
-// PutMulti implements kv.Batch: versions are assigned up front, every
-// affected stripe locks in sorted order (so overlapping batches cannot
-// deadlock), and each node receives one batched write for its share. A key
+// PutMulti implements kv.Batch: every affected stripe locks in sorted order
+// (so overlapping batches cannot deadlock), versions are assigned under those
+// locks, and each node receives one batched write for its share. A key
 // acked by fewer than W replicas fails the batch with a quorum-ambiguous
 // error — some replicas may hold the new value, and hinted handoff will
 // finish the job for nodes that come back.
@@ -166,10 +141,13 @@ func (c *Cluster) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 		}
 		keys = append(keys, k)
 	}
-	plans, reverse, err := c.planBatch(keys)
+	plans, owners, err := c.planBatch(keys)
 	if err != nil {
 		return err
 	}
+	stripes := c.stripesFor(keys)
+	c.lockStripes(stripes)
+
 	// Each record is encoded once: every replica's batch carries that one
 	// buffer (a node must not retain or mutate it), and recs — what a hint
 	// would keep — aliases it, not the caller's bytes.
@@ -181,59 +159,41 @@ func (c *Cluster) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 		rec.Value = enc[recHdrSize:]
 		recs[k], encs[k] = rec, enc
 	}
+	c.eachNode(ctx, len(plans), func(ctx context.Context, i int) {
+		p := plans[i]
+		enc := make(map[string][]byte, len(p.keys))
+		for _, k := range p.keys {
+			enc[k] = encs[k]
+		}
+		p.err = kv.PutMulti(ctx, p.rep.store, enc)
+	})
 
-	stripes := c.stripesFor(keys)
-	c.lockStripes(stripes)
-
-	type nodeWrite struct {
-		plan *nodePlan
-		err  error
-	}
-	writes := make([]nodeWrite, len(plans))
-	var wg sync.WaitGroup
-	fctx, cancel := c.nodeCtx(ctx)
-	for i, p := range plans {
-		wg.Add(1)
-		go func(i int, p *nodePlan) {
-			defer wg.Done()
-			enc := make(map[string][]byte, len(p.keys))
-			for _, k := range p.keys {
-				enc[k] = encs[k]
-			}
-			writes[i] = nodeWrite{plan: p, err: kv.PutMulti(fctx, p.rep.store, enc)}
-		}(i, p)
-	}
-	wg.Wait()
-	cancel()
-
-	okNode := make(map[string]bool, len(writes))
 	var causes []error
 	var ackedNodes []replica
-	for _, w := range writes {
-		if w.err == nil {
-			okNode[w.plan.rep.id] = true
-			ackedNodes = append(ackedNodes, w.plan.rep)
+	for _, p := range plans {
+		if p.err == nil {
+			ackedNodes = append(ackedNodes, p.rep)
 			continue
 		}
-		causes = append(causes, fmt.Errorf("node %s: %w", w.plan.rep.id, w.err))
+		causes = append(causes, fmt.Errorf("node %s: %w", p.rep.id, p.err))
 		// A failed node write is conservative: hint every key it carried
 		// (hints install only-if-newer, so over-hinting is harmless).
-		for _, k := range w.plan.keys {
-			c.addHint(w.plan.rep.id, k, recs[k])
+		for _, k := range p.keys {
+			c.addHint(p.rep.id, k, recs[k], false)
 		}
 	}
 	failed := false
 	degraded := false
-	for _, reps := range reverse {
+	for _, ps := range owners {
 		acks := 0
-		for _, rep := range reps {
-			if okNode[rep.id] {
+		for _, p := range ps {
+			if p.err == nil {
 				acks++
 			}
 		}
 		if acks < c.opts.WriteQuorum {
 			failed = true
-		} else if acks < len(reps) {
+		} else if acks < len(ps) {
 			degraded = true
 		}
 	}

@@ -54,6 +54,21 @@
 // which is what makes CompareAndPut sound: this package assumes a single
 // coordinator process per cluster (the paper's client-side setting). Two
 // Cluster clients over the same nodes would race versions.
+//
+// A write takes its version under that lock (writeRecord for one key,
+// PutMulti for a batch, and nowhere else), so the versions of a key rise in
+// the order its writes reach the replicas: a replica applies a write blindly,
+// and a hint or a repair installs only what is newer. The counter starts at
+// the wall clock in nanoseconds, so a coordinator restarted over the same
+// nodes outbids its predecessor from its first write — given that its clock
+// is the later one and that nobody issues 10⁹ versions a second; every read
+// also raises the counter to the newest version it met, which covers data
+// written under a clock that ran ahead.
+//
+// Node calls start in two places only: fanout.run asks the replicas of one
+// key, eachNode asks whole nodes (batches, listings, Clear, the rebalance
+// listing). Both start a round's calls together under one deadline and wait
+// for all of them.
 package cluster
 
 import (
@@ -216,6 +231,7 @@ func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 		members: make(map[string]kv.Store, len(nodes)),
 		hints:   make(map[string][]hint),
 	}
+	c.ver.Store(uint64(time.Now().UnixNano()))
 	for _, nd := range nodes {
 		if nd.ID == "" || nd.Store == nil {
 			return nil, errors.New("cluster: node needs a non-empty ID and a store")
@@ -321,10 +337,17 @@ func DecodeRecord(b []byte) (Record, error) {
 	}, nil
 }
 
+// nextVersion stamps a write. Its two callers, writeRecord and PutMulti, hold
+// the stripe lock of every key they stamp, so the versions of one key rise in
+// the order its writes reach the replicas. New seeds the counter with the wall
+// clock in nanoseconds: a coordinator started later over the same nodes issues
+// versions above everything an earlier one can have issued, as long as its
+// clock is the later one and nobody issues 10⁹ versions a second.
 func (c *Cluster) nextVersion() uint64 { return c.ver.Add(1) }
 
-// observeVersion raises the counter to at least v, so a coordinator built
-// over pre-existing node data cannot issue versions that lose to it.
+// observeVersion raises the counter to at least v, the newest version a read
+// or a rebalance met: what is left to do for data written by a coordinator
+// whose clock ran ahead of this one's.
 func (c *Cluster) observeVersion(v uint64) {
 	for {
 		cur := c.ver.Load()
@@ -522,10 +545,42 @@ func (c *Cluster) unlockStripes(idx []int) {
 }
 
 // nodeCtx bounds replica operations by NodeTimeout from now: one call, or
-// all the calls of one fan-out round — they start together, so one deadline
-// (one timer, one set of context objects) serves every replica.
+// all the calls of one round — they start together, so one deadline (one
+// timer, one set of context objects) serves every replica.
 func (c *Cluster) nodeCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	return before(ctx, time.Now().Add(c.opts.NodeTimeout))
+}
+
+// eachNode is one round over whole nodes, what fanout.run is for the replicas
+// of one key: fn(ctx, i) for every i below n at once, under one nodeCtx
+// deadline — slot 0 on the caller's goroutine — and back when all have
+// returned. fn leaves node i's answer at index i of a slice its caller sized,
+// so the answers need no lock.
+func (c *Cluster) eachNode(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
+	nctx, cancel := c.nodeCtx(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(nctx, i)
+		}()
+	}
+	if n > 0 {
+		fn(nctx, 0)
+	}
+	wg.Wait()
+}
+
+// failures names the nodes of a round that failed: errs[i] is reps[i]'s.
+func failures(reps []replica, errs []error) (causes []error) {
+	for i, err := range errs {
+		if err != nil {
+			causes = append(causes, fmt.Errorf("node %s: %w", reps[i].id, err))
+		}
+	}
+	return causes
 }
 
 // before bounds ctx by deadline. When the caller's own deadline is at least
@@ -539,23 +594,26 @@ func before(ctx context.Context, deadline time.Time) (context.Context, context.C
 
 // --- quorum write ----------------------------------------------------------
 
-// writeRecord replicates rec to key's preference list and waits for every
-// replica to answer or time out (a write that outlived its key lock could
-// clobber a newer record). Failed replicas get hints. The caller holds
-// key's stripe lock; writeRecord drops it once the replicas have answered and
-// then drains the hints of the nodes that acked.
+// writeRecord stamps value (or a tombstone) with the next version, replicates
+// the record to key's preference list and waits for every replica to answer
+// or time out (a write that outlived its key lock could clobber a newer
+// record). Failed replicas get hints. The caller holds key's stripe lock —
+// which is what puts the stamp under it; writeRecord drops it once the
+// replicas have answered and then drains the hints of the nodes that acked.
+// It returns the version it stamped.
 //
-// rec.Value may be the caller's slice: the record is encoded once, into a
-// pooled buffer every replica is lent (a node must not retain or mutate it).
-// The buffer goes back to the pool only when every replica acked: a failed
+// value may be the caller's slice: the record is encoded once, into a pooled
+// buffer every replica is lent (a node must not retain or mutate it). The
+// buffer goes back to the pool only when every replica acked: a failed
 // replica's hint aliases it — never the caller's bytes — and then owns it.
-func (c *Cluster) writeRecord(ctx context.Context, op, key string, rec record, lock *sync.Mutex) error {
+func (c *Cluster) writeRecord(ctx context.Context, op, key string, value []byte, tombstone bool, lock *sync.Mutex) (uint64, error) {
 	f := getFanout()
 	defer f.release() // after drainHints: acked aliases f.repBuf
 	if err := c.replicasFor(f, key); err != nil {
 		lock.Unlock()
-		return err
+		return 0, err
 	}
+	rec := record{Version: c.nextVersion(), Tombstone: tombstone, Value: value}
 	buf := bufpool.Get(recHdrSize + len(rec.Value))
 	buf.B = rec.AppendEncode(buf.B)
 	rec.Value = buf.B[recHdrSize:]
@@ -568,7 +626,7 @@ func (c *Cluster) writeRecord(ctx context.Context, op, key string, rec record, l
 			acked = append(acked, r.rep)
 		} else {
 			causes = append(causes, fmt.Errorf("node %s: %w", r.rep.id, r.err))
-			c.addHint(r.rep.id, key, rec)
+			c.addHint(r.rep.id, key, rec, false)
 		}
 	}
 	lock.Unlock()
@@ -577,32 +635,38 @@ func (c *Cluster) writeRecord(ctx context.Context, op, key string, rec record, l
 	}
 	if len(acked) < c.opts.WriteQuorum {
 		// The acks that did land may have applied the write: ambiguous.
-		return c.quorumError(op, key, true, causes)
+		return 0, c.quorumError(op, key, true, causes)
 	}
 	if len(causes) > 0 {
 		c.degraded.Add(1)
 	}
 	c.writes.Add(1)
 	c.drainHints(ctx, acked)
-	return nil
+	return rec.Version, nil
 }
 
-// addHint buffers a handoff record for an unreachable node.
-func (c *Cluster) addHint(nodeID, key string, rec record) {
+// addHint buffers a handoff record for an unreachable node. A hint that
+// drainHints puts back after a failed replay (requeued) was counted and made
+// room for when its write queued it: it is not counted again and evicts
+// nothing, so the queue may stand above MaxHints by what a drain took out
+// until the next new hint trims it.
+func (c *Cluster) addHint(nodeID, key string, rec record, requeued bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, member := c.members[nodeID]; !member {
 		return
 	}
 	h := c.hints[nodeID]
-	if len(h) >= c.opts.MaxHints {
-		h = h[1:]
-		c.hintsD.Add(1)
-		c.hintCount.Add(-1)
+	if !requeued {
+		for len(h) >= c.opts.MaxHints {
+			h = h[1:]
+			c.hintsD.Add(1)
+			c.hintCount.Add(-1)
+		}
+		c.hintsQ.Add(1)
 	}
 	c.hints[nodeID] = append(h, hint{key: key, rec: rec})
 	c.hintCount.Add(1)
-	c.hintsQ.Add(1)
 }
 
 // takeHints removes and returns the pending hints for the given nodes.
@@ -649,7 +713,7 @@ func (c *Cluster) drainHints(ctx context.Context, nodes []replica) {
 			err := c.installIfNewer(ctx, store, h.key, h.rec)
 			lock.Unlock()
 			if err != nil {
-				c.addHint(id, h.key, h.rec)
+				c.addHint(id, h.key, h.rec, true)
 			} else {
 				c.hintsR.Add(1)
 			}
@@ -703,11 +767,17 @@ type readResponse struct {
 	err    error
 }
 
-// readReplica reads key's record from one node. The record's Value aliases
-// the slice the node returned: kv.Store forbids mutating a slice returned by
-// Get, on either side, so it is as good as a private copy.
+// readReplica reads key's record from one node.
 func readReplica(ctx context.Context, rep replica, key string) readResponse {
 	b, err := rep.store.Get(ctx, key)
+	return answerOf(rep, key, b, err)
+}
+
+// answerOf decodes what a node said about key: the stored blob b, or the
+// error of the call that asked for it (not-found is an answer, not a failure).
+// The record's Value aliases b: kv.Store forbids mutating a slice a node
+// returned, on either side, so it is as good as a private copy.
+func answerOf(rep replica, key string, b []byte, err error) readResponse {
 	switch {
 	case err == nil:
 		rec, derr := DecodeRecord(b)
@@ -722,6 +792,17 @@ func readReplica(ctx context.Context, rep replica, key string) readResponse {
 	}
 }
 
+// newest returns the record with the highest version among the answers that
+// hold one.
+func newest(resp []readResponse) (winner record, exists bool) {
+	for _, r := range resp {
+		if r.err == nil && r.exists && (!exists || r.rec.Version > winner.Version) {
+			winner, exists = r.rec, true
+		}
+	}
+	return winner, exists
+}
+
 // resolveRead picks the winner among replica responses and enforces the
 // monotonic-read rule, repairing stale replicas as needed. locked reports
 // whether the caller already holds key's stripe lock (the CAS path does;
@@ -732,22 +813,15 @@ func readReplica(ctx context.Context, rep replica, key string) readResponse {
 // exists=true and winner.Tombstone is set.
 func (c *Cluster) resolveRead(ctx context.Context, op, key string, reps []replica, resp []readResponse, locked bool) (record, bool, error) {
 	var causes []error
-	answered := 0
-	winner := record{}
-	exists := false
 	for _, r := range resp {
 		if r.err != nil {
 			causes = append(causes, r.err)
-			continue
-		}
-		answered++
-		if r.exists && (!exists || r.rec.Version > winner.Version) {
-			winner, exists = r.rec, true
 		}
 	}
-	if answered < c.opts.ReadQuorum {
+	if len(resp)-len(causes) < c.opts.ReadQuorum {
 		return record{}, false, c.quorumError(op, key, false, causes)
 	}
+	winner, exists := newest(resp)
 	if !exists {
 		c.reads.Add(1)
 		return record{}, false, nil
@@ -954,13 +1028,9 @@ func (c *Cluster) put(ctx context.Context, key string, value []byte) (uint64, er
 	if err := kv.CheckKey(key); err != nil {
 		return 0, err
 	}
-	rec := record{Version: c.nextVersion(), Value: value}
 	lock := c.lockFor(key)
 	lock.Lock()
-	if err := c.writeRecord(ctx, "put", key, rec, lock); err != nil {
-		return 0, err
-	}
-	return rec.Version, nil
+	return c.writeRecord(ctx, "put", key, value, false, lock)
 }
 
 // PutIfVersion implements kv.CompareAndPut. The coordinator's key lock
@@ -990,11 +1060,11 @@ func (c *Cluster) PutIfVersion(ctx context.Context, key string, value []byte, si
 		lock.Unlock()
 		return kv.NoVersion, kv.ErrVersionMismatch
 	}
-	rec := record{Version: c.nextVersion(), Value: value}
-	if err := c.writeRecord(ctx, "cas", key, rec, lock); err != nil {
+	ver, err := c.writeRecord(ctx, "cas", key, value, false, lock)
+	if err != nil {
 		return kv.NoVersion, err
 	}
-	return versionString(rec.Version), nil
+	return versionString(ver), nil
 }
 
 // Delete implements kv.Store. Deletes replicate as tombstones: removing the
@@ -1018,8 +1088,8 @@ func (c *Cluster) Delete(ctx context.Context, key string) error {
 		lock.Unlock()
 		return kv.ErrNotFound
 	}
-	rec := record{Version: c.nextVersion(), Tombstone: true}
-	return c.writeRecord(ctx, "delete", key, rec, lock)
+	_, err = c.writeRecord(ctx, "delete", key, nil, true, lock)
+	return err
 }
 
 // Contains implements kv.Store.
@@ -1043,30 +1113,19 @@ func (c *Cluster) Contains(ctx context.Context, key string) (bool, error) {
 // with a listable replica; beyond that the listing could silently omit keys
 // and fails loudly instead.
 func (c *Cluster) Keys(ctx context.Context) ([]string, error) {
-	live, err := c.liveKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(live))
-	for k := range live {
-		out = append(out, k)
-	}
-	return out, nil
+	return c.liveKeys(ctx)
 }
 
 // Len implements kv.Store.
 func (c *Cluster) Len(ctx context.Context) (int, error) {
 	live, err := c.liveKeys(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return len(live), nil
+	return len(live), err
 }
 
 // liveKeys resolves the set of live keys: per-node key listings, then one
 // batched record read per node, then winner resolution per key (without the
 // repair machinery — listing is not a data-path read).
-func (c *Cluster) liveKeys(ctx context.Context) (map[string]bool, error) {
+func (c *Cluster) liveKeys(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1074,74 +1133,40 @@ func (c *Cluster) liveKeys(ctx context.Context) (map[string]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	type nodeKeys struct {
-		rep  replica
-		keys []string
-		err  error
-	}
-	listed := make([]nodeKeys, len(reps))
-	var wg sync.WaitGroup
-	lctx, cancel := c.nodeCtx(ctx)
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep replica) {
-			defer wg.Done()
-			ks, err := rep.store.Keys(lctx)
-			listed[i] = nodeKeys{rep: rep, keys: ks, err: err}
-		}(i, rep)
-	}
-	wg.Wait()
-	cancel()
-
-	failed := 0
-	var causes []error
-	for _, nk := range listed {
-		if nk.err != nil {
-			failed++
-			causes = append(causes, fmt.Errorf("node %s: %w", nk.rep.id, nk.err))
-		}
-	}
-	if failed > 0 && failed >= c.opts.WriteQuorum {
+	listed := make([][]string, len(reps))
+	errs := make([]error, len(reps))
+	c.eachNode(ctx, len(reps), func(ctx context.Context, i int) {
+		listed[i], errs[i] = reps[i].store.Keys(ctx)
+	})
+	if causes := failures(reps, errs); len(causes) >= c.opts.WriteQuorum { // W is at least 1
 		return nil, c.quorumError("keys", "", false, causes)
 	}
 
-	// Batched record fetch per node, then highest version wins per key.
-	type verdict struct {
-		ver  uint64
-		tomb bool
-	}
-	winners := make(map[string]verdict)
-	var mu sync.Mutex
-	fctx, cancel := c.nodeCtx(ctx)
-	defer cancel()
-	for i := range listed {
-		nk := listed[i]
-		if nk.err != nil || len(nk.keys) == 0 {
-			continue
+	fetched := make([]map[string][]byte, len(reps))
+	c.eachNode(ctx, len(reps), func(ctx context.Context, i int) {
+		if errs[i] == nil && len(listed[i]) > 0 {
+			fetched[i], _ = kv.GetMulti(ctx, reps[i].store, listed[i]) // partial results still count
 		}
-		wg.Add(1)
-		go func(nk nodeKeys) {
-			defer wg.Done()
-			recs, _ := kv.GetMulti(fctx, nk.rep.store, nk.keys) // partial results still count
-			mu.Lock()
-			defer mu.Unlock()
-			for k, b := range recs {
-				rec, derr := DecodeRecord(b)
-				if derr != nil {
-					continue
-				}
-				if w, ok := winners[k]; !ok || rec.Version > w.ver {
-					winners[k] = verdict{ver: rec.Version, tomb: rec.Tombstone}
+	})
+
+	live := []string{}
+	seen := make(map[string]bool)
+	resp := make([]readResponse, 0, len(reps))
+	for _, recs := range fetched {
+		for k := range recs {
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			resp = resp[:0]
+			for i, rep := range reps {
+				if b, ok := fetched[i][k]; ok {
+					resp = append(resp, answerOf(rep, k, b, nil))
 				}
 			}
-		}(nk)
-	}
-	wg.Wait()
-
-	live := make(map[string]bool, len(winners))
-	for k, w := range winners {
-		if !w.tomb {
-			live[k] = true
+			if w, ok := newest(resp); ok && !w.Tombstone {
+				live = append(live, k)
+			}
 		}
 	}
 	return live, nil
@@ -1166,24 +1191,10 @@ func (c *Cluster) Clear(ctx context.Context) error {
 	defer c.unlockStripes(all)
 
 	errs := make([]error, len(reps))
-	var wg sync.WaitGroup
-	fctx, cancel := c.nodeCtx(ctx)
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep replica) {
-			defer wg.Done()
-			errs[i] = rep.store.Clear(fctx)
-		}(i, rep)
-	}
-	wg.Wait()
-	cancel()
-	var causes []error
-	for i, err := range errs {
-		if err != nil {
-			causes = append(causes, fmt.Errorf("node %s: %w", reps[i].id, err))
-		}
-	}
-	if len(causes) > 0 {
+	c.eachNode(ctx, len(reps), func(ctx context.Context, i int) {
+		errs[i] = reps[i].store.Clear(ctx)
+	})
+	if causes := failures(reps, errs); len(causes) > 0 {
 		return c.quorumError("clear", "", true, causes)
 	}
 	c.mu.Lock()

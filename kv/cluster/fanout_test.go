@@ -216,4 +216,29 @@ func TestFanoutReuseUnderFailures(t *testing.T) {
 			}
 		})
 	}
+
+	// A hint whose replay fails goes back into the queue it came from: it was
+	// counted when the write queued it, and it displaces nothing (mutant:
+	// drainHints re-queues through addHint, which counts every call and
+	// evicts at the MaxHints bound).
+	t.Run("requeue", func(t *testing.T) {
+		ctx := context.Background()
+		c, refs := memNodes(t, Options{MaxHints: 1})
+		refs[1].down.Store(true)
+		if err := c.Put(ctx, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		for try := 0; try < 2; try++ {
+			if left, err := c.FlushHints(ctx); err != nil || left != 1 {
+				t.Fatalf("FlushHints with the node down = %d, %v; want the hint back in the queue", left, err)
+			}
+		}
+		refs[1].down.Store(false)
+		if left, err := c.FlushHints(ctx); err != nil || left != 0 {
+			t.Fatalf("FlushHints = %d, %v", left, err)
+		}
+		if s := c.Stats(); s.HintsQueued != 1 || s.HintsDropped != 0 || s.HintsReplayed != 1 {
+			t.Errorf("one hint, replayed at the third try: queued %d, dropped %d, replayed %d", s.HintsQueued, s.HintsDropped, s.HintsReplayed)
+		}
+	})
 }

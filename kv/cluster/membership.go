@@ -95,37 +95,24 @@ func (c *Cluster) rebalance(ctx context.Context, extra *replica) error {
 	// Union of keys across all sources. A source that cannot list is
 	// skipped — its records either also live on reachable replicas or will
 	// be recovered by read repair / hints once it returns.
+	listed := make([][]string, len(sources))
+	c.eachNode(ctx, len(sources), func(ctx context.Context, i int) {
+		if keys, err := sources[i].store.Keys(ctx); err == nil {
+			listed[i] = keys
+		}
+	})
 	keySet := make(map[string]bool)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	lctx, cancel := c.nodeCtx(ctx)
-	for _, src := range sources {
-		wg.Add(1)
-		go func(src replica) {
-			defer wg.Done()
-			keys, err := src.store.Keys(lctx)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			for _, k := range keys {
-				keySet[k] = true
-			}
-			mu.Unlock()
-		}(src)
-	}
-	wg.Wait()
-	cancel()
-
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
+	for _, keys := range listed {
+		for _, k := range keys {
+			keySet[k] = true
+		}
 	}
 
 	sem := make(chan struct{}, rebalanceFanout)
+	var wg sync.WaitGroup
 	var moved atomic.Int64
 	var firstErr atomicErr
-	for _, key := range keys {
+	for key := range keySet {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -169,13 +156,7 @@ func (c *Cluster) rebalanceKey(ctx context.Context, key string, sources []replic
 	f.reps = sources
 	f.run(ctx, key, nil, 0, len(sources), time.Now().Add(c.opts.NodeTimeout))
 	resp := f.resp
-	winner := record{}
-	exists := false
-	for _, r := range resp {
-		if r.err == nil && r.exists && (!exists || r.rec.Version > winner.Version) {
-			winner, exists = r.rec, true
-		}
-	}
+	winner, exists := newest(resp)
 	if !exists {
 		return 0, nil // raced with a concurrent rebalance or never existed
 	}

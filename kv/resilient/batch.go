@@ -33,14 +33,8 @@ type unbatched struct{ kv.Store }
 // map is returned along with the first error.
 func (s *Store) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
 	if b, ok := kv.As[kv.Batch](s.inner); ok {
-		var out map[string][]byte
-		err := s.do(ctx, "getmulti", s.readRetries(), func(actx context.Context) error {
-			m, err := b.GetMulti(actx, keys)
-			if err != nil {
-				return err
-			}
-			out = m
-			return nil
+		out, err := call(s, ctx, "getmulti", s.readRetries(), func(actx context.Context) (map[string][]byte, error) {
+			return b.GetMulti(actx, keys)
 		})
 		if err == nil {
 			return out, nil

@@ -309,6 +309,21 @@ func (s *Store) do(ctx context.Context, op string, retries int, fn func(context.
 	}
 }
 
+// call is do for an operation that returns a value: fn's result on success,
+// the zero value with do's error otherwise.
+func call[T any](s *Store, ctx context.Context, op string, retries int, fn func(context.Context) (T, error)) (T, error) {
+	var out T
+	err := s.do(ctx, op, retries, func(actx context.Context) (err error) {
+		out, err = fn(actx)
+		return err
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return out, nil
+}
+
 // readRetries / writeRetries pick the budget per operation class.
 func (s *Store) readRetries() int { return s.opts.MaxRetries }
 func (s *Store) writeRetries() int {
@@ -320,19 +335,9 @@ func (s *Store) writeRetries() int {
 
 // Get implements kv.Store with retries and (when enabled) hedging.
 func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
-	var out []byte
-	err := s.do(ctx, "get", s.readRetries(), func(actx context.Context) error {
-		v, err := s.hedgedGet(actx, key)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
+	return call(s, ctx, "get", s.readRetries(), func(actx context.Context) ([]byte, error) {
+		return s.hedgedGet(actx, key)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // hedgedGet issues the inner Get, launching a second concurrent attempt if
@@ -426,70 +431,26 @@ func (s *Store) PutIfVersion(ctx context.Context, key string, value []byte, sinc
 		return kv.NoVersion, &kv.StoreError{Store: s.Name(), Op: "cas", Key: key,
 			Err: errors.New("resilient: inner store does not implement kv.CompareAndPut")}
 	}
-	var out kv.Version
-	err := s.do(ctx, "cas", s.opts.MaxRetries, func(actx context.Context) error {
-		v, err := cas.PutIfVersion(actx, key, value, since)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
+	return call(s, ctx, "cas", s.opts.MaxRetries, func(actx context.Context) (kv.Version, error) {
+		return cas.PutIfVersion(actx, key, value, since)
 	})
-	if err != nil {
-		return kv.NoVersion, err
-	}
-	return out, nil
 }
 
 // Contains implements kv.Store.
 func (s *Store) Contains(ctx context.Context, key string) (bool, error) {
-	var out bool
-	err := s.do(ctx, "contains", s.readRetries(), func(actx context.Context) error {
-		ok, err := s.inner.Contains(actx, key)
-		if err != nil {
-			return err
-		}
-		out = ok
-		return nil
+	return call(s, ctx, "contains", s.readRetries(), func(actx context.Context) (bool, error) {
+		return s.inner.Contains(actx, key)
 	})
-	if err != nil {
-		return false, err
-	}
-	return out, nil
 }
 
 // Keys implements kv.Store.
 func (s *Store) Keys(ctx context.Context) ([]string, error) {
-	var out []string
-	err := s.do(ctx, "keys", s.readRetries(), func(actx context.Context) error {
-		ks, err := s.inner.Keys(actx)
-		if err != nil {
-			return err
-		}
-		out = ks
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call(s, ctx, "keys", s.readRetries(), s.inner.Keys)
 }
 
 // Len implements kv.Store.
 func (s *Store) Len(ctx context.Context) (int, error) {
-	var out int
-	err := s.do(ctx, "len", s.readRetries(), func(actx context.Context) error {
-		n, err := s.inner.Len(actx)
-		if err != nil {
-			return err
-		}
-		out = n
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return out, nil
+	return call(s, ctx, "len", s.readRetries(), s.inner.Len)
 }
 
 // Clear implements kv.Store. Clearing twice is idempotent, so it shares the

@@ -38,22 +38,11 @@ func (s *Store) GetVersioned(ctx context.Context, key string) ([]byte, kv.Versio
 	if err != nil {
 		return nil, kv.NoVersion, err
 	}
-	var (
-		out []byte
-		ver kv.Version
-	)
-	err = s.do(ctx, "getversioned", s.readRetries(), func(actx context.Context) error {
-		v, vr, err := vs.GetVersioned(actx, key)
-		if err != nil {
-			return err
-		}
-		out, ver = v, vr
-		return nil
+	vv, err := call(s, ctx, "getversioned", s.readRetries(), func(actx context.Context) (kv.VersionedValue, error) {
+		v, ver, err := vs.GetVersioned(actx, key)
+		return kv.VersionedValue{Value: v, Version: ver}, err
 	})
-	if err != nil {
-		return nil, kv.NoVersion, err
-	}
-	return out, ver, nil
+	return vv.Value, vv.Version, err
 }
 
 // GetIfModified implements kv.Versioned with the read-retry policy.
@@ -62,23 +51,15 @@ func (s *Store) GetIfModified(ctx context.Context, key string, since kv.Version)
 	if err != nil {
 		return nil, kv.NoVersion, false, err
 	}
-	var (
-		out      []byte
-		ver      kv.Version
+	type answer struct {
+		kv.VersionedValue
 		modified bool
-	)
-	err = s.do(ctx, "getifmodified", s.readRetries(), func(actx context.Context) error {
-		v, vr, mod, err := vs.GetIfModified(actx, key, since)
-		if err != nil {
-			return err
-		}
-		out, ver, modified = v, vr, mod
-		return nil
-	})
-	if err != nil {
-		return nil, kv.NoVersion, false, err
 	}
-	return out, ver, modified, nil
+	a, err := call(s, ctx, "getifmodified", s.readRetries(), func(actx context.Context) (answer, error) {
+		v, ver, modified, err := vs.GetIfModified(actx, key, since)
+		return answer{kv.VersionedValue{Value: v, Version: ver}, modified}, err
+	})
+	return a.Value, a.Version, a.modified, err
 }
 
 // PutVersioned implements kv.Versioned. Like Put it is a blind write, so it
@@ -88,19 +69,9 @@ func (s *Store) PutVersioned(ctx context.Context, key string, value []byte) (kv.
 	if err != nil {
 		return kv.NoVersion, err
 	}
-	var out kv.Version
-	err = s.do(ctx, "putversioned", s.writeRetries(), func(actx context.Context) error {
-		v, err := vs.PutVersioned(actx, key, value)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
+	return call(s, ctx, "putversioned", s.writeRetries(), func(actx context.Context) (kv.Version, error) {
+		return vs.PutVersioned(actx, key, value)
 	})
-	if err != nil {
-		return kv.NoVersion, err
-	}
-	return out, nil
 }
 
 // unbatchedVersioned exposes the wrapper's retried per-key operations while
@@ -120,14 +91,8 @@ func (s *Store) GetMultiVersioned(ctx context.Context, keys []string) (map[strin
 		return nil, err
 	}
 	if vb, ok := kv.As[kv.VersionedBatch](s.inner); ok {
-		var out map[string]kv.VersionedValue
-		err := s.do(ctx, "getmultiversioned", s.readRetries(), func(actx context.Context) error {
-			m, err := vb.GetMultiVersioned(actx, keys)
-			if err != nil {
-				return err
-			}
-			out = m
-			return nil
+		out, err := call(s, ctx, "getmultiversioned", s.readRetries(), func(actx context.Context) (map[string]kv.VersionedValue, error) {
+			return vb.GetMultiVersioned(actx, keys)
 		})
 		if err == nil {
 			return out, nil

@@ -33,35 +33,12 @@ func OpenMiniRedis(name, addr, prefix string) kv.Store {
 
 // MiniRedisClientOptions tune the miniredis client's connection layer; the
 // zero value matches OpenMiniRedis. See the README knob table.
-type MiniRedisClientOptions struct {
-	// DialTimeout bounds each dial (default 5s); the dial also aborts as
-	// soon as the caller's ctx does.
-	DialTimeout time.Duration
-	// MaxConns caps open sockets (default 64). At the cap, callers wait
-	// FIFO for a connection, honoring their ctx.
-	MaxConns int
-	// MaxIdle sizes the idle reuse pool (default 8); -1 disables reuse.
-	MaxIdle int
-	// Mux shares each socket between many goroutines: requests from all
-	// callers are pipelined through a batching writer and replies matched
-	// in arrival order — the high-throughput mode for many concurrent
-	// goroutines.
-	Mux bool
-	// MuxConns is the number of multiplexed sockets when Mux is set
-	// (default 4).
-	MuxConns int
-}
+type MiniRedisClientOptions = miniredis.Options
 
 // OpenMiniRedisWith is OpenMiniRedis with explicit connection options —
 // notably Mux, the multiplexed hot path for highly concurrent workloads.
 func OpenMiniRedisWith(name, addr, prefix string, opts MiniRedisClientOptions) kv.Store {
-	return miniredis.OpenStoreWith(name, addr, prefix, miniredis.Options{
-		DialTimeout: opts.DialTimeout,
-		MaxConns:    opts.MaxConns,
-		MaxIdle:     opts.MaxIdle,
-		Mux:         opts.Mux,
-		MuxConns:    opts.MuxConns,
-	})
+	return miniredis.OpenStoreWith(name, addr, prefix, opts)
 }
 
 // SQLStoreOptions configure OpenSQLStore.
