@@ -47,14 +47,16 @@ cover:
 # the one-shot gzip encoder against the stdlib reader
 # (internal/pack/oneshot_test.go), and the cloudsim path parser against the
 # strings.Split implementation it replaced (internal/cloudsim/hotpath_test.go).
+# The one list of targets: CI runs it with FUZZTIME=30s.
+FUZZTIME ?= 10s
 fuzz:
-	go test ./internal/resp -run='^$$' -fuzz=FuzzRead -fuzztime=10s
-	go test ./internal/minisql -run='^$$' -fuzz=FuzzParse -fuzztime=10s
-	go test ./internal/minisql -run='^$$' -fuzz=FuzzParamsMatchLiterals -fuzztime=10s
-	go test ./internal/minisql -run='^$$' -fuzz=FuzzPageDecode -fuzztime=10s
-	go test ./internal/minisql -run='^$$' -fuzz=FuzzBTreeOps -fuzztime=10s
-	go test ./internal/pack -run='^$$' -fuzz=FuzzOneShotRoundTrip -fuzztime=10s
-	go test ./internal/cloudsim -run='^$$' -fuzz=FuzzParsePath -fuzztime=30s
+	go test ./internal/resp -run='^$$' -fuzz=FuzzRead -fuzztime=$(FUZZTIME)
+	go test ./internal/minisql -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
+	go test ./internal/minisql -run='^$$' -fuzz=FuzzParamsMatchLiterals -fuzztime=$(FUZZTIME)
+	go test ./internal/minisql -run='^$$' -fuzz=FuzzPageDecode -fuzztime=$(FUZZTIME)
+	go test ./internal/minisql -run='^$$' -fuzz=FuzzBTreeOps -fuzztime=$(FUZZTIME)
+	go test ./internal/pack -run='^$$' -fuzz=FuzzOneShotRoundTrip -fuzztime=$(FUZZTIME)
+	go test ./internal/cloudsim -run='^$$' -fuzz=FuzzParsePath -fuzztime=$(FUZZTIME)
 
 # The chaos conformance suite at aggressive settings: 4x the operations,
 # doubled fault rates, race detector on — every store must still pass.
@@ -121,7 +123,7 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardKVStoreGetPut TestPreparedExecutionAllocs TestAllocGuardClusterGetPut \
 	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
 	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut \
-	TestAllocGuardQuorumOverRESP
+	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"edsc/dscl"
 	"edsc/internal/raceflag"
@@ -20,17 +21,17 @@ import (
 // (exact profile, runtime.MemProfileRate = 1) outlives the request or is the
 // library's below us:
 //
-//	get 11: 5 the probe round's one deadline (context.WithDeadline makes a
+//	get 10: 5 the probe round's one deadline (context.WithDeadline makes a
 //	          context, a cancel function, a timer and its callback, and a Done
 //	          channel once the mux selects on it)
 //	        2 the replies, one value per replica asked: the two of the probe
 //	          window agree, so the third is not read (resp.Reader)
-//	        2 the request ID dscl tags an untraced context with (the ID and the
-//	          context value; under udsm both are the one trace object)
+//	        1 the request ID dscl tags an untraced context with (the context
+//	          that carries it; under a tracing udsm it is the trace's)
 //	        1 the cipher.NewCTR stream
 //	        1 the plaintext handed to the caller (pack)
-//	put 15: 6 on the servers: the stored key and the stored value, three times
-//	        5 the deadline, 2 the request ID, 1 the CTR stream, as for a get
+//	put 14: 6 on the servers: the stored key and the stored value, three times
+//	        5 the deadline, 1 the request ID, 1 the CTR stream, as for a get
 //	        1 the encoded value dscl hands the store (secure)
 //
 // Nothing is paid for fanning out (fan-out state, spawn closures, the encoded
@@ -81,9 +82,47 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 		put()
 		get()
 	}
-	const wantGet, wantPut = 11, 15
+	const wantGet, wantPut = 10, 14
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
+	}
+}
+
+// TestAllocGuardDataStoreHit pins the paper's cheapest operation, a cache hit,
+// through the wrapper every request of every stack crosses: udsm.DataStore
+// over a caching dscl client. With no slow threshold nothing could keep a
+// trace, so none is started and the hit allocates nothing; with one, the hit
+// pays the one object that is the trace, its context and the request ID.
+func TestAllocGuardDataStoreHit(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, tc := range []struct {
+		slow time.Duration
+		want float64
+	}{{0, 0}, {time.Hour, 1}} {
+		mgr := udsm.New(udsm.Options{SlowTrace: tc.slow})
+		t.Cleanup(func() { _ = mgr.Close() })
+		ds, err := mgr.Register(dscl.New(kv.NewMem("mem"), dscl.WithCache(dscl.NewInProcessCache(dscl.InProcessOptions{}))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := ds.Put(ctx, "k", []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+		hit := func() {
+			if v, err := ds.Get(ctx, "k"); err != nil || string(v) != "value" {
+				t.Fatalf("Get = %q, %v", v, err)
+			}
+		}
+		hit()
+		if got := testing.AllocsPerRun(500, hit); got != tc.want {
+			t.Errorf("SlowTrace %v: a cache hit through udsm.DataStore allocated %.0f times, want %.0f", tc.slow, got, tc.want)
+		}
+		if st := ds.Snapshot(false); len(st.Slow) != 0 {
+			t.Errorf("SlowTrace %v: %d traces retained, want none (no hit takes an hour)", tc.slow, len(st.Slow))
+		}
 	}
 }

@@ -152,12 +152,16 @@ func (p *InProcessCache) Get(_ context.Context, key string) (Entry, State, error
 
 // Put implements Cache.
 func (p *InProcessCache) Put(_ context.Context, key string, e Entry) error {
-	ie := cache.Entry{Value: e.Value, Version: string(e.Version)}
-	if !e.ExpiresAt.IsZero() {
-		ie.ExpiresAt = e.ExpiresAt.UnixNano()
-	}
-	p.c.PutEntry(key, ie)
+	p.c.PutEntry(key, cache.Entry{Value: e.Value, Version: string(e.Version), ExpiresAt: unixNano(e.ExpiresAt)})
 	return nil
+}
+
+// unixNano is t as the internal cache keeps an expiry: 0 for never.
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
 }
 
 // Delete implements Cache.
@@ -167,14 +171,7 @@ func (p *InProcessCache) Delete(_ context.Context, key string) (bool, error) {
 
 // Touch implements Cache.
 func (p *InProcessCache) Touch(_ context.Context, key string, expiresAt time.Time, version kv.Version) (bool, error) {
-	ttl := time.Duration(0)
-	if !expiresAt.IsZero() {
-		ttl = time.Until(expiresAt)
-		if ttl <= 0 {
-			ttl = time.Nanosecond // already past: expire immediately
-		}
-	}
-	return p.c.Touch(key, ttl, string(version)), nil
+	return p.c.Touch(key, unixNano(expiresAt), string(version)), nil
 }
 
 // Len implements Cache.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"edsc/internal/cache"
 	"edsc/kv"
 )
 
@@ -99,6 +100,38 @@ func TestCacheTouchRenewsLease(t *testing.T) {
 				t.Fatalf("Touch(absent) = %v, %v", ok, err)
 			}
 		})
+	}
+}
+
+// TestInProcessTouchKeepsTheExpiryItIsGiven: the expiry dscl computed is the
+// expiry the entry gets, whatever the cache's clock and the wall clock say of
+// each other. The cache here runs on a clock decades behind the wall clock,
+// where turning the instant into a TTL by one clock and back by the other
+// expired the lease the moment it was renewed.
+func TestInProcessTouchKeepsTheExpiryItIsGiven(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(1000, 0)
+	c := &InProcessCache{c: cache.New(cache.Config{Clock: func() time.Time { return now }})}
+	if err := c.Put(ctx, "k", Entry{Value: []byte("v"), ExpiresAt: now.Add(-time.Second)}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.Touch(ctx, "k", now.Add(time.Hour), ""); err != nil || !ok {
+		t.Fatalf("Touch = %v, %v", ok, err)
+	}
+	now = now.Add(59 * time.Minute)
+	if got, state, _ := c.Get(ctx, "k"); state != Hit || !got.ExpiresAt.Equal(time.Unix(1000, 0).Add(time.Hour)) {
+		t.Fatalf("59 minutes into an hour's lease: %v, expires %v", state, got.ExpiresAt)
+	}
+	now = now.Add(time.Minute)
+	if _, state, _ := c.Get(ctx, "k"); state != Stale {
+		t.Fatalf("at the expiry: %v, want Stale", state)
+	}
+	// An expiry already past leaves the entry stale, not live for ever.
+	if ok, _ := c.Touch(ctx, "k", now.Add(-time.Minute), ""); !ok {
+		t.Fatal("Touch(present) = false")
+	}
+	if _, state, _ := c.Get(ctx, "k"); state != Stale {
+		t.Fatalf("after a Touch into the past: %v, want Stale", state)
 	}
 }
 

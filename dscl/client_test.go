@@ -599,9 +599,10 @@ func (s *flatStore) PutVersioned(_ context.Context, _ string, value []byte) (kv.
 // TestAllocGuardClientGetPut pins what the benchmark multiplies by every
 // cached operation: the client's own allocations on its four hot paths, with
 // the benchmark's gzip+AES chain, a 1 KiB value and the in-process cache. A
-// hit allocates nothing; a miss is the request ID (2), the decode (2) and the
-// cache's node; a put the request ID, the encode (2), the private copy and
-// the node; a fresh revalidation the request ID alone. The fence (begin,
+// hit allocates nothing; a miss is the request ID (the context that carries
+// it, 1), the decode (2) and the cache's node; a put the request ID, the
+// encode (2), the private copy and the node; a fresh revalidation the request
+// ID alone. The fence (begin,
 // wrote, install) adds nothing to any of them.
 func TestAllocGuardClientGetPut(t *testing.T) {
 	if raceflag.Enabled {
@@ -628,13 +629,13 @@ func TestAllocGuardClientGetPut(t *testing.T) {
 		fn   func() error
 	}{
 		{"hit", 0, func() (err error) { _, err = cl.Get(ctx, "k"); return }},
-		{"miss and fill", 5, func() (err error) {
+		{"miss and fill", 4, func() (err error) {
 			_, _ = cache.Delete(ctx, "k")
 			_, err = cl.Get(ctx, "k")
 			return
 		}},
-		{"write-through put", 6, func() error { return cl.Put(ctx, "k", value) }},
-		{"revalidated fresh", 2, func() (err error) { _, err = stale.Get(ctx, "k"); return }},
+		{"write-through put", 5, func() error { return cl.Put(ctx, "k", value) }},
+		{"revalidated fresh", 1, func() (err error) { _, err = stale.Get(ctx, "k"); return }},
 	} {
 		if err := leg.fn(); err != nil {
 			t.Fatalf("%s: %v", leg.name, err)

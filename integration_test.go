@@ -11,8 +11,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -568,5 +572,84 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 	}
 	if !sawDeepSpan {
 		t.Fatalf("no span from the http/resilient layers in %d traces", len(snap.Slow))
+	}
+}
+
+// TestRequestIDReachesTheWire: the request ID does not depend on a trace.
+// With SlowTrace off the UDSM starts none, dscl tags the context on a miss,
+// and the fetch still goes out with an X-Request-Id the cloud server echoes;
+// with SlowTrace on, the retained trace shows dscl's fetch span under the very
+// ID that went out. A recording proxy stands between client and server.
+func TestRequestIDReachesTheWire(t *testing.T) {
+	ctx := context.Background()
+	cloud, err := udsm.StartCloudSim(udsm.ProfileLocal, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cloud.Close() })
+	target, err := url.Parse(cloud.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type exchange struct{ method, sent, echoed string }
+	var (
+		mu   sync.Mutex
+		seen []exchange
+	)
+	rp := httputil.NewSingleHostReverseProxy(target)
+	rp.ModifyResponse = func(resp *http.Response) error {
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, exchange{resp.Request.Method, resp.Request.Header.Get("X-Request-Id"), resp.Header.Get("X-Request-Id")})
+		return nil
+	}
+	proxy := httptest.NewServer(rp)
+	t.Cleanup(proxy.Close)
+
+	for _, slow := range []time.Duration{0, time.Nanosecond} {
+		mgr := udsm.New(udsm.Options{SlowTrace: slow})
+		t.Cleanup(func() { _ = mgr.Close() })
+		cache := dscl.NewInProcessCache(dscl.InProcessOptions{})
+		ds, err := mgr.Register(dscl.New(udsm.OpenCloudStore("cloud", proxy.URL, "ids"), dscl.WithCache(cache)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Put(ctx, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cache.Delete(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		seen = seen[:0]
+		mu.Unlock()
+		if v, err := ds.Get(ctx, "k"); err != nil || string(v) != "v" {
+			t.Fatalf("SlowTrace %v: Get = %q, %v", slow, v, err)
+		}
+		mu.Lock()
+		got := append([]exchange(nil), seen...)
+		mu.Unlock()
+		if len(got) != 1 || got[0].method != http.MethodGet || got[0].sent == "" || got[0].echoed != got[0].sent {
+			t.Fatalf("SlowTrace %v: the miss crossed the wire as %+v, want one GET with an X-Request-Id echoed back", slow, got)
+		}
+		traces := ds.Snapshot(false).Slow
+		if slow == 0 {
+			if len(traces) != 0 {
+				t.Fatalf("SlowTrace off retained %d traces", len(traces))
+			}
+			continue
+		}
+		var found bool
+		for _, tr := range traces {
+			if tr.Op != "get" || tr.ID != got[0].sent {
+				continue
+			}
+			for _, sp := range tr.Spans {
+				found = found || (sp.Layer == "dscl" && sp.Op == "fetch")
+			}
+		}
+		if !found {
+			t.Fatalf("no retained get trace under ID %q has dscl's fetch span: %+v", got[0].sent, traces)
+		}
 	}
 }

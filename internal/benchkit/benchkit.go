@@ -139,11 +139,6 @@ func (e *Env) RemoteCache(prefix string) dscl.Cache {
 	return dscl.NewStoreCache(udsm.OpenMiniRedis("remote-cache", e.redis.Addr(), "cache:"+prefix))
 }
 
-// Quick reduces a workload config for smoke tests and testing.B iterations.
-func Quick(sizes []int) workload.Config {
-	return workload.Config{Sizes: sizes, Runs: 1, OpsPerRun: 1, HitRates: []float64{0, 25, 50, 75, 100}}
-}
-
 // PaperConfig mirrors §V: the full size sweep, averaged over 4 runs, with
 // the figure's five hit-rate curves.
 func PaperConfig() workload.Config {

@@ -305,7 +305,7 @@ func TestFig8DeltaShape(t *testing.T) {
 func TestReportsRender(t *testing.T) {
 	e := setupEnv(t, 0.001)
 	ctx := context.Background()
-	cfg := Quick([]int{128})
+	cfg := workload.Config{Sizes: []int{128}, Runs: 1, OpsPerRun: 1, HitRates: []float64{0, 25, 50, 75, 100}}
 	read, write, err := e.Fig9And10(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)

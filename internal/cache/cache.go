@@ -312,10 +312,11 @@ func (c *Cache) GetEntry(key string) (Entry, EntryState) {
 	return e, Live
 }
 
-// Touch refreshes the expiration time of a cached entry (used after a
-// successful revalidation) and optionally updates its version tag.
-// It reports whether the key was present.
-func (c *Cache) Touch(key string, ttl time.Duration, version string) bool {
+// Touch replaces the expiration time of a cached entry (used after a
+// successful revalidation) with expiresAt, as Entry.ExpiresAt: Unix
+// nanoseconds, 0 for never. It optionally updates the version tag, and
+// reports whether the key was present.
+func (c *Cache) Touch(key string, expiresAt int64, version string) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -323,11 +324,7 @@ func (c *Cache) Touch(key string, ttl time.Duration, version string) bool {
 	if !ok {
 		return false
 	}
-	if ttl > 0 {
-		n.entry.ExpiresAt = c.cfg.Clock().Add(ttl).UnixNano()
-	} else {
-		n.entry.ExpiresAt = 0
-	}
+	n.entry.ExpiresAt = expiresAt
 	if version != "" {
 		n.entry.Version = version
 	}

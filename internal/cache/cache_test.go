@@ -201,14 +201,14 @@ func TestExpirationStates(t *testing.T) {
 	}
 
 	// Revalidation path: Touch renews the lease.
-	if !c.Touch("k", time.Minute, "v2") {
+	if !c.Touch("k", clk.Now().Add(time.Minute).UnixNano(), "v2") {
 		t.Fatal("Touch(present) = false")
 	}
 	e, state = c.GetEntry("k")
 	if state != Live || e.Version != "v2" {
 		t.Fatalf("after Touch: state=%v version=%q", state, e.Version)
 	}
-	if c.Touch("nope", time.Minute, "") {
+	if c.Touch("nope", clk.Now().Add(time.Minute).UnixNano(), "") {
 		t.Fatal("Touch(absent) = true")
 	}
 }

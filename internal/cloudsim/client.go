@@ -275,6 +275,9 @@ func (c *Client) do(ctx context.Context, method, key, query string, body []byte,
 	}
 	start := time.Now()
 	resp, err := c.tr.RoundTrip(req.WithContext(ctx))
+	if !monitor.Tracing(ctx) {
+		return resp, err
+	}
 	// A 5xx or throttle answer is a failed attempt even though the
 	// transport delivered it; 304/404/412 are protocol outcomes, not
 	// faults (matching the server-side recorder's classification). The

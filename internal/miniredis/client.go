@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -32,8 +33,8 @@ type Options struct {
 	// request context, so a cancelled caller never waits this long.
 	DialTimeout time.Duration
 	// MaxConns bounds concurrently open sockets (idle + in use) in pooled
-	// mode (default 64). When every slot is busy, callers wait in FIFO
-	// order for a connection or a free slot; the wait honors ctx.
+	// mode (default 64). When every slot is busy, callers wait for a
+	// returned connection or a freed slot; the wait honors ctx.
 	MaxConns int
 	// MaxIdle bounds the warm idle pool (default 8; -1 disables reuse so
 	// every request dials — the "connection per request" baseline the mux
@@ -80,12 +81,16 @@ type Client struct {
 	addr string
 	opts Options
 
-	mu       sync.Mutex
-	idle     []*clientConn
-	numOpen  int // sockets open or being dialed (idle + in use)
-	peakOpen int // high-water mark of numOpen, for tests and diagnostics
-	waiters  []chan *clientConn
-	closed   bool
+	// The pool. slots holds one token per socket open or being dialed, so
+	// its capacity is the MaxConns bound; idle holds the warm connections
+	// between exchanges, and is unbuffered under MaxIdle -1, where a returned
+	// connection can go only to a caller already parked; done is closed by
+	// Close.
+	slots     chan struct{}
+	idle      chan *clientConn
+	done      chan struct{}
+	closeOnce sync.Once
+	peakOpen  atomic.Int64 // high-water mark of len(slots), for tests and diagnostics
 
 	mux *muxPool // non-nil in multiplexed mode
 }
@@ -141,7 +146,9 @@ func NewClient(addr string) *Client { return NewClientWith(addr, Options{}) }
 
 // NewClientWith returns a client with explicit options.
 func NewClientWith(addr string, opts Options) *Client {
-	c := &Client{addr: addr, opts: opts.withDefaults()}
+	c := &Client{addr: addr, opts: opts.withDefaults(), done: make(chan struct{})}
+	c.slots = make(chan struct{}, c.opts.MaxConns)
+	c.idle = make(chan *clientConn, c.opts.MaxIdle)
 	if c.opts.Mux {
 		c.mux = newMuxPool(c.opts.MuxConns, c.dial)
 	}
@@ -165,171 +172,102 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 
 // getConn returns a connection and whether it came from the idle pool
 // (pooled connections may have been closed by the server, so callers retry
-// once when a pooled connection turns out dead). fresh skips the idle pool:
-// the retry path uses it so a second attempt cannot pop another connection
-// staled by the same server restart. Open sockets are capped at MaxConns;
-// at the cap, callers park in a FIFO queue and are handed either a recycled
-// connection or a freed slot as earlier exchanges finish.
+// once when a pooled connection turns out dead). A warm connection is taken
+// if one is there; otherwise the caller parks until one is returned, a slot
+// frees up to dial on (open sockets are capped at MaxConns), ctx fires or
+// the client closes. fresh never reuses: the retry path closes the
+// connection it is handed and dials on that slot, so a second attempt cannot
+// run on another connection staled by the same server restart.
 func (c *Client) getConn(ctx context.Context, fresh bool) (*clientConn, bool, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	select {
+	case <-c.done:
 		return nil, false, ErrClientClosed
+	default:
 	}
 	if err := ctx.Err(); err != nil {
-		c.mu.Unlock()
 		return nil, false, err
 	}
-	if !fresh {
-		if n := len(c.idle); n > 0 {
-			cc := c.idle[n-1]
-			c.idle = c.idle[:n-1]
-			c.mu.Unlock()
-			return cc, true, nil
-		}
-	}
-	if c.numOpen < c.opts.MaxConns {
-		c.numOpen++
-		if c.numOpen > c.peakOpen {
-			c.peakOpen = c.numOpen
-		}
-		c.mu.Unlock()
-		return c.dialConn(ctx)
-	}
-	if fresh {
-		// At the cap, but an idle socket can be sacrificed for the fresh
-		// dial without exceeding it.
-		if n := len(c.idle); n > 0 {
-			cc := c.idle[n-1]
-			c.idle = c.idle[:n-1]
-			c.mu.Unlock()
-			_ = cc.c.Close()
-			return c.dialConn(ctx)
-		}
-	}
-	ch := make(chan *clientConn, 1)
-	c.waiters = append(c.waiters, ch)
-	c.mu.Unlock()
+	var cc *clientConn
 	select {
-	case cc, ok := <-ch:
-		if !ok {
-			return nil, false, ErrClientClosed
-		}
-		if cc == nil {
-			// Granted a free slot: dial our own connection.
-			return c.dialConn(ctx)
-		}
-		if fresh {
-			_ = cc.c.Close()
-			return c.dialConn(ctx)
-		}
-		return cc, true, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		removed := false
-		for i, w := range c.waiters {
-			if w == ch {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				removed = true
-				break
-			}
-		}
-		c.mu.Unlock()
-		if !removed {
-			// A grant raced the cancellation (deliveries happen under the
-			// lock, so the value is already buffered): give it back.
-			if cc, ok := <-ch; ok {
-				if cc != nil {
-					c.putConn(cc, false)
-				} else {
-					c.releaseSlot()
+	case cc = <-c.idle:
+	default:
+		select {
+		case cc = <-c.idle:
+		case c.slots <- struct{}{}:
+			for n := int64(len(c.slots)); ; {
+				if p := c.peakOpen.Load(); n <= p || c.peakOpen.CompareAndSwap(p, n) {
+					break
 				}
 			}
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-c.done:
+			return nil, false, ErrClientClosed
 		}
-		return nil, false, ctx.Err()
 	}
-}
-
-// dialConn dials while holding an open-socket slot, releasing it on failure.
-func (c *Client) dialConn(ctx context.Context) (*clientConn, bool, error) {
+	if cc != nil {
+		if !fresh {
+			return cc, true, nil
+		}
+		_ = cc.c.Close()
+	}
 	conn, err := c.dial(ctx)
 	if err != nil {
-		c.releaseSlot()
+		<-c.slots
 		return nil, false, err
 	}
 	return &clientConn{c: conn, r: resp.NewReader(conn), w: resp.NewWriter(conn)}, false, nil
 }
 
-// releaseSlot frees one open-socket slot, preferring to hand it to the
-// longest-waiting caller (FIFO — fair under sustained overload).
-func (c *Client) releaseSlot() {
-	c.mu.Lock()
-	if len(c.waiters) > 0 && !c.closed {
-		ch := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		ch <- nil // buffered: the slot transfers without a rendezvous
-		c.mu.Unlock()
-		return
+// putConn ends an exchange's hold on cc: a healthy connection goes to a
+// parked caller, or into the idle pool while that has room; any other is
+// closed and its slot freed.
+func (c *Client) putConn(cc *clientConn, broken bool) {
+	if !broken {
+		select {
+		case c.idle <- cc:
+			// Close may have drained the pool before this send landed.
+			select {
+			case <-c.done:
+				c.drainIdle()
+			default:
+			}
+			return
+		default:
+		}
 	}
-	c.numOpen--
-	c.mu.Unlock()
+	_ = cc.c.Close()
+	<-c.slots
 }
 
-func (c *Client) putConn(cc *clientConn, broken bool) {
-	if broken {
-		_ = cc.c.Close()
-		c.releaseSlot()
-		return
+// drainIdle closes every pooled connection.
+func (c *Client) drainIdle() {
+	for {
+		select {
+		case cc := <-c.idle:
+			_ = cc.c.Close()
+			<-c.slots
+		default:
+			return
+		}
 	}
-	c.mu.Lock()
-	if len(c.waiters) > 0 && !c.closed {
-		ch := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		ch <- cc
-		c.mu.Unlock()
-		return
-	}
-	if c.closed || len(c.idle) >= c.opts.MaxIdle {
-		c.mu.Unlock()
-		_ = cc.c.Close()
-		c.releaseSlot()
-		return
-	}
-	c.idle = append(c.idle, cc)
-	c.mu.Unlock()
 }
 
 // OpenConns reports currently open sockets and the high-water mark —
 // the observable for the MaxConns bound.
 func (c *Client) OpenConns() (open, peak int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.numOpen, c.peakOpen
+	return len(c.slots), int(c.peakOpen.Load())
 }
 
-// Close releases all pooled connections and fails parked waiters.
+// Close releases all pooled connections and fails parked callers.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.numOpen -= len(idle)
-	waiters := c.waiters
-	c.waiters = nil
-	c.mu.Unlock()
-	for _, cc := range idle {
-		_ = cc.c.Close()
-	}
-	for _, ch := range waiters {
-		close(ch)
-	}
-	if c.mux != nil {
-		c.mux.close()
-	}
+	c.closeOnce.Do(func() {
+		close(c.done)
+		c.drainIdle()
+		if c.mux != nil {
+			c.mux.close()
+		}
+	})
 	return nil
 }
 
@@ -377,9 +315,9 @@ func (c *Client) roundTrip(ctx context.Context, cl *call) error {
 		// post-execute fault hook injects). Replaying is only safe when
 		// every command is idempotent; otherwise surface the ambiguity and
 		// let the caller's retry policy decide. The retry forces a fresh
-		// dial: the idle pool is LIFO, so after a server restart it may
-		// hold several equally-stale connections, and popping the next one
-		// would fail again even though the server is healthy.
+		// dial: after a server restart the idle pool may hold several
+		// equally-stale connections, and running on the next one would
+		// fail again even though the server is healthy.
 		if ok, offender := replaySafe(cl.cmds); ok {
 			_, err = c.doPipelineOnce(ctx, cl, true)
 		} else {

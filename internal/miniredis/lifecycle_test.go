@@ -242,3 +242,40 @@ func TestWaiterHonorsContext(t *testing.T) {
 		t.Fatalf("open=%d peak=%d, want ≤ 1", open, peak)
 	}
 }
+
+// TestCloseFailsParkedCallerAndClosesLateReturn: Close wakes a caller parked
+// at the cap with ErrClientClosed, and a connection handed back after Close
+// has drained the pool is closed, not left warm in a pool nobody will drain
+// again.
+func TestCloseFailsParkedCallerAndClosesLateReturn(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	c := NewClientWith(s.Addr(), Options{MaxConns: 1})
+	held, _, err := c.getConn(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, _, err := c.getConn(context.Background(), false)
+		parked <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let it park; unparked it fails the same way
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-parked:
+		if !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("parked caller got %v, want ErrClientClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the parked caller waiting")
+	}
+	c.putConn(held, false)
+	if open, _ := c.OpenConns(); open != 0 {
+		t.Fatalf("%d sockets open after Close and the last return", open)
+	}
+	if _, err := held.c.Write([]byte("x")); err == nil {
+		t.Fatal("the connection returned after Close was left open")
+	}
+}

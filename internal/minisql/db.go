@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -793,7 +794,7 @@ func schemaSQL(sb *strings.Builder, name string, t *table) {
 	for in := range t.idxNames {
 		idxNames = append(idxNames, in)
 	}
-	sortStrings(idxNames)
+	slices.Sort(idxNames)
 	for _, in := range idxNames {
 		def := t.idxNames[in]
 		sb.WriteString("CREATE ")
@@ -843,14 +844,6 @@ func (db *Database) dumpLocked() string {
 		}
 	}
 	return sb.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // quoteIdent double-quotes an identifier for dump output, escaping embedded

@@ -88,9 +88,6 @@ func validIdent(s string) bool {
 // DB exposes the underlying database for native access beyond the adapter.
 func (s *KVStore) DB() *Database { return s.db }
 
-// SQLDB exposes the database/sql handle the adapter runs on.
-func (s *KVStore) SQLDB() *sql.DB { return s.sqldb }
-
 // Name implements kv.Store.
 func (s *KVStore) Name() string { return s.name }
 
@@ -115,8 +112,7 @@ func (s *KVStore) Get(ctx context.Context, key string) ([]byte, error) {
 	// driver looks at the context once, at bind, and cannot be interrupted
 	// mid-statement; QueryRowContext(...).Scan never blocks between its two
 	// calls; and waiting for a pooled connection, the one thing a context
-	// could cut short, does not happen on this store's own uncapped pool (a
-	// caller who caps it through SQLDB makes that wait uninterruptible).
+	// could cut short, does not happen on this store's own uncapped pool.
 	// TestAllocGuardKVStoreGetPut shows the saving: 26 objects a Get to 23.
 	if err := ctx.Err(); err != nil {
 		return nil, kv.WrapErr(s.name, "get", key, err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -845,7 +846,7 @@ func (pg *pager) commitMem() {
 	for id := range pg.dirty {
 		ids = append(ids, id)
 	}
-	sortUint32(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		p := pg.dirty[id]
 		stampCRC(p.buf)
@@ -1017,13 +1018,4 @@ func (pg *pager) freePageCount() (int, error) {
 		n++
 	}
 	return n, nil
-}
-
-func sortUint32(ids []uint32) {
-	// Insertion sort: dirty sets are small and mostly ordered.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -211,15 +211,6 @@ func (t *table) dropAllTrees() error {
 	return nil
 }
 
-// columnNames lists columns in declared order.
-func (t *table) columnNames() []string {
-	out := make([]string, len(t.schema.Cols))
-	for i, c := range t.schema.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // validate checks constraints and coerces vals (in declared order) to the
 // column types, in place.
 func (t *table) validate(vals []Value) error {
@@ -453,33 +444,6 @@ func (t *table) delete(id int64, old []Value) error {
 	return err
 }
 
-// scanIDs returns rowids ascending (the primary tree's key order), which
-// keeps query plans deterministic exactly as the old map engine's sorted
-// scan did.
-func (t *table) scanIDs() ([]int64, error) {
-	cur, err := t.tree.cursorFirst()
-	if err != nil {
-		return nil, err
-	}
-	defer cur.close()
-	var ids []int64
-	for cur.valid() {
-		k, err := cur.key()
-		if err != nil {
-			return nil, err
-		}
-		id, err := decodeRowid(k)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
-		if err := cur.next(); err != nil {
-			return nil, err
-		}
-	}
-	return ids, nil
-}
-
 // scanRows streams every (rowid, row) pair ascending through fn; fn
 // returning false stops the scan early.
 func (t *table) scanRows(fn func(id int64, row []Value) (bool, error)) error {
@@ -514,11 +478,4 @@ func (t *table) scanRows(fn func(id int64, row []Value) (bool, error)) error {
 		}
 	}
 	return nil
-}
-
-// rowCount counts rows via the primary tree.
-func (t *table) rowCount() (int, error) {
-	n := 0
-	err := t.scanRows(func(int64, []Value) (bool, error) { n++; return true, nil })
-	return n, err
 }

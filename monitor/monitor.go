@@ -121,6 +121,10 @@ func (r *Recorder) Store() string { return r.store }
 // surfaced in snapshots. d <= 0 disables retention (the default).
 func (r *Recorder) SetSlowThreshold(d time.Duration) { r.slowThresh.Store(int64(d)) }
 
+// SlowThreshold returns the current threshold: while it is not positive no
+// trace can be retained, so there is no reason to start one.
+func (r *Recorder) SlowThreshold() time.Duration { return time.Duration(r.slowThresh.Load()) }
+
 // getOp returns the accumulator for op, creating it on first use.
 func (r *Recorder) getOp(op string) *opStats {
 	r.mu.RLock()

@@ -19,12 +19,9 @@ import (
 	"time"
 )
 
-type ctxKey int
-
-const (
-	ridKey ctxKey = iota
-	traceKey
-)
+// reqKey is the one context key of this package: its value is the *reqCtx
+// that carries the request.
+type reqKey struct{}
 
 // maxSpans bounds the spans retained per trace (a retry storm must not
 // grow a trace without bound).
@@ -71,14 +68,37 @@ func formatRequestID(seq uint64) string {
 	return string(append(b, digits...))
 }
 
-// requestIDOf finds the identity ctx carries: that of the active trace (the
-// common case, one context value for both), else one attached on its own.
-func requestIDOf(ctx context.Context) *requestID {
-	if tr, ok := ctx.Value(traceKey).(*ActiveTrace); ok {
-		return tr.rid
+// reqCtx is a request's identity and the context that carries it, one
+// object, with or without a trace riding on it. Only Value is its own:
+// deadline, Done and Err are the parent's, and so is every other value — the
+// context package's private canceler key among them, so a context.WithTimeout
+// derived from a reqCtx still links to the parent's canceler directly instead
+// of starting a goroutine to watch it.
+type reqCtx struct {
+	context.Context
+	rid requestID
+	tr  *ActiveTrace // nil when the request is only tagged
+}
+
+func (c *reqCtx) Value(key any) any {
+	if key == (reqKey{}) {
+		return c
 	}
-	rid, _ := ctx.Value(ridKey).(*requestID)
-	return rid
+	return c.Context.Value(key)
+}
+
+// requestOf finds the request ctx carries, or nil.
+func requestOf(ctx context.Context) *reqCtx {
+	c, _ := ctx.Value(reqKey{}).(*reqCtx)
+	return c
+}
+
+// traceOf finds the active trace ctx carries, or nil.
+func traceOf(ctx context.Context) *ActiveTrace {
+	if c := requestOf(ctx); c != nil {
+		return c.tr
+	}
+	return nil
 }
 
 // EnsureRequestID returns a context carrying a request ID, generating one
@@ -86,10 +106,12 @@ func requestIDOf(ctx context.Context) *requestID {
 // per-process random tag, so IDs from several clients stamped onto one
 // server's requests stay distinguishable.
 func EnsureRequestID(ctx context.Context) context.Context {
-	if requestIDOf(ctx) != nil {
+	if requestOf(ctx) != nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ridKey, &requestID{seq: ridSeq.Add(1)})
+	c := &reqCtx{Context: ctx}
+	c.rid.seq = ridSeq.Add(1)
+	return c
 }
 
 // WithRequestID is EnsureRequestID that also returns the ID. Layers that
@@ -101,8 +123,8 @@ func WithRequestID(ctx context.Context) (context.Context, string) {
 
 // RequestID returns the request ID carried by ctx, or "".
 func RequestID(ctx context.Context) string {
-	if rid := requestIDOf(ctx); rid != nil {
-		return rid.String()
+	if c := requestOf(ctx); c != nil {
+		return c.rid.String()
 	}
 	return ""
 }
@@ -146,8 +168,7 @@ func (t Trace) String() string {
 // ActiveTrace collects spans for one in-flight request. It is created by
 // StartTrace and safe for concurrent AddSpan calls (hedged attempts).
 type ActiveTrace struct {
-	rid   *requestID // &own, unless ctx already carried an ID
-	own   requestID
+	rid   *requestID // the carrying context's
 	begin time.Time
 
 	mu    sync.Mutex
@@ -158,50 +179,46 @@ type ActiveTrace struct {
 // ID returns the trace's request ID.
 func (t *ActiveTrace) ID() string { return t.rid.String() }
 
-// traceCtx is a trace and the context that carries it, one object. Only
-// Value is its own: deadline, Done and Err are the parent's, and so is every
-// other value — the context package's private canceler key among them, so a
-// context.WithTimeout derived from a traceCtx still links to the parent's
-// canceler directly instead of starting a goroutine to watch it.
+// traceCtx is a reqCtx allocated together with the trace it carries.
 type traceCtx struct {
-	context.Context
-	tr ActiveTrace
-}
-
-func (c *traceCtx) Value(key any) any {
-	if key == traceKey {
-		return &c.tr
-	}
-	return c.Context.Value(key)
+	reqCtx
+	trace ActiveTrace
 }
 
 // StartTrace begins a trace for one request, ensuring ctx carries a request
-// ID. The returned ActiveTrace is non-nil only on the outermost call: when
-// ctx already carries a trace, inner layers get back (ctx, nil) and their
-// spans accrue to the enclosing trace, so stacked wrappers (UDSM over DSCL
-// over resilient) produce one trace per request, finished once.
+// ID (one ctx already carries is kept). The returned ActiveTrace is non-nil
+// only on the outermost call: when ctx already carries a trace, inner layers
+// get back (ctx, nil) and their spans accrue to the enclosing trace, so
+// stacked wrappers (UDSM over DSCL over resilient) produce one trace per
+// request, finished once.
 func StartTrace(ctx context.Context) (context.Context, *ActiveTrace) {
-	if _, ok := ctx.Value(traceKey).(*ActiveTrace); ok {
+	outer := requestOf(ctx)
+	if outer != nil && outer.tr != nil {
 		return ctx, nil
 	}
-	c := &traceCtx{Context: ctx}
-	tr := &c.tr
+	c := &traceCtx{reqCtx: reqCtx{Context: ctx}}
+	if outer != nil {
+		c.rid.seq = outer.rid.seq // the same ID: its text is a function of seq
+	} else {
+		c.rid.seq = ridSeq.Add(1)
+	}
+	tr := &c.trace
+	c.tr = tr
+	tr.rid = &c.rid
 	tr.begin = time.Now()
 	tr.spans = tr.room[:0]
-	if rid, ok := ctx.Value(ridKey).(*requestID); ok {
-		tr.rid = rid
-	} else {
-		tr.own.seq = ridSeq.Add(1)
-		tr.rid = &tr.own
-	}
 	return c, tr
 }
+
+// Tracing reports whether ctx carries an active trace, for a caller whose
+// span label costs something to build.
+func Tracing(ctx context.Context) bool { return traceOf(ctx) != nil }
 
 // AddSpan records one step of the active trace in ctx: layer/op, started at
 // start and ending now. Without an active trace it is a no-op.
 func AddSpan(ctx context.Context, layer, op string, start time.Time, failed bool) {
-	tr, ok := ctx.Value(traceKey).(*ActiveTrace)
-	if !ok {
+	tr := traceOf(ctx)
+	if tr == nil {
 		return
 	}
 	tr.mu.Lock()

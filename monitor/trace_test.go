@@ -165,10 +165,10 @@ func TestTraceAdoptsOuterRequestID(t *testing.T) {
 	}
 }
 
-// TestAllocGuardTrace pins what every request of every store pays for
-// tracing when no slow threshold is set: one object, which is the trace, the
-// context that carries it (and, through it, the request ID) and the room for
-// its first spans. Nothing is formatted until somebody reads the ID.
+// TestAllocGuardTrace pins what a request pays for a trace nobody retains:
+// one object, which is the trace, the context that carries it, the request ID
+// and the room for its first spans. Nothing is formatted until somebody reads
+// the ID.
 func TestAllocGuardTrace(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -189,34 +189,47 @@ func TestAllocGuardTrace(t *testing.T) {
 	}
 }
 
-// TestTraceContextKeepsParentCanceler: the context StartTrace returns is a
-// type of this package's, which the context package would watch with a
-// goroutine per derived deadline had it not forwarded Value: cluster and
-// resilient derive one such deadline per request. Cancelling the parent must
-// reach a context.WithTimeout below the trace, and deriving it must start no
-// goroutine.
+// TestTraceContextKeepsParentCanceler: the context StartTrace or
+// EnsureRequestID returns is a type of this package's, which the context
+// package would watch with a goroutine per derived deadline had it not
+// forwarded Value: cluster and resilient derive one such deadline per request.
+// Cancelling the parent must reach a context.WithTimeout below it, and
+// deriving it must start no goroutine.
 func TestTraceContextKeepsParentCanceler(t *testing.T) {
-	parent, cancelParent := context.WithCancel(context.Background())
-	ctx, tr := StartTrace(parent)
-	if tr == nil {
-		t.Fatal("no trace")
-	}
-	before := runtime.NumGoroutine()
-	child, cancel := context.WithTimeout(ctx, time.Hour)
-	defer cancel()
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("deriving a deadline below the trace started %d goroutines", after-before)
-	}
-	if _, ok := child.Value(traceKey).(*ActiveTrace); !ok {
-		t.Fatal("the derived context lost the trace")
-	}
-	cancelParent()
-	select {
-	case <-child.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelling the parent never reached the context below the trace")
-	}
-	if child.Err() != context.Canceled || ctx.Err() != context.Canceled {
-		t.Fatalf("Err = %v below the trace, %v at it; want context.Canceled", child.Err(), ctx.Err())
+	for _, tc := range []struct {
+		name   string
+		traced bool
+		derive func(context.Context) context.Context
+	}{
+		{"trace", true, func(ctx context.Context) context.Context { ctx, _ = StartTrace(ctx); return ctx }},
+		{"id only", false, EnsureRequestID},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parent, cancelParent := context.WithCancel(context.Background())
+			defer cancelParent()
+			ctx := tc.derive(parent)
+			if ctx == parent {
+				t.Fatal("the context was not tagged")
+			}
+			before := runtime.NumGoroutine()
+			child, cancel := context.WithTimeout(ctx, time.Hour)
+			defer cancel()
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("deriving a deadline below the %s context started %d goroutines", tc.name, after-before)
+			}
+			if RequestID(child) == "" || RequestID(child) != RequestID(ctx) || Tracing(child) != tc.traced {
+				t.Fatalf("the derived context carries ID %q (want %q), trace %v (want %v)",
+					RequestID(child), RequestID(ctx), Tracing(child), tc.traced)
+			}
+			cancelParent()
+			select {
+			case <-child.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelling the parent never reached the derived context")
+			}
+			if child.Err() != context.Canceled || ctx.Err() != context.Canceled {
+				t.Fatalf("Err = %v below, %v at the %s context; want context.Canceled", child.Err(), ctx.Err(), tc.name)
+			}
+		})
 	}
 }

@@ -17,29 +17,27 @@ var _ kv.Batch = (*DataStore)(nil)
 // by the kv fallback — either way the manager sees a single operation, so
 // batched and per-key access patterns are directly comparable in snapshots.
 func (ds *DataStore) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
-	var out map[string][]byte
-	err := ds.observe(ctx, "getmulti", func(ctx context.Context) (int, error) {
-		var err error
-		out, err = kv.GetMulti(ctx, ds.inner, keys)
-		total := 0
-		for _, v := range out {
-			total += len(v)
-		}
-		return total, err
-	}, nil)
-	return out, err
+	return observe(ds, ctx, "getmulti", nil, func(ctx context.Context) (map[string][]byte, int, error) {
+		out, err := kv.GetMulti(ctx, ds.inner, keys)
+		return out, totalBytes(out), err
+	})
 }
 
 // PutMulti implements kv.Batch, recorded as "putmulti" with the total bytes
 // written.
 func (ds *DataStore) PutMulti(ctx context.Context, pairs map[string][]byte) error {
+	_, err := observe(ds, ctx, "putmulti", nil, func(ctx context.Context) (struct{}, int, error) {
+		return struct{}{}, totalBytes(pairs), kv.PutMulti(ctx, ds.inner, pairs)
+	})
+	return err
+}
+
+func totalBytes(m map[string][]byte) int {
 	total := 0
-	for _, v := range pairs {
+	for _, v := range m {
 		total += len(v)
 	}
-	return ds.observe(ctx, "putmulti", func(ctx context.Context) (int, error) {
-		return total, kv.PutMulti(ctx, ds.inner, pairs)
-	}, nil)
+	return total
 }
 
 // GetMulti fetches a batch asynchronously.

@@ -237,84 +237,82 @@ func (ds *DataStore) Snapshot(includeRecent bool) monitor.Snapshot {
 // Name implements kv.Store.
 func (ds *DataStore) Name() string { return ds.inner.Name() }
 
-// observe wraps one operation with monitoring and request tracing: the
-// DataStore is the outermost layer, so it starts the per-request trace
-// (generating the request ID inner layers stamp onto the wire) and, when
-// the manager retains slow traces, finishes it into the recorder.
-func (ds *DataStore) observe(ctx context.Context, op string, fn func(ctx context.Context) (int, error), okErr func(error) bool) error {
-	ctx, tr := monitor.StartTrace(ctx)
+// observe runs one operation under monitoring: the DataStore is the
+// outermost layer, so the clock is read before anything of its own runs and
+// the recorder sees what the caller does. A per-request trace (and with it
+// the request ID inner layers stamp onto the wire) is started here only while
+// the recorder has a slow threshold to retain it by — the threshold is read
+// per request, so SetSlowThreshold works on a live store; otherwise ctx goes
+// down untouched and the first layer that needs an ID tags it. fn returns
+// the operation's result and the payload bytes it moved.
+func observe[T any](ds *DataStore, ctx context.Context, op string, okErr func(error) bool, fn func(context.Context) (T, int, error)) (T, error) {
 	start := time.Now()
-	bytes, err := fn(ctx)
+	var tr *monitor.ActiveTrace
+	if ds.recorder.SlowThreshold() > 0 {
+		ctx, tr = monitor.StartTrace(ctx)
+	}
+	out, bytes, err := fn(ctx)
 	d := time.Since(start)
 	failed := err != nil && (okErr == nil || !okErr(err))
 	ds.recorder.Record(op, d, bytes, failed)
 	ds.recorder.FinishTrace(tr, op, d, failed)
-	return err
+	return out, err
 }
 
 // Get implements kv.Store.
 func (ds *DataStore) Get(ctx context.Context, key string) ([]byte, error) {
-	var v []byte
-	err := ds.observe(ctx, "get", func(ctx context.Context) (int, error) {
-		var err error
-		v, err = ds.inner.Get(ctx, key)
-		return len(v), err
-	}, kv.IsNotFound)
-	return v, err
+	return observe(ds, ctx, "get", kv.IsNotFound, func(ctx context.Context) ([]byte, int, error) {
+		v, err := ds.inner.Get(ctx, key)
+		return v, len(v), err
+	})
 }
 
 // Put implements kv.Store.
 func (ds *DataStore) Put(ctx context.Context, key string, value []byte) error {
-	return ds.observe(ctx, "put", func(ctx context.Context) (int, error) {
-		return len(value), ds.inner.Put(ctx, key, value)
-	}, nil)
+	_, err := observe(ds, ctx, "put", nil, func(ctx context.Context) (struct{}, int, error) {
+		return struct{}{}, len(value), ds.inner.Put(ctx, key, value)
+	})
+	return err
 }
 
 // Delete implements kv.Store.
 func (ds *DataStore) Delete(ctx context.Context, key string) error {
-	return ds.observe(ctx, "delete", func(ctx context.Context) (int, error) {
-		return 0, ds.inner.Delete(ctx, key)
-	}, kv.IsNotFound)
+	_, err := observe(ds, ctx, "delete", kv.IsNotFound, func(ctx context.Context) (struct{}, int, error) {
+		return struct{}{}, 0, ds.inner.Delete(ctx, key)
+	})
+	return err
 }
 
 // Contains implements kv.Store.
 func (ds *DataStore) Contains(ctx context.Context, key string) (bool, error) {
-	var ok bool
-	err := ds.observe(ctx, "contains", func(ctx context.Context) (int, error) {
-		var err error
-		ok, err = ds.inner.Contains(ctx, key)
-		return 0, err
-	}, nil)
-	return ok, err
+	return observe(ds, ctx, "contains", nil, func(ctx context.Context) (bool, int, error) {
+		ok, err := ds.inner.Contains(ctx, key)
+		return ok, 0, err
+	})
 }
 
 // Keys implements kv.Store.
 func (ds *DataStore) Keys(ctx context.Context) ([]string, error) {
-	var ks []string
-	err := ds.observe(ctx, "keys", func(ctx context.Context) (int, error) {
-		var err error
-		ks, err = ds.inner.Keys(ctx)
-		return 0, err
-	}, nil)
-	return ks, err
+	return observe(ds, ctx, "keys", nil, func(ctx context.Context) ([]string, int, error) {
+		ks, err := ds.inner.Keys(ctx)
+		return ks, 0, err
+	})
 }
 
 // Len implements kv.Store.
 func (ds *DataStore) Len(ctx context.Context) (int, error) {
-	var n int
-	err := ds.observe(ctx, "len", func(ctx context.Context) (int, error) {
-		var err error
-		n, err = ds.inner.Len(ctx)
-		return 0, err
-	}, nil)
-	return n, err
+	return observe(ds, ctx, "len", nil, func(ctx context.Context) (int, int, error) {
+		n, err := ds.inner.Len(ctx)
+		return n, 0, err
+	})
 }
 
 // Clear implements kv.Store.
 func (ds *DataStore) Clear(ctx context.Context) error {
-	return ds.observe(ctx, "clear", func(ctx context.Context) (int, error) {
-		return 0, ds.inner.Clear(ctx)
-	}, nil)
+	_, err := observe(ds, ctx, "clear", nil, func(ctx context.Context) (struct{}, int, error) {
+		return struct{}{}, 0, ds.inner.Clear(ctx)
+	})
+	return err
 }
 
 // Close implements kv.Store. (Manager.Close also closes registered stores.)
