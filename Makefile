@@ -24,7 +24,7 @@ vet:
 # match the pattern and stay legal.
 lint-capabilities:
 	@matches=$$(grep -rEn --include='*.go' \
-		'\.\(kv\.(Versioned|VersionedBatch|Batch|Expiring|SQL|CompareAndPut)\)' . || true); \
+		'\.\(kv\.(Versioned|VersionedBatch|Batch|Expiring|SQL|CompareAndPut|Ranged)\)' . || true); \
 	if [ -n "$$matches" ]; then \
 		echo "$$matches"; \
 		echo 'lint-capabilities: direct capability type assertions found; use kv.As[T] (see DESIGN.md "Middleware architecture")' >&2; \
@@ -123,7 +123,8 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardKVStoreGetPut TestPreparedExecutionAllocs TestAllocGuardClusterGetPut \
 	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
 	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut \
-	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit
+	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
+	TestAllocGuardQuorumGetBytes
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,8 +25,9 @@ import (
 //	get 10: 5 the probe round's one deadline (context.WithDeadline makes a
 //	          context, a cancel function, a timer and its callback, and a Done
 //	          channel once the mux selects on it)
-//	        2 the replies, one value per replica asked: the two of the probe
-//	          window agree, so the third is not read (resp.Reader)
+//	        1 the record from the window's head (resp.Reader)
+//	        1 the 11-byte header from the window's other replica: the two
+//	          agree, so the third is not read
 //	        1 the request ID dscl tags an untraced context with (the context
 //	          that carries it; under a tracing udsm it is the trace's)
 //	        1 the cipher.NewCTR stream
@@ -41,6 +43,49 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
+	get, put := quorumOverRESP(t, false)
+	const wantGet, wantPut = 10, 14
+	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
+	if gotGet != wantGet || gotPut != wantPut {
+		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
+	}
+}
+
+// TestAllocGuardQuorumGetBytes pins what the header probe saves a get through
+// TestAllocGuardQuorumOverRESP's stack: at least 512 B of the 624 B record the
+// window's second replica no longer sends, against the same stack over nodes
+// that hide kv.Ranged — which are read whole, as before the probe read
+// headers. Bytes are runtime.MemStats.TotalAlloc over 2 000 gets, servers
+// included.
+func TestAllocGuardQuorumGetBytes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	perGet := func(wholeReads bool) float64 {
+		get, _ := quorumOverRESP(t, wholeReads)
+		const gets = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < gets; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / gets
+	}
+	whole, headers := perGet(true), perGet(false)
+	t.Logf("a get allocates %.0f B with header probes, %.0f B reading the window whole", headers, whole)
+	if whole-headers < 512 {
+		t.Errorf("header probes save %.0f B per get (%.0f → %.0f), want at least 512", whole-headers, whole, headers)
+	}
+}
+
+// quorumOverRESP builds the stack the redis workloads of bench/ run below
+// udsm — dscl (compression, encryption, no cache) over resilient over a
+// quorum cluster of three muxed miniredis clients, each with its server —
+// writes one value, warms every pool, and returns a get and a put of it.
+// wholeReads hides kv.Ranged on the nodes.
+func quorumOverRESP(t *testing.T, wholeReads bool) (get, put func()) {
+	t.Helper()
 	nodes := make([]udsm.ClusterNode, 3)
 	for i := range nodes {
 		srv, err := udsm.StartMiniRedis(udsm.MiniRedisOptions{})
@@ -49,7 +94,11 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = srv.Close() })
 		id := fmt.Sprintf("node%d", i)
-		nodes[i] = udsm.ClusterNode{ID: id, Store: udsm.OpenMiniRedisWith(id, srv.Addr(), "", udsm.MiniRedisClientOptions{Mux: true, MuxConns: 1})}
+		node := udsm.OpenMiniRedisWith(id, srv.Addr(), "", udsm.MiniRedisClientOptions{Mux: true, MuxConns: 1})
+		if wholeReads {
+			node = struct{ kv.Store }{node}
+		}
+		nodes[i] = udsm.ClusterNode{ID: id, Store: node}
 	}
 	clu, err := udsm.NewClusterStore("cluster", nodes, udsm.ClusterOptions{Replication: 3, ReadQuorum: 2, WriteQuorum: 2})
 	if err != nil {
@@ -68,12 +117,12 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 	val := make([]byte, 1024)
 	rand.New(rand.NewSource(1)).Read(val[:512])
 	ctx := context.Background()
-	put := func() {
+	put = func() {
 		if err := st.Put(ctx, "alloc:key", val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	get := func() {
+	get = func() {
 		if v, err := st.Get(ctx, "alloc:key"); err != nil || len(v) != len(val) {
 			t.Fatalf("Get = %d bytes, %v", len(v), err)
 		}
@@ -82,11 +131,7 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 		put()
 		get()
 	}
-	const wantGet, wantPut = 10, 14
-	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
-	if gotGet != wantGet || gotPut != wantPut {
-		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
-	}
+	return get, put
 }
 
 // TestAllocGuardDataStoreHit pins the paper's cheapest operation, a cache hit,

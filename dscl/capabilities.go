@@ -33,13 +33,27 @@ import (
 //   - PutTTL caches through the write policy, but bounds the entry's
 //     expiration by the server-side TTL so the cache cannot serve a value
 //     the store has already expired.
+//   - GetRange is a range of the decoded value, so it reads as Get does —
+//     the cache first, a fill on a miss. The range the store could serve is
+//     one of encoded bytes.
 
 var (
 	_ kv.Versioned      = (*Client)(nil)
 	_ kv.VersionedBatch = (*Client)(nil)
 	_ kv.Expiring       = (*Client)(nil)
 	_ kv.CompareAndPut  = (*Client)(nil)
+	_ kv.Ranged         = (*Client)(nil)
 )
+
+// GetRange implements kv.Ranged: n bytes from off of what Get returns, in a
+// slice of the caller's own (a cached value may be shared).
+func (cl *Client) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+	v, err := cl.Get(ctx, key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte{}, kv.Slice(v, off, n)...), nil
+}
 
 // GetVersioned implements kv.Versioned: a store read through the transform
 // pipeline, bypassing the cache in both directions.

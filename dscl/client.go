@@ -175,7 +175,7 @@ func (cl *Client) Unwrap() kv.Store { return cl.store }
 
 // Intercepts implements kv.Interceptor. The client's method set statically
 // covers every capability it must re-encode or keep cache-coherent
-// (Versioned, Expiring, CompareAndPut, Batch — see capabilities.go), but it
+// (Versioned, Expiring, CompareAndPut, Batch, Ranged — see capabilities.go), but it
 // only claims the ones its wrapped stack can actually serve; for the rest
 // the kv.As walk continues past it.
 func (cl *Client) Intercepts(capability any) bool {
@@ -188,6 +188,9 @@ func (cl *Client) Intercepts(capability any) bool {
 		return ok
 	case *kv.CompareAndPut:
 		_, ok := kv.As[kv.CompareAndPut](cl.store)
+		return ok
+	case *kv.Ranged:
+		_, ok := kv.As[kv.Ranged](cl.store)
 		return ok
 	}
 	return true

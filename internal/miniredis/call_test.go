@@ -389,3 +389,38 @@ func TestAllocGuardMuxRoundTrip(t *testing.T) {
 		t.Errorf("%.0f allocs per muxed GET round trip and %.0f per SET, want %d and %d", gotGet, gotSet, wantGet, wantSet)
 	}
 }
+
+// TestAllocGuardGetRangeRoundTrip: a muxed GETRANGE round trip allocates what a
+// GET does, the reply's bytes. Its numeric arguments are static slices on the
+// client and are parsed in place on the server.
+func TestAllocGuardGetRangeRoundTrip(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	s := startServer(t, ServerConfig{})
+	c := NewClientWith(s.Addr(), Options{Mux: true, MuxConns: 1})
+	defer c.Close()
+	ctx := context.Background()
+	key, val := "alloc:key", bytes.Repeat([]byte("v"), 512)
+	if err := c.Set(ctx, key, val, 0); err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		if v, found, err := c.Get(ctx, key); err != nil || !found || len(v) != len(val) {
+			t.Fatalf("Get = %d bytes, %v, %v", len(v), found, err)
+		}
+	}
+	getRange := func() {
+		if v, err := c.GetRange(ctx, key, 0, 10); err != nil || len(v) != 11 {
+			t.Fatalf("GetRange = %d bytes, %v", len(v), err)
+		}
+	}
+	for i := 0; i < 10; i++ { // dial, fill the call pool and both pending arrays
+		get()
+		getRange()
+	}
+	gotGet, gotRange := testing.AllocsPerRun(500, get), testing.AllocsPerRun(500, getRange)
+	if gotGet != 1 || gotRange != gotGet {
+		t.Errorf("%.0f allocs per muxed GETRANGE round trip and %.0f per GET, want 1 each", gotRange, gotGet)
+	}
+}

@@ -473,6 +473,20 @@ func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, e
 	return v.Bulk, true, nil
 }
 
+// GetRange fetches bytes start to end (inclusive; negative offsets count from
+// the end) of the value under key. An absent key reads as an empty range, as
+// in Redis.
+func (c *Client) GetRange(ctx context.Context, key string, start, end int64) ([]byte, error) {
+	v, err := c.Do(ctx, cmdGetRange, keyArg(key), intArg(start), intArg(end))
+	if err != nil {
+		return nil, err
+	}
+	if err := asErr(v); err != nil {
+		return nil, err
+	}
+	return v.Bulk, nil
+}
+
 // Set stores value with an optional ttl (0 = none).
 func (c *Client) Set(ctx context.Context, key string, value []byte, ttl time.Duration) error {
 	var (

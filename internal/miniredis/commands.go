@@ -1,5 +1,7 @@
 package miniredis
 
+import "strconv"
+
 // command describes one command the server implements. Both ends of the wire
 // resolve a command name through the same table with lookupCommand, which
 // compares bytes case-insensitively and returns these static strings — so
@@ -38,7 +40,7 @@ var commands = func() map[string]*command {
 		}
 	}
 	add(true,
-		"GET", "MGET", "SET", "MSET", "EXISTS", "KEYS", "DBSIZE", "SCAN",
+		"GET", "GETRANGE", "MGET", "SET", "MSET", "EXISTS", "KEYS", "DBSIZE", "SCAN",
 		"PING", "ECHO", "TTL", "PTTL", "EXPIRE", "PEXPIRE", "TYPE", "STRLEN",
 		"HGET", "HGETALL", "HKEYS", "HLEN", "HEXISTS",
 		"FLUSHALL", "FLUSHDB", "SAVE", "SELECT")
@@ -51,10 +53,30 @@ var commands = func() map[string]*command {
 
 // Static command names for the client's typed helpers.
 var (
-	cmdGet = []byte("GET")
-	cmdSet = []byte("SET")
-	argPX  = []byte("PX")
+	cmdGet      = []byte("GET")
+	cmdGetRange = []byte("GETRANGE")
+	cmdSet      = []byte("SET")
+	argPX       = []byte("PX")
 )
+
+// decimals[i] is i in decimal: the offsets of a short GETRANGE (a cluster
+// record's header is bytes 0 to 10), framed without formatting them (intArg).
+var decimals = func() [][]byte {
+	out := make([][]byte, 16)
+	for i := range out {
+		out[i] = strconv.AppendInt(nil, int64(i), 10)
+	}
+	return out
+}()
+
+// intArg is n as a GETRANGE offset: a static slice below len(decimals),
+// formatted otherwise.
+func intArg(n int64) []byte {
+	if 0 <= n && n < int64(len(decimals)) {
+		return decimals[n]
+	}
+	return strconv.AppendInt(nil, n, 10)
+}
 
 // lookupCommand resolves a command name as sent on the wire, in any case, or
 // returns nil for a name the server does not implement.

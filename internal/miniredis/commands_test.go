@@ -159,6 +159,64 @@ func TestDecrFamily(t *testing.T) {
 	}
 }
 
+// TestGetRangeCommand holds GETRANGE to Redis's answers (the first four rows
+// are the examples of Redis's own documentation): the end is inclusive, a
+// negative offset counts from the end, and a range that selects nothing — or
+// an absent key — is the empty bulk string, not nil. Each command is recorded
+// under its table label.
+func TestGetRangeCommand(t *testing.T) {
+	s, c := startPair(t)
+	ctx := context.Background()
+	if err := c.Set(ctx, "s", []byte("This is a string"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.HSet(ctx, "h", "f", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		args  []string
+		want  string
+		isErr bool
+	}{
+		{[]string{"GETRANGE", "s", "0", "3"}, "This", false},
+		{[]string{"GETRANGE", "s", "-3", "-1"}, "ing", false},
+		{[]string{"GETRANGE", "s", "0", "-1"}, "This is a string", false},
+		{[]string{"GETRANGE", "s", "10", "100"}, "string", false},
+		{[]string{"GETRANGE", "s", "-100", "3"}, "This", false}, // a start before the value clamps to 0
+		{[]string{"GETRANGE", "s", "5", "3"}, "", false},        // start > end
+		{[]string{"GETRANGE", "s", "-1", "-5"}, "", false},      // start > end, both from the end
+		{[]string{"GETRANGE", "s", "16", "20"}, "", false},      // start at the end
+		{[]string{"getrange", "s", "15", "15"}, "g", false},     // any case
+		{[]string{"GETRANGE", "ghost", "0", "-1"}, "", false},   // absent key
+		{[]string{"GETRANGE", "h", "0", "-1"}, "WRONGTYPE", true},
+		{[]string{"GETRANGE", "s", "a", "1"}, "ERR value is not an integer", true},
+		{[]string{"GETRANGE", "s", "0", "1.5"}, "ERR value is not an integer", true},
+		{[]string{"GETRANGE", "s", "0"}, "ERR wrong number of arguments for 'getrange' command", true},
+		{[]string{"GETRANGE", "s", "0", "1", "2"}, "ERR wrong number of arguments", true},
+	}
+	for _, tc := range cases {
+		v, err := c.doStr(ctx, tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		switch {
+		case tc.isErr && (!v.IsError() || !strings.HasPrefix(v.Str, tc.want)):
+			t.Errorf("%v = %q, want an error starting %q", tc.args, v.Text(), tc.want)
+		case !tc.isErr && (v.IsError() || v.Null || string(v.Bulk) != tc.want):
+			t.Errorf("%v = %+v, want the bulk string %q", tc.args, v, tc.want)
+		}
+	}
+	var recorded int64
+	for _, op := range s.rec.Snapshot(false).Ops {
+		if op.Op == "getrange" {
+			recorded = op.Count
+		}
+	}
+	if recorded != int64(len(cases)) {
+		t.Errorf("recorder counted %d getrange commands, want %d", recorded, len(cases))
+	}
+}
+
 func TestScanSyntaxErrors(t *testing.T) {
 	_, c := startPair(t)
 	for _, bad := range [][]string{

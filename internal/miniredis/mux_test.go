@@ -270,6 +270,16 @@ func TestMuxStoreConformance(t *testing.T) {
 	}, kvtest.Options{MaxValue: 256 << 10})
 }
 
+// TestMuxRangedConformance runs the kv.Ranged suite over a muxed store.
+func TestMuxRangedConformance(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	n := 0
+	kvtest.RunRanged(t, func(t *testing.T) (kv.Store, func()) {
+		n++
+		return OpenStoreWith("mux", s.Addr(), fmt.Sprintf("muxrng%d:", n), Options{Mux: true, MuxConns: 2}), nil
+	})
+}
+
 // TestMuxStoreChaos runs the randomized linearizability chaos suite over a
 // muxed store.
 func TestMuxStoreChaos(t *testing.T) {

@@ -369,6 +369,8 @@ func (s *Server) dispatch(known *command, args [][]byte) (resp.Value, bool) {
 			return resp.Err("%v", errWrongType), false
 		}
 		return resp.Bulk(e.val), false
+	case "GETRANGE":
+		return s.cmdGetRange(a), false
 	case "GETDEL":
 		if len(a) != 1 {
 			return wrongArity(cmd), false
@@ -610,6 +612,44 @@ func (s *Server) cmdSet(a [][]byte) resp.Value {
 		s.db.set(key, val, ttl)
 	}
 	return resp.OK()
+}
+
+// cmdGetRange implements GETRANGE key start end as Redis does: end is
+// inclusive, a negative offset counts from the end of the value, and a range
+// that selects nothing — or an absent key — reads as "". Nothing is
+// allocated: the offsets are parsed in place and the reply aliases the
+// stored value, which no command mutates.
+func (s *Server) cmdGetRange(a [][]byte) resp.Value {
+	if len(a) != 3 {
+		return wrongArity("GETRANGE")
+	}
+	start, ok1 := resp.ParseInt(a[1])
+	end, ok2 := resp.ParseInt(a[2])
+	if !ok1 || !ok2 {
+		return resp.Err("ERR value is not an integer or out of range")
+	}
+	e, ok := s.db.getEntry(string(a[0]))
+	if !ok {
+		return resp.Bulk(nil)
+	}
+	if e.isHash() {
+		return resp.Err("%v", errWrongType)
+	}
+	n := int64(len(e.val))
+	if start < 0 && end < 0 && start > end {
+		return resp.Bulk(nil)
+	}
+	if start < 0 {
+		start = max(n+start, 0)
+	}
+	if end < 0 {
+		end = max(n+end, 0)
+	}
+	end = min(end, n-1)
+	if start > end || n == 0 {
+		return resp.Bulk(nil)
+	}
+	return resp.Bulk(e.val[start : end+1])
 }
 
 func (s *Server) cmdIncr(cmd string, a [][]byte) resp.Value {

@@ -3,6 +3,7 @@ package miniredis
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 // Store adapts a Client to the UDSM key-value interface, with an optional
 // key prefix so several logical stores (or a store plus a cache) can share
-// one server. It implements kv.Store and kv.Expiring.
+// one server. It implements kv.Store, kv.Expiring, kv.Batch and kv.Ranged.
 type Store struct {
 	name   string
 	client *Client
@@ -25,6 +26,7 @@ type Store struct {
 var (
 	_ kv.Store    = (*Store)(nil)
 	_ kv.Expiring = (*Store)(nil)
+	_ kv.Ranged   = (*Store)(nil)
 )
 
 // NewStore wraps an existing client. prefix may be "" for the whole key
@@ -77,6 +79,37 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, kv.ErrNotFound
 	}
 	return v, nil
+}
+
+// GetRange implements kv.Ranged with one GETRANGE. GETRANGE answers an absent
+// key as it answers an empty range, with "", so an empty answer is confirmed
+// with EXISTS — never the case for a cluster record, which is never empty.
+func (s *Store) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+	if err := s.check(ctx, key); err != nil {
+		return nil, err
+	}
+	off, n = max(off, 0), max(n, 0)
+	if n > 0 {
+		end := math.MaxInt // the last byte, inclusive
+		if n <= math.MaxInt-off {
+			end = off + n - 1
+		}
+		v, err := s.client.GetRange(ctx, s.prefix+key, int64(off), int64(end))
+		if err != nil {
+			return nil, kv.WrapErr(s.name, "getrange", key, err)
+		}
+		if len(v) > 0 {
+			return v, nil
+		}
+	}
+	ok, err := s.client.Exists(ctx, s.prefix+key)
+	switch {
+	case err != nil:
+		return nil, kv.WrapErr(s.name, "getrange", key, err)
+	case !ok:
+		return nil, kv.ErrNotFound
+	}
+	return []byte{}, nil
 }
 
 // Put implements kv.Store.

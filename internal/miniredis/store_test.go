@@ -162,6 +162,15 @@ func TestExpiringConformance(t *testing.T) {
 	})
 }
 
+func TestRangedConformance(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	n := 0
+	kvtest.RunRanged(t, func(t *testing.T) (kv.Store, func()) {
+		n++
+		return OpenStore("r", s.Addr(), fmt.Sprintf("rng%d:", n)), nil
+	})
+}
+
 func TestBatchConformance(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	n := 0

@@ -45,7 +45,7 @@ func FuzzRead(f *testing.F) {
 		"$1048576\r\n",
 		"*1048576\r\n$1\r\na\r\n",
 		"*3\r\n$3\r\nSET\r\n$419430400\r\nk\r\n",
-		// Overflow-adjacent integer headers for the hand-rolled parseInt.
+		// Overflow-adjacent integer headers for the hand-rolled ParseInt.
 		"$9223372036854775807\r\n",
 		"$99999999999999999999\r\n",
 		":9223372036854775807\r\n",

@@ -184,9 +184,10 @@ func (r *Reader) readLine() ([]byte, error) {
 	return line[:len(line)-2], nil
 }
 
-// parseInt is a zero-allocation strconv.ParseInt for RESP length and integer
-// headers (optional leading '-', decimal digits).
-func parseInt(b []byte) (int64, bool) {
+// ParseInt is a zero-allocation strconv.ParseInt for RESP length and integer
+// headers (optional leading '-', decimal digits), and for the integer
+// arguments of a command.
+func ParseInt(b []byte) (int64, bool) {
 	if len(b) == 0 {
 		return 0, false
 	}
@@ -286,13 +287,13 @@ func (r *Reader) read(top bool) (Value, error) {
 	case SimpleString, Error:
 		return Value{Kind: kind, Str: statusString(rest)}, nil
 	case Integer:
-		n, ok := parseInt(rest)
+		n, ok := ParseInt(rest)
 		if !ok {
 			return Value{}, fmt.Errorf("%w: bad integer %q", ErrProtocol, rest)
 		}
 		return Value{Kind: Integer, Int: n}, nil
 	case BulkString:
-		n, ok := parseInt(rest)
+		n, ok := ParseInt(rest)
 		if !ok {
 			return Value{}, fmt.Errorf("%w: bad bulk length %q", ErrProtocol, rest)
 		}
@@ -322,7 +323,7 @@ func (r *Reader) read(top bool) (Value, error) {
 		}
 		return Value{Kind: BulkString, Bulk: buf}, nil
 	case Array:
-		n, ok := parseInt(rest)
+		n, ok := ParseInt(rest)
 		if !ok {
 			return Value{}, fmt.Errorf("%w: bad array length %q", ErrProtocol, rest)
 		}
@@ -378,7 +379,7 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 	if len(line) == 0 || Kind(line[0]) != Array {
 		return nil, fmt.Errorf("%w: command must be a non-empty array", ErrProtocol)
 	}
-	n, ok := parseInt(line[1:])
+	n, ok := ParseInt(line[1:])
 	if !ok {
 		return nil, fmt.Errorf("%w: bad array length %q", ErrProtocol, line[1:])
 	}
@@ -399,7 +400,7 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 			r.bulk, r.spans = buf, spans[:0]
 			return nil, fmt.Errorf("%w: command arguments must be bulk strings", ErrProtocol)
 		}
-		ln, ok := parseInt(hdr[1:])
+		ln, ok := ParseInt(hdr[1:])
 		if !ok || ln == -1 {
 			r.bulk, r.spans = buf, spans[:0]
 			return nil, fmt.Errorf("%w: command arguments must be bulk strings", ErrProtocol)

@@ -29,8 +29,12 @@
 // probe window of max(R, N-R+1) of them (two of three by default) and answers
 // from those alone when every one answered and all agree — one version, or
 // no record anywhere: R answers and the N-R+1 holders of the next paragraph
-// are then in hand. On anything else (an error, a timeout, two versions) it
-// asks the remaining replicas too and resolves over all N answers. The
+// are then in hand. The window's head sends the record; the others send only
+// its 11-byte header (version and tombstone flag) when their node provides
+// kv.Ranged and the window is not all N. On anything else (an error, a
+// timeout, two versions) it asks the remaining replicas too, and the
+// header-probed ones again for the whole record, and resolves over all N
+// answers. The
 // window starts at the head of the preference list and moves one replica on
 // with every read of the key's stripe, so N consecutive reads of a key probe
 // — and repair — every replica. The probe round gets half of the read's time
@@ -389,6 +393,14 @@ type fanout struct {
 	ctx context.Context // the fan-out's deadline
 	key string
 	enc []byte // the encoded record a write sends; nil for a read
+	// headers asks replicas 1 and up of a read round for the record's header
+	// only (readHeader); readRecord sets it for a probe round that a second
+	// round can follow.
+	headers bool
+	// probed is, in a read's second round, how many replicas the probe round
+	// asked. Of those, only a header answer holding a record is asked again:
+	// the others answered in full — a whole record, no record, or an error.
+	probed int
 
 	repBuf  [fanoutInline]replica
 	respBuf [fanoutInline]readResponse
@@ -412,7 +424,7 @@ func getFanout() *fanout { return fanoutPool.Get().(*fanout) }
 // record may stay reachable from a pooled fanout.
 func (f *fanout) release() {
 	f.reps, f.resp = nil, nil
-	f.ctx, f.key, f.enc = nil, "", nil
+	f.ctx, f.key, f.enc, f.headers, f.probed = nil, "", nil, false, 0
 	f.repBuf, f.respBuf = [fanoutInline]replica{}, [fanoutInline]readResponse{}
 	fanoutPool.Put(f)
 }
@@ -420,9 +432,14 @@ func (f *fanout) release() {
 // call is replica i's share of the fan-out.
 func (f *fanout) call(i int) {
 	rep := f.reps[i]
-	if f.enc != nil {
+	switch {
+	case f.enc != nil:
 		f.resp[i] = readResponse{rep: rep, err: rep.store.Put(f.ctx, f.key, f.enc)}
-	} else {
+	case f.headers && i > 0:
+		f.resp[i] = readHeader(f.ctx, rep, f.key)
+	case i < f.probed && !f.resp[i].header:
+		// answered in full by the probe round
+	default:
 		f.resp[i] = readReplica(f.ctx, rep, f.key)
 	}
 }
@@ -764,6 +781,7 @@ type readResponse struct {
 	rep    replica
 	rec    record
 	exists bool // node had a record (tombstones exist too)
+	header bool // a record of which only the header was read: rec.Value is not the value
 	err    error
 }
 
@@ -771,6 +789,22 @@ type readResponse struct {
 func readReplica(ctx context.Context, rep replica, key string) readResponse {
 	b, err := rep.store.Get(ctx, key)
 	return answerOf(rep, key, b, err)
+}
+
+// readHeader reads the header of key's record from one node — version and
+// tombstone flag, what agreeing on a version takes — with a ranged read when
+// the node provides kv.Ranged, and the whole record otherwise. Only an answer
+// that holds a record is partial: no record, or an error, is all a whole read
+// would have said too.
+func readHeader(ctx context.Context, rep replica, key string) readResponse {
+	rg, ok := kv.As[kv.Ranged](rep.store)
+	if !ok {
+		return readReplica(ctx, rep, key)
+	}
+	b, err := rg.GetRange(ctx, key, 0, recHdrSize)
+	r := answerOf(rep, key, b, err)
+	r.header = r.exists
+	return r
 }
 
 // answerOf decodes what a node said about key: the stored blob b, or the
@@ -793,7 +827,9 @@ func answerOf(rep replica, key string, b []byte, err error) readResponse {
 }
 
 // newest returns the record with the highest version among the answers that
-// hold one.
+// hold one, the first such answer on a tie. A header answer is never it: a
+// read resolves over header answers only when its window agreed, and then the
+// window's head — read whole, and first — holds the same version.
 func newest(resp []readResponse) (winner record, exists bool) {
 	for _, r := range resp {
 		if r.err == nil && r.exists && (!exists || r.rec.Version > winner.Version) {
@@ -911,6 +947,15 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 // read's time is NodeTimeout, or the caller's deadline when sooner; the probe
 // round gets half of it, so a hung replica inside the window leaves the
 // second round the other half.
+//
+// When there can be a second round (P < N), the window reads one record and
+// P-1 headers: its head sends the record, the others only the header, through
+// kv.Ranged (a node without it is read whole). Agreeing takes no more, and
+// the head's record is what the read returns. On anything else the second
+// round reads the header answers that hold a record again, whole, with the
+// rest, so the read resolves over N complete answers, as it does without
+// headers. A header probe that failed or timed out is not asked again: the
+// probe round's cut-off stands for it as it does for a whole read.
 func (c *Cluster) readRecord(ctx context.Context, op, key string, locked bool) (record, bool, error) {
 	f := getFanout()
 	defer f.release()
@@ -929,10 +974,17 @@ func (c *Cluster) readRecord(ctx context.Context, op, key string, locked bool) (
 	if p < n {
 		probeEnd = now.Add(end.Sub(now) / 2)
 	}
+	f.headers = p < n
 	f.run(ctx, key, nil, 0, p, probeEnd)
+	f.headers = false
 	if p < n && !agree(f.resp[:p]) {
 		c.escalations.Add(1)
-		f.run(ctx, key, nil, p, n, end)
+		lo := 1 // the first header answer holding a record, or p when there is none
+		for lo < p && !f.resp[lo].header {
+			lo++
+		}
+		f.probed = p
+		f.run(ctx, key, nil, lo, n, end)
 		p = n
 	}
 	return c.resolveRead(ctx, op, key, f.reps, f.resp[:p], locked)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"edsc/dscl"
 	"edsc/internal/miniredis"
 	"edsc/kv"
 	"edsc/kv/cluster"
@@ -66,6 +67,36 @@ func TestClusterSuiteMiniredisNodes(t *testing.T) {
 			srv.Close()
 		}
 	})
+}
+
+// TestHeaderProbesThroughTransformingNodes: nodes that are encrypting dscl
+// clients over kv.Mem serve kv.Ranged through the client — a range of the
+// decoded record, not of the ciphertext under it — so a window's header
+// probe reads a header the coordinator can decode. No read goes past its
+// window, and every read returns what was written.
+func TestHeaderProbesThroughTransformingNodes(t *testing.T) {
+	ctx := context.Background()
+	var stores [3]kv.Store
+	for i := range stores {
+		stores[i] = dscl.New(kv.NewMem(fmt.Sprintf("node%d", i)), dscl.WithTransform(dscl.EncryptionFromPassphrase("node")))
+	}
+	if rg, ok := kv.As[kv.Ranged](stores[0]); !ok || any(rg) != any(stores[0]) {
+		t.Fatalf("kv.Ranged resolved to %T, %v; want the dscl client", rg, ok)
+	}
+	c := threeNodes(t, stores, cluster.Options{})
+	const keys = 30
+	for i := 0; i < keys; i++ {
+		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("value %d", i)
+		if err := c.Put(ctx, k, []byte(v)); err != nil {
+			t.Fatalf("Put(%s): %v", k, err)
+		}
+		if got, err := c.Get(ctx, k); err != nil || string(got) != v {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
+		}
+	}
+	if st := c.Stats(); st.Reads != keys || st.ReadEscalations != 0 {
+		t.Fatalf("%d reads, %d of them past their window; want %d and 0", st.Reads, st.ReadEscalations, keys)
+	}
 }
 
 // TestClusterNew pins the constructor's validation: bad quorum geometry and

@@ -70,12 +70,12 @@ func checkPayload(key string, v []byte) bool {
 // holdsNothing reports whether a released fanout pins no replica, reply,
 // context or record.
 func holdsNothing(f *fanout) bool {
-	if f.reps != nil || f.resp != nil || f.ctx != nil || f.key != "" || f.enc != nil {
+	if f.reps != nil || f.resp != nil || f.ctx != nil || f.key != "" || f.enc != nil || f.headers || f.probed != 0 {
 		return false
 	}
 	for i := range f.respBuf {
 		r := f.respBuf[i]
-		if f.repBuf[i] != (replica{}) || r.rep != (replica{}) || r.rec.Value != nil || r.rec.Version != 0 || r.exists || r.err != nil {
+		if f.repBuf[i] != (replica{}) || r.rep != (replica{}) || r.rec.Value != nil || r.rec.Version != 0 || r.exists || r.header || r.err != nil {
 			return false
 		}
 	}

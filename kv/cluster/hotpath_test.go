@@ -36,6 +36,15 @@ func (hungStore) Put(ctx context.Context, key string, value []byte) error {
 	return ctx.Err()
 }
 
+// hungRangedStore is a hungStore that serves kv.Ranged and hangs there too,
+// as a miniredis node does when a window's header probe meets a silent socket.
+type hungRangedStore struct{ hungStore }
+
+func (hungRangedStore) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
 // threeNodes builds an N=3, R=W=2 cluster over the given stores.
 func threeNodes(t *testing.T, stores [3]kv.Store, opts cluster.Options) *cluster.Cluster {
 	t.Helper()
@@ -65,60 +74,76 @@ func positionOf(c *cluster.Cluster, node int, key string) int {
 // what is left: a node hung inside the window costs a get NodeTimeout/2, one
 // outside it nothing. A caller deadline sooner than NodeTimeout is the
 // budget instead — no second deadline is armed, and the probe round still
-// takes only half, so the read succeeds before the caller gives up.
+// takes only half, so the read succeeds before the caller gives up. The same
+// holds when the hung node serves kv.Ranged, so that the window's second
+// replica is asked for the header only: a header probe that timed out is not
+// asked again.
 func TestHungReplicaCutOffAtNodeTimeout(t *testing.T) {
 	const nodeTimeout = 300 * time.Millisecond
-	for hung := 0; hung < 3; hung++ {
-		t.Run(fmt.Sprintf("node%d", hung), func(t *testing.T) {
-			t.Parallel() // the three spend their time waiting
-			var stores [3]kv.Store
-			for i := range stores {
-				stores[i] = kv.NewMem(fmt.Sprintf("node%d", i))
-				if i == hung {
-					stores[i] = hungStore{stores[i]}
-				}
+	for _, ranged := range []bool{false, true} {
+		for hung := 0; hung < 3; hung++ {
+			name := fmt.Sprintf("node%d", hung)
+			if ranged {
+				name += "-ranged"
 			}
-			c := threeNodes(t, stores, cluster.Options{NodeTimeout: nodeTimeout})
-			pos := positionOf(c, hung, "k")
-			ctx := context.Background()
+			t.Run(name, func(t *testing.T) {
+				t.Parallel() // the six spend their time waiting
+				hungCutOff(t, hung, ranged, nodeTimeout)
+			})
+		}
+	}
+}
 
-			timed := func(ctx context.Context, op func(context.Context) error) time.Duration {
-				t.Helper()
-				start := time.Now()
-				if err := op(ctx); err != nil {
-					t.Fatalf("quorum of two healthy replicas failed: %v", err)
-				}
-				return time.Since(start)
-			}
-			put := func(ctx context.Context) error { return c.Put(ctx, "k", []byte("v")) }
-			get := func(ctx context.Context) error {
-				v, err := c.Get(ctx, "k")
-				if err == nil && string(v) != "v" {
-					err = fmt.Errorf("Get = %q, want %q", v, "v")
-				}
-				return err
-			}
-			// A write waits for all its replicas, so the hung one is what it
-			// takes: NodeTimeout, give or take.
-			if d := timed(ctx, put); d < nodeTimeout || d > 4*nodeTimeout {
-				t.Errorf("put with a hung replica took %v, want about NodeTimeout (%v)", d, nodeTimeout)
-			}
-			// The cluster's first read probes positions 0 and 1.
-			switch d := timed(ctx, get); {
-			case pos < 2 && (d < nodeTimeout/2 || d >= nodeTimeout):
-				t.Errorf("get with a hung replica in its window took %v, want NodeTimeout/2 (%v) and under NodeTimeout", d, nodeTimeout/2)
-			case pos == 2 && d >= nodeTimeout/2:
-				t.Errorf("get with a hung replica outside its window took %v: it waited", d)
-			}
+func hungCutOff(t *testing.T, hung int, ranged bool, nodeTimeout time.Duration) {
+	var stores [3]kv.Store
+	for i := range stores {
+		stores[i] = kv.NewMem(fmt.Sprintf("node%d", i))
+		switch {
+		case i == hung && ranged:
+			stores[i] = hungRangedStore{hungStore{stores[i]}}
+		case i == hung:
+			stores[i] = hungStore{stores[i]}
+		}
+	}
+	c := threeNodes(t, stores, cluster.Options{NodeTimeout: nodeTimeout})
+	pos := positionOf(c, hung, "k")
+	ctx := context.Background()
 
-			// A sooner caller deadline is the budget: the second read (its
-			// window is positions 1 and 2) succeeds inside it.
-			short, cancel := context.WithTimeout(ctx, nodeTimeout/5)
-			defer cancel()
-			if d := timed(short, get); d >= nodeTimeout/5 {
-				t.Errorf("get under a %v caller deadline took %v", nodeTimeout/5, d)
-			}
-		})
+	timed := func(ctx context.Context, op func(context.Context) error) time.Duration {
+		t.Helper()
+		start := time.Now()
+		if err := op(ctx); err != nil {
+			t.Fatalf("quorum of two healthy replicas failed: %v", err)
+		}
+		return time.Since(start)
+	}
+	put := func(ctx context.Context) error { return c.Put(ctx, "k", []byte("v")) }
+	get := func(ctx context.Context) error {
+		v, err := c.Get(ctx, "k")
+		if err == nil && string(v) != "v" {
+			err = fmt.Errorf("Get = %q, want %q", v, "v")
+		}
+		return err
+	}
+	// A write waits for all its replicas, so the hung one is what it
+	// takes: NodeTimeout, give or take.
+	if d := timed(ctx, put); d < nodeTimeout || d > 4*nodeTimeout {
+		t.Errorf("put with a hung replica took %v, want about NodeTimeout (%v)", d, nodeTimeout)
+	}
+	// The cluster's first read probes positions 0 and 1.
+	switch d := timed(ctx, get); {
+	case pos < 2 && (d < nodeTimeout/2 || d >= nodeTimeout):
+		t.Errorf("get with a hung replica in its window took %v, want NodeTimeout/2 (%v) and under NodeTimeout", d, nodeTimeout/2)
+	case pos == 2 && d >= nodeTimeout/2:
+		t.Errorf("get with a hung replica outside its window took %v: it waited", d)
+	}
+
+	// A sooner caller deadline is the budget: the second read (its
+	// window is positions 1 and 2) succeeds inside it.
+	short, cancel := context.WithTimeout(ctx, nodeTimeout/5)
+	defer cancel()
+	if d := timed(short, get); d >= nodeTimeout/5 {
+		t.Errorf("get under a %v caller deadline took %v", nodeTimeout/5, d)
 	}
 }
 

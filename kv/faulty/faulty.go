@@ -107,7 +107,11 @@ type Store struct {
 	stats     Stats
 }
 
-var _ kv.Store = (*Store)(nil)
+var (
+	_ kv.Store       = (*Store)(nil)
+	_ kv.Ranged      = (*Store)(nil)
+	_ kv.Interceptor = (*Store)(nil)
+)
 
 // New wraps inner in a fault injector.
 func New(inner kv.Store, opts Options) *Store {
@@ -219,14 +223,47 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := s.before(ctx, "get", key); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if old, ok := s.prev[key]; ok && s.opts.StaleReads > 0 && s.rng.Float64() < s.opts.StaleReads {
-		s.stats.StaleReads++
-		s.mu.Unlock()
+	if old, ok := s.stale(key); ok {
 		return append([]byte(nil), old...), nil
 	}
-	s.mu.Unlock()
 	return s.inner.Get(ctx, key)
+}
+
+// GetRange implements kv.Ranged with Get's fault model: down, the before
+// stage, and a stale read, which returns the range of the previous value.
+// Intercepts claims it only over an inner store that serves ranged reads;
+// called directly over one that does not, it slices the inner Get.
+func (s *Store) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+	if err := s.before(ctx, "getrange", key); err != nil {
+		return nil, err
+	}
+	if old, ok := s.stale(key); ok {
+		return append([]byte{}, kv.Slice(old, off, n)...), nil
+	}
+	return kv.GetRange(ctx, s.inner, key, off, n)
+}
+
+// stale decides whether a read of key is served stale, and with what: the
+// value key held before its last overwrite, which the caller must not mutate.
+func (s *Store) stale(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, ok := s.prev[key]
+	if !ok || s.opts.StaleReads <= 0 || s.rng.Float64() >= s.opts.StaleReads {
+		return nil, false
+	}
+	s.stats.StaleReads++
+	return old, true
+}
+
+// Intercepts implements kv.Interceptor: kv.Ranged is claimed only when the
+// inner store serves it.
+func (s *Store) Intercepts(capability any) bool {
+	if _, ok := capability.(*kv.Ranged); ok {
+		_, ok = kv.As[kv.Ranged](s.inner)
+		return ok
+	}
+	return true
 }
 
 // Put implements kv.Store. A torn write commits a prefix of the value and

@@ -100,8 +100,11 @@ func TestStaleReads(t *testing.T) {
 	if string(v) != "old" {
 		t.Fatalf("Get = %q, want injected stale value %q", v, "old")
 	}
-	if st := s.Stats(); st.StaleReads != 1 {
-		t.Fatalf("StaleReads = %d, want 1", st.StaleReads)
+	if v, err := s.GetRange(ctx, "k", 1, 5); err != nil || string(v) != "ld" {
+		t.Fatalf("GetRange = %q, %v, want the injected stale value's range %q", v, err, "ld")
+	}
+	if st := s.Stats(); st.StaleReads != 2 {
+		t.Fatalf("StaleReads = %d, want 2", st.StaleReads)
 	}
 	// A key with no overwrite history cannot be served stale.
 	if err := s.Put(ctx, "fresh", []byte("only")); err != nil {

@@ -8,9 +8,10 @@
 // can swap one data store for another without source changes.
 //
 // Stores that offer capabilities beyond the basic interface advertise them
-// through the optional interfaces in this package (Versioned, Expiring, SQL);
-// callers discover them with type assertions, mirroring how the paper's UDSM
-// exposes "native features of the underlying data store when needed".
+// through the optional interfaces in this package (Versioned, Expiring, SQL,
+// CompareAndPut, Batch, VersionedBatch, Ranged); callers discover them with
+// As, which walks wrapper stacks, mirroring how the paper's UDSM exposes
+// "native features of the underlying data store when needed".
 package kv
 
 import (

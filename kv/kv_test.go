@@ -293,3 +293,25 @@ func TestMemCompareAndPut(t *testing.T) {
 		return kv.NewMem("mem"), nil
 	})
 }
+
+func TestMemRanged(t *testing.T) {
+	kvtest.RunRanged(t, func(t *testing.T) (kv.Store, func()) {
+		return kv.NewMem("mem"), nil
+	})
+}
+
+// TestGetRangeFallback: over a store without kv.Ranged, kv.GetRange slices a
+// full Get, with the same answers.
+func TestGetRangeFallback(t *testing.T) {
+	kvtest.RunRanged(t, func(t *testing.T) (kv.Store, func()) {
+		return unranged{struct{ kv.Store }{kv.NewMem("mem")}}, nil
+	})
+}
+
+// unranged serves kv.Ranged with kv.GetRange's fallback over a store whose
+// every capability is hidden.
+type unranged struct{ kv.Store }
+
+func (u unranged) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+	return kv.GetRange(ctx, u.Store, key, off, n)
+}

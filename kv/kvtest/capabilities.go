@@ -3,7 +3,9 @@ package kvtest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -126,6 +128,89 @@ func requireExpiring(t *testing.T, s kv.Store) kv.Expiring {
 		t.Fatalf("store %T does not provide kv.Expiring", s)
 	}
 	return es
+}
+
+// RunRanged exercises the kv.Ranged contract. Through a transforming stack the
+// ranges are of the decoded value.
+func RunRanged(t *testing.T, f Factory) {
+	requireRanged := func(t *testing.T, s kv.Store) kv.Ranged {
+		t.Helper()
+		rs, ok := kv.As[kv.Ranged](s)
+		if !ok {
+			t.Fatalf("store %T does not provide kv.Ranged", s)
+		}
+		return rs
+	}
+	t.Run("Ranges", func(t *testing.T) {
+		s := open(t, f)
+		rs := requireRanged(t, s)
+		ctx := context.Background()
+		mustPut(t, s, "k", []byte("hello world"))
+		for _, tc := range []struct {
+			off, n int
+			want   string
+		}{
+			{0, 5, "hello"},                 // inside
+			{2, 3, "llo"},                   // inside, off the start
+			{6, 5, "world"},                 // ends at the end
+			{6, 100, "world"},               // past the end
+			{0, math.MaxInt, "hello world"}, // to the end, however far
+			{11, 3, ""},                     // from the end
+			{20, 3, ""},                     // from past the end
+			{3, 0, ""},                      // nothing asked
+		} {
+			got, err := rs.GetRange(ctx, "k", tc.off, tc.n)
+			if err != nil || string(got) != tc.want {
+				t.Errorf("GetRange(%d, %d) = %q, %v; want %q", tc.off, tc.n, got, err, tc.want)
+			}
+		}
+	})
+	t.Run("EmptyValue", func(t *testing.T) {
+		s := open(t, f)
+		rs := requireRanged(t, s)
+		mustPut(t, s, "empty", nil)
+		for _, n := range []int{0, 4} {
+			if got, err := rs.GetRange(context.Background(), "empty", 0, n); err != nil || len(got) != 0 {
+				t.Errorf("GetRange(empty value, 0, %d) = %q, %v; want empty, nil", n, got, err)
+			}
+		}
+	})
+	t.Run("MissingKey", func(t *testing.T) {
+		s := open(t, f)
+		rs := requireRanged(t, s)
+		for _, n := range []int{0, 4} {
+			if _, err := rs.GetRange(context.Background(), "ghost", 0, n); !kv.IsNotFound(err) {
+				t.Errorf("GetRange(absent, 0, %d) err = %v, want ErrNotFound", n, err)
+			}
+		}
+	})
+	t.Run("Closed", func(t *testing.T) {
+		s, cleanup := f(t)
+		if cleanup != nil {
+			defer cleanup()
+		}
+		rs := requireRanged(t, s)
+		mustPut(t, s, "k", []byte("v"))
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if _, err := rs.GetRange(context.Background(), "k", 0, 1); !errors.Is(err, kv.ErrClosed) {
+			t.Fatalf("GetRange after Close: err = %v, want ErrClosed", err)
+		}
+	})
+	t.Run("ResultIsTheCallers", func(t *testing.T) {
+		s := open(t, f)
+		rs := requireRanged(t, s)
+		mustPut(t, s, "k", []byte("original"))
+		got, err := rs.GetRange(context.Background(), "k", 0, 4)
+		if err != nil || string(got) != "orig" {
+			t.Fatalf("GetRange = %q, %v", got, err)
+		}
+		copy(got, "XXXX")
+		if again := mustGet(t, s, "k"); string(again) != "original" {
+			t.Fatalf("mutating a GetRange result changed the store: Get = %q", again)
+		}
+	})
 }
 
 // RunBatch exercises the kv.Batch contract.

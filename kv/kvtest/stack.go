@@ -18,8 +18,9 @@ type StackLayer struct {
 // RunStack is the middleware-composition conformance suite: for a matrix of
 // stack orders built from layers over stores from f, it asserts that every
 // capability the bare base store advertises is still discoverable through
-// the stacked store via kv.As — and behaves, by running the capability
-// suites (RunVersioned, RunExpiring, RunCompareAndPut, RunBatch) through
+// the stacked store via kv.As, that none it lacks is claimed by a layer — and
+// that each behaves, by running the capability
+// suites (RunVersioned, RunExpiring, RunCompareAndPut, RunBatch, RunRanged) through
 // the full stack. Layers must be semantically transparent to the data path
 // (a cache, a transform, a retry wrapper — not a mock that drops writes).
 //
@@ -61,6 +62,9 @@ func RunStack(t *testing.T, f Factory, layers ...StackLayer) {
 					if had && !got[name] {
 						t.Errorf("base capability kv.%s hidden by this stack", name)
 					}
+					if !had && got[name] {
+						t.Errorf("kv.%s claimed by this stack over a base without it", name)
+					}
 				}
 			})
 			t.Run("RoundTrip", func(t *testing.T) {
@@ -79,6 +83,9 @@ func RunStack(t *testing.T, f Factory, layers ...StackLayer) {
 			if baseCaps["CompareAndPut"] {
 				t.Run("CompareAndPut", func(t *testing.T) { RunCompareAndPut(t, sf) })
 			}
+			if baseCaps["Ranged"] {
+				t.Run("Ranged", func(t *testing.T) { RunRanged(t, sf) })
+			}
 		})
 	}
 }
@@ -95,6 +102,7 @@ func capsOf(s kv.Store) map[string]bool {
 		"Expiring":       has[kv.Expiring](s),
 		"SQL":            has[kv.SQL](s),
 		"CompareAndPut":  has[kv.CompareAndPut](s),
+		"Ranged":         has[kv.Ranged](s),
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 //
 // Mem also implements CompareAndPut, making it the reference for the
 // optimistic-concurrency contract: every write bumps an internal sequence
-// number that serves as the key's version.
+// number that serves as the key's version. It is the reference for Ranged
+// too, by slicing.
 type Mem struct {
 	name string
 
@@ -32,6 +33,7 @@ func NewMem(name string) *Mem {
 var (
 	_ Store         = (*Mem)(nil)
 	_ CompareAndPut = (*Mem)(nil)
+	_ Ranged        = (*Mem)(nil)
 )
 
 // Name implements Store.
@@ -63,6 +65,26 @@ func (s *Mem) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return append([]byte(nil), v...), nil
+}
+
+// GetRange implements Ranged: a copy of the range, not of the value.
+func (s *Mem) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := CheckKey(key); err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	v, ok := s.m[key]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return append([]byte{}, Slice(v, off, n)...), nil
 }
 
 // Put implements Store.

@@ -7,7 +7,7 @@
 // monitor.Recorder, so retry storms and breaker trips show up in the same
 // snapshots as ordinary operation latencies.
 //
-// Retry policy. Reads (Get, Contains, Keys, Len) are always safe to retry
+// Retry policy. Reads (Get, GetRange, Contains, Keys, Len) are always safe to retry
 // and always are. Blind writes (Put, Delete, Clear) are retried only when
 // Options.RetryWrites is set, because a transient error is ambiguous — the
 // write may have taken effect — and retrying is only sound when the caller
@@ -96,10 +96,10 @@ type Stats struct {
 }
 
 // Store is the resilience wrapper. It implements kv.Store and intercepts
-// the whole kv data path — kv.Batch, kv.Versioned, kv.VersionedBatch, and
-// kv.CompareAndPut — with retries whenever the inner stack supports the
-// capability (see Intercepts). Capabilities it does not intercept are
-// discovered through Unwrap by the kv.As walk.
+// the whole kv data path — kv.Batch, kv.Versioned, kv.VersionedBatch,
+// kv.CompareAndPut and kv.Ranged — with retries whenever the inner stack
+// supports the capability (see Intercepts). Capabilities it does not
+// intercept are discovered through Unwrap by the kv.As walk.
 type Store struct {
 	inner   kv.Store
 	opts    Options
@@ -115,7 +115,10 @@ type Store struct {
 	splits    atomic.Int64
 }
 
-var _ kv.Store = (*Store)(nil)
+var (
+	_ kv.Store  = (*Store)(nil)
+	_ kv.Ranged = (*Store)(nil)
+)
 
 // New wraps inner.
 func New(inner kv.Store, opts Options) *Store {
@@ -161,7 +164,7 @@ func (s *Store) Unwrap() kv.Store { return s.inner }
 
 // Intercepts implements kv.Interceptor. The wrapper's method set statically
 // covers the whole kv data path (Batch, Versioned, VersionedBatch,
-// CompareAndPut) so that retries and the breaker guard every data operation,
+// CompareAndPut, Ranged) so that retries and the breaker guard every data operation,
 // but a capability is only claimed when the inner stack can actually serve
 // it — otherwise the kv.As walk keeps looking (and finds nothing, exactly as
 // if the wrapper were not there).
@@ -174,6 +177,9 @@ func (s *Store) Intercepts(capability any) bool {
 		return ok
 	case *kv.CompareAndPut:
 		_, ok := kv.As[kv.CompareAndPut](s.inner)
+		return ok
+	case *kv.Ranged:
+		_, ok := kv.As[kv.Ranged](s.inner)
 		return ok
 	}
 	return true
@@ -433,6 +439,15 @@ func (s *Store) PutIfVersion(ctx context.Context, key string, value []byte, sinc
 	}
 	return call(s, ctx, "cas", s.opts.MaxRetries, func(actx context.Context) (kv.Version, error) {
 		return cas.PutIfVersion(actx, key, value, since)
+	})
+}
+
+// GetRange implements kv.Ranged with the read-retry policy (no hedging: a
+// range is the cheap read). On an inner stack without ranged reads it slices
+// a retried Get.
+func (s *Store) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+	return call(s, ctx, "getrange", s.readRetries(), func(actx context.Context) ([]byte, error) {
+		return kv.GetRange(actx, s.inner, key, off, n)
 	})
 }
 

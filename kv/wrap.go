@@ -4,7 +4,7 @@ package kv
 // resilience, caching, transforms, monitoring — wraps a Store in another
 // Store. This file defines the one model through which those wrappers
 // compose and through which capabilities (Versioned, Batch, Expiring, SQL,
-// CompareAndPut) survive wrapping by construction:
+// CompareAndPut, Ranged) survive wrapping by construction:
 //
 //   - Wrapper exposes the next store down, the way errors.Unwrap exposes the
 //     next error.
@@ -53,7 +53,7 @@ const maxWrapDepth = 100
 //
 // T must be an interface type (typically one of the kv capability
 // interfaces: Versioned, Batch, VersionedBatch, Expiring, SQL,
-// CompareAndPut — or Store itself).
+// CompareAndPut, Ranged — or Store itself).
 func As[T any](s Store) (T, bool) {
 	for depth := 0; s != nil && depth < maxWrapDepth; depth++ {
 		if t, ok := s.(T); ok {

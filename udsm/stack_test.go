@@ -67,12 +67,37 @@ func TestRegisterStackPipeline(t *testing.T) {
 		t.Fatalf("Get after CAS through pipeline = %q, %v", v, err)
 	}
 
-	// Nothing is invented: the mem base has no SQL or Versioned.
+	// A ranged read is monitored by the DataStore and decoded by the DSCL
+	// stage below it.
+	rg, ok := kv.As[kv.Ranged](ds)
+	if !ok || rg != kv.Ranged(ds) {
+		t.Fatalf("kv.Ranged resolved to %T, %v; want the DataStore", rg, ok)
+	}
+	if v, err := rg.GetRange(ctx, "k", 2, 3); err != nil || string(v) != "cre" {
+		t.Fatalf("GetRange through pipeline = %q, %v", v, err)
+	}
+	recorded := false
+	for _, op := range ds.Snapshot(false).Ops {
+		recorded = recorded || op.Op == "getrange"
+	}
+	if !recorded {
+		t.Fatal("GetRange not recorded by the DataStore")
+	}
+
+	// Nothing is invented: the mem base has no SQL or Versioned, and a base
+	// without ranged reads gets none from the DataStore.
 	if _, ok := kv.As[kv.SQL](ds); ok {
 		t.Fatal("kv.SQL invented by the pipeline")
 	}
 	if _, ok := kv.As[kv.Versioned](ds); ok {
 		t.Fatal("kv.Versioned invented by the pipeline")
+	}
+	bare, err := m.Register(struct{ kv.Store }{kv.NewMem("unranged")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := kv.As[kv.Ranged](bare); ok {
+		t.Fatal("kv.Ranged invented by the DataStore")
 	}
 }
 
