@@ -101,11 +101,13 @@ fence:
 # state, and its two deadlines against a hung replica, a round over whole
 # nodes against a silent member, a version stamped under the key lock from a
 # clock-seeded counter (the two histories that lose an acknowledged write
-# otherwise), and a muxed caller that gives up while the writer is parked
-# mid-frame (DESIGN.md "Buffer ownership for the *To APIs", "Distributed
-# cluster tier", "Network hot path").
+# otherwise), a muxed caller that gives up while the writer is parked
+# mid-frame, a caller holding an idle socket through each outcome of its
+# exchange, and the retry after a server restart (DESIGN.md "Buffer ownership
+# for the *To APIs", "Distributed cluster tier", "Network hot path").
 reuse:
-	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode|TestMuxAbandonWaitsOutParkedWriter' ./kv/cluster ./internal/miniredis)
+	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode' ./kv/cluster)
+	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/Idle' ./internal/miniredis)
 
 # The delta chain as a store: every inner write of a scripted history failed
 # before and after it applied (the key reads as the last acknowledged value or
@@ -124,7 +126,7 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
 	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut \
 	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
-	TestAllocGuardQuorumGetBytes
+	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \

@@ -22,9 +22,10 @@ import (
 // (exact profile, runtime.MemProfileRate = 1) outlives the request or is the
 // library's below us:
 //
-//	get 10: 5 the probe round's one deadline (context.WithDeadline makes a
-//	          context, a cancel function, a timer and its callback, and a Done
-//	          channel once the mux selects on it)
+//	get 9:  4 the probe round's one deadline (context.WithDeadline makes a
+//	          context, a cancel function, a timer and its callback; each
+//	          replica call holds an idle socket, which takes the deadline, so
+//	          no Done channel is made)
 //	        1 the record from the window's head (resp.Reader)
 //	        1 the 11-byte header from the window's other replica: the two
 //	          agree, so the third is not read
@@ -32,8 +33,8 @@ import (
 //	          that carries it; under a tracing udsm it is the trace's)
 //	        1 the cipher.NewCTR stream
 //	        1 the plaintext handed to the caller (pack)
-//	put 14: 6 on the servers: the stored key and the stored value, three times
-//	        5 the deadline, 1 the request ID, 1 the CTR stream, as for a get
+//	put 13: 6 on the servers: the stored key and the stored value, three times
+//	        4 the deadline, 1 the request ID, 1 the CTR stream, as for a get
 //	        1 the encoded value dscl hands the store (secure)
 //
 // Nothing is paid for fanning out (fan-out state, spawn closures, the encoded
@@ -44,7 +45,7 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	get, put := quorumOverRESP(t, false)
-	const wantGet, wantPut = 10, 14
+	const wantGet, wantPut = 9, 13
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
@@ -94,7 +95,7 @@ func quorumOverRESP(t *testing.T, wholeReads bool) (get, put func()) {
 		}
 		t.Cleanup(func() { _ = srv.Close() })
 		id := fmt.Sprintf("node%d", i)
-		node := udsm.OpenMiniRedisWith(id, srv.Addr(), "", udsm.MiniRedisClientOptions{Mux: true, MuxConns: 1})
+		node := udsm.OpenMiniRedisWith(id, srv.Addr(), "", udsm.MiniRedisClientOptions{MuxConns: 1})
 		if wholeReads {
 			node = struct{ kv.Store }{node}
 		}

@@ -158,11 +158,11 @@ func TestGatesFire(t *testing.T) {
 		}
 	}
 	seeds := map[string][]seed{
-		"mux": append(shared("pooled", "perconn"),
+		"mux": append(shared("mux-1g", "perconn"),
 			seed{"ratio floor", set("mux", func(c *Cell) { c.OpsPerS = 499 }), []string{"mux_over_perconn 4.99x below the 5.0x floor"}},
 			seed{"ratio, cell missing", remove("perconn"), []string{"mux_over_perconn: cell perconn is missing or measured no ops/s"}},
 			seed{"ratio, cell zero", set("perconn", func(c *Cell) { c.OpsPerS = 0 }), []string{"mux_over_perconn: cell perconn is missing or measured no ops/s"}},
-			seed{"guarded cell missing", remove("pooled"), []string{"pooled: guarded cell is in the baseline but not in this run"}},
+			seed{"guarded cell missing", remove("mux-1g"), []string{"mux-1g: guarded cell is in the baseline but not in this run"}},
 		),
 		"http": append(shared("tuned", "perop"),
 			seed{"ratio floor", set("coalesced", func(c *Cell) { c.OpsPerS = 299 }), []string{"coalesced_over_perop 2.99x below the 3.0x floor"}},

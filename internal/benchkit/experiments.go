@@ -47,13 +47,15 @@ func mixed(clients, ops, keys, size int) workload.MixedConfig {
 
 // MuxParams sizes the mux experiment.
 type MuxParams struct {
-	// Goroutines call the three headline cells, each with a budget of Ops;
-	// the per-request-connection reference, far slower, gets PerConnOps.
+	// Goroutines call the two headline cells, the multiplexed client with a
+	// budget of Ops and the client-per-request reference, far slower, with
+	// PerConnOps.
 	Goroutines int `json:"goroutines"`
 	Ops        int `json:"ops"`
 	PerConnOps int `json:"perconn_ops"`
 	MuxConns   int `json:"mux_conns"`
-	// The mode table: pooled against mux at each of ModeGoroutines callers.
+	// The low-concurrency rows: the multiplexed client at each of
+	// ModeGoroutines callers.
 	ModeGoroutines []int `json:"mode_goroutines"`
 	ModeOps        int   `json:"mode_ops"`
 	ModeMuxConns   int   `json:"mode_mux_conns"`
@@ -61,42 +63,63 @@ type MuxParams struct {
 	ValueBytes     int   `json:"value_bytes"`
 }
 
-// MuxExperiment measures the miniredis network hot path on loopback in three
-// client modes — a connection per request (the naive reference), the bounded
-// pool, and the multiplexed shared sockets. Gate: mux/perconn >= 5x. The
-// unguarded pooled-Ng/mux-Ng cells are the table behind DESIGN.md "Why the
-// pool stays": which mode wins at low concurrency.
+// MuxExperiment measures the miniredis network hot path on loopback: the
+// client shared by every goroutine against a client opened per request (the
+// naive reference: a dial and a socket per request). Gate: mux/perconn >= 5x.
+// The mux-Ng cells are the table behind DESIGN.md "Network hot path": one
+// goroutine runs every exchange on an idle socket itself, 64 are pipelined
+// through the sockets' writers.
 func MuxExperiment(p MuxParams) *Experiment {
-	cell := func(name string, guarded bool, goroutines, ops int, opts miniredis.Options) cellSpec {
-		return cellSpec{name: name, guarded: guarded, load: mixed(goroutines, ops, p.Keys, p.ValueBytes),
+	cell := func(name string, goroutines, ops, conns int) cellSpec {
+		return cellSpec{name: name, guarded: name != "perconn", load: mixed(goroutines, ops, p.Keys, p.ValueBytes),
 			open: func(string) (*subject, error) {
 				srv := miniredis.NewServer(miniredis.ServerConfig{})
 				if err := srv.Start(); err != nil {
 					return nil, err
 				}
-				st := miniredis.OpenStoreWith(name, srv.Addr(), "bench:", opts)
+				open := func() kv.Store {
+					return miniredis.OpenStoreWith(name, srv.Addr(), "bench:", miniredis.Options{MuxConns: conns})
+				}
+				st := open()
+				if name == "perconn" {
+					st = perRequest{st, open}
+				}
 				return &subject{store: st, close: func() { st.Close(); srv.Close() }}, nil
 			}}
 	}
-	pooled := miniredis.Options{MaxConns: 128, MaxIdle: 128}
 	e := &Experiment{
 		Name:   "mux",
 		Params: p,
 		ratios: []ratio{{name: "mux_over_perconn", num: "mux", den: "perconn", min: 5}},
 		cells: []cellSpec{
-			// No reuse: a dial and a socket per request. MaxConns leaves
-			// headroom above the goroutine count so dials never queue.
-			cell("perconn", false, p.Goroutines, p.PerConnOps, miniredis.Options{MaxIdle: -1, MaxConns: p.Goroutines + 16}),
-			cell("pooled", true, p.Goroutines, p.Ops, pooled),
-			cell("mux", true, p.Goroutines, p.Ops, miniredis.Options{Mux: true, MuxConns: p.MuxConns}),
+			cell("perconn", p.Goroutines, p.PerConnOps, 1),
+			cell("mux", p.Goroutines, p.Ops, p.MuxConns),
 		},
 	}
 	for _, g := range p.ModeGoroutines {
-		e.cells = append(e.cells,
-			cell(fmt.Sprintf("pooled-%dg", g), false, g, p.ModeOps, pooled),
-			cell(fmt.Sprintf("mux-%dg", g), false, g, p.ModeOps, miniredis.Options{Mux: true, MuxConns: p.ModeMuxConns}))
+		e.cells = append(e.cells, cell(fmt.Sprintf("mux-%dg", g), g, p.ModeOps, p.ModeMuxConns))
 	}
 	return e
+}
+
+// perRequest is the reference the mux cell is measured against: every Get
+// and Put opens a client for its one exchange and closes it. The store it
+// embeds serves the rest of kv.Store.
+type perRequest struct {
+	kv.Store
+	open func() kv.Store
+}
+
+func (s perRequest) Get(ctx context.Context, key string) ([]byte, error) {
+	st := s.open()
+	defer st.Close()
+	return st.Get(ctx, key)
+}
+
+func (s perRequest) Put(ctx context.Context, key string, value []byte) error {
+	st := s.open()
+	defer st.Close()
+	return st.Put(ctx, key, value)
 }
 
 // HTTPParams sizes the http experiment; PerOpOps is the smaller budget of

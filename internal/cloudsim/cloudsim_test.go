@@ -388,10 +388,17 @@ func TestServerFaultInjection(t *testing.T) {
 			t.Fatalf("connection reset surfaced as an HTTP answer: %v", err)
 		}
 		drainConns(t, c)
-		// No response at all is a failed request on the server's books.
-		ops := s.rec.Snapshot(false).Ops
-		if len(ops) != 1 || ops[0].Op != "get" || ops[0].Count != 1 || ops[0].Errors != 1 {
-			t.Fatalf("server recorded %+v; want one get, counted as failed", ops)
+		// No response at all is a failed request on the server's books. The
+		// handler records it after the drop returns, which the client may
+		// see first: wait for the record.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			ops := s.rec.Snapshot(false).Ops
+			if len(ops) == 1 && ops[0].Op == "get" && ops[0].Count == 1 && ops[0].Errors == 1 {
+				break
+			}
+			if len(ops) > 0 || time.Now().After(deadline) {
+				t.Fatalf("server recorded %+v; want one get, counted as failed", ops)
+			}
 		}
 	})
 

@@ -7,8 +7,8 @@ import (
 	"edsc/internal/resp"
 )
 
-// call is the request and reply storage of one exchange, in either client
-// mode: cmds is what gets framed, replies receives one value per command.
+// call is the request and reply storage of one exchange: cmds is what gets
+// framed, replies receives one value per command.
 // Calls are pooled, and a single command — all the typed helpers and the
 // kv.Store adapter ever send — lives entirely inside the call: its argument
 // vector is copied into argv (so the caller's variadic slice stays on its
@@ -32,7 +32,8 @@ type call struct {
 	argv   [inlineArgs][]byte
 	reply1 [1]resp.Value
 
-	// The rest is used by muxed connections only (see mux.go).
+	// The rest is used by calls the connection's goroutines complete (see
+	// mux.go); a caller holding an idle socket completes its own.
 	state   atomic.Int32
 	err     error
 	written bool          // bytes reached the wire before the failure
@@ -85,8 +86,8 @@ func (cl *call) release() {
 	callPool.Put(cl)
 }
 
-// frame encodes the call's commands into w's buffer without flushing. Both
-// client modes frame through it.
+// frame encodes the call's commands into w's buffer without flushing. The
+// writer and a caller holding an idle socket both frame through it.
 func (cl *call) frame(w *resp.Writer) error {
 	for _, cmd := range cl.cmds {
 		if err := w.AppendCommand(cmd...); err != nil {

@@ -1,9 +1,10 @@
 package miniredis
 
-// Tests for the pooled call object behind both client modes: who gets to
-// recycle it, that recycling never lets one caller's reply complete
-// another's request, the command table both ends resolve names through, and
-// the allocation budget of a muxed round trip.
+// Tests for the pooled call object behind every exchange: who gets to
+// recycle it, on the queued path and on a socket its caller holds, that
+// recycling never lets one caller's reply complete another's request, the
+// command table both ends resolve names through, and the allocation budget of
+// a muxed round trip.
 
 import (
 	"bytes"
@@ -125,20 +126,39 @@ func TestMuxCallRecyclingStress(t *testing.T) {
 	wg.Wait()
 }
 
+// deadlineOnly reports a deadline its own Err never reaches, so only the
+// socket deadline can end an exchange under it.
+type deadlineOnly struct {
+	context.Context
+	at time.Time
+}
+
+func (c deadlineOnly) Deadline() (time.Time, bool) { return c.at, true }
+
 // TestExchangeOwnership pins the rule the pool rests on: exchange hands the
 // call back to its caller on every outcome except the two where the
 // connection may still point at it — revoked while queued, abandoned after
-// written — and those it reports as detached.
+// written — and those it reports as detached. The queued rows run under a
+// ctx that can be cancelled and has no deadline, which never holds a socket;
+// the Idle rows run on a socket their caller holds.
 func TestExchangeOwnership(t *testing.T) {
+	// queued is a ctx that forces the writer's path; cancel after d ends it.
+	queued := func(t *testing.T, d time.Duration) context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		if d > 0 {
+			time.AfterFunc(d, cancel)
+		}
+		return ctx
+	}
+
 	t.Run("RevokedWhileQueued", func(t *testing.T) {
 		// A connection whose writer never runs: the call stays queued.
 		m := &muxConn{wake: make(chan struct{}, 1), deadCh: make(chan struct{})}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		defer cancel()
 		cl := newCall([][]byte{[]byte("PING")})
-		st, err := m.exchange(ctx, cl)
-		if !errors.Is(err, context.DeadlineExceeded) || !st.detached || st.written {
-			t.Fatalf("exchange = %+v, %v; want detached, not written, deadline exceeded", st, err)
+		st, err := m.exchange(queued(t, 5*time.Millisecond), cl)
+		if !errors.Is(err, context.Canceled) || !st.detached || st.written {
+			t.Fatalf("exchange = %+v, %v; want detached, not written, cancelled", st, err)
 		}
 		if m.load.Load() != 0 {
 			t.Fatalf("load = %d after a revoked call", m.load.Load())
@@ -148,7 +168,11 @@ func TestExchangeOwnership(t *testing.T) {
 		}
 	})
 
-	t.Run("AbandonedAfterWritten", func(t *testing.T) {
+	// abandoned runs one exchange under ctx against a server that reads the
+	// request and answers only after the caller has left; the reader must
+	// complete the call it still owns. Had the caller recycled it, this
+	// token would complete whoever drew the call from the pool next.
+	abandoned := func(t *testing.T, ctx context.Context, want error) {
 		client, server := net.Pipe()
 		defer server.Close()
 		m := newMuxConn(client)
@@ -159,19 +183,14 @@ func TestExchangeOwnership(t *testing.T) {
 			n, _ := server.Read(buf) // the request arrives; no reply yet
 			got <- buf[:n]
 		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		defer cancel()
 		cl := newCall([][]byte{[]byte("ECHO"), []byte("late")})
 		st, err := m.exchange(ctx, cl)
-		if !errors.Is(err, context.DeadlineExceeded) || !st.detached || !st.written {
-			t.Fatalf("exchange = %+v, %v; want detached, written, deadline exceeded", st, err)
+		if !errors.Is(err, want) || !st.detached || !st.written {
+			t.Fatalf("exchange = %+v, %v; want detached, written, %v", st, err, want)
 		}
 		if req := <-got; !bytes.Contains(req, []byte("late")) {
 			t.Fatalf("server read %q", req)
 		}
-		// The reply arrives after the caller left: the reader completes the
-		// call it still owns. Had the caller recycled it, this token would
-		// complete whoever drew the call from the pool next.
 		if _, err := server.Write([]byte("$4\r\nlate\r\n")); err != nil {
 			t.Fatal(err)
 		}
@@ -180,12 +199,34 @@ func TestExchangeOwnership(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("the reader never finished the abandoned call")
 		}
-		if string(cl.replies[0].Bulk) != "late" || m.load.Load() != 0 {
-			t.Fatalf("abandoned call finished with %q, load %d", cl.replies[0].Bulk, m.load.Load())
+		if string(cl.replies[0].Bulk) != "late" || m.load.Load() != 0 || m.isDead() {
+			t.Fatalf("abandoned call finished with %q, load %d, connection dead %v", cl.replies[0].Bulk, m.load.Load(), m.isDead())
 		}
+		// The connection carries on: the next caller holds the idle socket.
+		go func() {
+			r := resp.NewReader(server)
+			if _, err := r.ReadCommand(); err == nil {
+				_, _ = server.Write([]byte("+PONG\r\n"))
+			}
+		}()
+		next := newCall([][]byte{[]byte("PING")})
+		if st, err := m.exchange(context.Background(), next); err != nil || st != (muxStatus{}) || next.replies[0].Str != "PONG" {
+			t.Fatalf("exchange after the late reply = %+v, %v, reply %q", st, err, next.replies[0].Str)
+		}
+	}
+	t.Run("AbandonedAfterWritten", func(t *testing.T) {
+		abandoned(t, queued(t, 30*time.Millisecond), context.Canceled)
+	})
+	// The deadline passes before the first byte of the reply: the holder
+	// hands the written call to the reader, and the socket survives. The
+	// ctx's own timer never fires; the socket's error alone says deadline.
+	t.Run("IdleDeadlineBeforeReply", func(t *testing.T) {
+		abandoned(t, deadlineOnly{context.Background(), time.Now().Add(30 * time.Millisecond)}, context.DeadlineExceeded)
 	})
 
-	t.Run("CompletedAndPoisonedComeBack", func(t *testing.T) {
+	// comeBack runs three exchanges under ctx: one answered, one whose
+	// connection dies after reading it, one on the dead connection.
+	comeBack := func(t *testing.T, ctx context.Context) {
 		client, server := net.Pipe()
 		m := newMuxConn(client)
 		go func() {
@@ -197,17 +238,44 @@ func TestExchangeOwnership(t *testing.T) {
 			_ = server.Close()
 		}()
 		cl := newCall([][]byte{[]byte("PING")})
-		if st, err := m.exchange(context.Background(), cl); err != nil || st.detached || cl.replies[0].Str != "PONG" {
+		if st, err := m.exchange(ctx, cl); err != nil || st.detached || cl.replies[0].Str != "PONG" {
 			t.Fatalf("exchange = %+v, %v, reply %q", st, err, cl.replies[0].Str)
 		}
 		cl.rearm()
-		st, err := m.exchange(context.Background(), cl)
+		st, err := m.exchange(ctx, cl)
 		if err == nil || st.detached || !st.written {
 			t.Fatalf("exchange on a dying connection = %+v, %v; want an owned, written failure", st, err)
 		}
 		cl.rearm()
-		if st, err := m.exchange(context.Background(), cl); err == nil || st.detached || st.written {
+		if st, err := m.exchange(ctx, cl); err == nil || st.detached || st.written {
 			t.Fatalf("exchange on a dead connection = %+v, %v; want an owned, never-written failure", st, err)
+		}
+		cl.release()
+	}
+	t.Run("CompletedAndPoisonedComeBack", func(t *testing.T) { comeBack(t, queued(t, 0)) })
+	t.Run("IdleCompletedAndPoisonedComeBack", func(t *testing.T) { comeBack(t, context.Background()) })
+
+	// The deadline passes halfway through the reply: the stream is no longer
+	// framed, so the connection is poisoned and the call comes back written.
+	t.Run("IdleDeadlineMidReply", func(t *testing.T) {
+		client, server := net.Pipe()
+		defer server.Close()
+		m := newMuxConn(client)
+		go func() {
+			r := resp.NewReader(server)
+			if _, err := r.ReadCommand(); err == nil {
+				_, _ = server.Write([]byte("$4\r\nla"))
+			}
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		cl := newCall([][]byte{[]byte("ECHO"), []byte("late")})
+		st, err := m.exchange(ctx, cl)
+		if !errors.Is(err, context.DeadlineExceeded) || st.detached || !st.written {
+			t.Fatalf("exchange = %+v, %v; want an owned, written failure, deadline exceeded", st, err)
+		}
+		if !m.isDead() || m.load.Load() != 0 {
+			t.Fatalf("connection dead %v, load %d; want poisoned, no call left", m.isDead(), m.load.Load())
 		}
 		cl.release()
 	})
@@ -390,6 +458,37 @@ func TestAllocGuardMuxRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocGuardGetUnderTimeout pins a GET under a fresh context.WithTimeout,
+// as a cluster's replica calls run: the context's own objects (the context,
+// its cancel function, its timer and the timer's callback) and the reply's
+// value. A caller that holds an idle socket hands the deadline to the socket
+// and never selects on the context, so no Done channel is made.
+func TestAllocGuardGetUnderTimeout(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	s := startServer(t, ServerConfig{})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
+	defer c.Close()
+	key, val := "alloc:key", bytes.Repeat([]byte("v"), 512)
+	if err := c.Set(context.Background(), key, val, 0); err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if v, found, err := c.Get(ctx, key); err != nil || !found || len(v) != len(val) {
+			t.Fatalf("Get = %d bytes, %v, %v", len(v), found, err)
+		}
+	}
+	for i := 0; i < 10; i++ { // dial, fill the call pool
+		get()
+	}
+	if got := testing.AllocsPerRun(500, get); got != 5 {
+		t.Errorf("%.0f allocs per GET under a fresh timeout, want 5", got)
+	}
+}
+
 // TestAllocGuardGetRangeRoundTrip: a muxed GETRANGE round trip allocates what a
 // GET does, the reply's bytes. Its numeric arguments are static slices on the
 // client and are parsed in place on the server.
@@ -398,7 +497,7 @@ func TestAllocGuardGetRangeRoundTrip(t *testing.T) {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{Mux: true, MuxConns: 1})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
 	defer c.Close()
 	ctx := context.Background()
 	key, val := "alloc:key", bytes.Repeat([]byte("v"), 512)

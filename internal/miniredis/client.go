@@ -1,14 +1,13 @@
 package miniredis
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -16,14 +15,9 @@ import (
 	"edsc/kv"
 )
 
-// Default client limits. They are deliberately conservative: MaxConns
-// bounds the sockets a burst of callers can open (the old client had no
-// bound, so 10k concurrent callers opened 10k sockets), and MaxIdle bounds
-// how many of those are kept warm between bursts.
+// Default client settings.
 const (
 	DefaultDialTimeout = 5 * time.Second
-	DefaultMaxConns    = 64
-	DefaultMaxIdle     = 8
 	DefaultMuxConns    = 4
 )
 
@@ -32,38 +26,18 @@ type Options struct {
 	// DialTimeout caps each TCP dial (default 5s). Dials also honor the
 	// request context, so a cancelled caller never waits this long.
 	DialTimeout time.Duration
-	// MaxConns bounds concurrently open sockets (idle + in use) in pooled
-	// mode (default 64). When every slot is busy, callers wait for a
-	// returned connection or a freed slot; the wait honors ctx.
-	MaxConns int
-	// MaxIdle bounds the warm idle pool (default 8; -1 disables reuse so
-	// every request dials — the "connection per request" baseline the mux
-	// benchmark compares against). Clamped to MaxConns.
-	MaxIdle int
-	// Mux switches the client to multiplexed mode: all callers share
-	// MuxConns sockets, requests are pipelined through a batching writer
-	// and replies matched in arrival order (see mux.go). The public API is
-	// unchanged; Do/DoPipeline just stop paying a round trip per caller.
-	Mux bool
-	// MuxConns is the multiplexed connection count (default 4).
+	// MuxConns is the number of sockets the client's callers share
+	// (default 4).
 	MuxConns int
+	// Mux is ignored: every client multiplexes.
+	//
+	// Deprecated: leave it unset.
+	Mux bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = DefaultDialTimeout
-	}
-	if o.MaxConns <= 0 {
-		o.MaxConns = DefaultMaxConns
-	}
-	switch {
-	case o.MaxIdle == 0:
-		o.MaxIdle = DefaultMaxIdle
-	case o.MaxIdle < 0:
-		o.MaxIdle = 0
-	}
-	if o.MaxIdle > o.MaxConns {
-		o.MaxIdle = o.MaxConns
 	}
 	if o.MuxConns <= 0 {
 		o.MuxConns = DefaultMuxConns
@@ -71,34 +45,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Client is a pooled miniredis client (the Jedis analogue). Connections are
-// created on demand up to Options.MaxConns and recycled through an idle
-// pool; each request is a pipelined-capable RESP exchange on a dedicated
-// connection, so the client is safe for concurrent use. With Options.Mux it
-// becomes a multiplexed client instead: many goroutines share a few
-// sockets, with requests batched per flush (see mux.go).
+// Client is a miniredis client (the Jedis analogue), safe for concurrent
+// use: its callers share Options.MuxConns sockets. A caller that finds a
+// socket idle runs its exchange on it directly; the rest are pipelined
+// through the socket's batching writer and matched to their replies in
+// arrival order (see mux.go).
 type Client struct {
 	addr string
 	opts Options
-
-	// The pool. slots holds one token per socket open or being dialed, so
-	// its capacity is the MaxConns bound; idle holds the warm connections
-	// between exchanges, and is unbuffered under MaxIdle -1, where a returned
-	// connection can go only to a caller already parked; done is closed by
-	// Close.
-	slots     chan struct{}
-	idle      chan *clientConn
-	done      chan struct{}
-	closeOnce sync.Once
-	peakOpen  atomic.Int64 // high-water mark of len(slots), for tests and diagnostics
-
-	mux *muxPool // non-nil in multiplexed mode
-}
-
-type clientConn struct {
-	c net.Conn
-	r *resp.Reader
-	w *resp.Writer
+	mux  *muxPool
 }
 
 // ErrClientClosed reports use of a Client after Close.
@@ -146,12 +101,8 @@ func NewClient(addr string) *Client { return NewClientWith(addr, Options{}) }
 
 // NewClientWith returns a client with explicit options.
 func NewClientWith(addr string, opts Options) *Client {
-	c := &Client{addr: addr, opts: opts.withDefaults(), done: make(chan struct{})}
-	c.slots = make(chan struct{}, c.opts.MaxConns)
-	c.idle = make(chan *clientConn, c.opts.MaxIdle)
-	if c.opts.Mux {
-		c.mux = newMuxPool(c.opts.MuxConns, c.dial)
-	}
+	c := &Client{addr: addr, opts: opts.withDefaults()}
+	c.mux = newMuxPool(c.opts.MuxConns, c.dial)
 	return c
 }
 
@@ -170,104 +121,9 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	return conn, nil
 }
 
-// getConn returns a connection and whether it came from the idle pool
-// (pooled connections may have been closed by the server, so callers retry
-// once when a pooled connection turns out dead). A warm connection is taken
-// if one is there; otherwise the caller parks until one is returned, a slot
-// frees up to dial on (open sockets are capped at MaxConns), ctx fires or
-// the client closes. fresh never reuses: the retry path closes the
-// connection it is handed and dials on that slot, so a second attempt cannot
-// run on another connection staled by the same server restart.
-func (c *Client) getConn(ctx context.Context, fresh bool) (*clientConn, bool, error) {
-	select {
-	case <-c.done:
-		return nil, false, ErrClientClosed
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	var cc *clientConn
-	select {
-	case cc = <-c.idle:
-	default:
-		select {
-		case cc = <-c.idle:
-		case c.slots <- struct{}{}:
-			for n := int64(len(c.slots)); ; {
-				if p := c.peakOpen.Load(); n <= p || c.peakOpen.CompareAndSwap(p, n) {
-					break
-				}
-			}
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		case <-c.done:
-			return nil, false, ErrClientClosed
-		}
-	}
-	if cc != nil {
-		if !fresh {
-			return cc, true, nil
-		}
-		_ = cc.c.Close()
-	}
-	conn, err := c.dial(ctx)
-	if err != nil {
-		<-c.slots
-		return nil, false, err
-	}
-	return &clientConn{c: conn, r: resp.NewReader(conn), w: resp.NewWriter(conn)}, false, nil
-}
-
-// putConn ends an exchange's hold on cc: a healthy connection goes to a
-// parked caller, or into the idle pool while that has room; any other is
-// closed and its slot freed.
-func (c *Client) putConn(cc *clientConn, broken bool) {
-	if !broken {
-		select {
-		case c.idle <- cc:
-			// Close may have drained the pool before this send landed.
-			select {
-			case <-c.done:
-				c.drainIdle()
-			default:
-			}
-			return
-		default:
-		}
-	}
-	_ = cc.c.Close()
-	<-c.slots
-}
-
-// drainIdle closes every pooled connection.
-func (c *Client) drainIdle() {
-	for {
-		select {
-		case cc := <-c.idle:
-			_ = cc.c.Close()
-			<-c.slots
-		default:
-			return
-		}
-	}
-}
-
-// OpenConns reports currently open sockets and the high-water mark —
-// the observable for the MaxConns bound.
-func (c *Client) OpenConns() (open, peak int) {
-	return len(c.slots), int(c.peakOpen.Load())
-}
-
-// Close releases all pooled connections and fails parked callers.
+// Close fails every exchange in progress and closes the sockets.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.done)
-		c.drainIdle()
-		if c.mux != nil {
-			c.mux.close()
-		}
-	})
+	c.mux.close()
 	return nil
 }
 
@@ -286,8 +142,9 @@ func (c *Client) Do(ctx context.Context, args ...[]byte) (resp.Value, error) {
 // DoPipeline sends several commands on one connection before reading any
 // reply, saving round trips (the optimization BenchmarkAblationPipeline
 // measures). Server error replies appear in the result slice, not as err.
-// In mux mode the pipeline shares a multiplexed socket with every other
-// caller instead of borrowing a dedicated connection.
+// The pipeline shares a socket with every other caller, but no command of
+// another caller lands between its commands. A MULTI it sends must be closed
+// by an EXEC or DISCARD it also sends.
 func (c *Client) DoPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value, error) {
 	if len(cmds) == 0 {
 		return nil, nil
@@ -301,94 +158,42 @@ func (c *Client) DoPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value,
 	return out, nil
 }
 
-// roundTrip runs one exchange in the client's mode, leaving the replies in
-// cl.replies. On error it has disposed of cl (see call for who may recycle).
-func (c *Client) roundTrip(ctx context.Context, cl *call) error {
-	if c.mux != nil {
-		return c.doMux(ctx, cl)
-	}
-	retry, err := c.doPipelineOnce(ctx, cl, false)
-	if err != nil && retry {
-		// The pooled connection died before the first reply. That does NOT
-		// mean the server did nothing: it may have executed the commands
-		// and dropped the connection while replying (the lost-ack case the
-		// post-execute fault hook injects). Replaying is only safe when
-		// every command is idempotent; otherwise surface the ambiguity and
-		// let the caller's retry policy decide. The retry forces a fresh
-		// dial: after a server restart the idle pool may hold several
-		// equally-stale connections, and running on the next one would
-		// fail again even though the server is healthy.
-		if ok, offender := replaySafe(cl.cmds); ok {
-			_, err = c.doPipelineOnce(ctx, cl, true)
-		} else {
-			err = fmt.Errorf("%w (%s): %v", ErrAmbiguousExchange, offender, err)
+// errOpenMulti refuses an exchange that would leave its connection inside a
+// transaction: MULTI state belongs to the connection, which other callers
+// share, so their commands would be queued instead of run.
+var errOpenMulti = errors.New("miniredis: a MULTI must be closed by EXEC or DISCARD in the same exchange")
+
+// leavesMulti reports whether cmds' last MULTI is not followed by an EXEC or
+// a DISCARD.
+func leavesMulti(cmds [][][]byte) bool {
+	open := false
+	for _, cmd := range cmds {
+		if len(cmd) == 0 {
+			continue
+		}
+		switch {
+		case bytes.EqualFold(cmd[0], cmdMulti):
+			open = true
+		case bytes.EqualFold(cmd[0], cmdExec), bytes.EqualFold(cmd[0], cmdDiscard):
+			open = false
 		}
 	}
-	if err != nil {
-		cl.release() // a pooled-mode call never leaves this goroutine
-	}
-	return err
+	return open
 }
 
-// exchangeErr wraps a transport error, surfacing the context's verdict when
-// the exchange died because the caller gave up (so errors.Is sees
-// context.Canceled / DeadlineExceeded rather than a bare i/o timeout).
-func exchangeErr(ctx context.Context, op string, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return fmt.Errorf("miniredis: %s: %w: %w", op, ctxErr, err)
-	}
-	return fmt.Errorf("miniredis: %s: %w", op, err)
-}
-
-// doPipelineOnce runs one exchange on a dedicated connection. retry reports
-// that the failure happened on a pooled connection before any reply arrived
-// (and not because the caller's ctx fired). fresh forces a new dial instead
-// of an idle pop.
-func (c *Client) doPipelineOnce(ctx context.Context, cl *call, fresh bool) (retry bool, _ error) {
-	cc, pooled, err := c.getConn(ctx, fresh)
-	if err != nil {
-		return false, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = cc.c.SetDeadline(dl)
-	} else {
-		_ = cc.c.SetDeadline(time.Time{})
-	}
-	// A ctx cancelled mid-exchange has no deadline to piggyback on: watch it
-	// and poke the connection deadline into the past so a blocked read or
-	// write returns immediately. (The connection is then broken and never
-	// pooled — every error path below hands it back with broken=true.)
-	stop := context.AfterFunc(ctx, func() { _ = cc.c.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	if err := cl.frame(cc.w); err != nil {
-		c.putConn(cc, true)
-		return pooled && ctx.Err() == nil, exchangeErr(ctx, "write", err)
-	}
-	if err := cc.w.Flush(); err != nil {
-		c.putConn(cc, true)
-		return pooled && ctx.Err() == nil, exchangeErr(ctx, "flush", err)
-	}
-	for i := range cl.replies {
-		v, err := cc.r.Read()
-		if err != nil {
-			c.putConn(cc, true)
-			return pooled && i == 0 && ctx.Err() == nil, exchangeErr(ctx, "read reply", err)
-		}
-		cl.replies[i] = v
-	}
-	c.putConn(cc, false)
-	return false, nil
-}
-
-// doMux runs one exchange over the multiplexed pool, with the same
-// idempotency-gated retry policy as the pooled path: a failure where the
-// commands never reached the wire is always retried (on a redialed
-// connection if needed); a failure after they were written is replayed only
+// roundTrip runs one exchange, leaving the replies in cl.replies, with an
+// idempotency-gated retry: a failure where the commands never reached the
+// wire is always retried; a failure after they were written is replayed only
 // when every command is on the idempotency allowlist, and surfaces
-// ErrAmbiguousExchange otherwise.
-func (c *Client) doMux(ctx context.Context, cl *call) error {
-	for attempt := 0; ; attempt++ {
-		m, err := c.mux.pick(ctx)
+// ErrAmbiguousExchange otherwise. On error it has disposed of cl (see call
+// for who may recycle).
+func (c *Client) roundTrip(ctx context.Context, cl *call) error {
+	if leavesMulti(cl.cmds) {
+		cl.release()
+		return errOpenMulti
+	}
+	for attempt, slot := 0, -1; ; attempt++ {
+		m, i, err := c.mux.pick(ctx, slot)
 		if err != nil {
 			cl.release()
 			return err
@@ -403,11 +208,13 @@ func (c *Client) doMux(ctx context.Context, cl *call) error {
 		if st.written {
 			idem, offender = replaySafe(cl.cmds)
 		}
-		// Retry once when that is safe — the caller has not given up, and
-		// the commands either never reached the wire or are replayable —
-		// picking again (which redials the poisoned slot if needed).
-		if attempt == 0 && ctx.Err() == nil && idem {
-			cl.rearm() // not detached: only ctx expiry detaches
+		// Retry once when that is safe — the caller has not given up (nor
+		// has its deadline passed, which the socket can see first), and the
+		// commands either never reached the wire or are replayable. Any
+		// other failure killed the connection: the retry redials its slot.
+		if attempt == 0 && !st.detached && ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded) && idem {
+			cl.rearm() // not detached: the call is the caller's again
+			slot = i
 			continue
 		}
 		if !st.detached {
@@ -464,7 +271,7 @@ func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, e
 	if err != nil {
 		return nil, false, err
 	}
-	if err := asErr(v); err != nil {
+	if err := bulkReply("GET", v); err != nil {
 		return nil, false, err
 	}
 	if v.Null {
@@ -481,10 +288,23 @@ func (c *Client) GetRange(ctx context.Context, key string, start, end int64) ([]
 	if err != nil {
 		return nil, err
 	}
-	if err := asErr(v); err != nil {
+	if err := bulkReply("GETRANGE", v); err != nil {
 		return nil, err
 	}
 	return v.Bulk, nil
+}
+
+// bulkReply converts an error reply into a Go error, and any other reply but
+// a bulk string or a null into a protocol error: a "+QUEUED" read as a value
+// would report a key present.
+func bulkReply(cmd string, v resp.Value) error {
+	if err := asErr(v); err != nil {
+		return err
+	}
+	if v.Kind != resp.BulkString {
+		return fmt.Errorf("miniredis: %s answered %q: %w", cmd, v.Text(), resp.ErrProtocol)
+	}
+	return nil
 }
 
 // Set stores value with an optional ttl (0 = none).

@@ -57,6 +57,9 @@ var (
 	cmdGetRange = []byte("GETRANGE")
 	cmdSet      = []byte("SET")
 	argPX       = []byte("PX")
+	cmdMulti    = []byte("MULTI")
+	cmdExec     = []byte("EXEC")
+	cmdDiscard  = []byte("DISCARD")
 )
 
 // decimals[i] is i in decimal: the offsets of a short GETRANGE (a cluster

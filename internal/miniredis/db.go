@@ -1,5 +1,5 @@
 // Package miniredis implements the repository's remote-process cache: a
-// Redis-compatible server speaking RESP2 over TCP, and a pooled client.
+// Redis-compatible server speaking RESP2 over TCP, and a multiplexed client.
 //
 // The paper's remote-process cache (Redis via Jedis) differs from the
 // in-process cache in two measurable ways (§III, §V): every operation pays

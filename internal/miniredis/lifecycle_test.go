@@ -1,18 +1,83 @@
 package miniredis
 
-// Regression tests for the four connection-lifecycle bugs fixed in the mux
-// PR: ctx-ignoring dials, cancellation never noticed mid-exchange, retries
-// popping a second stale pooled connection, and unbounded socket growth.
+// Regression tests for the connection lifecycle: ctx-ignoring dials,
+// cancellation never noticed mid-exchange, a retry landing on a second stale
+// socket, unbounded socket growth, and Close leaving exchanges or sockets
+// behind.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
+
+// muteServer accepts connections and reads every request without ever
+// replying, returning its address.
+func muteServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				buf := make([]byte, 4096)
+				for {
+					if _, err := c.Read(buf); err != nil {
+						_ = c.Close()
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// dialed records every socket c opens from now on.
+func dialed(c *Client) (sockets func() []net.Conn) {
+	var mu sync.Mutex
+	var conns []net.Conn
+	dial := c.mux.dial
+	c.mux.dial = func(ctx context.Context) (net.Conn, error) {
+		conn, err := dial(ctx)
+		if err == nil {
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+		}
+		return conn, err
+	}
+	return func() []net.Conn {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(conns)
+	}
+}
+
+// waitLoad waits until slot 0 of c holds a connection with want calls on it.
+func waitLoad(t *testing.T, c *Client, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if m := c.mux.slots[0].conn.Load(); m != nil && m.load.Load() == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slot 0 never carried %d calls", want)
+		}
+	}
+}
 
 // TestDialHonorsCancelledContext: a pre-cancelled ctx must fail the dial
 // immediately even though the server is healthy. The old code used
@@ -20,7 +85,7 @@ import (
 // exchange) would succeed.
 func TestDialHonorsCancelledContext(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{MaxIdle: -1}) // force a dial per op
+	c := NewClient(s.Addr()) // no socket yet: the first request dials
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -43,31 +108,7 @@ func TestDialHonorsCancelledContext(t *testing.T) {
 // the request and never replies; the old code only set the conn deadline
 // from ctx.Deadline(), so this blocked forever.
 func TestCancelUnblocksInflightRead(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				// Consume the request, never answer.
-				buf := make([]byte, 4096)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						_ = c.Close()
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	c := NewClient(ln.Addr().String())
+	c := NewClient(muteServer(t))
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +117,7 @@ func TestCancelUnblocksInflightRead(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = c.Ping(ctx)
+	err := c.Ping(ctx)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Ping against mute server succeeded")
@@ -89,37 +130,48 @@ func TestCancelUnblocksInflightRead(t *testing.T) {
 	}
 }
 
-// TestRetryAfterStalePoolUsesFreshDial: after a server restart the LIFO
-// idle pool holds several equally-stale connections. The replay-safe retry
-// must dial fresh instead of popping the next stale one — with the old
-// code this Get failed even though the server was healthy.
+// TestRetryAfterStalePoolUsesFreshDial: after a server restart every socket
+// of the client is stale. The replay-safe retry must redial the slot that
+// failed: moving to another live-looking socket fails the same way, and the
+// Set fails although the server is healthy.
 func TestRetryAfterStalePoolUsesFreshDial(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	addr := s.Addr()
-	c := NewClient(addr)
+	const conns = 4
+	c := NewClientWith(addr, Options{MuxConns: conns})
 	defer c.Close()
 
-	// Prime several idle connections by holding concurrent exchanges open.
-	const primed = 3
-	var wg sync.WaitGroup
-	gate := make(chan struct{})
-	for i := 0; i < primed; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			if err := c.Ping(context.Background()); err != nil {
-				t.Errorf("prime ping: %v", err)
+	// Prime every slot: callers that find every live socket busy dial an
+	// empty slot.
+	live := func() (n int) {
+		for i := range c.mux.slots {
+			if m := c.mux.slots[i].conn.Load(); m != nil && !m.isDead() {
+				n++
 			}
-		}()
+		}
+		return n
 	}
-	close(gate)
-	wg.Wait()
-	if open, _ := c.OpenConns(); open < 2 {
-		t.Fatalf("expected ≥2 pooled conns, have %d", open)
+	for round := 0; live() < conns; round++ {
+		if round == 50 {
+			t.Fatalf("%d of %d sockets open after %d rounds of 64 concurrent pings", live(), conns, round)
+		}
+		var wg sync.WaitGroup
+		gate := make(chan struct{})
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-gate
+				if err := c.Ping(context.Background()); err != nil {
+					t.Errorf("prime ping: %v", err)
+				}
+			}()
+		}
+		close(gate)
+		wg.Wait()
 	}
 
-	// Restart the server on the same address: every pooled conn is stale.
+	// Restart the server on the same address: every socket is stale.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +182,7 @@ func TestRetryAfterStalePoolUsesFreshDial(t *testing.T) {
 	defer s2.Close()
 
 	if err := c.Set(context.Background(), "k", []byte("v"), 0); err != nil {
-		t.Fatalf("Set after restart: %v (retry popped another stale conn?)", err)
+		t.Fatalf("Set after restart: %v (retry picked another stale socket?)", err)
 	}
 	got, ok, err := c.Get(context.Background(), "k")
 	if err != nil {
@@ -141,15 +193,16 @@ func TestRetryAfterStalePoolUsesFreshDial(t *testing.T) {
 	}
 }
 
-// TestConnCapUnderLoad: 1000 concurrent callers over a MaxConns=8 client
-// must never open more than 8 sockets; at the cap, callers wait fairly
-// instead of dialing. The old client dialed whenever the idle pool was
-// empty — one socket per concurrent caller.
+// TestConnCapUnderLoad: 1000 concurrent callers over a MuxConns=8 client
+// must never open more than 8 sockets: beyond them, callers share. The old
+// client dialed whenever its idle pool was empty — one socket per concurrent
+// caller.
 func TestConnCapUnderLoad(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	const cap = 8
-	c := NewClientWith(s.Addr(), Options{MaxConns: cap, MaxIdle: cap})
+	c := NewClientWith(s.Addr(), Options{MuxConns: cap})
 	defer c.Close()
+	sockets := dialed(c)
 
 	const callers = 1000
 	var wg sync.WaitGroup
@@ -173,45 +226,19 @@ func TestConnCapUnderLoad(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("op under cap: %v", err)
 	}
-	open, peak := c.OpenConns()
-	if peak > cap {
-		t.Fatalf("peak open conns = %d, want ≤ %d", peak, cap)
-	}
-	if open > cap {
-		t.Fatalf("open conns = %d, want ≤ %d", open, cap)
+	if n := len(sockets()); n > cap {
+		t.Fatalf("%d sockets opened, want ≤ %d", n, cap)
 	}
 }
 
-// TestWaiterHonorsContext: a caller parked at the connection cap must give
-// up when its ctx fires, and the slot accounting must survive the race.
+// TestWaiterHonorsContext: a caller queued behind a busy socket must give up
+// when its ctx fires, and must not have opened a socket of its own.
 func TestWaiterHonorsContext(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				buf := make([]byte, 4096)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						_ = c.Close()
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	c := NewClientWith(ln.Addr().String(), Options{MaxConns: 1})
+	c := NewClientWith(muteServer(t), Options{MuxConns: 1})
 	defer c.Close()
+	sockets := dialed(c)
 
-	// Occupy the single slot with an exchange that blocks until cancelled.
+	// Occupy the single socket with an exchange that blocks until cancelled.
 	holdCtx, holdCancel := context.WithCancel(context.Background())
 	defer holdCancel()
 	var wg sync.WaitGroup
@@ -220,62 +247,54 @@ func TestWaiterHonorsContext(t *testing.T) {
 		defer wg.Done()
 		_ = c.Ping(holdCtx)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitLoad(t, c, 1)
 
-	// A second caller must park at the cap, then honor its own ctx.
+	// A second caller must queue behind it, then honor its own ctx.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = c.Ping(ctx)
+	err := c.Ping(ctx)
 	if err == nil {
-		t.Fatal("parked caller's Ping succeeded against a mute server")
+		t.Fatal("queued caller's Ping succeeded against a mute server")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if d := time.Since(start); d > time.Second {
-		t.Fatalf("parked caller took %v to honor ctx", d)
+		t.Fatalf("queued caller took %v to honor ctx", d)
 	}
 	holdCancel()
 	wg.Wait()
-	if open, peak := c.OpenConns(); peak > 1 || open > 1 {
-		t.Fatalf("open=%d peak=%d, want ≤ 1", open, peak)
+	if n := len(sockets()); n != 1 {
+		t.Fatalf("%d sockets opened, want 1", n)
 	}
 }
 
-// TestCloseFailsParkedCallerAndClosesLateReturn: Close wakes a caller parked
-// at the cap with ErrClientClosed, and a connection handed back after Close
-// has drained the pool is closed, not left warm in a pool nobody will drain
-// again.
-func TestCloseFailsParkedCallerAndClosesLateReturn(t *testing.T) {
-	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{MaxConns: 1})
-	held, _, err := c.getConn(context.Background(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := make(chan error, 1)
-	go func() {
-		_, _, err := c.getConn(context.Background(), false)
-		parked <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let it park; unparked it fails the same way
+// TestCloseFailsCallersInFlight: Close fails every exchange in progress with
+// ErrClientClosed — the caller running its exchange on the socket it found
+// idle and the caller queued behind it — and closes the socket.
+func TestCloseFailsCallersInFlight(t *testing.T) {
+	c := NewClientWith(muteServer(t), Options{MuxConns: 1})
+	sockets := dialed(c)
+	errs := make(chan error, 2)
+	go func() { errs <- c.Ping(context.Background()) }()
+	waitLoad(t, c, 1)
+	go func() { errs <- c.Ping(context.Background()) }()
+	waitLoad(t, c, 2)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-parked:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Fatalf("parked caller got %v, want ErrClientClosed", err)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClientClosed) {
+				t.Fatalf("caller got %v, want ErrClientClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close left a caller waiting")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close left the parked caller waiting")
 	}
-	c.putConn(held, false)
-	if open, _ := c.OpenConns(); open != 0 {
-		t.Fatalf("%d sockets open after Close and the last return", open)
-	}
-	if _, err := held.c.Write([]byte("x")); err == nil {
-		t.Fatal("the connection returned after Close was left open")
+	if _, err := sockets()[0].Write([]byte("x")); err == nil {
+		t.Fatal("Close left the socket open")
 	}
 }

@@ -1,9 +1,11 @@
 package miniredis
 
-// Multiplexed connections: many goroutines share one socket. Callers submit
-// framed pipelines to a single writer goroutine that coalesces flushes
-// across callers (one syscall carries many requests), and a single reader
-// goroutine matches replies to callers in arrival order — RESP has no
+// Multiplexed connections: many goroutines share one socket. A caller that
+// finds the socket idle runs its exchange itself, on its own goroutine: it
+// frames and flushes its request and reads its own reply (exchangeHeld). Every
+// other caller submits its call to a single writer goroutine that coalesces
+// flushes across callers (one syscall carries many requests), and a single
+// reader goroutine matches replies to callers in arrival order — RESP has no
 // request IDs, so FIFO matching over one socket is the protocol's only
 // ordering contract. A connection that dies mid-stream is poisoned: every
 // caller with bytes on the wire gets an error marked "written" (the server
@@ -15,9 +17,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"edsc/internal/resp"
 )
@@ -40,7 +44,9 @@ const (
 // treat a cancel as ambiguous. Framing is the one state in which the
 // connection reads the caller's argument bytes, so an abandoning caller
 // waits it out (awaitFramed): the bytes are the caller's again when its
-// exchange returns, as kv.Store's Put promises.
+// exchange returns, as kv.Store's Put promises. A call run by its caller on
+// a held socket stays queued throughout, unless its deadline hands it to the
+// reader, which it enters as written.
 const (
 	muxQueued int32 = iota // the zero value: a pooled call is ready to submit
 	muxFraming
@@ -71,6 +77,15 @@ type muxConn struct {
 	pending []*call // submitted, not yet claimed by the writer
 	dead    bool
 	errv    error
+	// writing is set while the writer goroutine holds a batch, held while a
+	// caller runs an exchange on the idle socket itself (takeIdle). Each
+	// excludes the other: the writer owns the socket's write side, a holder
+	// both sides.
+	writing, held bool
+
+	// deadline is the socket deadline a holder armed; the next owner of the
+	// write side that needs another re-arms it. Owned with the write side.
+	deadline time.Time
 
 	// spare is the writer's previous batch, emptied: the writer swaps it in
 	// as the next pending queue, so the two backing arrays alternate and
@@ -110,11 +125,17 @@ func (m *muxConn) submit(call *call) error {
 	m.pending = append(m.pending, call)
 	m.load.Add(1)
 	m.mu.Unlock()
+	m.kick()
+	return nil
+}
+
+// kick wakes the writer. A writer that finds the socket held goes back to
+// sleep; the holder kicks it again when it lets go.
+func (m *muxConn) kick() {
 	select {
 	case m.wake <- struct{}{}:
 	default:
 	}
-	return nil
 }
 
 // finish completes a call exactly once (its replies, if any, are already in
@@ -141,8 +162,9 @@ func (m *muxConn) finish(call *call, err error, written bool) bool {
 // it holds: written, the one whose bytes are (partly) on the wire, and
 // unwritten, the rest of the writer's batch. Marking comes first, so that a
 // caller woken by its call's failure cannot pick this connection again for
-// the retry. Idempotent; safe from both loops.
-func (m *muxConn) poison(err error, written *call, unwritten []*call) {
+// the retry. Idempotent; safe from both loops and from a holder. Returns the
+// error the connection died of, the first poisoner's.
+func (m *muxConn) poison(err error, written *call, unwritten []*call) error {
 	m.mu.Lock()
 	first := !m.dead
 	var pending []*call
@@ -167,6 +189,7 @@ func (m *muxConn) poison(err error, written *call, unwritten []*call) {
 		m.finish(call, connErr, false) // never claimed by the writer
 	}
 	m.drainInflight(connErr)
+	return connErr
 }
 
 // drainInflight fails everything written-but-unanswered. Called after
@@ -196,13 +219,18 @@ func (m *muxConn) writeLoop() {
 		}
 		for {
 			m.mu.Lock()
-			batch := m.pending
-			m.pending, m.spare = m.spare, nil
-			m.mu.Unlock()
-			if len(batch) == 0 {
-				m.spare = batch
+			if m.held || len(m.pending) == 0 {
+				m.writing = false
+				m.mu.Unlock()
 				break
 			}
+			batch := m.pending
+			m.pending, m.spare = m.spare, nil
+			m.writing = true
+			m.mu.Unlock()
+			// A deadline a holder left armed is not these calls': the
+			// reader waits for their replies without one.
+			m.armDeadline(time.Time{})
 			for bi, call := range batch {
 				if !call.state.CompareAndSwap(muxQueued, muxFraming) {
 					continue // caller cancelled before any bytes moved
@@ -275,15 +303,24 @@ func (m *muxConn) readLoop() {
 	}
 }
 
-// exchange submits call and waits for its completion or ctx; on success the
-// replies are in call.replies. On ctx expiry the caller detaches: if the
-// call was still queued it is revoked cleanly (never written); if already
-// claimed by the writer the outcome is unknown and status.written is set so
-// doMux can apply idempotency rules. Unless status.detached is set, the call
-// is the caller's again when exchange returns.
+// exchange runs call over m — itself on an idle socket (exchangeHeld),
+// otherwise through the writer — and waits for its completion or ctx; on
+// success the replies are in call.replies. On ctx expiry the caller detaches:
+// if the call was still queued it is revoked cleanly (never written); if
+// already claimed by the writer the outcome is unknown and status.written is
+// set so roundTrip can apply idempotency rules. Unless status.detached is set,
+// the call is the caller's again when exchange returns.
 func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 	if err := ctx.Err(); err != nil {
 		return muxStatus{}, err
+	}
+	// The socket deadline enforces a ctx's deadline, and a ctx nothing ends
+	// needs nothing enforced: such a caller may hold an idle socket. A
+	// cancel that comes before the deadline is then noticed at the deadline
+	// or the reply. A ctx without a deadline that can be cancelled is
+	// watched on the queued path.
+	if dl, ok := ctx.Deadline(); (ok || ctx.Done() == nil) && m.takeIdle() {
+		return m.exchangeHeld(call, dl)
 	}
 	if err := m.submit(call); err != nil {
 		return muxStatus{}, err
@@ -329,6 +366,98 @@ func (m *muxConn) awaitFramed(call *call, cause error) (poisoned bool) {
 	return poisoned
 }
 
+// takeIdle hands the socket to the caller for one exchange if nothing else
+// uses it: no call queued, none written and unanswered (load counts those
+// until the reader has read their replies), no batch being written.
+func (m *muxConn) takeIdle() bool {
+	m.mu.Lock()
+	idle := !m.dead && !m.held && !m.writing && len(m.pending) == 0 && m.load.Load() == 0
+	if idle {
+		m.held = true
+		m.load.Add(1)
+	}
+	m.mu.Unlock()
+	return idle
+}
+
+// exchangeHeld runs call's exchange on the caller's goroutine, over a socket
+// takeIdle handed it, by deadline dl (zero: none). The call never enters the
+// queues, so it is the caller's again on return unless status.detached is
+// set: the deadline passed before the first byte of the reply, and the call
+// went to the reader, which finishes it when the late reply arrives. Any other
+// failure poisons the connection — a request or a reply cut short leaves the
+// stream unframed.
+func (m *muxConn) exchangeHeld(call *call, dl time.Time) (muxStatus, error) {
+	m.armDeadline(dl)
+	err := call.frame(m.w)
+	if err == nil {
+		err = m.w.Flush()
+	}
+	if err != nil {
+		return muxStatus{written: true}, m.fail(ioErr("write", err))
+	}
+	if err := m.r.WaitByte(); err != nil {
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			return muxStatus{written: true}, m.fail(ioErr("read reply", err))
+		}
+		m.armDeadline(time.Time{})
+		call.state.Store(muxWritten)
+		m.inflight <- call // first in line: nothing else was written while held
+		m.release()
+		return muxStatus{written: true, detached: true}, ioErr("read reply", err)
+	}
+	for i := range call.replies {
+		v, err := m.r.Read()
+		if err != nil {
+			return muxStatus{written: true}, m.fail(ioErr("read reply", err))
+		}
+		call.replies[i] = v
+	}
+	m.load.Add(-1)
+	m.release()
+	return muxStatus{}, nil
+}
+
+// release ends a hold, handing the writer whatever queued meanwhile.
+func (m *muxConn) release() {
+	m.mu.Lock()
+	m.held = false
+	queued := len(m.pending) > 0
+	m.mu.Unlock()
+	if queued {
+		m.kick()
+	}
+}
+
+// fail poisons the connection under a holder that hit err and ends the hold's
+// count, returning the error the connection died of: err, or the earlier
+// poisoner's — ErrClientClosed when Close cut the exchange short.
+func (m *muxConn) fail(err error) error {
+	err = m.poison(err, nil, nil)
+	m.load.Add(-1)
+	return err
+}
+
+// armDeadline sets the socket deadline to dl unless it is set already. Only
+// the owner of the write side calls it. An error is a closed socket, which
+// the next read or write reports.
+func (m *muxConn) armDeadline(dl time.Time) {
+	if !dl.Equal(m.deadline) {
+		_ = m.c.SetDeadline(dl)
+		m.deadline = dl
+	}
+}
+
+// ioErr names the step of a held exchange that failed. A failure the socket
+// deadline caused wraps context.DeadlineExceeded: the deadline is the
+// caller's, even when the socket's timer fires before the context's own.
+func ioErr(step string, err error) error {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return fmt.Errorf("miniredis: mux %s: %w: %w", step, context.DeadlineExceeded, err)
+	}
+	return fmt.Errorf("miniredis: mux %s: %w", step, err)
+}
+
 // muxPool spreads callers over a small fixed set of muxed connections,
 // dispatching to the least-loaded live one and lazily redialing slots whose
 // connection was poisoned.
@@ -349,20 +478,26 @@ func newMuxPool(n int, dial func(ctx context.Context) (net.Conn, error)) *muxPoo
 	return &muxPool{slots: make([]muxSlot, n), dial: dial}
 }
 
-// pick returns a live connection: the least-loaded one, unless a dead/empty
-// slot exists and every live conn is already busy — then it redials the
-// dead slot (adding capacity beats queuing behind a loaded socket).
-func (p *muxPool) pick(ctx context.Context) (*muxConn, error) {
+// pick returns a live connection and its slot: the least-loaded one, unless a
+// dead/empty slot exists and every live conn is already busy — then it
+// redials the dead slot (adding capacity beats queuing behind a loaded
+// socket). A retry (retry >= 0, the slot whose connection just failed) gets
+// that slot redialed instead: after a server restart every other socket is
+// as stale as the one that failed.
+func (p *muxPool) pick(ctx context.Context, retry int) (*muxConn, int, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, ErrClientClosed
+		return nil, 0, ErrClientClosed
 	}
 	p.mu.Unlock()
+	if retry >= 0 {
+		m, err := p.redial(ctx, retry, nil)
+		return m, retry, err
+	}
 
 	var best *muxConn
-	bestLoad := int64(-1)
-	deadIdx := -1
+	bestIdx, bestLoad, deadIdx := -1, int64(0), -1
 	for i := range p.slots {
 		m := p.slots[i].conn.Load()
 		if m == nil || m.isDead() {
@@ -372,18 +507,22 @@ func (p *muxPool) pick(ctx context.Context) (*muxConn, error) {
 			continue
 		}
 		if l := m.load.Load(); best == nil || l < bestLoad {
-			best, bestLoad = m, l
+			best, bestIdx, bestLoad = m, i, l
 		}
 	}
 	if best != nil && (deadIdx < 0 || bestLoad == 0) {
-		return best, nil
+		return best, bestIdx, nil
 	}
 	if deadIdx < 0 {
 		// No live conns and no slot recorded as dead — racing poisons; use
 		// slot 0.
 		deadIdx = 0
 	}
-	return p.redial(ctx, deadIdx, best)
+	m, err := p.redial(ctx, deadIdx, best)
+	if m != nil && m == best {
+		return m, bestIdx, nil
+	}
+	return m, deadIdx, err
 }
 
 // redial replaces the connection in slot idx. fallback (may be nil) is a

@@ -23,7 +23,7 @@ import (
 func startMuxPair(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{Mux: true, MuxConns: 2})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 2})
 	t.Cleanup(func() { _ = c.Close() })
 	return s, c
 }
@@ -92,7 +92,7 @@ func TestMuxPipeline(t *testing.T) {
 // connection, and once faults stop the client must be fully healthy.
 func TestMuxConnDeathPoisonsAndRecovers(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{Mux: true, MuxConns: 2})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 2})
 	defer c.Close()
 	ctx := context.Background()
 
@@ -123,7 +123,7 @@ func TestMuxConnDeathPoisonsAndRecovers(t *testing.T) {
 // replay, so one ambiguous + one clean increment land on exactly 2.
 func TestMuxAmbiguousNotReplayed(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{Mux: true, MuxConns: 1})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
 	defer c.Close()
 	ctx := context.Background()
 
@@ -223,7 +223,7 @@ func TestMuxCancelAfterWriteIsAmbiguous(t *testing.T) {
 		}
 	}()
 
-	c := NewClientWith(ln.Addr().String(), Options{Mux: true, MuxConns: 1})
+	c := NewClientWith(ln.Addr().String(), Options{MuxConns: 1})
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -266,7 +266,7 @@ func TestMuxStoreConformance(t *testing.T) {
 	n := 0
 	kvtest.Run(t, func(t *testing.T) (kv.Store, func()) {
 		n++
-		return OpenStoreWith("mux", s.Addr(), fmt.Sprintf("mux%d:", n), Options{Mux: true, MuxConns: 2}), nil
+		return OpenStoreWith("mux", s.Addr(), fmt.Sprintf("mux%d:", n), Options{MuxConns: 2}), nil
 	}, kvtest.Options{MaxValue: 256 << 10})
 }
 
@@ -276,7 +276,7 @@ func TestMuxRangedConformance(t *testing.T) {
 	n := 0
 	kvtest.RunRanged(t, func(t *testing.T) (kv.Store, func()) {
 		n++
-		return OpenStoreWith("mux", s.Addr(), fmt.Sprintf("muxrng%d:", n), Options{Mux: true, MuxConns: 2}), nil
+		return OpenStoreWith("mux", s.Addr(), fmt.Sprintf("muxrng%d:", n), Options{MuxConns: 2}), nil
 	})
 }
 
@@ -285,18 +285,18 @@ func TestMuxRangedConformance(t *testing.T) {
 func TestMuxStoreChaos(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	kvtest.RunChaos(t, func(t *testing.T) (kv.Store, func()) {
-		return OpenStoreWith("mux", s.Addr(), "muxchaos/", Options{Mux: true, MuxConns: 2}), nil
+		return OpenStoreWith("mux", s.Addr(), "muxchaos/", Options{MuxConns: 2}), nil
 	}, kvtest.ChaosOptions{})
 }
 
 // TestMuxSurvivesConnectionDrops: resilient over a muxed store masks
-// wire-level drops, same contract as the pooled client.
+// wire-level drops, same contract as TestStoreSurvivesConnectionDrops.
 func TestMuxSurvivesConnectionDrops(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	s.SetFaults(Faults{EveryPre: 5, EveryPost: 7, Seed: 1})
 	defer s.SetFaults(Faults{})
 
-	st := OpenStoreWith("mux", s.Addr(), "drop/", Options{Mux: true, MuxConns: 2})
+	st := OpenStoreWith("mux", s.Addr(), "drop/", Options{MuxConns: 2})
 	defer st.Close()
 	res := resilient.New(st, resilient.Options{
 		RetryWrites: true,
@@ -323,7 +323,7 @@ func TestMuxSurvivesConnectionDrops(t *testing.T) {
 // ErrClientClosed, including calls parked in-flight at close time.
 func TestMuxClientClosed(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{Mux: true, MuxConns: 2})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 2})
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ func OpenStore(name, addr, prefix string) *Store {
 	return OpenStoreWith(name, addr, prefix, Options{})
 }
 
-// OpenStoreWith is OpenStore with explicit client options (connection cap,
-// idle-pool size, multiplexed mode).
+// OpenStoreWith is OpenStore with explicit client options (dial timeout,
+// socket count).
 func OpenStoreWith(name, addr, prefix string, opts Options) *Store {
 	s := NewStore(name, NewClientWith(addr, opts), prefix)
 	s.ownClient = true

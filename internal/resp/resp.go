@@ -14,7 +14,7 @@
 //     ReadCommand argument payloads into one internal buffer that is
 //     recycled across calls; the returned slices alias it and are only valid
 //     until the next Read/ReadCommand. The miniredis server runs in this
-//     mode (it copies anything it retains); the pooled client does not,
+//     mode (it copies anything it retains); the miniredis client does not,
 //     because its callers keep replies beyond the next exchange.
 //   - The Writer formats integers into a fixed scratch, so writing values
 //     allocates nothing.
@@ -150,6 +150,15 @@ func NewReaderSize(r io.Reader, size int) *Reader {
 // already buffered, the next command can be served before any syscall, so
 // flushing per command would waste writes.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
+
+// WaitByte blocks until the next byte of input has arrived, consuming
+// nothing. Called between values, a read error here — a socket deadline, say
+// — leaves the reader between values, so a later Read can still decode the
+// next one whole.
+func (r *Reader) WaitByte() error {
+	_, err := r.br.Peek(1)
+	return err
+}
 
 // ReuseBulk toggles payload buffer reuse. When on, the Bulk slices of
 // top-level bulk strings and of ReadCommand arguments alias an internal

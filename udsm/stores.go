@@ -35,8 +35,8 @@ func OpenMiniRedis(name, addr, prefix string) kv.Store {
 // zero value matches OpenMiniRedis. See the README knob table.
 type MiniRedisClientOptions = miniredis.Options
 
-// OpenMiniRedisWith is OpenMiniRedis with explicit connection options —
-// notably Mux, the multiplexed hot path for highly concurrent workloads.
+// OpenMiniRedisWith is OpenMiniRedis with explicit connection options: the
+// dial timeout and how many sockets the store's callers share.
 func OpenMiniRedisWith(name, addr, prefix string, opts MiniRedisClientOptions) kv.Store {
 	return miniredis.OpenStoreWith(name, addr, prefix, opts)
 }
