@@ -66,9 +66,9 @@ type MuxParams struct {
 // MuxExperiment measures the miniredis network hot path on loopback: the
 // client shared by every goroutine against a client opened per request (the
 // naive reference: a dial and a socket per request). Gate: mux/perconn >= 5x.
-// The mux-Ng cells are the table behind DESIGN.md "Network hot path": one
-// goroutine runs every exchange on an idle socket itself, 64 are pipelined
-// through the sockets' writers.
+// The mux-Ng cells measure DESIGN.md "Network hot path" at low concurrency:
+// one goroutine runs every exchange on an idle socket itself, 64 are
+// pipelined, each batch framed and flushed by a caller that leads it.
 func MuxExperiment(p MuxParams) *Experiment {
 	cell := func(name string, goroutines, ops, conns int) cellSpec {
 		return cellSpec{name: name, guarded: name != "perconn", load: mixed(goroutines, ops, p.Keys, p.ValueBytes),

@@ -21,7 +21,7 @@ import (
 // it can prove nobody else holds it — it never submitted the call, or it
 // consumed the call's completion token (the finisher's last touch). A caller
 // that gives up on a submitted call (revoked while queued, or abandoned
-// after its bytes were written) must not touch it again: the writer's batch
+// after its bytes were written) must not touch it again: a leader's batch
 // or the in-flight queue may still point at it, so it is left to them and to
 // the garbage collector. See DESIGN.md "Network hot path".
 type call struct {
@@ -32,7 +32,7 @@ type call struct {
 	argv   [inlineArgs][]byte
 	reply1 [1]resp.Value
 
-	// The rest is used by calls the connection's goroutines complete (see
+	// The rest is used by calls the reader or a leader completes (see
 	// mux.go); a caller holding an idle socket completes its own.
 	state   atomic.Int32
 	err     error
@@ -86,8 +86,8 @@ func (cl *call) release() {
 	callPool.Put(cl)
 }
 
-// frame encodes the call's commands into w's buffer without flushing. The
-// writer and a caller holding an idle socket both frame through it.
+// frame encodes the call's commands into w's buffer without flushing. A
+// leader frames every call through it, its own and the ones it batches.
 func (cl *call) frame(w *resp.Writer) error {
 	for _, cmd := range cl.cmds {
 		if err := w.AppendCommand(cmd...); err != nil {

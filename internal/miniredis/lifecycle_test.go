@@ -2,15 +2,17 @@ package miniredis
 
 // Regression tests for the connection lifecycle: ctx-ignoring dials,
 // cancellation never noticed mid-exchange, a retry landing on a second stale
-// socket, unbounded socket growth, and Close leaving exchanges or sockets
-// behind.
+// socket, unbounded socket growth, and Close leaving exchanges, sockets or
+// goroutines behind.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -297,4 +299,98 @@ func TestCloseFailsCallersInFlight(t *testing.T) {
 	if _, err := sockets()[0].Write([]byte("x")); err == nil {
 		t.Fatal("Close left the socket open")
 	}
+}
+
+// muxGoroutines names the method each goroutine running a method of m is in,
+// read from every goroutine's stack (the receiver is the first argument).
+func muxGoroutines(m *muxConn) []string {
+	buf := make([]byte, 1<<20)
+	recv := fmt.Sprintf("(%p", m)
+	var names []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		for _, line := range strings.Split(g, "\n") {
+			if _, frame, ok := strings.Cut(line, "(*muxConn)."); ok && strings.Contains(frame, recv) {
+				names = append(names, frame[:strings.Index(frame, "(")])
+				break
+			}
+		}
+	}
+	return names
+}
+
+// waitGoroutines waits until the goroutines running a method of m are want.
+func waitGoroutines(t *testing.T, m *muxConn, want ...string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := muxGoroutines(m)
+		if slices.Equal(got, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines running a muxConn method: %q, want %q", got, want)
+		}
+	}
+}
+
+// TestMuxGoroutines: a socket runs one goroutine, its reader; the write side
+// is run by callers. Close leaves none running, including when a dial was in
+// progress: the dial ends after Close has emptied the slots, and must neither
+// store its connection nor answer the caller on it.
+func TestMuxGoroutines(t *testing.T) {
+	t.Run("Idle", func(t *testing.T) {
+		client, server := net.Pipe()
+		defer server.Close()
+		m := newMuxConn(client)
+		waitGoroutines(t, m, "readLoop")
+		m.poison(ErrClientClosed, nil, nil)
+		waitGoroutines(t, m)
+	})
+	t.Run("AfterClose", func(t *testing.T) {
+		s := startServer(t, ServerConfig{})
+		c := NewClientWith(s.Addr(), Options{MuxConns: 2})
+		var wg sync.WaitGroup
+		for range 16 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c.Ping(context.Background()); err != nil {
+					t.Errorf("Ping: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+		_ = c.Close()
+		for i := range c.mux.slots {
+			if m := c.mux.slots[i].conn.Load(); m != nil {
+				waitGoroutines(t, m)
+			}
+		}
+	})
+	t.Run("DialRacingClose", func(t *testing.T) {
+		s := startServer(t, ServerConfig{})
+		c := NewClientWith(s.Addr(), Options{MuxConns: 1})
+		sockets := dialed(c)
+		dial := c.mux.dial
+		entered, closed := make(chan struct{}), make(chan struct{})
+		c.mux.dial = func(ctx context.Context) (net.Conn, error) {
+			close(entered)
+			<-closed
+			return dial(ctx)
+		}
+		errs := make(chan error, 1)
+		go func() { errs <- c.Ping(context.Background()) }()
+		<-entered
+		_ = c.Close()
+		close(closed)
+		if err := <-errs; !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("Ping through a dial that outlived Close = %v, want ErrClientClosed", err)
+		}
+		if m := c.mux.slots[0].conn.Load(); m != nil {
+			waitGoroutines(t, m)
+			t.Fatal("Close left a connection in the slot")
+		}
+		if _, err := sockets()[0].Write([]byte("x")); err == nil {
+			t.Fatal("the socket dialed during Close is open")
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -369,4 +370,73 @@ func TestRespBuffered(t *testing.T) {
 		t.Fatal("Writer.Buffered() != 0 after Flush")
 	}
 	<-done
+}
+
+// TestReaderTakesNoReplyAfterPoison: a poisoner drains the in-flight queue
+// while the reader may still hold replies in its buffer. A call the reader
+// pops after the drain started would read the reply of a drained call ahead
+// of it, so the reader fails it instead. Its select sees both the queued call
+// and the dead connection; twenty rounds make the pick that matters all but
+// certain.
+func TestReaderTakesNoReplyAfterPoison(t *testing.T) {
+	for range 20 {
+		m := &muxConn{
+			r:        resp.NewReader(strings.NewReader("$5\r\nearly\r\n")), // a drained call's reply
+			dead:     true,
+			errv:     ErrClientClosed,
+			deadCh:   make(chan struct{}),
+			inflight: make(chan *call, 1),
+		}
+		close(m.deadCh)
+		cl := newCall([][]byte{[]byte("ECHO"), []byte("late")})
+		cl.state.Store(muxWritten)
+		m.load.Store(1)
+		m.inflight <- cl
+		m.readLoop()
+		select {
+		case <-cl.done:
+			if !errors.Is(cl.err, ErrClientClosed) || !cl.written {
+				t.Fatalf("call popped from a dead connection finished with %v, reply %q; want a written ErrClientClosed",
+					cl.err, cl.replies[0].Bulk)
+			}
+		default: // the reader took the dead branch; the poisoner fails the call
+		}
+	}
+}
+
+// TestHeldDeadlineIsNotTheQueuedCallers: a holder whose deadline cuts its
+// write poisons the connection. The holder's error says deadline; the calls
+// queued behind it fail as the socket did, never written, and not by a
+// deadline of theirs — so roundTrip may retry them.
+func TestHeldDeadlineIsNotTheQueuedCallers(t *testing.T) {
+	client, server := net.Pipe() // the server never reads
+	defer server.Close()
+	m := newMuxConn(client)
+	held := make(chan error, 1)
+	go func() {
+		_, err := m.exchange(deadlineOnly{context.Background(), time.Now().Add(30 * time.Millisecond)}, newCall([][]byte{[]byte("PING")}))
+		held <- err
+	}()
+	waitFor := func(n int64) {
+		for m.load.Load() != n {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	waitFor(1)
+	queued := make(chan error, 1)
+	cl := newCall([][]byte{[]byte("PING")})
+	go func() {
+		st, err := m.exchange(context.Background(), cl)
+		if st.written || st.detached {
+			err = fmt.Errorf("status %+v: %w", st, err)
+		}
+		queued <- err
+	}()
+	waitFor(2)
+	if err := <-held; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("holder = %v, want context.DeadlineExceeded", err)
+	}
+	if err := <-queued; err == nil || errors.Is(err, context.DeadlineExceeded) || strings.Contains(err.Error(), "status") {
+		t.Fatalf("queued caller = %v; want an owned, never-written failure that is not a deadline", err)
+	}
 }
