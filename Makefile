@@ -97,7 +97,9 @@ fence:
 
 # The reuse rules of the quorum-over-RESP path, repeated under the race
 # detector: pooled fan-out state and the lent record buffer under node
-# failures, the two-round read over that state, replica state by replica
+# failures, the round context's contract (a deadline, a parent's end, a
+# context kept past its round, a stale fire of the fanout's reused timer),
+# the two-round read over that state, replica state by replica
 # state, and its two deadlines against a hung replica, a round over whole
 # nodes against a silent member, a version stamped under the key lock from a
 # clock-seeded counter (the two histories that lose an acknowledged write
@@ -109,7 +111,7 @@ fence:
 # the retry after a server restart (DESIGN.md "Buffer ownership for the *To
 # APIs", "Distributed cluster tier", "Network hot path").
 reuse:
-	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode' ./kv/cluster)
+	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestRoundContext|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode' ./kv/cluster)
 	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/(Idle|Leader)' ./internal/miniredis)
 
 # The delta chain as a store: every inner write of a scripted history failed
@@ -129,7 +131,7 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
 	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut \
 	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
-	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout
+	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \

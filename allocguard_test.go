@@ -22,10 +22,10 @@ import (
 // (exact profile, runtime.MemProfileRate = 1) outlives the request or is the
 // library's below us:
 //
-//	get 9:  4 the probe round's one deadline (context.WithDeadline makes a
-//	          context, a cancel function, a timer and its callback; each
-//	          replica call holds an idle socket, which takes the deadline, so
-//	          no Done channel is made)
+//	get 6:  1 the probe round's context (the round's deadline over the
+//	          caller's context; each replica call holds an idle socket, which
+//	          takes the deadline, so no Done channel is made and no timer is
+//	          armed)
 //	        1 the record from the window's head (resp.Reader)
 //	        1 the 11-byte header from the window's other replica: the two
 //	          agree, so the third is not read
@@ -33,19 +33,19 @@ import (
 //	          that carries it; under a tracing udsm it is the trace's)
 //	        1 the cipher.NewCTR stream
 //	        1 the plaintext handed to the caller (pack)
-//	put 13: 6 on the servers: the stored key and the stored value, three times
-//	        4 the deadline, 1 the request ID, 1 the CTR stream, as for a get
+//	put 10: 6 on the servers: the stored key and the stored value, three times
+//	        1 the round's context, 1 the request ID, 1 the CTR stream, as for a get
 //	        1 the encoded value dscl hands the store (secure)
 //
-// Nothing is paid for fanning out (fan-out state, spawn closures, the encoded
-// record, the mux call, the key arguments are pooled or alias the caller's)
-// nor for a version nobody keeps.
+// Nothing is paid for fanning out (fan-out state, its timer, spawn closures,
+// the encoded record, the mux call, the key arguments are pooled or alias the
+// caller's) nor for a version nobody keeps.
 func TestAllocGuardQuorumOverRESP(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	get, put := quorumOverRESP(t, false)
-	const wantGet, wantPut = 9, 13
+	const wantGet, wantPut = 6, 10
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)

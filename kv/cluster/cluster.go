@@ -71,8 +71,8 @@
 //
 // Node calls start in two places only: fanout.run asks the replicas of one
 // key, eachNode asks whole nodes (batches, listings, Clear, the rebalance
-// listing). Both start a round's calls together under one deadline and wait
-// for all of them.
+// listing). Both start a round's calls together under one deadline, one
+// roundCtx, and wait for all of them.
 package cluster
 
 import (
@@ -390,7 +390,7 @@ type fanout struct {
 	resp []readResponse // resp[i] is reps[i]'s answer (writes set rep and err)
 	wg   sync.WaitGroup
 
-	ctx context.Context // the fan-out's deadline
+	ctx context.Context // the current round (a *roundCtx)
 	key string
 	enc []byte // the encoded record a write sends; nil for a read
 	// headers asks replicas 1 and up of a read round for the record's header
@@ -401,6 +401,12 @@ type fanout struct {
 	// asked. Of those, only a header answer holding a record is asked again:
 	// the others answered in full — a whole record, no record, or an error.
 	probed int
+	// round is ctx, for the timer's callback (expire), which runs on a
+	// goroutine of its own. timer ends a round at its deadline once a node has
+	// asked for Done; one per fanout, re-armed with Reset, and stopped while
+	// the fanout is pooled.
+	round atomic.Pointer[roundCtx]
+	timer *time.Timer
 
 	repBuf  [fanoutInline]replica
 	respBuf [fanoutInline]readResponse
@@ -412,17 +418,30 @@ var fanoutPool = sync.Pool{New: func() any {
 	for i := range f.spawn {
 		f.spawn[i] = f.spawner(i)
 	}
+	f.timer = time.AfterFunc(time.Hour, f.expire)
+	f.timer.Stop()
 	return f
 }}
+
+// expire is the timer's callback. It polls the fanout's current round, which
+// ends only if its deadline has passed: a fire armed by an earlier round that
+// ended first leaves a later round alone.
+func (f *fanout) expire() {
+	if rc := f.round.Load(); rc != nil {
+		rc.poll()
+	}
+}
 
 // spawner is what a goroutine started for replica i runs.
 func (f *fanout) spawner(i int) func() { return func() { f.call(i); f.wg.Done() } }
 
 func getFanout() *fanout { return fanoutPool.Get().(*fanout) }
 
-// release returns f to the pool holding nothing: no reply, context or
-// record may stay reachable from a pooled fanout.
+// release returns f to the pool holding nothing: no reply, round or record
+// may stay reachable from a pooled fanout, and its timer is stopped.
 func (f *fanout) release() {
+	f.timer.Stop()
+	f.round.Store(nil)
 	f.reps, f.resp = nil, nil
 	f.ctx, f.key, f.enc, f.headers, f.probed = nil, "", nil, false, 0
 	f.repBuf, f.respBuf = [fanoutInline]replica{}, [fanoutInline]readResponse{}
@@ -448,16 +467,17 @@ func (f *fanout) call(i int) {
 // enc under key, or reading key when enc is nil — and waits for all of them
 // (no fire-and-forget stragglers: a pooled fanout must not be written by a
 // call that outlived it), leaving the answers in f.resp[lo:hi]. The calls
-// start together and share the one deadline; replica lo's rides on the
+// start together and share the one round context; replica lo's rides on the
 // coordinator's own goroutine. A replica set wider than fanoutInline spills
 // to the heap.
 func (f *fanout) run(ctx context.Context, key string, enc []byte, lo, hi int, deadline time.Time) {
 	if n := len(f.reps); f.resp == nil { // the fan-out's first round
 		f.resp = slices.Grow(f.respBuf[:0], n)[:n]
 	}
-	fctx, cancel := before(ctx, deadline)
-	defer cancel()
-	f.ctx, f.key, f.enc = fctx, key, enc
+	rc := newRound(ctx, deadline, f.timer)
+	defer rc.end()
+	f.round.Store(rc)
+	f.ctx, f.key, f.enc = rc, key, enc
 	for i := lo + 1; i < hi; i++ {
 		f.wg.Add(1)
 		if i < fanoutInline {
@@ -561,31 +581,31 @@ func (c *Cluster) unlockStripes(idx []int) {
 	}
 }
 
-// nodeCtx bounds replica operations by NodeTimeout from now: one call, or
-// all the calls of one round — they start together, so one deadline (one
-// timer, one set of context objects) serves every replica.
-func (c *Cluster) nodeCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	return before(ctx, time.Now().Add(c.opts.NodeTimeout))
+// nodeRound starts a round of NodeTimeout from now with no fanout: one call,
+// or all the calls of one round — they start together, so one round context
+// serves every node.
+func (c *Cluster) nodeRound(ctx context.Context) *roundCtx {
+	return newRound(ctx, time.Now().Add(c.opts.NodeTimeout), nil)
 }
 
 // eachNode is one round over whole nodes, what fanout.run is for the replicas
-// of one key: fn(ctx, i) for every i below n at once, under one nodeCtx
-// deadline — slot 0 on the caller's goroutine — and back when all have
-// returned. fn leaves node i's answer at index i of a slice its caller sized,
-// so the answers need no lock.
+// of one key: fn(ctx, i) for every i below n at once, under one nodeRound —
+// slot 0 on the caller's goroutine — and back when all have returned. fn
+// leaves node i's answer at index i of a slice its caller sized, so the
+// answers need no lock.
 func (c *Cluster) eachNode(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
-	nctx, cancel := c.nodeCtx(ctx)
-	defer cancel()
+	rc := c.nodeRound(ctx)
+	defer rc.end()
 	var wg sync.WaitGroup
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn(nctx, i)
+			fn(rc, i)
 		}()
 	}
 	if n > 0 {
-		fn(nctx, 0)
+		fn(rc, 0)
 	}
 	wg.Wait()
 }
@@ -598,15 +618,6 @@ func failures(reps []replica, errs []error) (causes []error) {
 		}
 	}
 	return causes
-}
-
-// before bounds ctx by deadline. When the caller's own deadline is at least
-// as soon, ctx already is that bound and nothing is armed.
-func before(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
-	if dl, ok := ctx.Deadline(); ok && !dl.After(deadline) {
-		return ctx, func() {}
-	}
-	return context.WithDeadline(ctx, deadline)
 }
 
 // --- quorum write ----------------------------------------------------------
@@ -758,9 +769,9 @@ func (c *Cluster) PendingHints() int { return int(c.hintCount.Load()) }
 // the read-then-write below race-free: no newer version can be committed
 // while we hold it).
 func (c *Cluster) installIfNewer(ctx context.Context, store kv.Store, key string, rec record) error {
-	nctx, cancel := c.nodeCtx(ctx)
-	defer cancel()
-	cur, err := store.Get(nctx, key)
+	rc := c.nodeRound(ctx)
+	defer rc.end()
+	cur, err := store.Get(rc, key)
 	switch {
 	case err == nil:
 		if existing, derr := DecodeRecord(cur); derr == nil && existing.Version >= rec.Version {
@@ -771,7 +782,7 @@ func (c *Cluster) installIfNewer(ctx context.Context, store kv.Store, key string
 	default:
 		return err
 	}
-	return store.Put(nctx, key, rec.Encode())
+	return store.Put(rc, key, rec.Encode())
 }
 
 // --- quorum read -----------------------------------------------------------

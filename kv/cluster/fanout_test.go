@@ -68,9 +68,10 @@ func checkPayload(key string, v []byte) bool {
 }
 
 // holdsNothing reports whether a released fanout pins no replica, reply,
-// context or record.
+// round or record. Its timer is all it keeps, and that is stopped (Stop
+// reports a timer that was still armed).
 func holdsNothing(f *fanout) bool {
-	if f.reps != nil || f.resp != nil || f.ctx != nil || f.key != "" || f.enc != nil || f.headers || f.probed != 0 {
+	if f.reps != nil || f.resp != nil || f.ctx != nil || f.round.Load() != nil || f.timer.Stop() || f.key != "" || f.enc != nil || f.headers || f.probed != 0 {
 		return false
 	}
 	for i := range f.respBuf {

@@ -1,7 +1,7 @@
 package cluster_test
 
-// Tests for the per-request path of the coordinator: the shared fan-out
-// deadline, the aliasing the path relies on instead of copying, the hint
+// Tests for the per-request path of the coordinator: the shared round
+// context, the aliasing the path relies on instead of copying, the hint
 // gate, and the allocation budget of a quorum read and write.
 
 import (
@@ -401,13 +401,12 @@ func TestShorterParentDeadlineSurfaces(t *testing.T) {
 
 // TestAllocGuardClusterGetPut pins the allocations of one quorum read and
 // one quorum write over three in-memory nodes — coordinator and nodes
-// together. The coordinator's own are the one shared deadline, 4 of a get
-// and 4 of a put (context.WithTimeout: context, cancel function, timer and
-// its callback; a fifth, the Done channel, when a node selects on it — Mem
-// does not). Fanning out costs nothing: the fan-out state, its spawn
-// closures and the encoded record are pooled. The rest is kv.Mem: a copy per
-// Get (2: a read whose first two replicas agree does not ask the third), and a
-// copy and a formatted version per Put (6).
+// together. The coordinator's own is the round's context, 1 of a get and 1 of
+// a put (a Done channel too when a node selects on it — Mem does not:
+// TestAllocGuardRoundDone). Fanning out costs nothing: the fan-out state, its
+// timer, its spawn closures and the encoded record are pooled. The rest is
+// kv.Mem: a copy per Get (2: a read whose first two replicas agree does not
+// ask the third), and a copy and a formatted version per Put (6).
 func TestAllocGuardClusterGetPut(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -416,28 +415,79 @@ func TestAllocGuardClusterGetPut(t *testing.T) {
 	for i := range stores {
 		stores[i] = kv.NewMem(fmt.Sprintf("node%d", i))
 	}
+	const wantGet, wantPut = 3, 7
+	gotGet, gotPut := getPutAllocs(t, stores)
+	if gotGet != wantGet || gotPut != wantPut {
+		t.Errorf("%.0f allocs per Cluster.Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
+	}
+}
+
+// doneMem is a kv.Mem node that selects on ctx.Done() before each Get and
+// Put, as a node that waits (a queued mux call, database/sql) does.
+type doneMem struct{ kv.Store }
+
+func (n doneMem) Get(ctx context.Context, key string) ([]byte, error) {
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	default:
+		return n.Store.Get(ctx, key)
+	}
+}
+
+func (n doneMem) Put(ctx context.Context, key string, value []byte) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return n.Store.Put(ctx, key, value)
+	}
+}
+
+// TestAllocGuardRoundDone: a node that asks a round for Done costs the round
+// its channel and nothing else — the timer that closes it at the deadline is
+// the pooled fanout's, re-armed, and the caller's context cannot be cancelled,
+// so nothing watches it. A get (one round) and a put (one round) over nodes
+// that select on Done cost exactly one object more than over bare kv.Mem.
+func TestAllocGuardRoundDone(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	var bare, selecting [3]kv.Store
+	for i := range bare {
+		bare[i] = kv.NewMem(fmt.Sprintf("node%d", i))
+		selecting[i] = doneMem{kv.NewMem(fmt.Sprintf("node%d", i))}
+	}
+	bareGet, barePut := getPutAllocs(t, bare)
+	get, put := getPutAllocs(t, selecting)
+	if get != bareGet+1 || put != barePut+1 {
+		t.Errorf("over nodes that select on Done: %.0f allocs per Get and %.0f per Put, want %.0f and %.0f (bare kv.Mem's, plus the channel)",
+			get, put, bareGet+1, barePut+1)
+	}
+}
+
+// getPutAllocs measures one Cluster.Get and one Put over three nodes, after
+// filling the fan-out and record pools.
+func getPutAllocs(t *testing.T, stores [3]kv.Store) (get, put float64) {
+	t.Helper()
 	c := threeNodes(t, stores, cluster.Options{})
 	ctx := context.Background()
 	val := bytes.Repeat([]byte("v"), 512)
-	put := func() {
+	putOne := func() {
 		if err := c.Put(ctx, "alloc:key", val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	get := func() {
+	getOne := func() {
 		if v, err := c.Get(ctx, "alloc:key"); err != nil || len(v) != len(val) {
 			t.Fatalf("Get = %d bytes, %v", len(v), err)
 		}
 	}
-	for i := 0; i < 10; i++ { // fill the fan-out and record pools
-		put()
-		get()
+	for i := 0; i < 10; i++ {
+		putOne()
+		getOne()
 	}
-	const wantGet, wantPut = 6, 10
-	gotGet, gotPut := testing.AllocsPerRun(200, get), testing.AllocsPerRun(200, put)
-	if gotGet != wantGet || gotPut != wantPut {
-		t.Errorf("%.0f allocs per Cluster.Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
-	}
+	return testing.AllocsPerRun(200, getOne), testing.AllocsPerRun(200, putOne)
 }
 
 // gatedStore holds its next Get (once armed) until released, then answers

@@ -180,9 +180,9 @@ func (c *Cluster) rebalanceKey(ctx context.Context, key string, sources []replic
 			// Former holder: drop the record only if it was copied out
 			// successfully (firstErr == nil keeps it as a recovery source).
 			if firstErr == nil {
-				nctx, cancel := c.nodeCtx(ctx)
-				derr := r.rep.store.Delete(nctx, key)
-				cancel()
+				rc := c.nodeRound(ctx)
+				derr := r.rep.store.Delete(rc, key)
+				rc.end()
 				if derr != nil && !kv.IsNotFound(derr) && firstErr == nil {
 					firstErr = fmt.Errorf("cluster: rebalance pruning %q from %s: %w", key, r.rep.id, derr)
 				}
@@ -191,9 +191,9 @@ func (c *Cluster) rebalanceKey(ctx context.Context, key string, sources []replic
 	}
 	if extra != nil && firstErr == nil {
 		// The departing node keeps nothing once its keys are re-homed.
-		nctx, cancel := c.nodeCtx(ctx)
-		_ = extra.store.Delete(nctx, key)
-		cancel()
+		rc := c.nodeRound(ctx)
+		_ = extra.store.Delete(rc, key)
+		rc.end()
 	}
 	return moved, firstErr
 }
