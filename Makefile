@@ -85,9 +85,11 @@ endef
 
 # minisql's crash, disk-fault and commit-pipeline suites by name, repeated
 # under the race detector: every kill point of every torture workload, from
-# kill -9 and power-loss images (DESIGN.md "Crash model").
+# kill -9 and power-loss images (DESIGN.md "Crash model"); and the key-value
+# adapter's shared statements beside an open batch, and its refusal of
+# transaction control.
 crash:
-	$(call run-named,-race -count=3 -run 'Crash|Fault|GroupCommit|EarlyWriterRelease|Durab' ./internal/minisql)
+	$(call run-named,-race -count=3 -run 'Crash|Fault|GroupCommit|EarlyWriterRelease|Durab|TestKVStoreSharedStatements|TestKVStoreSQLRefusesTransactionControl' ./internal/minisql)
 
 # dscl's fill fence: every interleaving of a cache fill with a racing write,
 # and the shared-key monotone-read workload, repeated under the race detector

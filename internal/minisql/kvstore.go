@@ -2,10 +2,9 @@ package minisql
 
 import (
 	"context"
-	"database/sql"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"edsc/kv"
 )
@@ -15,23 +14,20 @@ import (
 // via JDBC (§II-A). It also implements kv.SQL so applications can issue
 // native queries against the same database.
 //
-// All operations run through the registered database/sql driver with
-// prepared statements — the adapter is itself a client of the public SQL
-// surface, mirroring the paper's layering (key-value methods implemented on
-// the standard SQL client API, not a private engine interface).
+// The adapter is a client of the engine's public SQL surface, not of a
+// private one: its four point statements are parsed once (Session.Prepare,
+// this repository's PreparedStatement) and each call binds typed values to
+// their '?' slots. They run autocommitted on a session the store owns and
+// never opens a transaction on, so concurrent callers share them; PutMulti
+// runs the same parsed INSERT inside a transaction on a session of its own.
 type KVStore struct {
 	name  string
 	db    *Database
-	sqldb *sql.DB
 	table string
 
-	get      *sql.Stmt
-	put      *sql.Stmt
-	del      *sql.Stmt
-	contains *sql.Stmt
+	get, put, del, contains *Prepared
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 var (
@@ -47,15 +43,14 @@ func NewKVStore(name string, db *Database, tableName string) (*KVStore, error) {
 	if !validIdent(tableName) {
 		return nil, fmt.Errorf("minisql: invalid table name %q", tableName)
 	}
-	sqldb := sql.OpenDB(NewConnector(db))
 	ddl := fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (k TEXT PRIMARY KEY, v BLOB NOT NULL)", tableName)
-	if _, err := sqldb.Exec(ddl); err != nil {
-		_ = sqldb.Close()
+	if _, err := db.Exec(ddl); err != nil {
 		return nil, err
 	}
-	s := &KVStore{name: name, db: db, sqldb: sqldb, table: tableName}
+	s := &KVStore{name: name, db: db, table: tableName}
+	sess := db.NewSession()
 	for _, p := range []struct {
-		dst   **sql.Stmt
+		dst   **Prepared
 		query string
 	}{
 		{&s.get, fmt.Sprintf("SELECT v FROM %s WHERE k = ?", tableName)},
@@ -63,9 +58,8 @@ func NewKVStore(name string, db *Database, tableName string) (*KVStore, error) {
 		{&s.del, fmt.Sprintf("DELETE FROM %s WHERE k = ?", tableName)},
 		{&s.contains, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE k = ?", tableName)},
 	} {
-		st, err := sqldb.Prepare(p.query)
+		st, err := sess.Prepare(p.query)
 		if err != nil {
-			_ = sqldb.Close()
 			return nil, err
 		}
 		*p.dst = st
@@ -91,63 +85,71 @@ func (s *KVStore) DB() *Database { return s.db }
 // Name implements kv.Store.
 func (s *KVStore) Name() string { return s.name }
 
-func (s *KVStore) check(key string) error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+// enter is every method's first step: the store must be open, keys valid and
+// ctx not done. That is the one look at ctx a call takes; a statement, once
+// running, runs to its end.
+func (s *KVStore) enter(ctx context.Context, op string, keys ...string) error {
+	if s.closed.Load() {
 		return kv.ErrClosed
 	}
-	return kv.CheckKey(key)
+	for _, k := range keys {
+		if err := kv.CheckKey(k); err != nil {
+			return err
+		}
+	}
+	return kv.WrapErr(s.name, op, "", ctx.Err())
+}
+
+// cellBytes is a v cell's bytes. A Result is its statement's alone and
+// nothing writes it after the statement returns, so a BLOB's bytes are handed
+// over as they are. A TEXT cell reads as its bytes; any other kind is an error.
+func cellBytes(v Value) ([]byte, error) {
+	switch v.Kind {
+	case KindBlob:
+		return v.Bytes, nil
+	case KindText:
+		return []byte(v.Str), nil
+	default:
+		return nil, fmt.Errorf("minisql: value cell is %s, want BLOB", v.Kind)
+	}
 }
 
 // Get implements kv.Store.
 func (s *KVStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := s.check(key); err != nil {
+	if err := s.enter(ctx, "get", key); err != nil {
 		return nil, err
 	}
-	// Cancellation is checked here, once, and database/sql gets the context's
-	// values without it. Given a cancelable context it arms a cancel context
-	// and a watcher goroutine per query, and they would watch nothing: the
-	// driver looks at the context once, at bind, and cannot be interrupted
-	// mid-statement; QueryRowContext(...).Scan never blocks between its two
-	// calls; and waiting for a pooled connection, the one thing a context
-	// could cut short, does not happen on this store's own uncapped pool.
-	// TestAllocGuardKVStoreGetPut shows the saving: 26 objects a Get to 23.
-	if err := ctx.Err(); err != nil {
-		return nil, kv.WrapErr(s.name, "get", key, err)
-	}
-	var v []byte
-	err := s.get.QueryRowContext(context.WithoutCancel(ctx), key).Scan(&v)
-	if err == sql.ErrNoRows {
-		return nil, kv.ErrNotFound
-	}
+	res, err := s.get.Query(Text(key))
 	if err != nil {
 		return nil, kv.WrapErr(s.name, "get", key, err)
 	}
-	return v, nil
+	if len(res.Rows) == 0 {
+		return nil, kv.ErrNotFound
+	}
+	v, err := cellBytes(res.Rows[0][0])
+	return v, kv.WrapErr(s.name, "get", key, err)
 }
 
 // Put implements kv.Store. Each Put is one committed transaction, paying
 // the WAL fsync — the commit cost §V observes for MySQL writes.
 func (s *KVStore) Put(ctx context.Context, key string, value []byte) error {
-	if err := s.check(key); err != nil {
+	if err := s.enter(ctx, "put", key); err != nil {
 		return err
 	}
-	_, err := s.put.ExecContext(ctx, key, value)
+	_, err := s.put.Exec(Text(key), Blob(value))
 	return kv.WrapErr(s.name, "put", key, err)
 }
 
 // Delete implements kv.Store.
 func (s *KVStore) Delete(ctx context.Context, key string) error {
-	if err := s.check(key); err != nil {
+	if err := s.enter(ctx, "delete", key); err != nil {
 		return err
 	}
-	res, err := s.del.ExecContext(ctx, key)
+	n, err := s.del.Exec(Text(key))
 	if err != nil {
 		return kv.WrapErr(s.name, "delete", key, err)
 	}
-	if n, _ := res.RowsAffected(); n == 0 {
+	if n == 0 {
 		return kv.ErrNotFound
 	}
 	return nil
@@ -155,55 +157,42 @@ func (s *KVStore) Delete(ctx context.Context, key string) error {
 
 // Contains implements kv.Store.
 func (s *KVStore) Contains(ctx context.Context, key string) (bool, error) {
-	if err := s.check(key); err != nil {
+	if err := s.enter(ctx, "contains", key); err != nil {
 		return false, err
 	}
-	var n int
-	if err := s.contains.QueryRowContext(ctx, key).Scan(&n); err != nil {
+	res, err := s.contains.Query(Text(key))
+	if err != nil {
 		return false, kv.WrapErr(s.name, "contains", key, err)
 	}
-	return n > 0, nil
+	return res.Rows[0][0].Int > 0, nil
 }
 
 // GetMulti implements kv.Batch: all keys are fetched in ONE statement
 // (`WHERE k IN (...)`), one snapshot read instead of N round trips through
 // the session layer. Missing keys are simply absent from the result.
 func (s *KVStore) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
+	if err := s.enter(ctx, "getmulti", keys...); err != nil {
+		return nil, err
+	}
 	out := make(map[string][]byte, len(keys))
 	if len(keys) == 0 {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, kv.ErrClosed
-		}
 		return out, nil
 	}
-	args := make([]any, 0, len(keys))
-	holes := make([]string, 0, len(keys))
-	for _, k := range keys {
-		if err := s.check(k); err != nil {
-			return nil, err
-		}
-		args = append(args, k)
-		holes = append(holes, "?")
+	args := make([]Value, len(keys))
+	for i, k := range keys {
+		args[i] = Text(k)
 	}
-	query := fmt.Sprintf("SELECT k, v FROM %s WHERE k IN (%s)", s.table, strings.Join(holes, ", "))
-	rows, err := s.sqldb.QueryContext(ctx, query, args...)
+	holes := strings.Repeat(", ?", len(keys))[2:]
+	res, err := s.db.Query(fmt.Sprintf("SELECT k, v FROM %s WHERE k IN (%s)", s.table, holes), args...)
 	if err != nil {
 		return nil, kv.WrapErr(s.name, "getmulti", "", err)
 	}
-	defer rows.Close()
-	for rows.Next() {
-		var k string
-		var v []byte
-		if err := rows.Scan(&k, &v); err != nil {
-			return nil, kv.WrapErr(s.name, "getmulti", "", err)
+	for _, row := range res.Rows {
+		v, err := cellBytes(row[1])
+		if err != nil {
+			return nil, kv.WrapErr(s.name, "getmulti", row[0].Str, err)
 		}
-		out[k] = v
-	}
-	if err := rows.Err(); err != nil {
-		return nil, kv.WrapErr(s.name, "getmulti", "", err)
+		out[row[0].Str] = v
 	}
 	return out, nil
 }
@@ -212,170 +201,103 @@ func (s *KVStore) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 // transaction, so the whole batch commits atomically and pays a single
 // commit — which the group-commit pipeline turns into (at most) one WAL
 // fsync for N keys, instead of the N fsyncs a Put-per-key loop would cost.
+// The wait for the writer slot ends when ctx does.
 func (s *KVStore) PutMulti(ctx context.Context, pairs map[string][]byte) error {
+	if err := s.enter(ctx, "putmulti"); err != nil {
+		return err
+	}
 	for k := range pairs {
-		if err := s.check(k); err != nil {
+		if err := kv.CheckKey(k); err != nil {
 			return err
 		}
 	}
 	if len(pairs) == 0 {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return kv.ErrClosed
-		}
 		return nil
 	}
-	tx, err := s.sqldb.BeginTx(ctx, nil)
-	if err != nil {
+	tx := s.db.NewSession()
+	if err := tx.Begin(ctx); err != nil {
 		return kv.WrapErr(s.name, "putmulti", "", err)
 	}
-	put := tx.StmtContext(ctx, s.put)
 	for k, v := range pairs {
-		if _, err := put.ExecContext(ctx, k, v); err != nil {
+		if _, err := tx.ExecStmt(s.put.stmt, Text(k), Blob(v)); err != nil {
 			_ = tx.Rollback()
 			return kv.WrapErr(s.name, "putmulti", k, err)
 		}
 	}
-	if err := tx.Commit(); err != nil {
-		return kv.WrapErr(s.name, "putmulti", "", err)
-	}
-	return nil
+	return kv.WrapErr(s.name, "putmulti", "", tx.Commit())
 }
 
 // Keys implements kv.Store.
 func (s *KVStore) Keys(ctx context.Context) ([]string, error) {
-	if err := s.check("x"); err != nil {
+	if err := s.enter(ctx, "keys"); err != nil {
 		return nil, err
 	}
-	rows, err := s.sqldb.QueryContext(ctx, fmt.Sprintf("SELECT k FROM %s", s.table))
+	res, err := s.db.Query("SELECT k FROM " + s.table)
 	if err != nil {
 		return nil, kv.WrapErr(s.name, "keys", "", err)
 	}
-	defer rows.Close()
-	var out []string
-	for rows.Next() {
-		var k string
-		if err := rows.Scan(&k); err != nil {
-			return nil, kv.WrapErr(s.name, "keys", "", err)
-		}
-		out = append(out, k)
-	}
-	if err := rows.Err(); err != nil {
-		return nil, kv.WrapErr(s.name, "keys", "", err)
-	}
-	if out == nil {
-		out = []string{}
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = row[0].Str
 	}
 	return out, nil
 }
 
 // Len implements kv.Store.
 func (s *KVStore) Len(ctx context.Context) (int, error) {
-	if err := s.check("x"); err != nil {
+	if err := s.enter(ctx, "len"); err != nil {
 		return 0, err
 	}
-	var n int
-	err := s.sqldb.QueryRowContext(ctx, fmt.Sprintf("SELECT COUNT(*) FROM %s", s.table)).Scan(&n)
+	res, err := s.db.Query("SELECT COUNT(*) FROM " + s.table)
 	if err != nil {
 		return 0, kv.WrapErr(s.name, "len", "", err)
 	}
-	return n, nil
+	return int(res.Rows[0][0].Int), nil
 }
 
 // Clear implements kv.Store.
 func (s *KVStore) Clear(ctx context.Context) error {
-	if err := s.check("x"); err != nil {
+	if err := s.enter(ctx, "clear"); err != nil {
 		return err
 	}
-	_, err := s.sqldb.ExecContext(ctx, fmt.Sprintf("DELETE FROM %s", s.table))
+	_, err := s.db.Exec("DELETE FROM " + s.table)
 	return kv.WrapErr(s.name, "clear", "", err)
 }
 
 // Close implements kv.Store. The shared Database stays open; close it
 // separately when done.
 func (s *KVStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	for _, st := range []*sql.Stmt{s.get, s.put, s.del, s.contains} {
-		if st != nil {
-			_ = st.Close()
-		}
-	}
-	return s.sqldb.Close()
+	s.closed.Store(true)
+	return nil
 }
 
-// Exec implements kv.SQL.
+// Exec implements kv.SQL: one autocommitted statement. BEGIN, COMMIT and
+// ROLLBACK are refused, as by Database.Exec; a transaction needs a Session
+// (DB().NewSession()).
 func (s *KVStore) Exec(ctx context.Context, query string) (int, error) {
-	if err := s.check("x"); err != nil {
+	if err := s.enter(ctx, "exec"); err != nil {
 		return 0, err
 	}
-	res, err := s.sqldb.ExecContext(ctx, query)
-	if err != nil {
-		return 0, kv.WrapErr(s.name, "exec", "", err)
-	}
-	n, _ := res.RowsAffected()
-	return int(n), nil
+	n, err := s.db.Exec(query)
+	return n, kv.WrapErr(s.name, "exec", "", err)
 }
 
-// Query implements kv.SQL.
+// Query implements kv.SQL: one SELECT, each cell rendered by Value.String.
 func (s *KVStore) Query(ctx context.Context, query string) (*kv.Rows, error) {
-	if err := s.check("x"); err != nil {
+	if err := s.enter(ctx, "query"); err != nil {
 		return nil, err
 	}
-	res, err := s.sqldb.QueryContext(ctx, query)
+	res, err := s.db.Query(query)
 	if err != nil {
 		return nil, kv.WrapErr(s.name, "query", "", err)
 	}
-	defer res.Close()
-	cols, err := res.Columns()
-	if err != nil {
-		return nil, kv.WrapErr(s.name, "query", "", err)
-	}
-	rows := &kv.Rows{Columns: cols}
-	raw := make([]any, len(cols))
-	ptrs := make([]any, len(cols))
-	for i := range raw {
-		ptrs[i] = &raw[i]
-	}
-	for res.Next() {
-		if err := res.Scan(ptrs...); err != nil {
-			return nil, kv.WrapErr(s.name, "query", "", err)
-		}
-		out := make([]string, len(cols))
-		for i, v := range raw {
-			out[i] = renderSQLValue(v)
+	rows := &kv.Rows{Columns: res.Columns}
+	for _, row := range res.Rows {
+		out := make([]string, len(row))
+		for i, v := range row {
+			out[i] = v.String()
 		}
 		rows.Values = append(rows.Values, out)
 	}
-	if err := res.Err(); err != nil {
-		return nil, kv.WrapErr(s.name, "query", "", err)
-	}
 	return rows, nil
-}
-
-// renderSQLValue formats a scanned driver value the way Value.String did, so
-// kv.SQL output is unchanged across the database/sql migration.
-func renderSQLValue(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return ""
-	case int64:
-		return fmt.Sprintf("%d", x)
-	case float64:
-		return Float(x).String()
-	case bool:
-		return Bool(x).String()
-	case []byte:
-		return string(x)
-	case string:
-		return x
-	default:
-		return fmt.Sprintf("%v", x)
-	}
 }

@@ -3,7 +3,11 @@ package minisql
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,11 +195,11 @@ func TestKVStoreChaos(t *testing.T) {
 
 // TestAllocGuardKVStoreGetPut pins what one replica call of a quorum
 // operation allocates, all the way down: KVStore.Get and KVStore.Put on a
-// file database in the default commit mode, under a context with a deadline —
-// what kv/cluster's NodeTimeout hands every replica call, and what makes
-// database/sql arm its context watcher where a Background context would not.
-// The engine guards (TestAllocGuardFileCommit, TestPreparedExecutionAllocs)
-// stop at the session; the benchmark multiplies this figure by three.
+// file database in the default commit mode, under a context with a deadline,
+// as kv/cluster hands every replica call. The adapter adds no object of its
+// own: a Get is the engine's point select (TestPreparedExecutionAllocs' AST
+// ceiling), a Put its durable replace (TestAllocGuardFileCommit). The
+// benchmark multiplies this figure by three.
 func TestAllocGuardKVStoreGetPut(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -235,10 +239,216 @@ func TestAllocGuardKVStoreGetPut(t *testing.T) {
 		put()
 	}
 	get()
-	const wantGet, wantPut = 23, 9
+	const wantGet, wantPut = 7, 3
 	gotGet, gotPut := testing.AllocsPerRun(200, get), testing.AllocsPerRun(200, put)
 	t.Logf("%.0f allocs per KVStore.Get, %.0f per KVStore.Put", gotGet, gotPut)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
 	}
+}
+
+// TestKVStoreSQLRefusesTransactionControl: the kv.SQL statements are
+// autocommitted one-shots. A BEGIN that opened a transaction for the store
+// would take in the next Put, which would report success and be gone after a
+// reopen.
+func TestKVStoreSQLRefusesTransactionControl(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	open := func() (*Database, *KVStore) {
+		db, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewKVStore("sql", db, "kv_data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, st
+	}
+	db, st := open()
+	if _, err := st.Exec(ctx, "BEGIN"); err == nil {
+		t.Error(`Exec("BEGIN") = nil, want refused`)
+	}
+	if err := st.Put(ctx, "k", []byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	_ = st.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, st = open()
+	defer db.Close()
+	if got, err := st.Get(ctx, "k"); err != nil || string(got) != "acked" {
+		t.Fatalf("acknowledged Put after Exec(BEGIN), reopened: %q, %v", got, err)
+	}
+	for _, q := range []string{"BEGIN", "COMMIT", "ROLLBACK"} {
+		if _, err := st.Exec(ctx, q); err == nil {
+			t.Errorf("Exec(%q) = nil, want refused", q)
+		}
+		if _, err := st.Query(ctx, q); err == nil {
+			t.Errorf("Query(%q) = nil, want refused", q)
+		}
+	}
+}
+
+// TestKVStoreSharedStatements runs Get, Put, Contains and Delete from many
+// goroutines on one store while a PutMulti transaction is open beside them.
+// The point statements belong to one session shared by every caller; were it
+// ever to own a transaction, its callers would read the open batch's rows and
+// write into it. Readers must see none of the batch until it commits and all
+// of it after; every read of a writer's own key returns what it last
+// acknowledged. The store starts no goroutine.
+func TestKVStoreSharedStatements(t *testing.T) {
+	ctx := context.Background()
+	base := runtime.NumGoroutine()
+	db := OpenMemory()
+	defer db.Close()
+	st, err := NewKVStore("sql", db, "kv_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("NewKVStore started %d goroutines", n-base)
+	}
+
+	const readers, writers, writerKeys, batchKeys = 4, 4, 8, 1500
+	batch := make(map[string][]byte, batchKeys)
+	batchKey := func(j int) string { return fmt.Sprintf("batch-%04d", j) }
+	for j := 0; j < batchKeys; j++ {
+		batch[batchKey(j)] = []byte("batch value " + batchKey(j))
+	}
+	// Between two statements of the open batch the pager holds its dirty
+	// pages; an autocommitted statement never leaves any behind the write lock.
+	batchOpen := func() bool {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.pg.txActive()
+	}
+
+	var (
+		wg        sync.WaitGroup
+		committed atomic.Bool
+		started   sync.WaitGroup
+		duringTx  atomic.Int64
+	)
+	started.Add(readers + writers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ready := sync.OnceFunc(started.Done) // after one pass, or on an early return
+			defer ready()
+			seen := false
+			for pass := 0; ; pass++ {
+				if pass == 1 {
+					ready()
+				}
+				done := committed.Load()
+				for j := r; j < batchKeys; j += readers {
+					k := batchKey(j)
+					open := batchOpen()
+					v, err := st.Get(ctx, k)
+					has, cerr := st.Contains(ctx, k)
+					stillOpen := open && batchOpen()
+					switch {
+					case cerr != nil:
+						t.Errorf("Contains(%s): %v", k, cerr)
+						return
+					case errors.Is(err, kv.ErrNotFound):
+						if seen {
+							t.Errorf("%s: absent after the batch was seen", k)
+							return
+						}
+						if stillOpen {
+							if has {
+								t.Errorf("%s: Contains while its batch was open", k)
+								return
+							}
+							duringTx.Add(1)
+						}
+						seen = has // the batch committed between the two calls
+					case err != nil:
+						t.Errorf("Get(%s): %v", k, err)
+						return
+					default:
+						if stillOpen {
+							t.Errorf("%s read while its batch was open", k)
+							return
+						}
+						if !bytes.Equal(v, batch[k]) || !has {
+							t.Errorf("%s = %q (Contains %v), want the batch's value", k, v, has)
+							return
+						}
+						seen = true
+					}
+				}
+				if done {
+					if !seen {
+						t.Errorf("reader %d saw none of the committed batch", r)
+					}
+					return
+				}
+			}
+		}(r)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ready := sync.OnceFunc(started.Done)
+			defer ready()
+			for round := 0; ; round++ {
+				if round == 1 {
+					ready()
+				}
+				done := committed.Load()
+				for i := 0; i < writerKeys; i++ {
+					k := fmt.Sprintf("writer-%d-%d", w, i)
+					want := []byte(fmt.Sprintf("%s round %d", k, round))
+					if err := st.Put(ctx, k, want); err != nil {
+						t.Errorf("Put(%s): %v", k, err)
+						return
+					}
+					if got, err := st.Get(ctx, k); err != nil || !bytes.Equal(got, want) {
+						t.Errorf("Get(%s) after its Put = %q, %v; want %q", k, got, err, want)
+						return
+					}
+					if (round+i)%3 != 0 {
+						continue
+					}
+					if err := st.Delete(ctx, k); err != nil {
+						t.Errorf("Delete(%s): %v", k, err)
+						return
+					}
+					if has, err := st.Contains(ctx, k); err != nil || has {
+						t.Errorf("Contains(%s) after its Delete = %v, %v", k, has, err)
+						return
+					}
+				}
+				if done {
+					return
+				}
+			}
+		}(w)
+	}
+	started.Wait()
+	if err := st.PutMulti(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	committed.Store(true)
+	wg.Wait()
+	if duringTx.Load() == 0 {
+		t.Error("no read ran while the batch was open")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The workers have called Done; give them time to exit.
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines more after Close than before NewKVStore", n-base)
+	}
+	t.Logf("%d batch reads while the batch was open", duringTx.Load())
 }

@@ -78,9 +78,9 @@ type SQLStore struct {
 }
 
 // OpenSQLStore opens (creating if needed) a minisql-backed store. The
-// returned store owns the database and closes it with the store. Both the
-// key-value adapter and the native interface run through the registered
-// "minisql" database/sql driver.
+// returned store owns the database and closes it with the store. The
+// key-value adapter runs statements parsed once on the engine (see
+// minisql.KVStore); the native interface runs autocommitted statements.
 func OpenSQLStore(name string, opts SQLStoreOptions) (*SQLStore, error) {
 	if opts.Table == "" {
 		opts.Table = "kv_data"
