@@ -45,8 +45,10 @@ cover:
 # (internal/minisql/fuzz_test.go, params_test.go), and the storage engine's
 # page decoder + B-tree operations (internal/minisql/storage_fuzz_test.go),
 # the one-shot gzip encoder against the stdlib reader
-# (internal/pack/oneshot_test.go), and the cloudsim path parser against the
-# strings.Split implementation it replaced (internal/cloudsim/hotpath_test.go).
+# (internal/pack/oneshot_test.go), the cloudsim path parser against the
+# strings.Split implementation it replaced (internal/cloudsim/hotpath_test.go),
+# and the cloudsim client's response head reader against http.ReadResponse
+# (internal/cloudsim/conn_test.go).
 # The one list of targets: CI runs it with FUZZTIME=30s.
 FUZZTIME ?= 10s
 fuzz:
@@ -57,6 +59,7 @@ fuzz:
 	go test ./internal/minisql -run='^$$' -fuzz=FuzzBTreeOps -fuzztime=$(FUZZTIME)
 	go test ./internal/pack -run='^$$' -fuzz=FuzzOneShotRoundTrip -fuzztime=$(FUZZTIME)
 	go test ./internal/cloudsim -run='^$$' -fuzz=FuzzParsePath -fuzztime=$(FUZZTIME)
+	go test ./internal/cloudsim -run='^$$' -fuzz=FuzzReadResponseHead -fuzztime=$(FUZZTIME)
 
 # The chaos conformance suite at aggressive settings: 4x the operations,
 # doubled fault rates, race detector on — every store must still pass.
@@ -111,10 +114,15 @@ fence:
 # (flushed; its ctx ending after the flush, during it, or while a write is
 # parked; a write cut past the batch's deadline; a batch already past it), and
 # the retry after a server restart (DESIGN.md "Buffer ownership for the *To
-# APIs", "Distributed cluster tier", "Network hot path").
+# APIs", "Distributed cluster tier", "Network hot path"); and the cloudsim
+# client's connection pool: which requests go out again after a lost
+# connection, a ctx cutting a body read, the header timeout against a silent
+# server, a reset connection, a coalesced caller giving up, and sockets
+# draining after wire faults (DESIGN.md "HTTP hot path").
 reuse:
 	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestRoundContext|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode' ./kv/cluster)
 	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/(Idle|Leader)' ./internal/miniredis)
+	$(call run-named,-race -count=20 -run 'TestConnectionLossReplay|TestCtxCancelAbortsBodyRead|TestResponseHeaderTimeoutCutsSilentServer|TestServerFaultInjection/ConnectionReset|TestCoalescePerCallerCancel|TestCoalesceChaosConnHygiene' ./internal/cloudsim)
 
 # The delta chain as a store: every inner write of a scripted history failed
 # before and after it applied (the key reads as the last acknowledged value or

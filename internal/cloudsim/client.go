@@ -1,7 +1,6 @@
 package cloudsim
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,21 +16,19 @@ import (
 	"edsc/monitor"
 )
 
-// Options tunes the client's HTTP transport and request-coalescing layer.
-// The zero value gives sensible defaults. All timeouts live on the
-// transport, scoped to one connection phase each (dial, TLS handshake,
-// waiting for response headers) — there is deliberately no whole-request
-// http.Client.Timeout, so the caller's context alone governs how long an
-// operation may run. A blanket timeout silently caps every op regardless of
-// the caller's deadline and kills slow large-object body reads mid-stream;
-// phase timeouts catch a dead peer without constraining a healthy transfer.
+// Options tunes the client's connections and request-coalescing layer. The
+// zero value gives sensible defaults. Each timeout bounds one phase of an
+// exchange (the dial, the wait for the response head) — there is
+// deliberately no whole-request timeout, so the caller's context alone
+// governs how long an operation may run. A blanket timeout silently caps
+// every op regardless of the caller's deadline and kills slow large-object
+// body reads mid-stream; phase timeouts catch a dead peer without
+// constraining a healthy transfer.
 type Options struct {
 	// DialTimeout bounds establishing a TCP connection (default 5s).
 	DialTimeout time.Duration
-	// TLSHandshakeTimeout bounds the TLS handshake (default 5s).
-	TLSHandshakeTimeout time.Duration
-	// ResponseHeaderTimeout bounds the wait from request written to first
-	// response header (default 30s; <0 disables). Body transfer time is
+	// ResponseHeaderTimeout bounds the wait from request written to the end
+	// of the response head (default 30s; <0 disables). Body transfer time is
 	// intentionally not covered — only ctx bounds it.
 	ResponseHeaderTimeout time.Duration
 	// IdleConnTimeout is how long an idle pooled connection is kept
@@ -42,9 +39,6 @@ type Options struct {
 	// MaxIdleConnsPerHost sizes the idle pool (default 64 — the server is
 	// one host, so this is effectively the pool size).
 	MaxIdleConnsPerHost int
-	// MaxConnsPerHost caps total connections per host, dialing included
-	// (default 0 = unlimited).
-	MaxConnsPerHost int
 	// DisableKeepAlives forces a fresh connection per request — the naive
 	// per-op baseline the throughput experiment measures against.
 	DisableKeepAlives bool
@@ -64,9 +58,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.TLSHandshakeTimeout == 0 {
-		o.TLSHandshakeTimeout = 5 * time.Second
 	}
 	if o.ResponseHeaderTimeout == 0 {
 		o.ResponseHeaderTimeout = 30 * time.Second
@@ -98,22 +89,14 @@ func (o Options) withDefaults() Options {
 type Client struct {
 	name   string
 	bucket string
-	// The server URL is parsed once: scheme and host, and the unescaped and
-	// escaped forms of the "/v1/<bucket>/" every request path begins with.
-	// A base URL that does not parse fails each request with baseErr.
-	scheme, host    string
-	prefix, escaped string
-	baseErr         error
-	// tr is called directly. An http.Client in front of it would clone the
-	// header and set up redirect bookkeeping on every call, for redirects
-	// the protocol does not have (a 3xx surfaces as "unexpected status").
-	tr     *http.Transport
-	coal   *getCoalescer // non-nil when Options.Coalesce is set
-	closed atomic.Bool
-
-	// openConns tracks live TCP connections dialed by this client's
-	// transport, so hygiene tests can assert sockets drain after faults.
-	openConns atomic.Int64
+	// The server's host and the escaped "/v1/<bucket>/" every request path
+	// begins with, parsed once. A base URL that does not parse, or is not
+	// plain http, fails each request with baseErr.
+	host, escaped string
+	baseErr       error
+	pool          pool          // the client's connections (conn.go)
+	coal          *getCoalescer // non-nil when Options.Coalesce is set
+	closed        atomic.Bool
 }
 
 var (
@@ -130,39 +113,25 @@ func NewClient(name, baseURL, bucket string) *Client {
 	return NewClientWith(name, baseURL, bucket, Options{})
 }
 
-// NewClientWith is NewClient with explicit transport/coalescing Options.
+// NewClientWith is NewClient with explicit connection/coalescing Options.
 func NewClientWith(name, baseURL, bucket string, opts Options) *Client {
 	opts = opts.withDefaults()
 	c := &Client{name: name, bucket: bucket}
-	if u, err := url.Parse(baseURL); err != nil {
+	u, err := url.Parse(baseURL)
+	switch {
+	case err != nil:
 		c.baseErr = err
-	} else {
-		c.scheme, c.host = u.Scheme, u.Host
-		c.prefix = u.Path + "/v1/" + bucket + "/"
+	case u.Scheme != "http":
+		c.baseErr = fmt.Errorf("cloudsim: base URL %q: scheme %q is not supported, only http", baseURL, u.Scheme)
+	default:
+		c.host = u.Host
 		c.escaped = u.EscapedPath() + "/v1/" + url.PathEscape(bucket) + "/"
+		c.pool.addr = u.Host
+		if u.Port() == "" {
+			c.pool.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
 	}
-	dialer := &net.Dialer{Timeout: opts.DialTimeout, KeepAlive: opts.KeepAlive}
-	c.tr = &http.Transport{
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			conn, err := dialer.DialContext(ctx, network, addr)
-			if err != nil {
-				return nil, err
-			}
-			c.openConns.Add(1)
-			cc := &countedConn{Conn: conn, open: &c.openConns}
-			return cc, nil
-		},
-		TLSHandshakeTimeout:   opts.TLSHandshakeTimeout,
-		ResponseHeaderTimeout: opts.ResponseHeaderTimeout,
-		IdleConnTimeout:       opts.IdleConnTimeout,
-		MaxIdleConns:          4 * opts.MaxIdleConnsPerHost,
-		MaxIdleConnsPerHost:   opts.MaxIdleConnsPerHost,
-		MaxConnsPerHost:       opts.MaxConnsPerHost,
-		DisableKeepAlives:     opts.DisableKeepAlives,
-		// The server never encodes and dscl has already compressed the
-		// values; without this every request advertises gzip.
-		DisableCompression: true,
-	}
+	c.pool.opts = opts
 	if opts.Coalesce {
 		c.coal = newGetCoalescer(c, opts)
 	}
@@ -170,22 +139,7 @@ func NewClientWith(name, baseURL, bucket string, opts Options) *Client {
 }
 
 // OpenConns reports the client's live TCP connections (idle + in use).
-func (c *Client) OpenConns() int64 { return c.openConns.Load() }
-
-// countedConn decrements the owner's open-connection gauge exactly once on
-// Close (the transport may close a connection from more than one path).
-type countedConn struct {
-	net.Conn
-	open   *atomic.Int64
-	closed atomic.Bool
-}
-
-func (cc *countedConn) Close() error {
-	if cc.closed.CompareAndSwap(false, true) {
-		cc.open.Add(-1)
-	}
-	return cc.Conn.Close()
-}
+func (c *Client) OpenConns() int64 { return c.pool.open.Load() }
 
 // Name implements kv.Store.
 func (c *Client) Name() string { return c.name }
@@ -216,78 +170,30 @@ type header struct{ name, value string }
 
 var jsonBody = header{"Content-Type", "application/json"}
 
-// call is what one request needs beyond the http.Request itself — the URL,
-// the body reader, the one-element header values — in one allocation.
-type call struct {
-	url      url.URL
-	body     bodyReader
-	rid, hdr [1]string
-}
-
-// bodyReader reads the caller's bytes as a request body.
-type bodyReader struct{ bytes.Reader }
-
-func (*bodyReader) Close() error { return nil }
-
 // do sends one request to the object key or, when key is empty, to the
-// bucket (query applies there). The request is assembled from parts, not
-// printed and parsed back, and handed to the transport directly.
-func (c *Client) do(ctx context.Context, method, key, query string, body []byte, h header) (*http.Response, error) {
+// bucket (query applies there), and reads the response head. The caller
+// reads the body from the returned connection and hands it back with
+// drainClose.
+func (c *Client) do(ctx context.Context, method, key, query string, body []byte, h header) (*conn, error) {
 	if c.baseErr != nil {
 		return nil, c.baseErr
 	}
-	cl := &call{url: url.URL{Scheme: c.scheme, Host: c.host, RawQuery: query}}
-	// The wire carries each segment path-escaped. RawPath says so only when
-	// escaping changed something; otherwise the URL prints Path as it is.
-	u := &cl.url
-	if key == "" {
-		u.Path, u.RawPath = c.prefix[:len(c.prefix)-1], c.escaped[:len(c.escaped)-1]
-	} else {
-		u.Path = c.prefix + key
-		if esc := url.PathEscape(key); esc != key || c.escaped != c.prefix {
-			u.RawPath = c.escaped + esc
-		}
-	}
-	hdr := make(http.Header, 2)
-	if h.value != "" {
-		cl.hdr[0] = h.value
-		hdr[h.name] = cl.hdr[:]
-	}
-	// Propagate the caller's request ID onto the wire so client-side
-	// traces and server-side logs line up, and leave one span per HTTP
-	// attempt (retries and hedges each show up individually).
-	if rid := monitor.RequestID(ctx); rid != "" {
-		cl.rid[0] = rid
-		hdr["X-Request-Id"] = cl.rid[:]
-	}
-	req := &http.Request{Method: method, URL: u, Header: hdr}
-	if len(body) > 0 {
-		cl.body.Reset(body)
-		req.Body, req.ContentLength = &cl.body, int64(len(body))
-		// A connection-loss replay rewinds the one reader over the caller's
-		// bytes instead of snapshotting a copy of the payload per attempt.
-		// The transport closes the previous body before asking for a new
-		// one, so sequential reuse is safe.
-		req.GetBody = func() (io.ReadCloser, error) {
-			cl.body.Reset(body)
-			return &cl.body, nil
-		}
-	}
 	start := time.Now()
-	resp, err := c.tr.RoundTrip(req.WithContext(ctx))
+	resp, err := c.exchange(ctx, method, key, query, body, h)
 	if !monitor.Tracing(ctx) {
 		return resp, err
 	}
-	// A 5xx or throttle answer is a failed attempt even though the
-	// transport delivered it; 304/404/412 are protocol outcomes, not
-	// faults (matching the server-side recorder's classification). The
-	// status code rides in the span op so a trace shows what came back.
+	// A 5xx or throttle answer is a failed attempt even though it arrived;
+	// 304/404/412 are protocol outcomes, not faults (matching the
+	// server-side recorder's classification). The status code rides in the
+	// span op so a trace shows what came back. There is one span per HTTP
+	// attempt: retries and hedges each show up individually.
 	var buf [64]byte
 	op := append(append(append(buf[:0], method...), ' '), c.bucket...)
 	failed := err != nil
 	if err == nil {
-		op = strconv.AppendInt(append(op, ' '), int64(resp.StatusCode), 10)
-		failed = resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
+		op = strconv.AppendInt(append(op, ' '), int64(resp.status), 10)
+		failed = resp.status >= 500 || resp.status == http.StatusTooManyRequests
 	}
 	monitor.AddSpan(ctx, "http", string(op), start, failed)
 	return resp, err
@@ -296,20 +202,17 @@ func (c *Client) do(ctx context.Context, method, key, query string, body []byte,
 // maxDrainBytes bounds how much of an unread response body drainClose will
 // consume to recycle the connection. Reuse saves one dial; draining an
 // arbitrarily large (or slowly dribbled) error body to earn it costs
-// unbounded time and bandwidth, so past the cap the body is closed unread
-// and the transport discards the connection instead.
+// unbounded time and bandwidth, so past the cap the connection is closed
+// instead.
 const maxDrainBytes = 256 << 10
 
-// drainClose releases the connection for reuse when the remaining body is
-// small, and abandons it (closing the connection) beyond maxDrainBytes.
-func drainClose(resp *http.Response) {
-	if resp.Body == http.NoBody { // a 304, a HEAD, an empty reply
-		return
+// drainClose ends the exchange on resp: the connection is reused when the
+// rest of the body is read within maxDrainBytes, and closed otherwise.
+func drainClose(resp *conn) {
+	if !resp.body.done {
+		_, _ = io.Copy(io.Discard, io.LimitReader(&resp.body, maxDrainBytes+1))
 	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes+1))
-	// If the limit was hit the body is not at EOF and Close discards the
-	// connection — exactly what we want for oversized bodies.
-	_ = resp.Body.Close()
+	resp.release()
 }
 
 // maxPresizedBody bounds how much the declared Content-Length is trusted for
@@ -340,32 +243,18 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 
 // GetVersioned implements kv.Versioned.
 func (c *Client) GetVersioned(ctx context.Context, key string) ([]byte, kv.Version, error) {
+	if c.coal == nil {
+		v, ver, _, err := c.GetIfModified(ctx, key, kv.NoVersion)
+		return v, ver, err
+	}
 	if err := c.check(ctx, key); err != nil {
 		return nil, kv.NoVersion, err
 	}
-	if c.coal != nil {
-		return c.coal.get(ctx, key)
-	}
-	resp, err := c.do(ctx, http.MethodGet, key, "", nil, header{})
-	if err != nil {
-		return nil, kv.NoVersion, kv.WrapErr(c.name, "get", key, err)
-	}
-	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		data, err := readBody(resp.Body, resp.ContentLength)
-		if err != nil {
-			return nil, kv.NoVersion, kv.WrapErr(c.name, "get", key, err)
-		}
-		return data, kv.Version(resp.Header.Get("ETag")), nil
-	case http.StatusNotFound:
-		return nil, kv.NoVersion, kv.ErrNotFound
-	default:
-		return nil, kv.NoVersion, kv.WrapErr(c.name, "get", key, fmt.Errorf("unexpected status %s", resp.Status))
-	}
+	return c.coal.get(ctx, key)
 }
 
-// GetIfModified implements kv.Versioned: an If-None-Match conditional GET.
+// GetIfModified implements kv.Versioned: an If-None-Match conditional GET,
+// or with kv.NoVersion an unconditional one.
 func (c *Client) GetIfModified(ctx context.Context, key string, since kv.Version) ([]byte, kv.Version, bool, error) {
 	if err := c.check(ctx, key); err != nil {
 		return nil, kv.NoVersion, false, err
@@ -375,19 +264,19 @@ func (c *Client) GetIfModified(ctx context.Context, key string, since kv.Version
 		return nil, kv.NoVersion, false, kv.WrapErr(c.name, "get", key, err)
 	}
 	defer drainClose(resp)
-	switch resp.StatusCode {
+	switch resp.status {
 	case http.StatusNotModified:
 		return nil, since, false, nil
 	case http.StatusOK:
-		data, err := readBody(resp.Body, resp.ContentLength)
+		data, err := readBody(&resp.body, resp.length)
 		if err != nil {
 			return nil, kv.NoVersion, false, kv.WrapErr(c.name, "get", key, err)
 		}
-		return data, kv.Version(resp.Header.Get("ETag")), true, nil
+		return data, resp.version(), true, nil
 	case http.StatusNotFound:
 		return nil, kv.NoVersion, false, kv.ErrNotFound
 	default:
-		return nil, kv.NoVersion, false, kv.WrapErr(c.name, "get", key, fmt.Errorf("unexpected status %s", resp.Status))
+		return nil, kv.NoVersion, false, kv.WrapErr(c.name, "get", key, resp.unexpected())
 	}
 }
 
@@ -399,43 +288,37 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) error {
 
 // PutVersioned implements kv.Versioned.
 func (c *Client) PutVersioned(ctx context.Context, key string, value []byte) (kv.Version, error) {
-	if err := c.check(ctx, key); err != nil {
-		return kv.NoVersion, err
-	}
-	resp, err := c.do(ctx, http.MethodPut, key, "", value, header{})
-	if err != nil {
-		return kv.NoVersion, kv.WrapErr(c.name, "put", key, err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusCreated {
-		return kv.NoVersion, kv.WrapErr(c.name, "put", key, fmt.Errorf("unexpected status %s", resp.Status))
-	}
-	return kv.Version(resp.Header.Get("ETag")), nil
+	return c.put(ctx, key, value, header{})
 }
 
 // PutIfVersion implements kv.CompareAndPut: the write succeeds only when
 // the stored ETag still equals since (If-Match), or — with kv.NoVersion —
 // only when the object does not exist yet (If-None-Match: *).
 func (c *Client) PutIfVersion(ctx context.Context, key string, value []byte, since kv.Version) (kv.Version, error) {
-	if err := c.check(ctx, key); err != nil {
-		return kv.NoVersion, err
-	}
 	cond := header{"If-None-Match", "*"}
 	if since != kv.NoVersion {
 		cond = header{"If-Match", string(since)}
+	}
+	return c.put(ctx, key, value, cond)
+}
+
+// put stores value under key if the condition cond states holds.
+func (c *Client) put(ctx context.Context, key string, value []byte, cond header) (kv.Version, error) {
+	if err := c.check(ctx, key); err != nil {
+		return kv.NoVersion, err
 	}
 	resp, err := c.do(ctx, http.MethodPut, key, "", value, cond)
 	if err != nil {
 		return kv.NoVersion, kv.WrapErr(c.name, "put", key, err)
 	}
 	defer drainClose(resp)
-	switch resp.StatusCode {
+	switch resp.status {
 	case http.StatusCreated:
-		return kv.Version(resp.Header.Get("ETag")), nil
+		return resp.version(), nil
 	case http.StatusPreconditionFailed:
 		return kv.NoVersion, kv.ErrVersionMismatch
 	default:
-		return kv.NoVersion, kv.WrapErr(c.name, "put", key, fmt.Errorf("unexpected status %s", resp.Status))
+		return kv.NoVersion, kv.WrapErr(c.name, "put", key, resp.unexpected())
 	}
 }
 
@@ -479,24 +362,8 @@ func (c *Client) GetMultiVersioned(ctx context.Context, keys []string) (map[stri
 // returned unwrapped so each caller (GetMultiVersioned, the coalescer's
 // per-key waiters) can attribute them to its own op and key.
 func (c *Client) bulkGet(ctx context.Context, keys []string) (map[string]kv.VersionedValue, error) {
-	body, err := json.Marshal(keys)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(ctx, http.MethodPost, "", "batch=get", body, jsonBody)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("unexpected status %s", resp.Status)
-	}
-	var objs []struct {
-		Key   string `json:"key"`
-		Value []byte `json:"value"`
-		ETag  string `json:"etag"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&objs); err != nil {
+	var objs []batchObject
+	if err := c.bucketJSON(ctx, http.MethodPost, "batch=get", keys, &objs); err != nil {
 		return nil, err
 	}
 	out := make(map[string]kv.VersionedValue, len(objs))
@@ -504,6 +371,29 @@ func (c *Client) bulkGet(ctx context.Context, keys []string) (map[string]kv.Vers
 		out[o.Key] = kv.VersionedValue{Value: o.Value, Version: kv.Version(o.ETag)}
 	}
 	return out, nil
+}
+
+// bucketJSON runs one request on the bucket, with in (when not nil) as its
+// JSON body, and decodes the 200 answer's JSON body into out.
+func (c *Client) bucketJSON(ctx context.Context, method, query string, in, out any) error {
+	var body []byte
+	h := header{}
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+		h = jsonBody
+	}
+	resp, err := c.do(ctx, method, "", query, body, h)
+	if err != nil {
+		return err
+	}
+	defer drainClose(resp)
+	if resp.status != http.StatusOK {
+		return resp.unexpected()
+	}
+	return json.NewDecoder(&resp.body).Decode(out)
 }
 
 // PutMulti implements kv.Batch: one bulk request writes every pair.
@@ -522,32 +412,15 @@ func (c *Client) PutMultiVersioned(ctx context.Context, pairs map[string][]byte)
 	if len(pairs) == 0 {
 		return out, nil
 	}
-	type wireObject struct {
-		Key   string `json:"key"`
-		Value []byte `json:"value"`
-		ETag  string `json:"etag,omitempty"`
-	}
-	objs := make([]wireObject, 0, len(pairs))
+	objs := make([]batchObject, 0, len(pairs))
 	for k, v := range pairs {
 		if err := kv.CheckKey(k); err != nil {
 			return nil, err
 		}
-		objs = append(objs, wireObject{Key: k, Value: v})
+		objs = append(objs, batchObject{Key: k, Value: v})
 	}
-	body, err := json.Marshal(objs)
-	if err != nil {
-		return nil, kv.WrapErr(c.name, "batch_put", "", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "", "batch=put", body, jsonBody)
-	if err != nil {
-		return nil, kv.WrapErr(c.name, "batch_put", "", err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, kv.WrapErr(c.name, "batch_put", "", fmt.Errorf("unexpected status %s", resp.Status))
-	}
-	var results []wireObject
-	if err := json.NewDecoder(resp.Body).Decode(&results); err != nil {
+	var results []batchObject
+	if err := c.bucketJSON(ctx, http.MethodPost, "batch=put", objs, &results); err != nil {
 		return nil, kv.WrapErr(c.name, "batch_put", "", err)
 	}
 	for _, o := range results {
@@ -561,19 +434,11 @@ func (c *Client) Delete(ctx context.Context, key string) error {
 	if err := c.check(ctx, key); err != nil {
 		return err
 	}
-	resp, err := c.do(ctx, http.MethodDelete, key, "", nil, header{})
-	if err != nil {
-		return kv.WrapErr(c.name, "delete", key, err)
+	found, err := c.exists(ctx, http.MethodDelete, key, "delete", http.StatusNoContent)
+	if err == nil && !found {
+		err = kv.ErrNotFound
 	}
-	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil
-	case http.StatusNotFound:
-		return kv.ErrNotFound
-	default:
-		return kv.WrapErr(c.name, "delete", key, fmt.Errorf("unexpected status %s", resp.Status))
-	}
+	return err
 }
 
 // Contains implements kv.Store.
@@ -581,19 +446,24 @@ func (c *Client) Contains(ctx context.Context, key string) (bool, error) {
 	if err := c.check(ctx, key); err != nil {
 		return false, err
 	}
-	resp, err := c.do(ctx, http.MethodHead, key, "", nil, header{})
+	return c.exists(ctx, http.MethodHead, key, "contains", http.StatusOK)
+}
+
+// exists runs a request on key (on the bucket when key is empty) whose
+// answer has no body to read: ok means done, 404 that key was not there.
+func (c *Client) exists(ctx context.Context, method, key, op string, ok int) (bool, error) {
+	resp, err := c.do(ctx, method, key, "", nil, header{})
 	if err != nil {
-		return false, kv.WrapErr(c.name, "contains", key, err)
+		return false, kv.WrapErr(c.name, op, key, err)
 	}
 	defer drainClose(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
+	switch {
+	case resp.status == ok:
 		return true, nil
-	case http.StatusNotFound:
+	case resp.status == http.StatusNotFound && key != "":
 		return false, nil
-	default:
-		return false, kv.WrapErr(c.name, "contains", key, fmt.Errorf("unexpected status %s", resp.Status))
 	}
+	return false, kv.WrapErr(c.name, op, key, resp.unexpected())
 }
 
 // Keys implements kv.Store.
@@ -611,16 +481,8 @@ func (c *Client) KeysWithPrefix(ctx context.Context, prefix string) ([]string, e
 	if prefix != "" {
 		query = "prefix=" + url.QueryEscape(prefix)
 	}
-	resp, err := c.do(ctx, http.MethodGet, "", query, nil, header{})
-	if err != nil {
-		return nil, kv.WrapErr(c.name, "keys", "", err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, kv.WrapErr(c.name, "keys", "", fmt.Errorf("unexpected status %s", resp.Status))
-	}
 	var keys []string
-	if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
+	if err := c.bucketJSON(ctx, http.MethodGet, query, nil, &keys); err != nil {
 		return nil, kv.WrapErr(c.name, "keys", "", err)
 	}
 	return keys, nil
@@ -640,21 +502,14 @@ func (c *Client) Clear(ctx context.Context) error {
 	if err := c.checkCtx(ctx); err != nil {
 		return err
 	}
-	resp, err := c.do(ctx, http.MethodDelete, "", "", nil, header{})
-	if err != nil {
-		return kv.WrapErr(c.name, "clear", "", err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusNoContent {
-		return kv.WrapErr(c.name, "clear", "", fmt.Errorf("unexpected status %s", resp.Status))
-	}
-	return nil
+	_, err := c.exists(ctx, http.MethodDelete, "", "clear", http.StatusNoContent)
+	return err
 }
 
 // Close implements kv.Store.
 func (c *Client) Close() error {
 	if !c.closed.Swap(true) {
-		c.tr.CloseIdleConnections()
+		c.pool.close()
 	}
 	return nil
 }

@@ -179,19 +179,19 @@ func TestInjectedLatencyObservable(t *testing.T) {
 
 func TestBadPaths(t *testing.T) {
 	s := startServer(t, LocalProfile("cloud"))
-	c := NewClient("cloud", s.Addr(), "b")
-	defer c.Close()
 	// Root and /v1 are invalid paths; the client never produces them, so
 	// poke the server directly.
 	req, err := http.NewRequest(http.MethodGet, s.Addr()+"/other", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.tr.RoundTrip(req)
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	resp, err := tr.RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainClose(resp)
+	_ = resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
@@ -419,7 +419,7 @@ func TestServerFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer drainClose(resp)
-		if _, err := io.ReadFull(resp.Body, make([]byte, 512)); err != nil {
+		if _, err := io.ReadFull(&resp.body, make([]byte, 512)); err != nil {
 			t.Fatal(err)
 		}
 		if first := time.Since(start); first > 100*time.Millisecond {

@@ -25,10 +25,13 @@ import (
 
 // TestAllocGuardConditionalGet pins one traced round trip against an
 // in-process server, both ends together (AllocsPerRun counts the whole
-// process, so the server's goroutine is included). What is left is
-// net/http's: reading the response header, the persistent connection's
-// round trip and its header timer, the server's per-request context. The
-// parent paid 95 for the 304 and 115 for the PUT.
+// process, so the server's goroutine is included). Nearly all of it is the
+// server's net/http: reading the request head, the per-request contexts, the
+// response header clone; on a PUT also the stored copy of the body and its
+// ETag. The client adds the trace's span op and, on a PUT, the ETag string
+// it returns; its connection, request bytes and response head cost nothing.
+// A raw-socket client against the same server measured 25 and 30 (the PUT
+// untraced); through net/http's transport the exchange took 68 and 81.
 func TestAllocGuardConditionalGet(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -59,11 +62,11 @@ func TestAllocGuardConditionalGet(t *testing.T) {
 			t.Fatalf("PutVersioned = %q, %v", v, err)
 		}
 	}
-	for i := 0; i < 10; i++ { // dial, warm the transport's and the server's pools
+	for i := 0; i < 10; i++ { // dial, warm the client's and the server's pools
 		revalidate()
 		put()
 	}
-	const getBudget, putBudget = 76, 100
+	const getBudget, putBudget = 27, 34
 	if allocs := testing.AllocsPerRun(2000, revalidate); allocs > getBudget {
 		t.Errorf("304 revalidation round trip allocated %.0f times, budget %d", allocs, getBudget)
 	} else {

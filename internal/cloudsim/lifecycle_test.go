@@ -8,28 +8,13 @@ package cloudsim
 import (
 	"context"
 	"errors"
-	"io"
-	"net/http"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"edsc/monitor"
 )
-
-// TestNoBlanketClientTimeout pins the shape of the fix directly: op
-// deadlines belong to the caller's context, so nothing may carry a
-// whole-request timeout — the client holds the Transport itself, with no
-// http.Client (and so no Client.Timeout) in front — and the phase timeouts
-// live on that Transport.
-func TestNoBlanketClientTimeout(t *testing.T) {
-	c := NewClient("cloud", "http://127.0.0.1:0", "b")
-	defer c.Close()
-	tr := c.tr // an *http.Transport, by its declared type
-	if tr.ResponseHeaderTimeout <= 0 || tr.TLSHandshakeTimeout <= 0 {
-		t.Fatalf("phase timeouts missing: header=%v tls=%v", tr.ResponseHeaderTimeout, tr.TLSHandshakeTimeout)
-	}
-}
 
 // TestSlowBodyOutlivesPhaseTimeouts: a healthy-but-slow body transfer must
 // complete as long as the caller's ctx allows it, even when it takes far
@@ -40,7 +25,6 @@ func TestSlowBodyOutlivesPhaseTimeouts(t *testing.T) {
 	c := NewClientWith("cloud", s.Addr(), "b", Options{
 		ResponseHeaderTimeout: 75 * time.Millisecond,
 		DialTimeout:           75 * time.Millisecond,
-		TLSHandshakeTimeout:   75 * time.Millisecond,
 	})
 	defer c.Close()
 	ctx := context.Background()
@@ -99,15 +83,24 @@ func TestCtxCancelAbortsBodyRead(t *testing.T) {
 type endlessBody struct{ n int64 }
 
 func (b *endlessBody) Read(p []byte) (int, error) { b.n += int64(len(p)); return len(p), nil }
-func (b *endlessBody) Close() error               { return nil }
 
 // TestDrainCloseCapped: drainClose must read at most maxDrainBytes+1 of an
-// oversized body, not drain it to EOF.
+// oversized body, not drain it to EOF, and then close the connection rather
+// than pool it.
 func TestDrainCloseCapped(t *testing.T) {
-	body := &endlessBody{}
-	drainClose(&http.Response{Body: body})
-	if body.n > maxDrainBytes+(64<<10) {
-		t.Fatalf("drainClose read %d bytes of an endless body, want ≤ ~%d", body.n, maxDrainBytes)
+	end, peer := net.Pipe()
+	defer peer.Close()
+	p := &pool{opts: Options{MaxIdleConnsPerHost: 1}}
+	p.open.Add(1)
+	src := &endlessBody{}
+	cn := &conn{p: p, nc: end, reuse: true}
+	cn.body = body{cn: cn, chunked: src}
+	drainClose(cn)
+	if src.n > maxDrainBytes+(64<<10) {
+		t.Fatalf("drainClose read %d bytes of an endless body, want ≤ ~%d", src.n, maxDrainBytes)
+	}
+	if n := p.open.Load(); n != 0 || len(p.idle) != 0 {
+		t.Fatalf("after a capped drain: %d open, %d idle; want the connection closed", n, len(p.idle))
 	}
 }
 
@@ -181,7 +174,7 @@ func drainConns(t *testing.T, c *Client) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c.tr.CloseIdleConnections()
+		c.pool.close()
 		if n := c.OpenConns(); n == 0 {
 			return
 		} else if time.Now().After(deadline) {
@@ -190,5 +183,3 @@ func drainConns(t *testing.T, c *Client) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
-
-var _ io.ReadCloser = (*endlessBody)(nil)

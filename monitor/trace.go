@@ -58,14 +58,18 @@ func (r *requestID) String() string {
 
 // formatRequestID renders fmt.Sprintf("%s-%06d", ridPrefix, seq).
 func formatRequestID(seq uint64) string {
+	var buf [32]byte // prefix (8 hex digits, or "req"), '-', at most 20 digits: built on the stack
+	return string(appendRequestID(buf[:0], seq))
+}
+
+func appendRequestID(dst []byte, seq uint64) []byte {
 	var num [20]byte
 	digits := strconv.AppendUint(num[:0], seq, 10)
-	var buf [32]byte // prefix (8 hex digits, or "req"), '-', at most 20 digits: built on the stack
-	b := append(append(buf[:0], ridPrefix...), '-')
+	dst = append(append(dst, ridPrefix...), '-')
 	for i := len(digits); i < 6; i++ {
-		b = append(b, '0')
+		dst = append(dst, '0')
 	}
-	return string(append(b, digits...))
+	return append(dst, digits...)
 }
 
 // reqCtx is a request's identity and the context that carries it, one
@@ -127,6 +131,20 @@ func RequestID(ctx context.Context) string {
 		return c.rid.String()
 	}
 	return ""
+}
+
+// AppendRequestID appends the request ID ctx carries to dst, and returns dst
+// unchanged when it carries none. An ID not yet printed is formatted into
+// dst, not into a string.
+func AppendRequestID(dst []byte, ctx context.Context) []byte {
+	c := requestOf(ctx)
+	if c == nil {
+		return dst
+	}
+	if s := c.rid.str.Load(); s != nil {
+		return append(dst, *s...)
+	}
+	return appendRequestID(dst, c.rid.seq)
 }
 
 // Span is one timed step inside a trace: which layer did what, starting at

@@ -143,6 +143,16 @@ func TestRequestIDFormat(t *testing.T) {
 	if !inOrder || RequestID(ctxA) != idA {
 		t.Fatalf("IDs %q, %q: want creation order, stable across reads", idA, idB)
 	}
+	// AppendRequestID writes the same bytes before the ID is first printed
+	// and after, and nothing for a context without one.
+	ctxC := EnsureRequestID(context.Background())
+	fresh := string(AppendRequestID([]byte("id="), ctxC))
+	if id := RequestID(ctxC); fresh != "id="+id || string(AppendRequestID(nil, ctxC)) != id {
+		t.Fatalf("AppendRequestID = %q, then %q; RequestID %q", fresh, AppendRequestID(nil, ctxC), id)
+	}
+	if got := AppendRequestID([]byte("x"), context.Background()); string(got) != "x" {
+		t.Fatalf("AppendRequestID without an ID = %q, want the buffer unchanged", got)
+	}
 }
 
 // TestTraceAdoptsOuterRequestID: a request tagged before the trace starts

@@ -178,12 +178,12 @@ func OpenCloudStore(name, baseURL, bucket string) kv.Store {
 	return cloudsim.NewClient(name, baseURL, bucket)
 }
 
-// CloudOptions tunes the cloud client's HTTP transport (phase timeouts,
-// keep-alive pool) and GET-coalescing layer. The zero value gives the same
-// defaults as OpenCloudStore.
+// CloudOptions tunes the cloud client's connections (phase timeouts, the
+// keep-alive pool of its own HTTP/1.1 client) and GET-coalescing layer. The
+// zero value gives the same defaults as OpenCloudStore.
 type CloudOptions = cloudsim.Options
 
-// OpenCloudStoreWith is OpenCloudStore with explicit transport and
+// OpenCloudStoreWith is OpenCloudStore with explicit connection and
 // coalescing options — e.g. CloudOptions{Coalesce: true} merges concurrent
 // single-key reads into bulk round trips.
 func OpenCloudStoreWith(name, baseURL, bucket string, opts CloudOptions) kv.Store {
