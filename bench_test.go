@@ -24,7 +24,6 @@ import (
 	"edsc/internal/benchkit"
 	"edsc/internal/cache"
 	"edsc/internal/delta"
-	"edsc/internal/miniredis"
 	"edsc/internal/minisql"
 	"edsc/internal/pack"
 	"edsc/internal/secure"
@@ -391,43 +390,6 @@ func BenchmarkAblationCompressThreshold(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationPipeline compares N request/response round trips against
-// one pipelined batch of N on the miniredis client.
-func BenchmarkAblationPipeline(b *testing.B) {
-	srv := miniredis.NewServer(miniredis.ServerConfig{})
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := miniredis.NewClient(srv.Addr())
-	defer client.Close()
-	ctx := context.Background()
-	const batch = 16
-	val := bytes.Repeat([]byte("v"), 64)
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				if err := client.Set(ctx, fmt.Sprintf("k%d", j), val, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		cmds := make([][][]byte, batch)
-		for j := range cmds {
-			cmds[j] = [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", j)), val}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.DoPipeline(ctx, cmds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationBatch compares a sequential per-key loop against one

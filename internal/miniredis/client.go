@@ -1,7 +1,6 @@
 package miniredis
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -62,7 +61,8 @@ var ErrClientClosed = errors.New("miniredis: client is closed")
 // ErrAmbiguousExchange reports a connection that died after non-idempotent
 // commands were sent but before any reply arrived: the server may or may
 // not have executed them, so the client must not replay automatically (a
-// replayed INCR would double-increment). Callers that know how to resolve
+// replayed DEL would answer 0, which the kv.Store adapter reports as
+// kv.ErrNotFound, for a key it deleted). Callers that know how to resolve
 // the ambiguity — e.g. a version-checked write, or a retry policy the
 // application opted into — may retry; the exchange itself is retryable,
 // just not blindly replayable.
@@ -127,9 +127,9 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Do executes one command and returns the raw reply. Server error replies
+// do executes one command and returns the raw reply. Server error replies
 // are returned as ServerError.
-func (c *Client) Do(ctx context.Context, args ...[]byte) (resp.Value, error) {
+func (c *Client) do(ctx context.Context, args ...[]byte) (resp.Value, error) {
 	cl := newCall(args)
 	if err := c.roundTrip(ctx, cl); err != nil {
 		return resp.Value{}, err
@@ -139,13 +139,12 @@ func (c *Client) Do(ctx context.Context, args ...[]byte) (resp.Value, error) {
 	return v, nil
 }
 
-// DoPipeline sends several commands on one connection before reading any
+// doPipeline sends several commands on one connection before reading any
 // reply, saving round trips (the optimization BenchmarkAblationPipeline
 // measures). Server error replies appear in the result slice, not as err.
 // The pipeline shares a socket with every other caller, but no command of
-// another caller lands between its commands. A MULTI it sends must be closed
-// by an EXEC or DISCARD it also sends.
-func (c *Client) DoPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value, error) {
+// another caller lands between its commands.
+func (c *Client) doPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value, error) {
 	if len(cmds) == 0 {
 		return nil, nil
 	}
@@ -158,29 +157,6 @@ func (c *Client) DoPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value,
 	return out, nil
 }
 
-// errOpenMulti refuses an exchange that would leave its connection inside a
-// transaction: MULTI state belongs to the connection, which other callers
-// share, so their commands would be queued instead of run.
-var errOpenMulti = errors.New("miniredis: a MULTI must be closed by EXEC or DISCARD in the same exchange")
-
-// leavesMulti reports whether cmds' last MULTI is not followed by an EXEC or
-// a DISCARD.
-func leavesMulti(cmds [][][]byte) bool {
-	open := false
-	for _, cmd := range cmds {
-		if len(cmd) == 0 {
-			continue
-		}
-		switch {
-		case bytes.EqualFold(cmd[0], cmdMulti):
-			open = true
-		case bytes.EqualFold(cmd[0], cmdExec), bytes.EqualFold(cmd[0], cmdDiscard):
-			open = false
-		}
-	}
-	return open
-}
-
 // roundTrip runs one exchange, leaving the replies in cl.replies, with an
 // idempotency-gated retry: a failure where the commands never reached the
 // wire is always retried; a failure after they were written is replayed only
@@ -188,10 +164,6 @@ func leavesMulti(cmds [][][]byte) bool {
 // ErrAmbiguousExchange otherwise. On error it has disposed of cl (see call
 // for who may recycle).
 func (c *Client) roundTrip(ctx context.Context, cl *call) error {
-	if leavesMulti(cl.cmds) {
-		cl.release()
-		return errOpenMulti
-	}
 	for attempt, slot := 0, -1; ; attempt++ {
 		m, i, err := c.mux.pick(ctx, slot)
 		if err != nil {
@@ -228,13 +200,13 @@ func (c *Client) roundTrip(ctx context.Context, cl *call) error {
 	}
 }
 
-// doStr is Do with string arguments.
+// doStr is do with string arguments.
 func (c *Client) doStr(ctx context.Context, args ...string) (resp.Value, error) {
 	bs := make([][]byte, len(args))
 	for i, a := range args {
 		bs[i] = []byte(a)
 	}
-	return c.Do(ctx, bs...)
+	return c.do(ctx, bs...)
 }
 
 // asErr converts an error reply into a Go error.
@@ -267,7 +239,7 @@ func keyArg(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len
 
 // Get fetches key; found reports presence.
 func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, err error) {
-	v, err := c.Do(ctx, cmdGet, keyArg(key))
+	v, err := c.do(ctx, cmdGet, keyArg(key))
 	if err != nil {
 		return nil, false, err
 	}
@@ -284,7 +256,7 @@ func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, e
 // the end) of the value under key. An absent key reads as an empty range, as
 // in Redis.
 func (c *Client) GetRange(ctx context.Context, key string, start, end int64) ([]byte, error) {
-	v, err := c.Do(ctx, cmdGetRange, keyArg(key), intArg(start), intArg(end))
+	v, err := c.do(ctx, cmdGetRange, keyArg(key), intArg(start), intArg(end))
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +267,9 @@ func (c *Client) GetRange(ctx context.Context, key string, start, end int64) ([]
 }
 
 // bulkReply converts an error reply into a Go error, and any other reply but
-// a bulk string or a null into a protocol error: a "+QUEUED" read as a value
-// would report a key present.
+// a bulk string or a null into a protocol error: the server is another
+// program, and a simple string or an integer read as a value would report a
+// key present.
 func bulkReply(cmd string, v resp.Value) error {
 	if err := asErr(v); err != nil {
 		return err
@@ -318,9 +291,9 @@ func (c *Client) Set(ctx context.Context, key string, value []byte, ttl time.Dur
 		if ms <= 0 {
 			ms = 1
 		}
-		v, err = c.Do(ctx, cmdSet, keyArg(key), value, argPX, strconv.AppendInt(nil, ms, 10))
+		v, err = c.do(ctx, cmdSet, keyArg(key), value, argPX, strconv.AppendInt(nil, ms, 10))
 	} else {
-		v, err = c.Do(ctx, cmdSet, keyArg(key), value)
+		v, err = c.do(ctx, cmdSet, keyArg(key), value)
 	}
 	if err != nil {
 		return err
@@ -393,7 +366,8 @@ func (c *Client) FlushAll(ctx context.Context) error {
 }
 
 // TTL returns the remaining time-to-live: >0 remaining, -1 no expiry,
-// -2 missing key.
+// -2 missing key. PTTL answers whole milliseconds rounded down, so a key in
+// its last millisecond reads 0; it is reported as 1 ns, never as 0.
 func (c *Client) TTL(ctx context.Context, key string) (time.Duration, error) {
 	v, err := c.doStr(ctx, "PTTL", key)
 	if err != nil {
@@ -402,8 +376,11 @@ func (c *Client) TTL(ctx context.Context, key string) (time.Duration, error) {
 	if err := asErr(v); err != nil {
 		return 0, err
 	}
-	if v.Int < 0 {
+	switch {
+	case v.Int < 0:
 		return time.Duration(v.Int), nil
+	case v.Int == 0:
+		return 1, nil
 	}
 	return time.Duration(v.Int) * time.Millisecond, nil
 }
@@ -418,132 +395,4 @@ func (c *Client) Expire(ctx context.Context, key string, ttl time.Duration) (boo
 		return false, err
 	}
 	return v.Int == 1, nil
-}
-
-// Incr atomically increments key by delta and returns the new value.
-func (c *Client) Incr(ctx context.Context, key string, delta int64) (int64, error) {
-	v, err := c.doStr(ctx, "INCRBY", key, fmt.Sprint(delta))
-	if err != nil {
-		return 0, err
-	}
-	if err := asErr(v); err != nil {
-		return 0, err
-	}
-	return v.Int, nil
-}
-
-// Save asks the server to write its snapshot file.
-func (c *Client) Save(ctx context.Context) error {
-	v, err := c.doStr(ctx, "SAVE")
-	if err != nil {
-		return err
-	}
-	return asErr(v)
-}
-
-// HSet stores field=value in the hash at key, reporting whether the field
-// was new.
-func (c *Client) HSet(ctx context.Context, key, field string, value []byte) (bool, error) {
-	v, err := c.Do(ctx, []byte("HSET"), []byte(key), []byte(field), value)
-	if err != nil {
-		return false, err
-	}
-	if err := asErr(v); err != nil {
-		return false, err
-	}
-	return v.Int == 1, nil
-}
-
-// HGet fetches one hash field.
-func (c *Client) HGet(ctx context.Context, key, field string) ([]byte, bool, error) {
-	v, err := c.doStr(ctx, "HGET", key, field)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := asErr(v); err != nil {
-		return nil, false, err
-	}
-	if v.Null {
-		return nil, false, nil
-	}
-	return v.Bulk, true, nil
-}
-
-// HDel removes hash fields, returning how many existed.
-func (c *Client) HDel(ctx context.Context, key string, fields ...string) (int, error) {
-	args := append([]string{"HDEL", key}, fields...)
-	v, err := c.doStr(ctx, args...)
-	if err != nil {
-		return 0, err
-	}
-	if err := asErr(v); err != nil {
-		return 0, err
-	}
-	return int(v.Int), nil
-}
-
-// HGetAll returns every field of the hash at key.
-func (c *Client) HGetAll(ctx context.Context, key string) (map[string][]byte, error) {
-	v, err := c.doStr(ctx, "HGETALL", key)
-	if err != nil {
-		return nil, err
-	}
-	if err := asErr(v); err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(v.Array)/2)
-	for i := 0; i+1 < len(v.Array); i += 2 {
-		out[string(v.Array[i].Bulk)] = v.Array[i+1].Bulk
-	}
-	return out, nil
-}
-
-// HLen counts the fields of the hash at key.
-func (c *Client) HLen(ctx context.Context, key string) (int, error) {
-	v, err := c.doStr(ctx, "HLEN", key)
-	if err != nil {
-		return 0, err
-	}
-	if err := asErr(v); err != nil {
-		return 0, err
-	}
-	return int(v.Int), nil
-}
-
-// GetDel atomically fetches and removes key.
-func (c *Client) GetDel(ctx context.Context, key string) ([]byte, bool, error) {
-	v, err := c.doStr(ctx, "GETDEL", key)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := asErr(v); err != nil {
-		return nil, false, err
-	}
-	if v.Null {
-		return nil, false, nil
-	}
-	return v.Bulk, true, nil
-}
-
-// Scan iterates the key space one page at a time: pass cursor 0 to start,
-// then the returned cursor until it is 0 again.
-func (c *Client) Scan(ctx context.Context, cursor int, pattern string, count int) (keys []string, next int, err error) {
-	v, err := c.doStr(ctx, "SCAN", fmt.Sprint(cursor), "MATCH", pattern, "COUNT", fmt.Sprint(count))
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := asErr(v); err != nil {
-		return nil, 0, err
-	}
-	if len(v.Array) != 2 {
-		return nil, 0, fmt.Errorf("miniredis: malformed SCAN reply")
-	}
-	next, err = strconv.Atoi(string(v.Array[0].Bulk))
-	if err != nil {
-		return nil, 0, fmt.Errorf("miniredis: malformed SCAN cursor: %w", err)
-	}
-	for _, k := range v.Array[1].Array {
-		keys = append(keys, string(k.Bulk))
-	}
-	return keys, next, nil
 }

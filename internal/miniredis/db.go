@@ -8,35 +8,25 @@
 // on the loopback interface — reproduces both properties with a real socket
 // and a real wire protocol rather than a simulated delay.
 //
-// The command set covers what a data store client needs (strings, TTLs,
-// key-space management, snapshot persistence) plus the operations the
-// paper's discussion mentions: per-key expiration handled server-side, and
-// persistence so "when the cache is restarted, it can quickly be brought to
-// a warm state".
+// The command set is what the kv.Store adapter sends — GET, GETRANGE, SET
+// [EX|PX], MGET, MSET, DEL, EXISTS, KEYS, DBSIZE, FLUSHALL, PTTL — plus the
+// properties the paper's discussion names: per-key expiration handled
+// server-side (EXPIRE, PEXPIRE, TTL), and snapshot persistence (SAVE) so
+// "when the cache is restarted, it can quickly be brought to a warm state".
+// PING, ECHO and QUIT serve redis-cli.
 package miniredis
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
 
-// errWrongType mirrors Redis's WRONGTYPE error for operations against a
-// key holding the other kind of value.
-var errWrongType = errors.New("WRONGTYPE Operation against a key holding the wrong kind of value")
-
-// entry is one stored value with optional expiry. An entry is either a
-// string (val) or a hash (hash != nil); commands enforce the type, as Redis
-// does with WRONGTYPE errors.
+// entry is one stored value with optional expiry.
 type entry struct {
-	val  []byte
-	hash map[string][]byte
+	val []byte
 	// expireAt is the Unix-nanosecond expiry, 0 = never.
 	expireAt int64
 }
-
-// isHash reports whether e holds a hash.
-func (e entry) isHash() bool { return e.hash != nil }
 
 // db is the server's key space. Expiry is enforced lazily on access and by
 // an optional background sweep, as in Redis.
@@ -55,25 +45,6 @@ func newDB(clock func() time.Time) *db {
 
 // expired reports whether e is past its expiry at time now.
 func (e entry) expired(now int64) bool { return e.expireAt != 0 && now >= e.expireAt }
-
-// getEntry returns the live entry for key.
-func (d *db) getEntry(key string) (entry, bool) {
-	now := d.clock().UnixNano()
-	d.mu.RLock()
-	e, ok := d.items[key]
-	d.mu.RUnlock()
-	if !ok || e.expired(now) {
-		if ok {
-			d.mu.Lock()
-			if e2, still := d.items[key]; still && e2.expired(d.clock().UnixNano()) {
-				delete(d.items, key)
-			}
-			d.mu.Unlock()
-		}
-		return entry{}, false
-	}
-	return e, true
-}
 
 // get returns the live value for key.
 func (d *db) get(key string) ([]byte, bool) {
@@ -104,22 +75,6 @@ func (d *db) set(key string, val []byte, ttl time.Duration) {
 	d.mu.Lock()
 	d.items[key] = entry{val: val, expireAt: exp}
 	d.mu.Unlock()
-}
-
-// setNX stores val only when key is absent, reporting whether it stored.
-func (d *db) setNX(key string, val []byte, ttl time.Duration) bool {
-	now := d.clock().UnixNano()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.items[key]; ok && !e.expired(now) {
-		return false
-	}
-	var exp int64
-	if ttl > 0 {
-		exp = d.clock().Add(ttl).UnixNano()
-	}
-	d.items[key] = entry{val: val, expireAt: exp}
-	return true
 }
 
 // del removes keys, returning how many existed.
@@ -206,21 +161,6 @@ func (d *db) expire(key string, ttl time.Duration) bool {
 	return true
 }
 
-// persist clears the ttl of key; the two results distinguish "cleared" from
-// "no key / no ttl" (Redis PERSIST semantics).
-func (d *db) persist(key string) bool {
-	now := d.clock().UnixNano()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.items[key]
-	if !ok || e.expired(now) || e.expireAt == 0 {
-		return false
-	}
-	e.expireAt = 0
-	d.items[key] = e
-	return true
-}
-
 // ttl returns the remaining ttl:
 //
 //	>0  remaining duration
@@ -264,16 +204,7 @@ func (d *db) snapshotRecords() []record {
 		if e.expired(now) {
 			continue
 		}
-		r := record{Key: k, ExpireAt: e.expireAt}
-		if e.isHash() {
-			r.Hash = make(map[string][]byte, len(e.hash))
-			for f, v := range e.hash {
-				r.Hash[f] = append([]byte(nil), v...)
-			}
-		} else {
-			r.Val = append([]byte(nil), e.val...)
-		}
-		out = append(out, r)
+		out = append(out, record{Key: k, Val: append([]byte(nil), e.val...), ExpireAt: e.expireAt})
 	}
 	d.mu.RUnlock()
 	return out
@@ -285,7 +216,7 @@ func (d *db) loadRecords(recs []record) {
 	now := d.clock().UnixNano()
 	items := make(map[string]entry, len(recs))
 	for _, r := range recs {
-		e := entry{val: r.Val, hash: r.Hash, expireAt: r.ExpireAt}
+		e := entry{val: r.Val, expireAt: r.ExpireAt}
 		if !e.expired(now) {
 			items[r.Key] = e
 		}
@@ -293,95 +224,6 @@ func (d *db) loadRecords(recs []record) {
 	d.mu.Lock()
 	d.items = items
 	d.mu.Unlock()
-}
-
-// hset stores field=val in the hash at key, reporting whether the field is
-// new. It fails when key holds a string.
-func (d *db) hset(key, field string, val []byte) (isNew bool, err error) {
-	now := d.clock().UnixNano()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.items[key]
-	if ok && e.expired(now) {
-		ok = false
-	}
-	if ok && !e.isHash() {
-		return false, errWrongType
-	}
-	if !ok {
-		e = entry{hash: make(map[string][]byte)}
-	}
-	_, existed := e.hash[field]
-	e.hash[field] = val
-	d.items[key] = e
-	return !existed, nil
-}
-
-// hget fetches one hash field.
-func (d *db) hget(key, field string) ([]byte, bool, error) {
-	e, ok := d.getEntry(key)
-	if !ok {
-		return nil, false, nil
-	}
-	if !e.isHash() {
-		return nil, false, errWrongType
-	}
-	v, ok := e.hash[field]
-	return v, ok, nil
-}
-
-// hdel removes fields, returning how many existed. An emptied hash is
-// removed entirely, as in Redis.
-func (d *db) hdel(key string, fields ...string) (int, error) {
-	now := d.clock().UnixNano()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.items[key]
-	if !ok || e.expired(now) {
-		return 0, nil
-	}
-	if !e.isHash() {
-		return 0, errWrongType
-	}
-	n := 0
-	for _, f := range fields {
-		if _, existed := e.hash[f]; existed {
-			delete(e.hash, f)
-			n++
-		}
-	}
-	if len(e.hash) == 0 {
-		delete(d.items, key)
-	}
-	return n, nil
-}
-
-// hgetall returns a copy of the hash at key.
-func (d *db) hgetall(key string) (map[string][]byte, error) {
-	e, ok := d.getEntry(key)
-	if !ok {
-		return nil, nil
-	}
-	if !e.isHash() {
-		return nil, errWrongType
-	}
-	out := make(map[string][]byte, len(e.hash))
-	for f, v := range e.hash {
-		out[f] = v
-	}
-	return out, nil
-}
-
-// hlen counts the fields of the hash at key.
-func (d *db) hlen(key string) (int, error) {
-	e, ok := d.getEntry(key)
-	if !ok {
-		return 0, nil
-	}
-	if !e.isHash() {
-		return 0, errWrongType
-	}
-	return len(e.hash), nil
 }
 
 // globMatch implements Redis-style glob with '*' and '?'.

@@ -5,8 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
@@ -151,48 +152,6 @@ func TestKeysAndDBSize(t *testing.T) {
 	}
 }
 
-func TestIncr(t *testing.T) {
-	_, c := startPair(t)
-	ctx := context.Background()
-	for want := int64(1); want <= 3; want++ {
-		got, err := c.Incr(ctx, "ctr", 1)
-		if err != nil || got != want {
-			t.Fatalf("Incr = %d, %v; want %d", got, err, want)
-		}
-	}
-	got, err := c.Incr(ctx, "ctr", -3)
-	if err != nil || got != 0 {
-		t.Fatalf("Incr(-3) = %d, %v", got, err)
-	}
-	_ = c.Set(ctx, "str", []byte("not a number"), 0)
-	if _, err := c.Incr(ctx, "str", 1); err == nil {
-		t.Fatal("Incr on non-integer succeeded")
-	}
-}
-
-func TestIncrConcurrentAtomic(t *testing.T) {
-	_, c := startPair(t)
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if _, err := c.Incr(ctx, "ctr", 1); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	got, err := c.Incr(ctx, "ctr", 0)
-	if err != nil || got != 400 {
-		t.Fatalf("counter = %d, %v; want 400", got, err)
-	}
-}
-
 func TestUnknownCommand(t *testing.T) {
 	_, c := startPair(t)
 	v, err := c.doStr(context.Background(), "NOSUCHCMD")
@@ -222,7 +181,7 @@ func TestPipeline(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cmds = append(cmds, [][]byte{[]byte("SET"), []byte(fmt.Sprintf("p%d", i)), []byte("v")})
 	}
-	replies, err := c.DoPipeline(ctx, cmds)
+	replies, err := c.doPipeline(ctx, cmds)
 	if err != nil || len(replies) != 10 {
 		t.Fatalf("pipeline: %v", err)
 	}
@@ -272,8 +231,8 @@ func TestExplicitSave(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	_ = c.Set(ctx, "k", []byte("v"), 0)
-	if err := c.Save(ctx); err != nil {
-		t.Fatal(err)
+	if got, isErr := raw(t, c, "SAVE"); isErr || got != "OK" {
+		t.Fatalf("SAVE = %q", got)
 	}
 	recs, err := readSnapshot(path)
 	if err != nil || len(recs) != 1 || recs[0].Key != "k" {
@@ -281,10 +240,46 @@ func TestExplicitSave(t *testing.T) {
 	}
 }
 
+// TestSnapshotFormat pins the MRDB2 layout: a string record is written byte
+// for byte as when the server also stored hashes, so an older file of strings
+// loads, and a file holding a hash (record kind 1) is refused by name rather
+// than loaded without it.
+func TestSnapshotFormat(t *testing.T) {
+	t.Run("StringRecordBytes", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "dump.mrdb")
+		if err := writeSnapshot(path, []record{{Key: "k", Val: []byte("v"), ExpireAt: -1}}); err != nil {
+			t.Fatal(err)
+		}
+		// magic, 1 record: len 1 "k", kind 0, len 1 "v", varint(-1).
+		want := []byte("MRDB2\x01\x01k\x00\x01v\x01")
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("snapshot bytes = %q, %v; want %q", got, err, want)
+		}
+		recs, err := readSnapshot(path)
+		if err != nil || len(recs) != 1 || recs[0].Key != "k" || string(recs[0].Val) != "v" || recs[0].ExpireAt != -1 {
+			t.Fatalf("readSnapshot = %+v, %v", recs, err)
+		}
+	})
+	t.Run("HashRecordRefused", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "dump.mrdb")
+		// magic, 1 record: len 1 "h", kind 1, 1 field: len 1 "f", len 1 "v", varint(0).
+		if err := os.WriteFile(path, []byte("MRDB2\x01\x01h\x01\x01\x01f\x01v\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if recs, err := readSnapshot(path); !errors.Is(err, errHashRecord) {
+			t.Fatalf("readSnapshot = %+v, %v; want %v", recs, err, errHashRecord)
+		}
+		err := NewServer(ServerConfig{SnapshotPath: path}).Start()
+		if !errors.Is(err, errHashRecord) || !strings.Contains(err.Error(), `"h"`) {
+			t.Fatalf("Start over a hash snapshot = %v, want it refused naming the key", err)
+		}
+	})
+}
+
 func TestSaveWithoutSnapshotPath(t *testing.T) {
 	_, c := startPair(t)
-	if err := c.Save(context.Background()); err == nil {
-		t.Fatal("SAVE succeeded without a snapshot path")
+	if got, isErr := raw(t, c, "SAVE"); !isErr {
+		t.Fatalf("SAVE = %q without a snapshot path", got)
 	}
 }
 
@@ -348,35 +343,14 @@ func TestGlobMatch(t *testing.T) {
 	}
 }
 
-func TestSetNXAndXX(t *testing.T) {
-	_, c := startPair(t)
-	ctx := context.Background()
-	v, err := c.Do(ctx, []byte("SET"), []byte("k"), []byte("v1"), []byte("NX"))
-	if err != nil || v.IsError() || v.Null {
-		t.Fatalf("SET NX on fresh key: %+v, %v", v, err)
-	}
-	v, err = c.Do(ctx, []byte("SET"), []byte("k"), []byte("v2"), []byte("NX"))
-	if err != nil || !v.Null {
-		t.Fatalf("SET NX on existing key: %+v, %v (want nil reply)", v, err)
-	}
-	got, _, _ := c.Get(ctx, "k")
-	if string(got) != "v1" {
-		t.Fatalf("value = %q, want v1", got)
-	}
-	v, err = c.Do(ctx, []byte("SET"), []byte("absent"), []byte("v"), []byte("XX"))
-	if err != nil || !v.Null {
-		t.Fatalf("SET XX on missing key: %+v, %v", v, err)
-	}
-}
-
 func TestMGetMSet(t *testing.T) {
 	_, c := startPair(t)
 	ctx := context.Background()
-	v, err := c.Do(ctx, []byte("MSET"), []byte("a"), []byte("1"), []byte("b"), []byte("2"))
+	v, err := c.do(ctx, []byte("MSET"), []byte("a"), []byte("1"), []byte("b"), []byte("2"))
 	if err != nil || v.IsError() {
 		t.Fatalf("MSET: %+v, %v", v, err)
 	}
-	v, err = c.Do(ctx, []byte("MGET"), []byte("a"), []byte("missing"), []byte("b"))
+	v, err = c.do(ctx, []byte("MGET"), []byte("a"), []byte("missing"), []byte("b"))
 	if err != nil || len(v.Array) != 3 {
 		t.Fatalf("MGET: %+v, %v", v, err)
 	}
@@ -385,19 +359,39 @@ func TestMGetMSet(t *testing.T) {
 	}
 }
 
-func TestAppendStrlen(t *testing.T) {
-	_, c := startPair(t)
+// BenchmarkAblationPipeline compares N request/response round trips against
+// one pipelined batch of N on the miniredis client.
+func BenchmarkAblationPipeline(b *testing.B) {
+	srv := NewServer(ServerConfig{})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	client := NewClient(srv.Addr())
+	defer client.Close()
 	ctx := context.Background()
-	v, _ := c.Do(ctx, []byte("APPEND"), []byte("k"), []byte("abc"))
-	if v.Int != 3 {
-		t.Fatalf("APPEND = %d", v.Int)
-	}
-	v, _ = c.Do(ctx, []byte("APPEND"), []byte("k"), []byte("def"))
-	if v.Int != 6 {
-		t.Fatalf("second APPEND = %d", v.Int)
-	}
-	v, _ = c.Do(ctx, []byte("STRLEN"), []byte("k"))
-	if v.Int != 6 {
-		t.Fatalf("STRLEN = %d", v.Int)
-	}
+	const batch = 16
+	val := bytes.Repeat([]byte("v"), 64)
+
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
+				if err := client.Set(ctx, fmt.Sprintf("k%d", j), val, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("pipelined", func(b *testing.B) {
+		cmds := make([][][]byte, batch)
+		for j := range cmds {
+			cmds[j] = [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", j)), val}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.doPipeline(ctx, cmds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -74,7 +74,7 @@ func TestMuxPipeline(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cmds = append(cmds, [][]byte{[]byte("GET"), []byte(fmt.Sprintf("p%d", i))})
 	}
-	out, err := c.DoPipeline(ctx, cmds)
+	out, err := c.doPipeline(ctx, cmds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +85,59 @@ func TestMuxPipeline(t *testing.T) {
 		if got := out[10+i].Text(); got != fmt.Sprintf("v%d", i) {
 			t.Fatalf("pipelined GET p%d = %q", i, got)
 		}
+	}
+}
+
+// TestPipelineNotInterleaved: a pipeline shares its socket with every other
+// caller of the client, yet no other caller's command lands between its
+// commands. Each pipeline writes a key and reads it back, twice; loners keep
+// overwriting the same key over the same socket, so one of their SETs landing
+// inside a pipeline shows as a foreign value in the pipeline's GET.
+func TestPipelineNotInterleaved(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
+	defer c.Close()
+	ctx := context.Background()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := c.Set(ctx, "k", []byte(fmt.Sprintf("loner%d-%d", w, i)), 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	const pipelines = 30
+	for i := 0; i < pipelines; i++ {
+		a, b := fmt.Sprintf("p%d-a", i), fmt.Sprintf("p%d-b", i)
+		out, err := c.doPipeline(ctx, [][][]byte{
+			{[]byte("SET"), []byte("k"), []byte(a)},
+			{[]byte("GET"), []byte("k")},
+			{[]byte("SET"), []byte("k"), []byte(b)},
+			{[]byte("GET"), []byte("k")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got1, got2 := string(out[1].Bulk), string(out[3].Bulk); got1 != a || got2 != b {
+			t.Fatalf("pipeline %d read %q and %q, want %q and %q: another caller's SET landed inside it", i, got1, got2, a, b)
+		}
+	}
+	if n := opCount(s, "set"); n <= 2*pipelines {
+		t.Fatalf("the server ran %d SETs, no more than the pipelines' own: the loners never ran", n)
 	}
 }
 
@@ -119,40 +172,35 @@ func TestMuxConnDeathPoisonsAndRecovers(t *testing.T) {
 }
 
 // TestMuxAmbiguousNotReplayed: the idempotency rules must survive the mux.
-// A post-execute drop on an INCR leaves the outcome unknown — the client
-// must surface ErrAmbiguousExchange (wrapping kv.ErrAmbiguous), never
-// replay, so one ambiguous + one clean increment land on exactly 2.
+// A post-execute drop on a DEL leaves the outcome unknown — the delete ran,
+// and a replay would answer "no such key" — so Store.Delete must surface
+// ErrAmbiguousExchange (wrapping kv.ErrAmbiguous), never kv.ErrNotFound and
+// never success.
 func TestMuxAmbiguousNotReplayed(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
 	defer c.Close()
+	st := NewStore("m", c, "")
 	ctx := context.Background()
 
-	if err := c.Ping(ctx); err != nil {
+	if err := st.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	s.SetFaults(Faults{EveryPost: 1})
-	_, err := c.Incr(ctx, "ctr", 1)
-	if err == nil {
-		t.Fatal("Incr reported success through a dropped reply")
+	err := st.Delete(ctx, "k")
+	if !errors.Is(err, ErrAmbiguousExchange) || !errors.Is(err, kv.ErrAmbiguous) {
+		t.Fatalf("Delete through a dropped reply = %v, want ErrAmbiguousExchange wrapping kv.ErrAmbiguous", err)
 	}
-	if !errors.Is(err, ErrAmbiguousExchange) {
-		t.Fatalf("Incr err = %v, want ErrAmbiguousExchange", err)
+	if kv.IsNotFound(err) {
+		t.Fatalf("Delete err = %v: the DEL was replayed through the mux", err)
 	}
-	if !errors.Is(err, kv.ErrAmbiguous) {
-		t.Fatalf("Incr err = %v, want it to wrap kv.ErrAmbiguous", err)
-	}
-	if s.FaultsInjected() == 0 {
-		t.Fatal("no drop was injected — the test proved nothing")
+	if s.FaultsInjected() != 1 {
+		t.Fatalf("%d drops injected, want 1: a replay would have met the second", s.FaultsInjected())
 	}
 
 	s.SetFaults(Faults{})
-	got, err := c.Incr(ctx, "ctr", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Fatalf("counter = %d after one ambiguous + one clean increment, want 2 (ambiguous INCR was replayed through the mux)", got)
+	if ok, err := st.Contains(ctx, "k"); err != nil || ok {
+		t.Fatalf("Contains after the ambiguous Delete = %v, %v; the DEL ran, the key must be gone", ok, err)
 	}
 }
 
@@ -229,28 +277,29 @@ func TestMuxCancelAfterWriteIsAmbiguous(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err = c.Incr(ctx, "ctr", 1)
-	if err == nil {
-		t.Fatal("Incr against a mute server succeeded")
+	err = NewStore("m", c, "").Delete(ctx, "k")
+	if err == nil || kv.IsNotFound(err) {
+		t.Fatalf("Delete against a mute server = %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if !errors.Is(err, kv.ErrAmbiguous) {
-		t.Fatalf("err = %v, want kv.ErrAmbiguous: the INCR was on the wire when the ctx fired", err)
+	if !errors.Is(err, ErrAmbiguousExchange) || !errors.Is(err, kv.ErrAmbiguous) {
+		t.Fatalf("err = %v, want ErrAmbiguousExchange: the DEL was on the wire when the ctx fired", err)
 	}
 }
 
 // TestMuxCancelBeforeWriteIsClean: a call revoked while still queued never
 // touched the wire, so it must NOT be marked ambiguous — the resilient
-// layer is then free to retry it.
+// layer is then free to retry it. It calls the client's Del: Store.Delete
+// refuses a cancelled ctx before the client sees it.
 func TestMuxCancelBeforeWriteIsClean(t *testing.T) {
 	_, c := startMuxPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Incr(ctx, "ctr", 1)
+	_, err := c.Del(ctx, "k")
 	if err == nil {
-		t.Fatal("Incr with pre-cancelled ctx succeeded")
+		t.Fatal("Del with pre-cancelled ctx succeeded")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -14,47 +15,41 @@ import (
 	"edsc/kv/resilient"
 )
 
-// TestIncrNotReplayedOnAmbiguousDrop is the regression test for the
+// TestDelNotReplayedOnAmbiguousDrop is the regression test for the
 // double-execution bug: the client used to replay a pipeline whenever a
 // pooled connection died before the first reply, but a post-execute drop
-// means the server already ran the commands — so a replayed INCR
-// incremented twice while the caller saw a single (failed) call.
-func TestIncrNotReplayedOnAmbiguousDrop(t *testing.T) {
+// means the server already ran the commands — so a replayed DEL answered
+// "no such key" for the key it had just deleted, and Store.Delete reported
+// kv.ErrNotFound for a delete that applied.
+func TestDelNotReplayedOnAmbiguousDrop(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	c := NewClient(s.Addr())
-	defer c.Close()
+	st := OpenStore("m", s.Addr(), "")
+	defer st.Close()
 	ctx := context.Background()
 
-	// Prime the pool so the faulted INCR runs on a pooled connection —
+	// The PUT leaves a pooled connection for the faulted DEL to run on —
 	// the precondition for the automatic-replay path.
-	if err := c.Ping(ctx); err != nil {
+	if err := st.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 
-	// Drop every command after execution: the INCR applies server-side,
+	// Drop every command after execution: the DEL applies server-side,
 	// but the client never sees the reply.
 	s.SetFaults(Faults{EveryPost: 1})
-	_, err := c.Incr(ctx, "ctr", 1)
-	if err == nil {
-		t.Fatal("Incr reported success through a dropped reply")
+	err := st.Delete(ctx, "k")
+	if !errors.Is(err, ErrAmbiguousExchange) || !errors.Is(err, kv.ErrAmbiguous) {
+		t.Fatalf("Delete err = %v, want ErrAmbiguousExchange wrapping kv.ErrAmbiguous", err)
 	}
-	if !errors.Is(err, ErrAmbiguousExchange) {
-		t.Fatalf("Incr err = %v, want ErrAmbiguousExchange", err)
+	if kv.IsNotFound(err) {
+		t.Fatalf("Delete err = %v: the DEL was replayed", err)
 	}
-	if s.FaultsInjected() == 0 {
-		t.Fatal("no drop was injected — the test proved nothing")
+	if s.FaultsInjected() != 1 {
+		t.Fatalf("%d drops injected, want 1: a replay would have met the second", s.FaultsInjected())
 	}
 
-	// One ambiguous increment (which did execute) plus one clean increment
-	// must land on exactly 2. The old replay bug would have executed the
-	// first INCR twice, landing on 3.
 	s.SetFaults(Faults{})
-	got, err := c.Incr(ctx, "ctr", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Fatalf("counter = %d after one ambiguous + one clean increment, want 2 (ambiguous INCR was replayed)", got)
+	if err := st.Delete(ctx, "k"); !kv.IsNotFound(err) {
+		t.Fatalf("second Delete = %v, want kv.ErrNotFound: the first one applied", err)
 	}
 }
 
@@ -86,39 +81,70 @@ func TestIdempotentCommandsStillReplayed(t *testing.T) {
 	}
 }
 
-// TestGetMultiShortReplyIsProtocolError pins the MGET reply-length check: a
-// server answering with fewer elements than keys must produce an error, not
-// a silently truncated (and positionally misaligned) result.
-func TestGetMultiShortReplyIsProtocolError(t *testing.T) {
+// scriptedServer answers every command it reads with reply, returning its
+// address.
+func scriptedServer(t *testing.T, reply string) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { _ = ln.Close() })
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				r := resp.NewReader(conn)
+				for {
+					if _, err := r.ReadCommand(); err != nil {
+						return
+					}
+					if _, err := io.WriteString(conn, reply); err != nil {
+						return
+					}
+				}
+			}(conn)
 		}
-		defer conn.Close()
-		r := resp.NewReader(conn)
-		w := resp.NewWriter(conn)
-		if _, err := r.Read(); err != nil {
-			return
-		}
-		// One element for a two-key MGET: malformed.
-		_ = w.Write(resp.ArrayOf(resp.Bulk([]byte("only"))))
-		_ = w.Flush()
 	}()
+	return ln.Addr().String()
+}
 
-	st := OpenStore("m", ln.Addr().String(), "")
+// TestGetMultiShortReplyIsProtocolError pins the MGET reply-length check: a
+// server answering with fewer elements than keys must produce an error, not
+// a silently truncated (and positionally misaligned) result.
+func TestGetMultiShortReplyIsProtocolError(t *testing.T) {
+	// One element for a two-key MGET: malformed.
+	st := OpenStore("m", scriptedServer(t, "*1\r\n$4\r\nonly\r\n"), "")
 	defer st.Close()
-	_, err = st.GetMulti(context.Background(), []string{"a", "b"})
+	_, err := st.GetMulti(context.Background(), []string{"a", "b"})
 	if err == nil {
 		t.Fatal("short MGET reply accepted")
 	}
 	if !strings.Contains(err.Error(), "protocol error") {
 		t.Fatalf("err = %v, want a protocol error", err)
+	}
+}
+
+// TestValueReplyMustBeBulk: GET and GETRANGE take only a bulk string or a
+// null for an answer. The server is another program; a simple string or an
+// integer read as a value would report a key present.
+func TestValueReplyMustBeBulk(t *testing.T) {
+	for _, reply := range []string{"+QUEUED\r\n", "+OK\r\n", ":1\r\n", "*0\r\n"} {
+		t.Run(strings.TrimSpace(reply), func(t *testing.T) {
+			c := NewClient(scriptedServer(t, reply))
+			defer c.Close()
+			ctx := context.Background()
+			if v, found, err := c.Get(ctx, "k"); !errors.Is(err, resp.ErrProtocol) {
+				t.Errorf("Get answered %q = %q, %v, %v; want a protocol error", reply, v, found, err)
+			}
+			if v, err := c.GetRange(ctx, "k", 0, 10); !errors.Is(err, resp.ErrProtocol) {
+				t.Errorf("GetRange answered %q = %q, %v; want a protocol error", reply, v, err)
+			}
+		})
 	}
 }
 

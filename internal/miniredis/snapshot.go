@@ -19,18 +19,22 @@ import (
 //	magic "MRDB2" | uvarint(count) | records
 //	record: uvarint(len(key)) key | kind(1) | body | varint(expireAt)
 //	kind 0 (string): body = uvarint(len(val)) val
-//	kind 1 (hash):   body = uvarint(fields) { uvarint(len(f)) f uvarint(len(v)) v }
+//
+// Kind 1 was a hash, which the server no longer stores: a file holding one
+// is refused (errHashRecord), not skipped.
 
 // ErrNoSnapshot reports that no snapshot file exists yet.
 var ErrNoSnapshot = errors.New("miniredis: no snapshot file")
 
+// errHashRecord refuses a snapshot written by a build that stored hashes.
+var errHashRecord = errors.New("miniredis: snapshot holds a hash (record kind 1), which this server no longer stores")
+
 var snapMagic = []byte("MRDB2")
 
-// record is one persisted entry: a string value or a hash.
+// record is one persisted entry.
 type record struct {
 	Key      string
 	Val      []byte
-	Hash     map[string][]byte
 	ExpireAt int64
 }
 
@@ -67,37 +71,14 @@ func writeSnapshot(path string, recs []record) error {
 		if _, err := bw.WriteString(r.Key); err != nil {
 			return err
 		}
-		if r.Hash != nil {
-			if err := bw.WriteByte(1); err != nil {
-				return err
-			}
-			if err := writeUvarint(uint64(len(r.Hash))); err != nil {
-				return err
-			}
-			for f, v := range r.Hash {
-				if err := writeUvarint(uint64(len(f))); err != nil {
-					return err
-				}
-				if _, err := bw.WriteString(f); err != nil {
-					return err
-				}
-				if err := writeUvarint(uint64(len(v))); err != nil {
-					return err
-				}
-				if _, err := bw.Write(v); err != nil {
-					return err
-				}
-			}
-		} else {
-			if err := bw.WriteByte(0); err != nil {
-				return err
-			}
-			if err := writeUvarint(uint64(len(r.Val))); err != nil {
-				return err
-			}
-			if _, err := bw.Write(r.Val); err != nil {
-				return err
-			}
+		if err := bw.WriteByte(0); err != nil {
+			return err
+		}
+		if err := writeUvarint(uint64(len(r.Val))); err != nil {
+			return err
+		}
+		if _, err := bw.Write(r.Val); err != nil {
+			return err
 		}
 		if err := writeVarint(r.ExpireAt); err != nil {
 			return err
@@ -166,22 +147,7 @@ func readSnapshot(path string) ([]record, error) {
 				return corrupt(err)
 			}
 		case 1:
-			fields, err := binary.ReadUvarint(br)
-			if err != nil {
-				return corrupt(err)
-			}
-			r.Hash = make(map[string][]byte, fields)
-			for j := uint64(0); j < fields; j++ {
-				f, err := readBytes()
-				if err != nil {
-					return corrupt(err)
-				}
-				v, err := readBytes()
-				if err != nil {
-					return corrupt(err)
-				}
-				r.Hash[string(f)] = v
-			}
+			return nil, fmt.Errorf("%w: record %d, key %q", errHashRecord, i, key)
 		default:
 			return corrupt(fmt.Errorf("unknown record kind %d", kind))
 		}

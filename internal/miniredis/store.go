@@ -48,11 +48,6 @@ func OpenStoreWith(name, addr, prefix string, opts Options) *Store {
 	return s
 }
 
-// Client exposes the underlying client for native commands beyond the
-// key-value interface (INCR, EXPIRE, SAVE, ...), mirroring how the UDSM
-// lets applications reach a store's native API.
-func (s *Store) Client() *Client { return s.client }
-
 // Name implements kv.Store.
 func (s *Store) Name() string { return s.name }
 
@@ -268,7 +263,7 @@ func (s *Store) GetMulti(ctx context.Context, keys []string) (map[string][]byte,
 		}
 		args = append(args, []byte(s.prefix+k))
 	}
-	v, err := s.client.Do(ctx, args...)
+	v, err := s.client.do(ctx, args...)
 	if err != nil {
 		return nil, kv.WrapErr(s.name, "getmulti", "", err)
 	}
@@ -310,7 +305,7 @@ func (s *Store) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 		}
 		args = append(args, []byte(s.prefix+k), v)
 	}
-	v, err := s.client.Do(ctx, args...)
+	v, err := s.client.do(ctx, args...)
 	if err != nil {
 		return kv.WrapErr(s.name, "putmulti", "", err)
 	}

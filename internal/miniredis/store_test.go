@@ -100,20 +100,6 @@ func TestStoreSharedClient(t *testing.T) {
 	}
 }
 
-func TestStoreNativeClientAccess(t *testing.T) {
-	s := startServer(t, ServerConfig{})
-	st := OpenStore("r", s.Addr(), "")
-	defer st.Close()
-	// The UDSM pattern: drop below the KV interface for native commands.
-	if _, err := st.Client().Incr(context.Background(), "counter", 5); err != nil {
-		t.Fatal(err)
-	}
-	v, err := st.Get(context.Background(), "counter")
-	if err != nil || string(v) != "5" {
-		t.Fatalf("native INCR not visible through KV Get: %q, %v", v, err)
-	}
-}
-
 func TestStoreBatchOps(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	st := OpenStore("r", s.Addr(), "b:")

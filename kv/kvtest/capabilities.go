@@ -112,6 +112,22 @@ func RunExpiring(t *testing.T, f Factory) {
 			t.Fatalf("TTL(no expiry) = %d, %v; want 0", ttl, err)
 		}
 	})
+	t.Run("TTLLastMillisecond", func(t *testing.T) {
+		// A key about to expire still has an expiry: its TTL is positive,
+		// or the key is gone. 0 would mean it never expires.
+		s := open(t, f)
+		es := requireExpiring(t, s)
+		ctx := context.Background()
+		for i := 0; i < 20; i++ {
+			if err := es.PutTTL(ctx, "k", []byte("v"), int64(time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			ttl, err := es.TTL(ctx, "k")
+			if err != nil && !kv.IsNotFound(err) || err == nil && ttl <= 0 {
+				t.Fatalf("TTL of a 1 ms key = %d, %v; want > 0 or ErrNotFound", ttl, err)
+			}
+		}
+	})
 	t.Run("TTLMissingKey", func(t *testing.T) {
 		s := open(t, f)
 		es := requireExpiring(t, s)
