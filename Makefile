@@ -88,11 +88,12 @@ endef
 
 # minisql's crash, disk-fault and commit-pipeline suites by name, repeated
 # under the race detector: every kill point of every torture workload, from
-# kill -9 and power-loss images (DESIGN.md "Crash model"); and the key-value
+# kill -9 and power-loss images (DESIGN.md "Crash model"); the key-value
 # adapter's shared statements beside an open batch, and its refusal of
-# transaction control.
+# transaction control; Open's refusal of a directory already open; and the
+# lifetimes of recycled page structs, commit batches and writer scratch.
 crash:
-	$(call run-named,-race -count=3 -run 'Crash|Fault|GroupCommit|EarlyWriterRelease|Durab|TestKVStoreSharedStatements|TestKVStoreSQLRefusesTransactionControl' ./internal/minisql)
+	$(call run-named,-race -count=3 -run 'Crash|Fault|GroupCommit|EarlyWriterRelease|Durab|TestKVStoreSharedStatements|TestKVStoreSQLRefusesTransactionControl|TestOpenRefusesOpenDirectory|TestRecycledFramesAndBatches' ./internal/minisql)
 
 # dscl's fill fence: every interleaving of a cache fill with a racing write,
 # and the shared-key monotone-read workload, repeated under the race detector
@@ -147,7 +148,7 @@ allocs:
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \
 	echo "$$out"; \
 	for t in $(ALLOC_GUARDS); do \
-		echo "$$out" | grep -q -- "--- PASS: $$t" || { echo "allocs: $$t did not pass (skipped, renamed or failed)" >&2; status=1; }; \
+		echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "allocs: $$t did not pass (skipped, renamed or failed)" >&2; status=1; }; \
 	done; \
 	exit $$status
 

@@ -1,5 +1,7 @@
 package minisql
 
+import "sync/atomic"
+
 // Statements.
 
 // Stmt is any parsed SQL statement.
@@ -85,6 +87,8 @@ type SelectStmt struct {
 	OrderBy  []OrderKey
 	Limit    Expr // nil = no limit
 	Offset   Expr // nil = 0
+
+	plan atomic.Pointer[selectPlan] // see planFor
 }
 
 // SelectItem is one projection: an expression with optional alias, a bare

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 )
 
-// Result is a query result set.
+// Result is a query result set. Columns is shared by every Result of the
+// statement and is read-only.
 type Result struct {
 	Columns []string
 	Rows    [][]Value
@@ -80,7 +82,12 @@ func (m CommitMode) String() string {
 type Database struct {
 	mu  sync.RWMutex // exclusive for writes, shared for reads
 	pg  *pager
-	dir string // "" = in-memory
+	dir string // the absolute path Open claimed; "" = in-memory
+
+	// Writer scratch, used only under the exclusive mu: the row an INSERT is
+	// writing and the record of any row written; the B-tree copies what it keeps.
+	rowBuf []Value
+	recBuf []byte
 
 	// cat is the catalog tree handle; nil after a rollback until the next
 	// catTree call re-resolves the root from the meta page. handleMu guards
@@ -152,10 +159,25 @@ func OpenMemoryOptions(opts Options) (*Database, error) {
 	return db, nil
 }
 
+// openDirs holds the directories open in this process, by absolute path.
+var openDirs sync.Map
+
 // Open opens (creating if needed) a durable database in dir: data pages in
 // data.db, the page-image WAL in wal.log. Recovery replays committed WAL
-// batches over the data file.
-func Open(dir string, opts Options) (*Database, error) {
+// batches over the data file. A directory open in this process is refused
+// until its handle closes: two handles would commit over each other's pages.
+func Open(dir string, opts Options) (_ *Database, err error) {
+	if dir, err = filepath.Abs(dir); err != nil {
+		return nil, fmt.Errorf("minisql: resolving database dir: %w", err)
+	}
+	if _, taken := openDirs.LoadOrStore(dir, true); taken {
+		return nil, fmt.Errorf("minisql: database %s is already open", dir)
+	}
+	defer func() {
+		if err != nil {
+			openDirs.Delete(dir)
+		}
+	}()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("minisql: creating database dir: %w", err)
 	}
@@ -683,6 +705,7 @@ func (db *Database) Close() error {
 		}
 	}
 	err := db.pg.close()
+	openDirs.Delete(db.dir)
 	db.mu.Unlock()
 	db.releaseLeadership()
 	return err

@@ -35,6 +35,55 @@ func TestDurableReopen(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOpenDirectory: two handles on one directory would each
+// commit over the other's pages — every write acknowledged, half of them gone
+// after a reopen. While a handle is open, Open refuses its directory however
+// it is spelled; Close gives the directory back, and so does an Open that
+// fails after claiming it.
+func TestOpenRefusesOpenDirectory(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(wd, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, again := range []string{dir, dir + "/", filepath.Join(dir, "sub", ".."), rel} {
+		if db2, err := Open(again, Options{}); err == nil {
+			db2.Close()
+			t.Fatalf("second Open(%q) of an open directory succeeded", again)
+		}
+	}
+	if db2, err := OpenDSN(dir + "?cache_pages=16"); err == nil {
+		db2.Close()
+		t.Fatal("OpenDSN of an open directory succeeded")
+	}
+	mustExec(t, db, `INSERT INTO t VALUES (1)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db2, err := Open(dir, Options{PageSize: 2 * DefaultPageSize}); err == nil {
+		db2.Close()
+		t.Fatal("Open with a page size the database does not have succeeded")
+	}
+	db, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open after Close and a failed Open: %v", err)
+	}
+	defer db.Close()
+	if got := flat(mustQuery(t, db, `SELECT COUNT(*) FROM t`)); got != "1" {
+		t.Fatalf("reopened database holds %s rows, want 1", got)
+	}
+}
+
 func TestCrashRecoveryFromWALOnly(t *testing.T) {
 	// Simulate a crash: never call Close, so there is no final checkpoint
 	// and recovery must come purely from the WAL.
@@ -49,11 +98,7 @@ func TestCrashRecoveryFromWALOnly(t *testing.T) {
 	}
 	// Abandon db without Close (the WAL was fsynced per commit).
 
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
+	db2 := mustReopen(t, crashCopy(t, dir))
 	res := mustQuery(t, db2, `SELECT COUNT(*) FROM t`)
 	if got := flat(res); got != "20" {
 		t.Fatalf("recovered %s rows, want 20", got)
@@ -79,11 +124,7 @@ func TestTornWALTailIgnored(t *testing.T) {
 	}
 	f.Close()
 
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("recovery failed on torn tail: %v", err)
-	}
-	defer db2.Close()
+	db2 := mustReopen(t, crashCopy(t, dir))
 	res := mustQuery(t, db2, `SELECT COUNT(*) FROM t`)
 	if got := flat(res); got != "1" {
 		t.Fatalf("recovered %q rows", got)
@@ -259,11 +300,7 @@ func TestUncommittedTxNotDurable(t *testing.T) {
 	mustExec(t, tx, `INSERT INTO t VALUES (1)`)
 	// Crash (no COMMIT, no Close): the WAL has only the CREATE.
 
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
+	db2 := mustReopen(t, crashCopy(t, dir))
 	if got := flat(mustQuery(t, db2, `SELECT COUNT(*) FROM t`)); got != "0" {
 		t.Fatalf("uncommitted insert survived crash: %q rows", got)
 	}

@@ -2,6 +2,7 @@ package minisql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -156,12 +157,15 @@ func (db *Database) execInsert(s *InsertStmt, params []Value) (int, error) {
 		}
 	}
 	env := rowEnv{params: params}
+	db.rowBuf = slices.Grow(db.rowBuf[:0], len(t.schema.Cols))
 	count := 0
 	for _, rowExprs := range s.Rows {
 		if len(rowExprs) != width {
 			return count, fmt.Errorf("minisql: INSERT has %d values for %d columns", len(rowExprs), width)
 		}
-		vals := make([]Value, len(t.schema.Cols))
+		// The row is the writer's scratch, all NULL again for each row.
+		vals := db.rowBuf[:len(t.schema.Cols)]
+		clear(vals)
 		for i, e := range rowExprs {
 			v, err := evalExpr(e, &env)
 			if err != nil {
@@ -201,13 +205,25 @@ func (db *Database) execInsert(s *InsertStmt, params []Value) (int, error) {
 	return count, nil
 }
 
+// recordLocked encodes vals into the writer's scratch record, which only
+// the B-tree call it is handed to reads. Caller holds db.mu exclusively; a
+// record larger than a page is not kept for the next statement.
+func (db *Database) recordLocked(vals []Value) []byte {
+	rec := appendRow(db.recBuf[:0], vals)
+	if cap(rec) <= db.pg.pageSize {
+		db.recBuf = rec
+	}
+	return rec
+}
+
 // matchRows passes every (rowid, row) satisfying where to emit, rowid
 // ascending, using a unique or secondary index when the predicate is an
 // equality on an indexed column — the fast path KV-over-SQL reads take — and
 // a primary-tree cursor scan otherwise. label is the name the table is
-// referenced by. A scan holds its leaf pinned while emit runs, so emit
-// collects and must not write to the table.
-func (db *Database) matchRows(t *table, label string, where Expr, params []Value, emit func(id int64, row []Value) error) error {
+// referenced by. An index-found row is decoded for need (see decodeRow), a
+// scanned one whole, since where reads it. A scan holds its leaf pinned
+// while emit runs, so emit collects and must not write to the table.
+func (db *Database) matchRows(t *table, label string, where Expr, params []Value, need colSet, emit func(id int64, row []Value) error) error {
 	if where == nil {
 		return t.scanRows(func(id int64, row []Value) (bool, error) {
 			return true, emit(id, row)
@@ -234,7 +250,7 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 						if err != nil || !found {
 							return err
 						}
-						row, err := t.getRow(id)
+						row, err := t.getRow(id, need)
 						if err != nil {
 							return err
 						}
@@ -251,7 +267,7 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 						}
 						sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 						for _, id := range ids {
-							row, err := t.getRow(id)
+							row, err := t.getRow(id, need)
 							if err != nil {
 								return err
 							}
@@ -298,7 +314,7 @@ type matchedRow struct {
 
 func (db *Database) collectMatches(t *table, label string, where Expr, params []Value) ([]matchedRow, error) {
 	var m []matchedRow
-	err := db.matchRows(t, label, where, params, func(id int64, row []Value) error {
+	err := db.matchRows(t, label, where, params, allCols, func(id int64, row []Value) error {
 		m = append(m, matchedRow{id, row})
 		return nil
 	})
@@ -356,32 +372,31 @@ func (db *Database) execDelete(s *DeleteStmt, params []Value) (int, error) {
 	return len(matches), nil
 }
 
+// resultBlock is a Result with room for a one-row answer — its row list and
+// a one-value projected row — so a point SELECT allocates its result once.
+type resultBlock struct {
+	res  Result
+	rows [1][]Value
+	vals [1]Value
+}
+
 // execSelect evaluates a SELECT. Caller holds db.mu (read or write). snap
 // routes table resolution through the last-committed snapshot, for readers
 // running concurrently with another session's open transaction.
 func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Result, error) {
-	sc, rows, err := db.gatherRows(s, params, snap)
+	blk := new(resultBlock)
+	pl, rows, err := db.gatherRows(s, params, snap, blk.rows[:0])
 	if err != nil {
 		return nil, err
 	}
 
-	// Route to the grouped path when GROUP BY is present or any select
-	// item contains an aggregate.
-	hasAgg := false
-	for _, item := range s.Items {
-		if len(appendAggs(nil, item.Expr)) > 0 {
-			hasAgg = true
-			break
-		}
-	}
-	if len(s.GroupBy) > 0 || hasAgg {
-		return db.execGrouped(s, params, sc, rows)
+	// GROUP BY, or an aggregate in a select item, takes the grouped path.
+	if pl.grouped {
+		return db.execGrouped(s, params, pl, rows, &blk.res)
 	}
 	if s.Having != nil {
 		return nil, fmt.Errorf("minisql: HAVING requires GROUP BY or aggregates")
 	}
-
-	cols := selectColumns(s, sc)
 
 	// Project each row where it stands — the gathered slice becomes the
 	// result's — keeping the source row around for its ORDER BY keys.
@@ -389,13 +404,16 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Resul
 	if len(s.OrderBy) > 0 {
 		keys = make([][]Value, len(rows))
 	}
-	env := rowEnv{sc: sc, params: params}
+	env := rowEnv{sc: pl.sc, params: params}
 	for i, row := range rows {
 		env.row = row
-		proj := make([]Value, 0, len(cols))
+		proj := blk.vals[:0]
+		if len(rows) > 1 || len(pl.cols) > len(blk.vals) {
+			proj = make([]Value, 0, len(pl.cols))
+		}
 		for _, item := range s.Items {
 			if item.Star {
-				start, length, err := starRange(sc, item)
+				start, length, err := starRange(pl.sc, item)
 				if err != nil {
 					return nil, err
 				}
@@ -417,12 +435,13 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Resul
 		}
 		rows[i] = proj
 	}
-	return finishSelect(s, params, cols, rows, keys)
+	return finishSelect(s, params, pl.cols, rows, keys, &blk.res)
 }
 
 // gatherRows materializes the FROM/JOIN clause and applies WHERE, returning
-// the combined scope and the surviving rows in a slice the caller owns.
-func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope, [][]Value, error) {
+// the statement's plan over the combined scope and the surviving rows,
+// appended to dst.
+func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool, dst [][]Value) (*selectPlan, [][]Value, error) {
 	t, err := db.tableForRead(s.From.Name, snap)
 	if err != nil {
 		return nil, nil, err
@@ -430,15 +449,15 @@ func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope
 
 	if len(s.Joins) == 0 {
 		// Single-table path keeps the index fast paths.
-		var rows [][]Value
-		err := db.matchRows(t, s.From.Label(), s.Where, params, func(_ int64, row []Value) error {
+		pl, rows := s.planFor(t.scopeAs(s.From.Label())), dst
+		err := db.matchRows(t, s.From.Label(), s.Where, params, pl.need, func(_ int64, row []Value) error {
 			rows = append(rows, row)
 			return nil
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		return t.scopeAs(s.From.Label()), rows, nil
+		return pl, rows, nil
 	}
 
 	// Nested-loop joins, left to right, over materialized scans.
@@ -507,7 +526,7 @@ func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool) (*scope
 		}
 		rows = filtered
 	}
-	return sc, rows, nil
+	return s.planFor(sc), rows, nil
 }
 
 // starRange resolves the row slice covered by a (possibly qualified) star.
@@ -524,15 +543,7 @@ func starRange(sc *scope, item SelectItem) (start, length int, err error) {
 
 // selectColumns derives the result header.
 func selectColumns(s *SelectStmt, sc *scope) []string {
-	n := 0
-	for _, item := range s.Items {
-		if item.Star {
-			n += len(sc.names) // an upper bound for a qualified star
-		} else {
-			n++
-		}
-	}
-	cols := make([]string, 0, n)
+	var cols []string
 	for _, item := range s.Items {
 		switch {
 		case item.Star && item.StarTable != "":
@@ -563,8 +574,8 @@ func selectColumns(s *SelectStmt, sc *scope) []string {
 
 // finishSelect applies DISTINCT, ORDER BY, OFFSET, and LIMIT to projected
 // rows; keys holds each row's ORDER BY keys and is nil without the clause.
-// The result takes rows over.
-func finishSelect(s *SelectStmt, params []Value, cols []string, rows, keys [][]Value) (*Result, error) {
+// The result, filled into res, takes rows over.
+func finishSelect(s *SelectStmt, params []Value, cols []string, rows, keys [][]Value, res *Result) (*Result, error) {
 	if s.Distinct {
 		seen := make(map[string]bool, len(rows))
 		n := 0
@@ -612,7 +623,44 @@ func finishSelect(s *SelectStmt, params []Value, cols []string, rows, keys [][]V
 	if end > len(rows) || end < offset {
 		end = len(rows)
 	}
-	return &Result{Columns: cols, Rows: rows[offset:end]}, nil
+	*res = Result{Columns: cols, Rows: rows[offset:end]}
+	return res, nil
+}
+
+// selectPlan is what a SELECT derives from the scope it reads: the result
+// header, which every Result of the statement shares, the columns it reads
+// from a row outside WHERE, and whether it aggregates.
+type selectPlan struct {
+	sc      *scope
+	cols    []string
+	need    colSet
+	grouped bool
+}
+
+// planFor returns s's plan over sc, derived once per statement and table
+// handle: a plan made for another scope — a reloaded handle, an alias, a
+// join — is replaced.
+func (s *SelectStmt) planFor(sc *scope) *selectPlan {
+	if pl := s.plan.Load(); pl != nil && pl.sc == sc {
+		return pl
+	}
+	pl := &selectPlan{sc: sc, cols: selectColumns(s, sc), grouped: len(s.GroupBy) > 0}
+	for _, item := range s.Items {
+		if item.Star {
+			pl.need = allCols
+		}
+		pl.need |= colRefs(sc, item.Expr)
+		pl.grouped = pl.grouped || len(appendAggs(nil, item.Expr)) > 0
+	}
+	for _, e := range s.GroupBy {
+		pl.need |= colRefs(sc, e)
+	}
+	for _, k := range s.OrderBy {
+		pl.need |= colRefs(sc, k.Expr)
+	}
+	pl.need |= colRefs(sc, s.Having)
+	s.plan.Store(pl)
+	return pl
 }
 
 // rowSorter orders projected rows by their ORDER BY keys, moving both
@@ -678,29 +726,51 @@ func compareForSort(a, b Value, errOut *error) int {
 	return c
 }
 
-// appendAggs appends every aggregate node inside e to dst; an expression
-// without one leaves dst as it was and allocates nothing.
-func appendAggs(dst []*AggExpr, e Expr) []*AggExpr {
+// subExprs calls fn on each expression directly inside e.
+func subExprs(e Expr, fn func(Expr)) {
 	switch n := e.(type) {
-	case *AggExpr:
-		dst = append(dst, n)
 	case *UnaryExpr:
-		dst = appendAggs(dst, n.X)
+		fn(n.X)
 	case *BinaryExpr:
-		dst = appendAggs(appendAggs(dst, n.L), n.R)
+		fn(n.L)
+		fn(n.R)
 	case *IsNullExpr:
-		dst = appendAggs(dst, n.X)
+		fn(n.X)
 	case *InExpr:
-		dst = appendAggs(dst, n.X)
+		fn(n.X)
 		for _, item := range n.List {
-			dst = appendAggs(dst, item)
+			fn(item)
 		}
 	case *FuncExpr:
 		for _, a := range n.Args {
-			dst = appendAggs(dst, a)
+			fn(a)
 		}
+	case *AggExpr:
+		fn(n.Arg)
 	}
+}
+
+// appendAggs appends every aggregate node inside e to dst; an expression
+// without one leaves dst as it was and allocates nothing.
+func appendAggs(dst []*AggExpr, e Expr) []*AggExpr {
+	if a, ok := e.(*AggExpr); ok {
+		return append(dst, a)
+	}
+	subExprs(e, func(x Expr) { dst = appendAggs(dst, x) })
 	return dst
+}
+
+// colRefs is the set of columns e reads in sc; a reference sc cannot resolve,
+// which the evaluator reports, counts as all.
+func colRefs(sc *scope, e Expr) (set colSet) {
+	if c, ok := e.(*ColumnExpr); ok {
+		if i, err := sc.lookup(c.Table, c.Name); err == nil && i < 64 {
+			return 1 << i
+		}
+		return allCols
+	}
+	subExprs(e, func(x Expr) { set |= colRefs(sc, x) })
+	return set
 }
 
 // rewriteAggs returns a copy of e with every aggregate node replaced by its
@@ -741,7 +811,7 @@ type group struct {
 // execGrouped evaluates SELECTs with GROUP BY and/or aggregates.
 // Without GROUP BY, all matched rows form a single group (so aggregates
 // over an empty match still yield one row, per SQL).
-func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matched [][]Value) (*Result, error) {
+func (db *Database) execGrouped(s *SelectStmt, params []Value, pl *selectPlan, matched [][]Value, res *Result) (*Result, error) {
 	// Aggregates may appear in select items, HAVING, and ORDER BY.
 	var aggNodes []*AggExpr
 	for _, item := range s.Items {
@@ -780,7 +850,7 @@ func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matche
 	}
 
 	for _, row := range matched {
-		env := &rowEnv{sc: sc, row: row, params: params}
+		env := &rowEnv{sc: pl.sc, row: row, params: params}
 		key := ""
 		if len(s.GroupBy) > 0 {
 			for _, ge := range s.GroupBy {
@@ -813,7 +883,6 @@ func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matche
 		}
 	}
 
-	cols := selectColumns(s, sc)
 	rows := make([][]Value, 0, len(ordered))
 	var sortKeys [][]Value
 	for _, g := range ordered {
@@ -825,7 +894,7 @@ func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matche
 			}
 			vals[a] = v
 		}
-		env := &rowEnv{sc: sc, row: g.repr, params: params}
+		env := &rowEnv{sc: pl.sc, row: g.repr, params: params}
 		if g.repr == nil {
 			env.sc = nil // the empty group has no row to resolve columns in
 		}
@@ -859,5 +928,5 @@ func (db *Database) execGrouped(s *SelectStmt, params []Value, sc *scope, matche
 			sortKeys = append(sortKeys, keys)
 		}
 	}
-	return finishSelect(s, params, cols, rows, sortKeys)
+	return finishSelect(s, params, pl.cols, rows, sortKeys, res)
 }

@@ -58,7 +58,8 @@ func errCheckpoint(err error) error { return fmt.Errorf("minisql: checkpoint: %w
 // uncommitted work was discarded by a group-commit failure cascade.
 var errTxAborted = errors.New("minisql: transaction aborted by a failed group commit")
 
-// commitBatch is one sealed transaction waiting in the commit queue.
+// commitBatch is one sealed transaction waiting in the commit queue. Its
+// committer hands it back to the pager once wait has read the outcome.
 type commitBatch struct {
 	seq uint64 // seal order; assigned under db.mu, so queue order == seq order
 	// recs are the staged WAL records, sorted by page. The after images are
@@ -72,6 +73,7 @@ type commitBatch struct {
 	// the pipeline condition variable until finished flips.
 	finished bool
 	err      error
+	next     *commitBatch // links the pager's free list
 }
 
 // commitPipeline is the commit queue plus leader election. Lock order:
@@ -120,6 +122,7 @@ func (p *commitPipeline) wait(db *Database, b *commitBatch) error {
 		if b.finished {
 			err := b.err
 			p.mu.Unlock()
+			db.pg.recycleBatch(b)
 			return err
 		}
 		if !p.leading {
@@ -264,7 +267,13 @@ func (pg *pager) seal(seq uint64) *commitBatch {
 		pg.finishCommitLocked()
 		return nil
 	}
-	b := &commitBatch{seq: seq}
+	b := pg.freeBatches
+	if b == nil {
+		b = new(commitBatch)
+	} else {
+		pg.freeBatches = b.next
+	}
+	*b = commitBatch{seq: seq}
 	b.recs = b.few[:0]
 	for id := range pg.dirty {
 		b.recs = append(b.recs, walRecord{id: id})
@@ -288,6 +297,14 @@ func (pg *pager) seal(seq uint64) *commitBatch {
 	}
 	pg.finishCommitLocked()
 	return b
+}
+
+// recycleBatch takes back a batch for a later seal: its committer has read
+// the outcome in wait, after finish cleared it out of the group array.
+func (pg *pager) recycleBatch(b *commitBatch) {
+	pg.mu.Lock()
+	b.next, pg.freeBatches = pg.freeBatches, b
+	pg.mu.Unlock()
 }
 
 // commitGroup appends every sealed batch in the group to the WAL in seal

@@ -58,10 +58,14 @@ type pager struct {
 	stmtUndo map[uint32]stmtImage
 	inStmt   bool
 
-	// freeBufs holds page-sized buffers between owners (see takeBufLocked).
-	freeBufs  [][]byte
-	bufAllocs uint64 // page buffers ever allocated
-	poison    bool   // tests only: fill every released buffer with 0xDB
+	// freeBufs holds page-sized buffers between owners (see takeBufLocked),
+	// freeFrames the page structs of dropped frames, linked by lruNext, and
+	// freeBatches the commit batches their committers are done with, by next.
+	freeBufs    [][]byte
+	freeFrames  *page
+	freeBatches *commitBatch
+	bufAllocs   uint64 // page buffers ever allocated
+	poison      bool   // tests only: fill every released buffer with 0xDB
 
 	committedNPages uint32
 
@@ -195,6 +199,28 @@ func (pg *pager) releaseBufLocked(buf []byte) {
 	}
 	if len(pg.freeBufs) < maxFreeBufs {
 		pg.freeBufs = append(pg.freeBufs, buf)
+	}
+}
+
+// takeFrameLocked returns an unpinned page struct for page id holding buf.
+func (pg *pager) takeFrameLocked(id uint32, buf []byte) *page {
+	p := pg.freeFrames
+	if p == nil {
+		p = new(page)
+	} else {
+		pg.freeFrames = p.lruNext
+	}
+	*p = page{id: id, buf: buf}
+	return p
+}
+
+// releaseFrameLocked hands back, with its buffer, an unpinned frame nothing
+// reaches any more; one already released (a second unpin) has no buffer.
+func (pg *pager) releaseFrameLocked(p *page) {
+	if p.buf != nil {
+		pg.releaseBufLocked(p.buf)
+		*p = page{lruNext: pg.freeFrames}
+		pg.freeFrames = p
 	}
 }
 
@@ -379,7 +405,7 @@ func probePageSize(f, wal file, hint int) (int, error) {
 // root, committed as the first transaction.
 func (pg *pager) initFresh() error {
 	pg.mu.Lock()
-	meta := &page{id: 0, buf: pg.takeBufLocked()}
+	meta := pg.takeFrameLocked(0, pg.takeBufLocked())
 	initMetaPage(meta.buf, pg.pageSize)
 	metaSetNPages(meta.buf, 2)
 	metaSetCatalog(meta.buf, 1)
@@ -388,7 +414,7 @@ func (pg *pager) initFresh() error {
 	pg.dirty[0] = meta
 	pg.txUndo[0] = nil
 
-	cat := &page{id: 1, buf: pg.takeBufLocked()}
+	cat := pg.takeFrameLocked(1, pg.takeBufLocked())
 	cat.initPage(pageLeaf, pg.pageSize)
 	cat.dirty = true
 	pg.cache[1] = cat
@@ -450,14 +476,13 @@ func (pg *pager) evictDownTo(limit int) {
 	}
 }
 
-// dropLocked removes p from the cache and hands its buffer back. A page
-// someone still has pinned keeps its buffer until that unpin.
+// dropLocked removes p from the cache and hands the frame back. A page
+// someone still has pinned keeps it until that unpin.
 func (pg *pager) dropLocked(p *page) {
 	pg.lruRemove(p)
 	delete(pg.cache, p.id)
 	if p.pins == 0 {
-		pg.releaseBufLocked(p.buf)
-		p.buf = nil
+		pg.releaseFrameLocked(p)
 	}
 }
 
@@ -490,7 +515,8 @@ func (pg *pager) loadLocked(id uint32, install bool) (*page, error) {
 		pg.releaseBufLocked(buf)
 		return nil, err
 	}
-	p := &page{id: id, buf: buf, pins: 1}
+	p := pg.takeFrameLocked(id, buf)
+	p.pins = 1
 	if install {
 		pg.cache[id] = p
 	}
@@ -542,11 +568,10 @@ func (pg *pager) unpin(p *page) {
 	// Transient snapshot copies (getSnapshot of a dirty page) are not cache
 	// entries; putting one on the LRU list would make eviction delete the
 	// real cached page under the same id. Only list-manage cache residents.
-	// A non-resident's buffer goes back instead, and clearing p.buf keeps a
-	// second unpin (pins == 0 is tolerated above) from releasing it twice.
+	// A non-resident frame goes back instead; a second unpin (pins == 0 is
+	// tolerated above) finds it without a buffer and releases nothing.
 	if pg.cache[p.id] != p {
-		pg.releaseBufLocked(p.buf)
-		p.buf = nil
+		pg.releaseFrameLocked(p)
 		return
 	}
 	if !p.dirty && !p.onLRU(pg) {
@@ -671,7 +696,8 @@ func (pg *pager) alloc(typ byte) (*page, error) {
 	metaSetNPages(meta.buf, n+1)
 
 	pg.mu.Lock()
-	p := &page{id: n, buf: pg.takeBufLocked(), pins: 1}
+	p := pg.takeFrameLocked(n, pg.takeBufLocked())
+	p.pins = 1
 	p.initPage(typ, pg.pageSize)
 	pg.cache[n] = p
 	pg.markDirtyLocked(p)

@@ -130,11 +130,7 @@ func TestParamsSurviveWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash (no Close): the row is only in the WAL's page images.
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
+	db2 := mustReopen(t, crashCopy(t, dir))
 	res := mustQuery(t, db2, `SELECT v FROM p WHERE id = 1`)
 	if got := flat(res); got != tricky {
 		t.Fatalf("replayed value = %q, want %q", got, tricky)
@@ -465,11 +461,11 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 	// statement/rows wrappers, Scan's copy of the value) through the driver.
 	const sessionMargin, driverPutMargin, driverGetMargin = 0, 12, 23
 	// And what the AST itself may cost, since a margin says nothing about its
-	// base (it had drifted to 23 and 14 behind constant margins). A replace:
-	// the row's values and its record. A point select: the row's private copy
-	// off the page, its values and its key text, then the projected row, the
-	// column list, the row list and the Result.
-	const astPutCeiling, astGetCeiling = 2, 7
+	// base. A replace: nothing, its row and record are the writer's scratch. A
+	// point select: the row's private copy off the page, its values (the
+	// unprojected key stays bytes), and the Result, which holds its row list
+	// and projected row.
+	const astPutCeiling, astGetCeiling = 0, 3
 
 	var margins [2][4]float64
 	for si, size := range []int{256, 2048} {

@@ -144,7 +144,7 @@ func TestPropertyWALReplayEquivalence(t *testing.T) {
 			return false
 		}
 		// Crash: no Close, recover from WAL alone.
-		db2, err := Open(dir, Options{})
+		db2, err := crashCopy(t, dir).reopen(t)
 		if err != nil {
 			t.Log(err)
 			return false

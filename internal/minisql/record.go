@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -31,18 +32,19 @@ const (
 	recTagTrue  = 6
 )
 
-// encodeRow serializes a row into a fresh byte slice.
-func encodeRow(row []Value) []byte {
+// appendRow appends the record of row to dst.
+func appendRow(dst []byte, row []Value) []byte {
 	n := uvarintLen(uint64(len(row)))
 	for _, v := range row {
 		n += 1 + recPayloadLen(v)
 	}
-	buf := make([]byte, n)
-	off := binary.PutUvarint(buf, uint64(len(row)))
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
+	off += binary.PutUvarint(dst[off:], uint64(len(row)))
 	for _, v := range row {
-		off += encodeValue(buf[off:], v)
+		off += encodeValue(dst[off:], v)
 	}
-	return buf[:off]
+	return dst[:off]
 }
 
 func recPayloadLen(v Value) int {
@@ -93,13 +95,21 @@ func encodeValue(buf []byte, v Value) int {
 	}
 }
 
+// colSet is a set of column positions; positions from 64 up are always in it.
+type colSet uint64
+
+const allCols = ^colSet(0)
+
+func (s colSet) has(i int) bool { return i >= 64 || s&(1<<i) != 0 }
+
 // decodeRow parses a serialized record, rejecting malformed input. BLOB
 // values alias buf instead of copying out of it, which is the one copy a value
 // is spared between its page and the query result — so buf must be bytes the
 // caller owns outright and never writes again: btree.get and cursor.value
 // return such private copies. Page-resident bytes (a parsed cell of a pinned
-// page) must not come here; after unpin the pager reuses them.
-func decodeRow(buf []byte) ([]Value, error) {
+// page) must not come here; after unpin the pager reuses them. A TEXT column
+// outside need, which the caller does not read, is left NULL, not copied.
+func decodeRow(buf []byte, need colSet) ([]Value, error) {
 	ncols, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, fmt.Errorf("minisql: bad record column count")
@@ -140,7 +150,9 @@ func decodeRow(buf []byte) ([]Value, error) {
 			b := buf[off : off+int(l)]
 			off += int(l)
 			if tag == recTagText {
-				row[i] = Text(string(b))
+				if need.has(i) {
+					row[i] = Text(string(b))
+				}
 			} else {
 				row[i] = Blob(b[:len(b):len(b)])
 			}

@@ -136,7 +136,7 @@ func (t *table) buildIndex(name string, def namedIndex) error {
 		if err != nil {
 			return err
 		}
-		row, err := decodeRow(raw)
+		row, err := decodeRow(raw, allCols)
 		if err != nil {
 			return err
 		}
@@ -230,8 +230,8 @@ func (t *table) validate(vals []Value) error {
 	return nil
 }
 
-// getRow fetches and decodes the row at rowid.
-func (t *table) getRow(id int64) ([]Value, error) {
+// getRow fetches and decodes the row at rowid; see decodeRow for need.
+func (t *table) getRow(id int64, need colSet) ([]Value, error) {
 	key := rowidKey(id)
 	raw, found, err := t.tree.get(key[:], nil)
 	if err != nil {
@@ -240,7 +240,7 @@ func (t *table) getRow(id int64) ([]Value, error) {
 	if !found {
 		return nil, fmt.Errorf("minisql: internal: missing rowid %d in table %q", id, t.schema.Name)
 	}
-	return decodeRow(raw)
+	return decodeRow(raw, need)
 }
 
 // lookupUnique returns the rowid holding value v in indexed column col. The
@@ -331,7 +331,7 @@ func (t *table) insert(vals []Value, probed int) (int64, error) {
 	id := t.nextRow
 	t.nextRow++
 	rk := rowidKey(id)
-	if err := t.tree.insert(rk[:], encodeRow(vals)); err != nil {
+	if err := t.tree.insert(rk[:], t.db.recordLocked(vals)); err != nil {
 		return 0, err
 	}
 	var kb indexKeyBuf
@@ -372,7 +372,7 @@ func (t *table) update(id int64, old, vals []Value, located int) error {
 	}
 	if old == nil && others > 0 {
 		var err error
-		if old, err = t.getRow(id); err != nil {
+		if old, err = t.getRow(id, allCols); err != nil {
 			return err
 		}
 	}
@@ -418,7 +418,7 @@ func (t *table) update(id int64, old, vals []Value, located int) error {
 			}
 		}
 	}
-	return t.tree.insert(rk[:], encodeRow(vals))
+	return t.tree.insert(rk[:], t.db.recordLocked(vals))
 }
 
 // delete removes the row at id, whose current content is old, maintaining
@@ -465,7 +465,7 @@ func (t *table) scanRows(fn func(id int64, row []Value) (bool, error)) error {
 		if err != nil {
 			return err
 		}
-		row, err := decodeRow(raw)
+		row, err := decodeRow(raw, allCols)
 		if err != nil {
 			return err
 		}
