@@ -119,11 +119,19 @@ fence:
 # client's connection pool: which requests go out again after a lost
 # connection, a ctx cutting a body read, the header timeout against a silent
 # server, a reset connection, a coalesced caller giving up, and sockets
-# draining after wire faults (DESIGN.md "HTTP hot path").
+# draining after wire faults (DESIGN.md "HTTP hot path"). Then the Put slice
+# rule: a Put cut by its deadline mid-call leaves the slice to its caller in
+# the muxed miniredis client, the cloudsim client, the cluster and resilient
+# under OpTimeout; dscl's pooled put envelope stays the store call's until it
+# returns and never backs a transformed cache entry; and the nonces of one
+# secure.Cipher never repeat across goroutines (DESIGN.md "Buffer ownership
+# for the *To APIs").
 reuse:
 	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestRoundContext|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode' ./kv/cluster)
 	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/(Idle|Leader)' ./internal/miniredis)
 	$(call run-named,-race -count=20 -run 'TestConnectionLossReplay|TestCtxCancelAbortsBodyRead|TestResponseHeaderTimeoutCutsSilentServer|TestServerFaultInjection/ConnectionReset|TestCoalescePerCallerCancel|TestCoalesceChaosConnHygiene' ./internal/cloudsim)
+	$(call run-named,-race -count=20 -run '(TestMuxStoreConformance|TestConformance|TestClusterConformance|TestPutCutConformance)/PutCutByDeadline' ./internal/miniredis ./internal/cloudsim ./kv/cluster ./kv/resilient)
+	$(call run-named,-race -count=20 -run 'TestPutEnvelopeOwnership|TestSealNoncesNeverRepeat' ./dscl ./internal/secure)
 
 # The delta chain as a store: every inner write of a scripted history failed
 # before and after it applied (the key reads as the last acknowledged value or
@@ -142,10 +150,11 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardTrace TestAllocGuardTransformChain TestAllocGuardOneShot \
 	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut \
 	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
-	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone
+	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone \
+	TestAllocGuardSealOpen
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
-		./internal/miniredis ./internal/minisql ./internal/pack ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \
+		./internal/miniredis ./internal/minisql ./internal/pack ./internal/secure ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \
 	echo "$$out"; \
 	for t in $(ALLOC_GUARDS); do \
 		echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "allocs: $$t did not pass (skipped, renamed or failed)" >&2; status=1; }; \

@@ -22,30 +22,29 @@ import (
 // (exact profile, runtime.MemProfileRate = 1) outlives the request or is the
 // library's below us:
 //
-//	get 6:  1 the probe round's context (the round's deadline over the
-//	          caller's context; each replica call holds an idle socket, which
-//	          takes the deadline, so no Done channel is made and no timer is
-//	          armed)
-//	        1 the record from the window's head (resp.Reader)
-//	        1 the 11-byte header from the window's other replica: the two
-//	          agree, so the third is not read
-//	        1 the request ID dscl tags an untraced context with (the context
-//	          that carries it; under a tracing udsm it is the trace's)
-//	        1 the cipher.NewCTR stream
-//	        1 the plaintext handed to the caller (pack)
-//	put 10: 6 on the servers: the stored key and the stored value, three times
-//	        1 the round's context, 1 the request ID, 1 the CTR stream, as for a get
-//	        1 the encoded value dscl hands the store (secure)
+//	get 5: 1 the probe round's context (the round's deadline over the
+//	         caller's context; each replica call holds an idle socket, which
+//	         takes the deadline, so no Done channel is made and no timer is
+//	         armed)
+//	       1 the record from the window's head (resp.Reader)
+//	       1 the 11-byte header from the window's other replica: the two
+//	         agree, so the third is not read
+//	       1 the request ID dscl tags an untraced context with (the context
+//	         that carries it; under a tracing udsm it is the trace's)
+//	       1 the plaintext handed to the caller (pack)
+//	put 8: 6 on the servers: the stored key and the stored value, three times
+//	       1 the round's context, 1 the request ID, as for a get
 //
 // Nothing is paid for fanning out (fan-out state, its timer, spawn closures,
 // the encoded record, the mux call, the key arguments are pooled or alias the
-// caller's) nor for a version nobody keeps.
+// caller's), for encryption (the AEAD is built once; dscl's envelope is a
+// pooled buffer) nor for a version nobody keeps.
 func TestAllocGuardQuorumOverRESP(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	get, put := quorumOverRESP(t, false)
-	const wantGet, wantPut = 6, 10
+	const wantGet, wantPut = 5, 8
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
@@ -53,7 +52,7 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 }
 
 // TestAllocGuardQuorumGetBytes pins what the header probe saves a get through
-// TestAllocGuardQuorumOverRESP's stack: at least 512 B of the 624 B record the
+// TestAllocGuardQuorumOverRESP's stack: at least 512 B of the 604 B record the
 // window's second replica no longer sends, against the same stack over nodes
 // that hide kv.Ranged — which are read whole, as before the probe read
 // headers. Bytes are runtime.MemStats.TotalAlloc over 2 000 gets, servers

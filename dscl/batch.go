@@ -110,7 +110,7 @@ func (cl *Client) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 	encoded := make(map[string][]byte, len(pairs))
 	tokens := make(map[string]token, len(pairs))
 	for k, v := range pairs {
-		e, err := cl.encode(v)
+		e, _, err := cl.encode(v, false)
 		if err != nil {
 			return err
 		}

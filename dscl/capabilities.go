@@ -161,10 +161,11 @@ func (cl *Client) PutIfVersion(ctx context.Context, key string, value []byte, si
 	if err != nil {
 		return kv.NoVersion, err
 	}
-	encoded, err := cl.encode(value)
+	encoded, buf, err := cl.encode(value, true)
 	if err != nil {
 		return kv.NoVersion, err
 	}
+	defer buf.Release()
 	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	t := cl.begin(key)
@@ -187,10 +188,11 @@ func (cl *Client) PutTTL(ctx context.Context, key string, value []byte, ttlNanos
 	if err != nil {
 		return err
 	}
-	encoded, err := cl.encode(value)
+	encoded, buf, err := cl.encode(value, true)
 	if err != nil {
 		return err
 	}
+	defer buf.Release()
 	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	t := cl.begin(key)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edsc/internal/bufpool"
 	"edsc/internal/delta"
 	"edsc/kv"
 	"edsc/monitor"
@@ -260,18 +261,30 @@ func (cl *Client) expiry(serverTTL time.Duration) time.Time {
 	return cl.clock().Add(ttl)
 }
 
-// encode runs the transform pipeline on a value bound for the store.
-func (cl *Client) encode(value []byte) ([]byte, error) {
+// encode runs the transform pipeline on a value bound for the store. A
+// single-key write (pooled) encodes into a pooled buffer, handed back in buf
+// for the caller to release once the store call and afterWrite have returned:
+// kv.Store keeps nothing past the call, and a plaintext cache keeps value.
+// WithCacheTransformed caches the encoding itself, so there — and for
+// PutMulti — encoded is the client's own allocation and buf is nil.
+func (cl *Client) encode(value []byte, pooled bool) (encoded []byte, buf *bufpool.Buf, err error) {
 	if cl.transform == nil {
-		return value, nil
+		return value, nil, nil
 	}
-	out, err := cl.transform.Encode(value)
+	if pooled && !cl.cacheRaw {
+		buf = bufpool.Get(len(value) + 64)
+		encoded, err = encodeTo(cl.transform, buf.B, value)
+		buf.B = encoded
+	} else {
+		encoded, err = cl.transform.Encode(value)
+	}
 	if err != nil {
-		return nil, err
+		buf.Release()
+		return nil, nil, err
 	}
 	cl.tfIn.Add(int64(len(value)))
-	cl.tfOut.Add(int64(len(out)))
-	return out, nil
+	cl.tfOut.Add(int64(len(encoded)))
+	return encoded, buf, nil
 }
 
 // decode reverses the transform pipeline on a value from the store.
@@ -424,10 +437,11 @@ func (cl *Client) versioned(keep bool) kv.Versioned {
 // put is Put and PutVersioned after their checks. vs is the store's
 // versioned face when somebody will use the write's version, else nil.
 func (cl *Client) put(ctx context.Context, key string, value []byte, vs kv.Versioned) (kv.Version, error) {
-	encoded, err := cl.encode(value)
+	encoded, buf, err := cl.encode(value, true)
 	if err != nil {
 		return kv.NoVersion, err
 	}
+	defer buf.Release()
 	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	t := cl.begin(key)

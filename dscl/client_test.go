@@ -597,13 +597,14 @@ func (s *flatStore) PutVersioned(_ context.Context, _ string, value []byte) (kv.
 }
 
 // TestAllocGuardClientGetPut pins what the benchmark multiplies by every
-// cached operation: the client's own allocations on its four hot paths, with
-// the benchmark's gzip+AES chain, a 1 KiB value and the in-process cache. A
-// hit allocates nothing; a miss is the request ID (the context that carries
-// it, 1), the decode (2) and the cache's node; a put the request ID, the
-// encode (2), the private copy and the node; a fresh revalidation the request
-// ID alone. The fence (begin,
-// wrote, install) adds nothing to any of them.
+// cached operation: the client's own allocations on its hot paths, with the
+// benchmark's gzip+AES chain, a 1 KiB value and the in-process cache. A hit
+// allocates nothing; a miss is the request ID (the context that carries it),
+// the plaintext the decode returns and the cache's node; a put the request
+// ID, the private copy and the node — its envelope is pooled; a put under
+// WithCacheTransformed the request ID, the envelope the cache keeps and the
+// node; a fresh revalidation the request ID alone. The fence (begin, wrote,
+// install) adds nothing to any of them.
 func TestAllocGuardClientGetPut(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -613,6 +614,7 @@ func TestAllocGuardClientGetPut(t *testing.T) {
 	opts := []Option{WithCompression(CompressionOptions{}), WithTransform(EncryptionFromPassphrase("guard"))}
 	cache := NewInProcessCache(InProcessOptions{})
 	cl := New(store, append(opts, WithCache(cache))...)
+	raw := New(store, append(opts, WithCache(NewInProcessCache(InProcessOptions{})), WithCacheTransformed())...)
 	// Its lease has always just lapsed: every Get revalidates.
 	stale := New(store, append(opts, WithCache(NewInProcessCache(InProcessOptions{})), WithTTL(time.Nanosecond))...)
 	value := make([]byte, 1024)
@@ -629,12 +631,13 @@ func TestAllocGuardClientGetPut(t *testing.T) {
 		fn   func() error
 	}{
 		{"hit", 0, func() (err error) { _, err = cl.Get(ctx, "k"); return }},
-		{"miss and fill", 4, func() (err error) {
+		{"miss and fill", 3, func() (err error) {
 			_, _ = cache.Delete(ctx, "k")
 			_, err = cl.Get(ctx, "k")
 			return
 		}},
-		{"write-through put", 5, func() error { return cl.Put(ctx, "k", value) }},
+		{"write-through put", 3, func() error { return cl.Put(ctx, "k", value) }},
+		{"write-through put, cache transformed", 3, func() error { return raw.Put(ctx, "k", value) }},
 		{"revalidated fresh", 1, func() (err error) { _, err = stale.Get(ctx, "k"); return }},
 	} {
 		if err := leg.fn(); err != nil {

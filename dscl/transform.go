@@ -112,7 +112,7 @@ func (t compression) DecodeTo(dst, data []byte) ([]byte, error) {
 
 type encryption struct{ c *secure.Cipher }
 
-// Encryption returns an AES-128 Transform (encrypt-then-MAC envelope). The
+// Encryption returns an AES-128 Transform (an AES-GCM envelope). The
 // key must be exactly 16 bytes.
 func Encryption(key []byte) (Transform, error) {
 	c, err := secure.NewCipher(key)

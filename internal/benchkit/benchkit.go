@@ -318,15 +318,18 @@ func (e *Env) FigCached(ctx context.Context, storeName string, kind CacheKind, c
 	return rep, nil
 }
 
-// Fig20 measures AES-128 encryption/decryption time vs size.
+// Fig20 measures AES-128 encryption/decryption time vs size through SealTo
+// and OpenTo, the calls the client's transform pipeline makes, into buffers
+// reused across samples: the figure times the cipher, not the allocator.
 func (e *Env) Fig20(cfg workload.Config) (*workload.TransformReport, error) {
 	cipher, err := secure.NewCipher(make([]byte, secure.KeySize))
 	if err != nil {
 		return nil, err
 	}
+	var sealed, opened []byte
 	return workload.New(cfg).MeasureTransform("aes128",
-		func(b []byte) ([]byte, error) { return cipher.Seal(b) },
-		func(b []byte) ([]byte, error) { return cipher.Open(b) })
+		func(b []byte) (_ []byte, err error) { sealed, err = cipher.SealTo(sealed[:0], b); return sealed, err },
+		func(b []byte) (_ []byte, err error) { opened, err = cipher.OpenTo(opened[:0], b); return opened, err })
 }
 
 // Fig21 measures gzip compression/decompression time vs size. The level is

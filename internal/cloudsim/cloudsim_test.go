@@ -29,10 +29,12 @@ func startServer(t *testing.T, p Profile) *Server {
 func TestConformance(t *testing.T) {
 	s := startServer(t, LocalProfile("cloud"))
 	n := 0
-	kvtest.Run(t, func(t *testing.T) (kv.Store, func()) {
+	factory := func(t *testing.T) (kv.Store, func()) {
 		n++
 		return NewClient("cloud", s.Addr(), string(rune('a'+n%26))+"bucket"), nil
-	}, kvtest.Options{MaxValue: 256 << 10})
+	}
+	kvtest.Run(t, factory, kvtest.Options{MaxValue: 256 << 10})
+	kvtest.RunPutCut(t, factory)
 }
 
 func TestETagChangesWithContent(t *testing.T) {

@@ -314,10 +314,12 @@ func TestMuxCancelBeforeWriteIsClean(t *testing.T) {
 func TestMuxStoreConformance(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	n := 0
-	kvtest.Run(t, func(t *testing.T) (kv.Store, func()) {
+	factory := func(t *testing.T) (kv.Store, func()) {
 		n++
 		return OpenStoreWith("mux", s.Addr(), fmt.Sprintf("mux%d:", n), Options{MuxConns: 2}), nil
-	}, kvtest.Options{MaxValue: 256 << 10})
+	}
+	kvtest.Run(t, factory, kvtest.Options{MaxValue: 256 << 10})
+	kvtest.RunPutCut(t, factory)
 }
 
 // TestMuxRangedConformance runs the kv.Ranged suite over a muxed store.

@@ -1,34 +1,41 @@
-// Package secure implements the DSCL's client-side encryption: an
-// AES-128-CTR + HMAC-SHA256 encrypt-then-MAC envelope. The paper (§V,
-// Fig. 20) uses AES with 128-bit keys and observes that, AES being symmetric,
-// encryption and decryption cost about the same — a property this
-// construction preserves (CTR mode runs the block cipher identically in both
-// directions).
+// Package secure implements the DSCL's client-side encryption: an AES-128-GCM
+// envelope. The paper (§V, Fig. 20) uses AES with 128-bit keys and observes
+// that, AES being symmetric, encryption and decryption cost about the same —
+// a property GCM preserves (the CTR keystream and the GHASH pass run the same
+// way in both directions).
 //
-// Envelope layout:
+// Envelope layout (version 2):
 //
-//	magic(2) | version(1) | iv(16) | ciphertext(n) | hmac(32)
+//	magic(2) | version(1) | nonce(12) | ciphertext(n) | tag(16)
 //
-// The MAC covers magic..ciphertext, so truncation, bit flips, and version
-// confusion are all detected before any plaintext is released.
+// The three header bytes are GCM additional data, so truncation, bit flips
+// and version confusion are all detected before any plaintext is released.
+// Envelopes of version 1 (AES-CTR with HMAC-SHA256) are refused by name.
+//
+// Nonces follow the fixed-field-plus-counter construction of NIST SP 800-38D
+// §8.2.1: each Cipher draws 12 random bytes once, and its i-th Seal adds i
+// into their last 8 bytes (wrapping within them). No nonce repeats within a
+// Cipher, and nothing reads crypto/rand per Seal. Two Ciphers on one key
+// collide only when their counter ranges overlap, with probability about
+// (n₁+n₂)/2⁹⁶ for n₁ and n₂ seals. A process image restored twice from one
+// snapshot (a VM or container checkpoint) resumes the same counter from the
+// same base and repeats nonces: build a fresh Cipher after such a restore.
 //
 // Hot-path note: SealTo and OpenTo are the append-style primitives — they
-// write into a caller-supplied destination and reuse the cipher's pooled
-// HMAC state, so a steady-state transform pipeline allocates only the CTR
-// stream. Seal and Open are thin wrappers that allocate a fresh slice.
+// write into a caller-supplied destination through an AEAD built once per
+// Cipher, so with room in dst they allocate nothing. Seal and Open are thin
+// wrappers that allocate a fresh slice.
 package secure
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"io"
-	"sync"
+	"sync/atomic"
 
 	"edsc/internal/bufpool"
 )
@@ -39,13 +46,14 @@ const KeySize = 16
 const (
 	magic0  = 0xE5
 	magic1  = 0xDC
-	version = 1
+	version = 2
 
-	ivSize  = aes.BlockSize
-	macSize = sha256.Size
+	headerSize = 3
+	nonceSize  = 12
+	tagSize    = 16
 
 	// Overhead is the fixed size added to every plaintext.
-	Overhead = 2 + 1 + ivSize + macSize
+	Overhead = headerSize + nonceSize + tagSize
 )
 
 // Errors returned by Open.
@@ -54,39 +62,38 @@ var (
 	ErrTampered    = errors.New("secure: envelope failed authentication")
 )
 
-// macState is the pooled per-operation HMAC machinery: the keyed hash plus a
-// fixed sum scratch, so verification never allocates.
-type macState struct {
-	h   hash.Hash
-	sum [macSize]byte
-}
-
 // Cipher encrypts and decrypts byte slices. It is safe for concurrent use.
 type Cipher struct {
-	encKey [KeySize]byte
-	macKey [sha256.Size]byte
-	block  cipher.Block // AES key schedule, computed once
-	randR  io.Reader
-	macs   sync.Pool // of *macState
+	aead cipher.AEAD // AES-128-GCM, key schedule and GHASH tables computed once
+	base [nonceSize]byte
+	seq  atomic.Uint64 // seals so far: the next nonce's counter
 }
 
-// NewCipher builds a Cipher from a 16-byte key. The encryption and MAC keys
-// are derived from it with domain-separated SHA-256, so a single user key
-// configures the whole envelope.
+// NewCipher builds a Cipher from a 16-byte key. The AES key is derived from
+// it with domain-separated SHA-256; the nonce base is drawn from crypto/rand.
 func NewCipher(key []byte) (*Cipher, error) {
+	var base [nonceSize]byte
+	if _, err := rand.Read(base[:]); err != nil {
+		return nil, fmt.Errorf("secure: drawing the nonce base: %w", err)
+	}
+	return newCipherWithBase(key, base)
+}
+
+// newCipherWithBase is NewCipher with a chosen nonce base, for fixtures.
+func newCipherWithBase(key []byte, base [nonceSize]byte) (*Cipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("secure: key must be %d bytes, got %d", KeySize, len(key))
 	}
-	c := &Cipher{randR: rand.Reader}
 	enc := sha256.Sum256(append([]byte("edsc-enc:"), key...))
-	copy(c.encKey[:], enc[:KeySize])
-	c.macKey = sha256.Sum256(append([]byte("edsc-mac:"), key...))
-	block, err := aes.NewCipher(c.encKey[:])
+	block, err := aes.NewCipher(enc[:KeySize])
 	if err != nil {
 		return nil, err
 	}
-	c.block = block
-	return c, nil
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, err
+	}
+	return &Cipher{aead: aead, base: base}, nil
 }
 
 // NewCipherFromPassphrase derives a key from an arbitrary passphrase.
@@ -101,16 +108,6 @@ func NewCipherFromPassphrase(passphrase string) *Cipher {
 	return c
 }
 
-func (c *Cipher) getMAC() *macState {
-	if m, _ := c.macs.Get().(*macState); m != nil {
-		m.h.Reset()
-		return m
-	}
-	return &macState{h: hmac.New(sha256.New, c.macKey[:])}
-}
-
-func (c *Cipher) putMAC(m *macState) { c.macs.Put(m) }
-
 // Seal encrypts plaintext into a fresh envelope.
 func (c *Cipher) Seal(plaintext []byte) ([]byte, error) {
 	return c.SealTo(nil, plaintext)
@@ -123,21 +120,14 @@ func (c *Cipher) Seal(plaintext []byte) ([]byte, error) {
 // reallocated when its spare capacity is insufficient.
 func (c *Cipher) SealTo(dst, plaintext []byte) ([]byte, error) {
 	off := len(dst)
-	out := bufpool.Grow(dst, 3+ivSize+len(plaintext)+macSize)
-	env := out[off:]
-	env[0], env[1], env[2] = magic0, magic1, version
-	iv := env[3 : 3+ivSize]
-	if _, err := io.ReadFull(c.randR, iv); err != nil {
-		return dst, fmt.Errorf("secure: generating IV: %w", err)
-	}
-	cipher.NewCTR(c.block, iv).XORKeyStream(env[3+ivSize:3+ivSize+len(plaintext)], plaintext)
-
-	m := c.getMAC()
-	m.h.Write(env[:3+ivSize+len(plaintext)])
-	// Sum appends into env's tail, which Grow already sized — no allocation.
-	m.h.Sum(env[:3+ivSize+len(plaintext)])
-	c.putMAC(m)
-	return out, nil
+	out := bufpool.Grow(dst, Overhead+len(plaintext))[:off+headerSize+nonceSize]
+	hdr := out[off:]
+	hdr[0], hdr[1], hdr[2] = magic0, magic1, version
+	nonce := hdr[headerSize:]
+	copy(nonce, c.base[:])
+	ctr := binary.BigEndian.Uint64(nonce[4:]) + c.seq.Add(1) - 1
+	binary.BigEndian.PutUint64(nonce[4:], ctr)
+	return c.aead.Seal(out, nonce, plaintext, hdr[:headerSize]), nil
 }
 
 // Open authenticates and decrypts an envelope produced by Seal.
@@ -147,34 +137,18 @@ func (c *Cipher) Open(envelope []byte) ([]byte, error) {
 
 // OpenTo authenticates envelope and appends the plaintext to dst, returning
 // the extended slice. dst must not overlap envelope. On error dst is
-// returned unmodified.
+// returned with its length unchanged.
 func (c *Cipher) OpenTo(dst, envelope []byte) ([]byte, error) {
 	if len(envelope) < Overhead || envelope[0] != magic0 || envelope[1] != magic1 {
 		return dst, ErrNotEnvelope
 	}
 	if envelope[2] != version {
-		return dst, fmt.Errorf("secure: unsupported envelope version %d", envelope[2])
+		return dst, fmt.Errorf("secure: envelope version %d is not supported (this build reads version %d only)", envelope[2], version)
 	}
-	body := envelope[:len(envelope)-macSize]
-	gotMAC := envelope[len(envelope)-macSize:]
-	m := c.getMAC()
-	m.h.Write(body)
-	computed := m.h.Sum(m.sum[:0])
-	ok := hmac.Equal(computed, gotMAC)
-	c.putMAC(m)
-	if !ok {
+	nonce := envelope[headerSize : headerSize+nonceSize]
+	out, err := c.aead.Open(dst, nonce, envelope[headerSize+nonceSize:], envelope[:headerSize])
+	if err != nil {
 		return dst, ErrTampered
 	}
-	iv := envelope[3 : 3+ivSize]
-	ct := envelope[3+ivSize : len(envelope)-macSize]
-	off := len(dst)
-	out := bufpool.Grow(dst, len(ct))
-	cipher.NewCTR(c.block, iv).XORKeyStream(out[off:], ct)
 	return out, nil
-}
-
-// IsEnvelope reports whether data begins with the envelope header, letting
-// mixed deployments (some values encrypted, some not) route correctly.
-func IsEnvelope(data []byte) bool {
-	return len(data) >= Overhead && data[0] == magic0 && data[1] == magic1
 }

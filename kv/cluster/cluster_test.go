@@ -37,6 +37,7 @@ func TestClusterConformance(t *testing.T) {
 		// 256 KiB still exercises the large-value path.
 		MaxValue: 256 << 10,
 	})
+	kvtest.RunPutCut(t, memCluster)
 	kvtest.RunBatch(t, memCluster)
 	kvtest.RunVersioned(t, memCluster)
 	kvtest.RunCompareAndPut(t, memCluster)

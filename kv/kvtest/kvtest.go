@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"edsc/kv"
 )
@@ -278,6 +279,58 @@ func testValueAliasing(t *testing.T, f Factory) {
 	if again := mustGet(t, s, "k"); !bytes.Equal(again, []byte("original")) {
 		t.Fatalf("store aliased Get result: got %q", again)
 	}
+}
+
+// RunPutCut runs the row of the suite that cuts Put with its context. For a
+// sweep of deadlines, from already expired to longer than a call, it Puts a
+// value, scribbles over the slice as soon as Put returns — whatever Put
+// returned — and reads the key back; once more after the store has had time
+// to finish anything a cut left running. Every read must return a value
+// whole: the last one whose Put succeeded, or one whose Put was cut — never
+// the scribble, never a mix (kv.Store: a Put's slice is the caller's again
+// once Put returns, on every path).
+func RunPutCut(t *testing.T, f Factory) {
+	t.Run("PutCutByDeadline", func(t *testing.T) { testPutCutByDeadline(t, f) })
+}
+
+func testPutCutByDeadline(t *testing.T, f Factory) {
+	const size = 64 << 10
+	s := open(t, f)
+	buf := bytes.Repeat([]byte{'a'}, size)
+	mustPut(t, s, "k", buf)
+	last, cut := byte('a'), map[byte]bool{} // fill bytes a read may return
+	check := func(when string) {
+		t.Helper()
+		got := mustGet(t, s, "k")
+		if len(got) != size || !bytes.Equal(got, bytes.Repeat(got[:1], size)) || (got[0] != last && !cut[got[0]]) {
+			n := min(len(got), 16)
+			t.Fatalf("%s: Get returned %d bytes starting %q, want %d bytes of %q or of a cut Put's fill", when, len(got), got[:n], size, last)
+		}
+	}
+	deadlines := []time.Duration{0, time.Microsecond, 5 * time.Microsecond, 20 * time.Microsecond,
+		50 * time.Microsecond, 100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond,
+		time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 50 * time.Millisecond}
+	for i, d := range deadlines {
+		fill := byte('b' + i)
+		for j := range buf {
+			buf[j] = fill
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		err := s.Put(ctx, "k", buf)
+		cancel()
+		for j := range buf {
+			buf[j] = 'X' // the slice is the caller's again
+		}
+		if err == nil {
+			last = fill
+		} else {
+			cut[fill] = true
+		}
+		check(fmt.Sprintf("after a Put under a %v deadline (err %v)", d, err))
+	}
+	time.Sleep(50 * time.Millisecond)
+	check("once the store settled")
+	t.Logf("%d of %d Puts cut by their deadline", len(cut), len(deadlines))
 }
 
 // testContextCancel verifies that an already-cancelled context is honoured

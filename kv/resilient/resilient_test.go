@@ -264,6 +264,17 @@ func TestConformance(t *testing.T) {
 	}, kvtest.Options{})
 }
 
+// TestPutCutConformance runs the cut-Put row through OpTimeout: a third of
+// the inner calls stall past it, so attempts are cut mid-call and writes are
+// retried; reads retry often enough to get through.
+func TestPutCutConformance(t *testing.T) {
+	kvtest.RunPutCut(t, func(t *testing.T) (kv.Store, func()) {
+		inner := faulty.New(kv.NewMem("m"), faulty.Options{Seed: 1, PSpike: 0.3, Spike: 2 * time.Millisecond})
+		s := resilient.New(inner, resilient.Options{OpTimeout: 500 * time.Microsecond, MaxRetries: 10, RetryWrites: true})
+		return s, func() { s.Close() }
+	})
+}
+
 func TestCompareAndPutConformance(t *testing.T) {
 	// PutIfVersion passes through the retry loop; the CAS contract must
 	// survive it untouched.

@@ -275,6 +275,9 @@ func (g *Generator) MeasureTransform(name string, encode, decode func([]byte) ([
 	rep := &TransformReport{Name: name}
 	for _, size := range cfg.Sizes {
 		payload := cfg.Source.Data(size)
+		if enc, err := encode(payload); err == nil { // untimed warm-up: the first call is cold
+			_, _ = decode(enc)
+		}
 		var eTotal, dTotal time.Duration
 		outSize := 0
 		for run := 0; run < cfg.Runs*cfg.OpsPerRun; run++ {
