@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse delta allocs metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse delta allocs shapes metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -141,6 +141,12 @@ reuse:
 # encoding").
 delta:
 	$(call run-named,-race -count=20 -run 'TestChainFaultEnumeration|TestChainConformance|TestChainClearThenPut|TestDeltaClientConformance' ./internal/delta ./dscl)
+
+# The wall-clock shape tests (who is slower than whom in §V's figures, and
+# cloudsim's latency model), 100 times in one process: a shape that holds in
+# a fresh process but not under -count samples too little.
+shapes:
+	$(call run-named,-count=100 -run Shape ./internal/benchkit ./internal/cloudsim)
 
 # The allocation guards of the request path, by name: they skip under -race
 # and a renamed or skipped guard passes `go test`, so each one must show up as

@@ -1,8 +1,8 @@
 // Command sqlshell is an interactive shell for the embedded minisql engine
 // — the "native interface" of the UDSM's SQL store, demonstrating that a
 // key-value store backed by the engine coexists with direct SQL access.
-// Statements run through the registered "minisql" database/sql driver with
-// prepared-statement '?' parameter binding.
+// Statements run on one engine Session, parsed once with typed '?'
+// parameter binding; a SELECT is told from the rest by its parsed form.
 //
 // Usage:
 //
@@ -11,6 +11,9 @@
 //	sqlshell ./mydb                       # durable database directory
 //	sqlshell './mydb?page_size=8192&cache_pages=512'
 //	sqlshell -c 'SELECT * FROM users' ./mydb   # run a script and exit
+//
+// A -c script is parsed whole before any of it runs: if it does not parse,
+// the shell prints the error and runs none of its statements.
 //
 // Statements end with ';'. Bind '?' placeholders for the next statement
 // with .bind:
@@ -26,13 +29,17 @@
 //	.cache             page-cache statistics (capacity, hits, evictions)
 //	.bind [v ...]      set '?' params for the next statement (no args: clear)
 //	.quit              exit
+//
+// On exit the shell closes the database, which discards a transaction left
+// open.
 package main
 
 import (
 	"bufio"
-	"database/sql"
+	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -41,63 +48,86 @@ import (
 )
 
 type shell struct {
-	raw   *minisql.Database // engine handle for introspection meta-commands
-	db    *sql.DB           // statement execution path (database/sql driver)
-	binds []any             // pending '?' params for the next statement
+	db    *minisql.Database
+	sess  *minisql.Session
+	out   io.Writer
+	binds []minisql.Value // pending '?' params for the next statement
 }
 
 func main() {
-	cmd := flag.String("c", "", "execute this semicolon-separated script and exit")
-	flag.Parse()
-
-	dsn := flag.Arg(0) // "" (no argument) opens a volatile in-memory database
-	raw, err := minisql.OpenDSN(dsn)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sqlshell:", err)
 		os.Exit(1)
 	}
-	defer raw.Close()
-	sh := &shell{raw: raw, db: sql.OpenDB(minisql.NewConnector(raw))}
-	defer sh.db.Close()
+}
+
+// run is the shell: flags and the DSN from args, statements from the -c
+// script or else from stdin, everything it prints to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
+	flags := flag.NewFlagSet("sqlshell", flag.ExitOnError)
+	cmd := flags.String("c", "", "execute this semicolon-separated script and exit")
+	flags.Parse(args) // ExitOnError: a bad flag exits here
+
+	dsn := flags.Arg(0) // "" (no argument) opens a volatile in-memory database
+	db, err := minisql.OpenDSN(dsn)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := db.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	sh := &shell{db: db, sess: db.NewSession(), out: stdout}
 
 	if dsn == "" || strings.HasPrefix(dsn, ":memory:") {
-		fmt.Println("minisql shell (in-memory; pass a path DSN for a durable database)")
+		fmt.Fprintln(stdout, "minisql shell (in-memory; pass a path DSN for a durable database)")
 	} else {
-		fmt.Printf("minisql shell (database %s)\n", dsn)
+		fmt.Fprintf(stdout, "minisql shell (database %s)\n", dsn)
 	}
 
 	if *cmd != "" {
-		for _, stmt := range splitScript(*cmd) {
-			sh.execute(stmt)
+		stmts, err := minisql.ParseAll(*cmd)
+		if err != nil {
+			fmt.Fprintln(stdout, "error:", err)
+			return nil
 		}
-		return
+		for _, stmt := range stmts {
+			if sel, ok := stmt.(*minisql.SelectStmt); ok {
+				sh.printRows(sh.sess.QueryStmt(sel))
+			} else {
+				sh.printExec(sh.sess.ExecStmt(stmt))
+			}
+		}
+		return nil
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var pending strings.Builder
 	prompt := "sql> "
-	fmt.Print(prompt)
+	fmt.Fprint(stdout, prompt)
 	for sc.Scan() {
 		line := sc.Text()
 		trimmed := strings.TrimSpace(line)
 		if pending.Len() == 0 && strings.HasPrefix(trimmed, ".") {
 			if sh.meta(trimmed) {
-				return
+				return nil
 			}
-			fmt.Print(prompt)
+			fmt.Fprint(stdout, prompt)
 			continue
 		}
 		pending.WriteString(line)
 		pending.WriteByte('\n')
 		if !strings.HasSuffix(trimmed, ";") {
-			fmt.Print("...> ")
+			fmt.Fprint(stdout, "...> ")
 			continue
 		}
 		sh.execute(pending.String())
 		pending.Reset()
-		fmt.Print(prompt)
+		fmt.Fprint(stdout, prompt)
 	}
+	return nil
 }
 
 // meta runs one dot-command; it reports whether the shell should exit.
@@ -107,57 +137,57 @@ func (sh *shell) meta(line string) bool {
 	case ".quit", ".exit":
 		return true
 	case ".tables":
-		for _, t := range sh.raw.Tables() {
-			fmt.Println(t)
+		for _, t := range sh.db.Tables() {
+			fmt.Fprintln(sh.out, t)
 		}
 	case ".schema":
 		name := ""
 		if len(fields) > 1 {
 			name = fields[1]
 		}
-		ddl, err := sh.raw.Schema(name)
+		ddl, err := sh.db.Schema(name)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 			break
 		}
-		fmt.Print(ddl)
+		fmt.Fprint(sh.out, ddl)
 	case ".pages":
-		st, err := sh.raw.Stats()
+		st, err := sh.db.Stats()
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 			break
 		}
-		fmt.Printf("page size:    %d bytes\n", st.PageSize)
-		fmt.Printf("pages:        %d (%d on free list)\n", st.Pages, st.FreePages)
-		fmt.Printf("file bytes:   %d\n", int64(st.Pages)*int64(st.PageSize))
-		fmt.Printf("wal bytes:    %d\n", st.WALBytes)
+		fmt.Fprintf(sh.out, "page size:    %d bytes\n", st.PageSize)
+		fmt.Fprintf(sh.out, "pages:        %d (%d on free list)\n", st.Pages, st.FreePages)
+		fmt.Fprintf(sh.out, "file bytes:   %d\n", int64(st.Pages)*int64(st.PageSize))
+		fmt.Fprintf(sh.out, "wal bytes:    %d\n", st.WALBytes)
 	case ".cache":
-		st, err := sh.raw.Stats()
+		st, err := sh.db.Stats()
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 			break
 		}
-		fmt.Printf("capacity:     %d pages\n", st.CacheCap)
-		fmt.Printf("resident:     %d pages (%d dirty)\n", st.CacheUsed, st.DirtyPages)
-		fmt.Printf("hits/misses:  %d/%d", st.Hits, st.Misses)
+		fmt.Fprintf(sh.out, "capacity:     %d pages\n", st.CacheCap)
+		fmt.Fprintf(sh.out, "resident:     %d pages (%d dirty)\n", st.CacheUsed, st.DirtyPages)
+		fmt.Fprintf(sh.out, "hits/misses:  %d/%d", st.Hits, st.Misses)
 		if total := st.Hits + st.Misses; total > 0 {
-			fmt.Printf(" (%.1f%% hit rate)", 100*float64(st.Hits)/float64(total))
+			fmt.Fprintf(sh.out, " (%.1f%% hit rate)", 100*float64(st.Hits)/float64(total))
 		}
-		fmt.Println()
-		fmt.Printf("evictions:    %d\n", st.Evictions)
+		fmt.Fprintln(sh.out)
+		fmt.Fprintf(sh.out, "evictions:    %d\n", st.Evictions)
 	case ".bind":
-		sh.binds = sh.binds[:0]
+		sh.binds = nil
 		args, err := parseBindArgs(strings.TrimSpace(strings.TrimPrefix(line, ".bind")))
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(sh.out, "error:", err)
 			break
 		}
 		sh.binds = args
-		fmt.Printf("bound %d params for the next statement\n", len(args))
+		fmt.Fprintf(sh.out, "bound %d params for the next statement\n", len(args))
 	case ".help":
-		fmt.Println(".tables  .schema [table]  .pages  .cache  .bind [v ...]  .quit")
+		fmt.Fprintln(sh.out, ".tables  .schema [table]  .pages  .cache  .bind [v ...]  .quit")
 	default:
-		fmt.Printf("unknown meta command %s (try .help)\n", fields[0])
+		fmt.Fprintf(sh.out, "unknown meta command %s (try .help)\n", fields[0])
 	}
 	return false
 }
@@ -165,8 +195,8 @@ func (sh *shell) meta(line string) bool {
 // parseBindArgs parses .bind arguments as SQL-ish literals: integers,
 // floats, 'quoted text', x'hex' blobs, NULL, TRUE/FALSE; anything else is
 // taken as raw text.
-func parseBindArgs(s string) ([]any, error) {
-	var out []any
+func parseBindArgs(s string) ([]minisql.Value, error) {
+	var out []minisql.Value
 	for s != "" {
 		s = strings.TrimSpace(s)
 		if s == "" {
@@ -197,146 +227,113 @@ func parseBindArgs(s string) ([]any, error) {
 		} else {
 			tok, s = s, ""
 		}
-		out = append(out, literalValue(tok))
+		v, err := literalValue(tok)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-func literalValue(tok string) any {
+func literalValue(tok string) (minisql.Value, error) {
 	up := strings.ToUpper(tok)
 	switch {
 	case up == "NULL":
-		return nil
+		return minisql.Null(), nil
 	case up == "TRUE":
-		return true
+		return minisql.Bool(true), nil
 	case up == "FALSE":
-		return false
+		return minisql.Bool(false), nil
 	case strings.HasPrefix(tok, "'") && strings.HasSuffix(tok, "'") && len(tok) >= 2:
-		return strings.ReplaceAll(tok[1:len(tok)-1], "''", "'")
-	case (strings.HasPrefix(up, "X'")) && strings.HasSuffix(tok, "'"):
-		hex := tok[2 : len(tok)-1]
-		b := make([]byte, 0, len(hex)/2)
-		for i := 0; i+1 < len(hex); i += 2 {
-			var v byte
-			fmt.Sscanf(hex[i:i+2], "%02x", &v)
-			b = append(b, v)
+		return minisql.Text(strings.ReplaceAll(tok[1:len(tok)-1], "''", "'")), nil
+	case strings.HasPrefix(up, "X'") && strings.HasSuffix(tok, "'"):
+		b, err := hex.DecodeString(tok[2 : len(tok)-1])
+		if err != nil {
+			return minisql.Value{}, fmt.Errorf("blob %s: %w", tok, err)
 		}
-		return b
+		return minisql.Blob(b), nil
 	default:
 		if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
-			return n
+			return minisql.Int(n), nil
 		}
 		if f, err := strconv.ParseFloat(tok, 64); err == nil {
-			return f
+			return minisql.Float(f), nil
 		}
-		return tok
+		return minisql.Text(tok), nil
 	}
 }
 
-// splitScript breaks a -c script on top-level semicolons (quotes respected
-// by reusing the executor's own statement-at-a-time parsing: we split
-// naively and let parse errors surface, which is fine for a dev shell).
-func splitScript(script string) []string {
-	parts := strings.Split(script, ";")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if strings.TrimSpace(p) != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
+// execute prepares one statement typed at the prompt and runs it with the
+// pending .bind values: Query for a SELECT, Exec for anything else.
 func (sh *shell) execute(query string) {
-	query = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(query), ";"))
-	if query == "" {
+	if strings.Trim(query, "; \t\r\n") == "" {
 		return
 	}
 	args := sh.binds
 	sh.binds = nil
-	if strings.HasPrefix(strings.ToUpper(query), "SELECT") {
-		rows, err := sh.db.Query(query, args...)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		defer rows.Close()
-		printRows(rows)
-		return
-	}
-	res, err := sh.db.Exec(query, args...)
+	p, err := sh.sess.Prepare(query)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(sh.out, "error:", err)
 		return
 	}
-	n, _ := res.RowsAffected()
-	fmt.Printf("ok (%d rows affected)\n", n)
+	if _, ok := p.Stmt().(*minisql.SelectStmt); ok {
+		sh.printRows(p.Query(args...))
+		return
+	}
+	sh.printExec(p.Exec(args...))
 }
 
-func printRows(rows *sql.Rows) {
-	cols, err := rows.Columns()
+func (sh *shell) printExec(n int, err error) {
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(sh.out, "error:", err)
 		return
 	}
-	widths := make([]int, len(cols))
-	for i, c := range cols {
+	fmt.Fprintf(sh.out, "ok (%d rows affected)\n", n)
+}
+
+func (sh *shell) printRows(res *minisql.Result, err error) {
+	if err != nil {
+		fmt.Fprintln(sh.out, "error:", err)
+		return
+	}
+	widths := make([]int, len(res.Columns))
+	for i, c := range res.Columns {
 		widths[i] = len(c)
 	}
-	var rendered [][]string
-	raw := make([]any, len(cols))
-	ptrs := make([]any, len(cols))
-	for i := range raw {
-		ptrs[i] = &raw[i]
-	}
-	for rows.Next() {
-		if err := rows.Scan(ptrs...); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		out := make([]string, len(cols))
-		for i, v := range raw {
+	rendered := make([][]string, len(res.Rows))
+	for r, row := range res.Rows {
+		rendered[r] = make([]string, len(row))
+		for i, v := range row {
 			s := renderCell(v)
-			out[i] = s
-			if len(s) > widths[i] {
-				widths[i] = len(s)
-			}
+			rendered[r][i] = s
+			widths[i] = max(widths[i], len(s))
 		}
-		rendered = append(rendered, out)
 	}
-	if err := rows.Err(); err != nil {
-		fmt.Println("error:", err)
-		return
+	for i, c := range res.Columns {
+		fmt.Fprintf(sh.out, "%-*s ", widths[i], c)
 	}
-	for i, c := range cols {
-		fmt.Printf("%-*s ", widths[i], c)
+	fmt.Fprintln(sh.out)
+	for i := range res.Columns {
+		fmt.Fprint(sh.out, strings.Repeat("-", widths[i]), " ")
 	}
-	fmt.Println()
-	for i := range cols {
-		fmt.Print(strings.Repeat("-", widths[i]), " ")
-	}
-	fmt.Println()
+	fmt.Fprintln(sh.out)
 	for _, row := range rendered {
 		for i, s := range row {
-			fmt.Printf("%-*s ", widths[i], s)
+			fmt.Fprintf(sh.out, "%-*s ", widths[i], s)
 		}
-		fmt.Println()
+		fmt.Fprintln(sh.out)
 	}
-	fmt.Printf("(%d rows)\n", len(rendered))
+	fmt.Fprintf(sh.out, "(%d rows)\n", len(rendered))
 }
 
-func renderCell(v any) string {
-	switch x := v.(type) {
-	case nil:
+func renderCell(v minisql.Value) string {
+	switch v.Kind {
+	case minisql.KindNull:
 		return "NULL"
-	case []byte:
-		return fmt.Sprintf("x'%x'", x)
-	case bool:
-		if x {
-			return "TRUE"
-		}
-		return "FALSE"
+	case minisql.KindBlob:
+		return fmt.Sprintf("x'%x'", v.Bytes)
 	default:
-		return fmt.Sprintf("%v", x)
+		return v.String() // TRUE/FALSE for a BOOLEAN
 	}
 }

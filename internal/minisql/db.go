@@ -108,16 +108,16 @@ type Database struct {
 
 	// pipeline is the commit queue (nil for in-memory databases); sealSeq
 	// numbers sealed batches and is guarded by mu. commitMode records the
-	// resolved option: it orders release and wait in commitRelease, and a
-	// second DSN attach is checked against it.
+	// resolved option: it orders release and wait in commitRelease.
 	pipeline   *commitPipeline
 	sealSeq    uint64
 	commitMode CommitMode
 }
 
-// Session is one transaction scope over a shared Database. database/sql
-// connections each own a session so one connection's transaction does not
-// fold into another's. At most one session holds a transaction at a time.
+// Session is one transaction scope over a shared Database. Each caller that
+// runs transactions (a KVStore, the shell) owns a session, so one caller's
+// transaction does not fold into another's. At most one session holds a
+// transaction at a time.
 type Session struct {
 	db *Database
 }
@@ -218,8 +218,8 @@ func newDatabase(pg *pager, dir string) *Database {
 	}
 }
 
-// NewSession returns a fresh transaction scope (used by driver
-// connections). Sessions are cheap and carry no resources.
+// NewSession returns a fresh transaction scope. Sessions are cheap and
+// carry no resources.
 func (db *Database) NewSession() *Session { return &Session{db: db} }
 
 // Stats snapshots pager counters for introspection (.pages/.cache).
@@ -527,6 +527,10 @@ func (s *Session) Prepare(sql string) (*Prepared, error) {
 
 // NumParams reports how many '?' slots the statement has.
 func (p *Prepared) NumParams() int { return p.params }
+
+// Stmt returns the parsed statement, so a caller can tell a SELECT (run it
+// with Query) from the rest (Exec) without looking at the text.
+func (p *Prepared) Stmt() Stmt { return p.stmt }
 
 func (p *Prepared) checkArity(params []Value) error {
 	if len(params) != p.params {

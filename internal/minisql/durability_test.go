@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -306,6 +307,52 @@ func TestUncommittedTxNotDurable(t *testing.T) {
 	}
 }
 
+// TestCloseDiscardsOpenTransaction: a clean Close while a session holds a
+// transaction keeps none of it, whether the transaction still fits in the
+// page cache or has pushed dirty pages past a small one.
+func TestCloseDiscardsOpenTransaction(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		rows int
+	}{
+		{"default cache", Options{}, 10},
+		{"cache_pages=8", Options{CachePages: 8}, 3000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
+			s := db.NewSession()
+			mustExec(t, s, `BEGIN`)
+			pad := Text(strings.Repeat("v", 300))
+			for i := 0; i < tc.rows; i++ {
+				if _, err := s.Exec(`INSERT INTO t VALUES (?, ?)`, Int(int64(i)), pad); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db, err = Open(dir, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if got := flat(mustQuery(t, db, `SELECT COUNT(*) FROM t`)); got != "0" {
+				t.Fatalf("uncommitted rows survived Close: %s", got)
+			}
+			if err := db.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestCommitWithoutBegin(t *testing.T) {
 	db := OpenMemory()
 	s := db.NewSession()
@@ -338,6 +385,42 @@ func TestRollbackReleasesTxLock(t *testing.T) {
 	mustExec(t, tx, `COMMIT`)
 	if got := flat(mustQuery(t, db, `SELECT COUNT(*) FROM t`)); got != "1" {
 		t.Fatalf("count = %q", got)
+	}
+}
+
+// TestSessionConcurrentTxSerialize: sessions that each run BEGIN, a
+// read-modify-write UPDATE and COMMIT take the writer slot in turn, so no
+// update is lost.
+func TestSessionConcurrentTxSerialize(t *testing.T) {
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE acct (id INTEGER PRIMARY KEY, bal INTEGER)`)
+	mustExec(t, db, `INSERT INTO acct VALUES (1, 0)`)
+
+	const workers, each = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.NewSession()
+			for i := 0; i < each; i++ {
+				for _, q := range []string{`BEGIN`, `UPDATE acct SET bal = bal + 1 WHERE id = 1`, `COMMIT`} {
+					if _, err := s.Exec(q); err != nil {
+						errs <- fmt.Errorf("%s: %w", q, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, want := flat(mustQuery(t, db, `SELECT bal FROM acct WHERE id = 1`)), fmt.Sprint(workers*each); got != want {
+		t.Fatalf("bal = %s, want %s (lost updates)", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package minisql
 
 import (
 	"context"
-	"database/sql"
 	"fmt"
 	"math"
 	"strings"
@@ -11,8 +10,7 @@ import (
 
 // '?' slots are bound to typed values: the statement is parsed once and the
 // values never pass through SQL text. These tests hold that path to the
-// behaviour the text-level binder used to provide, at the session and at the
-// database/sql level.
+// behaviour the text-level binder used to provide.
 
 func TestParamsBindTypedValues(t *testing.T) {
 	db := OpenMemory()
@@ -77,20 +75,6 @@ func TestParamsArityMismatch(t *testing.T) {
 	if got := flat(mustQuery(t, db, `SELECT id FROM t`)); got != "7" {
 		t.Fatalf("failed statements left rows %q, want 7", got)
 	}
-
-	// The driver's direct path (no database/sql Prepare, so no NumInput check
-	// in front of it) enforces the same arity.
-	sqldb := sql.OpenDB(NewConnector(db))
-	defer sqldb.Close()
-	if _, err := sqldb.Exec(`INSERT INTO t VALUES (?, ?)`, 1); err == nil {
-		t.Fatal("driver: missing arg accepted")
-	}
-	if _, err := sqldb.Exec(`INSERT INTO t VALUES (?, ?)`); err == nil {
-		t.Fatal("driver: statement with slots ran with no arguments")
-	}
-	if _, err := sqldb.Query(`SELECT v FROM t WHERE id = ?`, 1, 2); err == nil {
-		t.Fatal("driver: extra arg accepted")
-	}
 }
 
 func TestParamsEndToEnd(t *testing.T) {
@@ -144,10 +128,8 @@ func TestParamsRejectBadSQL(t *testing.T) {
 	}
 	// Preparation parses: a malformed statement fails at Prepare, before any
 	// argument is bound.
-	sqldb := sql.OpenDB(NewConnector(db))
-	defer sqldb.Close()
-	if _, err := sqldb.Prepare(`SELECT FROM WHERE ?`); err == nil {
-		t.Fatal("driver Prepare accepted a statement that does not parse")
+	if _, err := db.NewSession().Prepare(`SELECT FROM WHERE ?`); err == nil {
+		t.Fatal("Prepare accepted a statement that does not parse")
 	}
 }
 
@@ -173,25 +155,44 @@ func TestKVAdapterHostileKeys(t *testing.T) {
 // NaN and ±Inf have no SQL literal, so the text binder produced statements
 // that did not parse back; a typed slot carries them like any other float.
 func TestParamsNonFiniteFloats(t *testing.T) {
-	sqldb, err := sql.Open("minisql", ":memory:")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sqldb.Close()
-	mustExecSQL(t, sqldb, `CREATE TABLE f (id INTEGER PRIMARY KEY, x REAL)`)
+	s := OpenMemory().NewSession()
+	mustExec(t, s, `CREATE TABLE f (id INTEGER PRIMARY KEY, x REAL)`)
 	for i, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		mustExecSQL(t, sqldb, `INSERT INTO f VALUES (?, ?)`, i, x)
-		var got float64
-		if err := sqldb.QueryRow(`SELECT x FROM f WHERE id = ?`, i).Scan(&got); err != nil {
+		if _, err := s.Exec(`INSERT INTO f VALUES (?, ?)`, Int(int64(i)), Float(x)); err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got) != math.Float64bits(x) {
+		res, err := s.Query(`SELECT x FROM f WHERE id = ?`, Int(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got.Kind != KindFloat || math.Float64bits(got.Float) != math.Float64bits(x) {
 			t.Fatalf("row %d: stored %v, read %v", i, x, got)
 		}
 	}
-	var n int
-	if err := sqldb.QueryRow(`SELECT COUNT(*) FROM f WHERE x > ?`, math.MaxFloat64).Scan(&n); err != nil || n != 1 {
-		t.Fatalf("rows above MaxFloat64 = %d, %v; want 1 (+Inf)", n, err)
+	res, err := s.Query(`SELECT COUNT(*) FROM f WHERE x > ?`, Float(math.MaxFloat64))
+	if err != nil || flat(res) != "1" {
+		t.Fatalf("rows above MaxFloat64 = %q, %v; want 1 (+Inf)", flat(res), err)
+	}
+}
+
+// NULL, BLOB and BOOLEAN values bound to slots read back as they were bound:
+// a NULL stays NULL, not an empty string, and every byte of a blob survives.
+func TestParamsNullBlobBoolRoundTrip(t *testing.T) {
+	s := OpenMemory().NewSession()
+	mustExec(t, s, `CREATE TABLE v (id INTEGER PRIMARY KEY, s TEXT, b BLOB, ok BOOLEAN)`)
+	if _, err := s.Exec(`INSERT INTO v VALUES (?, ?, ?, ?)`, Int(1), Null(), Blob([]byte{0x00, 0xff}), Bool(true)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query(`SELECT s, b, ok FROM v WHERE id = ?`, Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := res.Rows[0]
+	if !row[0].IsNull() {
+		t.Fatalf("s = %v, want NULL", row[0])
+	}
+	if row[1].Kind != KindBlob || string(row[1].Bytes) != "\x00\xff" || row[2].Kind != KindBool || !row[2].Bool {
+		t.Fatalf("b = %v %x, ok = %v %v", row[1].Kind, row[1].Bytes, row[2].Kind, row[2].Bool)
 	}
 }
 
@@ -434,9 +435,6 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 	db := OpenMemory()
 	mustExec(t, db, `CREATE TABLE kv (k TEXT PRIMARY KEY, v BLOB NOT NULL)`)
 	sess := db.NewSession()
-	sqldb := sql.OpenDB(NewConnector(db))
-	defer sqldb.Close()
-	sqldb.SetMaxOpenConns(1)
 
 	const putSQL, getSQL = `INSERT OR REPLACE INTO kv VALUES (?, ?)`, `SELECT v FROM kv WHERE k = ?`
 	sessPut, err := sess.Prepare(putSQL)
@@ -447,19 +445,9 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drvPut, err := sqldb.Prepare(putSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drvGet, err := sqldb.Prepare(getSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Allocations beyond the pre-built AST that each level may add: none at
-	// the session, database/sql's own bookkeeping (argument conversion, its
-	// statement/rows wrappers, Scan's copy of the value) through the driver.
-	const sessionMargin, driverPutMargin, driverGetMargin = 0, 12, 23
+	// Allocations beyond the pre-built AST that a prepared statement may add.
+	const sessionMargin = 0
 	// And what the AST itself may cost, since a margin says nothing about its
 	// base. A replace: nothing, its row and record are the writer's scratch. A
 	// point select: the row's private copy off the page, its values (the
@@ -467,7 +455,7 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 	// and projected row.
 	const astPutCeiling, astGetCeiling = 0, 3
 
-	var margins [2][4]float64
+	var margins [2][2]float64
 	for si, size := range []int{256, 2048} {
 		key, val := "key", make([]byte, size)
 		astPut := &InsertStmt{Table: "kv", OrReplace: true,
@@ -484,14 +472,12 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 		}
 		basePut := run(func() error { _, err := sess.ExecStmt(astPut); return err })
 		baseGet := run(func() error { _, err := sess.QueryStmt(astGet); return err })
-		margins[si] = [4]float64{
+		margins[si] = [2]float64{
 			run(func() error { _, err := sessPut.Exec(Text(key), Blob(val)); return err }) - basePut,
 			run(func() error { _, err := sessGet.Query(Text(key)); return err }) - baseGet,
-			run(func() error { _, err := drvPut.Exec(key, val); return err }) - basePut,
-			run(func() error { var v []byte; return drvGet.QueryRow(key).Scan(&v) }) - baseGet,
 		}
-		t.Logf("%d B value: AST put %.0f get %.0f allocs; margins session put %+.0f get %+.0f, driver put %+.0f get %+.0f",
-			size, basePut, baseGet, margins[si][0], margins[si][1], margins[si][2], margins[si][3])
+		t.Logf("%d B value: AST put %.0f get %.0f allocs; margins session put %+.0f get %+.0f",
+			size, basePut, baseGet, margins[si][0], margins[si][1])
 		// A 2 KiB value lives on an overflow page, which a replace may pay
 		// for; reading it back may not cost more than reading a small one.
 		if size == 256 && basePut > astPutCeiling {
@@ -500,9 +486,9 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 		if baseGet > astGetCeiling {
 			t.Errorf("%d B value: AST get allocates %.0f, ceiling %d", size, baseGet, astGetCeiling)
 		}
-		for i, limit := range []float64{sessionMargin, sessionMargin, driverPutMargin, driverGetMargin} {
-			if margins[si][i] > limit {
-				t.Errorf("%d B value: path %d allocates %.0f more than its AST, limit %.0f", size, i, margins[si][i], limit)
+		for i, op := range []string{"put", "get"} {
+			if margins[si][i] > sessionMargin {
+				t.Errorf("%d B value: prepared %s allocates %.0f more than its AST, limit %d", size, op, margins[si][i], sessionMargin)
 			}
 		}
 	}

@@ -423,7 +423,7 @@ func TestAllocGuardClusterGetPut(t *testing.T) {
 }
 
 // doneMem is a kv.Mem node that selects on ctx.Done() before each Get and
-// Put, as a node that waits (a queued mux call, database/sql) does.
+// Put, as a node that waits (a queued mux call) does.
 type doneMem struct{ kv.Store }
 
 func (n doneMem) Get(ctx context.Context, key string) ([]byte, error) {
