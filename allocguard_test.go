@@ -134,6 +134,61 @@ func quorumOverRESP(t *testing.T, wholeReads bool) (get, put func()) {
 	return get, put
 }
 
+// TestAllocGuardQuorumOverSQL pins one get and one put through the cluster
+// sql_cluster_rw runs: a quorum cluster (N=3, R=W=2) of three file-backed
+// minisql key-value stores in the default commit mode, engines included.
+//
+//	get 3: 1 the probe round's context
+//	       2 the record each replica of the window copies off its page,
+//	         whose bytes it returns: minisql is not kv.Ranged, so the
+//	         window's second replica is read whole; the two agree, so the
+//	         third is not read
+//	put 1: the round's context; each replica's durable replace allocates
+//	       nothing (TestAllocGuardKVStoreGetPut)
+func TestAllocGuardQuorumOverSQL(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	nodes := make([]udsm.ClusterNode, 3)
+	for i := range nodes {
+		id := fmt.Sprintf("node%d", i)
+		node, err := udsm.OpenSQLStore(id, udsm.SQLStoreOptions{Dir: t.TempDir(), CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = node.Close() }) // a second Close is a no-op
+		nodes[i] = udsm.ClusterNode{ID: id, Store: node}
+	}
+	clu, err := udsm.NewClusterStore("cluster", nodes, udsm.ClusterOptions{Replication: 3, ReadQuorum: 2, WriteQuorum: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = clu.Close() })
+
+	val := make([]byte, 256)
+	rand.New(rand.NewSource(1)).Read(val)
+	ctx := context.Background()
+	put := func() {
+		if err := clu.Put(ctx, "alloc:key", val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		if v, err := clu.Get(ctx, "alloc:key"); err != nil || len(v) != len(val) {
+			t.Fatalf("Get = %d bytes, %v", len(v), err)
+		}
+	}
+	for i := 0; i < 20; i++ { // fill every pool on the way
+		put()
+		get()
+	}
+	const wantGet, wantPut = 3, 1
+	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
+	if gotGet != wantGet || gotPut != wantPut {
+		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
+	}
+}
+
 // TestAllocGuardDataStoreHit pins the paper's cheapest operation, a cache hit,
 // through the wrapper every request of every stack crosses: udsm.DataStore
 // over a caching dscl client. With no slow threshold nothing could keep a

@@ -76,58 +76,49 @@ func TestSetupRegistersFiveStores(t *testing.T) {
 	}
 }
 
+// TestFig9ShapeCloudStoresSlowest compares each pair of Figs. 9 and 10 by
+// medianRatio: one read or write of a 1 KiB value at a time, the two sides
+// interleaved, so a scheduling stall under package-parallel load moves the
+// statistic by one rank instead of inverting a mean of six operations.
 func TestFig9ShapeCloudStoresSlowest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency-shape test")
 	}
 	e := setupEnv(t, 0.02)
-	// Each round reports means of six operations, which one scheduling stall
-	// under package-parallel load can invert ("SQL write 479 µs not slower
-	// than miniredis write 568 µs", once in four full runs). Compare the
-	// per-store medians of five rounds instead.
-	const rounds = 5
-	reads, writes := map[string][]time.Duration{}, map[string][]time.Duration{}
-	for i := 0; i < rounds; i++ {
-		read, write, err := e.Fig9And10(context.Background(),
-			workload.Config{Sizes: []int{1024}, Runs: 3, OpsPerRun: 2})
+	ctx := context.Background()
+	payload := workload.SyntheticSource{Seed: 1}.Data(1024)
+	read, write := map[string]func() error{}, map[string]func() error{}
+	for _, name := range AllStores() {
+		ds, err := e.Store(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range AllStores() {
-			reads[name] = append(reads[name], read.Points[0].Lat[name])
-			writes[name] = append(writes[name], write.Points[0].Lat[name])
+		if err := ds.Put(ctx, "fig9", payload); err != nil {
+			t.Fatal(err)
+		}
+		read[name] = func() error { _, err := ds.Get(ctx, "fig9"); return err }
+		write[name] = func() error { return ds.Put(ctx, "fig9", payload) }
+	}
+	// slower fails unless a is slower than b: a/b above 1.
+	slower := func(aName string, a func() error, bName string, b func() error) {
+		t.Helper()
+		ratio, aLat, bLat := medianRatio(t, a, b)
+		t.Logf("%s/%s = %.2f (%v vs %v)", aName, bName, ratio, aLat, bLat)
+		if ratio <= 1 {
+			t.Errorf("%s (%v) not slower than %s (%v), ratio %.2f", aName, aLat, bName, bLat, ratio)
 		}
 	}
-	median := func(by map[string][]time.Duration) map[string]time.Duration {
-		out := map[string]time.Duration{}
-		for name, ds := range by {
-			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-			out[name] = ds[len(ds)/2]
-		}
-		return out
-	}
-	r, w := median(reads), median(writes)
 
 	// Fig. 9: cloud stores show the highest read latencies, CS1 > CS2.
-	if r[Cloud1] <= r[Cloud2] {
-		t.Errorf("CloudStore1 read (%v) not slower than CloudStore2 (%v)", r[Cloud1], r[Cloud2])
-	}
+	slower("CloudStore1 read", read[Cloud1], "CloudStore2 read", read[Cloud2])
 	for _, local := range []string{FS, SQL, Redis} {
-		if r[Cloud2] <= r[local] {
-			t.Errorf("CloudStore2 read (%v) not slower than %s (%v)", r[Cloud2], local, r[local])
-		}
+		slower("CloudStore2 read", read[Cloud2], local+" read", read[local])
 	}
 	// Fig. 10: writes cost at least as much as reads for the durable local
 	// stores; "particularly apparent for MySQL" (WAL fsync per commit).
-	if w[SQL] <= r[SQL] {
-		t.Errorf("SQL write (%v) not slower than read (%v)", w[SQL], r[SQL])
-	}
-	if w[SQL] <= w[Redis] {
-		t.Errorf("SQL write (%v) not slower than miniredis write (%v) — commit cost missing", w[SQL], w[Redis])
-	}
-	if w[FS] <= r[FS] {
-		t.Errorf("filesystem write (%v) not slower than read (%v)", w[FS], r[FS])
-	}
+	slower("SQL write", write[SQL], "SQL read", read[SQL])
+	slower("SQL write", write[SQL], "miniredis write", write[Redis])
+	slower("filesystem write", write[FS], "filesystem read", read[FS])
 }
 
 func TestFig9ShapeRedisVsFilesystemCrossover(t *testing.T) {

@@ -539,6 +539,19 @@ func (p *Prepared) checkArity(params []Value) error {
 	return nil
 }
 
+// selectStmt is the statement Query and QueryRowTo run: a SELECT, given as
+// many values as it has slots.
+func (p *Prepared) selectStmt(params []Value) (*SelectStmt, error) {
+	if err := p.checkArity(params); err != nil {
+		return nil, err
+	}
+	sel, ok := p.stmt.(*SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("minisql: Query requires a SELECT statement")
+	}
+	return sel, nil
+}
+
 // Exec runs a non-SELECT statement with params bound to its slots.
 func (p *Prepared) Exec(params ...Value) (int, error) {
 	if err := p.checkArity(params); err != nil {
@@ -549,14 +562,38 @@ func (p *Prepared) Exec(params ...Value) (int, error) {
 
 // Query runs a SELECT with params bound to its slots.
 func (p *Prepared) Query(params ...Value) (*Result, error) {
-	if err := p.checkArity(params); err != nil {
+	sel, err := p.selectStmt(params)
+	if err != nil {
 		return nil, err
 	}
-	sel, ok := p.stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("minisql: Query requires a SELECT statement")
-	}
 	return p.sess.QueryStmt(sel, params...)
+}
+
+// rowBlocks holds the result blocks QueryRowTo runs its statement in. The
+// row it returns is copied out of the block, so the block is free again when
+// the call returns.
+var rowBlocks = sync.Pool{New: func() any { return new(resultBlock) }}
+
+// QueryRowTo runs a SELECT with params bound to its slots, as Query does,
+// and appends the first result row to dst, reporting false when there is no
+// row. On an error dst's length is unchanged. The statement runs in a pooled
+// result block instead of a Result of its own, so a point lookup allocates
+// only the record copied off its page; BLOB cells alias that record, which
+// the caller owns outright.
+func (p *Prepared) QueryRowTo(dst []Value, params ...Value) ([]Value, bool, error) {
+	sel, err := p.selectStmt(params)
+	if err != nil {
+		return dst, false, err
+	}
+	blk := rowBlocks.Get().(*resultBlock)
+	res, err := p.sess.query(sel, params, blk)
+	found := err == nil && len(res.Rows) > 0
+	if found {
+		dst = append(dst, res.Rows[0]...)
+	}
+	*blk = resultBlock{} // keep no record or row list alive in the pool
+	rowBlocks.Put(blk)
+	return dst, found, err
 }
 
 // Exec prepares and runs a non-SELECT statement in this session: inside its
@@ -630,6 +667,11 @@ func (s *Session) ExecStmt(stmt Stmt, params ...Value) (int, error) {
 // last-committed snapshot: uncommitted changes are visible only to the
 // transaction's own session, never to concurrent readers.
 func (s *Session) QueryStmt(sel *SelectStmt, params ...Value) (*Result, error) {
+	return s.query(sel, params, new(resultBlock))
+}
+
+// query runs sel as QueryStmt describes, into blk.
+func (s *Session) query(sel *SelectStmt, params []Value, blk *resultBlock) (*Result, error) {
 	db := s.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -639,7 +681,7 @@ func (s *Session) QueryStmt(sel *SelectStmt, params ...Value) (*Result, error) {
 	// Statements and commits mutate pager transaction state only under the
 	// exclusive lock, so both the owner check and txActive are stable here.
 	snap := !s.owns() && db.pg.txActive()
-	return db.execSelect(sel, params, snap)
+	return db.execSelect(sel, params, snap, blk)
 }
 
 // --- one-shot statements on the database handle ---

@@ -221,9 +221,10 @@ func (db *Database) recordLocked(vals []Value) []byte {
 // equality on an indexed column — the fast path KV-over-SQL reads take — and
 // a primary-tree cursor scan otherwise. label is the name the table is
 // referenced by. An index-found row is decoded for need (see decodeRow), a
-// scanned one whole, since where reads it. A scan holds its leaf pinned
-// while emit runs, so emit collects and must not write to the table.
-func (db *Database) matchRows(t *table, label string, where Expr, params []Value, need colSet, emit func(id int64, row []Value) error) error {
+// scanned one whole, since where reads it; the one row a unique index finds
+// is decoded into dst's spare capacity. A scan holds its leaf pinned while
+// emit runs, so emit collects and must not write to the table.
+func (db *Database) matchRows(t *table, label string, where Expr, params []Value, need colSet, dst []Value, emit func(id int64, row []Value) error) error {
 	if where == nil {
 		return t.scanRows(func(id int64, row []Value) (bool, error) {
 			return true, emit(id, row)
@@ -250,7 +251,7 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 						if err != nil || !found {
 							return err
 						}
-						row, err := t.getRow(id, need)
+						row, err := t.getRow(dst, id, need)
 						if err != nil {
 							return err
 						}
@@ -267,7 +268,7 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 						}
 						sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 						for _, id := range ids {
-							row, err := t.getRow(id, need)
+							row, err := t.getRow(nil, id, need)
 							if err != nil {
 								return err
 							}
@@ -314,7 +315,7 @@ type matchedRow struct {
 
 func (db *Database) collectMatches(t *table, label string, where Expr, params []Value) ([]matchedRow, error) {
 	var m []matchedRow
-	err := db.matchRows(t, label, where, params, allCols, func(id int64, row []Value) error {
+	err := db.matchRows(t, label, where, params, allCols, nil, func(id int64, row []Value) error {
 		m = append(m, matchedRow{id, row})
 		return nil
 	})
@@ -372,20 +373,23 @@ func (db *Database) execDelete(s *DeleteStmt, params []Value) (int, error) {
 	return len(matches), nil
 }
 
-// resultBlock is a Result with room for a one-row answer — its row list and
-// a one-value projected row — so a point SELECT allocates its result once.
+// resultBlock is a Result with room for a one-row answer — its row list, the
+// row a unique index finds, decoded in place, and a one-value projected row —
+// so a point SELECT allocates nothing beyond its block and the record its
+// row was decoded from.
 type resultBlock struct {
 	res  Result
 	rows [1][]Value
+	src  [4]Value
 	vals [1]Value
 }
 
-// execSelect evaluates a SELECT. Caller holds db.mu (read or write). snap
-// routes table resolution through the last-committed snapshot, for readers
-// running concurrently with another session's open transaction.
-func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Result, error) {
-	blk := new(resultBlock)
-	pl, rows, err := db.gatherRows(s, params, snap, blk.rows[:0])
+// execSelect evaluates a SELECT into blk, whose storage the Result it returns
+// uses. Caller holds db.mu (read or write). snap routes table resolution
+// through the last-committed snapshot, for readers running concurrently with
+// another session's open transaction.
+func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool, blk *resultBlock) (*Result, error) {
+	pl, rows, err := db.gatherRows(s, params, snap, blk)
 	if err != nil {
 		return nil, err
 	}
@@ -439,9 +443,9 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool) (*Resul
 }
 
 // gatherRows materializes the FROM/JOIN clause and applies WHERE, returning
-// the statement's plan over the combined scope and the surviving rows,
-// appended to dst.
-func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool, dst [][]Value) (*selectPlan, [][]Value, error) {
+// the statement's plan over the combined scope and the surviving rows, listed
+// in blk's row list and an index-found row decoded into blk.
+func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool, blk *resultBlock) (*selectPlan, [][]Value, error) {
 	t, err := db.tableForRead(s.From.Name, snap)
 	if err != nil {
 		return nil, nil, err
@@ -449,8 +453,8 @@ func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool, dst [][
 
 	if len(s.Joins) == 0 {
 		// Single-table path keeps the index fast paths.
-		pl, rows := s.planFor(t.scopeAs(s.From.Label())), dst
-		err := db.matchRows(t, s.From.Label(), s.Where, params, pl.need, func(_ int64, row []Value) error {
+		pl, rows := s.planFor(t.scopeAs(s.From.Label())), blk.rows[:0]
+		err := db.matchRows(t, s.From.Label(), s.Where, params, pl.need, blk.src[:0], func(_ int64, row []Value) error {
 			rows = append(rows, row)
 			return nil
 		})

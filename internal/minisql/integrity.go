@@ -63,7 +63,7 @@ func (db *Database) CheckIntegrity() error {
 			if _, err := decodeRowid(key); err != nil {
 				return err
 			}
-			row, err := decodeRow(val, allCols)
+			row, err := decodeRow(nil, val, allCols)
 			if err != nil {
 				return err
 			}

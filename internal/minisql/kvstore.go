@@ -100,9 +100,10 @@ func (s *KVStore) enter(ctx context.Context, op string, keys ...string) error {
 	return kv.WrapErr(s.name, op, "", ctx.Err())
 }
 
-// cellBytes is a v cell's bytes. A Result is its statement's alone and
-// nothing writes it after the statement returns, so a BLOB's bytes are handed
-// over as they are. A TEXT cell reads as its bytes; any other kind is an error.
+// cellBytes is a v cell's bytes. A BLOB cell aliases the record its row was
+// decoded from, a copy off the page that the statement's caller owns and
+// nothing writes again, so its bytes are handed over as they are. A TEXT cell
+// reads as its bytes; any other kind is an error.
 func cellBytes(v Value) ([]byte, error) {
 	switch v.Kind {
 	case KindBlob:
@@ -119,14 +120,15 @@ func (s *KVStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := s.enter(ctx, "get", key); err != nil {
 		return nil, err
 	}
-	res, err := s.get.Query(Text(key))
+	var frame [1]Value
+	row, found, err := s.get.QueryRowTo(frame[:0], Text(key))
 	if err != nil {
 		return nil, kv.WrapErr(s.name, "get", key, err)
 	}
-	if len(res.Rows) == 0 {
+	if !found {
 		return nil, kv.ErrNotFound
 	}
-	v, err := cellBytes(res.Rows[0][0])
+	v, err := cellBytes(row[0])
 	return v, kv.WrapErr(s.name, "get", key, err)
 }
 
@@ -160,11 +162,12 @@ func (s *KVStore) Contains(ctx context.Context, key string) (bool, error) {
 	if err := s.enter(ctx, "contains", key); err != nil {
 		return false, err
 	}
-	res, err := s.contains.Query(Text(key))
+	var frame [1]Value
+	row, _, err := s.contains.QueryRowTo(frame[:0], Text(key))
 	if err != nil {
 		return false, kv.WrapErr(s.name, "contains", key, err)
 	}
-	return res.Rows[0][0].Int > 0, nil
+	return row[0].Int > 0, nil
 }
 
 // GetMulti implements kv.Batch: all keys are fetched in ONE statement

@@ -197,11 +197,11 @@ func TestKVStoreChaos(t *testing.T) {
 // operation allocates, all the way down: KVStore.Get and KVStore.Put on a
 // file database in the default commit mode, under a context with a deadline,
 // as kv/cluster hands every replica call. The adapter adds no object of its
-// own: a Get is the engine's point select (TestPreparedExecutionAllocs' AST
-// ceiling: the record copied off the page, whose bytes the caller gets, the
-// decoded row and the Result), a Put its durable replace, which allocates
-// nothing (TestAllocGuardFileCommit). The benchmark multiplies this figure by
-// three.
+// own: a Get is the engine's point select read with QueryRowTo
+// (TestPreparedExecutionAllocs: the record copied off the page, whose bytes
+// the caller gets; the row is decoded into a pooled block and copied into the
+// adapter's frame), a Put its durable replace, which allocates nothing
+// (TestAllocGuardFileCommit). The benchmark multiplies this figure by three.
 func TestAllocGuardKVStoreGetPut(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -241,7 +241,7 @@ func TestAllocGuardKVStoreGetPut(t *testing.T) {
 		put()
 	}
 	get()
-	const wantGet, wantPut = 3, 0
+	const wantGet, wantPut = 1, 0
 	gotGet, gotPut := testing.AllocsPerRun(200, get), testing.AllocsPerRun(200, put)
 	t.Logf("%.0f allocs per KVStore.Get, %.0f per KVStore.Put", gotGet, gotPut)
 	if gotGet != wantGet || gotPut != wantPut {

@@ -789,7 +789,8 @@ func TestPageBufStress(t *testing.T) {
 // multi-row INSERT that fails midway, each followed by an INSERT that names
 // only some columns. Run it under -race: a batch handed to a new seal before
 // its committer has read the outcome shows up as a data race, not as a wrong
-// answer.
+// answer. Last, a value KVStore.Get returned is its caller's: it keeps its
+// bytes after its page is evicted and after its key is overwritten.
 func TestRecycledFramesAndBatches(t *testing.T) {
 	t.Run("pinned frame outlives its drop", func(t *testing.T) {
 		pg, err := newMemPager(MinPageSize, 8)
@@ -955,6 +956,68 @@ func TestRecycledFramesAndBatches(t *testing.T) {
 		}
 		if err := db.CheckIntegrity(); err != nil {
 			t.Fatal(err)
+		}
+	})
+
+	t.Run("returned value outlives its page", func(t *testing.T) {
+		db, err := Open(t.TempDir(), Options{CachePages: 8, CheckpointBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		poisonBufs(db.pg)
+		st, err := NewKVStore("sql", db, "kv_data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		// Small values sit inline in their leaf cell; large ones fill most of
+		// an overflow page of their own.
+		sizes := map[string]int{"inline": 200, "overflow": DefaultPageSize / 2}
+		val := func(key string, gen int) []byte {
+			v := make([]byte, sizes[key[:strings.IndexByte(key, '-')]])
+			rand.New(rand.NewSource(int64(crc32.ChecksumIEEE([]byte(key))) + int64(gen))).Read(v)
+			return v
+		}
+		var keys []string
+		for i := 0; i < 40; i++ {
+			keys = append(keys, fmt.Sprintf("inline-%02d", i), fmt.Sprintf("overflow-%02d", i))
+		}
+		for _, k := range keys {
+			if err := st.Put(ctx, k, val(k, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := make(map[string][]byte, len(keys))
+		for _, k := range keys {
+			v, err := st.Get(ctx, k)
+			if err != nil || !bytes.Equal(v, val(k, 0)) {
+				t.Fatalf("get %s: %d bytes, %v", k, len(v), err)
+			}
+			held[k] = v
+		}
+		// Every key read again evicts each page the held values came from,
+		// many times over; then every key is overwritten, which frees the old
+		// overflow pages for the new values, and read once more.
+		for gen := 0; gen < 2; gen++ {
+			for _, k := range keys {
+				if gen == 1 {
+					if err := st.Put(ctx, k, val(k, 1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if v, err := st.Get(ctx, k); err != nil || !bytes.Equal(v, val(k, gen)) {
+					t.Fatalf("get %s after round %d: %d bytes, %v", k, gen, len(v), err)
+				}
+			}
+		}
+		if ps, err := db.Stats(); err != nil || ps.Evictions == 0 {
+			t.Fatalf("nothing was evicted (%v)", err)
+		}
+		for _, k := range keys {
+			if !bytes.Equal(held[k], val(k, 0)) {
+				t.Errorf("value %s returned before its page was evicted and its key overwritten has changed", k)
+			}
 		}
 	})
 }

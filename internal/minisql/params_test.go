@@ -2,6 +2,7 @@ package minisql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -430,7 +431,7 @@ func FuzzParamsMatchLiterals(f *testing.F) {
 // prepared statement costs what executing its AST costs. Nothing is lexed,
 // parsed, quoted or decoded per execution, so the allocation count over the
 // pre-built AST is a small constant and does not depend on the size of the
-// bound value.
+// bound value. QueryRowTo runs the same point select without a Result.
 func TestPreparedExecutionAllocs(t *testing.T) {
 	db := OpenMemory()
 	mustExec(t, db, `CREATE TABLE kv (k TEXT PRIMARY KEY, v BLOB NOT NULL)`)
@@ -450,10 +451,11 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 	const sessionMargin = 0
 	// And what the AST itself may cost, since a margin says nothing about its
 	// base. A replace: nothing, its row and record are the writer's scratch. A
-	// point select: the row's private copy off the page, its values (the
-	// unprojected key stays bytes), and the Result, which holds its row list
-	// and projected row.
-	const astPutCeiling, astGetCeiling = 0, 3
+	// point select: the row's private copy off the page, and the Result, which
+	// holds its row list, the row decoded from that copy (the unprojected key
+	// stays NULL) and the projected row. QueryRowTo into a caller's frame: the
+	// copy off the page only.
+	const astPutCeiling, astGetCeiling, rowToGet = 0, 2, 1
 
 	var margins [2][2]float64
 	for si, size := range []int{256, 2048} {
@@ -476,8 +478,19 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 			run(func() error { _, err := sessPut.Exec(Text(key), Blob(val)); return err }) - basePut,
 			run(func() error { _, err := sessGet.Query(Text(key)); return err }) - baseGet,
 		}
-		t.Logf("%d B value: AST put %.0f get %.0f allocs; margins session put %+.0f get %+.0f",
-			size, basePut, baseGet, margins[si][0], margins[si][1])
+		rowTo := run(func() error {
+			var frame [1]Value
+			row, found, err := sessGet.QueryRowTo(frame[:0], Text(key))
+			if err == nil && (!found || len(row[0].Bytes) != size) {
+				err = errors.New("QueryRowTo did not read the value back")
+			}
+			return err
+		})
+		t.Logf("%d B value: AST put %.0f get %.0f allocs; margins session put %+.0f get %+.0f; QueryRowTo %.0f",
+			size, basePut, baseGet, margins[si][0], margins[si][1], rowTo)
+		if rowTo != rowToGet {
+			t.Errorf("%d B value: QueryRowTo allocates %.0f, want %d", size, rowTo, rowToGet)
+		}
 		// A 2 KiB value lives on an overflow page, which a replace may pay
 		// for; reading it back may not cost more than reading a small one.
 		if size == 256 && basePut > astPutCeiling {

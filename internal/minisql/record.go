@@ -102,26 +102,30 @@ const allCols = ^colSet(0)
 
 func (s colSet) has(i int) bool { return i >= 64 || s&(1<<i) != 0 }
 
-// decodeRow parses a serialized record, rejecting malformed input. BLOB
-// values alias buf instead of copying out of it, which is the one copy a value
-// is spared between its page and the query result — so buf must be bytes the
-// caller owns outright and never writes again: btree.get and cursor.value
-// return such private copies. Page-resident bytes (a parsed cell of a pinned
+// decodeRow appends the columns of a serialized record to dst, rejecting
+// malformed input; on an error dst's length is unchanged. BLOB values alias
+// buf instead of copying out of it, so buf must be bytes the caller owns
+// outright and never writes again: btree.get and cursor.value return such
+// private copies, and the copy off the page is the only allocation a point
+// read pays for its value. Page-resident bytes (a parsed cell of a pinned
 // page) must not come here; after unpin the pager reuses them. A TEXT column
 // outside need, which the caller does not read, is left NULL, not copied.
-func decodeRow(buf []byte, need colSet) ([]Value, error) {
+func decodeRow(dst []Value, buf []byte, need colSet) ([]Value, error) {
 	ncols, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, fmt.Errorf("minisql: bad record column count")
+		return dst, fmt.Errorf("minisql: bad record column count")
 	}
 	if ncols > uint64(len(buf)) {
-		return nil, fmt.Errorf("minisql: record claims %d columns in %d bytes", ncols, len(buf))
+		return dst, fmt.Errorf("minisql: record claims %d columns in %d bytes", ncols, len(buf))
 	}
-	row := make([]Value, ncols)
+	start := len(dst)
+	out := slices.Grow(dst, int(ncols))[:start+int(ncols)]
+	row := out[start:]
+	clear(row)
 	off := n
 	for i := range row {
 		if off >= len(buf) {
-			return nil, fmt.Errorf("minisql: truncated record at column %d", i)
+			return dst, fmt.Errorf("minisql: truncated record at column %d", i)
 		}
 		tag := buf[off]
 		off++
@@ -131,20 +135,20 @@ func decodeRow(buf []byte, need colSet) ([]Value, error) {
 		case recTagInt:
 			v, n := binary.Varint(buf[off:])
 			if n <= 0 {
-				return nil, fmt.Errorf("minisql: bad integer at column %d", i)
+				return dst, fmt.Errorf("minisql: bad integer at column %d", i)
 			}
 			off += n
 			row[i] = Int(v)
 		case recTagFloat:
 			if off+8 > len(buf) {
-				return nil, fmt.Errorf("minisql: truncated real at column %d", i)
+				return dst, fmt.Errorf("minisql: truncated real at column %d", i)
 			}
 			row[i] = Float(math.Float64frombits(binary.BigEndian.Uint64(buf[off:])))
 			off += 8
 		case recTagText, recTagBlob:
 			l, n := binary.Uvarint(buf[off:])
 			if n <= 0 || l > uint64(len(buf)) || off+n+int(l) > len(buf) {
-				return nil, fmt.Errorf("minisql: bad string length at column %d", i)
+				return dst, fmt.Errorf("minisql: bad string length at column %d", i)
 			}
 			off += n
 			b := buf[off : off+int(l)]
@@ -161,13 +165,13 @@ func decodeRow(buf []byte, need colSet) ([]Value, error) {
 		case recTagTrue:
 			row[i] = Bool(true)
 		default:
-			return nil, fmt.Errorf("minisql: unknown record tag %d at column %d", tag, i)
+			return dst, fmt.Errorf("minisql: unknown record tag %d at column %d", tag, i)
 		}
 	}
 	if off != len(buf) {
-		return nil, fmt.Errorf("minisql: %d trailing bytes after record", len(buf)-off)
+		return dst, fmt.Errorf("minisql: %d trailing bytes after record", len(buf)-off)
 	}
-	return row, nil
+	return out, nil
 }
 
 func varintLen(v int64) int {

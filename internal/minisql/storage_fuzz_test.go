@@ -66,7 +66,7 @@ func FuzzPageDecode(f *testing.F) {
 			case pageLeaf:
 				if ents, err := readLeafEntries(p, 0); err == nil {
 					for _, e := range ents {
-						_, _ = decodeRow(e.inline, allCols)
+						_, _ = decodeRow(nil, e.inline, allCols)
 						_, _ = decodeRowid(e.key)
 					}
 				}
@@ -100,7 +100,7 @@ func FuzzPageDecode(f *testing.F) {
 			}
 		}
 		// The raw-bytes decoders guard the row and cell formats directly.
-		_, _ = decodeRow(data, allCols)
+		_, _ = decodeRow(nil, data, allCols)
 		if len(data) >= 2 {
 			_, _ = parseLeafCell(buf, int(data[0])|int(data[1])<<8)
 			_, _ = parseInteriorCell(buf, int(data[0]))

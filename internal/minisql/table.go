@@ -136,7 +136,7 @@ func (t *table) buildIndex(name string, def namedIndex) error {
 		if err != nil {
 			return err
 		}
-		row, err := decodeRow(raw, allCols)
+		row, err := decodeRow(nil, raw, allCols)
 		if err != nil {
 			return err
 		}
@@ -230,17 +230,18 @@ func (t *table) validate(vals []Value) error {
 	return nil
 }
 
-// getRow fetches and decodes the row at rowid; see decodeRow for need.
-func (t *table) getRow(id int64, need colSet) ([]Value, error) {
+// getRow fetches the row at rowid and appends its columns to dst; see
+// decodeRow for need.
+func (t *table) getRow(dst []Value, id int64, need colSet) ([]Value, error) {
 	key := rowidKey(id)
 	raw, found, err := t.tree.get(key[:], nil)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if !found {
-		return nil, fmt.Errorf("minisql: internal: missing rowid %d in table %q", id, t.schema.Name)
+		return dst, fmt.Errorf("minisql: internal: missing rowid %d in table %q", id, t.schema.Name)
 	}
-	return decodeRow(raw, need)
+	return decodeRow(dst, raw, need)
 }
 
 // lookupUnique returns the rowid holding value v in indexed column col. The
@@ -372,7 +373,7 @@ func (t *table) update(id int64, old, vals []Value, located int) error {
 	}
 	if old == nil && others > 0 {
 		var err error
-		if old, err = t.getRow(id, allCols); err != nil {
+		if old, err = t.getRow(nil, id, allCols); err != nil {
 			return err
 		}
 	}
@@ -465,7 +466,7 @@ func (t *table) scanRows(fn func(id int64, row []Value) (bool, error)) error {
 		if err != nil {
 			return err
 		}
-		row, err := decodeRow(raw, allCols)
+		row, err := decodeRow(nil, raw, allCols)
 		if err != nil {
 			return err
 		}
