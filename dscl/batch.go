@@ -39,8 +39,6 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 		seen[k] = true
 		e, state, answered := cl.lookup(ctx, k)
 		switch {
-		case state == Hit && isNegative(e):
-			cl.negHits.Add(1) // definitively absent: stays out of the map
 		case state == Hit:
 			v, derr := cl.cachedToPlain(e.Value)
 			if derr != nil {
@@ -77,7 +75,7 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 	for i, k := range miss {
 		vv, ok := got[k]
 		if !ok {
-			cl.install(ctx, k, tokens[i], outcome{kind: outcomeTombstone})
+			cl.install(ctx, k, tokens[i], outcome{}) // absent: drop any copy the cache holds
 			continue
 		}
 		plain, derr := cl.decode(vv.Value)

@@ -11,9 +11,9 @@ import (
 )
 
 // Regression tests for the latent capability-hiding bug class the middleware
-// refactor fixes: before kv.Wrapper/kv.As, wrapping a store in a transform,
-// cache, or tiered-cache client silently hid kv.Expiring, kv.SQL, and
-// kv.CompareAndPut from callers. Each layer flavour is pinned here.
+// refactor fixes: before kv.Wrapper/kv.As, wrapping a store in a transform
+// or cache client silently hid kv.Expiring, kv.SQL, and kv.CompareAndPut
+// from callers. Each layer flavour is pinned here.
 
 // expiringStore is a minimal kv.Expiring fake over kv.Mem.
 type expiringStore struct {
@@ -175,30 +175,6 @@ func TestTransformClientInterceptsCAS(t *testing.T) {
 	// Losing the race is reported verbatim.
 	if _, err := cas.PutIfVersion(ctx, "k", []byte("third"), v1); !errors.Is(err, kv.ErrVersionMismatch) {
 		t.Fatalf("stale CAS err = %v, want ErrVersionMismatch", err)
-	}
-}
-
-func TestTieredCacheClientExposesCapabilities(t *testing.T) {
-	ctx := context.Background()
-	store := newExpiringStore()
-	tiered := NewTieredCache(
-		NewInProcessCache(InProcessOptions{MaxEntries: 4}),
-		NewInProcessCache(InProcessOptions{}),
-		0,
-	)
-	cl := New(store, WithCache(tiered))
-	es, ok := kv.As[kv.Expiring](kv.Store(cl))
-	if !ok {
-		t.Fatal("kv.Expiring hidden by a tiered-cache client")
-	}
-	if err := es.PutTTL(ctx, "k", []byte("v"), int64(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if d, err := es.TTL(ctx, "k"); err != nil || d != int64(time.Minute) {
-		t.Fatalf("TTL = %d, %v", d, err)
-	}
-	if _, ok := kv.As[kv.CompareAndPut](kv.Store(cl)); !ok {
-		t.Fatal("kv.CompareAndPut hidden by a tiered-cache client")
 	}
 }
 

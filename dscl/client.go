@@ -52,25 +52,18 @@ type Client struct {
 	transform Transform
 	ttl       time.Duration
 	policy    WritePolicy
-	reval     bool
 	cacheRaw  bool
 	chain     *delta.Chain // WithDeltaEncoding: New makes it the store; Stats reads its counters
 	clock     func() time.Time
-	negTTL    time.Duration
 	closed    atomic.Bool
 	hub       *Hub
 	hubID     int
-	flights   *flightGroup
-	refresher *refreshTracker
 	fence     [fenceStripes]fenceStripe
 
 	hits, misses, stale, revals, fresh atomic.Int64
 	reads, writes, cacheErrs           atomic.Int64
 	tfIn, tfOut                        atomic.Int64
 	invalidations                      atomic.Int64
-	deduped                            atomic.Int64
-	refreshes                          atomic.Int64
-	negHits                            atomic.Int64
 }
 
 var _ kv.Store = (*Client)(nil)
@@ -88,10 +81,6 @@ func WithTTL(d time.Duration) Option { return func(cl *Client) { cl.ttl = d } }
 
 // WithWritePolicy selects the cache behaviour of Put (default WriteThrough).
 func WithWritePolicy(p WritePolicy) Option { return func(cl *Client) { cl.policy = p } }
-
-// WithRevalidation enables conditional fetches for stale entries when the
-// store supports versions (kv.Versioned). Default on.
-func WithRevalidation(enabled bool) Option { return func(cl *Client) { cl.reval = enabled } }
 
 // WithTransform appends a transform to the store-side pipeline. Order
 // matters: compression should precede encryption.
@@ -147,7 +136,7 @@ func withClock(f func() time.Time) Option { return func(cl *Client) { cl.clock =
 
 // New builds an enhanced client over store.
 func New(store kv.Store, opts ...Option) *Client {
-	cl := &Client{store: store, reval: true, clock: time.Now}
+	cl := &Client{store: store, clock: time.Now}
 	for _, o := range opts {
 		o(cl)
 	}
@@ -327,38 +316,29 @@ func (cl *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	e, state, answered := cl.lookup(ctx, key)
 	switch {
-	case state == Hit && isNegative(e):
-		cl.negHits.Add(1)
-		return nil, kv.ErrNotFound
 	case state == Hit:
 		cl.hits.Add(1)
 		return cl.cachedToPlain(e.Value)
-	case state == Stale && !isNegative(e):
+	case state == Stale:
 		cl.stale.Add(1)
-		// Stale-while-revalidate: serve the expired entry now, refresh in
-		// the background.
-		if v, ok := cl.serveStaleAndRefresh(ctx, key, e); ok {
-			return v, nil
-		}
 		return cl.revalidate(monitor.EnsureRequestID(ctx), key, e)
 	case answered:
-		cl.misses.Add(1) // absent, or an expired tombstone: re-consult the store
+		cl.misses.Add(1)
 	}
 	// Every path that reaches the store tags the context with a request ID
 	// so retries, hedges, and server logs correlate. The cache-hit fast
-	// paths above stay untagged — no wire traffic to trace.
-	return cl.fetchShared(monitor.EnsureRequestID(ctx), key)
+	// path above stays untagged — no wire traffic to trace.
+	return cl.fill(monitor.EnsureRequestID(ctx), key)
 }
 
-// revalidate brings a stale entry up to date with one store call, for Get
-// and for the stale-while-revalidate refresh alike: a conditional fetch when
-// the entry carries a version the store can compare — "not modified" renews
-// the lease with no transfer, "modified" carries the new value — and a full
-// fetch otherwise. It returns the current plaintext.
+// revalidate brings a stale entry up to date with one store call: a
+// conditional fetch when the entry carries a version the store can compare —
+// "not modified" renews the lease with no transfer, "modified" carries the
+// new value — and a full fetch otherwise. It returns the current plaintext.
 func (cl *Client) revalidate(ctx context.Context, key string, stale Entry) ([]byte, error) {
 	vs, ok := kv.As[kv.Versioned](cl.store)
-	if !ok || !cl.reval || stale.Version == kv.NoVersion {
-		return cl.fetchShared(ctx, key)
+	if !ok || stale.Version == kv.NoVersion {
+		return cl.fill(ctx, key)
 	}
 	cl.revals.Add(1)
 	t := cl.begin(key)
@@ -395,8 +375,8 @@ func (cl *Client) fill(ctx context.Context, key string) ([]byte, error) {
 }
 
 // filled is the end of every single-key read that reached the store: decode
-// what it returned, install the value — or not-found, one outcome whichever
-// read discovered it — and hand back the plaintext.
+// what it returned, install the value — or, when the store has no such key,
+// drop any copy the cache still holds — and hand back the plaintext.
 func (cl *Client) filled(ctx context.Context, key string, t token, raw []byte, ver kv.Version, err error) ([]byte, error) {
 	var plain []byte
 	if err == nil {
@@ -404,7 +384,7 @@ func (cl *Client) filled(ctx context.Context, key string, t token, raw []byte, v
 	}
 	if err != nil {
 		if kv.IsNotFound(err) {
-			cl.install(ctx, key, t, outcome{kind: outcomeTombstone})
+			cl.install(ctx, key, t, outcome{})
 		}
 		return nil, err
 	}
@@ -475,11 +455,7 @@ func (cl *Client) Contains(ctx context.Context, key string) (bool, error) {
 	if err := cl.checkKey(ctx, key); err != nil {
 		return false, err
 	}
-	if e, state, _ := cl.lookup(ctx, key); state == Hit {
-		if isNegative(e) {
-			cl.negHits.Add(1)
-			return false, nil
-		}
+	if _, state, _ := cl.lookup(ctx, key); state == Hit {
 		cl.hits.Add(1)
 		return true, nil
 	}

@@ -13,6 +13,7 @@ import (
 	"edsc/internal/raceflag"
 	"edsc/kv"
 	"edsc/kv/kvtest"
+	"edsc/monitor"
 )
 
 // countingStore wraps Mem and counts operations, optionally supporting
@@ -257,13 +258,21 @@ func TestRevalidationNotModified(t *testing.T) {
 	_ = cl.Put(ctx, "k", []byte("stable"))
 	advance(2 * time.Minute) // entry expires
 
-	v, err := cl.Get(ctx, "k")
+	rec := monitor.New("reval", 1)
+	rec.SetSlowThreshold(1)
+	tctx, tr := monitor.StartTrace(ctx)
+	v, err := cl.Get(tctx, "k")
 	if err != nil || string(v) != "stable" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
 	st := cl.Stats()
 	if st.Revalidations != 1 || st.RevalidatedFresh != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// The conditional fetch shows in the reader's trace.
+	rec.FinishTrace(tr, "get", time.Millisecond, false)
+	if spans := rec.Snapshot(false).Slow[0].Spans; len(spans) != 1 || spans[0].Layer != "dscl" || spans[0].Op != "revalidate" {
+		t.Fatalf("spans = %+v, want one dscl/revalidate", spans)
 	}
 	if store.gets.Load() != 0 {
 		t.Fatal("revalidation transferred the full object")
@@ -305,32 +314,16 @@ func TestRevalidationModified(t *testing.T) {
 	if st.Revalidations != 1 || st.RevalidatedFresh != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-}
-
-func TestRevalidationDisabledFallsBackToFetch(t *testing.T) {
-	ctx := context.Background()
-	store := &versionedStore{newCountingStore()}
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-
-	cl := New(store,
-		WithCache(storeCacheWithClock(clock)),
-		WithTTL(time.Minute),
-		WithRevalidation(false),
-		withClock(clock))
-	_ = cl.Put(ctx, "k", []byte("v"))
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
-	if _, err := cl.Get(ctx, "k"); err != nil {
-		t.Fatal(err)
+	// The conditional answer carried the new value: it is installed, not
+	// read a second time, and the next read is a plain hit.
+	if c, g := store.conditional.Load(), store.gets.Load(); c != 1 || g != 1 {
+		t.Fatalf("modified revalidation made %d conditional calls and %d value transfers, want 1 and 1", c, g)
 	}
-	if store.conditional.Load() != 0 {
-		t.Fatal("conditional fetch issued with revalidation disabled")
+	if v, err := cl.Get(ctx, "k"); err != nil || string(v) != "v2" {
+		t.Fatalf("read after revalidation = %q, %v", v, err)
 	}
-	if store.gets.Load() != 1 {
-		t.Fatalf("gets = %d, want full refetch", store.gets.Load())
+	if st := cl.Stats(); st.CacheHits != 1 || st.StoreReads != 1 {
+		t.Fatalf("stats = %+v, want the revalidated entry served from the cache", st)
 	}
 }
 
@@ -347,8 +340,15 @@ func TestDeletedKeyDropsStaleCacheEntry(t *testing.T) {
 	// ...but once the cache is cleared and the store says gone, Get must
 	// report not-found and not resurrect.
 	_ = cl.Cache().Clear(ctx)
-	if _, err := cl.Get(ctx, "k"); !kv.IsNotFound(err) {
-		t.Fatalf("err = %v", err)
+	gets := store.gets.Load()
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Get(ctx, "k"); !kv.IsNotFound(err) {
+			t.Fatalf("err = %v", err)
+		}
+	}
+	// Not-found is never cached: every Get of an absent key asks the store.
+	if got := store.gets.Load() - gets; got != 3 {
+		t.Fatalf("store gets = %d for 3 Gets of an absent key, want 3", got)
 	}
 }
 

@@ -132,8 +132,19 @@ type token struct {
 // begin captures key's write generation. Call it before the store
 // operation whose result will be installed.
 func (cl *Client) begin(key string) token {
-	s := &cl.fence[flightHash(key)%fenceStripes]
+	s := &cl.fence[stripeHash(key)%fenceStripes]
 	return token{stripe: s, gen: s.gen.Load()}
+}
+
+// stripeHash is FNV-1a over the key, matching internal/cache's shard
+// selection (allocation-free; no []byte conversion).
+func stripeHash(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // wrote moves key's generation ("" = every key's) for a write that has
@@ -171,10 +182,9 @@ type outcome struct {
 type outcomeKind uint8
 
 const (
-	outcomeDrop      outcomeKind = iota // remove the entry: always safe, never refused
-	outcomeValue                        // a value read from, or just written to, the store
-	outcomeTouch                        // the store confirmed the stale entry: renew its lease
-	outcomeTombstone                    // the store has no such key
+	outcomeDrop  outcomeKind = iota // remove the entry: always safe, never refused
+	outcomeValue                    // a value read from, or just written to, the store
+	outcomeTouch                    // the store confirmed the stale entry: renew its lease
 )
 
 // valueOf is the outcome caching a value the client holds both as plaintext
@@ -194,12 +204,12 @@ func (cl *Client) valueOf(plain, encoded []byte, ver kv.Version) outcome {
 // notification received — moves the generation (cl.wrote) after its store
 // call returns and before its own install. install refuses an outcome whose
 // stripe saw a write not its holder's own between begin and now. A refused
-// read outcome (value, touch, tombstone) becomes nothing: its caller still
-// has its answer and the cache keeps what the write left. A refused
-// write-through becomes a drop: overlapping writes reach the store in an
-// order the client cannot know, so neither value may be pinned and the entry
-// that preceded both must go. A drop is always safe and never refused; a
-// failed write may have applied, so it is a drop.
+// read outcome (value, touch) becomes nothing: its caller still has its
+// answer and the cache keeps what the write left. A refused write-through
+// becomes a drop: overlapping writes reach the store in an order the client
+// cannot know, so neither value may be pinned and the entry that preceded
+// both must go. A drop is always safe and never refused; a failed write may
+// have applied, so it is a drop.
 //
 // The compare and the cache call happen under the stripe mutex that wrote
 // takes to move the generation — held across the cache call only, never a
@@ -222,17 +232,12 @@ func (cl *Client) install(ctx context.Context, key string, t token, o outcome) (
 		}
 		o.kind = outcomeDrop
 	}
-	if o.kind == outcomeTombstone && cl.negTTL <= 0 {
-		o.kind = outcomeDrop // negative caching is off: only make sure no stale copy survives
-	}
 	var err error
 	switch o.kind {
 	case outcomeValue:
 		err = cl.cache.Put(ctx, key, Entry{Value: o.value, Version: o.version, ExpiresAt: cl.expiry(o.maxTTL)})
 	case outcomeTouch:
 		_, err = cl.cache.Touch(ctx, key, cl.expiry(0), o.version)
-	case outcomeTombstone:
-		err = cl.cache.Put(ctx, key, Entry{Version: negativeVersion, ExpiresAt: cl.clock().Add(cl.negTTL)})
 	case outcomeDrop:
 		if key == "" {
 			err = cl.cache.Clear(ctx)

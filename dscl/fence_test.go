@@ -69,9 +69,11 @@ type actor struct {
 	// "unapplied" instead of applying.
 	fail string
 	// While parked at the cache gate: the stripe whose mutex install holds
-	// for it, and the generation it parked at.
+	// for it, the generation it parked at, and the cache call it is about to
+	// make ("put", "delete", "touch" or "clear").
 	held    *fenceStripe
 	heldGen uint64
+	op      string
 }
 
 func newActor(name string) *actor {
@@ -270,7 +272,7 @@ type parkCache struct {
 	background *actor
 }
 
-func (c *parkCache) park(ctx context.Context, key string) {
+func (c *parkCache) park(ctx context.Context, key, op string) {
 	a := actorOf(ctx)
 	if a == nil {
 		a = c.background
@@ -278,27 +280,28 @@ func (c *parkCache) park(ctx context.Context, key string) {
 	if a != nil {
 		a.held = c.cl.begin(key).stripe
 		a.heldGen = a.held.gen.Load()
+		a.op = op
 		a.cache.pass()
 	}
 }
 
 func (c *parkCache) Put(ctx context.Context, key string, e Entry) error {
-	c.park(ctx, key)
+	c.park(ctx, key, "put")
 	return c.Cache.Put(ctx, key, e)
 }
 
 func (c *parkCache) Delete(ctx context.Context, key string) (bool, error) {
-	c.park(ctx, key)
+	c.park(ctx, key, "delete")
 	return c.Cache.Delete(ctx, key)
 }
 
 func (c *parkCache) Touch(ctx context.Context, key string, exp time.Time, ver kv.Version) (bool, error) {
-	c.park(ctx, key)
+	c.park(ctx, key, "touch")
 	return c.Cache.Touch(ctx, key, exp, ver)
 }
 
 func (c *parkCache) Clear(ctx context.Context) error {
-	c.park(ctx, "")
+	c.park(ctx, "", "clear")
 	return c.Cache.Clear(ctx)
 }
 
@@ -546,8 +549,16 @@ func TestFenceInterleavings(t *testing.T) {
 			return get(a), func(ctx context.Context) { _ = b.Clear(ctx) }, []*Client{a, b}
 		}},
 		{name: "not-found fill vs Put", build: func(r *race) (_, _ func(context.Context), _ []*Client) {
-			cl := r.client(WithNegativeCaching(time.Hour))
-			return get(cl), put(cl, "v2"), []*Client{cl}
+			cl := r.client()
+			// The store has no such key: the fill drops whatever the cache
+			// holds and caches nothing in its place.
+			fill := func(ctx context.Context) {
+				get(cl)(ctx)
+				if r.first.op != "delete" {
+					r.t.Errorf("not-found fill made cache call %q, want a drop", r.first.op)
+				}
+			}
+			return fill, put(cl, "v2"), []*Client{cl}
 		}},
 		{name: "write-through vs write-through", build: func(r *race) (_, _ func(context.Context), _ []*Client) {
 			cl := r.client()
@@ -562,47 +573,13 @@ func TestFenceInterleavings(t *testing.T) {
 			cl := r.client()
 			return func(ctx context.Context) { _, _ = cl.GetMulti(ctx, []string{"k"}) }, put(cl, "v2"), []*Client{cl}
 		}},
-		{name: "SWR refresh vs Put", build: func(r *race) (_, _ func(context.Context), _ []*Client) {
-			cl := r.client(WithTTL(time.Minute), WithStaleWhileRevalidate())
+		{name: "revalidate-modified fill vs Put", build: func(r *race) (_, _ func(context.Context), _ []*Client) {
+			cl := r.client(WithTTL(time.Minute))
 			expired(r, cl)
-			// Modified behind the client's back: the refresh carries v2.
+			// Modified behind the client's back: the conditional fetch
+			// carries v2, and the revalidation installs it.
 			_, _ = r.store.write("k", []byte("v2"), "*")
-			refresh := func(ctx context.Context) {
-				_, _ = cl.Get(ctx, "k")
-				cl.WaitRefreshes()
-			}
-			return refresh, put(cl, "v3"), []*Client{cl}
-		}},
-		{name: "singleflight leader fill vs Put", build: func(r *race) (_, _ func(context.Context), _ []*Client) {
-			seeded(r)
-			cl := r.client(WithSingleflight())
-			const followers = 3
-			got := make(chan string, followers)
-			// The followers start once the leader's fetch is parked in the
-			// store. One that joins the flight gets the leader's value,
-			// whatever the fence then does to the leader's fill; one that
-			// comes too late fetches for itself.
-			leader := func(ctx context.Context) {
-				_, _ = cl.Get(ctx, "k")
-				for i := 0; i < followers; i++ {
-					if v := <-got; v != "v1" && (v != "v2" || cl.DedupedFetches() == followers) {
-						r.t.Errorf("follower got %q", v)
-					}
-				}
-			}
-			writer := func(ctx context.Context) {
-				for i := 0; i < followers; i++ {
-					go func() {
-						v, err := cl.Get(context.Background(), "k")
-						if err != nil {
-							v = []byte(err.Error())
-						}
-						got <- string(v)
-					}()
-				}
-				_ = cl.Put(ctx, "k", []byte("v2"))
-			}
-			return leader, writer, []*Client{cl}
+			return get(cl), put(cl, "v3"), []*Client{cl}
 		}},
 		{name: "revalidate-fresh Touch vs Put", build: func(r *race) (_, _ func(context.Context), _ []*Client) {
 			cl := r.client(WithTTL(time.Minute))

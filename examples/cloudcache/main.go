@@ -5,7 +5,8 @@
 // hundred-millisecond reads; an enhanced DSCL client in front of the same
 // store serves repeated reads from an in-process cache at sub-microsecond
 // latency, keeps expired entries for revalidation (an If-Modified-Since
-// analogue over ETags), and never requires server changes.
+// analogue over ETags), persists its cache across a restart, and never
+// requires server changes.
 //
 // Run with:
 //
@@ -37,10 +38,8 @@ func main() {
 
 	// The enhanced client: same store, plus an in-process cache whose
 	// entries expire after 2 seconds but are revalidated, not re-fetched.
-	client := dscl.New(store,
-		dscl.WithCache(dscl.NewInProcessCache(dscl.InProcessOptions{MaxEntries: 10_000})),
-		dscl.WithTTL(2*time.Second),
-	)
+	cache := dscl.NewInProcessCache(dscl.InProcessOptions{MaxEntries: 10_000})
+	client := dscl.New(store, dscl.WithCache(cache), dscl.WithTTL(2*time.Second))
 
 	session := []byte(`{"user":"ada","roles":["admin"],"theme":"dark"}`)
 	if err := client.Put(ctx, "session:ada", session); err != nil {
@@ -100,6 +99,27 @@ func main() {
 	fmt.Printf("\nclient stats: %d hits, %d misses, %d stale, %d revalidations (%d answered not-modified)\n",
 		st.CacheHits, st.CacheMisses, st.StaleHits, st.Revalidations, st.RevalidatedFresh)
 	fmt.Printf("store reads actually issued: %d\n", st.StoreReads)
+
+	// Cache persistence (§III): before a shutdown the cache is saved to a
+	// bucket; a restarted process warms a fresh cache from it, so its first
+	// read is a cache hit instead of a WAN round trip.
+	snapshot := udsm.OpenCloudStore("snapshot", cloud.URL(), "cache-snapshot")
+	saved, err := cache.SaveTo(ctx, snapshot)
+	if err != nil {
+		log.Fatal(err)
+	}
+	warm := dscl.NewInProcessCache(dscl.InProcessOptions{MaxEntries: 10_000})
+	loaded, err := warm.LoadFrom(ctx, snapshot)
+	if err != nil {
+		log.Fatal(err)
+	}
+	restarted := dscl.New(store, dscl.WithCache(warm), dscl.WithTTL(2*time.Second))
+	timeRead(fmt.Sprintf("warm-started read (%d/%d loaded)", loaded, saved), func() error {
+		_, err := restarted.Get(ctx, "session:ada")
+		return err
+	})
+	rs := restarted.Stats()
+	fmt.Printf("warm-started client: %d cache hits, %d store reads\n", rs.CacheHits, rs.StoreReads)
 
 	// Approach 3 of §III: the cache itself is just a Cache; applications
 	// can manage entries explicitly when they need precise control.

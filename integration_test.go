@@ -462,7 +462,7 @@ func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 // cloudsim server under fault injection serves its /v1 API and, on the same
 // listener, a /metrics endpoint aggregating the server-side per-op recorder,
 // the client-side resilient store's recorder, and the wrapper's
-// retry/hedge/breaker counters. After a workload runs through the full
+// retry/hedge counters. After a workload runs through the full
 // stack, one scrape must show per-op counts, latency histogram buckets, and
 // nonzero resilience counters — and the UDSM's slow-trace retention must
 // have produced span traces that reach down to individual HTTP attempts.
@@ -533,7 +533,6 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 		// Resilience event counters.
 		`edsc_resilience_events_total{store="cloud",event="retry"}`,
 		`edsc_resilience_events_total{store="cloud",event="hedge"}`,
-		`edsc_resilience_events_total{store="cloud",event="breaker_trip"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -44,7 +44,7 @@ func NewRing(vnodes int, seed int64) *Ring {
 }
 
 // fnv64a is the FNV-1a hash of s, the repository's standard cheap
-// dependency-free hash (dscl's singleflight shards the same way).
+// dependency-free hash (dscl's fence stripes the same way).
 func fnv64a(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

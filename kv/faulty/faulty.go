@@ -52,8 +52,8 @@ type Options struct {
 	ErrAfter float64
 
 	// FailFirstN fails the first N operations unconditionally (before
-	// apply), then lets traffic through. Deterministic fuel for retry and
-	// circuit-breaker tests.
+	// apply), then lets traffic through. Deterministic fuel for retry
+	// tests.
 	FailFirstN int
 
 	// PSpike is the probability an operation stalls for Spike before

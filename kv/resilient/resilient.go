@@ -1,11 +1,11 @@
 // Package resilient wraps any kv.Store with the client-side fault masking
 // the paper's measurements call for (§II, §V): per-operation timeouts,
-// capped exponential backoff with jitter, idempotency-aware retries, a
-// circuit breaker, and hedged reads against tail latency — the cloud-store
-// variability §V reports for Cloud Store 1 is exactly the distribution
-// hedging attacks. Every recovery action is reported through an optional
-// monitor.Recorder, so retry storms and breaker trips show up in the same
-// snapshots as ordinary operation latencies.
+// capped exponential backoff with jitter, idempotency-aware retries, and
+// hedged reads against tail latency — the cloud-store variability §V
+// reports for Cloud Store 1 is exactly the distribution hedging attacks.
+// Every recovery action is reported through an optional monitor.Recorder,
+// so retry storms show up in the same snapshots as ordinary operation
+// latencies.
 //
 // Retry policy. Reads (Get, GetRange, Contains, Keys, Len) are always safe to retry
 // and always are. Blind writes (Put, Delete, Clear) are retried only when
@@ -36,12 +36,8 @@ import (
 	"edsc/monitor"
 )
 
-// ErrBreakerOpen reports an operation rejected without reaching the store
-// because the circuit breaker is open.
-var ErrBreakerOpen = errors.New("resilient: circuit breaker open")
-
 // Options tune the wrapper. The zero value retries reads a few times with
-// small backoff and disables timeouts, hedging, and the breaker.
+// small backoff and disables timeouts and hedging.
 type Options struct {
 	// OpTimeout bounds each individual attempt (0 = unbounded). The
 	// caller's context still bounds the operation as a whole.
@@ -68,16 +64,8 @@ type Options struct {
 	// the one hot-path, side-effect-free operation tail latency hurts most.
 	HedgeDelay time.Duration
 
-	// BreakerThreshold trips the circuit breaker after this many
-	// consecutive failed attempts (0 disables). While open, operations
-	// fail fast with ErrBreakerOpen.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before admitting
-	// a probe (default 1s).
-	BreakerCooldown time.Duration
-
 	// Recorder, when set, receives one observation per recovery action:
-	// "retry" (latency = the backoff served), "hedge", and "breaker_open".
+	// "retry" (latency = the backoff served) and "hedge".
 	Recorder *monitor.Recorder
 
 	// Seed makes backoff jitter reproducible (0 uses a fixed default).
@@ -86,13 +74,11 @@ type Options struct {
 
 // Stats are cumulative counters of recovery actions.
 type Stats struct {
-	Retries        int64 // attempts beyond the first
-	Hedges         int64 // hedged Gets launched
-	HedgeWins      int64 // hedges whose response arrived first
-	Timeouts       int64 // attempts cut off by OpTimeout
-	BreakerTrips   int64 // closed->open (or failed probe) transitions
-	BreakerRejects int64 // operations rejected while open
-	BatchSplits    int64 // multi-key calls degraded to per-key operations
+	Retries     int64 // attempts beyond the first
+	Hedges      int64 // hedged Gets launched
+	HedgeWins   int64 // hedges whose response arrived first
+	Timeouts    int64 // attempts cut off by OpTimeout
+	BatchSplits int64 // multi-key calls degraded to per-key operations
 }
 
 // Store is the resilience wrapper. It implements kv.Store and intercepts
@@ -101,9 +87,8 @@ type Stats struct {
 // supports the capability (see Intercepts). Capabilities it does not
 // intercept are discovered through Unwrap by the kv.As walk.
 type Store struct {
-	inner   kv.Store
-	opts    Options
-	breaker *breaker
+	inner kv.Store
+	opts  Options
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -138,12 +123,7 @@ func New(inner kv.Store, opts Options) *Store {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Store{
-		inner:   inner,
-		opts:    opts,
-		breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, nil),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	return &Store{inner: inner, opts: opts, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Layer adapts the wrapper to the kv middleware model, so a resilient stage
@@ -164,7 +144,7 @@ func (s *Store) Unwrap() kv.Store { return s.inner }
 
 // Intercepts implements kv.Interceptor. The wrapper's method set statically
 // covers the whole kv data path (Batch, Versioned, VersionedBatch,
-// CompareAndPut, Ranged) so that retries and the breaker guard every data operation,
+// CompareAndPut, Ranged) so that retries guard every data operation,
 // but a capability is only claimed when the inner stack can actually serve
 // it — otherwise the kv.As walk keeps looking (and finds nothing, exactly as
 // if the wrapper were not there).
@@ -187,36 +167,30 @@ func (s *Store) Intercepts(capability any) bool {
 
 // Stats returns a snapshot of the recovery counters.
 func (s *Store) Stats() Stats {
-	trips, rejects := s.breaker.snapshot()
 	return Stats{
-		Retries:        s.retries.Load(),
-		Hedges:         s.hedges.Load(),
-		HedgeWins:      s.hedgeWins.Load(),
-		Timeouts:       s.timeouts.Load(),
-		BreakerTrips:   trips,
-		BreakerRejects: rejects,
-		BatchSplits:    s.splits.Load(),
+		Retries:     s.retries.Load(),
+		Hedges:      s.hedges.Load(),
+		HedgeWins:   s.hedgeWins.Load(),
+		Timeouts:    s.timeouts.Load(),
+		BatchSplits: s.splits.Load(),
 	}
 }
 
 // RegisterMetrics exports the wrapper's recovery counters through reg as
 // the counter family edsc_resilience_events_total{store,event} with events
-// retry, hedge, hedge_win, timeout, breaker_trip, and breaker_reject —
-// PR 1's resilience work, visible on the same /metrics page as the
-// latency histograms.
+// retry, hedge, hedge_win, timeout and batch_split, on the same /metrics
+// page as the latency histograms.
 func (s *Store) RegisterMetrics(reg *monitor.Registry) {
 	reg.RegisterCounters("edsc_resilience_events_total",
 		map[string]string{"store": s.Name()},
 		func() map[string]int64 {
 			st := s.Stats()
 			return map[string]int64{
-				"retry":          st.Retries,
-				"hedge":          st.Hedges,
-				"hedge_win":      st.HedgeWins,
-				"timeout":        st.Timeouts,
-				"breaker_trip":   st.BreakerTrips,
-				"breaker_reject": st.BreakerRejects,
-				"batch_split":    st.BatchSplits,
+				"retry":       st.Retries,
+				"hedge":       st.Hedges,
+				"hedge_win":   st.HedgeWins,
+				"timeout":     st.Timeouts,
+				"batch_split": st.BatchSplits,
 			}
 		})
 }
@@ -244,13 +218,6 @@ func retryable(err error) bool {
 		return false
 	}
 	return !errors.Is(err, context.Canceled)
-}
-
-// healthy reports whether the attempt outcome counts as a working store for
-// breaker purposes. Definitive answers (including ErrNotFound) are healthy;
-// transient failures are not.
-func healthy(err error) bool {
-	return err == nil || !retryable(err)
 }
 
 // backoff computes the jittered delay before retry number `attempt` (0-based).
@@ -287,14 +254,8 @@ func (s *Store) do(ctx context.Context, op string, retries int, fn func(context.
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		if !s.breaker.allow() {
-			s.record("breaker_open", 0, true)
-			monitor.AddSpan(ctx, "resilient", op+" breaker_open", time.Now(), true)
-			return fmt.Errorf("%w (%s)", ErrBreakerOpen, op)
-		}
 		attemptStart := time.Now()
 		err = s.attempt(ctx, fn)
-		s.breaker.observe(healthy(err))
 		if err == nil || !retryable(err) || ctx.Err() != nil || attempt >= retries {
 			return err
 		}

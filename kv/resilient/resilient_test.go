@@ -94,39 +94,6 @@ func TestDeleteIdempotencyRule(t *testing.T) {
 	}
 }
 
-func TestBreakerTripAndRecovery(t *testing.T) {
-	ctx := context.Background()
-	inner := kv.NewMem("m")
-	if err := inner.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	s := resilient.New(faulty.New(inner, faulty.Options{FailFirstN: 3}), resilient.Options{
-		MaxRetries: -1, BreakerThreshold: 3, BreakerCooldown: 2 * time.Millisecond,
-	})
-	for i := 0; i < 3; i++ {
-		if _, err := s.Get(ctx, "k"); !errors.Is(err, faulty.ErrInjected) {
-			t.Fatalf("op %d: err = %v, want ErrInjected", i, err)
-		}
-	}
-	// Threshold reached: the breaker fails fast without touching the store.
-	if _, err := s.Get(ctx, "k"); !errors.Is(err, resilient.ErrBreakerOpen) {
-		t.Fatalf("err = %v, want resilient.ErrBreakerOpen", err)
-	}
-	st := s.Stats()
-	if st.BreakerTrips != 1 || st.BreakerRejects < 1 {
-		t.Fatalf("Stats = %+v, want 1 trip and >=1 reject", st)
-	}
-	// After the cooldown a probe goes through; the fault budget is spent,
-	// so it succeeds and closes the breaker.
-	time.Sleep(5 * time.Millisecond)
-	if v, err := s.Get(ctx, "k"); err != nil || string(v) != "v" {
-		t.Fatalf("probe Get = %q, %v", v, err)
-	}
-	if _, err := s.Get(ctx, "k"); err != nil {
-		t.Fatalf("breaker did not close after successful probe: %v", err)
-	}
-}
-
 // slowOnce delays the first Get long enough for the hedge to win.
 type slowOnce struct {
 	kv.Store

@@ -9,7 +9,7 @@ import (
 
 // Versioned interception. Version-aware reads and writes are part of the kv
 // data path — a caching client revalidating through this wrapper must get
-// the same retry/hedge/breaker protection as a plain Get, or a transient
+// the same retry/hedge protection as a plain Get, or a transient
 // fault would surface to it while plain readers are masked. So the wrapper
 // implements kv.Versioned and kv.VersionedBatch itself (it *intercepts*
 // rather than passes through; see kv.As) whenever the inner stack supports

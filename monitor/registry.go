@@ -1,5 +1,5 @@
 // Metrics export: a Registry aggregates Recorders (and auxiliary counter
-// groups, such as the resilience wrapper's retry/hedge/breaker totals) and
+// groups, such as the resilience wrapper's retry/hedge totals) and
 // renders them in Prometheus text exposition format. Mount attaches the
 // /metrics endpoint plus the standard Go debug surface (expvar, pprof) to
 // any mux; Serve runs a standalone observability listener for servers whose

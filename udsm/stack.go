@@ -21,8 +21,8 @@ import (
 // via kv.As — each stage either intercepts a capability (re-encoding,
 // retrying, cache-coherent) or lets the walk fall through.
 type StackOptions struct {
-	// Resilience, when non-nil, wraps the base store with retries, hedging,
-	// and the circuit breaker (kv/resilient).
+	// Resilience, when non-nil, wraps the base store with timeouts,
+	// retries and hedging (kv/resilient).
 	Resilience *resilient.Options
 
 	// Transforms is the store-side value pipeline, applied in order
@@ -39,8 +39,8 @@ type StackOptions struct {
 	// (dscl.WithCacheTransformed).
 	CacheTransformed bool
 
-	// DSCL appends further dscl options (stale-while-revalidate, negative
-	// caching, delta encoding, ...) to the DSCL stage.
+	// DSCL appends further dscl options (delta encoding, an invalidation
+	// hub, ...) to the DSCL stage.
 	DSCL []dscl.Option
 
 	// Layers appends custom middleware outermost, just inside monitoring.
