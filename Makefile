@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse delta allocs shapes metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse delta allocs shapes reach metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -192,6 +192,13 @@ bench-batch:
 # Regenerate every figure's data series into results/ (see EXPERIMENTS.md).
 figures:
 	go run ./cmd/udsm-bench -fig all -out results -scale 0.05 -runs 4 -ops 2
+
+# Which statements the programs reach: the examples, the four bench/
+# workloads and udsm-bench (figures, then the gated experiments), built with
+# -cover over the whole module and run under one GOCOVERDIR, merged into
+# results/reach.tsv (per package, then every function no program entered).
+reach:
+	bash scripts/reach.sh
 
 examples:
 	go run ./examples/quickstart

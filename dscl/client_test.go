@@ -350,6 +350,22 @@ func TestDeletedKeyDropsStaleCacheEntry(t *testing.T) {
 	if got := store.gets.Load() - gets; got != 3 {
 		t.Fatalf("store gets = %d for 3 Gets of an absent key, want 3", got)
 	}
+
+	// GetMulti: an expired entry joins the batch, and the store's answer
+	// that the key is gone drops it from the cache.
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	cl = New(store, WithCache(storeCacheWithClock(clock)), WithTTL(time.Minute), withClock(clock))
+	_ = cl.Put(ctx, "m", []byte("v"))
+	_ = store.Mem.Delete(ctx, "m")
+	now = now.Add(2 * time.Minute)
+	got, err := cl.GetMulti(ctx, []string{"m"})
+	if _, found := got["m"]; err != nil || found {
+		t.Fatalf("GetMulti of a deleted key = %q, %v; want it omitted", got, err)
+	}
+	if _, state, err := cl.Cache().Get(ctx, "m"); err != nil || state != Miss {
+		t.Fatalf("cache after GetMulti of a deleted key: %v, %v; want %v", state, err, Miss)
+	}
 }
 
 func TestTransformsEncryptAtRest(t *testing.T) {

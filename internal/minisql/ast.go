@@ -52,52 +52,28 @@ type InsertStmt struct {
 	Rows      [][]Expr
 }
 
-// TableRef names a table with an optional alias.
-type TableRef struct {
-	Name  string
-	Alias string // "" = use Name
-}
-
-// Label is the name the table is referenced by in expressions.
-func (r TableRef) Label() string {
-	if r.Alias != "" {
-		return r.Alias
-	}
-	return r.Name
-}
-
-// JoinClause is one JOIN in a SELECT.
-type JoinClause struct {
-	Table TableRef
-	// Left marks a LEFT (OUTER) JOIN; otherwise INNER.
-	Left bool
-	On   Expr
-}
-
-// SelectStmt is SELECT items FROM t [JOIN ...] [WHERE] [GROUP BY [HAVING]]
-// [ORDER BY] [LIMIT [OFFSET]].
+// SelectStmt is SELECT items|COUNT(*) FROM t [WHERE] [ORDER BY]
+// [LIMIT [OFFSET]].
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     TableRef
-	Joins    []JoinClause
-	Where    Expr // nil = all rows
-	GroupBy  []Expr
-	Having   Expr // nil = all groups
-	OrderBy  []OrderKey
-	Limit    Expr // nil = no limit
-	Offset   Expr // nil = 0
+	// Count marks SELECT COUNT(*), whose one item is the count: Items then
+	// holds a single item carrying only its alias.
+	Count   bool
+	Items   []SelectItem
+	Table   string
+	Where   Expr // nil = all rows
+	OrderBy []OrderKey
+	Limit   Expr // nil = no limit
+	Offset  Expr // nil = 0
 
 	plan atomic.Pointer[selectPlan] // see planFor
 }
 
-// SelectItem is one projection: an expression with optional alias, a bare
-// *, or a qualified t.* (StarTable names the table alias).
+// SelectItem is one projection: an expression with optional alias, or a
+// bare *.
 type SelectItem struct {
-	Star      bool
-	StarTable string // "" with Star=true means all tables
-	Expr      Expr
-	Alias     string
+	Star  bool
+	Expr  Expr
+	Alias string
 }
 
 // OrderKey is one ORDER BY key.
@@ -155,11 +131,8 @@ type LiteralExpr struct{ Val Value }
 // statement text is parsed once and bound values never pass through SQL text.
 type ParamExpr struct{ Idx int }
 
-// ColumnExpr references a column, optionally qualified by a table alias.
-type ColumnExpr struct {
-	Table string // "" = unqualified
-	Name  string
-}
+// ColumnExpr references a column of the statement's table.
+type ColumnExpr struct{ Name string }
 
 // UnaryExpr is -x or NOT x.
 type UnaryExpr struct {
@@ -167,9 +140,9 @@ type UnaryExpr struct {
 	X  Expr
 }
 
-// BinaryExpr is x op y for arithmetic, comparison, AND/OR, LIKE.
+// BinaryExpr is x op y for arithmetic, comparison and AND/OR.
 type BinaryExpr struct {
-	Op   string // "+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=", "AND", "OR", "LIKE"
+	Op   string // "+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=", "AND", "OR"
 	L, R Expr
 }
 
@@ -186,18 +159,10 @@ type InExpr struct {
 	Not  bool
 }
 
-// FuncExpr is a scalar function call: LENGTH, UPPER, LOWER, ABS, ROUND,
-// SUBSTR, COALESCE, IFNULL.
+// FuncExpr is a scalar function call: LENGTH or SUBSTR.
 type FuncExpr struct {
 	Name string // upper case
 	Args []Expr
-}
-
-// AggExpr is COUNT(*), COUNT(x), SUM/AVG/MIN/MAX(x).
-type AggExpr struct {
-	Func string // upper case
-	Star bool   // COUNT(*)
-	Arg  Expr
 }
 
 func (*LiteralExpr) expr() {}
@@ -208,4 +173,3 @@ func (*BinaryExpr) expr()  {}
 func (*IsNullExpr) expr()  {}
 func (*InExpr) expr()      {}
 func (*FuncExpr) expr()    {}
-func (*AggExpr) expr()     {}

@@ -3,14 +3,13 @@ package minisql
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // rowEnv is what an expression is evaluated against: the values bound to the
-// statement's '?' slots and, unless sc is nil (constants only), one (possibly
-// joined) row to resolve column references in.
+// statement's '?' slots and, unless t is nil (constants only), one row of
+// table t to resolve column references in.
 type rowEnv struct {
-	sc     *scope
+	t      *table
 	row    []Value
 	params []Value
 }
@@ -28,12 +27,12 @@ func evalExpr(e Expr, env *rowEnv) (Value, error) {
 		}
 		return env.params[n.Idx], nil
 	case *ColumnExpr:
-		if env.sc == nil {
+		if env.t == nil {
 			return Value{}, fmt.Errorf("minisql: column %q not allowed here", n.Name)
 		}
-		i, err := env.sc.lookup(n.Table, n.Name)
-		if err != nil {
-			return Value{}, err
+		i, ok := env.t.colIdx[n.Name]
+		if !ok {
+			return Value{}, fmt.Errorf("minisql: no column %q", n.Name)
 		}
 		return env.row[i], nil
 	case *UnaryExpr:
@@ -108,42 +107,13 @@ func evalExpr(e Expr, env *rowEnv) (Value, error) {
 			args[i] = v
 		}
 		return evalFunc(n.Name, args)
-	case *AggExpr:
-		return Value{}, fmt.Errorf("minisql: aggregate %s not allowed here", n.Func)
 	default:
 		return Value{}, fmt.Errorf("minisql: unknown expression %T", e)
 	}
 }
 
-// evalFunc computes a scalar function. NULL arguments yield NULL except for
-// COALESCE/IFNULL, whose whole purpose is NULL handling.
+// evalFunc computes a scalar function; any NULL argument yields NULL.
 func evalFunc(name string, args []Value) (Value, error) {
-	arity := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("minisql: %s expects %d argument(s), got %d", name, n, len(args))
-		}
-		return nil
-	}
-	switch name {
-	case "COALESCE":
-		if len(args) == 0 {
-			return Value{}, fmt.Errorf("minisql: COALESCE expects at least 1 argument")
-		}
-		for _, v := range args {
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return Null(), nil
-	case "IFNULL":
-		if err := arity(2); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() {
-			return args[1], nil
-		}
-		return args[0], nil
-	}
 	for _, v := range args {
 		if v.IsNull() {
 			return Null(), nil
@@ -151,8 +121,8 @@ func evalFunc(name string, args []Value) (Value, error) {
 	}
 	switch name {
 	case "LENGTH":
-		if err := arity(1); err != nil {
-			return Value{}, err
+		if len(args) != 1 {
+			return Value{}, fmt.Errorf("minisql: LENGTH expects 1 argument, got %d", len(args))
 		}
 		switch args[0].Kind {
 		case KindText:
@@ -162,49 +132,6 @@ func evalFunc(name string, args []Value) (Value, error) {
 		default:
 			return Value{}, fmt.Errorf("minisql: LENGTH expects text or blob")
 		}
-	case "UPPER", "LOWER":
-		if err := arity(1); err != nil {
-			return Value{}, err
-		}
-		if args[0].Kind != KindText {
-			return Value{}, fmt.Errorf("minisql: %s expects text", name)
-		}
-		if name == "UPPER" {
-			return Text(strings.ToUpper(args[0].Str)), nil
-		}
-		return Text(strings.ToLower(args[0].Str)), nil
-	case "ABS":
-		if err := arity(1); err != nil {
-			return Value{}, err
-		}
-		switch args[0].Kind {
-		case KindInt:
-			if args[0].Int < 0 {
-				return Int(-args[0].Int), nil
-			}
-			return args[0], nil
-		case KindFloat:
-			return Float(math.Abs(args[0].Float)), nil
-		default:
-			return Value{}, fmt.Errorf("minisql: ABS expects a number")
-		}
-	case "ROUND":
-		if len(args) != 1 && len(args) != 2 {
-			return Value{}, fmt.Errorf("minisql: ROUND expects 1 or 2 arguments")
-		}
-		f, ok := args[0].numeric()
-		if !ok {
-			return Value{}, fmt.Errorf("minisql: ROUND expects a number")
-		}
-		digits := int64(0)
-		if len(args) == 2 {
-			if args[1].Kind != KindInt {
-				return Value{}, fmt.Errorf("minisql: ROUND digits must be an integer")
-			}
-			digits = args[1].Int
-		}
-		scale := math.Pow(10, float64(digits))
-		return Float(math.Round(f*scale) / scale), nil
 	case "SUBSTR", "SUBSTRING":
 		if len(args) != 2 && len(args) != 3 {
 			return Value{}, fmt.Errorf("minisql: SUBSTR expects 2 or 3 arguments")
@@ -308,11 +235,6 @@ func evalBinary(n *BinaryExpr, env *rowEnv) (Value, error) {
 		default:
 			return Bool(c >= 0), nil
 		}
-	case "LIKE":
-		if l.Kind != KindText || r.Kind != KindText {
-			return Value{}, fmt.Errorf("minisql: LIKE requires text operands")
-		}
-		return Bool(likeMatch(r.Str, l.Str)), nil
 	default:
 		return Value{}, fmt.Errorf("minisql: unknown operator %q", n.Op)
 	}
@@ -365,112 +287,8 @@ func evalArith(op string, l, r Value) (Value, error) {
 	return Value{}, fmt.Errorf("minisql: unknown arithmetic op %q", op)
 }
 
-// likeMatch implements SQL LIKE: '%' matches any sequence, '_' any single
-// character. Matching is case-sensitive.
-func likeMatch(pattern, s string) bool {
-	p, q := 0, 0
-	star, mark := -1, 0
-	for q < len(s) {
-		switch {
-		case p < len(pattern) && (pattern[p] == '_' || pattern[p] == s[q]):
-			p++
-			q++
-		case p < len(pattern) && pattern[p] == '%':
-			star, mark = p, q
-			p++
-		case star >= 0:
-			p = star + 1
-			mark++
-			q = mark
-		default:
-			return false
-		}
-	}
-	for p < len(pattern) && pattern[p] == '%' {
-		p++
-	}
-	return p == len(pattern)
-}
-
 // truthy interprets a WHERE result: only TRUE selects the row.
 func truthy(v Value) bool { return v.Kind == KindBool && v.Bool }
-
-// aggregate state for SELECT with aggregate items.
-type aggState struct {
-	count   int64
-	sum     float64
-	sumInt  int64
-	allInt  bool
-	min     Value
-	max     Value
-	started bool
-}
-
-func newAggState() *aggState { return &aggState{allInt: true} }
-
-func (a *aggState) add(v Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	a.count++
-	if f, ok := v.numeric(); ok {
-		a.sum += f
-		if v.Kind == KindInt {
-			a.sumInt += v.Int
-		} else {
-			a.allInt = false
-		}
-	} else {
-		a.allInt = false
-	}
-	if !a.started {
-		a.min, a.max, a.started = v, v, true
-		return nil
-	}
-	if c, err := Compare(v, a.min); err == nil && c < 0 {
-		a.min = v
-	} else if err != nil {
-		return err
-	}
-	if c, err := Compare(v, a.max); err == nil && c > 0 {
-		a.max = v
-	} else if err != nil {
-		return err
-	}
-	return nil
-}
-
-func (a *aggState) result(fn string) (Value, error) {
-	switch fn {
-	case "COUNT":
-		return Int(a.count), nil
-	case "SUM":
-		if a.count == 0 {
-			return Null(), nil
-		}
-		if a.allInt {
-			return Int(a.sumInt), nil
-		}
-		return Float(a.sum), nil
-	case "AVG":
-		if a.count == 0 {
-			return Null(), nil
-		}
-		return Float(a.sum / float64(a.count)), nil
-	case "MIN":
-		if !a.started {
-			return Null(), nil
-		}
-		return a.min, nil
-	case "MAX":
-		if !a.started {
-			return Null(), nil
-		}
-		return a.max, nil
-	default:
-		return Value{}, fmt.Errorf("minisql: unknown aggregate %s", fn)
-	}
-}
 
 // requireInt extracts a non-negative int from a LIMIT/OFFSET expression.
 func requireInt(e Expr, params []Value, what string) (int, error) {

@@ -219,12 +219,12 @@ func (db *Database) recordLocked(vals []Value) []byte {
 // matchRows passes every (rowid, row) satisfying where to emit, rowid
 // ascending, using a unique or secondary index when the predicate is an
 // equality on an indexed column — the fast path KV-over-SQL reads take — and
-// a primary-tree cursor scan otherwise. label is the name the table is
-// referenced by. An index-found row is decoded for need (see decodeRow), a
-// scanned one whole, since where reads it; the one row a unique index finds
-// is decoded into dst's spare capacity. A scan holds its leaf pinned while
-// emit runs, so emit collects and must not write to the table.
-func (db *Database) matchRows(t *table, label string, where Expr, params []Value, need colSet, dst []Value, emit func(id int64, row []Value) error) error {
+// a primary-tree cursor scan otherwise. An index-found row is decoded for
+// need (see decodeRow), a scanned one whole, since where reads it; the one
+// row a unique index finds is decoded into dst's spare capacity. A scan holds
+// its leaf pinned while emit runs, so emit collects and must not write to the
+// table.
+func (db *Database) matchRows(t *table, where Expr, params []Value, need colSet, dst []Value, emit func(id int64, row []Value) error) error {
 	if where == nil {
 		return t.scanRows(func(id int64, row []Value) (bool, error) {
 			return true, emit(id, row)
@@ -237,7 +237,7 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 		if _, isCol := col.(*ColumnExpr); !isCol {
 			col, lit = be.R, be.L
 		}
-		if ce, isCol := col.(*ColumnExpr); isCol && (ce.Table == "" || ce.Table == label) {
+		if ce, isCol := col.(*ColumnExpr); isCol {
 			if val, isConst, err := constOperand(lit, params); err != nil {
 				return err
 			} else if isConst {
@@ -282,7 +282,7 @@ func (db *Database) matchRows(t *table, label string, where Expr, params []Value
 			}
 		}
 	}
-	env := rowEnv{sc: t.scopeAs(label), params: params}
+	env := rowEnv{t: t, params: params}
 	return t.scanRows(func(id int64, row []Value) (bool, error) {
 		env.row = row
 		v, err := evalExpr(where, &env)
@@ -313,9 +313,9 @@ type matchedRow struct {
 	row []Value
 }
 
-func (db *Database) collectMatches(t *table, label string, where Expr, params []Value) ([]matchedRow, error) {
+func (db *Database) collectMatches(t *table, where Expr, params []Value) ([]matchedRow, error) {
 	var m []matchedRow
-	err := db.matchRows(t, label, where, params, allCols, nil, func(id int64, row []Value) error {
+	err := db.matchRows(t, where, params, allCols, nil, func(id int64, row []Value) error {
 		m = append(m, matchedRow{id, row})
 		return nil
 	})
@@ -327,7 +327,7 @@ func (db *Database) execUpdate(s *UpdateStmt, params []Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	matches, err := db.collectMatches(t, s.Table, s.Where, params)
+	matches, err := db.collectMatches(t, s.Where, params)
 	if err != nil {
 		return 0, err
 	}
@@ -339,7 +339,7 @@ func (db *Database) execUpdate(s *UpdateStmt, params []Value) (int, error) {
 			if !ok {
 				return count, fmt.Errorf("minisql: no column %q in table %q", set.Col, s.Table)
 			}
-			v, err := evalExpr(set.Expr, &rowEnv{sc: t.defaultScope(), row: m.row, params: params})
+			v, err := evalExpr(set.Expr, &rowEnv{t: t, row: m.row, params: params})
 			if err != nil {
 				return count, err
 			}
@@ -361,7 +361,7 @@ func (db *Database) execDelete(s *DeleteStmt, params []Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	matches, err := db.collectMatches(t, s.Table, s.Where, params)
+	matches, err := db.collectMatches(t, s.Where, params)
 	if err != nil {
 		return 0, err
 	}
@@ -389,17 +389,31 @@ type resultBlock struct {
 // through the last-committed snapshot, for readers running concurrently with
 // another session's open transaction.
 func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool, blk *resultBlock) (*Result, error) {
-	pl, rows, err := db.gatherRows(s, params, snap, blk)
+	t, err := db.tableForRead(s.Table, snap)
 	if err != nil {
 		return nil, err
 	}
-
-	// GROUP BY, or an aggregate in a select item, takes the grouped path.
-	if pl.grouped {
-		return db.execGrouped(s, params, pl, rows, &blk.res)
+	pl, rows := s.planFor(t), blk.rows[:0]
+	env := rowEnv{t: t, params: params}
+	if s.Count {
+		// COUNT(*) counts the matches; its one row is the block's.
+		n := int64(0)
+		err = db.matchRows(t, s.Where, params, 0, blk.src[:0], func(int64, []Value) error {
+			n++
+			return nil
+		})
+		blk.vals[0], rows = Int(n), append(rows, blk.vals[:1])
+		env.t = nil // ORDER BY has no table row to read here
+	} else {
+		// The rows WHERE selects, listed in blk's row list; an index-found
+		// row is decoded into blk.
+		err = db.matchRows(t, s.Where, params, pl.need, blk.src[:0], func(_ int64, row []Value) error {
+			rows = append(rows, row)
+			return nil
+		})
 	}
-	if s.Having != nil {
-		return nil, fmt.Errorf("minisql: HAVING requires GROUP BY or aggregates")
+	if err != nil {
+		return nil, err
 	}
 
 	// Project each row where it stands — the gathered slice becomes the
@@ -408,30 +422,28 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool, blk *re
 	if len(s.OrderBy) > 0 {
 		keys = make([][]Value, len(rows))
 	}
-	env := rowEnv{sc: pl.sc, params: params}
 	for i, row := range rows {
-		env.row = row
-		proj := blk.vals[:0]
-		if len(rows) > 1 || len(pl.cols) > len(blk.vals) {
-			proj = make([]Value, 0, len(pl.cols))
-		}
-		for _, item := range s.Items {
-			if item.Star {
-				start, length, err := starRange(pl.sc, item)
+		proj := row
+		if !s.Count {
+			env.row = row
+			proj = blk.vals[:0]
+			if len(rows) > 1 || len(pl.cols) > len(blk.vals) {
+				proj = make([]Value, 0, len(pl.cols))
+			}
+			for _, item := range s.Items {
+				if item.Star {
+					proj = append(proj, row...)
+					continue
+				}
+				v, err := evalExpr(item.Expr, &env)
 				if err != nil {
 					return nil, err
 				}
-				proj = append(proj, row[start:start+length]...)
-				continue
+				proj = append(proj, v)
 			}
-			v, err := evalExpr(item.Expr, &env)
-			if err != nil {
-				return nil, err
-			}
-			proj = append(proj, v)
 		}
 		for _, k := range s.OrderBy {
-			v, err := orderKeyValue(k, proj, &env, nil)
+			v, err := orderKeyValue(k, proj, &env)
 			if err != nil {
 				return nil, err
 			}
@@ -442,133 +454,23 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool, blk *re
 	return finishSelect(s, params, pl.cols, rows, keys, &blk.res)
 }
 
-// gatherRows materializes the FROM/JOIN clause and applies WHERE, returning
-// the statement's plan over the combined scope and the surviving rows, listed
-// in blk's row list and an index-found row decoded into blk.
-func (db *Database) gatherRows(s *SelectStmt, params []Value, snap bool, blk *resultBlock) (*selectPlan, [][]Value, error) {
-	t, err := db.tableForRead(s.From.Name, snap)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if len(s.Joins) == 0 {
-		// Single-table path keeps the index fast paths.
-		pl, rows := s.planFor(t.scopeAs(s.From.Label())), blk.rows[:0]
-		err := db.matchRows(t, s.From.Label(), s.Where, params, pl.need, blk.src[:0], func(_ int64, row []Value) error {
-			rows = append(rows, row)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return pl, rows, nil
-	}
-
-	// Nested-loop joins, left to right, over materialized scans.
-	sc := t.scopeAs(s.From.Label())
-	var rows [][]Value
-	if err := t.scanRows(func(_ int64, row []Value) (bool, error) {
-		rows = append(rows, row)
-		return true, nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	for _, jc := range s.Joins {
-		rt, err := db.tableForRead(jc.Table.Name, snap)
-		if err != nil {
-			return nil, nil, err
-		}
-		rsc := rt.scopeAs(jc.Table.Label())
-		joined, err := sc.join(rsc)
-		if err != nil {
-			return nil, nil, err
-		}
-		rightWidth := len(rsc.names)
-		var rightRows [][]Value
-		if err := rt.scanRows(func(_ int64, row []Value) (bool, error) {
-			rightRows = append(rightRows, row)
-			return true, nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		next := make([][]Value, 0, len(rows))
-		for _, lrow := range rows {
-			matched := false
-			for _, rrow := range rightRows {
-				cand := make([]Value, 0, len(lrow)+rightWidth)
-				cand = append(cand, lrow...)
-				cand = append(cand, rrow...)
-				v, err := evalExpr(jc.On, &rowEnv{sc: joined, row: cand, params: params})
-				if err != nil {
-					return nil, nil, err
-				}
-				if truthy(v) {
-					next = append(next, cand)
-					matched = true
-				}
-			}
-			if jc.Left && !matched {
-				cand := make([]Value, len(lrow)+rightWidth)
-				copy(cand, lrow) // right side stays NULL
-				next = append(next, cand)
-			}
-		}
-		sc = joined
-		rows = next
-	}
-
-	if s.Where != nil {
-		filtered := rows[:0]
-		for _, row := range rows {
-			v, err := evalExpr(s.Where, &rowEnv{sc: sc, row: row, params: params})
-			if err != nil {
-				return nil, nil, err
-			}
-			if truthy(v) {
-				filtered = append(filtered, row)
-			}
-		}
-		rows = filtered
-	}
-	return s.planFor(sc), rows, nil
-}
-
-// starRange resolves the row slice covered by a (possibly qualified) star.
-func starRange(sc *scope, item SelectItem) (start, length int, err error) {
-	if item.StarTable == "" {
-		return 0, len(sc.names), nil
-	}
-	r, ok := sc.ranges[item.StarTable]
-	if !ok {
-		return 0, 0, fmt.Errorf("minisql: no table %q in FROM clause", item.StarTable)
-	}
-	return r[0], r[1], nil
-}
-
 // selectColumns derives the result header.
-func selectColumns(s *SelectStmt, sc *scope) []string {
+func selectColumns(s *SelectStmt, t *table) []string {
 	var cols []string
 	for _, item := range s.Items {
 		switch {
-		case item.Star && item.StarTable != "":
-			if r, ok := sc.ranges[item.StarTable]; ok {
-				cols = append(cols, sc.names[r[0]:r[0]+r[1]]...)
-			}
 		case item.Star:
-			cols = append(cols, sc.names...)
+			for _, c := range t.schema.Cols {
+				cols = append(cols, c.Name)
+			}
 		case item.Alias != "":
 			cols = append(cols, item.Alias)
+		case s.Count:
+			cols = append(cols, "COUNT(*)")
 		default:
-			switch e := item.Expr.(type) {
-			case *ColumnExpr:
+			if e, ok := item.Expr.(*ColumnExpr); ok {
 				cols = append(cols, e.Name)
-			case *AggExpr:
-				if e.Star {
-					cols = append(cols, "COUNT(*)")
-				} else {
-					cols = append(cols, e.Func)
-				}
-			default:
+			} else {
 				cols = append(cols, fmt.Sprintf("expr%d", len(cols)+1))
 			}
 		}
@@ -576,31 +478,12 @@ func selectColumns(s *SelectStmt, sc *scope) []string {
 	return cols
 }
 
-// finishSelect applies DISTINCT, ORDER BY, OFFSET, and LIMIT to projected
-// rows; keys holds each row's ORDER BY keys and is nil without the clause.
-// The result, filled into res, takes rows over.
+// finishSelect applies ORDER BY, OFFSET, and LIMIT to projected rows; keys
+// holds each row's ORDER BY keys and is nil without the clause. The result,
+// filled into res, takes rows over.
 func finishSelect(s *SelectStmt, params []Value, cols []string, rows, keys [][]Value, res *Result) (*Result, error) {
-	if s.Distinct {
-		seen := make(map[string]bool, len(rows))
-		n := 0
-		for i, r := range rows {
-			key := ""
-			for _, v := range r {
-				key += v.indexKey() + "\x00"
-			}
-			if !seen[key] {
-				seen[key] = true
-				rows[n] = r
-				if keys != nil {
-					keys[n] = keys[i]
-				}
-				n++
-			}
-		}
-		rows = rows[:n]
-	}
 	if len(s.OrderBy) > 0 {
-		by := rowSorter{rows: rows, keys: keys[:len(rows)], order: s.OrderBy}
+		by := rowSorter{rows: rows, keys: keys, order: s.OrderBy}
 		sort.Stable(&by)
 		if by.err != nil {
 			return nil, by.err
@@ -631,38 +514,32 @@ func finishSelect(s *SelectStmt, params []Value, cols []string, rows, keys [][]V
 	return res, nil
 }
 
-// selectPlan is what a SELECT derives from the scope it reads: the result
-// header, which every Result of the statement shares, the columns it reads
-// from a row outside WHERE, and whether it aggregates.
+// selectPlan is what a SELECT derives from the table it reads: the result
+// header, which every Result of the statement shares, and the columns it
+// reads from a row outside WHERE.
 type selectPlan struct {
-	sc      *scope
-	cols    []string
-	need    colSet
-	grouped bool
+	t    *table
+	cols []string
+	need colSet
 }
 
-// planFor returns s's plan over sc, derived once per statement and table
-// handle: a plan made for another scope — a reloaded handle, an alias, a
-// join — is replaced.
-func (s *SelectStmt) planFor(sc *scope) *selectPlan {
-	if pl := s.plan.Load(); pl != nil && pl.sc == sc {
+// planFor returns s's plan over t, derived once per statement and table
+// handle: a plan made for another handle — one reloaded after a rollback or
+// a schema change — is replaced.
+func (s *SelectStmt) planFor(t *table) *selectPlan {
+	if pl := s.plan.Load(); pl != nil && pl.t == t {
 		return pl
 	}
-	pl := &selectPlan{sc: sc, cols: selectColumns(s, sc), grouped: len(s.GroupBy) > 0}
+	pl := &selectPlan{t: t, cols: selectColumns(s, t)}
 	for _, item := range s.Items {
 		if item.Star {
 			pl.need = allCols
 		}
-		pl.need |= colRefs(sc, item.Expr)
-		pl.grouped = pl.grouped || len(appendAggs(nil, item.Expr)) > 0
-	}
-	for _, e := range s.GroupBy {
-		pl.need |= colRefs(sc, e)
+		pl.need |= colRefs(t, item.Expr)
 	}
 	for _, k := range s.OrderBy {
-		pl.need |= colRefs(sc, k.Expr)
+		pl.need |= colRefs(t, k.Expr)
 	}
-	pl.need |= colRefs(sc, s.Having)
 	s.plan.Store(pl)
 	return pl
 }
@@ -697,8 +574,7 @@ func (r *rowSorter) Less(i, j int) bool {
 
 // orderKeyValue evaluates one ORDER BY key for a projected row. A bare
 // integer literal is an ordinal referencing the select list (ORDER BY 2).
-// aggVals is non-nil on the grouped path.
-func orderKeyValue(k OrderKey, projected []Value, env *rowEnv, aggVals map[*AggExpr]Value) (Value, error) {
+func orderKeyValue(k OrderKey, projected []Value, env *rowEnv) (Value, error) {
 	if lit, ok := k.Expr.(*LiteralExpr); ok && lit.Val.Kind == KindInt {
 		n := lit.Val.Int
 		if n < 1 || int(n) > len(projected) {
@@ -706,11 +582,7 @@ func orderKeyValue(k OrderKey, projected []Value, env *rowEnv, aggVals map[*AggE
 		}
 		return projected[n-1], nil
 	}
-	e := k.Expr
-	if aggVals != nil {
-		e = rewriteAggs(e, aggVals)
-	}
-	return evalExpr(e, env)
+	return evalExpr(k.Expr, env)
 }
 
 // compareForSort orders values with NULLs first, recording type errors.
@@ -730,207 +602,30 @@ func compareForSort(a, b Value, errOut *error) int {
 	return c
 }
 
-// subExprs calls fn on each expression directly inside e.
-func subExprs(e Expr, fn func(Expr)) {
+// colRefs is the set of t's columns e reads; a name t does not have, which
+// the evaluator reports, counts as all.
+func colRefs(t *table, e Expr) (set colSet) {
 	switch n := e.(type) {
-	case *UnaryExpr:
-		fn(n.X)
-	case *BinaryExpr:
-		fn(n.L)
-		fn(n.R)
-	case *IsNullExpr:
-		fn(n.X)
-	case *InExpr:
-		fn(n.X)
-		for _, item := range n.List {
-			fn(item)
-		}
-	case *FuncExpr:
-		for _, a := range n.Args {
-			fn(a)
-		}
-	case *AggExpr:
-		fn(n.Arg)
-	}
-}
-
-// appendAggs appends every aggregate node inside e to dst; an expression
-// without one leaves dst as it was and allocates nothing.
-func appendAggs(dst []*AggExpr, e Expr) []*AggExpr {
-	if a, ok := e.(*AggExpr); ok {
-		return append(dst, a)
-	}
-	subExprs(e, func(x Expr) { dst = appendAggs(dst, x) })
-	return dst
-}
-
-// colRefs is the set of columns e reads in sc; a reference sc cannot resolve,
-// which the evaluator reports, counts as all.
-func colRefs(sc *scope, e Expr) (set colSet) {
-	if c, ok := e.(*ColumnExpr); ok {
-		if i, err := sc.lookup(c.Table, c.Name); err == nil && i < 64 {
+	case *ColumnExpr:
+		if i, ok := t.colIdx[n.Name]; ok && i < 64 {
 			return 1 << i
 		}
 		return allCols
-	}
-	subExprs(e, func(x Expr) { set |= colRefs(sc, x) })
-	return set
-}
-
-// rewriteAggs returns a copy of e with every aggregate node replaced by its
-// computed value, so the ordinary evaluator can finish the expression.
-func rewriteAggs(e Expr, vals map[*AggExpr]Value) Expr {
-	switch n := e.(type) {
-	case *AggExpr:
-		return &LiteralExpr{Val: vals[n]}
 	case *UnaryExpr:
-		return &UnaryExpr{Op: n.Op, X: rewriteAggs(n.X, vals)}
+		return colRefs(t, n.X)
 	case *BinaryExpr:
-		return &BinaryExpr{Op: n.Op, L: rewriteAggs(n.L, vals), R: rewriteAggs(n.R, vals)}
+		return colRefs(t, n.L) | colRefs(t, n.R)
 	case *IsNullExpr:
-		return &IsNullExpr{X: rewriteAggs(n.X, vals), Not: n.Not}
+		return colRefs(t, n.X)
 	case *InExpr:
-		list := make([]Expr, len(n.List))
-		for i, item := range n.List {
-			list[i] = rewriteAggs(item, vals)
+		set = colRefs(t, n.X)
+		for _, item := range n.List {
+			set |= colRefs(t, item)
 		}
-		return &InExpr{X: rewriteAggs(n.X, vals), List: list, Not: n.Not}
 	case *FuncExpr:
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = rewriteAggs(a, vals)
-		}
-		return &FuncExpr{Name: n.Name, Args: args}
-	default:
-		return e
-	}
-}
-
-// group accumulates one GROUP BY bucket.
-type group struct {
-	repr   []Value // first row of the bucket, for group-key expressions
-	states map[*AggExpr]*aggState
-}
-
-// execGrouped evaluates SELECTs with GROUP BY and/or aggregates.
-// Without GROUP BY, all matched rows form a single group (so aggregates
-// over an empty match still yield one row, per SQL).
-func (db *Database) execGrouped(s *SelectStmt, params []Value, pl *selectPlan, matched [][]Value, res *Result) (*Result, error) {
-	// Aggregates may appear in select items, HAVING, and ORDER BY.
-	var aggNodes []*AggExpr
-	for _, item := range s.Items {
-		if item.Star {
-			return nil, fmt.Errorf("minisql: SELECT * cannot be combined with GROUP BY or aggregates")
-		}
-		aggNodes = appendAggs(aggNodes, item.Expr)
-	}
-	aggNodes = appendAggs(aggNodes, s.Having)
-	for _, k := range s.OrderBy {
-		aggNodes = appendAggs(aggNodes, k.Expr)
-	}
-	if len(s.GroupBy) == 0 {
-		// Pure aggregate query: every item must contain an aggregate.
-		for _, item := range s.Items {
-			if len(appendAggs(nil, item.Expr)) == 0 {
-				return nil, fmt.Errorf("minisql: cannot mix aggregate and row expressions without GROUP BY")
-			}
+		for _, a := range n.Args {
+			set |= colRefs(t, a)
 		}
 	}
-
-	newGroup := func(repr []Value) *group {
-		g := &group{repr: repr, states: make(map[*AggExpr]*aggState, len(aggNodes))}
-		for _, a := range aggNodes {
-			g.states[a] = newAggState()
-		}
-		return g
-	}
-
-	var ordered []*group
-	index := map[string]*group{}
-	if len(s.GroupBy) == 0 {
-		g := newGroup(nil)
-		ordered = append(ordered, g)
-		index[""] = g
-	}
-
-	for _, row := range matched {
-		env := &rowEnv{sc: pl.sc, row: row, params: params}
-		key := ""
-		if len(s.GroupBy) > 0 {
-			for _, ge := range s.GroupBy {
-				v, err := evalExpr(ge, env)
-				if err != nil {
-					return nil, err
-				}
-				key += v.indexKey() + "\x00"
-			}
-		}
-		g, ok := index[key]
-		if !ok {
-			g = newGroup(row)
-			index[key] = g
-			ordered = append(ordered, g)
-		}
-		for _, a := range aggNodes {
-			st := g.states[a]
-			if a.Star {
-				st.count++
-				continue
-			}
-			v, err := evalExpr(a.Arg, env)
-			if err != nil {
-				return nil, err
-			}
-			if err := st.add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	rows := make([][]Value, 0, len(ordered))
-	var sortKeys [][]Value
-	for _, g := range ordered {
-		vals := make(map[*AggExpr]Value, len(aggNodes))
-		for _, a := range aggNodes {
-			v, err := g.states[a].result(a.Func)
-			if err != nil {
-				return nil, err
-			}
-			vals[a] = v
-		}
-		env := &rowEnv{sc: pl.sc, row: g.repr, params: params}
-		if g.repr == nil {
-			env.sc = nil // the empty group has no row to resolve columns in
-		}
-		if s.Having != nil {
-			hv, err := evalExpr(rewriteAggs(s.Having, vals), env)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(hv) {
-				continue
-			}
-		}
-		var out []Value
-		for _, item := range s.Items {
-			v, err := evalExpr(rewriteAggs(item.Expr, vals), env)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		rows = append(rows, out)
-		if len(s.OrderBy) > 0 {
-			var keys []Value
-			for _, k := range s.OrderBy {
-				v, err := orderKeyValue(k, out, env, vals)
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, v)
-			}
-			sortKeys = append(sortKeys, keys)
-		}
-	}
-	return finishSelect(s, params, pl.cols, rows, sortKeys, res)
+	return set
 }

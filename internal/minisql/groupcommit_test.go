@@ -46,7 +46,7 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 		t.Fatalf("%d writers failed", n)
 	}
 
-	res, err := db.Query(`SELECT COUNT(id) FROM g`)
+	res, err := db.Query(`SELECT COUNT(*) FROM g`)
 	if err != nil || res.Rows[0][0].Int != writers*perWriter {
 		t.Fatalf("count = %v, err %v, want %d", res, err, writers*perWriter)
 	}
@@ -80,7 +80,7 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	res, err = db2.Query(`SELECT COUNT(id) FROM g`)
+	res, err = db2.Query(`SELECT COUNT(*) FROM g`)
 	if err != nil || res.Rows[0][0].Int != writers*perWriter {
 		t.Fatalf("after reopen: count = %v, err %v", res, err)
 	}
@@ -286,7 +286,7 @@ func TestSerialModeStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	res, err := db2.Query(`SELECT COUNT(id) FROM s`)
+	res, err := db2.Query(`SELECT COUNT(*) FROM s`)
 	if err != nil || res.Rows[0][0].Int != writers*perWriter {
 		t.Fatalf("serial reopen: %v, %v", res, err)
 	}
@@ -340,7 +340,7 @@ func TestEarlyWriterRelease(t *testing.T) {
 	if err := second.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`SELECT COUNT(id) FROM e`)
+	res, err := db.Query(`SELECT COUNT(*) FROM e`)
 	if err != nil || res.Rows[0][0].Int != 2 {
 		t.Fatalf("rows = %v, %v", res, err)
 	}

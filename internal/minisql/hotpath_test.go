@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,12 +20,35 @@ import (
 // the string form converted, the tagged SHA-256 above maxIndexKeyLen — kept
 // here because the keys are on disk.
 func referenceIndexKey(v Value) []byte {
-	ik := v.indexKey()
+	ik := referenceKeyString(v)
 	if len(ik) <= maxIndexKeyLen {
 		return []byte(ik)
 	}
 	sum := sha256.Sum256([]byte(ik))
 	return append([]byte("h:"), sum[:]...)
+}
+
+// referenceKeyString is the string form referenceIndexKey starts from. The
+// encoding is injective per kind and numeric kinds are normalized so 1 and
+// 1.0 collide, matching Compare.
+func referenceKeyString(v Value) string {
+	switch v.Kind {
+	case KindInt:
+		return "n:" + strconv.FormatFloat(float64(v.Int), 'g', -1, 64)
+	case KindFloat:
+		return "n:" + strconv.FormatFloat(v.Float, 'g', -1, 64)
+	case KindText:
+		return "t:" + v.Str
+	case KindBlob:
+		return "b:" + string(v.Bytes)
+	case KindBool:
+		if v.Bool {
+			return "o:1"
+		}
+		return "o:0"
+	default:
+		return "null"
+	}
 }
 
 func referenceSecIndexKey(v Value, rowid int64) []byte {

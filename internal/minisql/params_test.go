@@ -383,7 +383,7 @@ var diffStatements = []string{
 	`SELECT k, ? FROM d WHERE i >= -? ORDER BY k`,
 	`SELECT k FROM d WHERE t = ?'?'`,
 	`SELECT k FROM d WHERE k IN (?, 'b') AND i BETWEEN -5 AND ?`,
-	`SELECT COUNT(*), MAX(i) + ? FROM d GROUP BY ok HAVING COUNT(*) > ?`,
+	`SELECT COUNT(*) FROM d WHERE i > ? OR t = ?`,
 	`SELECT k FROM d ORDER BY k LIMIT ?`,
 	`SELECT LENGTH(?), ? FROM d WHERE ? = i`,
 	`no placeholders`,

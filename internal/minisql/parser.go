@@ -2,6 +2,7 @@ package minisql
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -405,106 +406,80 @@ func (p *parser) insert() (Stmt, error) {
 	return stmt, nil
 }
 
+// unsupported is the error for SQL outside minisql's single-table grammar
+// (DESIGN.md "Grammar"), naming the construct.
+func unsupported(what string) error {
+	return fmt.Errorf("minisql: %s is not supported", what)
+}
+
+// errCountAlone refuses COUNT(*) anywhere but as a SELECT's only item.
+var errCountAlone = errors.New("minisql: COUNT(*) must be the only select item")
+
 func (p *parser) selectStmt() (Stmt, error) {
 	p.pos++ // SELECT
 	stmt := &SelectStmt{}
 	if p.acceptKeyword("DISTINCT") {
-		stmt.Distinct = true
+		return nil, unsupported("DISTINCT")
 	}
 	for {
 		var item SelectItem
-		if p.acceptSymbol("*") {
+		var err error
+		switch {
+		case p.countStar():
+			if len(stmt.Items) > 0 {
+				return nil, errCountAlone
+			}
+			stmt.Count = true
+		case p.acceptSymbol("*"):
 			item.Star = true
-		} else if p.cur().kind == tokIdent && p.pos+2 < len(p.toks) &&
-			p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "." &&
-			p.toks[p.pos+2].kind == tokSymbol && p.toks[p.pos+2].text == "*" {
-			item.Star = true
-			item.StarTable = p.advance().text
-			p.pos += 2 // consume ". *"
-		} else {
-			e, err := p.expression()
-			if err != nil {
+		default:
+			if item.Expr, err = p.expression(); err != nil {
 				return nil, err
 			}
-			item.Expr = e
+		}
+		if !item.Star {
 			if p.acceptKeyword("AS") {
-				alias, err := p.ident()
-				if err != nil {
+				if item.Alias, err = p.ident(); err != nil {
 					return nil, err
 				}
-				item.Alias = alias
 			} else if p.cur().kind == tokIdent {
 				item.Alias = p.advance().text
 			}
 		}
 		stmt.Items = append(stmt.Items, item)
-		if p.acceptSymbol(",") {
-			continue
+		if !p.acceptSymbol(",") {
+			break
 		}
-		break
+		if stmt.Count {
+			return nil, errCountAlone
+		}
+	}
+	if stmt.Count && (p.cur().kind != tokKeyword || p.cur().text != "FROM") {
+		return nil, errCountAlone
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	from, err := p.tableRef()
-	if err != nil {
+	var err error
+	if stmt.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	stmt.From = from
-	for {
-		var jc JoinClause
-		switch {
-		case p.acceptKeyword("JOIN"):
-		case p.acceptKeyword("INNER"):
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-		case p.acceptKeyword("LEFT"):
-			p.acceptKeyword("OUTER")
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			jc.Left = true
-		default:
-			goto joinsDone
-		}
-		if jc.Table, err = p.tableRef(); err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		if jc.On, err = p.expression(); err != nil {
-			return nil, err
-		}
-		stmt.Joins = append(stmt.Joins, jc)
+	if t := p.cur(); t.kind == tokIdent || t.kind == tokKeyword && t.text == "AS" {
+		return nil, unsupported("a table alias")
 	}
-joinsDone:
+	if t := p.cur(); t.kind == tokKeyword && (t.text == "JOIN" || t.text == "INNER" || t.text == "LEFT" || t.text == "OUTER") {
+		return nil, unsupported("JOIN")
+	}
 	if p.acceptKeyword("WHERE") {
 		if stmt.Where, err = p.expression(); err != nil {
 			return nil, err
 		}
 	}
 	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			stmt.GroupBy = append(stmt.GroupBy, e)
-			if p.acceptSymbol(",") {
-				continue
-			}
-			break
-		}
+		return nil, unsupported("GROUP BY")
 	}
 	if p.acceptKeyword("HAVING") {
-		if stmt.Having, err = p.expression(); err != nil {
-			return nil, err
-		}
+		return nil, unsupported("HAVING")
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
@@ -540,24 +515,20 @@ joinsDone:
 	return stmt, nil
 }
 
-// tableRef parses "table [AS alias]" (the AS is optional).
-func (p *parser) tableRef() (TableRef, error) {
-	var ref TableRef
-	name, err := p.ident()
-	if err != nil {
-		return ref, err
-	}
-	ref.Name = name
-	if p.acceptKeyword("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return ref, err
+// countStar consumes COUNT(*) when it comes next.
+func (p *parser) countStar() bool {
+	for i, want := range [...]string{"COUNT", "(", "*", ")"} {
+		t := p.toks[min(p.pos+i, len(p.toks)-1)]
+		kind := tokSymbol
+		if i == 0 {
+			kind = tokKeyword
 		}
-		ref.Alias = alias
-	} else if p.cur().kind == tokIdent {
-		ref.Alias = p.advance().text
+		if t.kind != kind || t.text != want {
+			return false
+		}
 	}
-	return ref, nil
+	p.pos += 4
+	return true
 }
 
 func (p *parser) update() (Stmt, error) {
@@ -622,12 +593,12 @@ func (p *parser) delete() (Stmt, error) {
 //	orExpr  := andExpr (OR andExpr)*
 //	andExpr := notExpr (AND notExpr)*
 //	notExpr := NOT notExpr | predicate
-//	predicate := addExpr ((=|!=|<>|<|<=|>|>=|LIKE) addExpr
-//	           | IS [NOT] NULL | [NOT] IN (list))?
+//	predicate := addExpr ((=|!=|<>|<|<=|>|>=) addExpr
+//	           | IS [NOT] NULL | [NOT] IN (list) | [NOT] BETWEEN a AND b)?
 //	addExpr := mulExpr ((+|-) mulExpr)*
 //	mulExpr := unary ((*|/|%) unary)*
 //	unary   := - unary | primary
-//	primary := literal | column | agg | ( expr )
+//	primary := literal | column | LENGTH(...) | SUBSTR(...) | ( expr )
 func (p *parser) expression() (Expr, error) { return p.orExpr() }
 
 func (p *parser) orExpr() (Expr, error) {
@@ -691,29 +662,6 @@ func (p *parser) predicate() (Expr, error) {
 			return &BinaryExpr{Op: op, L: l, R: r}, nil
 		}
 	}
-	if p.acceptKeyword("LIKE") {
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Op: "LIKE", L: l, R: r}, nil
-	}
-	if p.acceptKeyword("BETWEEN") {
-		lo, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Op: "AND",
-			L: &BinaryExpr{Op: ">=", L: l, R: lo},
-			R: &BinaryExpr{Op: "<=", L: l, R: hi}}, nil
-	}
 	if p.acceptKeyword("IS") {
 		not := p.acceptKeyword("NOT")
 		if err := p.expectKeyword("NULL"); err != nil {
@@ -728,14 +676,10 @@ func (p *parser) predicate() (Expr, error) {
 		p.pos++
 		not = true
 	}
-	if not && p.acceptKeyword("LIKE") {
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", X: &BinaryExpr{Op: "LIKE", L: l, R: r}}, nil
-	}
-	if not && p.acceptKeyword("BETWEEN") {
+	switch {
+	case p.acceptKeyword("LIKE"):
+		return nil, unsupported("LIKE")
+	case p.acceptKeyword("BETWEEN"):
 		lo, err := p.addExpr()
 		if err != nil {
 			return nil, err
@@ -747,11 +691,14 @@ func (p *parser) predicate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "NOT", X: &BinaryExpr{Op: "AND",
+		var e Expr = &BinaryExpr{Op: "AND",
 			L: &BinaryExpr{Op: ">=", L: l, R: lo},
-			R: &BinaryExpr{Op: "<=", L: l, R: hi}}}, nil
-	}
-	if p.acceptKeyword("IN") {
+			R: &BinaryExpr{Op: "<=", L: l, R: hi}}
+		if not {
+			e = &UnaryExpr{Op: "NOT", X: e}
+		}
+		return e, nil
+	case p.acceptKeyword("IN"):
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
@@ -860,31 +807,10 @@ func (p *parser) primary() (Expr, error) {
 	case tokIdent:
 		p.pos++
 		if p.acceptSymbol(".") {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &ColumnExpr{Table: t.text, Name: col}, nil
+			return nil, unsupported(fmt.Sprintf("the qualified name %s.%s", t.text, p.cur().text))
 		}
-		if p.acceptSymbol("(") {
-			fn := &FuncExpr{Name: strings.ToUpper(t.text)}
-			if !p.acceptSymbol(")") {
-				for {
-					arg, err := p.expression()
-					if err != nil {
-						return nil, err
-					}
-					fn.Args = append(fn.Args, arg)
-					if p.acceptSymbol(",") {
-						continue
-					}
-					break
-				}
-				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
-				}
-			}
-			return fn, nil
+		if p.cur().kind == tokSymbol && p.cur().text == "(" {
+			return p.call(strings.ToUpper(t.text))
 		}
 		return &ColumnExpr{Name: t.text}, nil
 	case tokKeyword:
@@ -900,23 +826,7 @@ func (p *parser) primary() (Expr, error) {
 			return &LiteralExpr{Val: Bool(false)}, nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
 			p.pos++
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			agg := &AggExpr{Func: t.text}
-			if t.text == "COUNT" && p.acceptSymbol("*") {
-				agg.Star = true
-			} else {
-				arg, err := p.expression()
-				if err != nil {
-					return nil, err
-				}
-				agg.Arg = arg
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return agg, nil
+			return p.call(t.text)
 		}
 	case tokSymbol:
 		if t.text == "(" {
@@ -932,4 +842,41 @@ func (p *parser) primary() (Expr, error) {
 		}
 	}
 	return nil, p.errorf("unexpected token %q in expression", t.text)
+}
+
+// call parses the argument list after the function name name. Only LENGTH
+// and SUBSTR (or SUBSTRING) are kept; COUNT appears only as a lone COUNT(*),
+// which selectStmt takes before any expression is parsed.
+func (p *parser) call(name string) (Expr, error) {
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	switch name {
+	case "LENGTH", "SUBSTR", "SUBSTRING":
+	case "COUNT":
+		if p.acceptSymbol("*") {
+			return nil, errCountAlone
+		}
+		return nil, unsupported("COUNT(expression)")
+	default:
+		return nil, unsupported("function " + name)
+	}
+	fn := &FuncExpr{Name: name}
+	if p.acceptSymbol(")") {
+		return fn, nil
+	}
+	for {
+		arg, err := p.expression()
+		if err != nil {
+			return nil, err
+		}
+		fn.Args = append(fn.Args, arg)
+		if !p.acceptSymbol(",") {
+			break
+		}
+	}
+	if err := p.expectSymbol(")"); err != nil {
+		return nil, err
+	}
+	return fn, nil
 }

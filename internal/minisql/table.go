@@ -15,13 +15,12 @@ import (
 // Handles are cached per Database and rebuilt from the catalog after any
 // rollback, since rollback rewinds tree roots underneath them.
 type table struct {
-	db       *Database
-	schema   *CreateTableStmt
-	colIdx   map[string]int
-	pkCol    int // -1 when no primary key
-	nextRow  int64
-	defScope *scope
-	tree     *btree
+	db      *Database
+	schema  *CreateTableStmt
+	colIdx  map[string]int
+	pkCol   int // -1 when no primary key
+	nextRow int64
+	tree    *btree
 	// indexes maps column position -> unique index tree (PK / UNIQUE).
 	indexes map[int]*btree
 	// secIdx maps column position -> non-unique index tree (CREATE INDEX).
@@ -60,21 +59,7 @@ func newTableHandle(db *Database, schema *CreateTableStmt) (*table, error) {
 			t.pkCol = i
 		}
 	}
-	// Built eagerly so concurrent readers never race on the lazy cache.
-	t.defScope = tableScope(schema.Name, t)
 	return t, nil
-}
-
-// defaultScope returns the table's scope under its own name.
-func (t *table) defaultScope() *scope { return t.defScope }
-
-// scopeAs returns the table's scope under label: the shared default scope
-// when the table is referenced by its own name, a fresh one for an alias.
-func (t *table) scopeAs(label string) *scope {
-	if label == t.schema.Name {
-		return t.defScope
-	}
-	return tableScope(label, t)
 }
 
 // createTable allocates fresh trees for a new table: the primary tree plus

@@ -150,29 +150,6 @@ func Equal(a, b Value) (bool, error) {
 	return c == 0, err
 }
 
-// indexKey renders a value for the primary-key index. The encoding is
-// injective per kind and numeric kinds are normalized so 1 and 1.0 collide,
-// matching Compare.
-func (v Value) indexKey() string {
-	switch v.Kind {
-	case KindInt:
-		return "n:" + strconv.FormatFloat(float64(v.Int), 'g', -1, 64)
-	case KindFloat:
-		return "n:" + strconv.FormatFloat(v.Float, 'g', -1, 64)
-	case KindText:
-		return "t:" + v.Str
-	case KindBlob:
-		return "b:" + string(v.Bytes)
-	case KindBool:
-		if v.Bool {
-			return "o:1"
-		}
-		return "o:0"
-	default:
-		return "null"
-	}
-}
-
 // coerce converts v to the declared column kind where the conversion is
 // lossless and conventional (INT<->REAL, TEXT->BLOB); otherwise it reports
 // a type error. NULLs pass through.

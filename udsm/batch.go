@@ -2,11 +2,9 @@ package udsm
 
 import (
 	"context"
-	"fmt"
 
 	"edsc/future"
 	"edsc/kv"
-	"edsc/workload"
 )
 
 var _ kv.Batch = (*DataStore)(nil)
@@ -53,14 +51,4 @@ func (a *AsyncStore) PutMulti(ctx context.Context, pairs map[string][]byte) *fut
 	return future.Go(a.ds.pool, func() (struct{}, error) {
 		return struct{}{}, a.ds.PutMulti(ctx, pairs)
 	})
-}
-
-// RunBatchWorkload drives the batched-vs-per-key comparison against a
-// registered store (see edsc/workload.RunBatchCompare).
-func (m *Manager) RunBatchWorkload(ctx context.Context, storeName string, cfg workload.BatchConfig) (*workload.BatchReport, error) {
-	ds, ok := m.Store(storeName)
-	if !ok {
-		return nil, fmt.Errorf("udsm: no store %q", storeName)
-	}
-	return workload.RunBatchCompare(ctx, ds, cfg)
 }

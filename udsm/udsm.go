@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -394,29 +393,4 @@ func (a *AsyncStore) Clear(ctx context.Context) *future.Future[struct{}] {
 	return future.Go(a.ds.pool, func() (struct{}, error) {
 		return struct{}{}, a.ds.Clear(ctx)
 	})
-}
-
-// RunMixedWorkload drives the closed-loop mixed read/write workload against
-// a registered store (see edsc/workload.RunMixed).
-func (m *Manager) RunMixedWorkload(ctx context.Context, storeName string, cfg workload.MixedConfig) (*workload.MixedReport, error) {
-	ds, ok := m.Store(storeName)
-	if !ok {
-		return nil, fmt.Errorf("udsm: no store %q", storeName)
-	}
-	return workload.RunMixed(ctx, ds, cfg)
-}
-
-// Report renders the monitoring snapshot of every registered store as one
-// text block, in name order — a one-call overview of the whole manager.
-func (m *Manager) Report() string {
-	var sb strings.Builder
-	for _, name := range m.Names() {
-		ds, ok := m.Store(name)
-		if !ok {
-			continue
-		}
-		sb.WriteString(ds.Snapshot(false).Text())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
