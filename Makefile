@@ -157,7 +157,8 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardDecodeSizedOnce TestAllocGuardConditionalGet TestAllocGuardClientGetPut \
 	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
 	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone \
-	TestAllocGuardSealOpen TestAllocGuardQuorumOverSQL
+	TestAllocGuardSealOpen TestAllocGuardQuorumOverSQL TestAllocGuardInProcessHit \
+	TestAllocGuardKVStoreContains
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/secure ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \

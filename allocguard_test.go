@@ -152,7 +152,7 @@ func TestAllocGuardQuorumOverSQL(t *testing.T) {
 	nodes := make([]udsm.ClusterNode, 3)
 	for i := range nodes {
 		id := fmt.Sprintf("node%d", i)
-		node, err := udsm.OpenSQLStore(id, udsm.SQLStoreOptions{Dir: t.TempDir(), CheckpointBytes: -1})
+		node, err := udsm.OpenSQLStore(id, udsm.SQLStoreOptions{DSN: t.TempDir() + "?checkpoint_bytes=-1"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,6 @@ import (
 	"edsc/dscl"
 	"edsc/future"
 	"edsc/internal/benchkit"
-	"edsc/internal/cache"
 	"edsc/internal/delta"
 	"edsc/internal/minisql"
 	"edsc/internal/pack"
@@ -275,46 +274,21 @@ func BenchmarkFig08Delta(b *testing.B) {
 
 // --- ablation benches (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationEviction compares LRU and greedy-dual-size replacement
-// under a skewed access pattern.
-func BenchmarkAblationEviction(b *testing.B) {
-	for _, policy := range []struct {
-		name string
-		p    cache.Policy
-	}{{"lru", cache.LRU}, {"gds", cache.GreedyDualSize}} {
-		b.Run(policy.name, func(b *testing.B) {
-			c := cache.New(cache.Config{MaxEntries: 1024, Policy: policy.p})
-			val := payload(256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Zipf-ish: 80% of traffic on 20% of keys.
-				k := i % 4096
-				if i%5 != 0 {
-					k = i % 819
-				}
-				key := fmt.Sprintf("k%d", k)
-				if _, ok := c.Get(key); !ok {
-					c.PutEntry(key, cache.Entry{Value: val, Cost: 1})
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCopyOnCache quantifies the cost of copy-on-cache reads
 // as object size grows (reference reads stay flat; copies scale with size —
 // the §III trade-off).
 func BenchmarkAblationCopyOnCache(b *testing.B) {
+	ctx := context.Background()
 	for _, copyMode := range []bool{false, true} {
 		for _, size := range []int{1 << 10, 256 << 10} {
 			name := fmt.Sprintf("copy=%v/%d", copyMode, size)
 			b.Run(name, func(b *testing.B) {
-				c := cache.New(cache.Config{CopyOnCache: copyMode})
-				c.Put("k", payload(size))
+				c := dscl.NewInProcessCache(dscl.InProcessOptions{CopyOnCache: copyMode})
+				_ = c.Put(ctx, "k", dscl.Entry{Value: payload(size)})
 				b.SetBytes(int64(size))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, ok := c.Get("k"); !ok {
+					if _, state, _ := c.Get(ctx, "k"); state != dscl.Hit {
 						b.Fatal("miss")
 					}
 				}

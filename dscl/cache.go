@@ -26,9 +26,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"edsc/internal/cache"
 	"edsc/kv"
 )
 
@@ -104,10 +105,6 @@ type Cache interface {
 type InProcessOptions struct {
 	// MaxEntries bounds the entry count (0 = unbounded).
 	MaxEntries int
-	// MaxBytes bounds total cached value bytes (0 = unbounded).
-	MaxBytes int64
-	// GreedyDualSize selects greedy-dual-size replacement instead of LRU.
-	GreedyDualSize bool
 	// CopyOnCache stores and returns copies instead of sharing slices.
 	// Sharing is faster (reads cost no copy regardless of object size,
 	// the flat curves of Figs. 11–19) but the application must not mutate
@@ -116,85 +113,240 @@ type InProcessOptions struct {
 	CopyOnCache bool
 }
 
-// InProcessCache is the DSCL's in-process cache (the Guava-cache analogue).
+// CacheStats are an InProcessCache's cumulative counters.
+type CacheStats struct {
+	Hits        int64
+	Misses      int64
+	Puts        int64
+	Evictions   int64
+	ExpiredHits int64 // hits on entries past their expiration time
+}
+
+// cacheShards is the number of lock shards of an InProcessCache.
+const cacheShards = 16
+
+// InProcessCache is the DSCL's in-process cache (the Guava-cache analogue):
+// a sharded LRU map from key to Entry. Expiry is metadata: an entry past its
+// expiration time stays cached and is returned Stale, so the client can
+// revalidate it instead of re-fetching it (§III). Values are stored and
+// returned by reference unless CopyOnCache is set.
 type InProcessCache struct {
-	c *cache.Cache
+	perShard    int // entry bound of one shard; 0 = unbounded
+	copyOnCache bool
+	clock       func() time.Time // time.Now; tests set it
+	shards      []cacheShard
+
+	hits, misses, puts, evictions, expiredHits atomic.Int64
+}
+
+// cacheNode is one entry on its shard's LRU list.
+type cacheNode struct {
+	key        string
+	entry      Entry
+	prev, next *cacheNode
+}
+
+// cacheShard is one lock's worth of the cache. head is the most recently
+// used entry, tail the least.
+type cacheShard struct {
+	mu         sync.Mutex
+	items      map[string]*cacheNode
+	head, tail *cacheNode
 }
 
 var _ Cache = (*InProcessCache)(nil)
 
-// NewInProcessCache builds an in-process cache.
+// NewInProcessCache builds an in-process cache. The entry bound is kept per
+// shard (MaxEntries divided by the shard count, at least 1), the usual
+// sharded-cache approximation; a bound below the shard count uses the
+// smallest power of two of shards at or above it, so that it stays tight.
 func NewInProcessCache(opts InProcessOptions) *InProcessCache {
-	pol := cache.LRU
-	if opts.GreedyDualSize {
-		pol = cache.GreedyDualSize
+	n := cacheShards
+	if opts.MaxEntries > 0 && opts.MaxEntries < n {
+		for n = 1; n < opts.MaxEntries; n <<= 1 {
+		}
 	}
-	return &InProcessCache{c: cache.New(cache.Config{
-		MaxEntries:  opts.MaxEntries,
-		MaxBytes:    opts.MaxBytes,
-		Policy:      pol,
-		CopyOnCache: opts.CopyOnCache,
-	})}
+	p := &InProcessCache{copyOnCache: opts.CopyOnCache, clock: time.Now, shards: make([]cacheShard, n)}
+	if opts.MaxEntries > 0 {
+		p.perShard = max(1, opts.MaxEntries/n)
+	}
+	for i := range p.shards {
+		p.shards[i].items = make(map[string]*cacheNode)
+	}
+	return p
+}
+
+func (p *InProcessCache) shardFor(key string) *cacheShard {
+	return &p.shards[stripeHash(key)&uint32(len(p.shards)-1)]
 }
 
 // Get implements Cache.
 func (p *InProcessCache) Get(_ context.Context, key string) (Entry, State, error) {
-	e, st := p.c.GetEntry(key)
-	switch st {
-	case cache.Missing:
+	s := p.shardFor(key)
+	s.mu.Lock()
+	n, ok := s.items[key]
+	if !ok {
+		s.mu.Unlock()
+		p.misses.Add(1)
 		return Entry{}, Miss, nil
-	case cache.Expired:
-		return fromInternal(e), Stale, nil
-	default:
-		return fromInternal(e), Hit, nil
 	}
+	s.moveFront(n)
+	e := n.entry
+	s.mu.Unlock()
+	if p.copyOnCache {
+		e.Value = append([]byte(nil), e.Value...)
+	}
+	// e.Expired, without reading the clock for an entry that never expires.
+	if !e.ExpiresAt.IsZero() && !p.clock().Before(e.ExpiresAt) {
+		p.expiredHits.Add(1)
+		return e, Stale, nil
+	}
+	p.hits.Add(1)
+	return e, Hit, nil
 }
 
-// Put implements Cache.
+// Put implements Cache. An empty key is not cached.
 func (p *InProcessCache) Put(_ context.Context, key string, e Entry) error {
-	p.c.PutEntry(key, cache.Entry{Value: e.Value, Version: string(e.Version), ExpiresAt: unixNano(e.ExpiresAt)})
-	return nil
-}
-
-// unixNano is t as the internal cache keeps an expiry: 0 for never.
-func unixNano(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
+	if key == "" {
+		return nil
 	}
-	return t.UnixNano()
+	if p.copyOnCache {
+		e.Value = append([]byte(nil), e.Value...)
+	}
+	p.puts.Add(1)
+	s := p.shardFor(key)
+	s.mu.Lock()
+	if old, ok := s.items[key]; ok {
+		s.unlink(old)
+	}
+	n := &cacheNode{key: key, entry: e}
+	s.items[key] = n
+	s.pushFront(n)
+	for p.perShard > 0 && len(s.items) > p.perShard {
+		victim := s.tail
+		s.unlink(victim)
+		delete(s.items, victim.key)
+		p.evictions.Add(1)
+	}
+	s.mu.Unlock()
+	return nil
 }
 
 // Delete implements Cache.
 func (p *InProcessCache) Delete(_ context.Context, key string) (bool, error) {
-	return p.c.Delete(key), nil
+	s := p.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, ok := s.items[key]
+	if ok {
+		s.unlink(n)
+		delete(s.items, key)
+	}
+	return ok, nil
 }
 
 // Touch implements Cache.
 func (p *InProcessCache) Touch(_ context.Context, key string, expiresAt time.Time, version kv.Version) (bool, error) {
-	return p.c.Touch(key, unixNano(expiresAt), string(version)), nil
+	s := p.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, ok := s.items[key]
+	if !ok {
+		return false, nil
+	}
+	n.entry.ExpiresAt = expiresAt
+	if version != kv.NoVersion {
+		n.entry.Version = version
+	}
+	return true, nil
 }
 
-// Len implements Cache.
-func (p *InProcessCache) Len(_ context.Context) (int, error) { return p.c.Len(), nil }
+// Len implements Cache. Expired entries count.
+func (p *InProcessCache) Len(_ context.Context) (int, error) {
+	total := 0
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		total += len(s.items)
+		s.mu.Unlock()
+	}
+	return total, nil
+}
 
 // Clear implements Cache.
 func (p *InProcessCache) Clear(_ context.Context) error {
-	p.c.Clear()
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		s.items = make(map[string]*cacheNode)
+		s.head, s.tail = nil, nil
+		s.mu.Unlock()
+	}
 	return nil
 }
 
-// Stats exposes the underlying hit/miss counters.
-func (p *InProcessCache) Stats() cache.Stats { return p.c.Stats() }
-
-// icacheEntry aliases the internal cache entry for persistence code.
-type icacheEntry = cache.Entry
-
-func fromInternal(e cache.Entry) Entry {
-	out := Entry{Value: e.Value, Version: kv.Version(e.Version)}
-	if e.ExpiresAt != 0 {
-		out.ExpiresAt = time.Unix(0, e.ExpiresAt)
+// Stats returns a snapshot of the cumulative counters.
+func (p *InProcessCache) Stats() CacheStats {
+	return CacheStats{
+		Hits:        p.hits.Load(),
+		Misses:      p.misses.Load(),
+		Puts:        p.puts.Load(),
+		Evictions:   p.evictions.Load(),
+		ExpiredHits: p.expiredHits.Load(),
 	}
-	return out
+}
+
+// each calls fn for every cached entry, expired ones included, until fn
+// returns false. It runs fn outside the shard locks, on a copy of one shard's
+// entries at a time, so fn may call back into the cache.
+func (p *InProcessCache) each(fn func(key string, e Entry) bool) {
+	var batch []cacheNode
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		batch = batch[:0]
+		for n := s.head; n != nil; n = n.next {
+			batch = append(batch, cacheNode{key: n.key, entry: n.entry})
+		}
+		s.mu.Unlock()
+		for _, n := range batch {
+			if !fn(n.key, n.entry) {
+				return
+			}
+		}
+	}
+}
+
+func (s *cacheShard) pushFront(n *cacheNode) {
+	n.prev, n.next = nil, s.head
+	if s.head != nil {
+		s.head.prev = n
+	}
+	s.head = n
+	if s.tail == nil {
+		s.tail = n
+	}
+}
+
+func (s *cacheShard) unlink(n *cacheNode) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		s.head = n.next
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		s.tail = n.prev
+	}
+	n.prev, n.next = nil, nil
+}
+
+func (s *cacheShard) moveFront(n *cacheNode) {
+	if s.head != n {
+		s.unlink(n)
+		s.pushFront(n)
+	}
 }
 
 // --- store-backed cache ---

@@ -72,14 +72,6 @@ func (h *Hub) publish(sender int, key string) {
 	}
 }
 
-// Subscribers reports how many clients are connected (for tests and
-// monitoring).
-func (h *Hub) Subscribers() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.subs)
-}
-
 // WithInvalidationHub connects the client to a Hub. Must be combined with
 // WithCache; without a cache there is nothing to invalidate, and the client
 // still publishes its writes for others.
@@ -136,8 +128,8 @@ func (cl *Client) begin(key string) token {
 	return token{stripe: s, gen: s.gen.Load()}
 }
 
-// stripeHash is FNV-1a over the key, matching internal/cache's shard
-// selection (allocation-free; no []byte conversion).
+// stripeHash is FNV-1a over the key; InProcessCache picks its shards with it
+// too (allocation-free; no []byte conversion).
 func stripeHash(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

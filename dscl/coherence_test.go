@@ -90,19 +90,24 @@ func TestHubInvalidatesOnDelete(t *testing.T) {
 
 func TestHubSubscriberCountAndDetach(t *testing.T) {
 	hub := NewHub()
+	subscribers := func() int {
+		hub.mu.RLock()
+		defer hub.mu.RUnlock()
+		return len(hub.subs)
+	}
 	a, b, _ := twoClients(t, hub)
-	if hub.Subscribers() != 2 {
-		t.Fatalf("Subscribers = %d", hub.Subscribers())
+	if n := subscribers(); n != 2 {
+		t.Fatalf("subscribers = %d", n)
 	}
 	a.DetachHub()
-	if hub.Subscribers() != 1 {
-		t.Fatalf("Subscribers after detach = %d", hub.Subscribers())
+	if n := subscribers(); n != 1 {
+		t.Fatalf("subscribers after detach = %d", n)
 	}
 	// Detach is idempotent; Close detaches too.
 	a.DetachHub()
 	_ = b.Close()
-	if hub.Subscribers() != 0 {
-		t.Fatalf("Subscribers after close = %d", hub.Subscribers())
+	if n := subscribers(); n != 0 {
+		t.Fatalf("subscribers after close = %d", n)
 	}
 }
 

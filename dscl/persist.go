@@ -2,7 +2,6 @@ package dscl
 
 import (
 	"context"
-	"time"
 
 	"edsc/kv"
 )
@@ -23,12 +22,8 @@ import (
 func (p *InProcessCache) SaveTo(ctx context.Context, store kv.Store) (int, error) {
 	var firstErr error
 	n := 0
-	p.c.Range(func(key string, e icacheEntry) bool {
-		entry := Entry{Value: e.Value, Version: kv.Version(e.Version)}
-		if e.ExpiresAt != 0 {
-			entry.ExpiresAt = time.Unix(0, e.ExpiresAt)
-		}
-		if err := store.Put(ctx, key, encodeEnvelope(entry)); err != nil {
+	p.each(func(key string, e Entry) bool {
+		if err := store.Put(ctx, key, encodeEnvelope(e)); err != nil {
 			firstErr = err
 			return false
 		}

@@ -121,14 +121,6 @@ func Then[T, U any](f *Future[T], g func(T) (U, error)) *Future[U] {
 	return out
 }
 
-// Completed returns an already-resolved future, useful for fast paths such
-// as cache hits on an asynchronous interface.
-func Completed[T any](v T, err error) *Future[T] {
-	f, complete := NewFuture[T]()
-	complete(v, err)
-	return f
-}
-
 // WaitAll blocks until every future completes and returns the first error
 // encountered (by argument order), if any.
 func WaitAll[T any](ctx context.Context, fs ...*Future[T]) error {

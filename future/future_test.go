@@ -132,24 +132,21 @@ func TestThenShortCircuitsError(t *testing.T) {
 	}
 }
 
-func TestCompleted(t *testing.T) {
-	f := Completed(11, nil)
-	if !f.Done() {
-		t.Fatal("Completed future not done")
-	}
-	if v, _ := f.MustWait(); v != 11 {
-		t.Fatalf("value = %d", v)
-	}
+// completed returns an already-resolved future.
+func completed[T any](v T, err error) *Future[T] {
+	f, complete := NewFuture[T]()
+	complete(v, err)
+	return f
 }
 
 func TestWaitAll(t *testing.T) {
-	a := Completed(1, nil)
-	b := Completed(2, nil)
+	a := completed(1, nil)
+	b := completed(2, nil)
 	if err := WaitAll(context.Background(), a, b); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	c := Completed(0, boom)
+	c := completed(0, boom)
 	if err := WaitAll(context.Background(), a, c, b); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}

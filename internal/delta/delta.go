@@ -372,21 +372,3 @@ func ApplyTo(dst, old, delta []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// Stat describes a computed delta for instrumentation.
-type Stat struct {
-	OldSize   int
-	NewSize   int
-	DeltaSize int
-}
-
-// Saved reports the bytes saved versus sending the full new version
-// (negative when the delta is larger, which callers should treat as "send
-// the full object instead").
-func (s Stat) Saved() int { return s.NewSize - s.DeltaSize }
-
-// EncodeWithStat is Encode plus size accounting.
-func (e *Encoder) EncodeWithStat(old, new []byte) ([]byte, Stat) {
-	d := e.Encode(old, new)
-	return d, Stat{OldSize: len(old), NewSize: len(new), DeltaSize: len(d)}
-}

@@ -182,20 +182,6 @@ func TestIsDelta(t *testing.T) {
 	}
 }
 
-func TestStatSaved(t *testing.T) {
-	e := NewEncoder(5)
-	old := bytes.Repeat([]byte("stable content here "), 200)
-	new := append([]byte(nil), old...)
-	new[100] ^= 0xFF
-	_, st := e.EncodeWithStat(old, new)
-	if st.NewSize != len(new) || st.OldSize != len(old) {
-		t.Fatalf("Stat sizes wrong: %+v", st)
-	}
-	if st.Saved() <= 0 {
-		t.Fatalf("expected positive savings, got %d", st.Saved())
-	}
-}
-
 func TestPropertyRoundTrip(t *testing.T) {
 	e := NewEncoder(5)
 	prop := func(old, patch []byte, at uint16) bool {

@@ -46,9 +46,6 @@ func Open(name, dir string) (*Store, error) {
 // Name implements kv.Store.
 func (s *Store) Name() string { return s.name }
 
-// Root returns the store's directory, the "native interface" of this store.
-func (s *Store) Root() string { return s.root }
-
 // encodeKey maps an arbitrary key to a safe file name: bytes outside
 // [a-zA-Z0-9._-] are %XX-escaped ('%' itself included), so the mapping is
 // injective and names stay readable for ASCII keys.

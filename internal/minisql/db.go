@@ -525,9 +525,6 @@ func (s *Session) Prepare(sql string) (*Prepared, error) {
 	return &Prepared{sess: s, stmt: stmt, params: n}, nil
 }
 
-// NumParams reports how many '?' slots the statement has.
-func (p *Prepared) NumParams() int { return p.params }
-
 // Stmt returns the parsed statement, so a caller can tell a SELECT (run it
 // with Query) from the rest (Exec) without looking at the text.
 func (p *Prepared) Stmt() Stmt { return p.stmt }

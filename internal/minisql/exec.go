@@ -221,7 +221,8 @@ func (db *Database) recordLocked(vals []Value) []byte {
 // equality on an indexed column — the fast path KV-over-SQL reads take — and
 // a primary-tree cursor scan otherwise. An index-found row is decoded for
 // need (see decodeRow), a scanned one whole, since where reads it; the one
-// row a unique index finds is decoded into dst's spare capacity. A scan holds
+// row a unique index finds is decoded into dst's spare capacity, and not read
+// at all when need is empty. A scan holds
 // its leaf pinned while emit runs, so emit collects and must not write to the
 // table.
 func (db *Database) matchRows(t *table, where Expr, params []Value, need colSet, dst []Value, emit func(id int64, row []Value) error) error {
@@ -250,6 +251,9 @@ func (db *Database) matchRows(t *table, where Expr, params []Value, need colSet,
 						id, found, err := t.lookupUnique(ci, v)
 						if err != nil || !found {
 							return err
+						}
+						if need == 0 {
+							return emit(id, dst[:0]) // the statement reads no column
 						}
 						row, err := t.getRow(dst, id, need)
 						if err != nil {

@@ -249,6 +249,40 @@ func TestAllocGuardKVStoreGetPut(t *testing.T) {
 	}
 }
 
+// TestAllocGuardKVStoreContains: a Contains counts the key through its
+// unique index and reads no column, so it allocates nothing, however large
+// the record it finds: decoding the row it never reads would copy the whole
+// record off its pages, 18 KiB for this value.
+func TestAllocGuardKVStoreContains(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	db, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st, err := NewKVStore("sql", db, "kv_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := st.Put(ctx, "big", bytes.Repeat([]byte{0xAB}, 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	contains := func() {
+		if ok, err := st.Contains(ctx, "big"); err != nil || !ok {
+			t.Fatalf("Contains = %v, %v", ok, err)
+		}
+	}
+	contains()
+	if got := testing.AllocsPerRun(200, contains); got != 0 {
+		t.Errorf("%.0f allocs per Contains of a 16 KiB record, want 0", got)
+	}
+}
+
 // TestKVStoreSQLRefusesTransactionControl: the kv.SQL statements are
 // autocommitted one-shots. A BEGIN that opened a transaction for the store
 // would take in the next Put, which would report success and be gone after a

@@ -35,8 +35,8 @@ func TestParamsIgnoreQuestionMarksInStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumParams() != 1 {
-		t.Fatalf("NumParams = %d, want 1 (a '?' inside a string or comment is not a slot)", p.NumParams())
+	if p.params != 1 {
+		t.Fatalf("%d slots, want 1 (a '?' inside a string or comment is not a slot)", p.params)
 	}
 	res, err := p.Query(Int(1))
 	if err != nil || flat(res) != "1" {

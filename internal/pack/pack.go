@@ -249,19 +249,3 @@ func readAppend(r io.Reader, b []byte, hint int) ([]byte, error) {
 		}
 	}
 }
-
-// IsFramed reports whether data begins with a pack frame tag. (One-byte tags
-// are ambiguous in principle; in the DSCL pipeline compression order is fixed
-// so this is only used for diagnostics.)
-func IsFramed(data []byte) bool {
-	return len(data) > 0 && (data[0] == tagStored || data[0] == tagGzip)
-}
-
-// Ratio is a convenience that reports len(compressed)/len(original) for
-// instrumentation. Returns 1 for empty input.
-func Ratio(original, compressed []byte) float64 {
-	if len(original) == 0 {
-		return 1
-	}
-	return float64(len(compressed)) / float64(len(original))
-}

@@ -126,26 +126,6 @@ func TestTruncatedStream(t *testing.T) {
 	}
 }
 
-func TestIsFramed(t *testing.T) {
-	c := New()
-	comp, _ := c.Compress([]byte("hello"))
-	if !IsFramed(comp) {
-		t.Fatal("IsFramed(frame) = false")
-	}
-	if IsFramed(nil) || IsFramed([]byte{0x42}) {
-		t.Fatal("IsFramed(garbage) = true")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if r := Ratio(nil, nil); r != 1 {
-		t.Fatalf("Ratio(empty) = %v", r)
-	}
-	if r := Ratio(make([]byte, 100), make([]byte, 25)); r != 0.25 {
-		t.Fatalf("Ratio = %v, want 0.25", r)
-	}
-}
-
 func TestPoolReuseConcurrent(t *testing.T) {
 	c := New()
 	in := bytes.Repeat([]byte("pooled data "), 100)

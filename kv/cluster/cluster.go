@@ -738,7 +738,7 @@ func (c *Cluster) drainHints(ctx context.Context, nodes []replica) {
 		for _, h := range hs {
 			lock := c.lockFor(h.key)
 			lock.Lock()
-			err := c.installIfNewer(ctx, store, h.key, h.rec)
+			err := c.installIfNewer(ctx, store, h.key, h.rec, true)
 			lock.Unlock()
 			if err != nil {
 				c.addHint(id, h.key, h.rec, true)
@@ -765,16 +765,20 @@ func (c *Cluster) FlushHints(ctx context.Context) (remaining int, err error) {
 func (c *Cluster) PendingHints() int { return int(c.hintCount.Load()) }
 
 // installIfNewer writes rec to one node unless the node already holds an
-// equal-or-newer record. Caller holds key's stripe lock (which is what makes
-// the read-then-write below race-free: no newer version can be committed
-// while we hold it).
-func (c *Cluster) installIfNewer(ctx context.Context, store kv.Store, key string, rec record) error {
+// equal-or-newer record; with orEqual, only a newer one stops it. A hint
+// replay passes orEqual: the hint stands for a put of rec to that node that
+// failed, so a copy of the same version there may be what the failure left,
+// a torn prefix under an intact header. Caller holds key's stripe lock (which
+// is what makes the read-then-write below race-free: no newer version can be
+// committed while we hold it).
+func (c *Cluster) installIfNewer(ctx context.Context, store kv.Store, key string, rec record, orEqual bool) error {
 	rc := c.nodeRound(ctx)
 	defer rc.end()
 	cur, err := store.Get(rc, key)
 	switch {
 	case err == nil:
-		if existing, derr := DecodeRecord(cur); derr == nil && existing.Version >= rec.Version {
+		existing, derr := DecodeRecord(cur)
+		if derr == nil && (existing.Version > rec.Version || existing.Version == rec.Version && !orEqual) {
 			return nil
 		}
 	case kv.IsNotFound(err):
@@ -935,7 +939,7 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 		if !c.isMember(r.rep.id) {
 			continue
 		}
-		if err := c.installIfNewer(ctx, r.rep.store, key, winner); err != nil {
+		if err := c.installIfNewer(ctx, r.rep.store, key, winner, false); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}

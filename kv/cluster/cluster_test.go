@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"edsc/internal/miniredis"
 	"edsc/kv"
 	"edsc/kv/cluster"
+	"edsc/kv/faulty"
 	"edsc/kv/kvtest"
 )
 
@@ -187,5 +189,53 @@ func TestClusterErrAmbiguousSentinel(t *testing.T) {
 	}
 	if !errors.Is(miniredis.ErrAmbiguousExchange, kv.ErrAmbiguous) {
 		t.Fatal("miniredis.ErrAmbiguousExchange must wrap kv.ErrAmbiguous (the PR 3 rule, generalized)")
+	}
+}
+
+// TestHintReplayRepairsTornReplica: a replica whose put failed after writing
+// a torn prefix holds a record with the right version and a cut value. The
+// hint queued for that failed put must overwrite it: replay installs a record
+// of the same version, since the failure is what the hint stands for.
+// Otherwise the gets whose probe window starts at the torn node return the
+// prefix.
+func TestHintReplayRepairsTornReplica(t *testing.T) {
+	ctx := context.Background()
+	torn := faulty.New(kv.NewMem("a"), faulty.Options{TornWrites: 0.5, Seed: 1})
+	nodes := []cluster.Node{{ID: "a", Store: torn}, {ID: "b", Store: kv.NewMem("b")}, {ID: "c", Store: kv.NewMem("c")}}
+	c, err := cluster.New("cluster", nodes, cluster.Options{ReadQuorum: 2, WriteQuorum: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 200
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 200) }
+	for i := 0; i < keys; i++ {
+		if err := c.Put(ctx, fmt.Sprintf("k%d", i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if torn.Stats().TornWrites == 0 {
+		t.Fatal("no write was torn: the test shows nothing")
+	}
+	for round := 0; ; round++ {
+		left, err := c.FlushHints(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if left == 0 {
+			break
+		}
+		if round == 100 {
+			t.Fatalf("%d hints still pending after %d flushes", left, round)
+		}
+	}
+	bad := 0
+	for n := 0; n < 6*keys; n++ {
+		got, err := c.Get(ctx, fmt.Sprintf("k%d", n%keys))
+		if err != nil || !bytes.Equal(got, value(n%keys)) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d gets returned a torn or failed read after every hint was replayed", bad, 6*keys)
 	}
 }

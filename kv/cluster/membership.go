@@ -169,7 +169,7 @@ func (c *Cluster) rebalanceKey(ctx context.Context, key string, sources []replic
 			if r.err == nil && r.exists && r.rec.Version >= winner.Version {
 				continue // already current
 			}
-			if err := c.installIfNewer(ctx, r.rep.store, key, winner); err != nil {
+			if err := c.installIfNewer(ctx, r.rep.store, key, winner, false); err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("cluster: rebalance %q onto %s: %w", key, r.rep.id, err)
 				}

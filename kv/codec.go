@@ -1,12 +1,7 @@
 package kv
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
-	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -26,54 +21,6 @@ type KeyCodec[K any] interface {
 
 // --- value codecs ---
 
-// BytesCodec passes []byte values through unchanged (with a defensive copy,
-// preserving the Store aliasing contract).
-type BytesCodec struct{}
-
-// Encode copies v.
-func (BytesCodec) Encode(v []byte) ([]byte, error) { return append([]byte(nil), v...), nil }
-
-// Decode copies data.
-func (BytesCodec) Decode(data []byte) ([]byte, error) { return append([]byte(nil), data...), nil }
-
-// StringCodec stores strings as their UTF-8 bytes.
-type StringCodec struct{}
-
-func (StringCodec) Encode(v string) ([]byte, error)    { return []byte(v), nil }
-func (StringCodec) Decode(data []byte) (string, error) { return string(data), nil }
-
-// Int64Codec stores int64 values as 8 big-endian bytes.
-type Int64Codec struct{}
-
-func (Int64Codec) Encode(v int64) ([]byte, error) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return b[:], nil
-}
-
-func (Int64Codec) Decode(data []byte) (int64, error) {
-	if len(data) != 8 {
-		return 0, fmt.Errorf("kv: int64 value has %d bytes, want 8", len(data))
-	}
-	return int64(binary.BigEndian.Uint64(data)), nil
-}
-
-// Float64Codec stores float64 values as 8 big-endian IEEE-754 bytes.
-type Float64Codec struct{}
-
-func (Float64Codec) Encode(v float64) ([]byte, error) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-	return b[:], nil
-}
-
-func (Float64Codec) Decode(data []byte) (float64, error) {
-	if len(data) != 8 {
-		return 0, fmt.Errorf("kv: float64 value has %d bytes, want 8", len(data))
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(data)), nil
-}
-
 // JSONCodec marshals values with encoding/json. The natural choice for
 // document-style stores.
 type JSONCodec[V any] struct{}
@@ -86,37 +33,7 @@ func (JSONCodec[V]) Decode(data []byte) (V, error) {
 	return v, err
 }
 
-// GobCodec marshals values with encoding/gob — the Go analogue of Java
-// object serialization the paper's remote-process caches rely on.
-type GobCodec[V any] struct{}
-
-func (GobCodec[V]) Encode(v V) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (GobCodec[V]) Decode(data []byte) (V, error) {
-	var v V
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v)
-	return v, err
-}
-
 // --- key codecs ---
-
-// StringKey uses strings as keys directly.
-type StringKey struct{}
-
-func (StringKey) EncodeKey(k string) (string, error) {
-	if k == "" {
-		return "", ErrEmptyKey
-	}
-	return k, nil
-}
-
-func (StringKey) DecodeKey(s string) (string, error) { return s, nil }
 
 // Int64Key renders int64 keys in decimal.
 type Int64Key struct{}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"edsc/kv"
 	"edsc/kv/kvtest"
@@ -77,58 +76,6 @@ func TestCheckKey(t *testing.T) {
 	}
 }
 
-func TestStringCodecRoundTrip(t *testing.T) {
-	c := kv.StringCodec{}
-	for _, s := range []string{"", "hello", "héllo 世界", "\x00\x01"} {
-		b, err := c.Encode(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Decode(b)
-		if err != nil || got != s {
-			t.Fatalf("round trip %q -> %q, %v", s, got, err)
-		}
-	}
-}
-
-func TestInt64CodecRoundTrip(t *testing.T) {
-	c := kv.Int64Codec{}
-	for _, v := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 123456789} {
-		b, err := c.Encode(v)
-		if err != nil || len(b) != 8 {
-			t.Fatalf("Encode(%d): %v, %d bytes", v, err, len(b))
-		}
-		got, err := c.Decode(b)
-		if err != nil || got != v {
-			t.Fatalf("round trip %d -> %d, %v", v, got, err)
-		}
-	}
-	if _, err := c.Decode([]byte{1, 2, 3}); err == nil {
-		t.Fatal("Decode(short) succeeded, want error")
-	}
-}
-
-func TestFloat64CodecRoundTrip(t *testing.T) {
-	c := kv.Float64Codec{}
-	prop := func(v float64) bool {
-		b, err := c.Encode(v)
-		if err != nil {
-			return false
-		}
-		got, err := c.Decode(b)
-		if err != nil {
-			return false
-		}
-		return got == v || (math.IsNaN(got) && math.IsNaN(v))
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Decode(nil); err == nil {
-		t.Fatal("Decode(nil) succeeded, want error")
-	}
-}
-
 func TestJSONCodec(t *testing.T) {
 	type doc struct {
 		ID   int      `json:"id"`
@@ -149,33 +96,6 @@ func TestJSONCodec(t *testing.T) {
 	}
 }
 
-func TestGobCodec(t *testing.T) {
-	type rec struct {
-		N int
-		M map[string]int
-	}
-	c := kv.GobCodec[rec]{}
-	in := rec{N: 3, M: map[string]int{"x": 1}}
-	b, err := c.Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decode(b)
-	if err != nil || !reflect.DeepEqual(got, in) {
-		t.Fatalf("round trip = %+v, %v; want %+v", got, err, in)
-	}
-}
-
-func TestBytesCodecCopies(t *testing.T) {
-	c := kv.BytesCodec{}
-	src := []byte("abc")
-	enc, _ := c.Encode(src)
-	src[0] = 'Z'
-	if string(enc) != "abc" {
-		t.Fatalf("Encode aliased input: %q", enc)
-	}
-}
-
 func TestInt64Key(t *testing.T) {
 	kc := kv.Int64Key{}
 	s, err := kc.EncodeKey(-42)
@@ -188,12 +108,6 @@ func TestInt64Key(t *testing.T) {
 	}
 	if _, err := kc.DecodeKey("abc"); err == nil {
 		t.Fatal("DecodeKey(abc) succeeded, want error")
-	}
-}
-
-func TestStringKeyRejectsEmpty(t *testing.T) {
-	if _, err := (kv.StringKey{}).EncodeKey(""); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("EncodeKey(\"\") err = %v, want ErrEmptyKey", err)
 	}
 }
 
@@ -250,11 +164,11 @@ func TestMapSwapStores(t *testing.T) {
 	// any store implementing the interface.
 	ctx := context.Background()
 	run := func(s kv.Store) error {
-		m := kv.NewStringMap[string](s, kv.StringCodec{})
-		if err := m.Put(ctx, "greeting", "hello"); err != nil {
+		m := kv.NewMap[int64, string](s, kv.Int64Key{}, kv.JSONCodec[string]{})
+		if err := m.Put(ctx, 1, "hello"); err != nil {
 			return err
 		}
-		v, err := m.Get(ctx, "greeting")
+		v, err := m.Get(ctx, 1)
 		if err != nil {
 			return err
 		}
@@ -272,13 +186,17 @@ func TestMapSwapStores(t *testing.T) {
 
 func TestMapKeyCodecErrors(t *testing.T) {
 	store := kv.NewMem("m")
-	m := kv.NewMap[string, string](store, kv.StringKey{}, kv.StringCodec{})
+	m := kv.NewMap[int64, float64](store, kv.Int64Key{}, kv.JSONCodec[float64]{})
 	ctx := context.Background()
-	if err := m.Put(ctx, "", "v"); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("Put empty key err = %v", err)
+	if err := m.Put(ctx, 1, math.NaN()); err == nil {
+		t.Fatal("Put of a value the codec cannot encode succeeded")
 	}
-	if _, err := m.Get(ctx, ""); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("Get empty key err = %v", err)
+	if n, _ := store.Len(ctx); n != 0 {
+		t.Fatalf("a failed encode stored %d keys", n)
+	}
+	_ = store.Put(ctx, "not-a-number", []byte("1"))
+	if _, err := m.Keys(ctx); err == nil {
+		t.Fatal("Keys decoded a key its codec refuses")
 	}
 }
 

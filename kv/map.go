@@ -23,14 +23,6 @@ func NewMap[K, V any](store Store, kc KeyCodec[K], vc Codec[V]) *Map[K, V] {
 	return &Map[K, V]{store: store, kc: kc, vc: vc}
 }
 
-// NewStringMap is shorthand for the common string-keyed case.
-func NewStringMap[V any](store Store, vc Codec[V]) *Map[string, V] {
-	return NewMap[string, V](store, StringKey{}, vc)
-}
-
-// Store returns the underlying byte-oriented store.
-func (m *Map[K, V]) Store() Store { return m.store }
-
 // Get fetches and decodes the value for k.
 func (m *Map[K, V]) Get(ctx context.Context, k K) (V, error) {
 	var zero V

@@ -9,7 +9,7 @@ import (
 // Mem is a trivial in-memory Store. It is the reference implementation of
 // the Store contract, useful in tests and as scratch space; the DSCL's real
 // in-process cache (with eviction and expiration management) lives in
-// internal/cache and is exposed through package dscl.
+// package dscl.
 //
 // Mem also implements CompareAndPut, making it the reference for the
 // optimistic-concurrency contract: every write bumps an internal sequence

@@ -180,14 +180,6 @@ func (r *Recorder) Record(op string, latency time.Duration, bytes int, failed bo
 	sp.mu.Unlock()
 }
 
-// Timed runs fn, recording its latency under op. It returns fn's error.
-func (r *Recorder) Timed(op string, bytes int, fn func() error) error {
-	start := time.Now()
-	err := fn()
-	r.Record(op, time.Since(start), bytes, err != nil)
-	return err
-}
-
 // Summary is the retained statistics for one operation.
 type Summary struct {
 	Op     string        `json:"op"`

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -80,22 +79,6 @@ func TestErrorsCounted(t *testing.T) {
 	r.Record("get", time.Millisecond, 0, true)
 	if got := r.Snapshot(false).Ops[0].Errors; got != 2 {
 		t.Fatalf("errors = %d", got)
-	}
-}
-
-func TestTimed(t *testing.T) {
-	r := New("s", 32)
-	boom := errors.New("boom")
-	err := r.Timed("put", 10, func() error {
-		time.Sleep(2 * time.Millisecond)
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Timed swallowed error: %v", err)
-	}
-	s := r.Snapshot(false).Ops[0]
-	if s.Count != 1 || s.Mean < 2*time.Millisecond || s.Errors != 1 {
-		t.Fatalf("summary = %+v", s)
 	}
 }
 

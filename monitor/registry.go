@@ -47,13 +47,6 @@ func (g *Registry) Register(r *Recorder) {
 	g.mu.Unlock()
 }
 
-// Unregister removes the recorder for the named store.
-func (g *Registry) Unregister(store string) {
-	g.mu.Lock()
-	delete(g.recs, store)
-	g.mu.Unlock()
-}
-
 // RegisterCounters adds a counter family: each key of read() becomes one
 // series `metric{labels...,event="key"}`. read is called at scrape time and
 // must be safe for concurrent use.

@@ -61,17 +61,6 @@ func TestRegistryCounterGroups(t *testing.T) {
 	}
 }
 
-func TestRegistryUnregister(t *testing.T) {
-	g := NewRegistry()
-	r := New("gone", 32)
-	g.Register(r)
-	r.Record("get", time.Millisecond, 0, false)
-	g.Unregister("gone")
-	if out := scrape(t, g); strings.Contains(out, "gone") {
-		t.Fatalf("unregistered store still exported:\n%s", out)
-	}
-}
-
 func TestServeMountsObservabilitySurface(t *testing.T) {
 	g := NewRegistry()
 	r := New("s", 32)

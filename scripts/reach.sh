@@ -4,7 +4,10 @@
 # gated experiments) are built with coverage over edsc/..., run under one
 # GOCOVERDIR, and their counters merged. Writes results/reach.tsv: one row per
 # package (statements, unreached statements, per cent reached), then one row
-# per function no program entered. Run from the repository root:
+# per function no program entered, with the disposition that says why it
+# stays. A function keeps the disposition the previous table gave the same
+# name in the same file; a new one gets "?", which TestReachDispositions
+# refuses until it is replaced by hand. Run from the repository root:
 #
 #	bash scripts/reach.sh            # or: make reach
 #
@@ -15,6 +18,8 @@ set -uo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/bin" "$work/cov" results
+touch "$work/prev.tsv"
+[ -f results/reach.tsv ] && cp results/reach.tsv "$work/prev.tsv"
 
 programs="examples/quickstart examples/securestore examples/asyncpipeline examples/multistore examples/cloudcache bench cmd/udsm-bench"
 for p in $programs; do
@@ -55,9 +60,28 @@ go tool cover -func="$work/profile.txt" >"$work/funcs.txt" || exit 1
 		for (p in stmts) printf "%s\t%d\t%d\t%.1f\n", p, stmts[p], miss[p], 100 * (stmts[p] - miss[p]) / stmts[p]
 		printf "total\t%d\t%d\t%.1f\n", total, missed, 100 * (total - missed) / total
 	}' "$work/profile.txt" | sort
-	printf '\nfunction\tlocation\n'
-	awk '$NF == "0.0%" { loc = $1; sub(/:$/, "", loc); print $2 "\t" loc }' "$work/funcs.txt" | sort -k2
-} >results/reach.tsv
+	printf '\nfunction\tlocation\tdisposition\n'
+	awk '$NF == "0.0%" { loc = $1; sub(/:$/, "", loc); print $2 "\t" loc }' "$work/funcs.txt" | sort -k2 >"$work/zero.tsv"
+	# A disposition is keyed on function name and file, not line; functions
+	# of one name in one file (methods of different types) are told apart
+	# by their order in it.
+	awk -F'\t' '
+	function key(name, loc,   f, l, k, i, r) {
+		f = loc; sub(/:[0-9]+$/, "", f); l = loc; sub(/^.*:/, "", l); k = name "\t" f
+		r = 0; for (i = 1; i <= cnt[FILENAME, k]; i++) if (at[FILENAME, k, i] < l + 0) r++
+		return k "\t" r
+	}
+	FNR == 1 { pass[FILENAME]++ }
+	$2 ~ /:[0-9]+$/ && pass[FILENAME] == 1 {
+		f = $2; sub(/:[0-9]+$/, "", f); l = $2; sub(/^.*:/, "", l); k = $1 "\t" f
+		at[FILENAME, k, ++cnt[FILENAME, k]] = l + 0
+		next
+	}
+	$2 ~ /:[0-9]+$/ && FILENAME == prev && NF >= 3 { disp[key($1, $2)] = $3; next }
+	$2 ~ /:[0-9]+$/ && FILENAME != prev { d = disp[key($1, $2)]; print $0 "\t" (d == "" ? "?" : d) }
+	' prev="$work/prev.tsv" "$work/prev.tsv" "$work/zero.tsv" "$work/prev.tsv" "$work/zero.tsv"
+} >"$work/reach.tsv"
+mv "$work/reach.tsv" results/reach.tsv
 
 grep -E '^(total|edsc/internal/minisql)\b' results/reach.tsv >&2
 if [ -n "$failed" ]; then

@@ -17,8 +17,7 @@ import (
 func openPagedStore(t *testing.T) (*SQLStore, func()) {
 	t.Helper()
 	st, err := OpenSQLStore("sql-paged", SQLStoreOptions{
-		Dir:        filepath.Join(t.TempDir(), "db"),
-		CachePages: 32,
+		DSN: filepath.Join(t.TempDir(), "db") + "?cache_pages=32",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +56,7 @@ func TestPagedSQLStoreLargeDataset(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "db")
 	open := func() *SQLStore {
-		st, err := OpenSQLStore("sql-large", SQLStoreOptions{Dir: dir, CachePages: 32})
+		st, err := OpenSQLStore("sql-large", SQLStoreOptions{DSN: dir + "?cache_pages=32"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +146,6 @@ func TestSQLStoreEngineMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Deregister(st.Name())
 
 	ctx := context.Background()
 	pairs := make(map[string][]byte)

@@ -48,20 +48,11 @@ type SQLStoreOptions struct {
 	Dir string
 	// Table is the backing table name (default "kv_data").
 	Table string
-	// DSN, when set, overrides Dir and the knobs below with a minisql
-	// connection string, e.g. "/var/data/app?cache_pages=512&page_size=8192"
-	// or ":memory:?cache_pages=64" (see minisql.ParseDSN).
+	// DSN, when set, overrides Dir with a minisql connection string, which
+	// also tunes the engine: page_size, cache_pages and checkpoint_bytes,
+	// e.g. "/var/data/app?cache_pages=512&page_size=8192" or
+	// ":memory:?cache_pages=64" (see minisql.ParseDSN).
 	DSN string
-	// PageSize sets the storage page size when creating a database
-	// (default 4096; power of two in [1024, 65536]).
-	PageSize int
-	// CachePages caps the engine's LRU page cache (default 256 pages) —
-	// the store's working set beyond this spills to disk and pages back
-	// in on demand, which is what lets SQL-backed data exceed RAM.
-	CachePages int
-	// CheckpointBytes triggers a WAL checkpoint past this size
-	// (default 8 MiB; <0 disables automatic checkpoints).
-	CheckpointBytes int64
 	// Metrics, when non-nil, receives the engine's internal counters
 	// (page cache, WAL, commit pipeline) as Prometheus counter families —
 	// typically Manager.Metrics(), so engine internals land on the same
@@ -87,11 +78,7 @@ func OpenSQLStore(name string, opts SQLStoreOptions) (*SQLStore, error) {
 	}
 	dsn := opts.DSN
 	if dsn == "" {
-		dsn = minisql.DSN{Path: opts.Dir, Opts: minisql.Options{
-			PageSize:        opts.PageSize,
-			CachePages:      opts.CachePages,
-			CheckpointBytes: opts.CheckpointBytes,
-		}}.String()
+		dsn = minisql.DSN{Path: opts.Dir}.String()
 	}
 	db, err := minisql.OpenDSN(dsn)
 	if err != nil {

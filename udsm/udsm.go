@@ -124,18 +124,6 @@ func (m *Manager) Names() []string {
 	return names
 }
 
-// Deregister removes a store from the manager without closing it.
-func (m *Manager) Deregister(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.stores[name]; !ok {
-		return false
-	}
-	delete(m.stores, name)
-	m.metrics.Unregister(name)
-	return true
-}
-
 // Close shuts down the async pool and closes every registered store,
 // returning the first error encountered.
 func (m *Manager) Close() error {

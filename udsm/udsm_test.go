@@ -46,21 +46,6 @@ func TestRegisterAndLookup(t *testing.T) {
 	}
 }
 
-func TestDeregister(t *testing.T) {
-	m := newManager(t)
-	_, _ = m.Register(NewMemStore("mem"))
-	if !m.Deregister("mem") {
-		t.Fatal("Deregister = false")
-	}
-	if m.Deregister("mem") {
-		t.Fatal("second Deregister = true")
-	}
-	// Name is free again.
-	if _, err := m.Register(NewMemStore("mem")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDataStoreConformance(t *testing.T) {
 	// A monitored DataStore is still a conforming kv.Store.
 	kvtest.Run(t, func(t *testing.T) (kv.Store, func()) {
