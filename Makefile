@@ -68,8 +68,8 @@ chaos:
 
 # The node-kill chaos suite: whole backend nodes die and restart under the
 # replicated cluster tier while the linearizability checker watches, plus
-# the cluster conformance (quorum loss, hinted handoff, read repair,
-# membership change under load) — race detector on.
+# the cluster conformance (quorum loss, hinted handoff, read repair) — race
+# detector on.
 chaos-cluster:
 	EDSC_CHAOS=aggressive go test -race -run 'TestClusterChaos|TestClusterSuite' -v ./kv/cluster
 

@@ -26,9 +26,7 @@ type nodePlan struct {
 // exactly Replication plans; owners gives key -> the plans of its replicas, in
 // preference order, for quorum counting.
 func (c *Cluster) planBatch(keys []string) (plans []*nodePlan, owners map[string][]*nodePlan, err error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, nil, kv.ErrClosed
 	}
 	byNode := make(map[string]*nodePlan)
@@ -179,7 +177,7 @@ func (c *Cluster) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 		// A failed node write is conservative: hint every key it carried
 		// (hints install only-if-newer, so over-hinting is harmless).
 		for _, k := range p.keys {
-			c.addHint(p.rep.id, k, recs[k], false)
+			c.addHint(p.rep.id, k, recs[k])
 		}
 	}
 	failed := false

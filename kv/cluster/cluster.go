@@ -2,8 +2,9 @@
 // backends: a kv.Store client that shards keys across N nodes with a
 // consistent-hash ring (virtual nodes), replicates every key to a
 // preference list of nodes with configurable N/R/W quorums, repairs
-// divergent replicas on read, buffers hinted handoff for nodes that are
-// down, and rebalances live when nodes join or leave.
+// divergent replicas on read, and buffers hinted handoff for nodes that are
+// down. A Cluster's node set is fixed at New; to change the nodes, build a new
+// Cluster over the same IDs (a node's ID, not its store, places its keys).
 //
 // This is the "millions of users" step of the roadmap: the single-node
 // substrates (in-memory, miniredis, cloudsim, minisql) stay untouched and
@@ -55,9 +56,9 @@
 // after any successful write that touches it, or explicitly via FlushHints).
 //
 // All writes to one key are serialized through a striped coordinator lock,
-// which is what makes CompareAndPut sound: this package assumes a single
-// coordinator process per cluster (the paper's client-side setting). Two
-// Cluster clients over the same nodes would race versions.
+// which is what makes CompareAndPut sound for one coordinator: the lock and
+// the compare-and-put are atomic per Cluster only. Two Cluster clients over
+// the same nodes would race versions.
 //
 // A write takes its version under that lock (writeRecord for one key,
 // PutMulti for a batch, and nowhere else), so the versions of a key rise in
@@ -70,9 +71,9 @@
 // written under a clock that ran ahead.
 //
 // Node calls start in two places only: fanout.run asks the replicas of one
-// key, eachNode asks whole nodes (batches, listings, Clear, the rebalance
-// listing). Both start a round's calls together under one deadline, one
-// roundCtx, and wait for all of them.
+// key, eachNode asks whole nodes (batches, listings, Clear). Both start a
+// round's calls together under one deadline, one roundCtx, and wait for all
+// of them.
 package cluster
 
 import (
@@ -107,7 +108,7 @@ type Node struct {
 }
 
 // Options tune the cluster. The zero value replicates to min(3, nodes)
-// replicas with majority quorums and 64 virtual nodes.
+// replicas with majority quorums.
 type Options struct {
 	// Replication is N, the number of replicas per key (default
 	// min(3, member count), capped at the member count).
@@ -116,10 +117,6 @@ type Options struct {
 	ReadQuorum int
 	// WriteQuorum is W, the replica acks a write needs (default N/2+1).
 	WriteQuorum int
-	// Vnodes is the virtual-node count per member (default 64).
-	Vnodes int
-	// Seed perturbs ring placement deterministically.
-	Seed int64
 	// MaxHints bounds the hinted-handoff buffer per node (default 4096);
 	// beyond it the oldest hints are dropped and counted in Stats.
 	MaxHints int
@@ -143,9 +140,6 @@ func (o Options) withDefaults(members int) Options {
 	if o.WriteQuorum <= 0 {
 		o.WriteQuorum = o.Replication/2 + 1
 	}
-	if o.Vnodes <= 0 {
-		o.Vnodes = 64
-	}
 	if o.MaxHints <= 0 {
 		o.MaxHints = 4096
 	}
@@ -166,8 +160,6 @@ type Stats struct {
 	HintsReplayed   int64 // hints drained back to recovered nodes
 	HintsDropped    int64 // hints lost to the MaxHints bound
 	QuorumFailures  int64 // operations failed for lack of quorum
-	Rebalances      int64 // join/leave rebalance passes completed
-	KeysMoved       int64 // records copied during rebalancing
 }
 
 // Cluster is the sharded, replicated store client. It implements kv.Store,
@@ -179,11 +171,15 @@ type Cluster struct {
 	opts Options
 	ver  atomic.Uint64 // cluster-wide version counter (single coordinator)
 
-	mu      sync.RWMutex // guards ring, members, hints, closed
+	// ring, members and nodes are written once, in New, and read without a
+	// lock: the node set is fixed for the Cluster's life.
 	ring    *Ring
 	members map[string]kv.Store
-	hints   map[string][]hint // node ID -> pending handoff records
-	closed  bool
+	nodes   []replica // every member, in ID order
+
+	closed atomic.Bool
+	mu     sync.Mutex        // guards hints
+	hints  map[string][]hint // node ID -> pending handoff records
 	// hintCount is the number of records in hints, maintained wherever hints
 	// changes (under mu) and read without it: the write path asks "anything
 	// to drain?" after every put, and the answer is almost always no.
@@ -197,7 +193,6 @@ type Cluster struct {
 	reads, writes, repairs, degraded atomic.Int64
 	escalations                      atomic.Int64
 	hintsQ, hintsR, hintsD, noQuorum atomic.Int64
-	rebalances, keysMoved            atomic.Int64
 }
 
 const keyStripes = 64
@@ -218,7 +213,8 @@ var (
 // New builds a cluster client over nodes. Node IDs must be unique and
 // non-empty; at least one node is required, and the quorum parameters must
 // satisfy R <= N, W <= N, and R+W > N (quorum intersection — the basis of
-// every consistency claim this package makes).
+// every consistency claim this package makes). The node set is fixed for the
+// Cluster's life.
 func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: at least one node required")
@@ -231,11 +227,11 @@ func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 	c := &Cluster{
 		name:    name,
 		opts:    opts,
-		ring:    NewRing(opts.Vnodes, opts.Seed),
 		members: make(map[string]kv.Store, len(nodes)),
 		hints:   make(map[string][]hint),
 	}
 	c.ver.Store(uint64(time.Now().UnixNano()))
+	ids := make([]string, 0, len(nodes))
 	for _, nd := range nodes {
 		if nd.ID == "" || nd.Store == nil {
 			return nil, errors.New("cluster: node needs a non-empty ID and a store")
@@ -244,7 +240,11 @@ func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: duplicate node ID %q", nd.ID)
 		}
 		c.members[nd.ID] = nd.Store
-		c.ring.Add(nd.ID)
+		ids = append(ids, nd.ID)
+	}
+	c.ring = PlacementRing(ids)
+	for _, id := range c.ring.Nodes() {
+		c.nodes = append(c.nodes, replica{id: id, store: c.members[id]})
 	}
 	return c, nil
 }
@@ -261,8 +261,6 @@ func (c *Cluster) Stats() Stats {
 		HintsReplayed:   c.hintsR.Load(),
 		HintsDropped:    c.hintsD.Load(),
 		QuorumFailures:  c.noQuorum.Load(),
-		Rebalances:      c.rebalances.Load(),
-		KeysMoved:       c.keysMoved.Load(),
 	}
 }
 
@@ -277,7 +275,6 @@ func (c *Cluster) RegisterMetrics(reg *monitor.Registry) {
 				"read_repair": st.ReadRepairs, "read_escalation": st.ReadEscalations,
 				"degraded_write": st.DegradedWrites, "quorum_failure": st.QuorumFailures,
 				"hint_queued": st.HintsQueued, "hint_replayed": st.HintsReplayed, "hint_dropped": st.HintsDropped,
-				"rebalance": st.Rebalances, "key_moved": st.KeysMoved,
 			}
 		})
 }
@@ -286,8 +283,8 @@ func (c *Cluster) RegisterMetrics(reg *monitor.Registry) {
 func (c *Cluster) Name() string { return c.name }
 
 // Options returns the effective configuration — the constructor's input
-// with every default resolved (replication factor, quorum sizes, ring
-// geometry).
+// with every default resolved (replication factor, quorum sizes, hint bound,
+// node timeout).
 func (c *Cluster) Options() Options { return c.opts }
 
 // --- record encoding -------------------------------------------------------
@@ -350,8 +347,8 @@ func DecodeRecord(b []byte) (Record, error) {
 func (c *Cluster) nextVersion() uint64 { return c.ver.Add(1) }
 
 // observeVersion raises the counter to at least v, the newest version a read
-// or a rebalance met: what is left to do for data written by a coordinator
-// whose clock ran ahead of this one's.
+// met: what is left to do for data written by a coordinator whose clock ran
+// ahead of this one's.
 func (c *Cluster) observeVersion(v uint64) {
 	for {
 		cur := c.ver.Load()
@@ -367,7 +364,7 @@ func versionString(v uint64) kv.Version {
 	return kv.Version(strconv.AppendUint(b[:1], v, 10))
 }
 
-// --- membership snapshots and errors ---------------------------------------
+// --- replica sets and errors -----------------------------------------------
 
 type replica struct {
 	id    string
@@ -492,15 +489,12 @@ func (f *fanout) run(ctx context.Context, key string, enc []byte, lo, hi int, de
 	f.wg.Wait()
 }
 
-// replicasFor snapshots key's preference list into f.reps under the
-// membership lock.
+// replicasFor puts key's preference list into f.reps.
 func (c *Cluster) replicasFor(f *fanout, key string) error {
-	var idBuf [fanoutInline]string
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
+	if c.closed.Load() {
 		return kv.ErrClosed
 	}
+	var idBuf [fanoutInline]string
 	f.reps = f.repBuf[:0]
 	for _, id := range c.ring.AppendLookupN(idBuf[:0], key, c.opts.Replication) {
 		f.reps = append(f.reps, replica{id: id, store: c.members[id]})
@@ -508,26 +502,13 @@ func (c *Cluster) replicasFor(f *fanout, key string) error {
 	return nil
 }
 
-// isMember reports whether nodeID is (still) a member.
-func (c *Cluster) isMember(nodeID string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.members[nodeID]
-	return ok
-}
-
-// allMembers snapshots the full membership under the lock.
+// allMembers returns every member, in ID order. The slice is shared: callers
+// must not modify it.
 func (c *Cluster) allMembers() ([]replica, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, kv.ErrClosed
 	}
-	out := make([]replica, 0, len(c.members))
-	for _, id := range c.ring.Nodes() {
-		out = append(out, replica{id: id, store: c.members[id]})
-	}
-	return out, nil
+	return c.nodes, nil
 }
 
 // quorumError builds the typed quorum failure: a *kv.StoreError whose cause
@@ -654,7 +635,7 @@ func (c *Cluster) writeRecord(ctx context.Context, op, key string, value []byte,
 			acked = append(acked, r.rep)
 		} else {
 			causes = append(causes, fmt.Errorf("node %s: %w", r.rep.id, r.err))
-			c.addHint(r.rep.id, key, rec, false)
+			c.addHint(r.rep.id, key, rec)
 		}
 	}
 	lock.Unlock()
@@ -673,26 +654,18 @@ func (c *Cluster) writeRecord(ctx context.Context, op, key string, value []byte,
 	return rec.Version, nil
 }
 
-// addHint buffers a handoff record for an unreachable node. A hint that
-// drainHints puts back after a failed replay (requeued) was counted and made
-// room for when its write queued it: it is not counted again and evicts
-// nothing, so the queue may stand above MaxHints by what a drain took out
-// until the next new hint trims it.
-func (c *Cluster) addHint(nodeID, key string, rec record, requeued bool) {
+// addHint buffers a handoff record for an unreachable node, dropping the
+// oldest of its hints beyond MaxHints.
+func (c *Cluster) addHint(nodeID, key string, rec record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, member := c.members[nodeID]; !member {
-		return
-	}
 	h := c.hints[nodeID]
-	if !requeued {
-		for len(h) >= c.opts.MaxHints {
-			h = h[1:]
-			c.hintsD.Add(1)
-			c.hintCount.Add(-1)
-		}
-		c.hintsQ.Add(1)
+	for len(h) >= c.opts.MaxHints {
+		h = h[1:]
+		c.hintsD.Add(1)
+		c.hintCount.Add(-1)
 	}
+	c.hintsQ.Add(1)
 	c.hints[nodeID] = append(h, hint{key: key, rec: rec})
 	c.hintCount.Add(1)
 }
@@ -705,53 +678,51 @@ func (c *Cluster) takeHints(nodes []replica) map[string][]hint {
 	for _, n := range nodes {
 		if h := c.hints[n.id]; len(h) > 0 {
 			out[n.id] = h
-			c.dropHintsLocked(n.id)
+			c.hintCount.Add(-int64(len(h)))
+			delete(c.hints, n.id)
 		}
 	}
 	return out
 }
 
-// dropHintsLocked forgets nodeID's pending hints. Caller holds c.mu.
-func (c *Cluster) dropHintsLocked(nodeID string) {
-	c.hintCount.Add(-int64(len(c.hints[nodeID])))
-	delete(c.hints, nodeID)
-}
-
 // drainHints replays pending hints to the given nodes (which just proved
 // reachable). Each record installs under its key lock and only if the node
-// does not already hold something newer; hints that fail again are re-queued.
-// Callers must NOT hold any key stripe lock.
+// does not already hold something newer. A node's first failed install ends
+// its replay: that hint and the ones after it go back untried, in order and
+// ahead of any queued since, so a node that has gone silent again costs a
+// drain one NodeTimeout, not one per hint. They were counted and made room
+// for when their writes queued them, so they are not counted again and evict
+// nothing: the queue may stand above MaxHints until the next new hint trims
+// it. Callers must NOT hold any key stripe lock.
 //
 // It runs after every successful write, so with nothing buffered anywhere —
-// the steady state — it is one atomic load: no allocation, and no exclusive
-// hold of c.mu to stall the replicasFor readers.
+// the steady state — it is one atomic load: no allocation and no lock.
 func (c *Cluster) drainHints(ctx context.Context, nodes []replica) {
 	if c.hintCount.Load() == 0 {
 		return
 	}
-	byID := make(map[string]kv.Store, len(nodes))
-	for _, n := range nodes {
-		byID[n.id] = n.store
-	}
 	for id, hs := range c.takeHints(nodes) {
-		store := byID[id]
-		for _, h := range hs {
+		store := c.members[id]
+		for i, h := range hs {
 			lock := c.lockFor(h.key)
 			lock.Lock()
 			err := c.installIfNewer(ctx, store, h.key, h.rec, true)
 			lock.Unlock()
 			if err != nil {
-				c.addHint(id, h.key, h.rec, true)
-			} else {
-				c.hintsR.Add(1)
+				c.mu.Lock()
+				c.hints[id] = slices.Concat(hs[i:], c.hints[id])
+				c.hintCount.Add(int64(len(hs) - i))
+				c.mu.Unlock()
+				break
 			}
+			c.hintsR.Add(1)
 		}
 	}
 }
 
 // FlushHints synchronously replays every buffered handoff record whose
 // target node is reachable. It returns the number of hints still pending
-// (nodes still down re-queue their records).
+// (a node still down keeps its records, from the first that failed on).
 func (c *Cluster) FlushHints(ctx context.Context) (remaining int, err error) {
 	reps, err := c.allMembers()
 	if err != nil {
@@ -933,12 +904,6 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 		if r.err != nil || (r.exists && r.rec.Version >= winner.Version) {
 			continue
 		}
-		// The replica set was resolved before the fan-out; a node that left
-		// since has been drained of this key (under this same key lock) and
-		// must not get it back.
-		if !c.isMember(r.rep.id) {
-			continue
-		}
 		if err := c.installIfNewer(ctx, r.rep.store, key, winner, false); err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -977,7 +942,7 @@ func (c *Cluster) readRecord(ctx context.Context, op, key string, locked bool) (
 	if err := c.replicasFor(f, key); err != nil {
 		return record{}, false, err
 	}
-	n := len(f.reps) // never zero: New and Leave keep Replication members
+	n := len(f.reps) // never zero: New needs a node
 	p := min(n, max(c.opts.ReadQuorum, n-c.opts.ReadQuorum+1))
 	rotate(f.reps, int((c.cursor[stripeOf(key)].Add(1)-1)%uint32(n)))
 	now := time.Now()
@@ -1101,8 +1066,10 @@ func (c *Cluster) put(ctx context.Context, key string, value []byte) (uint64, er
 }
 
 // PutIfVersion implements kv.CompareAndPut. The coordinator's key lock
-// serializes it against every other write to the key, so the quorum
-// read-check-write below is atomic from this client's point of view.
+// serializes it against every other write to the key through this Cluster, so
+// the quorum read-check-write below is atomic per coordinator only: two
+// Clusters over the same nodes can both succeed with the same since. The node
+// set it reads and writes is the one fixed at New, for the Cluster's life.
 func (c *Cluster) PutIfVersion(ctx context.Context, key string, value []byte, since kv.Version) (kv.Version, error) {
 	if err := ctx.Err(); err != nil {
 		return kv.NoVersion, err
@@ -1274,20 +1241,12 @@ func (c *Cluster) Clear(ctx context.Context) error {
 // Close implements kv.Store: it closes every member store (the cluster owns
 // its nodes, as OpenSQLStore owns its database).
 func (c *Cluster) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.closed = true
-	members := make([]kv.Store, 0, len(c.members))
-	for _, s := range c.members {
-		members = append(members, s)
-	}
-	c.mu.Unlock()
 	var firstErr error
-	for _, s := range members {
-		if err := s.Close(); err != nil && firstErr == nil {
+	for _, n := range c.nodes {
+		if err := n.store.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

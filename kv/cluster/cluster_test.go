@@ -46,7 +46,7 @@ func TestClusterConformance(t *testing.T) {
 }
 
 // TestClusterSuite runs the cluster-specific conformance: quorum failures,
-// hinted handoff, read repair, membership change under load.
+// hinted handoff, read repair.
 func TestClusterSuite(t *testing.T) {
 	kvtest.RunCluster(t, kvtest.MemNodeFactory)
 }

