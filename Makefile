@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse delta allocs shapes reach metrics clean lint-capabilities
+.PHONY: all build vet test race cover bench bench-batch bench-check bench-baseline figures examples fuzz chaos chaos-cluster crash fence reuse mux-cancel delta allocs shapes reach metrics clean lint-capabilities
 
 all: build lint-capabilities test
 
@@ -133,6 +133,12 @@ reuse:
 	$(call run-named,-race -count=20 -run '(TestMuxStoreConformance|TestConformance|TestClusterConformance|TestPutCutConformance)/PutCutByDeadline' ./internal/miniredis ./internal/cloudsim ./kv/cluster ./kv/resilient)
 	$(call run-named,-race -count=20 -run 'TestPutEnvelopeOwnership|TestSealNoncesNeverRepeat' ./dscl ./internal/secure)
 
+# Muxed callers with tight deadlines abandoning calls while others keep going
+# on the same sockets, 1000 times: no caller may see another's cancellation
+# or deadline (a deadline is its holder's alone) or a misrouted reply.
+mux-cancel:
+	$(call run-named,-count=1000 -run 'TestMuxInterleavedCancellation$$' ./internal/miniredis)
+
 # The delta chain as a store: every inner write of a scripted history failed
 # before and after it applied (the key reads as the last acknowledged value or
 # the failed write's, from the surviving chain and from a fresh one), Clear
@@ -158,7 +164,7 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
 	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone \
 	TestAllocGuardSealOpen TestAllocGuardQuorumOverSQL TestAllocGuardInProcessHit \
-	TestAllocGuardKVStoreContains
+	TestAllocGuardKVStoreContains TestAllocGuardPutBesideHints
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/secure ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \

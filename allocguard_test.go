@@ -202,12 +202,13 @@ func TestAllocGuardDataStoreHit(t *testing.T) {
 		slow time.Duration
 		want float64
 	}{{0, 0}, {time.Hour, 1}} {
-		mgr := udsm.New(udsm.Options{SlowTrace: tc.slow})
+		mgr := udsm.New(udsm.Options{})
 		t.Cleanup(func() { _ = mgr.Close() })
 		ds, err := mgr.Register(dscl.New(kv.NewMem("mem"), dscl.WithCache(dscl.NewInProcessCache(dscl.InProcessOptions{}))))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ds.Monitor().SetSlowThreshold(tc.slow)
 		ctx := context.Background()
 		if err := ds.Put(ctx, "k", []byte("value")); err != nil {
 			t.Fatal(err)
@@ -219,10 +220,10 @@ func TestAllocGuardDataStoreHit(t *testing.T) {
 		}
 		hit()
 		if got := testing.AllocsPerRun(500, hit); got != tc.want {
-			t.Errorf("SlowTrace %v: a cache hit through udsm.DataStore allocated %.0f times, want %.0f", tc.slow, got, tc.want)
+			t.Errorf("slow threshold %v: a cache hit through udsm.DataStore allocated %.0f times, want %.0f", tc.slow, got, tc.want)
 		}
 		if st := ds.Snapshot(false); len(st.Slow) != 0 {
-			t.Errorf("SlowTrace %v: %d traces retained, want none (no hit takes an hour)", tc.slow, len(st.Slow))
+			t.Errorf("slow threshold %v: %d traces retained, want none (no hit takes an hour)", tc.slow, len(st.Slow))
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"edsc/kv"
 	"edsc/kv/kvtest"
 	"edsc/kv/resilient"
-	"edsc/monitor"
 	"edsc/udsm"
 	"edsc/workload"
 )
@@ -404,8 +403,8 @@ func faultCfg() workload.Config {
 // scenario: a cloud store whose server injects wire-level faults — every
 // 10th request answered with HTTP 500, every 4th stalled 20ms — must
 // complete a full workload run behind the resilience wrapper with zero
-// client-visible errors, and the monitor must show the masking work
-// (retries and hedged reads) that made that possible.
+// client-visible errors, and the wrapper's counters must show the masking
+// work (retries and hedged reads) that made that possible.
 func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 	ctx := context.Background()
 
@@ -416,14 +415,12 @@ func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 	t.Cleanup(func() { _ = cloud.Close() })
 	cloud.SetFaults(udsm.CloudFaults{Every500: 10, EverySlow: 4, SlowBy: 20 * time.Millisecond, Seed: 1})
 
-	rec := monitor.New("cloud", 64)
 	store := resilient.New(udsm.OpenCloudStore("cloud", cloud.URL(), "prod"), resilient.Options{
 		RetryWrites: true,
 		MaxRetries:  8,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  20 * time.Millisecond,
 		HedgeDelay:  2 * time.Millisecond,
-		Recorder:    rec,
 		Seed:        1,
 	})
 	defer store.Close()
@@ -443,26 +440,12 @@ func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 	if st.Hedges == 0 {
 		t.Fatalf("reads were stalled but no hedge fired: %+v", st)
 	}
-	var sawRetry, sawHedge bool
-	for _, op := range rec.Snapshot(false).Ops {
-		switch op.Op {
-		case "retry":
-			sawRetry = op.Count > 0
-		case "hedge":
-			sawHedge = op.Count > 0
-		}
-	}
-	if !sawRetry || !sawHedge {
-		t.Fatalf("monitor snapshot missing resilience ops: retry=%v hedge=%v (%+v)",
-			sawRetry, sawHedge, rec.Snapshot(false).Ops)
-	}
 }
 
 // TestMetricsEndpointAcceptance is the observability acceptance scenario: a
 // cloudsim server under fault injection serves its /v1 API and, on the same
-// listener, a /metrics endpoint aggregating the server-side per-op recorder,
-// the client-side resilient store's recorder, and the wrapper's
-// retry/hedge counters. After a workload runs through the full
+// listener, a /metrics endpoint aggregating the server-side per-op recorder
+// and the client-side resilient wrapper's retry/hedge counters. After a workload runs through the full
 // stack, one scrape must show per-op counts, latency histogram buckets, and
 // nonzero resilience counters — and the UDSM's slow-trace retention must
 // have produced span traces that reach down to individual HTTP attempts.
@@ -476,29 +459,27 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 	t.Cleanup(func() { _ = cloud.Close() })
 	cloud.SetFaults(udsm.CloudFaults{Every500: 10, EverySlow: 4, SlowBy: 5 * time.Millisecond, Seed: 1})
 
-	rec := monitor.New("cloud", 64)
 	store := resilient.New(udsm.OpenCloudStore("cloud", cloud.URL(), "prod"), resilient.Options{
 		RetryWrites: true,
 		MaxRetries:  8,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  10 * time.Millisecond,
 		HedgeDelay:  2 * time.Millisecond,
-		Recorder:    rec,
 		Seed:        1,
 	})
-	// Everything scrapes from the cloud server's own endpoint: client-side
-	// recorder and resilience counters ride on the server's registry.
-	cloud.Metrics().Register(rec)
+	// Everything scrapes from the cloud server's own endpoint: the client's
+	// resilience counters ride on the server's registry.
 	store.RegisterMetrics(cloud.Metrics())
 
 	// Trace every request (threshold 1ns) through the UDSM so the slow
 	// buffer fills with spans from the resilient and HTTP layers.
-	mgr := udsm.New(udsm.Options{SlowTrace: time.Nanosecond})
+	mgr := udsm.New(udsm.Options{})
 	defer mgr.Close()
 	ds, err := mgr.Register(store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds.Monitor().SetSlowThreshold(time.Nanosecond)
 
 	gen := workload.New(faultCfg())
 	if _, err := gen.Run(ctx, ds, nil); err != nil {
@@ -528,9 +509,7 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 		`edsc_op_total{store="cloudsim",op="get"}`,
 		`edsc_op_total{store="cloudsim",op="put"}`,
 		`edsc_op_latency_seconds_bucket{store="cloudsim",op="get",le=`,
-		// Client-side series from the resilient wrapper's recorder.
-		`edsc_op_total{store="cloud",op="retry"}`,
-		// Resilience event counters.
+		// The client-side resilient wrapper's event counters.
 		`edsc_resilience_events_total{store="cloud",event="retry"}`,
 		`edsc_resilience_events_total{store="cloud",event="hedge"}`,
 	} {
@@ -556,7 +535,7 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 	// spans from the layers below the UDSM.
 	snap := ds.Snapshot(false)
 	if len(snap.Slow) == 0 {
-		t.Fatal("no slow traces retained with SlowTrace=1ns")
+		t.Fatal("no slow traces retained with a 1ns slow threshold")
 	}
 	var sawDeepSpan bool
 	for _, tr := range snap.Slow {
@@ -575,9 +554,9 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 }
 
 // TestRequestIDReachesTheWire: the request ID does not depend on a trace.
-// With SlowTrace off the UDSM starts none, dscl tags the context on a miss,
-// and the fetch still goes out with an X-Request-Id the cloud server echoes;
-// with SlowTrace on, the retained trace shows dscl's fetch span under the very
+// With no slow threshold the UDSM starts none, dscl tags the context on a
+// miss, and the fetch still goes out with an X-Request-Id the cloud server
+// echoes; with one, the retained trace shows dscl's fetch span under the very
 // ID that went out. A recording proxy stands between client and server.
 func TestRequestIDReachesTheWire(t *testing.T) {
 	ctx := context.Background()
@@ -606,13 +585,14 @@ func TestRequestIDReachesTheWire(t *testing.T) {
 	t.Cleanup(proxy.Close)
 
 	for _, slow := range []time.Duration{0, time.Nanosecond} {
-		mgr := udsm.New(udsm.Options{SlowTrace: slow})
+		mgr := udsm.New(udsm.Options{})
 		t.Cleanup(func() { _ = mgr.Close() })
 		cache := dscl.NewInProcessCache(dscl.InProcessOptions{})
 		ds, err := mgr.Register(dscl.New(udsm.OpenCloudStore("cloud", proxy.URL, "ids"), dscl.WithCache(cache)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ds.Monitor().SetSlowThreshold(slow)
 		if err := ds.Put(ctx, "k", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -623,18 +603,18 @@ func TestRequestIDReachesTheWire(t *testing.T) {
 		seen = seen[:0]
 		mu.Unlock()
 		if v, err := ds.Get(ctx, "k"); err != nil || string(v) != "v" {
-			t.Fatalf("SlowTrace %v: Get = %q, %v", slow, v, err)
+			t.Fatalf("slow threshold %v: Get = %q, %v", slow, v, err)
 		}
 		mu.Lock()
 		got := append([]exchange(nil), seen...)
 		mu.Unlock()
 		if len(got) != 1 || got[0].method != http.MethodGet || got[0].sent == "" || got[0].echoed != got[0].sent {
-			t.Fatalf("SlowTrace %v: the miss crossed the wire as %+v, want one GET with an X-Request-Id echoed back", slow, got)
+			t.Fatalf("slow threshold %v: the miss crossed the wire as %+v, want one GET with an X-Request-Id echoed back", slow, got)
 		}
 		traces := ds.Snapshot(false).Slow
 		if slow == 0 {
 			if len(traces) != 0 {
-				t.Fatalf("SlowTrace off retained %d traces", len(traces))
+				t.Fatalf("no slow threshold, yet %d traces retained", len(traces))
 			}
 			continue
 		}

@@ -25,17 +25,6 @@ import (
 // body reads mid-stream; phase timeouts catch a dead peer without
 // constraining a healthy transfer.
 type Options struct {
-	// DialTimeout bounds establishing a TCP connection (default 5s).
-	DialTimeout time.Duration
-	// ResponseHeaderTimeout bounds the wait from request written to the end
-	// of the response head (default 30s; <0 disables). Body transfer time is
-	// intentionally not covered — only ctx bounds it.
-	ResponseHeaderTimeout time.Duration
-	// IdleConnTimeout is how long an idle pooled connection is kept
-	// (default 90s).
-	IdleConnTimeout time.Duration
-	// KeepAlive is the TCP keep-alive probe interval (default 30s).
-	KeepAlive time.Duration
 	// MaxIdleConnsPerHost sizes the idle pool (default 64 — the server is
 	// one host, so this is effectively the pool size).
 	MaxIdleConnsPerHost int
@@ -46,38 +35,46 @@ type Options struct {
 	// Coalesce merges concurrent single-key Get/GetVersioned calls into
 	// bulk ?batch=get round trips (see coalesce.go). Off by default.
 	Coalesce bool
-	// CoalesceMaxKeys caps the keys carried by one coalesced bulk fetch
+
+	// The rest are set by this package's tests only; zero takes the default.
+	//
+	// dialTimeout bounds establishing a TCP connection (default 5s).
+	dialTimeout time.Duration
+	// responseHeaderTimeout bounds the wait from request written to the end
+	// of the response head (default 30s). Body transfer time is
+	// intentionally not covered — only ctx bounds it.
+	responseHeaderTimeout time.Duration
+	// coalesceMaxKeys caps the keys carried by one coalesced bulk fetch
 	// (default 128).
-	CoalesceMaxKeys int
-	// CoalesceInflight is how many coalesced bulk fetches may be on the
+	coalesceMaxKeys int
+	// coalesceInflight is how many coalesced bulk fetches may be on the
 	// wire at once; arrivals beyond that accumulate into the next batch
 	// (default 4).
-	CoalesceInflight int
+	coalesceInflight int
 }
 
+const (
+	// idleConnTimeout is how long an idle pooled connection is kept.
+	idleConnTimeout = 90 * time.Second
+	// keepAlive is the TCP keep-alive probe interval.
+	keepAlive = 30 * time.Second
+)
+
 func (o Options) withDefaults() Options {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
+	if o.dialTimeout == 0 {
+		o.dialTimeout = 5 * time.Second
 	}
-	if o.ResponseHeaderTimeout == 0 {
-		o.ResponseHeaderTimeout = 30 * time.Second
-	} else if o.ResponseHeaderTimeout < 0 {
-		o.ResponseHeaderTimeout = 0
-	}
-	if o.IdleConnTimeout == 0 {
-		o.IdleConnTimeout = 90 * time.Second
-	}
-	if o.KeepAlive == 0 {
-		o.KeepAlive = 30 * time.Second
+	if o.responseHeaderTimeout == 0 {
+		o.responseHeaderTimeout = 30 * time.Second
 	}
 	if o.MaxIdleConnsPerHost == 0 {
 		o.MaxIdleConnsPerHost = 64
 	}
-	if o.CoalesceMaxKeys <= 0 {
-		o.CoalesceMaxKeys = 128
+	if o.coalesceMaxKeys <= 0 {
+		o.coalesceMaxKeys = 128
 	}
-	if o.CoalesceInflight <= 0 {
-		o.CoalesceInflight = 4
+	if o.coalesceInflight <= 0 {
+		o.coalesceInflight = 4
 	}
 	return o
 }

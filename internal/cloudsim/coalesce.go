@@ -4,7 +4,7 @@ package cloudsim
 // calls are merged into one POST ?batch=get bulk round trip, amortizing the
 // per-request WAN cost the same way the miniredis mux amortizes syscalls.
 // The scheme is group commit rather than a mandatory linger window: while
-// at most CoalesceInflight bulk fetches are on the wire, new arrivals
+// at most Options.coalesceInflight bulk fetches are on the wire, new arrivals
 // accumulate; each completion dispatches everything accumulated as the next
 // batch. A solo caller on an idle coalescer therefore dispatches
 // immediately — uncontended latency stays one round trip — and batches grow
@@ -81,8 +81,8 @@ type getCoalescer struct {
 func newGetCoalescer(c *Client, opts Options) *getCoalescer {
 	return &getCoalescer{
 		c:           c,
-		maxKeys:     opts.CoalesceMaxKeys,
-		maxInflight: opts.CoalesceInflight,
+		maxKeys:     opts.coalesceMaxKeys,
+		maxInflight: opts.coalesceInflight,
 	}
 }
 

@@ -29,7 +29,7 @@ func TestCoalesceConformance(t *testing.T) {
 func TestCoalesceMergesGets(t *testing.T) {
 	const rtt = 20 * time.Millisecond
 	s := startServer(t, Profile{Name: "cloud", BaseRTT: rtt, Scale: 1, Seed: 1})
-	c := NewClientWith("cloud", s.Addr(), "b", Options{Coalesce: true, CoalesceInflight: 1})
+	c := NewClientWith("cloud", s.Addr(), "b", Options{Coalesce: true, coalesceInflight: 1})
 	defer c.Close()
 	ctx := context.Background()
 
@@ -87,12 +87,12 @@ func TestCoalesceMergesGets(t *testing.T) {
 	}
 }
 
-// TestCoalesceMaxKeysSplit: batches respect CoalesceMaxKeys, spilling the
+// TestCoalesceMaxKeysSplit: batches respect coalesceMaxKeys, spilling the
 // rest into follow-up round trips rather than dropping or overpacking.
 func TestCoalesceMaxKeysSplit(t *testing.T) {
 	s := startServer(t, Profile{Name: "cloud", BaseRTT: 10 * time.Millisecond, Scale: 1, Seed: 1})
 	c := NewClientWith("cloud", s.Addr(), "b", Options{
-		Coalesce: true, CoalesceInflight: 1, CoalesceMaxKeys: 4,
+		Coalesce: true, coalesceInflight: 1, coalesceMaxKeys: 4,
 	})
 	defer c.Close()
 	ctx := context.Background()
@@ -168,7 +168,7 @@ func TestCoalesceErrorAttribution(t *testing.T) {
 func TestCoalescePerCallerCancel(t *testing.T) {
 	const rtt = 40 * time.Millisecond
 	s := startServer(t, Profile{Name: "cloud", BaseRTT: rtt, Scale: 1, Seed: 1})
-	c := NewClientWith("cloud", s.Addr(), "b", Options{Coalesce: true, CoalesceInflight: 1})
+	c := NewClientWith("cloud", s.Addr(), "b", Options{Coalesce: true, coalesceInflight: 1})
 	defer c.Close()
 	bg := context.Background()
 	if err := c.PutMulti(bg, map[string][]byte{"k1": []byte("v1"), "k2": []byte("v2")}); err != nil {

@@ -60,7 +60,7 @@ func (p *pool) get(ctx context.Context) (*conn, error) {
 		cn := p.idle[n-1]
 		p.idle[n-1], p.idle = nil, p.idle[:n-1]
 		p.mu.Unlock()
-		if time.Since(cn.idleAt) < p.opts.IdleConnTimeout && cn.alive() {
+		if time.Since(cn.idleAt) < idleConnTimeout && cn.alive() {
 			return cn, nil
 		}
 		cn.close()
@@ -68,7 +68,7 @@ func (p *pool) get(ctx context.Context) (*conn, error) {
 }
 
 func (p *pool) dial(ctx context.Context) (*conn, error) {
-	d := net.Dialer{Timeout: p.opts.DialTimeout, KeepAlive: p.opts.KeepAlive}
+	d := net.Dialer{Timeout: p.opts.dialTimeout, KeepAlive: keepAlive}
 	nc, err := d.DialContext(ctx, "tcp", p.addr)
 	if err != nil {
 		return nil, err
@@ -257,21 +257,17 @@ func (cn *conn) release() {
 // readResponse reads the response head, within the header timeout (a read
 // deadline), and sets up the body.
 func (cn *conn) readResponse(head bool) error {
-	t := cn.p.opts.ResponseHeaderTimeout
-	if t > 0 {
-		_ = cn.nc.SetReadDeadline(time.Now().Add(t))
-	}
+	t := cn.p.opts.responseHeaderTimeout
+	_ = cn.nc.SetReadDeadline(time.Now().Add(t))
 	// A deadline set here replaces one the ctx watcher may have set just
 	// before; the ctx says whether it did.
 	if err := cn.ctx.Err(); err != nil {
 		return err
 	}
 	err := cn.read(cn.br, head)
-	if t > 0 {
-		_ = cn.nc.SetReadDeadline(time.Time{})
-		if cerr := cn.ctx.Err(); cerr != nil {
-			return cerr
-		}
+	_ = cn.nc.SetReadDeadline(time.Time{})
+	if cerr := cn.ctx.Err(); cerr != nil {
+		return cerr
 	}
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		return fmt.Errorf("cloudsim: no response head within %v: %w", t, err)

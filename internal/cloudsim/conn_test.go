@@ -202,7 +202,7 @@ func TestResponseHeaderTimeoutCutsSilentServer(t *testing.T) {
 		read <- conn
 	}()
 	const timeout = 50 * time.Millisecond
-	c := NewClientWith("cloud", "http://"+ln.Addr().String(), "b", Options{ResponseHeaderTimeout: timeout})
+	c := NewClientWith("cloud", "http://"+ln.Addr().String(), "b", Options{responseHeaderTimeout: timeout})
 	defer c.Close()
 	start := time.Now()
 	_, err = c.Get(context.Background(), "k")

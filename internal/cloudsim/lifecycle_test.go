@@ -23,8 +23,8 @@ import (
 func TestSlowBodyOutlivesPhaseTimeouts(t *testing.T) {
 	s := startServer(t, LocalProfile("cloud"))
 	c := NewClientWith("cloud", s.Addr(), "b", Options{
-		ResponseHeaderTimeout: 75 * time.Millisecond,
-		DialTimeout:           75 * time.Millisecond,
+		responseHeaderTimeout: 75 * time.Millisecond,
+		dialTimeout:           75 * time.Millisecond,
 	})
 	defer c.Close()
 	ctx := context.Background()

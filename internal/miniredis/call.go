@@ -7,15 +7,13 @@ import (
 	"edsc/internal/resp"
 )
 
-// call is the request and reply storage of one exchange: cmds is what gets
-// framed, replies receives one value per command.
-// Calls are pooled, and a single command — all the typed helpers and the
-// kv.Store adapter ever send — lives entirely inside the call: its argument
-// vector is copied into argv (so the caller's variadic slice stays on its
-// stack), cmds and replies alias one and reply1, and done is a reusable
-// completion signal. A request then allocates no call, no completion
-// channel, no [][][]byte wrapper and no reply slice. A pipeline borrows the
-// caller's cmds and gets a fresh replies slice, which the caller keeps.
+// call is the request and reply storage of one exchange: args is the one
+// command that gets framed, reply receives its reply.
+// Calls are pooled, and the command lives entirely inside the call: its
+// argument vector is copied into argv (so the caller's variadic slice stays
+// on its stack), args aliases argv, and done is a reusable completion
+// signal. A request then allocates no call, no completion channel and no
+// argument slice.
 //
 // Who may recycle a call: only the goroutine that created it, and only while
 // it can prove nobody else holds it — it never submitted the call, or it
@@ -25,12 +23,9 @@ import (
 // or the in-flight queue may still point at it, so it is left to them and to
 // the garbage collector. See DESIGN.md "Network hot path".
 type call struct {
-	cmds    [][][]byte
-	replies []resp.Value
-
-	one    [1][][]byte
-	argv   [inlineArgs][]byte
-	reply1 [1]resp.Value
+	args  [][]byte
+	reply resp.Value
+	argv  [inlineArgs][]byte
 
 	// The rest is used by calls the reader or a leader completes (see
 	// mux.go); a caller holding an idle socket completes its own.
@@ -53,17 +48,7 @@ var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}
 // even one that leaves the call itself behind.
 func newCall(args [][]byte) *call {
 	cl := callPool.Get().(*call)
-	cl.one[0] = append(cl.argv[:0], args...)
-	cl.cmds = cl.one[:]
-	cl.replies = cl.reply1[:]
-	return cl
-}
-
-// newPipelineCall returns a call holding the pipeline cmds (borrowed).
-func newPipelineCall(cmds [][][]byte) *call {
-	cl := callPool.Get().(*call)
-	cl.cmds = cmds
-	cl.replies = make([]resp.Value, len(cmds))
+	cl.args = append(cl.argv[:0], args...)
 	return cl
 }
 
@@ -75,24 +60,16 @@ func (cl *call) rearm() {
 }
 
 // release returns the call to the pool, dropping every reference to the
-// caller's buffers and to the replies. Only the call's owner may call it
+// caller's buffers and to the reply. Only the call's owner may call it
 // (see the type comment).
 func (cl *call) release() {
 	cl.rearm()
-	cl.cmds, cl.replies = nil, nil
-	cl.one[0] = nil
+	cl.args = nil
 	cl.argv = [inlineArgs][]byte{}
-	cl.reply1[0] = resp.Value{}
+	cl.reply = resp.Value{}
 	callPool.Put(cl)
 }
 
-// frame encodes the call's commands into w's buffer without flushing. A
+// frame encodes the call's command into w's buffer without flushing. A
 // leader frames every call through it, its own and the ones it batches.
-func (cl *call) frame(w *resp.Writer) error {
-	for _, cmd := range cl.cmds {
-		if err := w.AppendCommand(cmd...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (cl *call) frame(w *resp.Writer) error { return w.AppendCommand(cl.args...) }

@@ -14,17 +14,15 @@ import (
 	"edsc/kv"
 )
 
-// Default client settings.
+// Client settings. A dial also honors the request context, so a cancelled
+// caller never waits dialTimeout.
 const (
-	DefaultDialTimeout = 5 * time.Second
-	DefaultMuxConns    = 4
+	dialTimeout     = 5 * time.Second
+	DefaultMuxConns = 4
 )
 
 // Options configure a Client beyond its address.
 type Options struct {
-	// DialTimeout caps each TCP dial (default 5s). Dials also honor the
-	// request context, so a cancelled caller never waits this long.
-	DialTimeout time.Duration
 	// MuxConns is the number of sockets the client's callers share
 	// (default 4).
 	MuxConns int
@@ -35,9 +33,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
-	}
 	if o.MuxConns <= 0 {
 		o.MuxConns = DefaultMuxConns
 	}
@@ -72,20 +67,17 @@ var ErrClientClosed = errors.New("miniredis: client is closed")
 // gate) recognize the ambiguity without knowing about this package.
 var ErrAmbiguousExchange = fmt.Errorf("miniredis: connection lost after a non-idempotent command may have executed: %w", kv.ErrAmbiguous)
 
-// replaySafe reports whether every command in the pipeline is on the
-// idempotency allowlist (command.replayable), naming the first one that is
-// not.
-func replaySafe(cmds [][][]byte) (ok bool, offender string) {
-	for _, cmd := range cmds {
-		if len(cmd) == 0 {
-			return false, "(empty)"
-		}
-		switch known := lookupCommand(cmd[0]); {
-		case known == nil:
-			return false, strings.ToUpper(string(cmd[0]))
-		case !known.replayable:
-			return false, known.name
-		}
+// replaySafe reports whether the command args is on the idempotency
+// allowlist (command.replayable), naming it when it is not.
+func replaySafe(args [][]byte) (ok bool, offender string) {
+	if len(args) == 0 {
+		return false, "(empty)"
+	}
+	switch known := lookupCommand(args[0]); {
+	case known == nil:
+		return false, strings.ToUpper(string(args[0]))
+	case !known.replayable:
+		return false, known.name
 	}
 	return true, ""
 }
@@ -108,9 +100,9 @@ func NewClientWith(addr string, opts Options) *Client {
 
 // dial opens one TCP connection, honoring both ctx (cancellation unblocks
 // immediately — the old net.DialTimeout path kept a cancelled caller waiting
-// up to the full timeout) and the configured dial timeout.
+// up to the full timeout) and dialTimeout.
 func (c *Client) dial(ctx context.Context) (net.Conn, error) {
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -134,33 +126,15 @@ func (c *Client) do(ctx context.Context, args ...[]byte) (resp.Value, error) {
 	if err := c.roundTrip(ctx, cl); err != nil {
 		return resp.Value{}, err
 	}
-	v := cl.replies[0]
+	v := cl.reply
 	cl.release()
 	return v, nil
 }
 
-// doPipeline sends several commands on one connection before reading any
-// reply, saving round trips (the optimization BenchmarkAblationPipeline
-// measures). Server error replies appear in the result slice, not as err.
-// The pipeline shares a socket with every other caller, but no command of
-// another caller lands between its commands.
-func (c *Client) doPipeline(ctx context.Context, cmds [][][]byte) ([]resp.Value, error) {
-	if len(cmds) == 0 {
-		return nil, nil
-	}
-	cl := newPipelineCall(cmds)
-	if err := c.roundTrip(ctx, cl); err != nil {
-		return nil, err
-	}
-	out := cl.replies
-	cl.release()
-	return out, nil
-}
-
-// roundTrip runs one exchange, leaving the replies in cl.replies, with an
-// idempotency-gated retry: a failure where the commands never reached the
-// wire is always retried; a failure after they were written is replayed only
-// when every command is on the idempotency allowlist, and surfaces
+// roundTrip runs one exchange, leaving the reply in cl.reply, with an
+// idempotency-gated retry: a failure where the command never reached the
+// wire is always retried; a failure after it was written is replayed only
+// when the command is on the idempotency allowlist, and surfaces
 // ErrAmbiguousExchange otherwise. On error it has disposed of cl (see call
 // for who may recycle).
 func (c *Client) roundTrip(ctx context.Context, cl *call) error {
@@ -175,10 +149,10 @@ func (c *Client) roundTrip(ctx context.Context, cl *call) error {
 			return nil
 		}
 		// The allowlist is consulted only now: a successful exchange never
-		// needs it. (cmds is read-only once submitted, detached or not.)
+		// needs it. (args is read-only once submitted, detached or not.)
 		idem, offender := true, ""
 		if st.written {
-			idem, offender = replaySafe(cl.cmds)
+			idem, offender = replaySafe(cl.args)
 		}
 		// Retry once when that is safe — the caller has not given up (nor
 		// has its deadline passed, which the socket can see first), and the

@@ -174,27 +174,6 @@ func TestWrongArity(t *testing.T) {
 	}
 }
 
-func TestPipeline(t *testing.T) {
-	_, c := startPair(t)
-	ctx := context.Background()
-	var cmds [][][]byte
-	for i := 0; i < 10; i++ {
-		cmds = append(cmds, [][]byte{[]byte("SET"), []byte(fmt.Sprintf("p%d", i)), []byte("v")})
-	}
-	replies, err := c.doPipeline(ctx, cmds)
-	if err != nil || len(replies) != 10 {
-		t.Fatalf("pipeline: %v", err)
-	}
-	for _, r := range replies {
-		if r.IsError() {
-			t.Fatalf("pipeline reply error: %v", r.Str)
-		}
-	}
-	if n, _ := c.DBSize(ctx); n != 10 {
-		t.Fatalf("DBSize = %d after pipeline", n)
-	}
-}
-
 func TestSnapshotWarmRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dump.mrdb")
 	ctx := context.Background()
@@ -357,41 +336,4 @@ func TestMGetMSet(t *testing.T) {
 	if string(v.Array[0].Bulk) != "1" || !v.Array[1].Null || string(v.Array[2].Bulk) != "2" {
 		t.Fatalf("MGET values: %+v", v.Array)
 	}
-}
-
-// BenchmarkAblationPipeline compares N request/response round trips against
-// one pipelined batch of N on the miniredis client.
-func BenchmarkAblationPipeline(b *testing.B) {
-	srv := NewServer(ServerConfig{})
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := NewClient(srv.Addr())
-	defer client.Close()
-	ctx := context.Background()
-	const batch = 16
-	val := bytes.Repeat([]byte("v"), 64)
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				if err := client.Set(ctx, fmt.Sprintf("k%d", j), val, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		cmds := make([][][]byte, batch)
-		for j := range cmds {
-			cmds[j] = [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", j)), val}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.doPipeline(ctx, cmds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -114,7 +114,7 @@ func newMuxConn(c net.Conn) *muxConn {
 	return m
 }
 
-// finish completes a call exactly once (its replies, if any, are already in
+// finish completes a call exactly once (its reply, if any, is already in
 // place). Reports whether this invocation was the one that completed the
 // call. Sending the completion token is the last touch: the waiter that
 // receives it owns the call again and may recycle it at once.
@@ -285,23 +285,21 @@ func (m *muxConn) readLoop() {
 			return
 		}
 		// Until it is finished a written call belongs to the reader, even
-		// one its caller abandoned, so the replies land in it directly.
-		for i := range call.replies {
-			v, err := m.r.Read()
-			if err != nil {
-				m.poison(fmt.Errorf("miniredis: mux read reply: %w", err), call, nil)
-				return
-			}
-			call.replies[i] = v
+		// one its caller abandoned, so the reply lands in it directly.
+		v, err := m.r.Read()
+		if err != nil {
+			m.poison(fmt.Errorf("miniredis: mux read reply: %w", err), call, nil)
+			return
 		}
+		call.reply = v
 		m.finish(call, nil, true)
 	}
 }
 
 // exchange runs call over m — itself on an idle socket (exchangeHeld),
 // otherwise queued, and led by the caller when it finds or is handed the role
-// — and waits for its completion or ctx; on success the replies are in
-// call.replies. On ctx expiry the caller detaches: a call still queued is
+// — and waits for its completion or ctx; on success the reply is in
+// call.reply. On ctx expiry the caller detaches: a call still queued is
 // revoked cleanly (never written); one a leader claimed has an unknown
 // outcome, and status.written is set so roundTrip can apply idempotency rules.
 // Unless status.detached is set, the call is the caller's again on return.
@@ -374,7 +372,9 @@ func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 func (m *muxConn) awaitFramed(call *call, cause error) (poisoned bool) {
 	for spins := 0; call.state.Load() == muxFraming; spins++ {
 		if spins == framingPatience {
-			m.poison(fmt.Errorf("miniredis: mux write abandoned mid-frame: %w", cause), nil, nil)
+			// The cause is named, not wrapped: it is this caller's own
+			// ctx, and every other call on the socket gets this error.
+			m.poison(fmt.Errorf("miniredis: mux write abandoned mid-frame (%v)", cause), nil, nil)
 			poisoned = true
 		}
 		runtime.Gosched()
@@ -408,13 +408,11 @@ func (m *muxConn) exchangeHeld(call *call, dl time.Time) (muxStatus, error) {
 		m.handOff()
 		return muxStatus{written: true, detached: true}, deadlineErr("read reply", err)
 	}
-	for i := range call.replies {
-		v, err := m.r.Read()
-		if err != nil {
-			return muxStatus{written: true}, m.fail("read reply", err)
-		}
-		call.replies[i] = v
+	v, err := m.r.Read()
+	if err != nil {
+		return muxStatus{written: true}, m.fail("read reply", err)
 	}
+	call.reply = v
 	m.load.Add(-1)
 	m.handOff()
 	return muxStatus{}, nil

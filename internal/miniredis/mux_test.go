@@ -6,6 +6,7 @@ package miniredis
 // run over a muxed client.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -59,86 +60,6 @@ func TestMuxBasic(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestMuxPipeline: explicit multi-command pipelines keep their internal
-// reply order over a shared socket.
-func TestMuxPipeline(t *testing.T) {
-	_, c := startMuxPair(t)
-	ctx := context.Background()
-
-	cmds := make([][][]byte, 0, 20)
-	for i := 0; i < 10; i++ {
-		cmds = append(cmds, [][]byte{[]byte("SET"), []byte(fmt.Sprintf("p%d", i)), []byte(fmt.Sprintf("v%d", i))})
-	}
-	for i := 0; i < 10; i++ {
-		cmds = append(cmds, [][]byte{[]byte("GET"), []byte(fmt.Sprintf("p%d", i))})
-	}
-	out, err := c.doPipeline(ctx, cmds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 20 {
-		t.Fatalf("%d replies, want 20", len(out))
-	}
-	for i := 0; i < 10; i++ {
-		if got := out[10+i].Text(); got != fmt.Sprintf("v%d", i) {
-			t.Fatalf("pipelined GET p%d = %q", i, got)
-		}
-	}
-}
-
-// TestPipelineNotInterleaved: a pipeline shares its socket with every other
-// caller of the client, yet no other caller's command lands between its
-// commands. Each pipeline writes a key and reads it back, twice; loners keep
-// overwriting the same key over the same socket, so one of their SETs landing
-// inside a pipeline shows as a foreign value in the pipeline's GET.
-func TestPipelineNotInterleaved(t *testing.T) {
-	s := startServer(t, ServerConfig{})
-	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
-	defer c.Close()
-	ctx := context.Background()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(stop)
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := c.Set(ctx, "k", []byte(fmt.Sprintf("loner%d-%d", w, i)), 0); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	const pipelines = 30
-	for i := 0; i < pipelines; i++ {
-		a, b := fmt.Sprintf("p%d-a", i), fmt.Sprintf("p%d-b", i)
-		out, err := c.doPipeline(ctx, [][][]byte{
-			{[]byte("SET"), []byte("k"), []byte(a)},
-			{[]byte("GET"), []byte("k")},
-			{[]byte("SET"), []byte("k"), []byte(b)},
-			{[]byte("GET"), []byte("k")},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got1, got2 := string(out[1].Bulk), string(out[3].Bulk); got1 != a || got2 != b {
-			t.Fatalf("pipeline %d read %q and %q, want %q and %q: another caller's SET landed inside it", i, got1, got2, a, b)
-		}
-	}
-	if n := opCount(s, "set"); n <= 2*pipelines {
-		t.Fatalf("the server ran %d SETs, no more than the pipelines' own: the loners never ran", n)
-	}
 }
 
 // TestMuxConnDeathPoisonsAndRecovers: a wire fault kills a muxed socket
@@ -241,6 +162,67 @@ func TestMuxInterleavedCancellation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// expiring is a ctx whose deadline the test fires by closing done.
+type expiring struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c expiring) Done() <-chan struct{} { return c.done }
+
+func (c expiring) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// TestMidFrameAbandonIsNotOthersDeadline: a caller whose deadline passes
+// while a leader is parked mid-frame on its call poisons the connection. A
+// caller queued behind it gets the connection's error, and that error must
+// not read as a deadline: the deadline was the first caller's alone, and
+// roundTrip retries no error that does.
+func TestMidFrameAbandonIsNotOthersDeadline(t *testing.T) {
+	client, server := net.Pipe() // the server never reads
+	defer server.Close()
+	m := newMuxConn(client)
+	m.mu.Lock()
+	m.leading = true // a stand-in leader: both calls queue
+	m.mu.Unlock()
+	// Larger than the write buffer: framing it runs through the socket.
+	big := newCall([][]byte{[]byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), 4*muxBufSize)})
+	ctx := expiring{context.Background(), make(chan struct{})}
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := m.exchange(ctx, big)
+		abandoned <- err
+	}()
+	for m.load.Load() != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	other := make(chan error, 1)
+	go func() {
+		_, err := m.exchange(context.Background(), newCall([][]byte{[]byte("PING")}))
+		other <- err
+	}()
+	for m.load.Load() != 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	go m.lead() // frames the SET first and parks in the pipe: PING has no deadline, so neither has the batch's write
+	for big.state.Load() != muxFraming {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(ctx.done)
+	if err := <-abandoned; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("abandoning caller: %v, want its deadline", err)
+	}
+	if err := <-other; err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued caller: %v, want the connection's error, not a deadline", err)
+	}
 }
 
 // TestMuxCancelAfterWriteIsAmbiguous: a non-idempotent command whose ctx
@@ -448,7 +430,7 @@ func TestReaderTakesNoReplyAfterPoison(t *testing.T) {
 		case <-cl.done:
 			if !errors.Is(cl.err, ErrClientClosed) || !cl.written {
 				t.Fatalf("call popped from a dead connection finished with %v, reply %q; want a written ErrClientClosed",
-					cl.err, cl.replies[0].Bulk)
+					cl.err, cl.reply.Bulk)
 			}
 		default: // the reader took the dead branch; the poisoner fails the call
 		}

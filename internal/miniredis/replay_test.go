@@ -51,7 +51,7 @@ func TestReplayAnswersLikeFirstRun(t *testing.T) {
 		frozen := time.Unix(1_000_000_000, 0)
 		s := startServer(t, ServerConfig{
 			SnapshotPath: t.TempDir() + "/dump.mrdb",
-			Clock:        func() time.Time { return frozen },
+			clock:        func() time.Time { return frozen },
 		})
 		c := NewClientWith(s.Addr(), Options{MuxConns: 1})
 		defer c.Close()

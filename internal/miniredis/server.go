@@ -31,8 +31,8 @@ type ServerConfig struct {
 	// address exposing /metrics, /debug/vars, and /debug/pprof/ — the RESP
 	// protocol itself cannot carry them. Use "127.0.0.1:0" for ephemeral.
 	MetricsAddr string
-	// Clock overrides time.Now for tests.
-	Clock func() time.Time
+	// clock overrides time.Now in this package's tests.
+	clock func() time.Time
 }
 
 // Server is a Redis-compatible cache server.
@@ -63,7 +63,7 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
-		db:    newDB(cfg.Clock),
+		db:    newDB(cfg.clock),
 		quit:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 		rec:   monitor.New("miniredis", 256),

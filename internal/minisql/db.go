@@ -33,8 +33,7 @@ type Options struct {
 	CachePages int
 
 	// CommitMode selects how commits reach the WAL (see CommitMode). The
-	// zero value resolves to group commit for durable databases; in-memory
-	// databases have no fsync to amortize and always commit serially.
+	// zero value resolves to group commit.
 	CommitMode CommitMode
 
 	// open replaces the operating system's files; the crash and fault tests
@@ -42,12 +41,11 @@ type Options struct {
 	open openFunc
 }
 
-// CommitMode selects the commit protocol for durable databases.
+// CommitMode selects the commit protocol.
 type CommitMode int
 
 const (
-	// CommitAuto is the zero value: group commit for durable databases,
-	// serial for in-memory ones.
+	// CommitAuto is the zero value: group commit.
 	CommitAuto CommitMode = iota
 	// CommitGrouped seals each committing transaction in memory, releases
 	// the writer slot early, and lets a leader append all pending sealed
@@ -71,18 +69,18 @@ func (m CommitMode) String() string {
 	}
 }
 
-// Database is an embedded SQL database over a single paged file (or an
-// in-memory page array). Reads run concurrently under a read lock and
+// Database is an embedded SQL database over a single paged file (held in
+// memory for :memory:). Reads run concurrently under a read lock and
 // B-tree cursors; writes are serialized by a single-writer transaction
 // semaphore and commit by appending page images to the WAL — the costly
-// commit the paper measures for SQL-store writes. Every durable commit goes
+// commit the paper measures for SQL-store writes. Every commit goes
 // through the commit pipeline (see groupcommit.go): in the default grouped
 // mode concurrent committers share one fsync; in serial mode the committer
 // keeps the writer slot until its fsync is done, so each commit fsyncs alone.
 type Database struct {
 	mu  sync.RWMutex // exclusive for writes, shared for reads
 	pg  *pager
-	dir string // the absolute path Open claimed; "" = in-memory
+	dir string // the absolute path Open claimed; "" for :memory:
 
 	// Writer scratch, used only under the exclusive mu: the row an INSERT is
 	// writing and the record of any row written; the B-tree copies what it keeps.
@@ -106,9 +104,9 @@ type Database struct {
 	txOwner *Session
 	doomed  *Session
 
-	// pipeline is the commit queue (nil for in-memory databases); sealSeq
-	// numbers sealed batches and is guarded by mu. commitMode records the
-	// resolved option: it orders release and wait in commitRelease.
+	// pipeline is the commit queue; sealSeq numbers sealed batches and is
+	// guarded by mu. commitMode records the resolved option: it orders
+	// release and wait in commitRelease.
 	pipeline   *commitPipeline
 	sealSeq    uint64
 	commitMode CommitMode
@@ -135,28 +133,10 @@ func OpenMemory() *Database {
 	return db
 }
 
-// OpenMemoryOptions opens a volatile in-memory database.
+// OpenMemoryOptions opens a volatile in-memory database: Open's engine over
+// files held in memory, so it commits through the same WAL and pipeline.
 func OpenMemoryOptions(opts Options) (*Database, error) {
-	ps := opts.PageSize
-	if ps == 0 {
-		ps = DefaultPageSize
-	}
-	if !validPageSize(ps) {
-		return nil, fmt.Errorf("minisql: invalid page size %d", ps)
-	}
-	cp := opts.CachePages
-	if cp <= 0 {
-		cp = defaultCachePages
-	}
-	pg, err := newMemPager(ps, cp)
-	if err != nil {
-		return nil, err
-	}
-	db := newDatabase(pg, "")
-	// In-memory commits are plain copies — there is no fsync to amortize —
-	// so a requested CommitGrouped is resolved to serial.
-	db.commitMode = CommitSerial
-	return db, nil
+	return openDatabase(openMemFile, "", opts)
 }
 
 // openDirs holds the directories open in this process, by absolute path.
@@ -181,6 +161,15 @@ func Open(dir string, opts Options) (_ *Database, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("minisql: creating database dir: %w", err)
 	}
+	open := opts.open
+	if open == nil {
+		open = openOSFile
+	}
+	return openDatabase(open, dir, opts)
+}
+
+// openDatabase opens the database whose files open finds in dir.
+func openDatabase(open openFunc, dir string, opts Options) (*Database, error) {
 	cb := opts.CheckpointBytes
 	if cb == 0 {
 		cb = defaultCheckpointBytes
@@ -192,30 +181,22 @@ func Open(dir string, opts Options) (_ *Database, err error) {
 	if cp <= 0 {
 		cp = defaultCachePages
 	}
-	open := opts.open
-	if open == nil {
-		open = openOSFile
-	}
 	pg, err := openFilePager(open, dir, opts.PageSize, cp, cb)
 	if err != nil {
 		return nil, err
 	}
-	db := newDatabase(pg, dir)
-	db.commitMode = opts.CommitMode
+	db := &Database{
+		pg:         pg,
+		dir:        dir,
+		tables:     make(map[string]*table),
+		txSem:      make(chan struct{}, 1),
+		pipeline:   newCommitPipeline(),
+		commitMode: opts.CommitMode,
+	}
 	if db.commitMode == CommitAuto {
 		db.commitMode = CommitGrouped
 	}
-	db.pipeline = newCommitPipeline()
 	return db, nil
-}
-
-func newDatabase(pg *pager, dir string) *Database {
-	return &Database{
-		pg:     pg,
-		dir:    dir,
-		tables: make(map[string]*table),
-		txSem:  make(chan struct{}, 1),
-	}
 }
 
 // NewSession returns a fresh transaction scope. Sessions are cheap and
@@ -483,12 +464,6 @@ func (s *Session) Rollback() error {
 // first: nobody else can seal while the slot is held, so the group is this
 // one batch and the fsync is this commit's own.
 func (db *Database) commitRelease(release func()) error {
-	if db.pipeline == nil {
-		db.pg.commitMem()
-		db.mu.Unlock()
-		release()
-		return nil
-	}
 	db.sealSeq++
 	b := db.pg.seal(db.sealSeq)
 	if b == nil {
@@ -719,10 +694,10 @@ func (db *Database) Checkpoint() error {
 	return db.pg.checkpoint()
 }
 
-// Close checkpoints (for durable databases) and releases resources. It
-// claims pipeline leadership so in-flight group commits drain first, then
-// flushes any batches that were queued but never picked up by a leader —
-// their committers are still waiting for the ack.
+// Close checkpoints and releases resources. It claims pipeline leadership
+// so in-flight group commits drain first, then flushes any batches that were
+// queued but never picked up by a leader — their committers are still
+// waiting for the ack.
 func (db *Database) Close() error {
 	db.acquireLeadership()
 	db.mu.Lock()
@@ -732,20 +707,19 @@ func (db *Database) Close() error {
 		return nil
 	}
 	db.closed = true
-	if p := db.pipeline; p != nil {
-		p.mu.Lock()
-		group := p.takeLocked()
-		p.mu.Unlock()
-		if len(group) > 0 {
-			// On failure the WAL is already truncated back to the durable
-			// prefix; the waiting committers get the error instead of an
-			// ack, which is exactly the unacknowledged-commit contract.
-			err := db.pg.commitGroup(group)
-			if err != nil {
-				err = errCommit(err)
-			}
-			p.finish(group, err)
+	p := db.pipeline
+	p.mu.Lock()
+	group := p.takeLocked()
+	p.mu.Unlock()
+	if len(group) > 0 {
+		// On failure the WAL is already truncated back to the durable
+		// prefix; the waiting committers get the error instead of an
+		// ack, which is exactly the unacknowledged-commit contract.
+		err := db.pg.commitGroup(group)
+		if err != nil {
+			err = errCommit(err)
 		}
+		p.finish(group, err)
 	}
 	err := db.pg.close()
 	openDirs.Delete(db.dir)

@@ -12,7 +12,7 @@ func errCommit(err error) error     { return fmt.Errorf("minisql: commit: %w", e
 func errCheckpoint(err error) error { return fmt.Errorf("minisql: checkpoint: %w", err) }
 
 // Group commit + early writer release: the commit pipeline, the one way a
-// commit of a file-backed database reaches the disk.
+// commit reaches the disk.
 //
 // A commit that held the single-writer slot across its entire WAL append and
 // fsync would make N concurrent writers commit at 1/fsync-latency regardless
@@ -223,12 +223,9 @@ func (db *Database) failGroup(group []*commitBatch, cause error) {
 
 // acquireLeadership claims the pipeline leader role for a non-commit WAL
 // operation (checkpoint, close), excluding concurrent group appends and
-// truncations. No-op without a pipeline.
+// truncations.
 func (db *Database) acquireLeadership() {
 	p := db.pipeline
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	for p.leading {
 		p.cond.Wait()
@@ -239,9 +236,6 @@ func (db *Database) acquireLeadership() {
 
 func (db *Database) releaseLeadership() {
 	p := db.pipeline
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.leading = false
 	p.cond.Broadcast()

@@ -20,6 +20,17 @@ import (
 	"edsc/internal/raceflag"
 )
 
+// memPager opens a pager over new in-memory files, as a :memory: database
+// does, with automatic checkpoints off.
+func memPager(tb testing.TB, pageSize, cachePages int) *pager {
+	tb.Helper()
+	pg, err := openFilePager(openMemFile, "", pageSize, cachePages, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pg
+}
+
 // poisonBufs turns on the pager's test-only poison mode: every buffer given
 // up (evicted frame, undo image, sealed image, transient copy, scratch page)
 // is filled with 0xDB, so anything still reading it sees a page that fails
@@ -262,10 +273,7 @@ func TestAllocGuardFileCommit(t *testing.T) {
 // gives a transient snapshot copy's buffer back must not do it twice — or
 // the free list would hand one buffer to two owners.
 func TestDoubleUnpinReleasesOnce(t *testing.T) {
-	pg, err := newMemPager(MinPageSize, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := memPager(t, MinPageSize, 8)
 	cat, err := pg.get(1)
 	if err != nil {
 		t.Fatal(err)
@@ -301,10 +309,7 @@ func TestDoubleUnpinReleasesOnce(t *testing.T) {
 // must give the buffer back exactly once, and a later statement on the same
 // page must get an image of its own.
 func TestSharedUndoImageReleasedOnce(t *testing.T) {
-	pg, err := newMemPager(MinPageSize, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := memPager(t, MinPageSize, 8)
 	poisonBufs(pg)
 	inFlight := func() int { return int(pg.bufAllocs) - len(pg.freeBufs) - len(pg.cache) }
 	base := inFlight()
@@ -351,7 +356,9 @@ func TestSharedUndoImageReleasedOnce(t *testing.T) {
 	if got := inFlight() - base; got != 1 || read() != 2 {
 		t.Fatalf("rollback of the second statement: %d images, byte %d, want 1 and 2", got, read())
 	}
-	pg.commitMem()
+	if err := pg.commitGroup([]*commitBatch{pg.seal(1)}); err != nil {
+		t.Fatal(err)
+	}
 	if got := inFlight() - base; got != 0 || read() != 2 {
 		t.Fatalf("commit: %d images in flight, byte %d", got, read())
 	}
@@ -442,10 +449,7 @@ func TestReopenParentCommitFiles(t *testing.T) {
 // removed middle cell leaves a hole, a cell that fits the page but not the
 // gap triggers a repack, and one that fits neither leaves the page untouched.
 func TestLeafCompactsInPlace(t *testing.T) {
-	pg, err := newMemPager(MinPageSize, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := memPager(t, MinPageSize, 8)
 	poisonBufs(pg)
 	p := &page{id: 99, buf: make([]byte, MinPageSize)}
 	p.initPage(pageLeaf, MinPageSize)
@@ -793,10 +797,7 @@ func TestPageBufStress(t *testing.T) {
 // bytes after its page is evicted and after its key is overwritten.
 func TestRecycledFramesAndBatches(t *testing.T) {
 	t.Run("pinned frame outlives its drop", func(t *testing.T) {
-		pg, err := newMemPager(MinPageSize, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pg := memPager(t, MinPageSize, 8)
 		pg.beginStmt()
 		p, err := pg.alloc(pageLeaf)
 		if err != nil {

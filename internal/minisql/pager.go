@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 )
 
 // pager mediates every page access: an LRU cache of fixed-size pages with
-// pin/unpin and dirty tracking over either a single database file (durable,
-// WAL-protected) or an in-memory page array (volatile). It also owns page
+// pin/unpin and dirty tracking over a database file and its page-image WAL
+// (a :memory: database holds both in memFiles). It also owns page
 // allocation through the free list and the two undo scopes that give the
 // engine transactional behavior purely at the page level:
 //
@@ -31,10 +30,8 @@ type pager struct {
 	pageSize int
 	cacheCap int
 
-	// Backends: exactly one of file/mem is active.
 	file file
 	wal  *pageWAL
-	mem  [][]byte // committed images for in-memory databases
 
 	// walIdx maps pageID -> offset of its newest committed after image in
 	// the WAL. Cache misses consult it before the database file.
@@ -238,26 +235,6 @@ func (pg *pager) returnBuf(buf []byte) {
 	pg.mu.Unlock()
 }
 
-// newMemPager creates a volatile pager: same code paths, no WAL, commits
-// copy dirty pages into the in-memory committed array.
-func newMemPager(pageSize, cachePages int) (*pager, error) {
-	pg := &pager{
-		pageSize: pageSize,
-		cacheCap: cachePages,
-		mem:      [][]byte{}, // non-nil selects the in-memory backend
-		walIdx:   map[uint32]int64{},
-		sealed:   map[uint32]sealedImg{},
-		cache:    map[uint32]*page{},
-		dirty:    map[uint32]*page{},
-		txUndo:   map[uint32][]byte{},
-		stmtUndo: map[uint32]stmtImage{},
-	}
-	if err := pg.initFresh(); err != nil {
-		return nil, err
-	}
-	return pg, nil
-}
-
 // openFilePager opens (creating if necessary) the paged database in dir —
 // data.db and its WAL, wal.log — replaying any committed WAL batches.
 func openFilePager(open openFunc, dir string, pageSize, cachePages int, checkpointBytes int64) (_ *pager, err error) {
@@ -421,10 +398,6 @@ func (pg *pager) initFresh() error {
 	pg.dirty[1] = cat
 	pg.txUndo[1] = nil
 	pg.mu.Unlock()
-	if pg.mem != nil {
-		pg.commitMem()
-		return nil
-	}
 	// Nothing else can have sealed yet, so the pipeline is not needed to
 	// order this commit: a group of one, led from here.
 	return pg.commitGroup([]*commitBatch{pg.seal(0)})
@@ -525,18 +498,11 @@ func (pg *pager) loadLocked(id uint32, install bool) (*page, error) {
 
 // readCommitted fills buf with the committed image of page id: sealed
 // overlay first (commit-pipeline batches not yet fsynced), then the WAL
-// index, then the database file, then the memory array. Sealed images rank
-// first because a sealed batch is committed — its commit just has not been
-// acknowledged yet — and its pages have no durable location until the group
-// fsync installs their WAL offsets.
+// index, then the database file. Sealed images rank first because a sealed
+// batch is committed — its commit just has not been acknowledged yet — and
+// its pages have no durable location until the group fsync installs their
+// WAL offsets.
 func (pg *pager) readCommitted(id uint32, buf []byte) error {
-	if pg.mem != nil {
-		if int(id) >= len(pg.mem) || pg.mem[id] == nil {
-			return fmt.Errorf("minisql: page %d does not exist", id)
-		}
-		copy(buf, pg.mem[id])
-		return nil
-	}
 	if s, ok := pg.sealed[id]; ok {
 		copy(buf, s.img)
 		return nil
@@ -592,7 +558,7 @@ func (pg *pager) txActive() bool {
 
 // getSnapshot returns the last-committed image of page id, pinned. Pages
 // dirtied by the in-flight transaction are served from their committed
-// location (WAL index, database file, or memory array) as transient
+// location (WAL index or database file) as transient
 // uncached copies — dirty pages never reach the WAL or the file before
 // commit, so what is stored there IS the committed version. Pages the
 // transaction allocated lie beyond committedNPages and do not exist in
@@ -861,35 +827,6 @@ func (pg *pager) rollbackAll() {
 	pg.evictDownTo(pg.cacheCap)
 }
 
-// commitMem commits the current dirty set of an in-memory database: a plain
-// copy into the committed array, which cannot fail. File-backed databases
-// commit through seal and commitGroup (groupcommit.go).
-func (pg *pager) commitMem() {
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	var few [8]uint32 // the usual commit's dirty set, kept in this frame
-	ids := few[:0]
-	for id := range pg.dirty {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p := pg.dirty[id]
-		stampCRC(p.buf)
-		if int(id) >= len(pg.mem) {
-			grown := make([][]byte, id+1)
-			copy(grown, pg.mem)
-			pg.mem = grown
-		}
-		if pg.mem[id] == nil {
-			pg.mem[id] = make([]byte, pg.pageSize) // the page's permanent home, not a transient buffer
-		}
-		copy(pg.mem[id], p.buf)
-		pg.cleanLocked(p)
-	}
-	pg.finishCommitLocked()
-}
-
 // cleanLocked flips a committed dirty page to clean. Commits call it in page
 // order, which is the order the pages join the LRU list in.
 func (pg *pager) cleanLocked(p *page) {
@@ -919,9 +856,6 @@ func (pg *pager) finishCommitLocked() {
 // it, and truncates the WAL. Crash-safe in every window: until the WAL is
 // truncated, recovery replays the same images again (idempotent).
 func (pg *pager) checkpoint() error {
-	if pg.wal == nil {
-		return nil
-	}
 	pg.mu.Lock()
 	idx := make(map[uint32]int64, len(pg.walIdx))
 	for id, off := range pg.walIdx {
@@ -973,17 +907,14 @@ func (pg *pager) checkpoint() error {
 	return nil
 }
 
-// close checkpoints (file-backed) and releases resources.
+// close checkpoints and releases resources.
 func (pg *pager) close() error {
-	var err error
-	if pg.file != nil {
-		err = pg.checkpoint()
-		if cerr := pg.wal.close(); err == nil {
-			err = cerr
-		}
-		if cerr := pg.file.Close(); err == nil {
-			err = cerr
-		}
+	err := pg.checkpoint()
+	if cerr := pg.wal.close(); err == nil {
+		err = cerr
+	}
+	if cerr := pg.file.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -992,7 +923,10 @@ func (pg *pager) close() error {
 func (pg *pager) stats() pagerStats {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
-	st := pagerStats{
+	// walBytes shadows wal.size under pg.mu: the pipeline leader appends to
+	// the WAL without the database lock, so reading wal.size directly here
+	// would race its writes.
+	return pagerStats{
 		PageSize:       pg.pageSize,
 		Pages:          pg.committedNPages,
 		CacheCap:       pg.cacheCap,
@@ -1007,14 +941,8 @@ func (pg *pager) stats() pagerStats {
 		GroupedBatches: pg.groupedBatches,
 		MaxGroupSize:   pg.maxGroup,
 		GroupSizeHist:  pg.groupHist,
+		WALBytes:       pg.walBytes,
 	}
-	if pg.wal != nil {
-		// walBytes shadows wal.size under pg.mu: the pipeline leader appends
-		// to the WAL without the database lock, so reading wal.size directly
-		// here would race its writes.
-		st.WALBytes = pg.walBytes
-	}
-	return st
 }
 
 // freePageCount walks the free list (for stats and integrity checks).

@@ -16,10 +16,7 @@ func FuzzPageDecode(f *testing.F) {
 
 	// Seed with genuine pages of every type, plus targeted corruptions.
 	mkSeed := func(mutate func([]byte)) []byte {
-		pg, err := newMemPager(ps, 16)
-		if err != nil {
-			f.Fatal(err)
-		}
+		pg := memPager(f, ps, 16)
 		bt, err := newBTree(pg)
 		if err != nil {
 			f.Fatal(err)
@@ -51,10 +48,7 @@ func FuzzPageDecode(f *testing.F) {
 	f.Add([]byte{pageMeta})
 	f.Add([]byte{})
 
-	scratch, err := newMemPager(ps, 4) // lends the compaction scratch page
-	if err != nil {
-		f.Fatal(err)
-	}
+	scratch := memPager(f, ps, 4) // lends the compaction scratch page
 	f.Fuzz(func(t *testing.T, data []byte) {
 		buf := make([]byte, ps)
 		copy(buf, data)
@@ -125,10 +119,7 @@ func FuzzBTreeOps(f *testing.F) {
 	f.Add(seq)
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		pg, err := newMemPager(MinPageSize, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pg := memPager(t, MinPageSize, 16)
 		poisonBufs(pg) // a read of a buffer the pager took back must not match the model
 		bt, err := newBTree(pg)
 		if err != nil {

@@ -178,8 +178,10 @@ type Cluster struct {
 	nodes   []replica // every member, in ID order
 
 	closed atomic.Bool
-	mu     sync.Mutex        // guards hints
-	hints  map[string][]hint // node ID -> pending handoff records
+	mu     sync.Mutex // guards the lists of hints
+	// hints holds each member's pending handoff records; the map itself is
+	// written once, in New.
+	hints map[string]*nodeHints
 	// hintCount is the number of records in hints, maintained wherever hints
 	// changes (under mu) and read without it: the write path asks "anything
 	// to drain?" after every put, and the answer is almost always no.
@@ -196,6 +198,14 @@ type Cluster struct {
 }
 
 const keyStripes = 64
+
+// nodeHints is one node's pending handoff records. list changes under
+// Cluster.mu; n mirrors its length, so that a write whose acked nodes hold
+// no hints drains nothing without taking the lock.
+type nodeHints struct {
+	n    atomic.Int64
+	list []hint
+}
 
 type hint struct {
 	key string
@@ -228,7 +238,7 @@ func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 		name:    name,
 		opts:    opts,
 		members: make(map[string]kv.Store, len(nodes)),
-		hints:   make(map[string][]hint),
+		hints:   make(map[string]*nodeHints, len(nodes)),
 	}
 	c.ver.Store(uint64(time.Now().UnixNano()))
 	ids := make([]string, 0, len(nodes))
@@ -240,6 +250,7 @@ func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: duplicate node ID %q", nd.ID)
 		}
 		c.members[nd.ID] = nd.Store
+		c.hints[nd.ID] = new(nodeHints)
 		ids = append(ids, nd.ID)
 	}
 	c.ring = PlacementRing(ids)
@@ -659,30 +670,32 @@ func (c *Cluster) writeRecord(ctx context.Context, op, key string, value []byte,
 func (c *Cluster) addHint(nodeID, key string, rec record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := c.hints[nodeID]
-	for len(h) >= c.opts.MaxHints {
-		h = h[1:]
+	q := c.hints[nodeID]
+	for len(q.list) >= c.opts.MaxHints {
+		q.list = q.list[1:]
 		c.hintsD.Add(1)
 		c.hintCount.Add(-1)
 	}
 	c.hintsQ.Add(1)
-	c.hints[nodeID] = append(h, hint{key: key, rec: rec})
+	q.list = append(q.list, hint{key: key, rec: rec})
+	q.n.Store(int64(len(q.list)))
 	c.hintCount.Add(1)
 }
 
-// takeHints removes and returns the pending hints for the given nodes.
-func (c *Cluster) takeHints(nodes []replica) map[string][]hint {
+// takeHints removes and returns node id's pending hints; a node with none
+// costs one atomic load.
+func (c *Cluster) takeHints(id string) []hint {
+	q := c.hints[id]
+	if q.n.Load() == 0 {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string][]hint)
-	for _, n := range nodes {
-		if h := c.hints[n.id]; len(h) > 0 {
-			out[n.id] = h
-			c.hintCount.Add(-int64(len(h)))
-			delete(c.hints, n.id)
-		}
-	}
-	return out
+	hs := q.list
+	q.list = nil
+	q.n.Store(0)
+	c.hintCount.Add(-int64(len(hs)))
+	return hs
 }
 
 // drainHints replays pending hints to the given nodes (which just proved
@@ -696,21 +709,24 @@ func (c *Cluster) takeHints(nodes []replica) map[string][]hint {
 // it. Callers must NOT hold any key stripe lock.
 //
 // It runs after every successful write, so with nothing buffered anywhere —
-// the steady state — it is one atomic load: no allocation and no lock.
+// the steady state — it is one atomic load, and with hints queued only for
+// other nodes one more per node given: no allocation and no lock.
 func (c *Cluster) drainHints(ctx context.Context, nodes []replica) {
 	if c.hintCount.Load() == 0 {
 		return
 	}
-	for id, hs := range c.takeHints(nodes) {
-		store := c.members[id]
+	for _, n := range nodes {
+		hs := c.takeHints(n.id)
 		for i, h := range hs {
 			lock := c.lockFor(h.key)
 			lock.Lock()
-			err := c.installIfNewer(ctx, store, h.key, h.rec, true)
+			err := c.installIfNewer(ctx, n.store, h.key, h.rec, true)
 			lock.Unlock()
 			if err != nil {
 				c.mu.Lock()
-				c.hints[id] = slices.Concat(hs[i:], c.hints[id])
+				q := c.hints[n.id]
+				q.list = slices.Concat(hs[i:], q.list)
+				q.n.Store(int64(len(q.list)))
 				c.hintCount.Add(int64(len(hs) - i))
 				c.mu.Unlock()
 				break
@@ -1232,7 +1248,10 @@ func (c *Cluster) Clear(ctx context.Context) error {
 		return c.quorumError("clear", "", true, causes)
 	}
 	c.mu.Lock()
-	c.hints = make(map[string][]hint)
+	for _, q := range c.hints {
+		q.list = nil
+		q.n.Store(0)
+	}
 	c.hintCount.Store(0)
 	c.mu.Unlock()
 	return nil

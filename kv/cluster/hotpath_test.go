@@ -407,6 +407,61 @@ func TestAllocGuardClusterGetPut(t *testing.T) {
 	}
 }
 
+// TestAllocGuardPutBesideHints: hints queued for one node cost a write whose
+// replicas hold none nothing — no lock and no allocation. Four in-memory
+// nodes at N=3, node3 failing every operation with 50 hints queued for it: a
+// put of a key node3 does not replicate allocates what it does with no hint
+// pending anywhere. Each node takes fewer than 256 writes in all: kv.Mem
+// formats its version counter with fmt, which allocates one more object per
+// write once the counter passes 255, and both measurements must count the
+// same node work.
+func TestAllocGuardPutBesideHints(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	ids := []string{"node0", "node1", "node2", "node3"}
+	nodes := make([]cluster.Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = cluster.Node{ID: id, Store: kv.NewMem(id)}
+	}
+	down := faulty.New(kv.NewMem("node3"), faulty.Options{})
+	nodes[3].Store = down
+	c, err := cluster.New("cluster", nodes, cluster.Options{Replication: 3})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); !slices.Contains(kvtest.Preference(c, ids, k), 3) {
+			key = k
+		}
+	}
+	val := bytes.Repeat([]byte("v"), 512)
+	putOne := func() {
+		if err := c.Put(ctx, key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		putOne()
+	}
+	const runs, want = 50, 7
+	if got := testing.AllocsPerRun(runs, putOne); got != want {
+		t.Errorf("%.0f allocs per Put with no hint pending, want %d", got, want)
+	}
+	down.SetDown(true)
+	for i := 0; c.PendingHints() < 50; i++ {
+		if err := c.Put(ctx, fmt.Sprintf("h%d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(runs, putOne); got != want {
+		t.Errorf("%.0f allocs per Put with %d hints pending for another node, want %d", got, c.PendingHints(), want)
+	}
+}
+
 // doneMem is a kv.Mem node that selects on ctx.Done() before each Get and
 // Put, as a node that waits (a queued mux call) does.
 type doneMem struct{ kv.Store }

@@ -12,7 +12,7 @@ import (
 // the usual retry policy; otherwise (or when the whole-batch path has
 // exhausted its retries) the batch is split into per-key operations, each
 // with its own retry/hedge budget, so one bad key cannot sink the rest.
-// Splits are counted in Stats and reported to the Recorder as "batch_split".
+// Splits are counted in Stats.
 //
 // Capabilities outside the kv data path (kv.Expiring, kv.SQL) are no longer
 // forwarded by hand: the wrapper exposes Unwrap and the kv.As walk discovers
@@ -44,7 +44,6 @@ func (s *Store) GetMulti(ctx context.Context, keys []string) (map[string][]byte,
 		}
 		// The whole batch kept failing; isolate the damage per key.
 		s.splits.Add(1)
-		s.record("batch_split", 0, false)
 	}
 	return kv.GetMulti(ctx, unbatched{s}, keys)
 }
@@ -71,7 +70,6 @@ func (s *Store) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 			return err
 		}
 		s.splits.Add(1)
-		s.record("batch_split", 0, false)
 	}
 	return kv.PutMulti(ctx, unbatched{s}, pairs)
 }

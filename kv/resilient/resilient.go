@@ -3,9 +3,9 @@
 // capped exponential backoff with jitter, idempotency-aware retries, and
 // hedged reads against tail latency — the cloud-store variability §V
 // reports for Cloud Store 1 is exactly the distribution hedging attacks.
-// Every recovery action is reported through an optional monitor.Recorder,
-// so retry storms show up in the same snapshots as ordinary operation
-// latencies.
+// Every recovery action is counted in Stats, and RegisterMetrics puts those
+// counts on the same /metrics page as the operation latencies, so retry
+// storms show up beside them.
 //
 // Retry policy. Reads (Get, GetRange, Contains, Keys, Len) are always safe to retry
 // and always are. Blind writes (Put, Delete, Clear) are retried only when
@@ -63,10 +63,6 @@ type Options struct {
 	// the first response wins (0 disables). Hedging applies only to Get —
 	// the one hot-path, side-effect-free operation tail latency hurts most.
 	HedgeDelay time.Duration
-
-	// Recorder, when set, receives one observation per recovery action:
-	// "retry" (latency = the backoff served) and "hedge".
-	Recorder *monitor.Recorder
 
 	// Seed makes backoff jitter reproducible (0 uses a fixed default).
 	Seed int64
@@ -199,13 +195,6 @@ func (s *Store) RegisterMetrics(reg *monitor.Registry) {
 // registries see the inner store's name.
 func (s *Store) Name() string { return s.inner.Name() }
 
-// record reports one recovery action to the attached Recorder.
-func (s *Store) record(action string, latency time.Duration, failed bool) {
-	if s.opts.Recorder != nil {
-		s.opts.Recorder.Record(action, latency, 0, failed)
-	}
-}
-
 // retryable reports whether err is worth another attempt: any failure that
 // is not a definitive store answer (absent key, lost CAS race, bad key),
 // not a closed store, and not the caller giving up.
@@ -264,7 +253,6 @@ func (s *Store) do(ctx context.Context, op string, retries int, fn func(context.
 		monitor.AddSpan(ctx, "resilient", fmt.Sprintf("%s attempt %d", op, attempt+1), attemptStart, true)
 		d := s.backoff(attempt)
 		s.retries.Add(1)
-		s.record("retry", d, false)
 		t := time.NewTimer(d)
 		select {
 		case <-t.C:
@@ -338,7 +326,6 @@ func (s *Store) hedgedGet(ctx context.Context, key string) ([]byte, error) {
 		return r.v, r.err
 	case <-timer.C:
 		s.hedges.Add(1)
-		s.record("hedge", s.opts.HedgeDelay, false)
 		monitor.AddSpan(ctx, "resilient", "get hedge", firstStart, false)
 		go launch(true)
 		inFlight = 2

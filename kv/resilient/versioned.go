@@ -101,7 +101,6 @@ func (s *Store) GetMultiVersioned(ctx context.Context, keys []string) (map[strin
 			return nil, err
 		}
 		s.splits.Add(1)
-		s.record("batch_split", 0, false)
 	}
 	return kv.GetMultiVersioned(ctx, unbatchedVersioned{Store: unbatched{s}, Versioned: s}, keys)
 }

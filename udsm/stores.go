@@ -31,12 +31,12 @@ func OpenMiniRedis(name, addr, prefix string) kv.Store {
 	return miniredis.OpenStore(name, addr, prefix)
 }
 
-// MiniRedisClientOptions tune the miniredis client's connection layer; the
-// zero value matches OpenMiniRedis. See the README knob table.
+// MiniRedisClientOptions set how many sockets the miniredis client's callers
+// share; the zero value matches OpenMiniRedis. See the README knob table.
 type MiniRedisClientOptions = miniredis.Options
 
-// OpenMiniRedisWith is OpenMiniRedis with explicit connection options: the
-// dial timeout and how many sockets the store's callers share.
+// OpenMiniRedisWith is OpenMiniRedis with explicit connection options: how
+// many sockets the store's callers share.
 func OpenMiniRedisWith(name, addr, prefix string, opts MiniRedisClientOptions) kv.Store {
 	return miniredis.OpenStoreWith(name, addr, prefix, opts)
 }
@@ -165,9 +165,9 @@ func OpenCloudStore(name, baseURL, bucket string) kv.Store {
 	return cloudsim.NewClient(name, baseURL, bucket)
 }
 
-// CloudOptions tunes the cloud client's connections (phase timeouts, the
-// keep-alive pool of its own HTTP/1.1 client) and GET-coalescing layer. The
-// zero value gives the same defaults as OpenCloudStore.
+// CloudOptions tunes the keep-alive pool of the cloud client's own HTTP/1.1
+// client and switches its GET-coalescing layer on; the phase timeouts are
+// fixed. The zero value gives the same defaults as OpenCloudStore.
 type CloudOptions = cloudsim.Options
 
 // OpenCloudStoreWith is OpenCloudStore with explicit connection and

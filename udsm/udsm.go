@@ -37,14 +37,11 @@ type Options struct {
 	// asynchronous interface (default 8). The paper calls this out as a
 	// user-visible configuration parameter.
 	PoolSize int
-	// RecentSamples is how many detailed latency samples each operation
-	// retains (default 256); older requests keep only summary statistics.
-	RecentSamples int
-	// SlowTrace, when positive, retains a span trace for every request
-	// whose total latency reaches it (surfaced in snapshots and /metrics
-	// debug pages). Zero disables slow-request tracing.
-	SlowTrace time.Duration
 }
+
+// recentSamples is how many detailed latency samples each operation of a
+// registered store retains; older requests keep only summary statistics.
+const recentSamples = 256
 
 // Manager is the UDSM: a registry of data stores sharing an async pool.
 type Manager struct {
@@ -61,9 +58,6 @@ type Manager struct {
 func New(opts Options) *Manager {
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 8
-	}
-	if opts.RecentSamples <= 0 {
-		opts.RecentSamples = 256
 	}
 	return &Manager{
 		opts:    opts,
@@ -93,11 +87,8 @@ func (m *Manager) Register(store kv.Store) (*DataStore, error) {
 	}
 	ds := &DataStore{
 		inner:    store,
-		recorder: monitor.New(name, m.opts.RecentSamples),
+		recorder: monitor.New(name, recentSamples),
 		pool:     m.pool,
-	}
-	if m.opts.SlowTrace > 0 {
-		ds.recorder.SetSlowThreshold(m.opts.SlowTrace)
 	}
 	m.metrics.Register(ds.recorder)
 	m.stores[name] = ds
