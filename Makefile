@@ -164,10 +164,10 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
 	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone \
 	TestAllocGuardSealOpen TestAllocGuardQuorumOverSQL TestAllocGuardInProcessHit \
-	TestAllocGuardKVStoreContains TestAllocGuardPutBesideHints
+	TestAllocGuardKVStoreContains TestAllocGuardPutBesideHints TestAllocGuardMemPutVersion
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
-		./internal/miniredis ./internal/minisql ./internal/pack ./internal/secure ./internal/cloudsim ./dscl ./kv/cluster ./monitor . 2>&1); status=$$?; \
+		./internal/miniredis ./internal/minisql ./internal/pack ./internal/secure ./internal/cloudsim ./dscl ./kv ./kv/cluster ./monitor . 2>&1); status=$$?; \
 	echo "$$out"; \
 	for t in $(ALLOC_GUARDS); do \
 		echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "allocs: $$t did not pass (skipped, renamed or failed)" >&2; status=1; }; \
@@ -201,9 +201,11 @@ figures:
 	go run ./cmd/udsm-bench -fig all -out results -scale 0.05 -runs 4 -ops 2
 
 # Which statements the programs reach: the examples, the four bench/
-# workloads and udsm-bench (figures, then the gated experiments), built with
-# -cover over the whole module and run under one GOCOVERDIR, merged into
-# results/reach.tsv (per package, then every function no program entered).
+# workloads, udsm-bench (figures, -fig batch, then the gated experiments),
+# sqlshell over scripts/reach/sqlshell.sql, and edsckv on every store kind
+# against miniredis-server and cloudsim-server, built with -cover over the
+# whole module and run under one GOCOVERDIR, merged into results/reach.tsv
+# (per package, then every function no program entered).
 reach:
 	bash scripts/reach.sh
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -100,5 +101,25 @@ func TestShell(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestContractScript runs minisql's grammar contract, the script
+// scripts/reach.sh feeds the shell, on :memory:: every statement form the
+// parser accepts and every meta command must run without an error.
+func TestContractScript(t *testing.T) {
+	script, err := os.Open("../../scripts/reach/sqlshell.sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer script.Close()
+	var out bytes.Buffer
+	if err := run([]string{":memory:"}, script, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "error:") || strings.Contains(line, "unknown meta command") {
+			t.Errorf("%s", line)
+		}
 	}
 }

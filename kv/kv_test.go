@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"edsc/internal/raceflag"
 	"edsc/kv"
 	"edsc/kv/kvtest"
 )
@@ -16,6 +17,35 @@ func TestMemConformance(t *testing.T) {
 	kvtest.Run(t, func(t *testing.T) (kv.Store, func()) {
 		return kv.NewMem("mem"), nil
 	}, kvtest.Options{})
+}
+
+// TestAllocGuardMemPutVersion: a Mem.Put costs as many objects at its
+// 1 000th write as at its 10th. The version counter is formatted without
+// boxing it, which would cost one more object per write once it passes 255.
+func TestAllocGuardMemPutVersion(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	ctx := context.Background()
+	s := kv.NewMem("mem")
+	val := []byte("value")
+	writes := 0
+	put := func() {
+		writes++
+		if err := s.Put(ctx, "k", val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun(1, f) calls f twice and measures the second call.
+	at := func(n int) float64 {
+		for writes < n-2 {
+			put()
+		}
+		return testing.AllocsPerRun(1, put)
+	}
+	if early, late := at(10), at(1000); early != late {
+		t.Errorf("Mem.Put allocates %.0f objects at write 10 and %.0f at write %d", early, late, writes)
+	}
 }
 
 func TestMemName(t *testing.T) {

@@ -2,7 +2,7 @@ package kv
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -42,7 +42,8 @@ func (s *Mem) Name() string { return s.name }
 // bump assigns the key a fresh version. Callers hold s.mu.
 func (s *Mem) bump(key string) Version {
 	s.seq++
-	v := Version(fmt.Sprintf("m%d", s.seq))
+	var buf [24]byte
+	v := Version(strconv.AppendUint(append(buf[:0], 'm'), s.seq, 10))
 	s.ver[key] = v
 	return v
 }

@@ -16,9 +16,15 @@ var disposition = regexp.MustCompile(`^(workload [0-9]+|paper §[IVX]+(-[A-Z])?|
 // TestReachDispositions: every function row of the committed
 // results/reach.tsv (written by scripts/reach.sh) carries a disposition. A
 // row the script could not carry over reads "?", and fails here, as does a
-// row marked "delete": that code goes in the change that marks it.
+// row marked "delete": that code goes in the change that marks it. A row
+// "program X" fails unless scripts/reach.sh builds and runs cmd/X, and a row
+// fails when its file no longer declares its function (deleted or renamed).
 func TestReachDispositions(t *testing.T) {
 	b, err := os.ReadFile("results/reach.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile("scripts/reach.sh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,6 +32,7 @@ func TestReachDispositions(t *testing.T) {
 	if !ok {
 		t.Fatal("results/reach.tsv has no function table with a disposition column")
 	}
+	sources := map[string]string{}
 	rows := 0
 	for _, line := range strings.Split(strings.TrimSpace(table), "\n") {
 		f := strings.Split(line, "\t")
@@ -34,18 +41,44 @@ func TestReachDispositions(t *testing.T) {
 			continue
 		}
 		rows++
-		d := f[2]
+		name, loc, d := f[0], f[1], f[2]
+		if !declares(t, sources, loc, name) {
+			t.Errorf("%s %s: the file declares no function %s (re-run scripts/reach.sh)", name, loc, name)
+		}
 		if !disposition.MatchString(d) {
-			t.Errorf("%s %s: disposition %q is none of the allowed kinds", f[0], f[1], d)
+			t.Errorf("%s %s: disposition %q is none of the allowed kinds", name, loc, d)
 			continue
 		}
-		if cmd, ok := strings.CutPrefix(d, "program "); ok {
-			if _, err := os.Stat("cmd/" + cmd); err != nil {
-				t.Errorf("%s %s: no command cmd/%s", f[0], f[1], cmd)
-			}
+		if cmd, ok := strings.CutPrefix(d, "program "); ok && !reachRuns(string(script), cmd) {
+			t.Errorf("%s %s: scripts/reach.sh does not run cmd/%s", name, loc, cmd)
 		}
 	}
 	if rows == 0 {
 		t.Fatal("results/reach.tsv lists no function")
 	}
+}
+
+// declares reports whether the file of loc ("edsc/dir/file.go:line")
+// declares name as a function or method; the line is not checked, so an
+// edit that moves a function keeps its row. sources caches file contents.
+func declares(t *testing.T, sources map[string]string, loc, name string) bool {
+	file, _, _ := strings.Cut(strings.TrimPrefix(loc, "edsc/"), ":")
+	src, ok := sources[file]
+	if !ok {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Errorf("%s: %v", loc, err)
+		}
+		src = string(b)
+		sources[file] = src
+	}
+	decl := regexp.MustCompile(`(?m)^func (\([^)]*\) )?` + regexp.QuoteMeta(name) + `[(\[]`)
+	return decl.MatchString(src)
+}
+
+// reachRuns reports whether scripts/reach.sh builds cmd/<cmd> and runs the
+// binary it builds.
+func reachRuns(script, cmd string) bool {
+	return regexp.MustCompile(`(?m)^programs=".*[" ]cmd/`+regexp.QuoteMeta(cmd)+`[" ]`).MatchString(script) &&
+		strings.Contains(script, `"$bin/`+cmd+`"`)
 }

@@ -8,7 +8,9 @@ import (
 // This file surfaces the distributed cluster tier (kv/cluster) through the
 // manager, so applications assemble a replicated multi-node store the same
 // way they open any other backend — and can stack the usual enhancement
-// pipeline (resilience, transforms, caching) on top of it.
+// pipeline (resilience, transforms, caching) on top of it with kv.Stack
+// before Register. ClusterStore.RegisterMetrics puts its counters
+// (edsc_cluster_events_total) on a manager's registry.
 
 // ClusterNode names one backend node of a cluster store. Any kv.Store works
 // as a node: in-memory, miniredis, cloudsim, or another composed stack.
@@ -25,29 +27,10 @@ type ClusterStore = cluster.Cluster
 
 // NewClusterStore builds a quorum-replicated store over the given nodes.
 // The returned store implements the full capability surface (kv.Batch,
-// kv.Versioned, kv.CompareAndPut) and composes under kv.Stack and
-// RegisterStack like any other base store.
+// kv.Versioned, kv.CompareAndPut) and composes under kv.Stack like any other
+// base store.
 func NewClusterStore(name string, nodes []ClusterNode, opts ClusterOptions) (*ClusterStore, error) {
 	return cluster.New(name, nodes, opts)
-}
-
-// RegisterClusterStack builds a cluster store over nodes, wraps it in the
-// enhancement pipeline described by sopts, and registers the result, with the
-// cluster's counters (edsc_cluster_events_total) on the manager's registry.
-// The returned ClusterStore handle keeps hint draining and the statistics
-// reachable after registration (the *DataStore only exposes kv.Store).
-func (m *Manager) RegisterClusterStack(name string, nodes []ClusterNode, copts ClusterOptions, sopts StackOptions) (*DataStore, *ClusterStore, error) {
-	c, err := cluster.New(name, nodes, copts)
-	if err != nil {
-		return nil, nil, err
-	}
-	ds, err := m.RegisterStack(c, sopts)
-	if err != nil {
-		_ = c.Close()
-		return nil, nil, err
-	}
-	c.RegisterMetrics(m.Metrics())
-	return ds, c, nil
 }
 
 // interface assertion: the cluster tier must remain a full-surface store.

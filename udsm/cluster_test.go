@@ -38,23 +38,37 @@ func TestNewClusterStore(t *testing.T) {
 	}
 }
 
+// registerCluster builds a cluster store over nodes, stacks layers on it,
+// registers the result and puts the cluster's counters on the manager's
+// registry. The ClusterStore handle keeps hint draining and the statistics
+// reachable after registration (the *DataStore only exposes kv.Store).
+func registerCluster(t *testing.T, m *Manager, nodes []ClusterNode, layers ...kv.Layer) (*DataStore, *ClusterStore) {
+	t.Helper()
+	c, err := NewClusterStore("cluster", nodes, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := m.Register(kv.Stack(c, layers...))
+	if err != nil {
+		_ = c.Close()
+		t.Fatal(err)
+	}
+	c.RegisterMetrics(m.Metrics())
+	return ds, c
+}
+
 // TestRegisterClusterStack: the cluster tier slots into the manager's
 // enhancement pipeline like any other base store — encryption at rest on
 // every replica, retries above the quorum layer, CAS surviving end to end —
-// while the returned handle keeps hint draining and the statistics reachable.
+// while the cluster handle keeps hint draining and the statistics reachable.
 func TestRegisterClusterStack(t *testing.T) {
 	ctx := context.Background()
 	m := newManager(t)
 	nodes := memClusterNodes(3)
 
-	ds, c, err := m.RegisterClusterStack("cluster", nodes, ClusterOptions{},
-		StackOptions{
-			Resilience: &resilient.Options{MaxRetries: 2, BaseBackoff: 100 * time.Microsecond},
-			Transforms: []dscl.Transform{dscl.EncryptionFromPassphrase("cluster-stack")},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, c := registerCluster(t, m, nodes,
+		resilient.Layer(resilient.Options{MaxRetries: 2, BaseBackoff: 100 * time.Microsecond}),
+		dscl.Layer(dscl.WithTransform(dscl.EncryptionFromPassphrase("cluster-stack"))))
 
 	if err := ds.Put(ctx, "k", []byte("secret")); err != nil {
 		t.Fatal(err)
@@ -112,21 +126,18 @@ func TestRegisterClusterStack(t *testing.T) {
 	}
 }
 
-// TestClusterStackMetricsScrape: RegisterClusterStack puts the cluster's
-// counters on the manager's registry. A healthy cluster answers every read
-// from its probe window; with one node down, two of any three consecutive
-// reads of a key find it in their window and ask the third replica — and a
-// scrape says so.
+// TestClusterStackMetricsScrape: ClusterStore.RegisterMetrics puts the
+// cluster's counters on the manager's registry. A healthy cluster answers
+// every read from its probe window; with one node down, two of any three
+// consecutive reads of a key find it in their window and ask the third
+// replica — and a scrape says so.
 func TestClusterStackMetricsScrape(t *testing.T) {
 	ctx := context.Background()
 	m := newManager(t)
 	nodes := memClusterNodes(3)
 	down := faulty.New(nodes[1].Store, faulty.Options{})
 	nodes[1].Store = down
-	ds, _, err := m.RegisterClusterStack("cluster", nodes, ClusterOptions{}, StackOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _ := registerCluster(t, m, nodes)
 	scrape := func() string {
 		t.Helper()
 		var sb strings.Builder

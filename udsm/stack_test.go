@@ -11,17 +11,20 @@ import (
 	"edsc/kv/resilient"
 )
 
+// TestRegisterStackPipeline: a pipeline built with kv.Stack — resilience
+// innermost, then the DSCL stage — registers like a bare store, and the
+// monitored DataStore keeps the base store's name and capabilities.
 func TestRegisterStackPipeline(t *testing.T) {
 	ctx := context.Background()
 	m := newManager(t)
 	base := kv.NewMem("stacked")
 
-	ds, err := m.RegisterStack(base, StackOptions{
-		Resilience: &resilient.Options{MaxRetries: 2, BaseBackoff: 100 * time.Microsecond, RetryWrites: true},
-		Transforms: []dscl.Transform{dscl.EncryptionFromPassphrase("udsm-stack")},
-		Cache:      dscl.NewInProcessCache(dscl.InProcessOptions{CopyOnCache: true}),
-		CacheTTL:   time.Minute,
-	})
+	ds, err := m.Register(kv.Stack(base,
+		resilient.Layer(resilient.Options{MaxRetries: 2, BaseBackoff: 100 * time.Microsecond, RetryWrites: true}),
+		dscl.Layer(
+			dscl.WithTransform(dscl.EncryptionFromPassphrase("udsm-stack")),
+			dscl.WithCache(dscl.NewInProcessCache(dscl.InProcessOptions{CopyOnCache: true})),
+			dscl.WithTTL(time.Minute))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,47 +102,4 @@ func TestRegisterStackPipeline(t *testing.T) {
 	if _, ok := kv.As[kv.Ranged](bare); ok {
 		t.Fatal("kv.Ranged invented by the DataStore")
 	}
-}
-
-func TestRegisterStackZeroValueIsRegister(t *testing.T) {
-	m := newManager(t)
-	base := kv.NewMem("bare")
-	ds, err := m.RegisterStack(base, StackOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Inner() != kv.Store(base) {
-		t.Fatalf("zero StackOptions wrapped the store in %T", ds.Inner())
-	}
-}
-
-func TestRegisterStackCustomLayer(t *testing.T) {
-	ctx := context.Background()
-	m := newManager(t)
-	var sawPut bool
-	spy := func(inner kv.Store) kv.Store {
-		return &spyStore{Store: inner, onPut: func() { sawPut = true }}
-	}
-	ds, err := m.RegisterStack(kv.NewMem("spied"), StackOptions{Layers: []kv.Layer{spy}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if !sawPut {
-		t.Fatal("custom layer not in the pipeline")
-	}
-}
-
-type spyStore struct {
-	kv.Store
-	onPut func()
-}
-
-func (s *spyStore) Unwrap() kv.Store { return s.Store }
-
-func (s *spyStore) Put(ctx context.Context, key string, value []byte) error {
-	s.onPut()
-	return s.Store.Put(ctx, key, value)
 }

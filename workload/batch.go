@@ -3,7 +3,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"edsc/kv"
@@ -134,24 +133,4 @@ func RunBatchCompare(ctx context.Context, store kv.Store, cfg BatchConfig) (*Bat
 		rep.Points = append(rep.Points, point)
 	}
 	return rep, nil
-}
-
-// WriteTo renders the report as a gnuplot-ready table.
-func (r *BatchReport) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	m, err := fmt.Fprintf(w, "# store: %s\n# columns: batch_size perkey_get_ms batch_get_ms get_speedup perkey_put_ms batch_put_ms put_speedup\n", r.Store)
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	for _, p := range r.Points {
-		m, err := fmt.Fprintf(w, "%d %.4f %.4f %.2f %.4f %.4f %.2f\n",
-			p.BatchSize, ms(p.PerKeyGet), ms(p.BatchGet), p.GetSpeedup(),
-			ms(p.PerKeyPut), ms(p.BatchPut), p.PutSpeedup())
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
