@@ -135,9 +135,11 @@ reuse:
 
 # Muxed callers with tight deadlines abandoning calls while others keep going
 # on the same sockets, 1000 times: no caller may see another's cancellation
-# or deadline (a deadline is its holder's alone) or a misrouted reply.
+# or deadline (a deadline is its holder's alone) or a misrouted reply; and a
+# queued caller with a deadline waits on its call's timer, never on ctx.Done,
+# leaving at its own deadline, at the turn when cancelled, or with its reply.
 mux-cancel:
-	$(call run-named,-count=1000 -run 'TestMuxInterleavedCancellation$$' ./internal/miniredis)
+	$(call run-named,-count=1000 -run 'TestMuxInterleavedCancellation$$|TestMuxQueuedWaitsOnItsTimer$$' ./internal/miniredis)
 
 # The delta chain as a store: every inner write of a scripted history failed
 # before and after it applied (the key reads as the last acknowledged value or

@@ -22,29 +22,28 @@ import (
 // (exact profile, runtime.MemProfileRate = 1) outlives the request or is the
 // library's below us:
 //
-//	get 5: 1 the probe round's context (the round's deadline over the
+//	get 4: 1 the probe round's context (the round's deadline over the
 //	         caller's context; each replica call holds an idle socket, which
 //	         takes the deadline, so no Done channel is made and no timer is
 //	         armed)
 //	       1 the record from the window's head (resp.Reader)
 //	       1 the 11-byte header from the window's other replica: the two
 //	         agree, so the third is not read
-//	       1 the request ID dscl tags an untraced context with (the context
-//	         that carries it; under a tracing udsm it is the trace's)
 //	       1 the plaintext handed to the caller (pack)
-//	put 8: 6 on the servers: the stored key and the stored value, three times
-//	       1 the round's context, 1 the request ID, as for a get
+//	put 7: 6 on the servers: the stored key and the stored value, three times
+//	       1 the round's context, as for a get
 //
 // Nothing is paid for fanning out (fan-out state, its timer, spawn closures,
 // the encoded record, the mux call, the key arguments are pooled or alias the
 // caller's), for encryption (the AEAD is built once; dscl's envelope is a
-// pooled buffer) nor for a version nobody keeps.
+// pooled buffer), for a request ID (RESP carries none, so none is minted) nor
+// for a version nobody keeps.
 func TestAllocGuardQuorumOverRESP(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	get, put := quorumOverRESP(t, false)
-	const wantGet, wantPut = 5, 8
+	const wantGet, wantPut = 4, 7
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)

@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,23 +43,37 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "run" {
 		err = runExperiments(os.Args[2:], benchkit.Registry(), os.Stdout)
 	} else {
-		var (
-			fig     = flag.String("fig", "all", `figure to regenerate: 8..21, "all", "mixed" (throughput extension) or "batch" (batched multi-key comparison); the gated experiments are "udsm-bench run -h"`)
-			out     = flag.String("out", "results", "output directory for .dat files")
-			scale   = flag.Float64("scale", 0.05, "WAN latency scale (1.0 = paper magnitude)")
-			runs    = flag.Int("runs", 4, "runs averaged per data point")
-			ops     = flag.Int("ops", 2, "operations per run per point")
-			maxSz   = flag.Int("maxsize", 1<<20, "largest object size in bytes")
-			tmpDir  = flag.String("workdir", "", "working directory for the file/SQL stores (default: a temp dir)")
-			metrics = flag.String("metrics", "", "observability listen address serving the manager's /metrics and /debug/pprof/ while the bench runs (empty = off)")
-		)
-		flag.Parse()
-		err = run(*fig, *out, *scale, *runs, *ops, *maxSz, *tmpDir, *metrics, 64)
+		err = runFigures(os.Args[1:])
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "udsm-bench:", err)
 		os.Exit(1)
 	}
+}
+
+// runFigures parses the figure flags in args and regenerates what -fig names.
+// -fig batch measures fixed batch sizes, so it refuses an explicit -ops.
+func runFigures(args []string) error {
+	fs := flag.NewFlagSet("udsm-bench", flag.ExitOnError)
+	var (
+		fig     = fs.String("fig", "all", `figure to regenerate: 8..21, "all", "mixed" (throughput extension) or "batch" (batched multi-key comparison); the gated experiments are "udsm-bench run -h"`)
+		out     = fs.String("out", "results", "output directory for .dat files")
+		scale   = fs.Float64("scale", 0.05, "WAN latency scale (1.0 = paper magnitude)")
+		runs    = fs.Int("runs", 4, "runs averaged per data point")
+		ops     = fs.Int("ops", 2, "operations per run per point (not for -fig batch, whose batch sizes are fixed)")
+		maxSz   = fs.Int("maxsize", 1<<20, "largest object size in bytes")
+		tmpDir  = fs.String("workdir", "", "working directory for the file/SQL stores (default: a temp dir)")
+		metrics = fs.String("metrics", "", "observability listen address serving the manager's /metrics and /debug/pprof/ while the bench runs (empty = off)")
+	)
+	_ = fs.Parse(args) // ExitOnError
+	if *fig == "batch" {
+		var opsSet bool
+		fs.Visit(func(f *flag.Flag) { opsSet = opsSet || f.Name == "ops" })
+		if opsSet {
+			return errors.New("-fig batch takes no -ops: it measures batches of 4, 16 and 64 keys")
+		}
+	}
+	return run(*fig, *out, *scale, *runs, *ops, *maxSz, *tmpDir, *metrics, 64)
 }
 
 // runExperiments is the "run" subcommand: measure the named experiments
@@ -305,7 +320,7 @@ func run(fig, out string, scale float64, runs, ops, maxSize int, workdir, metric
 	}
 	if fig == "batch" {
 		fmt.Printf("running batched multi-key comparison (up to %d keys/batch) ...\n", maxBatch)
-		if err := runBatch(ctx, env, out, maxBatch); err != nil {
+		if err := runBatch(ctx, env, out, runs, maxBatch); err != nil {
 			return err
 		}
 	}
@@ -315,7 +330,8 @@ func run(fig, out string, scale float64, runs, ops, maxSize int, workdir, metric
 
 // runBatch measures, per store, how much a batched multi-key call saves over
 // the equivalent per-key loop — the end-to-end payoff of the bulk interface.
-func runBatch(ctx context.Context, env *benchkit.Env, out string, maxBatch int) error {
+// Each point is the mean of runs runs.
+func runBatch(ctx context.Context, env *benchkit.Env, out string, runs, maxBatch int) error {
 	f, err := os.Create(filepath.Join(out, "ext_batch_speedup.dat"))
 	if err != nil {
 		return err
@@ -335,7 +351,7 @@ func runBatch(ctx context.Context, env *benchkit.Env, out string, maxBatch int) 
 			return err
 		}
 		rep, err := workload.RunBatchCompare(ctx, ds, workload.BatchConfig{
-			BatchSizes: sizes, Runs: 2, KeyPrefix: "batch:" + name + ":",
+			BatchSizes: sizes, Runs: runs, KeyPrefix: "batch:" + name + ":",
 		})
 		if err != nil {
 			return err

@@ -65,6 +65,21 @@ func TestRunBatchMode(t *testing.T) {
 	}
 }
 
+// -fig batch measures fixed batch sizes: an explicit -ops is refused by name,
+// before anything is set up, and the other figures still take it.
+func TestRunFiguresBatchRefusesOps(t *testing.T) {
+	if err := runFigures([]string{"-fig", "batch", "-ops", "3", "-out", t.TempDir()}); err == nil || !strings.Contains(err.Error(), "-ops") {
+		t.Fatalf("-fig batch -ops 3: error %v, want one naming -ops", err)
+	}
+	out := t.TempDir()
+	if err := runFigures([]string{"-fig", "20", "-ops", "1", "-runs", "1", "-scale", "0.001", "-maxsize", "4096", "-out", out, "-workdir", t.TempDir()}); err != nil {
+		t.Fatalf("-fig 20 -ops 1: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "fig20_encryption.dat")); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Figures that became gated experiments, and names that never existed,
 // fail with directions instead of writing nothing.
 func TestRunRejectsUnknownFigure(t *testing.T) {

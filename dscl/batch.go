@@ -60,7 +60,6 @@ func (cl *Client) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 		return out, nil
 	}
 
-	ctx = monitor.EnsureRequestID(ctx)
 	tokens := make([]token, len(miss))
 	for i, k := range miss {
 		tokens[i] = cl.begin(k)
@@ -104,7 +103,6 @@ func (cl *Client) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 			return err
 		}
 	}
-	ctx = monitor.EnsureRequestID(ctx)
 	encoded := make(map[string][]byte, len(pairs))
 	tokens := make(map[string]token, len(pairs))
 	for k, v := range pairs {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"edsc/kv"
-	"edsc/monitor"
 )
 
 // Capability interception (see kv.As). The enhanced client cannot be
@@ -65,7 +64,6 @@ func (cl *Client) GetVersioned(ctx context.Context, key string) ([]byte, kv.Vers
 	if err != nil {
 		return nil, kv.NoVersion, err
 	}
-	ctx = monitor.EnsureRequestID(ctx)
 	cl.reads.Add(1)
 	raw, ver, err := vs.GetVersioned(ctx, key)
 	if err != nil {
@@ -88,7 +86,6 @@ func (cl *Client) GetIfModified(ctx context.Context, key string, since kv.Versio
 	if err != nil {
 		return nil, kv.NoVersion, false, err
 	}
-	ctx = monitor.EnsureRequestID(ctx)
 	cl.reads.Add(1)
 	raw, ver, modified, err := vs.GetIfModified(ctx, key, since)
 	if err != nil {
@@ -121,7 +118,6 @@ func (cl *Client) GetMultiVersioned(ctx context.Context, keys []string) (map[str
 			return nil, err
 		}
 	}
-	ctx = monitor.EnsureRequestID(ctx)
 	cl.reads.Add(1) // one batched store read, whatever the key count
 	got, err := kv.GetMultiVersioned(ctx, cl.store, keys)
 	if err != nil {
@@ -166,7 +162,6 @@ func (cl *Client) PutIfVersion(ctx context.Context, key string, value []byte, si
 		return kv.NoVersion, err
 	}
 	defer buf.Release()
-	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	t := cl.begin(key)
 	ver, err := cas.PutIfVersion(ctx, key, encoded, since)
@@ -193,7 +188,6 @@ func (cl *Client) PutTTL(ctx context.Context, key string, value []byte, ttlNanos
 		return err
 	}
 	defer buf.Release()
-	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	t := cl.begin(key)
 	err = es.PutTTL(ctx, key, encoded, ttlNanos)

@@ -321,14 +321,11 @@ func (cl *Client) Get(ctx context.Context, key string) ([]byte, error) {
 		return cl.cachedToPlain(e.Value)
 	case state == Stale:
 		cl.stale.Add(1)
-		return cl.revalidate(monitor.EnsureRequestID(ctx), key, e)
+		return cl.revalidate(ctx, key, e)
 	case answered:
 		cl.misses.Add(1)
 	}
-	// Every path that reaches the store tags the context with a request ID
-	// so retries, hedges, and server logs correlate. The cache-hit fast
-	// path above stays untagged — no wire traffic to trace.
-	return cl.fill(monitor.EnsureRequestID(ctx), key)
+	return cl.fill(ctx, key)
 }
 
 // revalidate brings a stale entry up to date with one store call: a
@@ -422,7 +419,6 @@ func (cl *Client) put(ctx context.Context, key string, value []byte, vs kv.Versi
 		return kv.NoVersion, err
 	}
 	defer buf.Release()
-	ctx = monitor.EnsureRequestID(ctx)
 	cl.writes.Add(1)
 	t := cl.begin(key)
 	ver := kv.NoVersion

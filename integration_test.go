@@ -553,11 +553,13 @@ func TestMetricsEndpointAcceptance(t *testing.T) {
 	}
 }
 
-// TestRequestIDReachesTheWire: the request ID does not depend on a trace.
-// With no slow threshold the UDSM starts none, dscl tags the context on a
-// miss, and the fetch still goes out with an X-Request-Id the cloud server
-// echoes; with one, the retained trace shows dscl's fetch span under the very
-// ID that went out. A recording proxy stands between client and server.
+// TestRequestIDReachesTheWire: every cloud request goes out with an
+// X-Request-Id the server echoes, traced or not. With no slow threshold the
+// UDSM starts no trace and the cloud client mints an ID per attempt, so a miss
+// that resilient retries after a 500 sends its two attempts under two IDs;
+// with one, both attempts carry the trace's ID, and the retained trace shows
+// dscl's fetch span under it. A recording proxy stands between client and
+// server, and turns the first GET after failNext is set into a 500.
 func TestRequestIDReachesTheWire(t *testing.T) {
 	ctx := context.Background()
 	cloud, err := udsm.StartCloudSim(udsm.ProfileLocal, 1)
@@ -569,16 +571,24 @@ func TestRequestIDReachesTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type exchange struct{ method, sent, echoed string }
+	type exchange struct {
+		method, sent, echoed string
+		status               int
+	}
 	var (
-		mu   sync.Mutex
-		seen []exchange
+		mu       sync.Mutex
+		seen     []exchange
+		failNext bool
 	)
 	rp := httputil.NewSingleHostReverseProxy(target)
 	rp.ModifyResponse = func(resp *http.Response) error {
 		mu.Lock()
 		defer mu.Unlock()
-		seen = append(seen, exchange{resp.Request.Method, resp.Request.Header.Get("X-Request-Id"), resp.Header.Get("X-Request-Id")})
+		if failNext && resp.Request.Method == http.MethodGet {
+			failNext = false
+			resp.StatusCode, resp.Status = http.StatusInternalServerError, "500 Internal Server Error"
+		}
+		seen = append(seen, exchange{resp.Request.Method, resp.Request.Header.Get("X-Request-Id"), resp.Header.Get("X-Request-Id"), resp.StatusCode})
 		return nil
 	}
 	proxy := httptest.NewServer(rp)
@@ -588,7 +598,7 @@ func TestRequestIDReachesTheWire(t *testing.T) {
 		mgr := udsm.New(udsm.Options{})
 		t.Cleanup(func() { _ = mgr.Close() })
 		cache := dscl.NewInProcessCache(dscl.InProcessOptions{})
-		ds, err := mgr.Register(dscl.New(udsm.OpenCloudStore("cloud", proxy.URL, "ids"), dscl.WithCache(cache)))
+		ds, err := mgr.Register(dscl.New(resilient.New(udsm.OpenCloudStore("cloud", proxy.URL, "ids"), resilient.Options{}), dscl.WithCache(cache)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -596,39 +606,61 @@ func TestRequestIDReachesTheWire(t *testing.T) {
 		if err := ds.Put(ctx, "k", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cache.Delete(ctx, "k"); err != nil {
-			t.Fatal(err)
+		// miss reads k past the cache and returns what crossed the wire.
+		miss := func(fail bool) []exchange {
+			if _, err := cache.Delete(ctx, "k"); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			seen, failNext = seen[:0], fail
+			mu.Unlock()
+			if v, err := ds.Get(ctx, "k"); err != nil || string(v) != "v" {
+				t.Fatalf("slow threshold %v: Get = %q, %v", slow, v, err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			got := append([]exchange(nil), seen...)
+			for _, ex := range got {
+				if ex.method != http.MethodGet || ex.sent == "" || ex.echoed != ex.sent {
+					t.Fatalf("slow threshold %v: the miss crossed the wire as %+v, want GETs with an X-Request-Id echoed back", slow, got)
+				}
+			}
+			return got
 		}
-		mu.Lock()
-		seen = seen[:0]
-		mu.Unlock()
-		if v, err := ds.Get(ctx, "k"); err != nil || string(v) != "v" {
-			t.Fatalf("slow threshold %v: Get = %q, %v", slow, v, err)
+		got := miss(false)
+		if len(got) != 1 {
+			t.Fatalf("slow threshold %v: the miss crossed the wire as %+v, want one GET", slow, got)
 		}
-		mu.Lock()
-		got := append([]exchange(nil), seen...)
-		mu.Unlock()
-		if len(got) != 1 || got[0].method != http.MethodGet || got[0].sent == "" || got[0].echoed != got[0].sent {
-			t.Fatalf("slow threshold %v: the miss crossed the wire as %+v, want one GET with an X-Request-Id echoed back", slow, got)
+		retried := miss(true)
+		if len(retried) != 2 || retried[0].status != http.StatusInternalServerError || retried[1].status != http.StatusOK {
+			t.Fatalf("slow threshold %v: the retried miss crossed the wire as %+v, want a 500, then a 200", slow, retried)
 		}
 		traces := ds.Snapshot(false).Slow
 		if slow == 0 {
+			if retried[0].sent == retried[1].sent {
+				t.Fatalf("untraced retry went out under its first attempt's ID %q", retried[0].sent)
+			}
 			if len(traces) != 0 {
 				t.Fatalf("no slow threshold, yet %d traces retained", len(traces))
 			}
 			continue
 		}
-		var found bool
-		for _, tr := range traces {
-			if tr.Op != "get" || tr.ID != got[0].sent {
-				continue
-			}
-			for _, sp := range tr.Spans {
-				found = found || (sp.Layer == "dscl" && sp.Op == "fetch")
-			}
+		if retried[0].sent != retried[1].sent {
+			t.Fatalf("traced attempts went out under IDs %q and %q, want the trace's on both", retried[0].sent, retried[1].sent)
 		}
-		if !found {
-			t.Fatalf("no retained get trace under ID %q has dscl's fetch span: %+v", got[0].sent, traces)
+		for _, id := range []string{got[0].sent, retried[0].sent} {
+			var found bool
+			for _, tr := range traces {
+				if tr.Op != "get" || tr.ID != id {
+					continue
+				}
+				for _, sp := range tr.Spans {
+					found = found || (sp.Layer == "dscl" && sp.Op == "fetch")
+				}
+			}
+			if !found {
+				t.Fatalf("no retained get trace under ID %q has dscl's fetch span: %+v", id, traces)
+			}
 		}
 	}
 }

@@ -139,7 +139,7 @@ func (c *Client) exchange(ctx context.Context, method, key, query string, body [
 // writeRequest writes and flushes the request net/http's transport would
 // write, byte for byte (TestRequestBytesOnTheWire): the escaped path, Host,
 // the Go User-Agent, a Content-Length on every PUT and POST, the header and
-// the caller's request ID in name order, and no Accept-Encoding.
+// the request ID in name order, and no Accept-Encoding.
 func (c *Client) writeRequest(cn *conn, method, key, query string, body []byte, h header) error {
 	b := append(append(cn.bw.AvailableBuffer(), method...), ' ')
 	if key == "" {
@@ -157,12 +157,10 @@ func (c *Client) writeRequest(cn *conn, method, key, query string, body []byte, 
 	if h.value != "" {
 		b = append(append(append(append(b, h.name...), ": "...), strings.Trim(h.value, " \t")...), "\r\n"...)
 	}
-	// Propagate the caller's request ID onto the wire so client-side traces
-	// and server-side logs line up.
-	f := append(b, "X-Request-Id: "...)
-	if id := monitor.AppendRequestID(f, cn.ctx); len(id) > len(f) {
-		b = append(id, "\r\n"...)
-	}
+	// Every request goes out under an ID the server echoes and logs: a
+	// traced caller's, so client-side traces and server-side logs line up,
+	// else one minted here for this attempt.
+	b = append(monitor.AppendRequestID(append(b, "X-Request-Id: "...), cn.ctx), "\r\n"...)
 	if c.pool.opts.DisableKeepAlives {
 		b = append(b, "Connection: close\r\n"...)
 	}

@@ -181,7 +181,8 @@ func captureRequests(t *testing.T, status string) (addr string, next func() stri
 // server: the escaped bucket and key in the request line, the headers the
 // protocol uses, and nothing advertised that the server never does.
 func TestRequestBytesOnTheWire(t *testing.T) {
-	ctx, rid := monitor.WithRequestID(context.Background())
+	ctx, tr := monitor.StartTrace(context.Background())
+	rid := tr.ID()
 
 	addr, next := captureRequests(t, "304 Not Modified")
 	c := NewClient("cloud", addr, "my bucket/1")

@@ -3,6 +3,7 @@ package miniredis
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"edsc/internal/resp"
 )
@@ -33,6 +34,7 @@ type call struct {
 	err     error
 	written bool          // bytes reached the wire before the failure
 	done    chan struct{} // cap 1: finish sends one token per submission
+	timer   *time.Timer   // a queued caller's deadline; made by the first arm
 }
 
 // inlineArgs covers the longest command a typed helper frames
@@ -68,6 +70,26 @@ func (cl *call) release() {
 	cl.argv = [inlineArgs][]byte{}
 	cl.reply = resp.Value{}
 	callPool.Put(cl)
+}
+
+// arm starts the call's timer for a caller queued until dl, and returns the
+// channel it fires on.
+func (cl *call) arm(dl time.Time) <-chan time.Time {
+	if cl.timer == nil {
+		cl.timer = time.NewTimer(time.Until(dl))
+	} else {
+		cl.timer.Reset(time.Until(dl))
+	}
+	return cl.timer.C
+}
+
+// disarm stops the timer arm started, unless expiry, the channel arm
+// returned, is nil because its fire was received, and drains a fire nobody
+// received, so the next arm starts clean.
+func (cl *call) disarm(expiry <-chan time.Time) {
+	if expiry != nil && !cl.timer.Stop() {
+		<-expiry
+	}
 }
 
 // frame encodes the call's command into w's buffer without flushing. A

@@ -299,10 +299,16 @@ func (m *muxConn) readLoop() {
 // exchange runs call over m — itself on an idle socket (exchangeHeld),
 // otherwise queued, and led by the caller when it finds or is handed the role
 // — and waits for its completion or ctx; on success the reply is in
-// call.reply. On ctx expiry the caller detaches: a call still queued is
-// revoked cleanly (never written); one a leader claimed has an unknown
-// outcome, and status.written is set so roundTrip can apply idempotency rules.
-// Unless status.detached is set, the call is the caller's again on return.
+// call.reply. A queued caller whose ctx has a deadline waits it out on the
+// call's own timer, as a holder does on the socket's, and never asks the ctx
+// for its Done channel, which a round's context makes on demand: a cancel
+// before the deadline is noticed at the reply, the turn or the deadline, and
+// one noticed at the turn revokes the call before the caller leads the
+// others'. A ctx without a deadline is waited on through Done. When the ctx
+// ends the caller detaches: a call still queued is revoked cleanly (never
+// written); one a leader claimed has an unknown outcome, and status.written is
+// set so roundTrip can apply idempotency rules. Unless status.detached is set,
+// the call is the caller's again on return.
 func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 	if err := ctx.Err(); err != nil {
 		return muxStatus{}, err
@@ -336,16 +342,34 @@ func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 	if lead {
 		m.take(socketBound)
 	}
+	var expiry <-chan time.Time // the call's timer, until it fires
+	var done <-chan struct{}
+	if hasDL {
+		expiry = call.arm(dl)
+	} else {
+		done = ctx.Done()
+	}
 	for waiting := true; waiting; {
 		select {
 		case <-call.done:
+			call.disarm(expiry)
 			return muxStatus{written: call.written}, call.err
 		case <-m.turn:
-			m.take(socketBound)
-		case <-ctx.Done():
+			if waiting = ctx.Err() == nil; waiting {
+				m.take(socketBound)
+			} else {
+				defer m.take(socketBound) // lead the others once this call is revoked
+			}
+		case <-expiry:
+			expiry = nil
+			if waiting = ctx.Err() == nil; waiting {
+				done = ctx.Done() // the ctx's own timer has yet to fire
+			}
+		case <-done:
 			waiting = false
 		}
 	}
+	call.disarm(expiry)
 	// Try to revoke before a leader claims it. The pending queue still
 	// points at a revoked call, so it is not the caller's to reuse.
 	if call.state.CompareAndSwap(muxQueued, muxDone) {

@@ -13,6 +13,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -472,4 +473,150 @@ func TestHeldDeadlineIsNotTheQueuedCallers(t *testing.T) {
 	if err := <-queued; err == nil || errors.Is(err, context.DeadlineExceeded) || strings.Contains(err.Error(), "status") {
 		t.Fatalf("queued caller = %v; want an owned, never-written failure that is not a deadline", err)
 	}
+}
+
+// timerOnly is a ctx with a deadline whose Err reads the clock, as a round's
+// context does, and whose Done fails the test: a queued caller under it must
+// wait on its call's timer, not ask for a channel a round would make for it.
+// cancel ends it before the deadline without closing anything.
+type timerOnly struct {
+	context.Context
+	t        *testing.T
+	at       time.Time
+	canceled atomic.Bool
+}
+
+func (c *timerOnly) Deadline() (time.Time, bool) { return c.at, true }
+
+func (c *timerOnly) Done() <-chan struct{} {
+	c.t.Error("exchange asked a ctx with a deadline for its Done channel")
+	return nil
+}
+
+func (c *timerOnly) Err() error {
+	if c.canceled.Load() {
+		return context.Canceled
+	}
+	if !time.Now().Before(c.at) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestMuxQueuedWaitsOnItsTimer: a caller queued behind a holder on a socket
+// whose peer does not answer, under a ctx with a deadline, never asks that
+// ctx for Done. It leaves at its own deadline, not the batch's, revoked and
+// never written; cancelled while queued, it leaves at the turn, revoked and
+// never written; and answered, it returns its reply.
+func TestMuxQueuedWaitsOnItsTimer(t *testing.T) {
+	// hold runs a PING held on m's socket and returns once it is on the wire;
+	// the peer reports each command it reads on got and answers none, and
+	// answer writes one reply to the next call waiting.
+	hold := func(t *testing.T) (m *muxConn, got <-chan string, answer func(reply string), held <-chan error) {
+		client, server := net.Pipe()
+		m = newMuxConn(client)
+		t.Cleanup(func() {
+			m.poison(ErrClientClosed, nil, nil)
+			_ = server.Close()
+		})
+		cmds := make(chan string, 16)
+		go func() {
+			r := resp.NewReader(server)
+			for {
+				cmd, err := r.ReadCommand()
+				if err != nil {
+					return
+				}
+				cmds <- string(bytes.Join(cmd, []byte(" ")))
+			}
+		}()
+		heldErr := make(chan error, 1)
+		go func() {
+			_, err := m.exchange(deadlineOnly{context.Background(), time.Now().Add(time.Hour)}, newCall([][]byte{[]byte("PING")}))
+			heldErr <- err
+		}()
+		if cmd := <-cmds; cmd != "PING" {
+			t.Fatalf("the holder sent %q", cmd)
+		}
+		answer = func(reply string) {
+			go func() { _, _ = server.Write([]byte(reply)) }()
+		}
+		return m, cmds, answer, heldErr
+	}
+	queue := func(m *muxConn, ctx context.Context, token string) <-chan error {
+		out := make(chan error, 1)
+		n := m.load.Load()
+		go func() {
+			st, err := m.exchange(ctx, newCall([][]byte{[]byte("ECHO"), []byte(token)}))
+			if err != nil && (!st.detached || st.written) {
+				err = fmt.Errorf("status %+v: %w", st, err)
+			}
+			out <- err
+		}()
+		for m.load.Load() != n+1 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		return out
+	}
+	wait := func(t *testing.T, out <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-out:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("the queued caller never returned")
+			return nil
+		}
+	}
+	notSent := func(t *testing.T, got <-chan string) {
+		t.Helper()
+		select {
+		case cmd := <-got:
+			t.Fatalf("the peer read %q from a caller that left", cmd)
+		default:
+		}
+	}
+
+	t.Run("OwnDeadline", func(t *testing.T) {
+		m, got, _, _ := hold(t)
+		// Queued first with a later deadline, this caller sets the batch's.
+		queue(m, deadlineOnly{context.Background(), time.Now().Add(time.Hour)}, "far")
+		ctx := &timerOnly{Context: context.Background(), t: t, at: time.Now().Add(2 * time.Millisecond)}
+		if err := wait(t, queue(m, ctx, "near")); !errors.Is(err, context.DeadlineExceeded) || strings.Contains(err.Error(), "status") {
+			t.Fatalf("queued caller = %v; want its deadline, revoked and never written", err)
+		}
+		if time.Now().Before(ctx.at) {
+			t.Fatal("the queued caller left before its deadline")
+		}
+		notSent(t, got)
+	})
+
+	t.Run("CancelledWhileQueued", func(t *testing.T) {
+		m, got, answer, held := hold(t)
+		ctx := &timerOnly{Context: context.Background(), t: t, at: time.Now().Add(time.Hour)}
+		out := queue(m, ctx, "cancelled")
+		ctx.canceled.Store(true)
+		answer("+PONG\r\n") // the holder's reply hands the turn to the queued caller
+		if err := wait(t, out); !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "status") {
+			t.Fatalf("queued caller = %v; want cancelled, revoked and never written", err)
+		}
+		if err := wait(t, held); err != nil {
+			t.Fatalf("holder = %v", err)
+		}
+		notSent(t, got)
+	})
+
+	t.Run("Answered", func(t *testing.T) {
+		m, got, answer, _ := hold(t)
+		ctx := &timerOnly{Context: context.Background(), t: t, at: time.Now().Add(time.Hour)}
+		out := queue(m, ctx, "x")
+		answer("+PONG\r\n")
+		if cmd := <-got; cmd != "ECHO x" {
+			t.Fatalf("the queued caller sent %q", cmd)
+		}
+		answer("$1\r\nx\r\n")
+		if err := wait(t, out); err != nil {
+			t.Fatalf("queued caller = %v", err)
+		}
+	})
 }

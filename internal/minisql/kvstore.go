@@ -204,7 +204,8 @@ func (s *KVStore) GetMulti(ctx context.Context, keys []string) (map[string][]byt
 // transaction, so the whole batch commits atomically and pays a single
 // commit — which the group-commit pipeline turns into (at most) one WAL
 // fsync for N keys, instead of the N fsyncs a Put-per-key loop would cost.
-// The wait for the writer slot ends when ctx does.
+// The wait for the writer slot ends when ctx does, and a ctx that has ended
+// once every row is written rolls the batch back instead of committing it.
 func (s *KVStore) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 	if err := s.enter(ctx, "putmulti"); err != nil {
 		return err
@@ -226,6 +227,10 @@ func (s *KVStore) PutMulti(ctx context.Context, pairs map[string][]byte) error {
 			_ = tx.Rollback()
 			return kv.WrapErr(s.name, "putmulti", k, err)
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		_ = tx.Rollback()
+		return kv.WrapErr(s.name, "putmulti", "", err)
 	}
 	return kv.WrapErr(s.name, "putmulti", "", tx.Commit())
 }

@@ -327,6 +327,50 @@ func TestKVStoreSQLRefusesTransactionControl(t *testing.T) {
 	}
 }
 
+// heldOpen is a ctx whose Err, asked while open reports true, waits until read
+// does (10 s at most). PutMulti asks it once its rows are written, before it
+// commits.
+type heldOpen struct {
+	context.Context
+	open, read func() bool
+}
+
+func (c heldOpen) Err() error {
+	if c.open() {
+		for end := time.Now().Add(10 * time.Second); !c.read() && time.Now().Before(end); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return c.Context.Err()
+}
+
+// TestKVStorePutMultiCancelledMidBatch: a ctx that ends while the batch's
+// transaction is open rolls the whole batch back.
+func TestKVStorePutMultiCancelledMidBatch(t *testing.T) {
+	db := OpenMemory()
+	defer db.Close()
+	st, err := NewKVStore("sql", db, "kv_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// open cancels ctx once the batch's transaction holds rows; Err never waits.
+	held := heldOpen{Context: ctx, open: func() bool {
+		if db.pg.txActive() {
+			cancel()
+		}
+		return false
+	}}
+	pairs := map[string][]byte{"a": []byte("1"), "b": []byte("2"), "c": []byte("3")}
+	if err := st.PutMulti(held, pairs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PutMulti = %v, want context.Canceled", err)
+	}
+	if n, err := st.Len(context.Background()); err != nil || n != 0 {
+		t.Fatalf("after the cancelled batch: %d keys, %v; want none", n, err)
+	}
+}
+
 // TestKVStoreSharedStatements runs Get, Put, Contains and Delete from many
 // goroutines on one store while a PutMulti transaction is open beside them.
 // The point statements belong to one session shared by every caller; were it
@@ -468,7 +512,10 @@ func TestKVStoreSharedStatements(t *testing.T) {
 		}(w)
 	}
 	started.Wait()
-	if err := st.PutMulti(ctx, batch); err != nil {
+	// The batch's ctx keeps its transaction open, once it holds every row,
+	// until a reader has read under it.
+	held := heldOpen{Context: ctx, open: batchOpen, read: func() bool { return duringTx.Load() > 0 }}
+	if err := st.PutMulti(held, batch); err != nil {
 		t.Fatal(err)
 	}
 	committed.Store(true)

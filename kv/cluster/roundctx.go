@@ -48,7 +48,7 @@ func newRound(parent context.Context, deadline time.Time, timer *time.Timer) *ro
 
 func (rc *roundCtx) Deadline() (time.Time, bool) { return rc.deadline, true }
 
-// Value is the parent's: the request ID passes through.
+// Value is the parent's: a trace and its request ID pass through.
 func (rc *roundCtx) Value(key any) any { return rc.parent.Value(key) }
 
 // Err is nil until the parent ends or the deadline passes; then it ends the

@@ -180,10 +180,10 @@ func TestRoundContext(t *testing.T) {
 			})
 		}},
 		{"RequestID", false, func(t *testing.T, f *fanout) {
-			parent, id := monitor.WithRequestID(context.Background())
+			parent, tr := monitor.StartTrace(context.Background())
 			inRound(f, parent, time.Now().Add(time.Hour), func(ctx context.Context) {
-				if got := monitor.RequestID(ctx); got != id {
-					t.Errorf("the node sees request ID %q, want %q", got, id)
+				if got := string(monitor.AppendRequestID(nil, ctx)); got != tr.ID() || !monitor.Tracing(ctx) {
+					t.Errorf("the node sees request ID %q, trace %v; want %q, traced", got, monitor.Tracing(ctx), tr.ID())
 				}
 			})
 		}},

@@ -1,6 +1,7 @@
-// Request tracing: a context-propagated request ID plus lightweight span
-// records, so a slow operation can be explained layer by layer (cache
-// fetch, resilience retries, individual HTTP attempts) after the fact.
+// Request tracing: lightweight span records under a context-propagated
+// request ID, so a slow operation can be explained layer by layer (cache
+// fetch, resilience retries, individual HTTP attempts) after the fact, and
+// matched with the server's logs by the ID its attempts carried.
 // Tracing is pull-based and cheap: layers call AddSpan, which is a no-op
 // unless an enclosing layer started a trace with StartTrace, and finished
 // traces are retained by a Recorder only when they exceed its slow
@@ -19,9 +20,9 @@ import (
 	"time"
 )
 
-// reqKey is the one context key of this package: its value is the *reqCtx
-// that carries the request.
-type reqKey struct{}
+// traceKey is the one context key of this package: its value is the
+// *ActiveTrace the context carries.
+type traceKey struct{}
 
 // maxSpans bounds the spans retained per trace (a retry storm must not
 // grow a trace without bound).
@@ -37,24 +38,6 @@ var (
 		return hex.EncodeToString(b[:])
 	}()
 )
-
-// requestID is a request's identity: its sequence number in this process.
-// Most requests are never asked for the printable form (a cache hit sends
-// nothing, a RESP exchange has nowhere to put it), so "<prefix>-%06d" is
-// built on the first read and kept.
-type requestID struct {
-	seq uint64
-	str atomic.Pointer[string]
-}
-
-func (r *requestID) String() string {
-	if s := r.str.Load(); s != nil {
-		return *s
-	}
-	s := formatRequestID(r.seq)
-	r.str.Store(&s) // racing first readers store equal strings
-	return s
-}
 
 // formatRequestID renders fmt.Sprintf("%s-%06d", ridPrefix, seq).
 func formatRequestID(seq uint64) string {
@@ -72,79 +55,24 @@ func appendRequestID(dst []byte, seq uint64) []byte {
 	return append(dst, digits...)
 }
 
-// reqCtx is a request's identity and the context that carries it, one
-// object, with or without a trace riding on it. Only Value is its own:
-// deadline, Done and Err are the parent's, and so is every other value — the
-// context package's private canceler key among them, so a context.WithTimeout
-// derived from a reqCtx still links to the parent's canceler directly instead
-// of starting a goroutine to watch it.
-type reqCtx struct {
-	context.Context
-	rid requestID
-	tr  *ActiveTrace // nil when the request is only tagged
-}
-
-func (c *reqCtx) Value(key any) any {
-	if key == (reqKey{}) {
-		return c
-	}
-	return c.Context.Value(key)
-}
-
-// requestOf finds the request ctx carries, or nil.
-func requestOf(ctx context.Context) *reqCtx {
-	c, _ := ctx.Value(reqKey{}).(*reqCtx)
-	return c
-}
-
 // traceOf finds the active trace ctx carries, or nil.
 func traceOf(ctx context.Context) *ActiveTrace {
-	if c := requestOf(ctx); c != nil {
-		return c.tr
-	}
-	return nil
+	tr, _ := ctx.Value(traceKey{}).(*ActiveTrace)
+	return tr
 }
 
-// EnsureRequestID returns a context carrying a request ID, generating one
-// when ctx has none. IDs are unique within a process and prefixed with a
-// per-process random tag, so IDs from several clients stamped onto one
-// server's requests stay distinguishable.
-func EnsureRequestID(ctx context.Context) context.Context {
-	if requestOf(ctx) != nil {
-		return ctx
-	}
-	c := &reqCtx{Context: ctx}
-	c.rid.seq = ridSeq.Add(1)
-	return c
-}
-
-// WithRequestID is EnsureRequestID that also returns the ID. Layers that
-// only tag the context should call EnsureRequestID, which never formats.
-func WithRequestID(ctx context.Context) (context.Context, string) {
-	ctx = EnsureRequestID(ctx)
-	return ctx, RequestID(ctx)
-}
-
-// RequestID returns the request ID carried by ctx, or "".
-func RequestID(ctx context.Context) string {
-	if c := requestOf(ctx); c != nil {
-		return c.rid.String()
-	}
-	return ""
-}
-
-// AppendRequestID appends the request ID ctx carries to dst, and returns dst
-// unchanged when it carries none. An ID not yet printed is formatted into
-// dst, not into a string.
+// AppendRequestID appends ctx's request ID to dst: its trace's, or, when it
+// carries none, a fresh one. An untraced request is given an ID only where one
+// is read, on the wire, so each of its attempts goes out under its own; a
+// traced request's attempts all carry the trace's. IDs are unique within a
+// process and prefixed with a per-process random tag, so IDs from several
+// clients stamped onto one server's requests stay distinguishable. The ID is
+// formatted into dst, not into a string.
 func AppendRequestID(dst []byte, ctx context.Context) []byte {
-	c := requestOf(ctx)
-	if c == nil {
-		return dst
+	if tr := traceOf(ctx); tr != nil {
+		return appendRequestID(dst, tr.seq)
 	}
-	if s := c.rid.str.Load(); s != nil {
-		return append(dst, *s...)
-	}
-	return appendRequestID(dst, c.rid.seq)
+	return appendRequestID(dst, ridSeq.Add(1))
 }
 
 // Span is one timed step inside a trace: which layer did what, starting at
@@ -186,7 +114,7 @@ func (t Trace) String() string {
 // ActiveTrace collects spans for one in-flight request. It is created by
 // StartTrace and safe for concurrent AddSpan calls (hedged attempts).
 type ActiveTrace struct {
-	rid   *requestID // the carrying context's
+	seq   uint64 // the request ID's sequence number
 	begin time.Time
 
 	mu    sync.Mutex
@@ -195,34 +123,37 @@ type ActiveTrace struct {
 }
 
 // ID returns the trace's request ID.
-func (t *ActiveTrace) ID() string { return t.rid.String() }
+func (t *ActiveTrace) ID() string { return formatRequestID(t.seq) }
 
-// traceCtx is a reqCtx allocated together with the trace it carries.
+// traceCtx is the context that carries a trace, allocated together with it.
+// Only Value is its own: deadline, Done and Err are the parent's, and so is
+// every other value — the context package's private canceler key among them,
+// so a context.WithTimeout derived from a traceCtx still links to the parent's
+// canceler directly instead of starting a goroutine to watch it.
 type traceCtx struct {
-	reqCtx
+	context.Context
 	trace ActiveTrace
 }
 
-// StartTrace begins a trace for one request, ensuring ctx carries a request
-// ID (one ctx already carries is kept). The returned ActiveTrace is non-nil
-// only on the outermost call: when ctx already carries a trace, inner layers
-// get back (ctx, nil) and their spans accrue to the enclosing trace, so
-// stacked wrappers (UDSM over DSCL over resilient) produce one trace per
-// request, finished once.
+func (c *traceCtx) Value(key any) any {
+	if key == (traceKey{}) {
+		return &c.trace
+	}
+	return c.Context.Value(key)
+}
+
+// StartTrace begins a trace for one request under a new request ID. The
+// returned ActiveTrace is non-nil only on the outermost call: when ctx
+// already carries a trace, inner layers get back (ctx, nil) and their spans
+// accrue to the enclosing trace, so stacked wrappers (UDSM over DSCL over
+// resilient) produce one trace per request, finished once.
 func StartTrace(ctx context.Context) (context.Context, *ActiveTrace) {
-	outer := requestOf(ctx)
-	if outer != nil && outer.tr != nil {
+	if traceOf(ctx) != nil {
 		return ctx, nil
 	}
-	c := &traceCtx{reqCtx: reqCtx{Context: ctx}}
-	if outer != nil {
-		c.rid.seq = outer.rid.seq // the same ID: its text is a function of seq
-	} else {
-		c.rid.seq = ridSeq.Add(1)
-	}
+	c := &traceCtx{Context: ctx}
 	tr := &c.trace
-	c.tr = tr
-	tr.rid = &c.rid
+	tr.seq = ridSeq.Add(1)
 	tr.begin = time.Now()
 	tr.spans = tr.room[:0]
 	return c, tr

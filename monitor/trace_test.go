@@ -11,18 +11,13 @@ import (
 	"edsc/internal/raceflag"
 )
 
-func TestWithRequestIDStable(t *testing.T) {
-	ctx, id := WithRequestID(context.Background())
-	if id == "" || RequestID(ctx) != id {
-		t.Fatalf("id = %q, ctx carries %q", id, RequestID(ctx))
+func TestTraceIDStable(t *testing.T) {
+	ctx, tr := StartTrace(context.Background())
+	id := tr.ID()
+	if id == "" || tr.ID() != id || string(AppendRequestID(nil, ctx)) != id {
+		t.Fatalf("trace ID %q, then %q; the context appends %q", id, tr.ID(), AppendRequestID(nil, ctx))
 	}
-	// A second call must not mint a new ID.
-	ctx2, id2 := WithRequestID(ctx)
-	if id2 != id || RequestID(ctx2) != id {
-		t.Fatalf("request ID regenerated: %q -> %q", id, id2)
-	}
-	_, other := WithRequestID(context.Background())
-	if other == id {
+	if _, other := StartTrace(context.Background()); other.ID() == id {
 		t.Fatal("distinct requests share an ID")
 	}
 }
@@ -32,8 +27,8 @@ func TestStartTraceOutermostOnly(t *testing.T) {
 	if tr == nil {
 		t.Fatal("outermost StartTrace returned nil trace")
 	}
-	if tr.ID() == "" || tr.ID() != RequestID(ctx) {
-		t.Fatalf("trace id %q vs ctx id %q", tr.ID(), RequestID(ctx))
+	if id := string(AppendRequestID(nil, ctx)); tr.ID() == "" || tr.ID() != id {
+		t.Fatalf("trace id %q vs ctx id %q", tr.ID(), id)
 	}
 	// Inner layers see the existing trace and must not start another.
 	_, inner := StartTrace(ctx)
@@ -125,121 +120,91 @@ func TestSpanCountBounded(t *testing.T) {
 	}
 }
 
-// TestRequestIDFormat: IDs are built on first read, without fmt, and must
-// be what fmt.Sprintf("%s-%06d", ...) used to print — the X-Request-Id
-// bytes are part of what servers log.
+// TestRequestIDFormat: IDs are built without fmt, and must be what
+// fmt.Sprintf("%s-%06d", ...) used to print — the X-Request-Id bytes are part
+// of what servers log.
 func TestRequestIDFormat(t *testing.T) {
 	for _, seq := range []uint64{0, 1, 42, 999999, 1000000, 123456789, 1<<64 - 1} {
 		if got, want := formatRequestID(seq), fmt.Sprintf("%s-%06d", ridPrefix, seq); got != want {
 			t.Errorf("formatRequestID(%d) = %q, want %q", seq, got, want)
 		}
 	}
-	// Sequence numbers are handed out when the context is tagged, not when
-	// the ID is first printed.
-	ctxA := EnsureRequestID(context.Background())
-	ctxB := EnsureRequestID(context.Background())
-	idB, idA := RequestID(ctxB), RequestID(ctxA)
-	inOrder := len(idA) < len(idB) || (len(idA) == len(idB) && idA < idB)
-	if !inOrder || RequestID(ctxA) != idA {
-		t.Fatalf("IDs %q, %q: want creation order, stable across reads", idA, idB)
+	// A context without a trace gets a fresh, well-formed ID at every
+	// append, after what dst holds, in the order they were asked for.
+	bg := context.Background()
+	first := string(AppendRequestID([]byte("id="), bg))
+	second := string(AppendRequestID(nil, bg))
+	var seqA, seqB uint64
+	if _, err := fmt.Sscanf(first, "id="+ridPrefix+"-%d", &seqA); err != nil || first != "id="+formatRequestID(seqA) {
+		t.Fatalf("untraced AppendRequestID = %q: want id=%s-<at least 6 digits> (%v)", first, ridPrefix, err)
 	}
-	// AppendRequestID writes the same bytes before the ID is first printed
-	// and after, and nothing for a context without one.
-	ctxC := EnsureRequestID(context.Background())
-	fresh := string(AppendRequestID([]byte("id="), ctxC))
-	if id := RequestID(ctxC); fresh != "id="+id || string(AppendRequestID(nil, ctxC)) != id {
-		t.Fatalf("AppendRequestID = %q, then %q; RequestID %q", fresh, AppendRequestID(nil, ctxC), id)
+	if _, err := fmt.Sscanf(second, ridPrefix+"-%d", &seqB); err != nil || second != formatRequestID(seqB) || seqB <= seqA {
+		t.Fatalf("untraced AppendRequestID = %q after %q: want a later well-formed ID (%v)", second, first, err)
 	}
-	if got := AppendRequestID([]byte("x"), context.Background()); string(got) != "x" {
-		t.Fatalf("AppendRequestID without an ID = %q, want the buffer unchanged", got)
-	}
-}
-
-// TestTraceAdoptsOuterRequestID: a request tagged before the trace starts
-// keeps its ID — the trace, the context and a retained slow trace all print
-// the same one — and otherwise the trace's own ID is the context's.
-func TestTraceAdoptsOuterRequestID(t *testing.T) {
-	outer, id := WithRequestID(context.Background())
-	ctx, tr := StartTrace(outer)
-	if tr.ID() != id || RequestID(ctx) != id {
-		t.Fatalf("trace %q, ctx %q, want the outer ID %q", tr.ID(), RequestID(ctx), id)
-	}
-	if same := EnsureRequestID(ctx); same != ctx {
-		t.Fatal("EnsureRequestID re-tagged a context that carries a trace")
-	}
-	r := New("s", 16)
-	r.SetSlowThreshold(1)
-	r.FinishTrace(tr, "get", time.Second, false)
-	if got := r.Snapshot(false).Slow[0].ID; got != id {
-		t.Fatalf("retained trace ID %q, want %q", got, id)
+	// A traced context appends its trace's ID, the same at every append.
+	ctx, tr := StartTrace(bg)
+	for i := 0; i < 2; i++ {
+		if got := string(AppendRequestID([]byte("x"), ctx)); got != "x"+tr.ID() {
+			t.Fatalf("traced AppendRequestID = %q, want x%s", got, tr.ID())
+		}
 	}
 }
 
 // TestAllocGuardTrace pins what a request pays for a trace nobody retains:
 // one object, which is the trace, the context that carries it, the request ID
 // and the room for its first spans. Nothing is formatted until somebody reads
-// the ID.
+// the ID, and an ID written onto the wire, minted or the trace's, costs
+// nothing.
 func TestAllocGuardTrace(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	r := New("s", 16)
 	bg := context.Background()
-	var sink context.Context
+	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(500, func() {
 		start := time.Now()
 		ctx, tr := StartTrace(bg)
-		sink = EnsureRequestID(ctx) // what dscl does below udsm: no-op
+		buf = AppendRequestID(buf[:0], ctx)
 		AddSpan(ctx, "dscl", "fetch", start, false)
 		r.FinishTrace(tr, "get", time.Millisecond, false)
 	})
-	_ = sink
 	if allocs != 1 {
-		t.Fatalf("StartTrace+AddSpan+FinishTrace allocated %.0f times per request, want 1", allocs)
+		t.Fatalf("StartTrace+AppendRequestID+AddSpan+FinishTrace allocated %.0f times per request, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { buf = AppendRequestID(buf[:0], bg) }); allocs != 0 {
+		t.Fatalf("minting an untraced request's ID onto the wire allocated %.0f times, want 0", allocs)
 	}
 }
 
-// TestTraceContextKeepsParentCanceler: the context StartTrace or
-// EnsureRequestID returns is a type of this package's, which the context
-// package would watch with a goroutine per derived deadline had it not
-// forwarded Value: cluster and resilient derive one such deadline per request.
-// Cancelling the parent must reach a context.WithTimeout below it, and
-// deriving it must start no goroutine.
+// TestTraceContextKeepsParentCanceler: the context StartTrace returns is a
+// type of this package's, which the context package would watch with a
+// goroutine per derived deadline had it not forwarded Value: cluster and
+// resilient derive one such deadline per request. Cancelling the parent must
+// reach a context.WithTimeout below it, and deriving it must start no
+// goroutine.
 func TestTraceContextKeepsParentCanceler(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		traced bool
-		derive func(context.Context) context.Context
-	}{
-		{"trace", true, func(ctx context.Context) context.Context { ctx, _ = StartTrace(ctx); return ctx }},
-		{"id only", false, EnsureRequestID},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			parent, cancelParent := context.WithCancel(context.Background())
-			defer cancelParent()
-			ctx := tc.derive(parent)
-			if ctx == parent {
-				t.Fatal("the context was not tagged")
-			}
-			before := runtime.NumGoroutine()
-			child, cancel := context.WithTimeout(ctx, time.Hour)
-			defer cancel()
-			if after := runtime.NumGoroutine(); after > before {
-				t.Fatalf("deriving a deadline below the %s context started %d goroutines", tc.name, after-before)
-			}
-			if RequestID(child) == "" || RequestID(child) != RequestID(ctx) || Tracing(child) != tc.traced {
-				t.Fatalf("the derived context carries ID %q (want %q), trace %v (want %v)",
-					RequestID(child), RequestID(ctx), Tracing(child), tc.traced)
-			}
-			cancelParent()
-			select {
-			case <-child.Done():
-			case <-time.After(5 * time.Second):
-				t.Fatal("cancelling the parent never reached the derived context")
-			}
-			if child.Err() != context.Canceled || ctx.Err() != context.Canceled {
-				t.Fatalf("Err = %v below, %v at the %s context; want context.Canceled", child.Err(), ctx.Err(), tc.name)
-			}
-		})
-	}
+	t.Run("trace", func(t *testing.T) {
+		parent, cancelParent := context.WithCancel(context.Background())
+		defer cancelParent()
+		ctx, tr := StartTrace(parent)
+		before := runtime.NumGoroutine()
+		child, cancel := context.WithTimeout(ctx, time.Hour)
+		defer cancel()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("deriving a deadline below the trace context started %d goroutines", after-before)
+		}
+		if id := string(AppendRequestID(nil, child)); id != tr.ID() || !Tracing(child) {
+			t.Fatalf("the derived context carries ID %q (want %q), trace %v", id, tr.ID(), Tracing(child))
+		}
+		cancelParent()
+		select {
+		case <-child.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelling the parent never reached the derived context")
+		}
+		if child.Err() != context.Canceled || ctx.Err() != context.Canceled {
+			t.Fatalf("Err = %v below, %v at the trace context; want context.Canceled", child.Err(), ctx.Err())
+		}
+	})
 }

@@ -235,8 +235,8 @@ func (ds *DataStore) Name() string { return ds.inner.Name() }
 // the request ID inner layers stamp onto the wire) is started here only while
 // the recorder has a slow threshold to retain it by — the threshold is read
 // per request, so SetSlowThreshold works on a live store; otherwise ctx goes
-// down untouched and the first layer that needs an ID tags it. fn returns
-// the operation's result and the payload bytes it moved.
+// down untouched and the wire mints an ID per attempt. fn returns the
+// operation's result and the payload bytes it moved.
 func observe[T any](ds *DataStore, ctx context.Context, op string, okErr func(error) bool, fn func(context.Context) (T, int, error)) (T, error) {
 	start := time.Now()
 	var tr *monitor.ActiveTrace
