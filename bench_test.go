@@ -133,7 +133,7 @@ func benchCachedFig(b *testing.B, storeName string, kind benchkit.CacheKind) {
 			} else {
 				c = e.RemoteCache(fmt.Sprintf("b%s%d:", storeName, size))
 			}
-			client := dscl.New(ds.Inner(), dscl.WithCache(c))
+			client := dscl.New(ds.Unwrap(), dscl.WithCache(c))
 			key := fmt.Sprintf("benchcache-%d", size)
 			if err := client.Put(ctx, key, payload(size)); err != nil {
 				b.Fatal(err)

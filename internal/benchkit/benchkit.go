@@ -95,7 +95,7 @@ func Setup(scale float64, dir string) (*Env, error) {
 	}
 	stores := []kv.Store{
 		&fixedCostStore{Store: fsStore, cost: fsFixedCost},
-		&fixedCostStore{Store: sqlStore, cost: sqlFixedCost},
+		&fixedCostBatchStore{fixedCostStore{Store: sqlStore, cost: sqlFixedCost}, sqlStore},
 		udsm.OpenCloudStore(Cloud1, e.cloud1.URL(), "bench"),
 		udsm.OpenCloudStore(Cloud2, e.cloud2.URL(), "bench"),
 		udsm.OpenMiniRedis(Redis, e.redis.Addr(), "data:"),
@@ -189,6 +189,24 @@ func (s *fixedCostStore) Delete(ctx context.Context, key string) error {
 func (s *fixedCostStore) Contains(ctx context.Context, key string) (bool, error) {
 	spinWait(s.cost)
 	return s.Store.Contains(ctx, key)
+}
+
+// fixedCostBatchStore is a fixedCostStore over a store with a native batch,
+// which it forwards: a batch call is one round trip, so it pays the fixed
+// cost once.
+type fixedCostBatchStore struct {
+	fixedCostStore
+	batch kv.Batch
+}
+
+func (s *fixedCostBatchStore) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
+	spinWait(s.cost)
+	return s.batch.GetMulti(ctx, keys)
+}
+
+func (s *fixedCostBatchStore) PutMulti(ctx context.Context, pairs map[string][]byte) error {
+	spinWait(s.cost)
+	return s.batch.PutMulti(ctx, pairs)
 }
 
 // --- figure experiments ---
@@ -307,7 +325,7 @@ func (e *Env) FigCached(ctx context.Context, storeName string, kind CacheKind, c
 	case Remote:
 		cache = e.RemoteCache(storeName + ":")
 	}
-	client := dscl.New(ds.Inner(), dscl.WithCache(cache), dscl.WithWritePolicy(dscl.WriteAround))
+	client := dscl.New(ds.Unwrap(), dscl.WithCache(cache), dscl.WithWritePolicy(dscl.WriteAround))
 	if len(cfg.HitRates) == 0 {
 		cfg.HitRates = []float64{0, 25, 50, 75, 100}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"edsc/dscl"
+	"edsc/kv"
 	"edsc/workload"
 )
 
@@ -73,6 +74,52 @@ func TestSetupRegistersFiveStores(t *testing.T) {
 	}
 	if _, err := e.Store("nope"); err == nil {
 		t.Fatal("unknown store found")
+	}
+}
+
+// TestFixedCostBatch: the SQL entry forwards its store's native batch, and a
+// batch call, one round trip, pays the fixed cost once — here a cost raised
+// to 20 ms over the entry's own store, so that 32 keys charged per key would
+// take 640 ms. The filesystem entry, whose store has no batch, gains none:
+// kv.GetMulti over it runs the per-key fallback.
+func TestFixedCostBatch(t *testing.T) {
+	ctx := context.Background()
+	e := setupEnv(t, 0.001)
+	for name, want := range map[string]bool{SQL: true, FS: false} {
+		ds, err := e.Store(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := kv.As[kv.Batch](ds.Unwrap()); ok != want {
+			t.Errorf("%s entry provides kv.Batch: %v, want %v", name, ok, want)
+		}
+	}
+	ds, err := e.Store(SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := ds.Unwrap().(*fixedCostBatchStore)
+	if !ok {
+		t.Fatalf("SQL entry is %T, want a *fixedCostBatchStore", ds.Unwrap())
+	}
+	const cost, keys = 20 * time.Millisecond, 32
+	slow := &fixedCostBatchStore{fixedCostStore{Store: entry.Store, cost: cost}, entry.batch}
+	pairs := make(map[string][]byte, keys)
+	names := make([]string, 0, keys)
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("fixed-cost-batch-%d", i)
+		pairs[k], names = []byte(k), append(names, k)
+	}
+	start := time.Now()
+	if err := slow.PutMulti(ctx, pairs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := slow.GetMulti(ctx, names)
+	if err != nil || len(got) != keys {
+		t.Fatalf("GetMulti = %d values, %v; want %d", len(got), err, keys)
+	}
+	if d := time.Since(start); d < 2*cost || d >= keys*cost/2 {
+		t.Fatalf("a PutMulti and a GetMulti of %d keys at a %v fixed cost took %v; want one cost per call", keys, cost, d)
 	}
 }
 
@@ -186,8 +233,8 @@ func TestFigCachedShapeInProcessFlatRemoteGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inprocClient := dscl.New(ds.Inner(), dscl.WithCache(dscl.NewInProcessCache(dscl.InProcessOptions{})))
-	remoteClient := dscl.New(ds.Inner(), dscl.WithCache(e.RemoteCache("hits:")))
+	inprocClient := dscl.New(ds.Unwrap(), dscl.WithCache(dscl.NewInProcessCache(dscl.InProcessOptions{})))
+	remoteClient := dscl.New(ds.Unwrap(), dscl.WithCache(e.RemoteCache("hits:")))
 	var inprocHit, remoteHit [2]time.Duration
 	for i, size := range cfg.Sizes {
 		key := fmt.Sprintf("hits-%d", size)
@@ -249,7 +296,7 @@ func TestFig18ShapeRemoteCacheLosesOnLargeFilesystemObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := dscl.New(fsStore.Inner(), dscl.WithCache(e.RemoteCache("fig18:")))
+	client := dscl.New(fsStore.Unwrap(), dscl.WithCache(e.RemoteCache("fig18:")))
 	for _, size := range []int{64, 4 << 20} {
 		payload := workload.SyntheticSource{Seed: 2}.Data(size)
 		if err := client.Put(ctx, "doc", payload); err != nil {

@@ -28,9 +28,6 @@ type Options struct {
 	// MaxIdleConnsPerHost sizes the idle pool (default 64 — the server is
 	// one host, so this is effectively the pool size).
 	MaxIdleConnsPerHost int
-	// DisableKeepAlives forces a fresh connection per request — the naive
-	// per-op baseline the throughput experiment measures against.
-	DisableKeepAlives bool
 
 	// Coalesce merges concurrent single-key Get/GetVersioned calls into
 	// bulk ?batch=get round trips (see coalesce.go). Off by default.

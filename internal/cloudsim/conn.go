@@ -161,9 +161,6 @@ func (c *Client) writeRequest(cn *conn, method, key, query string, body []byte, 
 	// traced caller's, so client-side traces and server-side logs line up,
 	// else one minted here for this attempt.
 	b = append(monitor.AppendRequestID(append(b, "X-Request-Id: "...), cn.ctx), "\r\n"...)
-	if c.pool.opts.DisableKeepAlives {
-		b = append(b, "Connection: close\r\n"...)
-	}
 	_, _ = cn.bw.Write(append(b, "\r\n"...))
 	_, _ = cn.bw.Write(body)
 	return cn.bw.Flush()
@@ -222,7 +219,7 @@ func (cn *conn) close() {
 // context.AfterFunc, which fails the read or write the exchange is blocked
 // in with a past deadline; a ctx that cannot end costs nothing.
 func (cn *conn) begin(ctx context.Context) {
-	cn.ctx, cn.wrote, cn.reuse = ctx, 0, !cn.p.opts.DisableKeepAlives
+	cn.ctx, cn.wrote, cn.reuse = ctx, 0, true
 	if ctx.Done() != nil {
 		cn.stop = context.AfterFunc(ctx, func() { _ = cn.nc.SetDeadline(time.Unix(1, 0)) })
 	}

@@ -55,20 +55,19 @@
 // hints drain back to the node once it is reachable again (opportunistically
 // after any successful write that touches it, or explicitly via FlushHints).
 //
-// All writes to one key are serialized through a striped coordinator lock,
-// which is what makes CompareAndPut sound for one coordinator: the lock and
-// the compare-and-put are atomic per Cluster only. Two Cluster clients over
-// the same nodes would race versions.
-//
-// A write takes its version under that lock (writeRecord for one key,
-// PutMulti for a batch, and nowhere else), so the versions of a key rise in
-// the order its writes reach the replicas: a replica applies a write blindly,
-// and a hint or a repair installs only what is newer. The counter starts at
-// the wall clock in nanoseconds, so a coordinator restarted over the same
-// nodes outbids its predecessor from its first write — given that its clock
-// is the later one and that nobody issues 10⁹ versions a second; every read
-// also raises the counter to the newest version it met, which covers data
-// written under a clock that ran ahead.
+// All writes to one key through one Cluster are serialized by a striped
+// coordinator lock, and a write takes its version under that lock (writeRecord
+// for one key, PutMulti for a batch, and nowhere else), so the versions of a
+// key rise in the order its writes reach the replicas: a replica applies a
+// write blindly, and a hint or a repair installs only what is newer. A version
+// is the wall clock in nanoseconds, or one above the last version the
+// coordinator issued or met when that is higher. The writes of two Clusters
+// over the same nodes — two application processes, or one restarted — are
+// then ordered by their clocks, given that the clocks agree to within the time
+// between two writes of a key; every read also raises the counter to the
+// newest version it met, which covers data written under a clock that ran
+// ahead. The lock orders one coordinator's writes only, so the cluster offers
+// no compare-and-put (kv.CompareAndPut).
 //
 // Node calls start in two places only: fanout.run asks the replicas of one
 // key, eachNode asks whole nodes (batches, listings, Clear). Both start a
@@ -163,13 +162,13 @@ type Stats struct {
 }
 
 // Cluster is the sharded, replicated store client. It implements kv.Store,
-// kv.Versioned, kv.CompareAndPut, kv.Batch, and kv.VersionedBatch; the
+// kv.Versioned, kv.Batch, and kv.VersionedBatch; the
 // expiry and SQL escape hatches do not exist cluster-wide (no single node
 // owns a key), so kv.Expiring and kv.SQL are deliberately absent.
 type Cluster struct {
 	name string
 	opts Options
-	ver  atomic.Uint64 // cluster-wide version counter (single coordinator)
+	ver  atomic.Uint64 // the last version issued or met (nextVersion)
 
 	// ring, members and nodes are written once, in New, and read without a
 	// lock: the node set is fixed for the Cluster's life.
@@ -215,7 +214,6 @@ type hint struct {
 var (
 	_ kv.Store          = (*Cluster)(nil)
 	_ kv.Versioned      = (*Cluster)(nil)
-	_ kv.CompareAndPut  = (*Cluster)(nil)
 	_ kv.Batch          = (*Cluster)(nil)
 	_ kv.VersionedBatch = (*Cluster)(nil)
 )
@@ -240,7 +238,6 @@ func New(name string, nodes []Node, opts Options) (*Cluster, error) {
 		members: make(map[string]kv.Store, len(nodes)),
 		hints:   make(map[string]*nodeHints, len(nodes)),
 	}
-	c.ver.Store(uint64(time.Now().UnixNano()))
 	ids := make([]string, 0, len(nodes))
 	for _, nd := range nodes {
 		if nd.ID == "" || nd.Store == nil {
@@ -349,13 +346,17 @@ func DecodeRecord(b []byte) (Record, error) {
 	}, nil
 }
 
-// nextVersion stamps a write. Its two callers, writeRecord and PutMulti, hold
-// the stripe lock of every key they stamp, so the versions of one key rise in
-// the order its writes reach the replicas. New seeds the counter with the wall
-// clock in nanoseconds: a coordinator started later over the same nodes issues
-// versions above everything an earlier one can have issued, as long as its
-// clock is the later one and nobody issues 10⁹ versions a second.
-func (c *Cluster) nextVersion() uint64 { return c.ver.Add(1) }
+// nextVersion stamps a write: the wall clock in nanoseconds, or one above the
+// last version this coordinator issued or met when that is higher. Its two
+// callers, writeRecord and PutMulti, hold the stripe lock of every key they
+// stamp, so the versions of one key rise in the order its writes reach the
+// replicas; the clock orders the writes of different coordinators over the
+// same nodes, as long as their clocks agree to within the time between two
+// writes of a key and nobody issues 10⁹ versions a second.
+func (c *Cluster) nextVersion() uint64 {
+	c.observeVersion(uint64(time.Now().UnixNano()) - 1)
+	return c.ver.Add(1)
+}
 
 // observeVersion raises the counter to at least v, the newest version a read
 // met: what is left to do for data written by a coordinator whose clock ran
@@ -1079,42 +1080,6 @@ func (c *Cluster) put(ctx context.Context, key string, value []byte) (uint64, er
 	lock := c.lockFor(key)
 	lock.Lock()
 	return c.writeRecord(ctx, "put", key, value, false, lock)
-}
-
-// PutIfVersion implements kv.CompareAndPut. The coordinator's key lock
-// serializes it against every other write to the key through this Cluster, so
-// the quorum read-check-write below is atomic per coordinator only: two
-// Clusters over the same nodes can both succeed with the same since. The node
-// set it reads and writes is the one fixed at New, for the Cluster's life.
-func (c *Cluster) PutIfVersion(ctx context.Context, key string, value []byte, since kv.Version) (kv.Version, error) {
-	if err := ctx.Err(); err != nil {
-		return kv.NoVersion, err
-	}
-	if err := kv.CheckKey(key); err != nil {
-		return kv.NoVersion, err
-	}
-	lock := c.lockFor(key)
-	lock.Lock()
-	cur, exists, err := c.readRecord(ctx, "cas", key, true)
-	if err != nil {
-		lock.Unlock()
-		return kv.NoVersion, err
-	}
-	live := exists && !cur.Tombstone
-	if since == kv.NoVersion {
-		if live {
-			lock.Unlock()
-			return kv.NoVersion, kv.ErrVersionMismatch
-		}
-	} else if !live || versionString(cur.Version) != since {
-		lock.Unlock()
-		return kv.NoVersion, kv.ErrVersionMismatch
-	}
-	ver, err := c.writeRecord(ctx, "cas", key, value, false, lock)
-	if err != nil {
-		return kv.NoVersion, err
-	}
-	return versionString(ver), nil
 }
 
 // Delete implements kv.Store. Deletes replicate as tombstones: removing the

@@ -31,8 +31,9 @@ func memCluster(t *testing.T) (kv.Store, func()) {
 }
 
 // TestClusterConformance runs the full single-store conformance suite plus
-// every capability suite the cluster claims: the distributed tier must be
-// indistinguishable from a local store under the standard contract.
+// every capability suite the cluster claims (kv.CompareAndPut is not one):
+// the distributed tier must be indistinguishable from a local store under
+// the standard contract.
 func TestClusterConformance(t *testing.T) {
 	kvtest.Run(t, memCluster, kvtest.Options{
 		// 1 MiB values through 3-way replication are slow in -race runs;
@@ -42,7 +43,6 @@ func TestClusterConformance(t *testing.T) {
 	kvtest.RunPutCut(t, memCluster)
 	kvtest.RunBatch(t, memCluster)
 	kvtest.RunVersioned(t, memCluster)
-	kvtest.RunCompareAndPut(t, memCluster)
 }
 
 // TestClusterSuite runs the cluster-specific conformance: quorum failures,

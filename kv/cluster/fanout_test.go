@@ -83,7 +83,7 @@ func holdsNothing(f *fanout) bool {
 	return true
 }
 
-// TestFanoutReuseUnderFailures drives concurrent Get/Put/Delete/PutIfVersion
+// TestFanoutReuseUnderFailures drives concurrent Get/Put/Delete/GetVersioned
 // on a handful of keys through seeded faulty nodes — injected errors, lost
 // acks, replica calls that time out, one node down then back — with every
 // replica set inline (N=3) and spilled (N=5), under -race in CI. Every value
@@ -140,12 +140,13 @@ func TestFanoutReuseUnderFailures(t *testing.T) {
 						case 6:
 							err = c.Delete(ctx, key)
 						case 7:
-							var ver kv.Version
-							if _, ver, err = c.GetVersioned(ctx, key); err == nil {
-								_, err = c.PutIfVersion(ctx, key, payload(key, w, seq), ver)
+							var v []byte
+							if v, _, err = c.GetVersioned(ctx, key); err == nil && !checkPayload(key, v) {
+								t.Errorf("GetVersioned(%s) returned a damaged value: %.40q... (%d bytes)", key, v, len(v))
+								return
 							}
 						}
-						if err != nil && !kv.IsNotFound(err) && !errors.Is(err, kv.ErrVersionMismatch) && !errors.Is(err, ErrNoQuorum) {
+						if err != nil && !kv.IsNotFound(err) && !errors.Is(err, ErrNoQuorum) {
 							t.Errorf("worker %d op %d on %s: %v", w, seq, key, err)
 							return
 						}

@@ -1,8 +1,8 @@
 package cluster
 
-// Where a version is stamped: under the key's stripe lock, from a counter no
-// earlier coordinator can be ahead of. Each test is a history that loses an
-// acknowledged write when either half is missing.
+// Where a version is stamped: under the key's stripe lock, from the wall clock
+// or one above the last version, whichever is higher. Each test is a history
+// that loses an acknowledged write when either half is missing.
 
 import (
 	"bytes"
@@ -19,7 +19,8 @@ import (
 // TestVersionStampedUnderKeyLock: a write that is still waiting for its key's
 // stripe lock has not taken a version — the order of the versions of one key
 // then is the order its writes reach the replicas. The test holds the lock,
-// starts the write, and the counter must stand still until it lets go.
+// starts the write, and the counter must stand still until it lets go; then
+// the version the write stamped is the counter's new value.
 func TestVersionStampedUnderKeyLock(t *testing.T) {
 	ctx := context.Background()
 	const key = "k"
@@ -29,7 +30,7 @@ func TestVersionStampedUnderKeyLock(t *testing.T) {
 		"PutMulti":     func(c *Cluster) error { return c.PutMulti(ctx, map[string][]byte{key: []byte("v")}) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			c, _ := memNodes(t, Options{})
+			c, refs := memNodes(t, Options{})
 			lock := c.lockFor(key)
 			lock.Lock()
 			before := c.ver.Load()
@@ -46,8 +47,12 @@ func TestVersionStampedUnderKeyLock(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			if c.ver.Load() != before+1 {
-				t.Fatalf("the write moved the counter from %d to %d, want one step", before, c.ver.Load())
+			after := c.ver.Load()
+			b, err := refs[0].Store.Get(ctx, key)
+			rec, derr := DecodeRecord(b)
+			if err != nil || derr != nil || rec.Version != after || after <= before {
+				t.Fatalf("the write stamped version %d (%v, %v) and moved the counter from %d to %d; want the counter's new value, above %d",
+					rec.Version, err, derr, before, after, before)
 			}
 		})
 	}

@@ -79,13 +79,15 @@ func nodeRecord(t *testing.T, s kv.Store, key string) (cluster.Record, bool) {
 // small clusters from newNode backends and checks the behaviors that make
 // quorum replication honest — typed quorum failures, hinted handoff that
 // drains on recovery, and read repair that converges replicas (asserted by
-// per-node inspection, not through the cluster's own reads). A cluster's node
-// set is fixed at cluster.New, so there is no membership change to check.
+// per-node inspection, not through the cluster's own reads), and the order of
+// two coordinators' writes to one key. A cluster's node set is fixed at
+// cluster.New, so there is no membership change to check.
 func RunCluster(t *testing.T, newNode NodeFactory) {
 	t.Run("Cluster", func(t *testing.T) {
 		t.Run("QuorumUnreachable", func(t *testing.T) { clusterQuorumUnreachable(t, newNode) })
 		t.Run("HintedHandoff", func(t *testing.T) { clusterHintedHandoff(t, newNode) })
 		t.Run("ReadRepair", func(t *testing.T) { clusterReadRepair(t, newNode) })
+		t.Run("TwoCoordinators", func(t *testing.T) { clusterTwoCoordinators(t, newNode) })
 	})
 }
 
@@ -271,5 +273,49 @@ func clusterReadRepair(t *testing.T, newNode NodeFactory) {
 				t.Fatalf("ReadRepairs = %d, want 1", st.ReadRepairs)
 			}
 		})
+	}
+}
+
+// clusterTwoCoordinators: two Clusters over the same nodes, as two processes
+// hold them, early built before late. late writes "first"; with one node
+// down, early writes "second", acknowledged by the other two; the node returns
+// and early's hints drain. "second" was acknowledged last, so every read
+// through either coordinator returns it and every node holds it.
+func clusterTwoCoordinators(t *testing.T, newNode NodeFactory) {
+	ctx := context.Background()
+	opts := cluster.Options{ReadQuorum: 2, WriteQuorum: 2}
+	tc := buildCluster(t, newNode, 3, opts)
+	nodes := make([]cluster.Node, len(tc.ids))
+	for i, id := range tc.ids {
+		nodes[i] = cluster.Node{ID: id, Store: tc.sw[i]}
+	}
+	early := tc.c
+	late, err := cluster.New("late", nodes, opts)
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(func() { late.Close() })
+	if err := late.Put(ctx, "lw", []byte("first")); err != nil {
+		t.Fatalf("late Put: %v", err)
+	}
+	tc.sw[2].SetDown(true)
+	if err := early.Put(ctx, "lw", []byte("second")); err != nil {
+		t.Fatalf("early Put with one node down (W=2): %v", err)
+	}
+	tc.sw[2].SetDown(false)
+	if left, err := early.FlushHints(ctx); err != nil || left != 0 {
+		t.Fatalf("FlushHints = %d pending, %v", left, err)
+	}
+	for i := 0; i < 2*len(nodes); i++ {
+		for _, c := range []*cluster.Cluster{early, late} {
+			if v, err := c.Get(ctx, "lw"); err != nil || string(v) != "second" {
+				t.Fatalf("read %d through %s = %q, %v; want the last acknowledged write, second", i, c.Name(), v, err)
+			}
+		}
+	}
+	for i, raw := range tc.raw {
+		if rec, ok := nodeRecord(t, raw, "lw"); !ok || string(rec.Value) != "second" {
+			t.Errorf("%s holds %q (version %d); want second", tc.ids[i], rec.Value, rec.Version)
+		}
 	}
 }

@@ -14,11 +14,8 @@ import (
 // with its own retry/hedge budget, so one bad key cannot sink the rest.
 // Splits are counted in Stats.
 //
-// Capabilities outside the kv data path (kv.Expiring, kv.SQL) are no longer
-// forwarded by hand: the wrapper exposes Unwrap and the kv.As walk discovers
-// them on the inner store directly. PR 3's forwarding shims and capability
-// audit are gone — the middleware model makes them unnecessary by
-// construction.
+// Capabilities the wrapper does not implement are not forwarded by hand: it
+// exposes Unwrap, and the kv.As walk discovers them on the inner store.
 
 var _ kv.Batch = (*Store)(nil)
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"edsc/kv"
+	"edsc/kv/faulty"
 	"edsc/kv/kvtest"
 	"edsc/kv/resilient"
 )
@@ -176,11 +177,11 @@ func (m *expiringMem) TTL(ctx context.Context, key string) (int64, error) {
 	return m.ttls[key], nil
 }
 
-// TestCapabilityDiscovery replaces PR 3's hand-written forwarding audit:
-// capabilities the wrapper does not intercept (Expiring, SQL) are found on
-// the inner store through the kv.As walk, intercepted ones (Versioned, CAS)
-// resolve to the wrapper itself exactly when the inner stack supports them,
-// and nothing is ever invented for an inner store that lacks it.
+// TestCapabilityDiscovery: capabilities the wrapper does not implement
+// (Expiring, SQL, Ranged) are found on the inner store through the kv.As
+// walk, intercepted ones (Versioned, VersionedBatch, CAS) resolve to the
+// wrapper itself exactly when the inner stack supports them, and nothing is
+// ever invented for an inner store that lacks it.
 func TestCapabilityDiscovery(t *testing.T) {
 	ctx := context.Background()
 
@@ -215,6 +216,10 @@ func TestCapabilityDiscovery(t *testing.T) {
 	if _, ok := kv.As[kv.VersionedBatch](plain); ok {
 		t.Fatal("kv.VersionedBatch invented over a plain kv.Mem")
 	}
+	faultyInner := resilient.New(faulty.New(kv.NewMem("m"), faulty.Options{}), fastOpts())
+	if _, ok := kv.As[kv.CompareAndPut](faultyInner); ok {
+		t.Fatal("kv.CompareAndPut invented over a store without it")
+	}
 
 	// Intercepted capability: kv.Mem supports CAS, so the walk must resolve
 	// to the wrapper (retried CAS), not the bare store.
@@ -227,6 +232,13 @@ func TestCapabilityDiscovery(t *testing.T) {
 	}
 	if _, err := cas.PutIfVersion(ctx, "c", []byte("v"), kv.NoVersion); err != nil {
 		t.Fatal(err)
+	}
+
+	// Not intercepted: kv.Mem's ranged reads are found below the wrapper.
+	if rg, ok := kv.As[kv.Ranged](plain); !ok {
+		t.Fatal("kv.Ranged not discovered over kv.Mem")
+	} else if _, isMem := rg.(*kv.Mem); !isMem {
+		t.Fatalf("kv.Ranged resolved to %T, want the inner kv.Mem", rg)
 	}
 
 	// Direct calls on an unsupported wrapper still refuse explicitly.

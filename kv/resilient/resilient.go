@@ -7,15 +7,16 @@
 // counts on the same /metrics page as the operation latencies, so retry
 // storms show up beside them.
 //
-// Retry policy. Reads (Get, GetRange, Contains, Keys, Len) are always safe to retry
-// and always are. Blind writes (Put, Delete, Clear) are retried only when
-// Options.RetryWrites is set, because a transient error is ambiguous — the
-// write may have taken effect — and retrying is only sound when the caller
-// knows its writes are idempotent (full-value Put and Delete are; callers
-// doing read-modify-write should use PutIfVersion instead). Conditional
-// writes (PutIfVersion) are always retried: the version check makes a
-// duplicate apply impossible, though an ambiguous failure can surface as
-// kv.ErrVersionMismatch, which callers of CAS must already handle.
+// Retry policy. Reads (Get, GetVersioned, GetIfModified, GetMulti,
+// GetMultiVersioned, Contains, Keys, Len) are always safe to retry and
+// always are. Blind writes (Put, PutVersioned, PutMulti, Delete, Clear) are
+// retried only when Options.RetryWrites is set, because a transient error is
+// ambiguous — the write may have taken effect — and retrying is only sound
+// when the caller knows its writes are idempotent (full-value Put and Delete
+// are; callers doing read-modify-write should use PutIfVersion instead).
+// Conditional writes (PutIfVersion) are always retried: the version check
+// makes a duplicate apply impossible, though an ambiguous failure can
+// surface as kv.ErrVersionMismatch, which callers of CAS must already handle.
 //
 // Delete gets one extra idempotency rule: when an earlier attempt failed
 // transiently and a later attempt reports kv.ErrNotFound, the delete is
@@ -77,11 +78,11 @@ type Stats struct {
 	BatchSplits int64 // multi-key calls degraded to per-key operations
 }
 
-// Store is the resilience wrapper. It implements kv.Store and intercepts
-// the whole kv data path — kv.Batch, kv.Versioned, kv.VersionedBatch,
-// kv.CompareAndPut and kv.Ranged — with retries whenever the inner stack
-// supports the capability (see Intercepts). Capabilities it does not
-// intercept are discovered through Unwrap by the kv.As walk.
+// Store is the resilience wrapper. It implements kv.Store, kv.Batch and —
+// when the inner stack supports them (see Intercepts) — kv.Versioned,
+// kv.VersionedBatch and kv.CompareAndPut with retries: the capabilities a
+// dscl client above it sends. The rest (kv.Ranged, kv.Expiring, kv.SQL) is
+// discovered through Unwrap by the kv.As walk.
 type Store struct {
 	inner kv.Store
 	opts  Options
@@ -96,10 +97,7 @@ type Store struct {
 	splits    atomic.Int64
 }
 
-var (
-	_ kv.Store  = (*Store)(nil)
-	_ kv.Ranged = (*Store)(nil)
-)
+var _ kv.Store = (*Store)(nil)
 
 // New wraps inner.
 func New(inner kv.Store, opts Options) *Store {
@@ -130,32 +128,21 @@ func Layer(opts Options) kv.Layer {
 	return func(inner kv.Store) kv.Store { return New(inner, opts) }
 }
 
-// Inner returns the wrapped store (for native capabilities beyond kv.Store).
-func (s *Store) Inner() kv.Store { return s.inner }
-
-// Unwrap implements kv.Wrapper: capabilities the wrapper does not intercept
-// (kv.Expiring, kv.SQL — native escape hatches with no degraded mode worth
-// adding retries to by default) are discovered through the kv.As walk.
+// Unwrap implements kv.Wrapper: capabilities the wrapper does not implement
+// (kv.Ranged, kv.Expiring, kv.SQL) are discovered on the inner store through
+// the kv.As walk, without retries.
 func (s *Store) Unwrap() kv.Store { return s.inner }
 
-// Intercepts implements kv.Interceptor. The wrapper's method set statically
-// covers the whole kv data path (Batch, Versioned, VersionedBatch,
-// CompareAndPut, Ranged) so that retries guard every data operation,
-// but a capability is only claimed when the inner stack can actually serve
-// it — otherwise the kv.As walk keeps looking (and finds nothing, exactly as
-// if the wrapper were not there).
+// Intercepts implements kv.Interceptor: kv.Versioned, kv.VersionedBatch and
+// kv.CompareAndPut are claimed only when the inner stack serves them;
+// otherwise the kv.As walk goes on past the wrapper.
 func (s *Store) Intercepts(capability any) bool {
 	switch capability.(type) {
-	case *kv.Batch:
-		return true // native pass-through or retried per-key fan-out
 	case *kv.Versioned, *kv.VersionedBatch:
 		_, ok := kv.As[kv.Versioned](s.inner)
 		return ok
 	case *kv.CompareAndPut:
 		_, ok := kv.As[kv.CompareAndPut](s.inner)
-		return ok
-	case *kv.Ranged:
-		_, ok := kv.As[kv.Ranged](s.inner)
 		return ok
 	}
 	return true
@@ -387,15 +374,6 @@ func (s *Store) PutIfVersion(ctx context.Context, key string, value []byte, sinc
 	}
 	return call(s, ctx, "cas", s.opts.MaxRetries, func(actx context.Context) (kv.Version, error) {
 		return cas.PutIfVersion(actx, key, value, since)
-	})
-}
-
-// GetRange implements kv.Ranged with the read-retry policy (no hedging: a
-// range is the cheap read). On an inner stack without ranged reads it slices
-// a retried Get.
-func (s *Store) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
-	return call(s, ctx, "getrange", s.readRetries(), func(actx context.Context) ([]byte, error) {
-		return kv.GetRange(actx, s.inner, key, off, n)
 	})
 }
 

@@ -1,9 +1,6 @@
 package udsm
 
-import (
-	"edsc/kv"
-	"edsc/kv/cluster"
-)
+import "edsc/kv/cluster"
 
 // This file surfaces the distributed cluster tier (kv/cluster) through the
 // manager, so applications assemble a replicated multi-node store the same
@@ -26,18 +23,9 @@ type ClusterOptions = cluster.Options
 type ClusterStore = cluster.Cluster
 
 // NewClusterStore builds a quorum-replicated store over the given nodes.
-// The returned store implements the full capability surface (kv.Batch,
-// kv.Versioned, kv.CompareAndPut) and composes under kv.Stack like any other
-// base store.
+// The returned store implements kv.Batch, kv.Versioned and kv.VersionedBatch
+// — not kv.CompareAndPut, whose check one coordinator cannot make atomic
+// against another — and composes under kv.Stack like any other base store.
 func NewClusterStore(name string, nodes []ClusterNode, opts ClusterOptions) (*ClusterStore, error) {
 	return cluster.New(name, nodes, opts)
 }
-
-// interface assertion: the cluster tier must remain a full-surface store.
-var (
-	_ kv.Store          = (*ClusterStore)(nil)
-	_ kv.Batch          = (*ClusterStore)(nil)
-	_ kv.Versioned      = (*ClusterStore)(nil)
-	_ kv.CompareAndPut  = (*ClusterStore)(nil)
-	_ kv.VersionedBatch = (*ClusterStore)(nil)
-)

@@ -59,7 +59,7 @@ func registerCluster(t *testing.T, m *Manager, nodes []ClusterNode, layers ...kv
 
 // TestRegisterClusterStack: the cluster tier slots into the manager's
 // enhancement pipeline like any other base store — encryption at rest on
-// every replica, retries above the quorum layer, CAS surviving end to end —
+// every replica, retries above the quorum layer, no CAS anywhere in it —
 // while the cluster handle keeps hint draining and the statistics reachable.
 func TestRegisterClusterStack(t *testing.T) {
 	ctx := context.Background()
@@ -100,20 +100,9 @@ func TestRegisterClusterStack(t *testing.T) {
 		t.Fatalf("value replicated to %d nodes, want a write quorum", holders)
 	}
 
-	// CAS survives the pipeline down to the quorum layer.
-	cas, ok := kv.As[kv.CompareAndPut](ds)
-	if !ok {
-		t.Fatal("kv.CompareAndPut lost through the cluster pipeline")
-	}
-	v1, err := cas.PutIfVersion(ctx, "cas", []byte("first"), kv.NoVersion)
-	if err != nil {
-		t.Fatalf("PutIfVersion: %v", err)
-	}
-	if _, err := cas.PutIfVersion(ctx, "cas", []byte("loser"), kv.NoVersion); err == nil {
-		t.Fatal("second create-only CAS succeeded")
-	}
-	if _, err := cas.PutIfVersion(ctx, "cas", []byte("second"), v1); err != nil {
-		t.Fatalf("CAS with correct version: %v", err)
+	// The quorum layer offers no CAS, and nothing above it invents one.
+	if cas, ok := kv.As[kv.CompareAndPut](ds); ok {
+		t.Fatalf("kv.CompareAndPut found through the cluster pipeline at %T", cas)
 	}
 
 	// The cluster handle still works for operations the kv.Store surface

@@ -2,7 +2,6 @@ package udsm
 
 import (
 	"fmt"
-	"time"
 
 	"edsc/internal/cloudsim"
 	"edsc/internal/fsstore"
@@ -182,29 +181,15 @@ func OpenCloudStoreWith(name, baseURL, bucket string, opts CloudOptions) kv.Stor
 // MiniRedisServer is a handle to an in-process remote cache server.
 type MiniRedisServer struct{ s *miniredis.Server }
 
-// MiniRedisOptions configure StartMiniRedis.
-type MiniRedisOptions struct {
-	// Addr is the listen address (default an ephemeral loopback port).
-	Addr string
-	// SnapshotPath enables SAVE persistence and warm restarts.
-	SnapshotPath string
-	// SweepInterval enables background expiry (0 = lazy expiry only).
-	SweepInterval time.Duration
-	// MetricsAddr, when non-empty, starts the sidecar observability
-	// listener (/metrics, /debug/pprof/) on that address.
-	MetricsAddr string
-}
+// MiniRedisOptions configure StartMiniRedis: the listen address, snapshot
+// persistence, background expiry and the sidecar metrics listener.
+type MiniRedisOptions = miniredis.ServerConfig
 
 // StartMiniRedis launches a miniredis server in this process. Even
 // in-process, clients reach it over a real TCP socket, so it behaves as the
 // remote process cache of §III.
 func StartMiniRedis(opts MiniRedisOptions) (*MiniRedisServer, error) {
-	s := miniredis.NewServer(miniredis.ServerConfig{
-		Addr:          opts.Addr,
-		SnapshotPath:  opts.SnapshotPath,
-		SweepInterval: opts.SweepInterval,
-		MetricsAddr:   opts.MetricsAddr,
-	})
+	s := miniredis.NewServer(opts)
 	if err := s.Start(); err != nil {
 		return nil, err
 	}

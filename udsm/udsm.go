@@ -193,30 +193,13 @@ type DataStore struct {
 	pool     *future.Pool
 }
 
-var (
-	_ kv.Store       = (*DataStore)(nil)
-	_ kv.Interceptor = (*DataStore)(nil)
-	_ kv.Ranged      = (*DataStore)(nil)
-)
+var _ kv.Store = (*DataStore)(nil)
 
-// Inner returns the wrapped store for access to native features beyond the
-// key-value interface (prefer kv.As over direct type assertions).
-func (ds *DataStore) Inner() kv.Store { return ds.inner }
-
-// Unwrap implements kv.Wrapper: monitoring intercepts only the operations
-// it implements (the kv.Store methods, kv.Batch and kv.Ranged); every other
-// capability is discovered on the wrapped stack through the kv.As walk.
+// Unwrap implements kv.Wrapper and returns the wrapped store: monitoring
+// intercepts only the operations it implements (the kv.Store methods and
+// kv.Batch); every other capability is discovered on the wrapped stack
+// through the kv.As walk, unrecorded.
 func (ds *DataStore) Unwrap() kv.Store { return ds.inner }
-
-// Intercepts implements kv.Interceptor: kv.Ranged is claimed only when the
-// wrapped stack serves it.
-func (ds *DataStore) Intercepts(capability any) bool {
-	if _, ok := capability.(*kv.Ranged); ok {
-		_, ok = kv.As[kv.Ranged](ds.inner)
-		return ok
-	}
-	return true
-}
 
 // Monitor returns the store's latency recorder.
 func (ds *DataStore) Monitor() *monitor.Recorder { return ds.recorder }
@@ -255,15 +238,6 @@ func observe[T any](ds *DataStore, ctx context.Context, op string, okErr func(er
 func (ds *DataStore) Get(ctx context.Context, key string) ([]byte, error) {
 	return observe(ds, ctx, "get", kv.IsNotFound, func(ctx context.Context) ([]byte, int, error) {
 		v, err := ds.inner.Get(ctx, key)
-		return v, len(v), err
-	})
-}
-
-// GetRange implements kv.Ranged, recorded as "getrange" with the bytes
-// returned.
-func (ds *DataStore) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
-	return observe(ds, ctx, "getrange", kv.IsNotFound, func(ctx context.Context) ([]byte, int, error) {
-		v, err := kv.GetRange(ctx, ds.inner, key, off, n)
 		return v, len(v), err
 	})
 }
