@@ -113,7 +113,9 @@ fence:
 # mid-frame, a caller holding an idle socket through each outcome of its
 # exchange and handing the role on, a caller leading other callers' calls
 # (flushed; its ctx ending after the flush, during it, or while a write is
-# parked; a write cut past the batch's deadline; a batch already past it), and
+# parked; a write cut past the batch's deadline; a batch already past it), a
+# short reply read into its call and copied out before the call is released,
+# while deadlines abandon other calls after their write, and
 # the retry after a server restart (DESIGN.md "Buffer ownership for the *To
 # APIs", "Distributed cluster tier", "Network hot path"); and the cloudsim
 # client's connection pool: which requests go out again after a lost
@@ -128,7 +130,7 @@ fence:
 # for the *To APIs").
 reuse:
 	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestRoundContext|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode' ./kv/cluster)
-	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/(Idle|Leader)' ./internal/miniredis)
+	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/(Idle|Leader)|TestShortReplyLandsInItsOwnCall' ./internal/miniredis)
 	$(call run-named,-race -count=20 -run 'TestConnectionLossReplay|TestCtxCancelAbortsBodyRead|TestResponseHeaderTimeoutCutsSilentServer|TestServerFaultInjection/ConnectionReset|TestCoalescePerCallerCancel|TestCoalesceChaosConnHygiene' ./internal/cloudsim)
 	$(call run-named,-race -count=20 -run '(TestMuxStoreConformance|TestConformance|TestClusterConformance|TestPutCutConformance)/PutCutByDeadline' ./internal/miniredis ./internal/cloudsim ./kv/cluster ./kv/resilient)
 	$(call run-named,-race -count=20 -run 'TestPutEnvelopeOwnership|TestSealNoncesNeverRepeat' ./dscl ./internal/secure)
@@ -166,7 +168,8 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardQuorumOverRESP TestAllocGuardDataStoreHit TestAllocGuardGetRangeRoundTrip \
 	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone \
 	TestAllocGuardSealOpen TestAllocGuardQuorumOverSQL TestAllocGuardInProcessHit \
-	TestAllocGuardKVStoreContains TestAllocGuardPutBesideHints TestAllocGuardMemPutVersion
+	TestAllocGuardKVStoreContains TestAllocGuardPutBesideHints TestAllocGuardMemPutVersion \
+	TestAllocGuardKVStoreGetRange
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/secure ./internal/cloudsim ./dscl ./kv ./kv/cluster ./monitor . 2>&1); status=$$?; \

@@ -22,14 +22,15 @@ import (
 // (exact profile, runtime.MemProfileRate = 1) outlives the request or is the
 // library's below us:
 //
-//	get 4: 1 the probe round's context (the round's deadline over the
+//	get 3: 1 the probe round's context (the round's deadline over the
 //	         caller's context; each replica call holds an idle socket, which
 //	         takes the deadline, so no Done channel is made and no timer is
 //	         armed)
 //	       1 the record from the window's head (resp.Reader)
-//	       1 the 11-byte header from the window's other replica: the two
-//	         agree, so the third is not read
 //	       1 the plaintext handed to the caller (pack)
+//	       and nothing for the 11-byte header from the window's other
+//	       replica (the two agree, so the third is not read): it is read
+//	       into the mux call and copied into the fanout's own array
 //	put 7: 6 on the servers: the stored key and the stored value, three times
 //	       1 the round's context, as for a get
 //
@@ -43,7 +44,7 @@ func TestAllocGuardQuorumOverRESP(t *testing.T) {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	get, put := quorumOverRESP(t, false)
-	const wantGet, wantPut = 4, 7
+	const wantGet, wantPut = 3, 7
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)
@@ -137,11 +138,11 @@ func quorumOverRESP(t *testing.T, wholeReads bool) (get, put func()) {
 // sql_cluster_rw runs: a quorum cluster (N=3, R=W=2) of three file-backed
 // minisql key-value stores in the default commit mode, engines included.
 //
-//	get 3: 1 the probe round's context
-//	       2 the record each replica of the window copies off its page,
-//	         whose bytes it returns: minisql is not kv.Ranged, so the
-//	         window's second replica is read whole; the two agree, so the
-//	         third is not read
+//	get 2: 1 the probe round's context
+//	       1 the record the window's head copies off its page, whose bytes
+//	         it returns; the window's second replica copies its record into a
+//	         pooled buffer and sends the header from it into the fanout's own
+//	         array (KVStore.GetRange); the two agree, so the third is not read
 //	put 1: the round's context; each replica's durable replace allocates
 //	       nothing (TestAllocGuardKVStoreGetPut)
 func TestAllocGuardQuorumOverSQL(t *testing.T) {
@@ -181,7 +182,7 @@ func TestAllocGuardQuorumOverSQL(t *testing.T) {
 		put()
 		get()
 	}
-	const wantGet, wantPut = 3, 1
+	const wantGet, wantPut = 2, 1
 	gotGet, gotPut := testing.AllocsPerRun(300, get), testing.AllocsPerRun(300, put)
 	if gotGet != wantGet || gotPut != wantPut {
 		t.Errorf("%.0f allocs per Get and %.0f per Put, want %d and %d", gotGet, gotPut, wantGet, wantPut)

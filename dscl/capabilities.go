@@ -44,14 +44,15 @@ var (
 	_ kv.Ranged         = (*Client)(nil)
 )
 
-// GetRange implements kv.Ranged: n bytes from off of what Get returns, in a
-// slice of the caller's own (a cached value may be shared).
-func (cl *Client) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+// GetRange implements kv.Ranged: n bytes from off of what Get returns,
+// appended to dst (a cached value may be shared, so it is copied, never
+// handed out).
+func (cl *Client) GetRange(ctx context.Context, key string, dst []byte, off, n int) ([]byte, error) {
 	v, err := cl.Get(ctx, key)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return append([]byte{}, kv.Slice(v, off, n)...), nil
+	return append(dst, kv.Slice(v, off, n)...), nil
 }
 
 // GetVersioned implements kv.Versioned: a store read through the transform

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"edsc/internal/resp"
 )
@@ -14,7 +15,10 @@ import (
 // argument vector is copied into argv (so the caller's variadic slice stays
 // on its stack), args aliases argv, and done is a reusable completion
 // signal. A request then allocates no call, no completion channel and no
-// argument slice.
+// argument slice. A bulk reply of up to shortReply bytes is read into short
+// (resp.Reader.ReadInto), so it allocates nothing either: whoever reads the
+// reply copies those bytes out before the call is released (Client.do,
+// Client.GetRange).
 //
 // Who may recycle a call: only the goroutine that created it, and only while
 // it can prove nobody else holds it — it never submitted the call, or it
@@ -27,6 +31,7 @@ type call struct {
 	args  [][]byte
 	reply resp.Value
 	argv  [inlineArgs][]byte
+	short [shortReply]byte // reply.Bulk, when it fits (see holds)
 
 	// The rest is used by calls the reader or a leader completes (see
 	// mux.go); a caller holding an idle socket completes its own.
@@ -41,6 +46,10 @@ type call struct {
 // (SET key value PX ms); longer single commands spill to the heap.
 const inlineArgs = 5
 
+// shortReply is how long a bulk reply the call holds itself: a cluster
+// record's header (11 bytes, 15 with a checksum) fits.
+const shortReply = 16
+
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // newCall returns a call holding the single command args. args is copied;
@@ -52,6 +61,12 @@ func newCall(args [][]byte) *call {
 	cl := callPool.Get().(*call)
 	cl.args = append(cl.argv[:0], args...)
 	return cl
+}
+
+// holds reports whether b is the call's own memory: a short reply, which the
+// call's next use overwrites.
+func (cl *call) holds(b []byte) bool {
+	return cap(b) > 0 && unsafe.SliceData(b) == &cl.short[0]
 }
 
 // rearm readies a call its owner got back (completion token consumed) for a

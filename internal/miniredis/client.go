@@ -1,6 +1,7 @@
 package miniredis
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -119,16 +120,30 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// do executes one command and returns the raw reply. Server error replies
-// are returned as ServerError.
+// do executes one command and returns the raw reply, which is the caller's:
+// a short bulk reply is copied out of the call. Server error replies are
+// returned as ServerError.
 func (c *Client) do(ctx context.Context, args ...[]byte) (resp.Value, error) {
-	cl := newCall(args)
-	if err := c.roundTrip(ctx, cl); err != nil {
+	cl, err := c.send(ctx, args)
+	if err != nil {
 		return resp.Value{}, err
 	}
 	v := cl.reply
+	if cl.holds(v.Bulk) {
+		v.Bulk = bytes.Clone(v.Bulk)
+	}
 	cl.release()
 	return v, nil
+}
+
+// send executes one command and returns its call, which holds the reply; the
+// caller copies out what it keeps of cl.reply.Bulk, then releases the call.
+func (c *Client) send(ctx context.Context, args [][]byte) (*call, error) {
+	cl := newCall(args)
+	if err := c.roundTrip(ctx, cl); err != nil {
+		return nil, err
+	}
+	return cl, nil
 }
 
 // roundTrip runs one exchange, leaving the reply in cl.reply, with an
@@ -226,18 +241,21 @@ func (c *Client) Get(ctx context.Context, key string) (val []byte, found bool, e
 	return v.Bulk, true, nil
 }
 
-// GetRange fetches bytes start to end (inclusive; negative offsets count from
-// the end) of the value under key. An absent key reads as an empty range, as
-// in Redis.
-func (c *Client) GetRange(ctx context.Context, key string, start, end int64) ([]byte, error) {
-	v, err := c.do(ctx, cmdGetRange, keyArg(key), intArg(start), intArg(end))
+// GetRange appends bytes start to end (inclusive; negative offsets count from
+// the end) of the value under key to dst. An absent key reads as an empty
+// range, as in Redis. On an error dst comes back with its length unchanged. A
+// range of up to 16 bytes is read into the call and copied to dst, so given
+// room in dst it allocates nothing.
+func (c *Client) GetRange(ctx context.Context, key string, dst []byte, start, end int64) ([]byte, error) {
+	cl, err := c.send(ctx, [][]byte{cmdGetRange, keyArg(key), intArg(start), intArg(end)})
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if err := bulkReply("GETRANGE", v); err != nil {
-		return nil, err
+	if err = bulkReply("GETRANGE", cl.reply); err == nil {
+		dst = append(dst, cl.reply.Bulk...)
 	}
-	return v.Bulk, nil
+	cl.release() // only now: the reply may be the call's own bytes
+	return dst, err
 }
 
 // bulkReply converts an error reply into a Go error, and any other reply but

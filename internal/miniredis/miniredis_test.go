@@ -219,6 +219,34 @@ func TestExplicitSave(t *testing.T) {
 	}
 }
 
+// TestSnapshotSyncsDirectory: a snapshot is durable only once the directory
+// holding its new name is synced, after the rename; writeSnapshot does so and
+// returns the sync's error.
+func TestSnapshotSyncsDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dump.mrdb")
+	var synced []string
+	failSync := errors.New("sync refused")
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(dir string) error {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("directory synced before the rename: %v", err)
+		}
+		synced = append(synced, dir)
+		return orig(dir)
+	}
+	if err := writeSnapshot(path, []record{{Key: "k", Val: []byte("v"), ExpireAt: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != filepath.Dir(path) {
+		t.Fatalf("directories synced: %q, want exactly %q", synced, filepath.Dir(path))
+	}
+	syncDir = func(string) error { return failSync }
+	if err := writeSnapshot(path, nil); !errors.Is(err, failSync) {
+		t.Fatalf("writeSnapshot with a failing directory sync = %v, want %v", err, failSync)
+	}
+}
+
 // TestSnapshotFormat pins the MRDB2 layout: a string record is written byte
 // for byte as when the server also stored hashes, so an older file of strings
 // loads, and a file holding a hash (record kind 1) is refused by name rather

@@ -286,7 +286,7 @@ func (m *muxConn) readLoop() {
 		}
 		// Until it is finished a written call belongs to the reader, even
 		// one its caller abandoned, so the reply lands in it directly.
-		v, err := m.r.Read()
+		v, err := m.r.ReadInto(call.short[:0])
 		if err != nil {
 			m.poison(fmt.Errorf("miniredis: mux read reply: %w", err), call, nil)
 			return
@@ -432,7 +432,7 @@ func (m *muxConn) exchangeHeld(call *call, dl time.Time) (muxStatus, error) {
 		m.handOff()
 		return muxStatus{written: true, detached: true}, deadlineErr("read reply", err)
 	}
-	v, err := m.r.Read()
+	v, err := m.r.ReadInto(call.short[:0])
 	if err != nil {
 		return muxStatus{written: true}, m.fail("read reply", err)
 	}

@@ -141,7 +141,7 @@ func TestValueReplyMustBeBulk(t *testing.T) {
 			if v, found, err := c.Get(ctx, "k"); !errors.Is(err, resp.ErrProtocol) {
 				t.Errorf("Get answered %q = %q, %v, %v; want a protocol error", reply, v, found, err)
 			}
-			if v, err := c.GetRange(ctx, "k", 0, 10); !errors.Is(err, resp.ErrProtocol) {
+			if v, err := c.GetRange(ctx, "k", nil, 0, 10); !errors.Is(err, resp.ErrProtocol) {
 				t.Errorf("GetRange answered %q = %q, %v; want a protocol error", reply, v, err)
 			}
 		})

@@ -38,7 +38,22 @@ type record struct {
 	ExpireAt int64
 }
 
-// writeSnapshot persists recs atomically (write temp file, rename).
+// syncDir makes the names in dir durable: after writeSnapshot's rename, the
+// snapshot's. A variable only so that a test can watch the call.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeSnapshot persists recs atomically and durably: write a temp file, sync
+// it, rename it over path, sync the directory.
 func writeSnapshot(path string, recs []record) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".miniredis-snap-*")
 	if err != nil {
@@ -93,7 +108,13 @@ func writeSnapshot(path string, recs []record) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("miniredis: sync snapshot directory: %w", err)
+	}
+	return nil
 }
 
 // readSnapshot loads a snapshot file written by writeSnapshot.

@@ -76,12 +76,13 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 	return v, nil
 }
 
-// GetRange implements kv.Ranged with one GETRANGE. GETRANGE answers an absent
-// key as it answers an empty range, with "", so an empty answer is confirmed
-// with EXISTS — never the case for a cluster record, which is never empty.
-func (s *Store) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+// GetRange implements kv.Ranged with one GETRANGE, appending the range to dst.
+// GETRANGE answers an absent key as it answers an empty range, with "", so an
+// empty answer is confirmed with EXISTS — never the case for a cluster record,
+// which is never empty.
+func (s *Store) GetRange(ctx context.Context, key string, dst []byte, off, n int) ([]byte, error) {
 	if err := s.check(ctx, key); err != nil {
-		return nil, err
+		return dst, err
 	}
 	off, n = max(off, 0), max(n, 0)
 	if n > 0 {
@@ -89,22 +90,22 @@ func (s *Store) GetRange(ctx context.Context, key string, off, n int) ([]byte, e
 		if n <= math.MaxInt-off {
 			end = off + n - 1
 		}
-		v, err := s.client.GetRange(ctx, s.prefix+key, int64(off), int64(end))
+		out, err := s.client.GetRange(ctx, s.prefix+key, dst, int64(off), int64(end))
 		if err != nil {
-			return nil, kv.WrapErr(s.name, "getrange", key, err)
+			return dst, kv.WrapErr(s.name, "getrange", key, err)
 		}
-		if len(v) > 0 {
-			return v, nil
+		if len(out) > len(dst) {
+			return out, nil
 		}
 	}
 	ok, err := s.client.Exists(ctx, s.prefix+key)
 	switch {
 	case err != nil:
-		return nil, kv.WrapErr(s.name, "getrange", key, err)
+		return dst, kv.WrapErr(s.name, "getrange", key, err)
 	case !ok:
-		return nil, kv.ErrNotFound
+		return dst, kv.ErrNotFound
 	}
-	return []byte{}, nil
+	return dst, nil
 }
 
 // Put implements kv.Store.

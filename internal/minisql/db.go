@@ -550,14 +550,17 @@ var rowBlocks = sync.Pool{New: func() any { return new(resultBlock) }}
 // and appends the first result row to dst, reporting false when there is no
 // row. On an error dst's length is unchanged. The statement runs in a pooled
 // result block instead of a Result of its own, so a point lookup allocates
-// only the record copied off its page; BLOB cells alias that record, which
-// the caller owns outright.
-func (p *Prepared) QueryRowTo(dst []Value, params ...Value) ([]Value, bool, error) {
+// only the record copied off its page — and not that either when the record
+// fits in rec, where it is then copied; rec may be nil. BLOB cells alias the
+// record: with a nil rec the caller owns them outright, otherwise for as long
+// as it leaves rec alone.
+func (p *Prepared) QueryRowTo(dst []Value, rec []byte, params ...Value) ([]Value, bool, error) {
 	sel, err := p.selectStmt(params)
 	if err != nil {
 		return dst, false, err
 	}
 	blk := rowBlocks.Get().(*resultBlock)
+	blk.rec = rec
 	res, err := p.sess.query(sel, params, blk)
 	found := err == nil && len(res.Rows) > 0
 	if found {

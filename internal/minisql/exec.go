@@ -221,11 +221,11 @@ func (db *Database) recordLocked(vals []Value) []byte {
 // equality on an indexed column — the fast path KV-over-SQL reads take — and
 // a primary-tree cursor scan otherwise. An index-found row is decoded for
 // need (see decodeRow), a scanned one whole, since where reads it; the one
-// row a unique index finds is decoded into dst's spare capacity, and not read
-// at all when need is empty. A scan holds
-// its leaf pinned while emit runs, so emit collects and must not write to the
-// table.
-func (db *Database) matchRows(t *table, where Expr, params []Value, need colSet, dst []Value, emit func(id int64, row []Value) error) error {
+// row a unique index finds is decoded into dst's spare capacity, from its
+// record copied into rec (see getRow), and not read at all when need is
+// empty. A scan holds its leaf pinned while emit runs, so emit collects and
+// must not write to the table.
+func (db *Database) matchRows(t *table, where Expr, params []Value, need colSet, dst []Value, rec []byte, emit func(id int64, row []Value) error) error {
 	if where == nil {
 		return t.scanRows(func(id int64, row []Value) (bool, error) {
 			return true, emit(id, row)
@@ -255,7 +255,7 @@ func (db *Database) matchRows(t *table, where Expr, params []Value, need colSet,
 						if need == 0 {
 							return emit(id, dst[:0]) // the statement reads no column
 						}
-						row, err := t.getRow(dst, id, need)
+						row, err := t.getRow(dst, rec, id, need)
 						if err != nil {
 							return err
 						}
@@ -272,7 +272,7 @@ func (db *Database) matchRows(t *table, where Expr, params []Value, need colSet,
 						}
 						sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 						for _, id := range ids {
-							row, err := t.getRow(nil, id, need)
+							row, err := t.getRow(nil, nil, id, need)
 							if err != nil {
 								return err
 							}
@@ -319,7 +319,7 @@ type matchedRow struct {
 
 func (db *Database) collectMatches(t *table, where Expr, params []Value) ([]matchedRow, error) {
 	var m []matchedRow
-	err := db.matchRows(t, where, params, allCols, nil, func(id int64, row []Value) error {
+	err := db.matchRows(t, where, params, allCols, nil, nil, func(id int64, row []Value) error {
 		m = append(m, matchedRow{id, row})
 		return nil
 	})
@@ -380,12 +380,14 @@ func (db *Database) execDelete(s *DeleteStmt, params []Value) (int, error) {
 // resultBlock is a Result with room for a one-row answer — its row list, the
 // row a unique index finds, decoded in place, and a one-value projected row —
 // so a point SELECT allocates nothing beyond its block and the record its
-// row was decoded from.
+// row was decoded from. rec, when the block's taker sets it, is where that
+// record is copied; nil means a fresh slice.
 type resultBlock struct {
 	res  Result
 	rows [1][]Value
 	src  [4]Value
 	vals [1]Value
+	rec  []byte
 }
 
 // execSelect evaluates a SELECT into blk, whose storage the Result it returns
@@ -402,7 +404,7 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool, blk *re
 	if s.Count {
 		// COUNT(*) counts the matches; its one row is the block's.
 		n := int64(0)
-		err = db.matchRows(t, s.Where, params, 0, blk.src[:0], func(int64, []Value) error {
+		err = db.matchRows(t, s.Where, params, 0, blk.src[:0], nil, func(int64, []Value) error {
 			n++
 			return nil
 		})
@@ -411,7 +413,7 @@ func (db *Database) execSelect(s *SelectStmt, params []Value, snap bool, blk *re
 	} else {
 		// The rows WHERE selects, listed in blk's row list; an index-found
 		// row is decoded into blk.
-		err = db.matchRows(t, s.Where, params, pl.need, blk.src[:0], func(_ int64, row []Value) error {
+		err = db.matchRows(t, s.Where, params, pl.need, blk.src[:0], blk.rec, func(_ int64, row []Value) error {
 			rows = append(rows, row)
 			return nil
 		})

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"edsc/internal/bufpool"
 	"edsc/kv"
 )
 
@@ -20,6 +21,8 @@ import (
 // their '?' slots. They run autocommitted on a session the store owns and
 // never opens a transaction on, so concurrent callers share them; PutMulti
 // runs the same parsed INSERT inside a transaction on a session of its own.
+// GetRange runs the get statement too (kv.Ranged), with the row's record
+// copied into a pooled scratch buffer instead of a slice of its own.
 type KVStore struct {
 	name  string
 	db    *Database
@@ -31,10 +34,15 @@ type KVStore struct {
 }
 
 var (
-	_ kv.Store = (*KVStore)(nil)
-	_ kv.SQL   = (*KVStore)(nil)
-	_ kv.Batch = (*KVStore)(nil)
+	_ kv.Store  = (*KVStore)(nil)
+	_ kv.SQL    = (*KVStore)(nil)
+	_ kv.Batch  = (*KVStore)(nil)
+	_ kv.Ranged = (*KVStore)(nil)
 )
+
+// rangeScratch is the pooled buffer GetRange reads a row's record into: a
+// default page. A longer record is read into a slice of its own.
+const rangeScratch = 4 << 10
 
 // NewKVStore binds a key-value view to tableName inside db, creating the
 // backing table if necessary. The store borrows db (closing the store does
@@ -101,9 +109,9 @@ func (s *KVStore) enter(ctx context.Context, op string, keys ...string) error {
 }
 
 // cellBytes is a v cell's bytes. A BLOB cell aliases the record its row was
-// decoded from, a copy off the page that the statement's caller owns and
-// nothing writes again, so its bytes are handed over as they are. A TEXT cell
-// reads as its bytes; any other kind is an error.
+// decoded from, a copy off the page into the buffer the statement's caller
+// gave or a slice of its own, so its bytes are handed over as they are. A TEXT
+// cell reads as its bytes; any other kind is an error.
 func cellBytes(v Value) ([]byte, error) {
 	switch v.Kind {
 	case KindBlob:
@@ -115,21 +123,45 @@ func cellBytes(v Value) ([]byte, error) {
 	}
 }
 
-// Get implements kv.Store.
+// Get implements kv.Store: the value aliases a record copied off its page for
+// this call alone, which the caller then owns.
 func (s *KVStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := s.enter(ctx, "get", key); err != nil {
 		return nil, err
 	}
+	return s.value("get", key, nil)
+}
+
+// GetRange implements kv.Ranged with Get's point lookup. The row's record is
+// copied off its page into a pooled scratch buffer, and only the range leaves
+// it, appended to dst.
+func (s *KVStore) GetRange(ctx context.Context, key string, dst []byte, off, n int) ([]byte, error) {
+	if err := s.enter(ctx, "getrange", key); err != nil {
+		return dst, err
+	}
+	scratch := bufpool.Get(rangeScratch)
+	v, err := s.value("getrange", key, scratch.B)
+	if err == nil {
+		dst = append(dst, kv.Slice(v, off, n)...)
+	}
+	scratch.Release() // only now: v aliases it
+	return dst, err
+}
+
+// value runs the get statement for key and returns its v cell, which aliases
+// the row's record: copied into rec when it fits there, into a slice of its
+// own otherwise.
+func (s *KVStore) value(op, key string, rec []byte) ([]byte, error) {
 	var frame [1]Value
-	row, found, err := s.get.QueryRowTo(frame[:0], Text(key))
+	row, found, err := s.get.QueryRowTo(frame[:0], rec, Text(key))
 	if err != nil {
-		return nil, kv.WrapErr(s.name, "get", key, err)
+		return nil, kv.WrapErr(s.name, op, key, err)
 	}
 	if !found {
 		return nil, kv.ErrNotFound
 	}
 	v, err := cellBytes(row[0])
-	return v, kv.WrapErr(s.name, "get", key, err)
+	return v, kv.WrapErr(s.name, op, key, err)
 }
 
 // Put implements kv.Store. Each Put is one committed transaction, paying
@@ -163,7 +195,7 @@ func (s *KVStore) Contains(ctx context.Context, key string) (bool, error) {
 		return false, err
 	}
 	var frame [1]Value
-	row, _, err := s.contains.QueryRowTo(frame[:0], Text(key))
+	row, _, err := s.contains.QueryRowTo(frame[:0], nil, Text(key))
 	if err != nil {
 		return false, kv.WrapErr(s.name, "contains", key, err)
 	}

@@ -38,6 +38,43 @@ func TestKVStoreBatch(t *testing.T) {
 	})
 }
 
+func TestKVStoreRanged(t *testing.T) {
+	kvtest.RunRanged(t, func(t *testing.T) (kv.Store, func()) {
+		db := OpenMemory()
+		st, err := NewKVStore("sql", db, "kv_data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, func() { _ = db.Close() }
+	})
+}
+
+// TestKVStoreGetRangeLongValue: a record longer than GetRange's pooled
+// scratch buffer — its value on an overflow chain — is read into a slice of
+// its own and ranged the same way.
+func TestKVStoreGetRangeLongValue(t *testing.T) {
+	db := OpenMemory()
+	defer db.Close()
+	st, err := NewKVStore("sql", db, "kv_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	val := make([]byte, 3*rangeScratch)
+	for i := range val {
+		val[i] = byte(i * 7)
+	}
+	if err := st.Put(ctx, "long", val); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct{ off, n int }{{0, 11}, {rangeScratch - 3, 100}, {len(val) - 5, 50}} {
+		got, err := st.GetRange(ctx, "long", []byte("pre:"), r.off, r.n)
+		if want := append([]byte("pre:"), kv.Slice(val, r.off, r.n)...); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("GetRange(%d, %d) = %d bytes, %v; want %d", r.off, r.n, len(got), err, len(want))
+		}
+	}
+}
+
 // TestKVStoreBatchOneCommit pins the point of native PutMulti: N keys cost
 // one transaction commit, not N. With a durable store that means one
 // group-commit batch instead of N fsync-bearing commits.
@@ -191,6 +228,50 @@ func TestKVStoreChaos(t *testing.T) {
 		}
 		return st, func() { _ = db.Close() }
 	}, kvtest.ChaosOptions{})
+}
+
+// TestAllocGuardKVStoreGetRange pins the header probe a quorum read sends a
+// replica beside the one it reads whole: KVStore.GetRange of a record's first
+// 11 bytes into the caller's buffer allocates nothing. It runs Get's point
+// lookup, with the record copied into a pooled scratch buffer instead of a
+// slice of its own (TestAllocGuardKVStoreGetPut's one object).
+func TestAllocGuardKVStoreGetRange(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	db, err := Open(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st, err := NewKVStore("sql", db, "kv_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	keys := make([]string, 64)
+	val := bytes.Repeat([]byte{0xAB}, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+		if err := st.Put(ctx, keys[i], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, n := make([]byte, 0, 16), 0
+	getRange := func() {
+		got, err := st.GetRange(ctx, keys[n%len(keys)], buf, 0, 11)
+		if err != nil || !bytes.Equal(got, val[:11]) {
+			t.Fatalf("GetRange: %x, %v", got, err)
+		}
+		n++
+	}
+	getRange()
+	if got := testing.AllocsPerRun(200, getRange); got != 0 {
+		t.Errorf("%.0f allocs per KVStore.GetRange into a caller's buffer, want 0", got)
+	}
 }
 
 // TestAllocGuardKVStoreGetPut pins what one replica call of a quorum

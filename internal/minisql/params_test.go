@@ -480,7 +480,7 @@ func TestPreparedExecutionAllocs(t *testing.T) {
 		}
 		rowTo := run(func() error {
 			var frame [1]Value
-			row, found, err := sessGet.QueryRowTo(frame[:0], Text(key))
+			row, found, err := sessGet.QueryRowTo(frame[:0], nil, Text(key))
 			if err == nil && (!found || len(row[0].Bytes) != size) {
 				err = errors.New("QueryRowTo did not read the value back")
 			}

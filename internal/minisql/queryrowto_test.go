@@ -71,7 +71,7 @@ func TestQueryRowToMatchesQuery(t *testing.T) {
 
 			sentinel := Text("kept")
 			dst := append(make([]Value, 0, 2), sentinel)
-			got, found, err := p.QueryRowTo(dst, c.params...)
+			got, found, err := p.QueryRowTo(dst, nil, c.params...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestQueryRowToErrorLeavesDst(t *testing.T) {
 			}
 			dst := append(make([]Value, 0, 8), Int(7))
 			spare := dst[:cap(dst)]
-			got, found, err := p.QueryRowTo(dst, c.params...)
+			got, found, err := p.QueryRowTo(dst, nil, c.params...)
 			if err == nil {
 				t.Fatalf("QueryRowTo succeeded: %v, found %v", got, found)
 			}
@@ -125,6 +125,41 @@ func TestQueryRowToErrorLeavesDst(t *testing.T) {
 				if !v.IsNull() {
 					t.Fatalf("after %v: dst's spare capacity holds %v at %d", err, v, i+1)
 				}
+			}
+		})
+	}
+}
+
+// TestQueryRowToRecordIntoRec: a point lookup copies its row's record into
+// the rec it is given when the record fits there, so the row's BLOB cell
+// aliases rec, and into a slice of its own otherwise, which nothing the
+// caller holds can overwrite.
+func TestQueryRowToRecordIntoRec(t *testing.T) {
+	db := seedRowTo(t)
+	p, err := db.NewSession().Prepare(`SELECT data FROM items WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		rec     []byte
+		aliases bool
+	}{
+		{"fits", make([]byte, 0, 64), true},
+		{"too short", make([]byte, 0, 2), false},
+		{"nil", nil, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			row, found, err := p.QueryRowTo(nil, c.rec, Int(3))
+			if err != nil || !found || string(row[0].Bytes) != "\x02\x03" {
+				t.Fatalf("QueryRowTo = %v, %v, %v; want the blob 02 03", row, found, err)
+			}
+			full := c.rec[:cap(c.rec)]
+			for i := range full {
+				full[i] = 0xEE
+			}
+			if got := string(row[0].Bytes) == "\xEE\xEE"; got != c.aliases {
+				t.Fatalf("after overwriting rec the blob reads %x; aliasing rec: %v, want %v", row[0].Bytes, got, c.aliases)
 			}
 		})
 	}

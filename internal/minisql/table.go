@@ -216,10 +216,12 @@ func (t *table) validate(vals []Value) error {
 }
 
 // getRow fetches the row at rowid and appends its columns to dst; see
-// decodeRow for need.
-func (t *table) getRow(dst []Value, id int64, need colSet) ([]Value, error) {
+// decodeRow for need. The row's record is copied off its page into rec when it
+// fits there and into a fresh slice otherwise (always, for a nil rec), and the
+// row's BLOB cells alias that copy.
+func (t *table) getRow(dst []Value, rec []byte, id int64, need colSet) ([]Value, error) {
 	key := rowidKey(id)
-	raw, found, err := t.tree.get(key[:], nil)
+	raw, found, err := t.tree.get(key[:], rec)
 	if err != nil {
 		return dst, err
 	}
@@ -358,7 +360,7 @@ func (t *table) update(id int64, old, vals []Value, located int) error {
 	}
 	if old == nil && others > 0 {
 		var err error
-		if old, err = t.getRow(nil, id, allCols); err != nil {
+		if old, err = t.getRow(nil, nil, id, allCols); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,9 @@
 //     recycled across calls; the returned slices alias it and are only valid
 //     until the next Read/ReadCommand. The miniredis server runs in this
 //     mode (it copies anything it retains); the miniredis client does not,
-//     because its callers keep replies beyond the next exchange.
+//     because its callers keep replies beyond the next exchange. It reads
+//     with ReadInto instead, which puts a short top-level bulk string into a
+//     buffer the caller names.
 //   - The Writer formats integers into a fixed scratch, so writing values
 //     allocates nothing.
 package resp
@@ -277,13 +279,23 @@ func statusString(b []byte) string {
 
 // Read decodes the next value.
 func (r *Reader) Read() (Value, error) {
-	return r.read(true)
+	return r.read(nil, true)
+}
+
+// ReadInto decodes the next value as Read does, except that a top-level bulk
+// string whose payload fits in dst's spare capacity is read into it, after
+// dst's bytes: its Bulk aliases dst's array, and reading it allocates
+// nothing. A longer one, and every other kind, reads as Read reads it. The
+// miniredis client reads every reply this way, into a small array of the call
+// the reply answers.
+func (r *Reader) ReadInto(dst []byte) (Value, error) {
+	return r.read(dst, true)
 }
 
 // read decodes one value; top reports whether this is a top-level call (only
-// top-level bulk strings may alias the reuse buffer — elements nested in an
-// array must survive their siblings' reads).
-func (r *Reader) read(top bool) (Value, error) {
+// top-level bulk strings may alias dst or the reuse buffer — elements nested
+// in an array must survive their siblings' reads).
+func (r *Reader) read(dst []byte, top bool) (Value, error) {
 	line, err := r.readLine()
 	if err != nil {
 		return Value{}, err
@@ -311,6 +323,13 @@ func (r *Reader) read(top bool) (Value, error) {
 		}
 		if n < 0 || n > MaxBulkLen {
 			return Value{}, fmt.Errorf("%w: bulk length %d out of range", ErrProtocol, n)
+		}
+		if top && cap(dst) > 0 && n <= int64(cap(dst)-len(dst)) {
+			buf, err := r.readBulkPayload(dst, n)
+			if err != nil {
+				return Value{}, err
+			}
+			return Value{Kind: BulkString, Bulk: buf[len(dst):]}, nil
 		}
 		if r.reuse && top {
 			buf, err := r.readBulkPayload(r.bulk[:0], n)
@@ -345,7 +364,7 @@ func (r *Reader) read(top bool) (Value, error) {
 		vs := make([]Value, n)
 		for i := range vs {
 			var err error
-			if vs[i], err = r.read(false); err != nil {
+			if vs[i], err = r.read(nil, false); err != nil {
 				return Value{}, err
 			}
 		}

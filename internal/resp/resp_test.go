@@ -201,3 +201,42 @@ func TestPropertyCommandRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadInto: a top-level bulk string that fits in dst's spare capacity is
+// read into dst's array, after the bytes dst holds, and leaves those alone;
+// anything else — a longer bulk, a bulk nested in an array, a null, a status
+// — reads as Read reads it, into memory of its own.
+func TestReadInto(t *testing.T) {
+	var arr [16]byte
+	dst := append(arr[:0], "pre:"...)
+	inArr := func(b []byte) bool {
+		return len(b) > 0 && &b[0] == &arr[len(dst)]
+	}
+	for _, c := range []struct {
+		wire    string
+		want    Value
+		inPlace bool
+	}{
+		{"$12\r\n0123456789ab\r\n", Bulk([]byte("0123456789ab")), true},
+		{"$13\r\n0123456789abc\r\n", Bulk([]byte("0123456789abc")), false},
+		{"*1\r\n$2\r\nhi\r\n", ArrayOf(Bulk([]byte("hi"))), false},
+		{"$-1\r\n", Nil(), false},
+		{"+OK\r\n", OK(), false},
+	} {
+		v, err := NewReader(strings.NewReader(c.wire)).ReadInto(dst)
+		if err != nil || v.Text() != c.want.Text() || v.Kind != c.want.Kind || v.Null != c.want.Null {
+			t.Errorf("ReadInto(%q) = %+v, %v; want %+v", c.wire, v, err, c.want)
+			continue
+		}
+		got := v.Bulk
+		if v.Kind == Array {
+			got = v.Array[0].Bulk
+		}
+		if inArr(got) != c.inPlace {
+			t.Errorf("ReadInto(%q): payload in dst's array = %v, want %v", c.wire, inArr(got), c.inPlace)
+		}
+		if string(dst) != "pre:" {
+			t.Errorf("ReadInto(%q) changed dst's bytes to %q", c.wire, dst)
+		}
+	}
+}

@@ -53,7 +53,8 @@
 //
 // Writes that cannot reach a replica leave a hint with the coordinator;
 // hints drain back to the node once it is reachable again (opportunistically
-// after any successful write that touches it, or explicitly via FlushHints).
+// after any successful write that touches it, explicitly via FlushHints, and
+// one last time at Close, which reports the hints it could not deliver).
 //
 // All writes to one key through one Cluster are serialized by a striped
 // coordinator lock, and a write takes its version under that lock (writeRecord
@@ -157,7 +158,7 @@ type Stats struct {
 	DegradedWrites  int64 // successful writes that missed at least one replica
 	HintsQueued     int64 // hinted-handoff records buffered
 	HintsReplayed   int64 // hints drained back to recovered nodes
-	HintsDropped    int64 // hints lost to the MaxHints bound
+	HintsDropped    int64 // hints lost to the MaxHints bound, or left undelivered at Close
 	QuorumFailures  int64 // operations failed for lack of quorum
 }
 
@@ -420,6 +421,23 @@ type fanout struct {
 	repBuf  [fanoutInline]replica
 	respBuf [fanoutInline]readResponse
 	spawn   [fanoutInline]func()
+	// hdrBuf[i] holds replica i's header answer (readHeader), which
+	// resp[i].rec.Value aliases. A header answer is never the winner, never
+	// repaired from and never returned, so nothing reads it after release.
+	hdrBuf [fanoutInline][hdrRoom]byte
+}
+
+// hdrRoom is the room for one header answer: the record header, and the four
+// bytes a checksum would add.
+const hdrRoom = 16
+
+// hdr is where replica i's header answer goes: its own array, or a fresh
+// slice for a replica past fanoutInline.
+func (f *fanout) hdr(i int) []byte {
+	if i < fanoutInline {
+		return f.hdrBuf[i][:0]
+	}
+	return nil
 }
 
 var fanoutPool = sync.Pool{New: func() any {
@@ -464,7 +482,7 @@ func (f *fanout) call(i int) {
 	case f.enc != nil:
 		f.resp[i] = readResponse{rep: rep, err: rep.store.Put(f.ctx, f.key, f.enc)}
 	case f.headers && i > 0:
-		f.resp[i] = readHeader(f.ctx, rep, f.key)
+		f.resp[i] = readHeader(f.ctx, rep, f.key, f.hdr(i))
 	case i < f.probed && !f.resp[i].header:
 		// answered in full by the probe round
 	default:
@@ -795,16 +813,16 @@ func readReplica(ctx context.Context, rep replica, key string) readResponse {
 }
 
 // readHeader reads the header of key's record from one node — version and
-// tombstone flag, what agreeing on a version takes — with a ranged read when
-// the node provides kv.Ranged, and the whole record otherwise. Only an answer
-// that holds a record is partial: no record, or an error, is all a whole read
-// would have said too.
-func readHeader(ctx context.Context, rep replica, key string) readResponse {
+// tombstone flag, what agreeing on a version takes — with a ranged read into
+// dst when the node provides kv.Ranged, and the whole record otherwise. Only
+// an answer that holds a record is partial: no record, or an error, is all a
+// whole read would have said too.
+func readHeader(ctx context.Context, rep replica, key string, dst []byte) readResponse {
 	rg, ok := kv.As[kv.Ranged](rep.store)
 	if !ok {
 		return readReplica(ctx, rep, key)
 	}
-	b, err := rg.GetRange(ctx, key, 0, recHdrSize)
+	b, err := rg.GetRange(ctx, key, dst, 0, recHdrSize)
 	r := answerOf(rep, key, b, err)
 	r.header = r.exists
 	return r
@@ -1222,11 +1240,22 @@ func (c *Cluster) Clear(ctx context.Context) error {
 	return nil
 }
 
-// Close implements kv.Store: it closes every member store (the cluster owns
-// its nodes, as OpenSQLStore owns its database).
+// Close implements kv.Store. It first replays the hints it holds, in one
+// FlushHints pass bounded by one NodeTimeout, then closes every member store
+// (the cluster owns its nodes, as OpenSQLStore owns its database). Hints the
+// pass could not deliver — to a node still down — die with the coordinator:
+// they count in Stats.HintsDropped, and Close reports how many there were.
 func (c *Cluster) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), c.opts.NodeTimeout)
+	c.drainHints(ctx, c.nodes)
+	cancel()
+	var dropErr error
+	if n := c.PendingHints(); n > 0 {
+		c.hintsD.Add(int64(n))
+		dropErr = fmt.Errorf("cluster %s: closed with %d hints undelivered; they are dropped", c.name, n)
 	}
 	var firstErr error
 	for _, n := range c.nodes {
@@ -1234,5 +1263,5 @@ func (c *Cluster) Close() error {
 			firstErr = err
 		}
 	}
-	return firstErr
+	return errors.Join(dropErr, firstErr)
 }

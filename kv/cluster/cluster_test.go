@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"edsc/dscl"
 	"edsc/internal/miniredis"
@@ -238,4 +240,86 @@ func TestHintReplayRepairsTornReplica(t *testing.T) {
 	if bad > 0 {
 		t.Fatalf("%d of %d gets returned a torn or failed read after every hint was replayed", bad, 6*keys)
 	}
+}
+
+// openNode is a node store whose Close leaves the store open, so that a test
+// can read what a closed cluster left on it.
+type openNode struct{ kv.Store }
+
+func (openNode) Close() error { return nil }
+
+// TestCloseFlushesHints: Close replays the hints it holds before it closes
+// the nodes. A node that is back by then receives its records, and Close
+// reports nothing; a node still down keeps none, and Close says how many
+// hints it dropped, which Stats counts. A node that hangs costs Close one
+// NodeTimeout, not one per hint.
+func TestCloseFlushesHints(t *testing.T) {
+	const keys = 5
+	// withHints builds a cluster whose node c is nodeC and writes keys
+	// values through it while c fails, so a hint is queued for each.
+	withHints := func(t *testing.T, nodeC kv.Store, timeout time.Duration) *cluster.Cluster {
+		t.Helper()
+		nodes := []cluster.Node{{ID: "a", Store: kv.NewMem("a")}, {ID: "b", Store: kv.NewMem("b")}, {ID: "c", Store: nodeC}}
+		c, err := cluster.New("cluster", nodes, cluster.Options{NodeTimeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keys; i++ {
+			if err := c.Put(context.Background(), fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := c.PendingHints(); n != keys {
+			t.Fatalf("%d hints pending with node c failing, want %d", n, keys)
+		}
+		return c
+	}
+	setup := func(t *testing.T) (*cluster.Cluster, *faulty.Store, *kv.Mem) {
+		inner := kv.NewMem("c")
+		c3 := faulty.New(openNode{inner}, faulty.Options{})
+		c3.SetDown(true)
+		return withHints(t, c3, time.Second), c3, inner
+	}
+	t.Run("NodeBack", func(t *testing.T) {
+		c, c3, inner := setup(t)
+		c3.SetDown(false)
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close = %v, want nil: every hint could be delivered", err)
+		}
+		if st := c.Stats(); st.HintsReplayed != keys || st.HintsDropped != 0 {
+			t.Fatalf("after Close: %d hints replayed and %d dropped, want %d and 0", st.HintsReplayed, st.HintsDropped, keys)
+		}
+		if n, err := inner.Len(context.Background()); err != nil || n != keys {
+			t.Fatalf("node c holds %d records (%v) after Close, want %d", n, err, keys)
+		}
+	})
+	t.Run("NodeDown", func(t *testing.T) {
+		c, _, inner := setup(t)
+		err := c.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d hints", keys)) {
+			t.Fatalf("Close with node c down = %v, want an error naming %d dropped hints", err, keys)
+		}
+		if st := c.Stats(); st.HintsDropped != keys || st.HintsReplayed != 0 {
+			t.Fatalf("after Close: %d hints dropped and %d replayed, want %d and 0", st.HintsDropped, st.HintsReplayed, keys)
+		}
+		if n, _ := inner.Len(context.Background()); n != 0 {
+			t.Fatalf("node c holds %d records, want none", n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("second Close = %v, want nil", err)
+		}
+	})
+	t.Run("NodeHung", func(t *testing.T) {
+		const timeout = 200 * time.Millisecond
+		c := withHints(t, hungStore{kv.NewMem("c")}, timeout)
+		start := time.Now()
+		err := c.Close()
+		took := time.Since(start)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d hints", keys)) {
+			t.Fatalf("Close with node c hung = %v, want an error naming %d dropped hints", err, keys)
+		}
+		if took < timeout || took >= keys*timeout {
+			t.Fatalf("Close took %v with node c hung, want one NodeTimeout (%v), well short of one per hint", took, timeout)
+		}
+	})
 }

@@ -42,13 +42,13 @@ func (n *probeNode) Get(ctx context.Context, key string) ([]byte, error) {
 // apart from its Gets.
 type rangedNode struct{ *probeNode }
 
-func (n rangedNode) GetRange(ctx context.Context, key string, off, cnt int) ([]byte, error) {
+func (n rangedNode) GetRange(ctx context.Context, key string, dst []byte, off, cnt int) ([]byte, error) {
 	n.ranges.Add(1)
 	if n.down {
-		return nil, errNodeDown
+		return dst, errNodeDown
 	}
-	v, err := kv.GetRange(ctx, n.Store, key, off, cnt)
-	n.sent.Add(int64(len(v)))
+	v, err := kv.GetRange(ctx, n.Store, key, dst, off, cnt)
+	n.sent.Add(int64(len(v) - len(dst)))
 	return v, err
 }
 

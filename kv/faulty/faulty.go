@@ -233,14 +233,14 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 // stage, and a stale read, which returns the range of the previous value.
 // Intercepts claims it only over an inner store that serves ranged reads;
 // called directly over one that does not, it slices the inner Get.
-func (s *Store) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+func (s *Store) GetRange(ctx context.Context, key string, dst []byte, off, n int) ([]byte, error) {
 	if err := s.before(ctx, "getrange", key); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if old, ok := s.stale(key); ok {
-		return append([]byte{}, kv.Slice(old, off, n)...), nil
+		return append(dst, kv.Slice(old, off, n)...), nil
 	}
-	return kv.GetRange(ctx, s.inner, key, off, n)
+	return kv.GetRange(ctx, s.inner, key, dst, off, n)
 }
 
 // stale decides whether a read of key is served stale, and with what: the

@@ -100,7 +100,7 @@ func TestStaleReads(t *testing.T) {
 	if string(v) != "old" {
 		t.Fatalf("Get = %q, want injected stale value %q", v, "old")
 	}
-	if v, err := s.GetRange(ctx, "k", 1, 5); err != nil || string(v) != "ld" {
+	if v, err := s.GetRange(ctx, "k", nil, 1, 5); err != nil || string(v) != "ld" {
 		t.Fatalf("GetRange = %q, %v, want the injected stale value's range %q", v, err, "ld")
 	}
 	if st := s.Stats(); st.StaleReads != 2 {

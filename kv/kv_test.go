@@ -260,6 +260,6 @@ func TestGetRangeFallback(t *testing.T) {
 // every capability is hidden.
 type unranged struct{ kv.Store }
 
-func (u unranged) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
-	return kv.GetRange(ctx, u.Store, key, off, n)
+func (u unranged) GetRange(ctx context.Context, key string, dst []byte, off, n int) ([]byte, error) {
+	return kv.GetRange(ctx, u.Store, key, dst, off, n)
 }

@@ -146,8 +146,11 @@ func requireExpiring(t *testing.T, s kv.Store) kv.Expiring {
 	return es
 }
 
-// RunRanged exercises the kv.Ranged contract. Through a transforming stack the
-// ranges are of the decoded value.
+// RunRanged exercises the kv.Ranged contract: GetRange appends the range to
+// the caller's dst and keeps dst's bytes before it, leaves dst's length
+// unchanged on an error or an absent key, and keeps no reference to dst or to
+// what it returns. Through a transforming stack the ranges are of the decoded
+// value.
 func RunRanged(t *testing.T, f Factory) {
 	requireRanged := func(t *testing.T, s kv.Store) kv.Ranged {
 		t.Helper()
@@ -157,6 +160,8 @@ func RunRanged(t *testing.T, f Factory) {
 		}
 		return rs
 	}
+	// prefixed is a dst holding "pre:", with room to append into.
+	prefixed := func() []byte { return append(make([]byte, 0, 64), "pre:"...) }
 	t.Run("Ranges", func(t *testing.T) {
 		s := open(t, f)
 		rs := requireRanged(t, s)
@@ -175,9 +180,13 @@ func RunRanged(t *testing.T, f Factory) {
 			{20, 3, ""},                     // from past the end
 			{3, 0, ""},                      // nothing asked
 		} {
-			got, err := rs.GetRange(ctx, "k", tc.off, tc.n)
+			got, err := rs.GetRange(ctx, "k", nil, tc.off, tc.n)
 			if err != nil || string(got) != tc.want {
-				t.Errorf("GetRange(%d, %d) = %q, %v; want %q", tc.off, tc.n, got, err, tc.want)
+				t.Errorf("GetRange(nil, %d, %d) = %q, %v; want %q", tc.off, tc.n, got, err, tc.want)
+			}
+			got, err = rs.GetRange(ctx, "k", prefixed(), tc.off, tc.n)
+			if err != nil || string(got) != "pre:"+tc.want {
+				t.Errorf("GetRange(%q, %d, %d) = %q, %v; want %q", "pre:", tc.off, tc.n, got, err, "pre:"+tc.want)
 			}
 		}
 	})
@@ -186,8 +195,11 @@ func RunRanged(t *testing.T, f Factory) {
 		rs := requireRanged(t, s)
 		mustPut(t, s, "empty", nil)
 		for _, n := range []int{0, 4} {
-			if got, err := rs.GetRange(context.Background(), "empty", 0, n); err != nil || len(got) != 0 {
+			if got, err := rs.GetRange(context.Background(), "empty", nil, 0, n); err != nil || len(got) != 0 {
 				t.Errorf("GetRange(empty value, 0, %d) = %q, %v; want empty, nil", n, got, err)
+			}
+			if got, err := rs.GetRange(context.Background(), "empty", prefixed(), 0, n); err != nil || string(got) != "pre:" {
+				t.Errorf("GetRange(%q, empty value, 0, %d) = %q, %v; want %q, nil", "pre:", n, got, err, "pre:")
 			}
 		}
 	})
@@ -195,9 +207,22 @@ func RunRanged(t *testing.T, f Factory) {
 		s := open(t, f)
 		rs := requireRanged(t, s)
 		for _, n := range []int{0, 4} {
-			if _, err := rs.GetRange(context.Background(), "ghost", 0, n); !kv.IsNotFound(err) {
+			if _, err := rs.GetRange(context.Background(), "ghost", nil, 0, n); !kv.IsNotFound(err) {
 				t.Errorf("GetRange(absent, 0, %d) err = %v, want ErrNotFound", n, err)
 			}
+			if got, err := rs.GetRange(context.Background(), "ghost", prefixed(), 0, n); !kv.IsNotFound(err) || string(got) != "pre:" {
+				t.Errorf("GetRange(%q, absent, 0, %d) = %q, %v; want %q, ErrNotFound", "pre:", n, got, err, "pre:")
+			}
+		}
+	})
+	t.Run("ErrorLeavesDst", func(t *testing.T) {
+		s := open(t, f)
+		rs := requireRanged(t, s)
+		mustPut(t, s, "k", []byte("value"))
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if got, err := rs.GetRange(ctx, "k", prefixed(), 0, 4); err == nil || string(got) != "pre:" {
+			t.Errorf("GetRange(%q) under a cancelled context = %q, %v; want %q and an error", "pre:", got, err, "pre:")
 		}
 	})
 	t.Run("Closed", func(t *testing.T) {
@@ -210,21 +235,39 @@ func RunRanged(t *testing.T, f Factory) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		if _, err := rs.GetRange(context.Background(), "k", 0, 1); !errors.Is(err, kv.ErrClosed) {
-			t.Fatalf("GetRange after Close: err = %v, want ErrClosed", err)
+		if got, err := rs.GetRange(context.Background(), "k", prefixed(), 0, 1); !errors.Is(err, kv.ErrClosed) || string(got) != "pre:" {
+			t.Fatalf("GetRange(%q) after Close = %q, %v; want %q, ErrClosed", "pre:", got, err, "pre:")
 		}
 	})
 	t.Run("ResultIsTheCallers", func(t *testing.T) {
 		s := open(t, f)
 		rs := requireRanged(t, s)
 		mustPut(t, s, "k", []byte("original"))
-		got, err := rs.GetRange(context.Background(), "k", 0, 4)
+		got, err := rs.GetRange(context.Background(), "k", nil, 0, 4)
 		if err != nil || string(got) != "orig" {
 			t.Fatalf("GetRange = %q, %v", got, err)
 		}
 		copy(got, "XXXX")
 		if again := mustGet(t, s, "k"); string(again) != "original" {
 			t.Fatalf("mutating a GetRange result changed the store: Get = %q", again)
+		}
+	})
+	t.Run("DstIsTheCallers", func(t *testing.T) {
+		s := open(t, f)
+		rs := requireRanged(t, s)
+		ctx := context.Background()
+		mustPut(t, s, "k", []byte("original"))
+		dst := make([]byte, 0, 64)
+		for i := 0; i < 2; i++ {
+			got, err := rs.GetRange(ctx, "k", dst, 0, 8)
+			if err != nil || string(got) != "original" {
+				t.Fatalf("GetRange into a reused dst, pass %d = %q, %v; want %q", i, got, err, "original")
+			}
+			// Overwrite the whole buffer, past what was returned too.
+			copy(dst[:cap(dst)], bytes.Repeat([]byte{'X'}, cap(dst)))
+			if again := mustGet(t, s, "k"); string(again) != "original" {
+				t.Fatalf("overwriting dst after GetRange changed the store: Get = %q", again)
+			}
 		}
 	})
 }

@@ -68,24 +68,25 @@ func (s *Mem) Get(ctx context.Context, key string) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-// GetRange implements Ranged: a copy of the range, not of the value.
-func (s *Mem) GetRange(ctx context.Context, key string, off, n int) ([]byte, error) {
+// GetRange implements Ranged: the range is appended to dst, and nothing else
+// of the value is copied.
+func (s *Mem) GetRange(ctx context.Context, key string, dst []byte, off, n int) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if err := CheckKey(key); err != nil {
-		return nil, err
+		return dst, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	v, ok := s.m[key]
 	if !ok {
-		return nil, ErrNotFound
+		return dst, ErrNotFound
 	}
-	return append([]byte{}, Slice(v, off, n)...), nil
+	return append(dst, Slice(v, off, n)...), nil
 }
 
 // Put implements Store.

@@ -105,7 +105,9 @@ func asAny[T any](s kv.Store) (any, bool) {
 // keeps or must see it, or by nobody: the cluster keeps no compare-and-put,
 // and resilient retries what the client sends through it (Versioned, Batch,
 // VersionedBatch and CompareAndPut); the rest (Expiring, Ranged, SQL) it
-// leaves to the back end, and none of these back ends keeps them.
+// leaves to the back end, and none of these back ends keeps them. Below a
+// cluster a fourth height, a node, is what the coordinator dispatches to: both
+// kinds of node serve kv.Ranged, which its header probes use.
 func TestTowerCapabilities(t *testing.T) {
 	caps := []struct {
 		name string
@@ -127,13 +129,24 @@ func TestTowerCapabilities(t *testing.T) {
 		"dscl":      {"Versioned": "dscl", "Batch": "dscl", "VersionedBatch": "dscl"},
 		"resilient": {"Versioned": "resilient", "Batch": "resilient", "VersionedBatch": "resilient"},
 	}
+	// withNode is cluster's table plus what one of its nodes answers.
+	withNode := func(node want) map[string]want {
+		w := map[string]want{"node": node}
+		for height, caps := range cluster {
+			w[height] = caps
+		}
+		return w
+	}
+	redisCluster := withNode(want{"Batch": "node", "Expiring": "node", "Ranged": "node"})
+	sqlCluster := withNode(want{"Batch": "node", "Ranged": "node", "SQL": "node"})
 	cloud := map[string]want{
 		"udsm":      {"Versioned": "dscl", "Batch": "udsm", "VersionedBatch": "dscl", "CompareAndPut": "dscl"},
 		"dscl":      {"Versioned": "dscl", "Batch": "dscl", "VersionedBatch": "dscl", "CompareAndPut": "dscl"},
 		"resilient": {"Versioned": "resilient", "Batch": "resilient", "VersionedBatch": "resilient", "CompareAndPut": "resilient"},
 	}
 
-	redisCluster := func(t *testing.T) kv.Store {
+	// Each builder returns the tower's base and, below a cluster, one node.
+	redisNodes := func(t *testing.T) (kv.Store, kv.Store) {
 		nodes := make([]udsm.ClusterNode, 3)
 		for i := range nodes {
 			srv, err := udsm.StartMiniRedis(udsm.MiniRedisOptions{})
@@ -144,9 +157,9 @@ func TestTowerCapabilities(t *testing.T) {
 			id := fmt.Sprintf("node%d", i)
 			nodes[i] = udsm.ClusterNode{ID: id, Store: udsm.OpenMiniRedisWith(id, srv.Addr(), "", udsm.MiniRedisClientOptions{Mux: true, MuxConns: 1})}
 		}
-		return newCluster(t, nodes)
+		return newCluster(t, nodes), nodes[0].Store
 	}
-	sqlCluster := func(t *testing.T) kv.Store {
+	sqlNodes := func(t *testing.T) (kv.Store, kv.Store) {
 		nodes := make([]udsm.ClusterNode, 3)
 		for i := range nodes {
 			id := fmt.Sprintf("node%d", i)
@@ -156,30 +169,30 @@ func TestTowerCapabilities(t *testing.T) {
 			}
 			nodes[i] = udsm.ClusterNode{ID: id, Store: st}
 		}
-		return newCluster(t, nodes)
+		return newCluster(t, nodes), nodes[0].Store
 	}
-	cloudClient := func(t *testing.T) kv.Store {
+	cloudClient := func(t *testing.T) (kv.Store, kv.Store) {
 		srv, err := udsm.StartCloudSim(udsm.ProfileLocal, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = srv.Close() })
-		return udsm.OpenCloudStoreWith("cloud", srv.URL(), "bench", udsm.CloudOptions{Coalesce: true})
+		return udsm.OpenCloudStoreWith("cloud", srv.URL(), "bench", udsm.CloudOptions{Coalesce: true}), nil
 	}
 
 	for _, tw := range []struct {
 		name  string
-		base  func(*testing.T) kv.Store
+		base  func(*testing.T) (kv.Store, kv.Store)
 		cache bool
 		want  map[string]want
 	}{
-		{"redis_zipf_read", redisCluster, true, cluster},
-		{"redis_uniform_rw", redisCluster, false, cluster},
-		{"sql_cluster_rw", sqlCluster, false, cluster},
+		{"redis_zipf_read", redisNodes, true, redisCluster},
+		{"redis_uniform_rw", redisNodes, false, redisCluster},
+		{"sql_cluster_rw", sqlNodes, false, sqlCluster},
 		{"cloud_revalidate", cloudClient, true, cloud},
 	} {
 		t.Run(tw.name, func(t *testing.T) {
-			base := tw.base(t)
+			base, node := tw.base(t)
 			res := resilient.New(base, resilient.Options{})
 			opts := []dscl.Option{
 				dscl.WithTransform(dscl.Compression(dscl.CompressionOptions{})),
@@ -196,10 +209,16 @@ func TestTowerCapabilities(t *testing.T) {
 				t.Fatal(err)
 			}
 			layers := map[any]string{any(ds): "udsm", any(client): "dscl", any(res): "resilient", any(base): "base"}
-			for _, from := range []struct {
+			type height struct {
 				name string
 				s    kv.Store
-			}{{"udsm", ds}, {"dscl", client}, {"resilient", res}} {
+			}
+			heights := []height{{"udsm", ds}, {"dscl", client}, {"resilient", res}}
+			if node != nil {
+				layers[node] = "node"
+				heights = append(heights, height{"node", node})
+			}
+			for _, from := range heights {
 				for _, c := range caps {
 					got := ""
 					if p, ok := c.as(from.s); ok {

@@ -76,7 +76,7 @@ func TestRegisterStackPipeline(t *testing.T) {
 	if _, isClient := rg.(*dscl.Client); !ok || !isClient {
 		t.Fatalf("kv.Ranged resolved to %T, %v; want the DSCL stage", rg, ok)
 	}
-	if v, err := rg.GetRange(ctx, "k", 2, 3); err != nil || string(v) != "cre" {
+	if v, err := rg.GetRange(ctx, "k", nil, 2, 3); err != nil || string(v) != "cre" {
 		t.Fatalf("GetRange through pipeline = %q, %v", v, err)
 	}
 
