@@ -110,8 +110,10 @@ fence:
 # nodes against a silent member, a version stamped under the key lock from a
 # clock-seeded counter (the two histories that lose an acknowledged write
 # otherwise), a muxed caller that gives up while a leader is parked
-# mid-frame, a caller holding an idle socket through each outcome of its
-# exchange and handing the role on, a caller leading other callers' calls
+# mid-frame on its call (it returns at once; the write goes on), a call with
+# no deadline outliving the deadlines of the callers after it, a caller
+# holding an idle socket through each outcome of its exchange and handing
+# the role on, a caller leading other callers' calls
 # (flushed; its ctx ending after the flush, during it, or while a write is
 # parked; a write cut past the batch's deadline; a batch already past it), a
 # short reply read into its call and copied out before the call is released,
@@ -130,7 +132,7 @@ fence:
 # for the *To APIs").
 reuse:
 	$(call run-named,-race -count=20 -run 'TestFanoutReuseUnderFailures|TestRoundContext|TestProbeReadStateTable|TestHungReplicaCutOffAtNodeTimeout|TestVersionStampedUnderKeyLock|TestLaterLockedPutWinsOverDegradedReplica|TestRestartedCoordinatorWriteSurvives|TestNodeRoundCutsHungNode' ./kv/cluster)
-	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/(Idle|Leader)|TestShortReplyLandsInItsOwnCall' ./internal/miniredis)
+	$(call run-named,-race -count=20 -run 'TestMuxAbandonWaitsOutParkedWriter|TestWrittenCallOutlivesLaterDeadlines|TestRetryAfterStalePoolUsesFreshDial|TestExchangeOwnership/(Idle|Leader)|TestShortReplyLandsInItsOwnCall' ./internal/miniredis)
 	$(call run-named,-race -count=20 -run 'TestConnectionLossReplay|TestCtxCancelAbortsBodyRead|TestResponseHeaderTimeoutCutsSilentServer|TestServerFaultInjection/ConnectionReset|TestCoalescePerCallerCancel|TestCoalesceChaosConnHygiene' ./internal/cloudsim)
 	$(call run-named,-race -count=20 -run '(TestMuxStoreConformance|TestConformance|TestClusterConformance|TestPutCutConformance)/PutCutByDeadline' ./internal/miniredis ./internal/cloudsim ./kv/cluster ./kv/resilient)
 	$(call run-named,-race -count=20 -run 'TestPutEnvelopeOwnership|TestSealNoncesNeverRepeat' ./dscl ./internal/secure)
@@ -169,7 +171,7 @@ ALLOC_GUARDS = TestAllocGuardMuxRoundTrip TestAllocGuardPagedPutGet TestAllocGua
 	TestAllocGuardQuorumGetBytes TestAllocGuardGetUnderTimeout TestAllocGuardRoundDone \
 	TestAllocGuardSealOpen TestAllocGuardQuorumOverSQL TestAllocGuardInProcessHit \
 	TestAllocGuardKVStoreContains TestAllocGuardPutBesideHints TestAllocGuardMemPutVersion \
-	TestAllocGuardKVStoreGetRange
+	TestAllocGuardKVStoreGetRange TestAllocGuardMuxQueued
 allocs:
 	@out=$$(go test -count=1 -v -run '^TestAllocGuard|^TestPreparedExecutionAllocs$$' \
 		./internal/miniredis ./internal/minisql ./internal/pack ./internal/secure ./internal/cloudsim ./dscl ./kv ./kv/cluster ./monitor . 2>&1); status=$$?; \

@@ -14,11 +14,12 @@ import (
 // Calls are pooled, and the command lives entirely inside the call: its
 // argument vector is copied into argv (so the caller's variadic slice stays
 // on its stack), args aliases argv, and done is a reusable completion
-// signal. A request then allocates no call, no completion channel and no
-// argument slice. A bulk reply of up to shortReply bytes is read into short
-// (resp.Reader.ReadInto), so it allocates nothing either: whoever reads the
-// reply copies those bytes out before the call is released (Client.do,
-// Client.GetRange).
+// signal; a call that queues copies its argument bytes into buf (own), which
+// the pooled call keeps. A request then allocates no call, no completion
+// channel, no argument slice and no argument copy. A bulk reply of up to
+// shortReply bytes is read into short (resp.Reader.ReadInto), so it allocates
+// nothing either: whoever reads the reply copies those bytes out before the
+// call is released (Client.do, Client.GetRange).
 //
 // Who may recycle a call: only the goroutine that created it, and only while
 // it can prove nobody else holds it — it never submitted the call, or it
@@ -32,6 +33,8 @@ type call struct {
 	reply resp.Value
 	argv  [inlineArgs][]byte
 	short [shortReply]byte // reply.Bulk, when it fits (see holds)
+	buf   []byte           // the argument bytes args points into, once owned
+	owned bool
 
 	// The rest is used by calls the reader or a leader completes (see
 	// mux.go); a caller holding an idle socket completes its own.
@@ -53,14 +56,31 @@ const shortReply = 16
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // newCall returns a call holding the single command args. args is copied;
-// the argument bytes themselves are borrowed, and read only while the call is
-// framed. Every exchange outlasts its framing — a muxed one that gives up
-// waits it out — so they are the caller's again when the exchange returns,
-// even one that leaves the call itself behind.
+// the argument bytes themselves are borrowed until the call queues, which
+// copies them (own). A held call frames them on its caller's goroutine, so
+// either way they are the caller's again when the exchange returns, even one
+// that leaves the call itself behind.
 func newCall(args [][]byte) *call {
 	cl := callPool.Get().(*call)
 	cl.args = append(cl.argv[:0], args...)
 	return cl
+}
+
+// own copies the argument bytes into buf and points args at the copy, so a
+// leader may frame the call after its caller has given up and returned. A
+// retried call owns its copy already.
+func (cl *call) own() {
+	if cl.owned {
+		return
+	}
+	cl.buf, cl.owned = cl.buf[:0], true
+	for _, a := range cl.args {
+		cl.buf = append(cl.buf, a...)
+	}
+	rest := cl.buf
+	for i, a := range cl.args {
+		cl.args[i], rest = rest[:len(a):len(a)], rest[len(a):]
+	}
 }
 
 // holds reports whether b is the call's own memory: a short reply, which the
@@ -84,6 +104,10 @@ func (cl *call) release() {
 	cl.args = nil
 	cl.argv = [inlineArgs][]byte{}
 	cl.reply = resp.Value{}
+	if cap(cl.buf) > muxBufSize {
+		cl.buf = nil // the pool pins no argument copy above a write buffer's size
+	}
+	cl.owned = false
 	callPool.Put(cl)
 }
 

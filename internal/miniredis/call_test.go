@@ -133,8 +133,8 @@ func TestMuxCallRecyclingStress(t *testing.T) {
 // call holds) of keys whose values no other goroutine's share, with deadlines
 // that often cut a call after its bytes were written, so the late reply lands
 // in an abandoned call; the other half read their ranges and their whole
-// short values with no deadline of their own (a deadline that cuts a flush
-// breaks the socket under them, so they may fail too). Every range must be
+// short values with no deadline of their own (a holder whose deadline cuts
+// its own exchange breaks the socket under them, so they may fail too). Every range must be
 // the caller's own, appended after the prefix its dst holds; a failed read
 // must leave dst as it was; and no dst may change after its call returned.
 // Run it under -race: a call released before its reply is copied out is
@@ -661,10 +661,11 @@ func (p *parkedConn) Close() error {
 // TestMuxAbandonWaitsOutParkedWriter: kv.Store's Put promises the caller's
 // slice is not retained once it returns, and callers recycle on that promise
 // (internal/delta lends a pooled buffer). A muxed Set that gives up while the
-// write is parked in the socket halfway through its value must therefore not
-// return until the write has let go of it: the test scribbles over the value
-// as soon as Set returns, then lets the write run, and the server must hold
-// the old value or the new one — never a mix.
+// write is parked in the socket halfway through its value returns at once,
+// before the write is released and without cutting it: the write frames the
+// call's own copy of the value. The test scribbles over the value as soon as
+// Set returns, then lets the write run, and the server must hold the old
+// value or the new one — never a mix.
 func TestMuxAbandonWaitsOutParkedWriter(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
@@ -701,8 +702,18 @@ func TestMuxAbandonWaitsOutParkedWriter(t *testing.T) {
 	go func() { done <- c.Set(ctx, "k", value, 0) }()
 	<-p.entered // the Set is mid-frame, most of value still unread
 	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Set = %v, want context.Canceled", err)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Set = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Set waited for the parked write to be released")
+	}
+	select {
+	case <-p.closed:
+		t.Fatal("giving up cut the parked write")
+	default:
 	}
 	for i := range value {
 		value[i] = 'X' // Set has returned: the slice is the caller's again
@@ -816,6 +827,51 @@ func TestAllocGuardMuxRoundTrip(t *testing.T) {
 	gotGet, gotSet := testing.AllocsPerRun(500, get), testing.AllocsPerRun(500, set)
 	if gotGet != wantGet || gotSet != wantSet {
 		t.Errorf("%.0f allocs per muxed GET round trip and %.0f per SET, want %d and %d", gotGet, gotSet, wantGet, wantSet)
+	}
+}
+
+// TestAllocGuardMuxQueued pins the same round trips as
+// TestAllocGuardMuxRoundTrip on the queued path: a stand-in call keeps the
+// socket busy, so every GET and SET queues, copies its arguments into its
+// call and leads its own batch. The copy lands in the buffer the pooled call
+// keeps, so a queued call costs what a held one does.
+func TestAllocGuardMuxQueued(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	s := startServer(t, ServerConfig{})
+	c := NewClientWith(s.Addr(), Options{MuxConns: 1})
+	defer c.Close()
+	ctx := context.Background()
+	key, val := "alloc:key", bytes.Repeat([]byte("v"), 512)
+	set := func() {
+		if err := c.Set(ctx, key, val, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		if v, found, err := c.Get(ctx, key); err != nil || !found || len(v) != len(val) {
+			t.Fatalf("Get = %d bytes, %v, %v", len(v), found, err)
+		}
+	}
+	set() // dials, and holds the idle socket
+	m := c.mux.slots[0].conn.Load()
+	m.load.Add(1) // the stand-in: the socket is never idle again
+	defer m.load.Add(-1)
+	for i := 0; i < 10; i++ { // fill the call pool, the calls' buffers and both pending arrays
+		set()
+		get()
+	}
+	const wantGet, wantSet = 1, 2
+	gotGet, gotSet := testing.AllocsPerRun(500, get), testing.AllocsPerRun(500, set)
+	if gotGet != wantGet || gotSet != wantSet {
+		t.Errorf("%.0f allocs per queued GET round trip and %.0f per SET, want %d and %d", gotGet, gotSet, wantGet, wantSet)
+	}
+	m.mu.Lock()
+	queued := cap(m.pending) + cap(m.spare)
+	m.mu.Unlock()
+	if queued == 0 {
+		t.Fatal("no call queued: the guard measured the held path")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,6 +37,35 @@ func TestPing(t *testing.T) {
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReplyNotHeldBehindPartialCommand: the server sends the replies it owes
+// before it waits for more bytes, so a reply never waits behind a command
+// that has arrived in part.
+func TestReplyNotHeldBehindPartialCommand(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	expect := func(want string) {
+		t.Helper()
+		_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(conn, got); err != nil || string(got) != want {
+			t.Fatalf("read %q, %v; want %q", got, err, want)
+		}
+	}
+	// One write: a PING, then the first half of a SET.
+	if _, err := conn.Write([]byte("*1\r\n$4\r\nPING\r\n*3\r\n$3\r\nSET\r\n$1\r\nk")); err != nil {
+		t.Fatal(err)
+	}
+	expect("+PONG\r\n")
+	if _, err := conn.Write([]byte("\r\n$1\r\nv\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	expect("+OK\r\n")
 }
 
 func TestSetGetDel(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,30 +36,21 @@ const (
 	muxInflightCap = 1024
 )
 
-// Call states. A call starts queued, moves to framing when a leader claims
-// it, to written once its bytes sit in the write buffer (they will reach the
-// wire), and to done exactly once — either by the reader or a leader (result
-// or poison) or by the caller's ctx firing. The CAS on state is what
-// makes cancellation race-free: a caller can only abandon a call that is
-// still queued; once claimed, the reader owns completion and the caller must
-// treat a cancel as ambiguous. Framing is the one state in which the
-// connection reads the caller's argument bytes, so an abandoning caller
-// waits it out (awaitFramed): the bytes are the caller's again when its
-// exchange returns, as kv.Store's Put promises. A call run by its caller on
-// a held socket stays queued throughout, unless its deadline hands it to the
-// reader, which it enters as written.
+// Call states. A call starts queued, moves to written when a leader claims
+// it (its bytes will reach the wire), and to done exactly once — either by
+// the reader or a leader (result or poison) or by the caller's ctx firing.
+// The CAS on state is what makes cancellation race-free: a caller can only
+// revoke a call that is still queued; once claimed, the reader owns
+// completion and the caller must treat a cancel as ambiguous. A leader frames
+// the call's own copy of its arguments (call.own), so the caller's are its
+// own again, as kv.Store's Put promises, as soon as it returns. A call run by
+// its caller on a held socket stays queued throughout, unless its deadline
+// hands it to the reader, which it enters as written.
 const (
 	muxQueued int32 = iota // the zero value: a pooled call is ready to submit
-	muxFraming
 	muxWritten
 	muxDone
 )
-
-// framingPatience is how many scheduler yields an abandoning caller gives a
-// leader that is framing its call before it breaks the connection. Framing is
-// a memcpy into the write buffer, except for a value that overflows the
-// buffer into a socket that is not draining.
-const framingPatience = 128
 
 // muxStatus reports how an exchange failed, for idempotency classification
 // (written) and for call ownership (detached: the caller gave up on a
@@ -82,9 +72,9 @@ type muxConn struct {
 	// leading is set while a caller owns the write side — a hold or a batch —
 	// and while the role waits in turn for a queued caller to take it.
 	leading bool
-	// pendingDL is the latest deadline among the queued calls, zero when one
-	// has none: the write deadline their batch gets.
-	pendingDL time.Time
+	// loadDL is the latest deadline of the calls counted in load since it
+	// was last 0, zero when one has none: the write deadline of every batch.
+	loadDL time.Time
 
 	// rdl and wdl are the socket's read and write deadlines as last armed;
 	// the next leader that needs others re-arms them. Owned with the write
@@ -180,15 +170,15 @@ func (m *muxConn) poison(err error, written *call, unwritten []*call) error {
 // lead runs the write side, which the caller owns, for one batch: it takes
 // the whole queue, frames it and flushes once — the coalescing that turns N
 // callers' round trips into one syscall — and hands the role on. The writes
-// run under the latest deadline among the batch's calls, none if one has
-// none: a write is cut only once it has parked past every caller it serves.
+// run under loadDL: a write is cut, and the socket poisoned, only once it has
+// parked past every caller with a call on the socket, not only the batch's.
 func (m *muxConn) lead() {
 	m.mu.Lock()
-	batch, wdl := m.pending, m.pendingDL
+	batch, wdl := m.pending, m.loadDL
 	m.pending, m.spare = m.spare, nil
 	m.mu.Unlock()
-	// Past the batch's deadline every caller in it has given up: none of the
-	// calls is written, so none is cut off the socket either.
+	// Past that deadline every caller on the socket has given up: none of the
+	// batch's calls is written, so none is cut off the socket either.
 	expired := !wdl.IsZero() && !time.Now().Before(wdl)
 	// A read deadline a holder left armed is not these calls': the reader
 	// waits for their replies without one.
@@ -198,7 +188,7 @@ func (m *muxConn) lead() {
 			m.finish(call, context.DeadlineExceeded, false)
 			continue
 		}
-		if !call.state.CompareAndSwap(muxQueued, muxFraming) {
+		if !call.state.CompareAndSwap(muxQueued, muxWritten) {
 			continue // caller cancelled before any bytes moved
 		}
 		if err := m.writeCall(call); err != nil {
@@ -245,9 +235,7 @@ func (m *muxConn) take(socketBound bool) {
 // writeCall frames one call, which the leader has claimed, and hands it to
 // the reader.
 func (m *muxConn) writeCall(call *call) error {
-	err := call.frame(m.w)
-	call.state.Store(muxWritten) // the arguments have been read, whatever came of it
-	if err != nil {
+	if err := call.frame(m.w); err != nil {
 		return err
 	}
 	select {
@@ -300,15 +288,13 @@ func (m *muxConn) readLoop() {
 // otherwise queued, and led by the caller when it finds or is handed the role
 // — and waits for its completion or ctx; on success the reply is in
 // call.reply. A queued caller whose ctx has a deadline waits it out on the
-// call's own timer, as a holder does on the socket's, and never asks the ctx
-// for its Done channel, which a round's context makes on demand: a cancel
-// before the deadline is noticed at the reply, the turn or the deadline, and
-// one noticed at the turn revokes the call before the caller leads the
-// others'. A ctx without a deadline is waited on through Done. When the ctx
-// ends the caller detaches: a call still queued is revoked cleanly (never
-// written); one a leader claimed has an unknown outcome, and status.written is
-// set so roundTrip can apply idempotency rules. Unless status.detached is set,
-// the call is the caller's again on return.
+// call's own timer, never on Done, which a round's context makes on demand:
+// a cancel before the deadline is noticed at the reply, the turn or the
+// deadline, and one noticed at the turn revokes the call before the caller
+// leads the others'. When the ctx ends the caller returns at once, detached:
+// a call still queued is revoked (never written); one a leader claimed has an
+// unknown outcome (status.written, for roundTrip's idempotency rules). Unless
+// status.detached is set, the call is the caller's again on return.
 func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 	if err := ctx.Err(); err != nil {
 		return muxStatus{}, err
@@ -326,17 +312,19 @@ func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 	}
 	lead := !m.leading
 	m.leading = true
+	// The first call on an idle socket sets its write deadline; each later
+	// one can only push it out, to none if it has none.
+	n := m.load.Add(1)
+	if n == 1 || !m.loadDL.IsZero() && (!hasDL || dl.After(m.loadDL)) {
+		m.loadDL = dl
+	}
 	// A socket-bound leader holds an idle socket: nothing queued, nothing
 	// written and unanswered (load counts a call until its reply is read).
-	if n := m.load.Add(1); lead && socketBound && n == 1 {
+	if lead && socketBound && n == 1 {
 		m.mu.Unlock()
 		return m.exchangeHeld(call, dl)
 	}
-	// The first call queued sets the batch's deadline; each later one can
-	// only push it out, to none if it has none.
-	if len(m.pending) == 0 || !m.pendingDL.IsZero() && (!hasDL || dl.After(m.pendingDL)) {
-		m.pendingDL = dl
-	}
+	call.own() // before any leader can see it
 	m.pending = append(m.pending, call)
 	m.mu.Unlock()
 	if lead {
@@ -376,34 +364,14 @@ func (m *muxConn) exchange(ctx context.Context, call *call) (muxStatus, error) {
 		m.load.Add(-1)
 		return muxStatus{detached: true}, ctx.Err()
 	}
-	// A leader has it (or it just finished). While it frames the call it
-	// reads the caller's arguments: wait that out. Then prefer the real result
-	// if completion already happened; otherwise abandon as written/ambiguous.
-	if !m.awaitFramed(call, ctx.Err()) {
-		select {
-		case <-call.done:
-			return muxStatus{written: call.written}, call.err
-		default:
-		}
+	// A leader has it: prefer the real result if completion already
+	// happened; otherwise abandon as written/ambiguous.
+	select {
+	case <-call.done:
+		return muxStatus{written: call.written}, call.err
+	default:
 	}
 	return muxStatus{written: true, detached: true}, ctx.Err()
-}
-
-// awaitFramed returns once the leader is no longer reading call's arguments.
-// A leader parked in the socket mid-frame is released by poisoning the
-// connection, which awaitFramed reports: the write fails and the leader
-// finishes the calls it holds, this one as written.
-func (m *muxConn) awaitFramed(call *call, cause error) (poisoned bool) {
-	for spins := 0; call.state.Load() == muxFraming; spins++ {
-		if spins == framingPatience {
-			// The cause is named, not wrapped: it is this caller's own
-			// ctx, and every other call on the socket gets this error.
-			m.poison(fmt.Errorf("miniredis: mux write abandoned mid-frame (%v)", cause), nil, nil)
-			poisoned = true
-		}
-		runtime.Gosched()
-	}
-	return poisoned
 }
 
 // exchangeHeld runs call's exchange on the caller's goroutine, over the idle

@@ -183,10 +183,12 @@ func (c expiring) Err() error {
 }
 
 // TestMidFrameAbandonIsNotOthersDeadline: a caller whose deadline passes
-// while a leader is parked mid-frame on its call poisons the connection. A
-// caller queued behind it gets the connection's error, and that error must
-// not read as a deadline: the deadline was the first caller's alone, and
-// roundTrip retries no error that does.
+// while a leader is parked mid-frame on its call returns at once, with its
+// own deadline, and leaves the connection be: the leader frames the call's
+// own copy of the arguments. A caller queued behind it has no deadline, so it
+// waits, as it asked to, until the connection ends; the error it then gets
+// must not read as a deadline: the deadline was the first caller's alone,
+// and roundTrip retries no error that does.
 func TestMidFrameAbandonIsNotOthersDeadline(t *testing.T) {
 	client, server := net.Pipe() // the server never reads
 	defer server.Close()
@@ -213,16 +215,127 @@ func TestMidFrameAbandonIsNotOthersDeadline(t *testing.T) {
 	for m.load.Load() != 2 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	go m.lead() // frames the SET first and parks in the pipe: PING has no deadline, so neither has the batch's write
-	for big.state.Load() != muxFraming {
+	go m.lead() // frames the SET first and parks in the pipe: PING has no deadline, so neither has the write
+	for big.state.Load() == muxQueued {
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(ctx.done)
-	if err := <-abandoned; !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("abandoning caller: %v, want its deadline", err)
+	select {
+	case err := <-abandoned:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("abandoning caller: %v, want its deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoning caller waited for the parked write")
 	}
+	select {
+	case err := <-other:
+		t.Fatalf("queued caller failed while the connection lives: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if m.isDead() {
+		t.Fatal("giving up killed the connection")
+	}
+	_ = server.Close()
 	if err := <-other; err == nil || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued caller: %v, want the connection's error, not a deadline", err)
+	}
+}
+
+// TestWrittenCallOutlivesLaterDeadlines: a call with no deadline, written and
+// awaiting its reply, is never cut off by callers that come after it. A later
+// batch parks in a socket whose server has stopped reading, past the
+// deadlines of both its callers: the write is not cut while the first call is
+// on the socket, and the caller whose ctx ends gives up mid-frame at once
+// without breaking the connection. When the server reads again every call
+// still waited on is answered, the first one included.
+func TestWrittenCallOutlivesLaterDeadlines(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	m := newMuxConn(client)
+	defer m.poison(ErrClientClosed, nil, nil)
+	read, proceed := make(chan struct{}), make(chan struct{})
+	go func() {
+		r := resp.NewReader(server)
+		if _, err := r.ReadCommand(); err != nil { // the GET
+			return
+		}
+		close(read)
+		<-proceed
+		for range 2 { // the SET and the ECHO
+			if _, err := r.ReadCommand(); err != nil {
+				return
+			}
+		}
+		_, _ = server.Write([]byte("$1\r\nv\r\n+OK\r\n$1\r\ne\r\n"))
+	}()
+	// queue submits args under ctx behind a stand-in leader.
+	queue := func(ctx context.Context, args ...[]byte) (*call, chan error) {
+		m.mu.Lock()
+		m.leading = true
+		m.mu.Unlock()
+		cl, errc, n := newCall(args), make(chan error, 1), m.load.Load()
+		go func() {
+			_, err := m.exchange(ctx, cl)
+			errc <- err
+		}()
+		for m.load.Load() == n {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return cl, errc
+	}
+
+	get, getErr := queue(context.Background(), []byte("GET"), []byte("k"))
+	m.lead() // the GET's batch
+	<-read
+
+	// Both callers of the later batch have deadlines; the SET's ends when the
+	// test says, once its call is being framed.
+	dl := time.Now().Add(50 * time.Millisecond)
+	ctx := expiring{deadlineOnly{context.Background(), dl}, make(chan struct{})}
+	// Larger than the write buffer: framing it runs through the socket.
+	set, setErr := queue(ctx, []byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), 4*muxBufSize))
+	echo, echoErr := queue(deadlineOnly{context.Background(), dl}, []byte("ECHO"), []byte("e"))
+	go m.lead() // parks in the pipe, framing the SET
+	for set.state.Load() == muxQueued {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(time.Until(dl.Add(20 * time.Millisecond)))
+	if m.isDead() {
+		t.Fatal("the later batch's deadlines cut its parked write")
+	}
+	close(ctx.done)
+	select {
+	case err := <-setErr:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("SET: %v, want its deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the SET's caller waited for the parked write")
+	}
+	if m.isDead() {
+		t.Fatal("giving up mid-frame killed the connection")
+	}
+	select {
+	case err := <-getErr:
+		t.Fatalf("GET finished before the server answered: %v", err)
+	default:
+	}
+
+	close(proceed)
+	if err := <-getErr; err != nil || string(get.reply.Bulk) != "v" {
+		t.Fatalf("GET: %v, reply %q; want its reply", err, get.reply.Bulk)
+	}
+	if err := <-echoErr; err != nil || string(echo.reply.Bulk) != "e" {
+		t.Fatalf("ECHO: %v, reply %q; want its reply", err, echo.reply.Bulk)
+	}
+	select {
+	case <-set.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reader never finished the abandoned SET")
+	}
+	if set.reply.Str != "OK" || m.isDead() {
+		t.Fatalf("abandoned SET finished with %q, connection dead %v", set.reply.Str, m.isDead())
 	}
 }
 
@@ -368,42 +481,6 @@ func TestMuxClientClosed(t *testing.T) {
 	if err := c.Ping(context.Background()); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Ping after Close = %v, want ErrClientClosed", err)
 	}
-}
-
-// TestRespBuffered pins the Buffered accessors the batching paths rely on:
-// written-but-unflushed bytes are visible on the Writer, undrained input on
-// the Reader.
-func TestRespBuffered(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-
-	w := resp.NewWriterSize(c1, 1<<10)
-	if err := w.Write(resp.Simple("PONG")); err != nil {
-		t.Fatal(err)
-	}
-	if w.Buffered() == 0 {
-		t.Fatal("Writer.Buffered() = 0 after an unflushed Write")
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		r := resp.NewReaderSize(c2, 1<<10)
-		v, err := r.Read()
-		if err != nil || v.Text() != "PONG" {
-			t.Errorf("Read = %v, %v", v, err)
-		}
-		if r.Buffered() != 0 {
-			t.Errorf("Reader.Buffered() = %d after draining the only reply", r.Buffered())
-		}
-	}()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Buffered() != 0 {
-		t.Fatal("Writer.Buffered() != 0 after Flush")
-	}
-	<-done
 }
 
 // TestReaderTakesNoReplyAfterPoison: a poisoner drains the in-flight queue

@@ -202,19 +202,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	//
 	// 64 KiB buffers + deferred flushing are the server half of the mux hot
 	// path: one read syscall drains many pipelined commands, and replies
-	// are only flushed once the input buffer runs dry — so a pipelined
-	// batch costs one write syscall instead of one per command.
-	r := resp.NewReaderSize(conn, 64<<10).ReuseBulk(true)
+	// are flushed only before the next read (flushBeforeRead), so a
+	// pipelined batch costs one write syscall instead of one per command.
 	w := resp.NewWriterSize(conn, 64<<10)
+	r := resp.NewReaderSize(flushBeforeRead{conn, w}, 64<<10).ReuseBulk(true)
 	for {
-		// About to (possibly) block on the socket: if nothing more is
-		// buffered to parse, push out every reply accumulated for the
-		// current pipelined batch.
-		if w.Buffered() > 0 && r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
 		args, err := r.ReadCommand()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && errors.Is(err, resp.ErrProtocol) {
@@ -241,6 +233,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// flushBeforeRead reads from conn after pushing out the replies written so
+// far, as Redis writes pending replies before its event loop sleeps: no reply
+// waits behind a command that has arrived in part.
+type flushBeforeRead struct {
+	conn net.Conn
+	w    *resp.Writer
+}
+
+func (f flushBeforeRead) Read(p []byte) (int, error) {
+	if err := f.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.conn.Read(p)
 }
 
 // dispatchRecorded wraps dispatch with per-command observability: latency,

@@ -147,12 +147,6 @@ func NewReaderSize(r io.Reader, size int) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, size)}
 }
 
-// Buffered reports how many decoded-but-unparsed bytes sit in the read
-// buffer. A server loop uses it to batch reply flushes: while more input is
-// already buffered, the next command can be served before any syscall, so
-// flushing per command would waste writes.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
-
 // WaitByte blocks until the next byte of input has arrived, consuming
 // nothing. Called between values, a read error here — a socket deadline, say
 // — leaves the reader between values, so a later Read can still decode the
@@ -469,9 +463,6 @@ func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w)} }
 func NewWriterSize(w io.Writer, size int) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, size)}
 }
-
-// Buffered reports how many encoded bytes await a Flush.
-func (w *Writer) Buffered() int { return w.bw.Buffered() }
 
 // writeInt formats n without allocating.
 func (w *Writer) writeInt(n int64) {

@@ -862,8 +862,8 @@ func newest(resp []readResponse) (winner record, exists bool) {
 
 // resolveRead picks the winner among replica responses and enforces the
 // monotonic-read rule, repairing stale replicas as needed. locked reports
-// whether the caller already holds key's stripe lock (the CAS path does;
-// plain reads do not, and repair takes it itself).
+// whether the caller already holds key's stripe lock (Delete does; plain
+// reads do not, and repair takes it itself).
 //
 // Returns (winner, exists=false) when no replica has a record: the key was
 // never written (or fully forgotten), distinct from a tombstoned key, where
@@ -952,7 +952,7 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 }
 
 // readRecord is the full quorum read. locked reports that the caller already
-// holds key's stripe lock (the CAS and Delete paths).
+// holds key's stripe lock (Delete, its only such caller).
 //
 // It asks a probe window of max(R, N-R+1) replicas and resolves from their
 // answers alone when they agree: answered >= R and holders >= N-R+1 then hold
